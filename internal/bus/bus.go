@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,6 +42,17 @@ func (s *Subscription) noteDrop() {
 	if !dropWarned.Load() && dropWarned.CompareAndSwap(false, true) {
 		//lint:ignore printban deliberate once-per-process operator warning; the flood-free contract is pinned by the drop-warning regression test
 		log.Printf("bus: subscriber %q buffer full; dropping messages (see bus.deliver.dropped metric and Subscription.Dropped; this warning is logged once)", s.pattern)
+	}
+}
+
+// deliver hands msg to the subscriber without blocking: a full buffer
+// counts a drop instead.
+func (s *Subscription) deliver(msg Message) {
+	select {
+	case s.ch <- msg:
+		obsDelivered.Inc()
+	default:
+		s.noteDrop()
 	}
 }
 
@@ -83,13 +95,24 @@ func (s *Subscription) Unsubscribe() { s.bus.unsubscribe(s) }
 type Interceptor func(msg Message) (deliver bool, err error)
 
 // Bus is an in-process pub/sub broker, safe for concurrent use.
+//
+// Fan-out is indexed, so a publish costs the same whatever the roster:
+// a wildcard-free pattern matches exactly the topic it spells, so those
+// subscriptions sit in a map keyed by that topic, and only the patterns
+// with a "+" or "#" segment are scanned. Every in-process subscriber
+// (node command topics, reply topics, responders, broker register) is
+// wildcard-free; wildcards arrive from TCP clients, one per connection.
+// A deployment with many wildcard subscribers is the reason to revisit
+// this (DESIGN.md §2).
 type Bus struct {
 	mu          sync.RWMutex
-	subs        map[uint64]*Subscription // guarded by mu
-	nextID      uint64                   // guarded by mu
-	hooks       []Hook                   // guarded by mu
-	retained    map[string]Message       // guarded by mu; last-value cache per topic
-	closed      bool                     // guarded by mu
+	subs        map[uint64]*Subscription   // guarded by mu
+	exact       map[string][]*Subscription // guarded by mu; wildcard-free patterns, by the one topic each matches
+	wild        []*Subscription            // guarded by mu; patterns with a "+" or "#" segment
+	nextID      uint64                     // guarded by mu
+	hooks       []Hook                     // guarded by mu
+	retained    map[string]Message         // guarded by mu; last-value cache per topic
+	closed      bool                       // guarded by mu
 	interceptor atomic.Pointer[Interceptor]
 }
 
@@ -100,6 +123,7 @@ var ErrClosed = errors.New("bus: closed")
 func New() *Bus {
 	return &Bus{
 		subs:     make(map[uint64]*Subscription),
+		exact:    make(map[string][]*Subscription),
 		retained: make(map[string]Message),
 	}
 }
@@ -112,12 +136,12 @@ func (b *Bus) AddHook(h Hook) {
 }
 
 // ValidTopic reports whether a topic is publishable: non-empty, no
-// wildcards, no empty segments.
+// wildcards, no empty segments. Used as a pattern, a valid topic matches
+// itself and nothing else.
 func ValidTopic(topic string) bool {
-	if topic == "" {
-		return false
-	}
-	for _, seg := range strings.Split(topic, "/") {
+	for more := true; more; {
+		var seg string
+		seg, topic, more = strings.Cut(topic, "/")
 		if seg == "" || seg == "+" || seg == "#" {
 			return false
 		}
@@ -128,15 +152,10 @@ func ValidTopic(topic string) bool {
 // ValidPattern reports whether a subscription pattern is well formed:
 // non-empty segments, "#" only in final position.
 func ValidPattern(pattern string) bool {
-	if pattern == "" {
-		return false
-	}
-	segs := strings.Split(pattern, "/")
-	for i, seg := range segs {
-		if seg == "" {
-			return false
-		}
-		if seg == "#" && i != len(segs)-1 {
+	for more := true; more; {
+		var seg string
+		seg, pattern, more = strings.Cut(pattern, "/")
+		if seg == "" || (seg == "#" && more) {
 			return false
 		}
 	}
@@ -145,23 +164,25 @@ func ValidPattern(pattern string) bool {
 
 // Match reports whether a concrete topic matches a pattern. "+" matches
 // exactly one segment; a trailing "#" matches any remainder (including
-// none).
+// none). It walks both strings a segment at a time and allocates nothing:
+// every publish runs it once per wildcard subscription.
 func Match(pattern, topic string) bool {
-	ps := strings.Split(pattern, "/")
-	ts := strings.Split(topic, "/")
-	i := 0
-	for ; i < len(ps); i++ {
-		if ps[i] == "#" {
+	pMore, tMore := true, true
+	for pMore {
+		var p, t string
+		p, pattern, pMore = strings.Cut(pattern, "/")
+		if p == "#" {
 			return true
 		}
-		if i >= len(ts) {
+		if !tMore {
 			return false
 		}
-		if ps[i] != "+" && ps[i] != ts[i] {
+		t, topic, tMore = strings.Cut(topic, "/")
+		if p != "+" && p != t {
 			return false
 		}
 	}
-	return i == len(ts)
+	return !tMore
 }
 
 // Subscribe registers interest in a pattern with the given channel buffer
@@ -182,6 +203,12 @@ func (b *Bus) Subscribe(pattern string, buffer int) (*Subscription, error) {
 	ch := make(chan Message, buffer)
 	sub := &Subscription{C: ch, ch: ch, pattern: pattern, id: b.nextID, bus: b}
 	b.subs[sub.id] = sub
+	// A pattern that is itself a publishable topic has no wildcard.
+	if ValidTopic(pattern) {
+		b.exact[pattern] = append(b.exact[pattern], sub)
+	} else {
+		b.wild = append(b.wild, sub)
+	}
 	// Deliver matching retained messages (last-value cache) so late
 	// joiners see current state immediately.
 	for topic, msg := range b.retained {
@@ -203,7 +230,27 @@ func (b *Bus) unsubscribe(s *Subscription) {
 		return
 	}
 	delete(b.subs, s.id)
+	if ValidTopic(s.pattern) {
+		// Reply topics are unique per request: a key left behind empty
+		// would be a leak, so the last subscription out deletes it.
+		if rest := removeSub(b.exact[s.pattern], s); len(rest) > 0 {
+			b.exact[s.pattern] = rest
+		} else {
+			delete(b.exact, s.pattern)
+		}
+	} else {
+		b.wild = removeSub(b.wild, s)
+	}
 	close(s.ch)
+}
+
+// removeSub removes s from list in place; slices.Delete clears the
+// vacated tail slot, so the backing array does not pin the subscription.
+func removeSub(list []*Subscription, s *Subscription) []*Subscription {
+	if i := slices.Index(list, s); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // PublishRetained publishes like Publish and additionally stores the
@@ -288,14 +335,12 @@ func (b *Bus) Publish(topic string, payload []byte) error {
 		return ErrClosed
 	}
 	msg := Message{Topic: topic, Payload: payload}
-	for _, sub := range b.subs {
+	for _, sub := range b.exact[topic] {
+		sub.deliver(msg)
+	}
+	for _, sub := range b.wild {
 		if Match(sub.pattern, topic) {
-			select {
-			case sub.ch <- msg:
-				obsDelivered.Inc()
-			default:
-				sub.noteDrop()
-			}
+			sub.deliver(msg)
 		}
 	}
 	hooks := b.hooks
@@ -371,8 +416,8 @@ func (b *Bus) SubscribeFunc(pattern string, buffer int, fn func(Message)) (*Subs
 func (b *Bus) SubscriberCount(topic string) int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	n := 0
-	for _, sub := range b.subs {
+	n := len(b.exact[topic])
+	for _, sub := range b.wild {
 		if Match(sub.pattern, topic) {
 			n++
 		}
@@ -393,4 +438,6 @@ func (b *Bus) Close() {
 		delete(b.subs, id)
 		close(sub.ch)
 	}
+	clear(b.exact)
+	b.wild = nil
 }

@@ -303,20 +303,35 @@ func TestPropMatchReflexive(t *testing.T) {
 	}
 }
 
+// BenchmarkPublish publishes to one subscriber among a growing roster:
+// alone, among one NanoCloud's 144 wildcard-free command topics, and with
+// two TCP-style wildcard patterns beside those. The first two should cost
+// the same, the third one Match more per wildcard pattern, and none should
+// allocate.
 func BenchmarkPublish(b *testing.B) {
-	bus := New()
-	sub, _ := bus.Subscribe("bench/+", 1)
-	defer sub.Unsubscribe()
 	payload := make([]byte, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bus.Publish("bench/x", payload)
-		select {
-		case <-sub.C:
-		default:
+	run := func(bus *Bus, topic string, sub *Subscription) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bus.Publish(topic, payload); err != nil {
+					b.Fatal(err)
+				}
+				<-sub.C
+			}
 		}
 	}
+	lone := New()
+	defer lone.Close()
+	sub, err := lone.Subscribe("bench/x", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("subs=1", run(lone, "bench/x", sub))
+	roster, target, sub := rosterBus(b, 0)
+	b.Run("subs=144", run(roster, target, sub))
+	roster, target, sub = rosterBus(b, 2)
+	b.Run("subs=144+2wild", run(roster, target, sub))
 }
 
 func TestRetainedDeliveredToLateJoiner(t *testing.T) {

@@ -73,7 +73,11 @@ func IsRetryable(err error) bool {
 // The final error wraps the last attempt's failure.
 func RequestRetryContext(ctx context.Context, b *Bus, topic string, body, out any, pol RetryPolicy) error {
 	pol = pol.withDefaults()
-	rng := rand.New(rand.NewSource(pol.Seed))
+	// Seeded at the first backoff, not here: seeding costs ~5 KB and a
+	// 607-word loop, and a call whose first attempt succeeds never draws.
+	// The schedule for a given Seed is the same either way, because the
+	// stream still starts at its first draw.
+	var rng *rand.Rand
 	var err error
 	attempt := 0
 	for attempt < pol.Attempts {
@@ -96,6 +100,9 @@ func RequestRetryContext(ctx context.Context, b *Bus, topic string, body, out an
 		}
 		// Deterministic jitter in [backoff/2, backoff]: seeded, so a replay
 		// with the same policy walks the same schedule.
+		if rng == nil {
+			rng = rand.New(rand.NewSource(pol.Seed))
+		}
 		delay := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
 		timer := time.NewTimer(delay)
 		select {

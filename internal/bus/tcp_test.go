@@ -63,8 +63,11 @@ func TestTCPOversizedPayloadKillsConnection(t *testing.T) {
 	// A frame past the server's 4 MiB scanner limit makes the server drop
 	// the connection (the documented failure mode for oversized payloads);
 	// the client's subscription channels close when the read loop ends.
+	// The server may hang up while the client is still writing the frame,
+	// so a write error here is that same teardown seen from the sending
+	// side, not a failure; the channel closing is what is required.
 	if err := cli.Publish("big/huge", make([]byte, 5<<20)); err != nil {
-		t.Fatal(err)
+		t.Logf("oversized publish: %v (connection dropped mid-write)", err)
 	}
 	select {
 	case _, ok := <-ch:

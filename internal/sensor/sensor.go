@@ -68,7 +68,7 @@ type Probe struct {
 	cfg  Config
 
 	model Model
-	rng   *rand.Rand
+	rng   *rand.Rand // noise stream; nil until the first noisy sample
 	t     float64
 }
 
@@ -86,10 +86,7 @@ func NewProbe(name string, kind Kind, axes int, cfg Config, model Model) (*Probe
 	if model == nil {
 		return nil, fmt.Errorf("sensor: probe %q has no signal model", name)
 	}
-	return &Probe{
-		name: name, kind: kind, axes: axes, cfg: cfg,
-		model: model, rng: rand.New(rand.NewSource(cfg.Seed)),
-	}, nil
+	return &Probe{name: name, kind: kind, axes: axes, cfg: cfg, model: model}, nil
 }
 
 // Name returns the probe's unique name.
@@ -109,11 +106,17 @@ func (p *Probe) Config() Config { return p.cfg }
 func (p *Probe) NoiseSigma() float64 { return p.cfg.NoiseSigma }
 
 // Next produces the next sample and advances simulation time by 1/rate.
+// The noise stream is seeded here on first use, not in NewProbe: a phone
+// carries eight probes and a campaign samples few of them, and seeding
+// was most of a deployment's set-up time.
 func (p *Probe) Next() Sample {
 	s := Sample{T: p.t, Values: make([]float64, p.axes)}
 	for a := 0; a < p.axes; a++ {
 		v := p.model(p.t, a) + p.cfg.Bias + p.cfg.DriftPerS*p.t
 		if p.cfg.NoiseSigma > 0 {
+			if p.rng == nil {
+				p.rng = rand.New(rand.NewSource(p.cfg.Seed))
+			}
 			v += p.rng.NormFloat64() * p.cfg.NoiseSigma
 		}
 		s.Values[a] = v
@@ -153,7 +156,7 @@ func (p *Probe) Truth(t float64, axis int) float64 { return p.model(t, axis) }
 // the identical sample sequence.
 func (p *Probe) Reset() {
 	p.t = 0
-	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
+	p.rng = nil
 }
 
 // --- Device heterogeneity ----------------------------------------------------

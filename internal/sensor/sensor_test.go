@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mat"
@@ -65,6 +66,33 @@ func TestProbeNoiseBiasDrift(t *testing.T) {
 	}
 	if mat.Variance(a) == 0 {
 		t.Fatal("noise had no effect")
+	}
+}
+
+// The noise stream is seeded on first use. What a seed means must not
+// depend on when that happens: a fresh probe, a probe that was Reset
+// before its first sample, and a generator seeded eagerly the way
+// NewProbe used to all walk the same draws, axis by axis.
+func TestProbeLazySeedMatchesEagerStream(t *testing.T) {
+	cfg := Config{RateHz: 5, NoiseSigma: 0.3, Seed: 99}
+	fresh, _ := NewProbe("fresh", Accelerometer, 3, cfg, constModel(1))
+	reset, _ := NewProbe("reset", Accelerometer, 3, cfg, constModel(1))
+	reset.Reset()
+	eager := rand.New(rand.NewSource(cfg.Seed))
+	for i := 0; i < 64; i++ {
+		f, r := fresh.Next(), reset.Next()
+		for a := 0; a < 3; a++ {
+			want := 1 + eager.NormFloat64()*cfg.NoiseSigma
+			if f.Values[a] != want || r.Values[a] != want {
+				t.Fatalf("sample %d axis %d: fresh %v, reset-first %v, eager stream %v", i, a, f.Values[a], r.Values[a], want)
+			}
+		}
+	}
+	// A noiseless probe never needs a generator at all.
+	quiet, _ := NewProbe("quiet", Temperature, 1, Config{RateHz: 1, Seed: 7}, constModel(3))
+	quiet.Collect(8)
+	if quiet.rng != nil {
+		t.Fatal("noiseless probe seeded a generator it never draws from")
 	}
 }
 
