@@ -6,19 +6,37 @@ import (
 	"testing"
 )
 
+func fuzzOperator2D(kind Kind, h, w int) (Operator, error) {
+	rowOp, err := OperatorFor(kind, h)
+	if err != nil {
+		return nil, err
+	}
+	colOp, err := OperatorFor(kind, w)
+	if err != nil {
+		return nil, err
+	}
+	return NewSeparable2D(rowOp, colOp), nil
+}
+
 // FuzzOperatorRoundTrip feeds the matrix-free operators adversarial sizes
 // and values. The contract under test: OperatorFor either errors or returns
 // an operator whose analyze/synthesize pair round-trips finite input (the
 // orthonormality property the decoders rely on), with no panics for any
-// byte pattern.
+// byte pattern. A first byte ≥ 128 draws a 2-D shape instead — factors of
+// 1..8 rows by 1..8 columns, square or rectangular — so Separable2D's paired
+// route, its single-row/column tails and its dense-factor loop see the same
+// inputs.
 func FuzzOperatorRoundTrip(f *testing.F) {
 	f.Add([]byte("\x01\x03abcdefgh12345678"))
 	f.Add([]byte("\x02\x08" +
 		"\x00\x00\x00\x00\x00\x00\xf0\x7f" + // +Inf
 		"\xff\xff\xff\xff\xff\xff\xff\xff" + // NaN
 		"\x01\x00\x00\x00\x00\x00\x00\x00")) // denormal
-	f.Add([]byte("\x03\x00"))             // Haar at n=1
-	f.Add([]byte("\x00\x0dZZZZZZZZZZZZ")) // identity, non-dyadic size
+	f.Add([]byte("\x03\x00"))                         // Haar at n=1
+	f.Add([]byte("\x00\x0dZZZZZZZZZZZZ"))             // identity, non-dyadic size
+	f.Add([]byte("\x85\x3babcdefgh12345678ABCDEFGH")) // 2-D DCT, 4×8
+	f.Add([]byte("\x85\x38abcdefgh"))                 // 2-D DCT, 1×8: the odd-count tail
+	f.Add([]byte("\x85\x15abcdefgh12345678"))         // 2-D DCT, 6×3: dense factors
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -28,8 +46,16 @@ func FuzzOperatorRoundTrip(f *testing.F) {
 		// Sizes 1..64: powers of two exercise the fast paths, the rest the
 		// dense fallback and the Haar/learned rejection paths.
 		n := 1 + int(data[1])%64
+		var op Operator
+		var err error
+		if data[0] < 128 {
+			op, err = OperatorFor(kind, n)
+		} else {
+			h, w := 1+int(data[1])%8, 1+int(data[1]>>3)%8
+			n = h * w
+			op, err = fuzzOperator2D(kind, h, w)
+		}
 		data = data[2:]
-		op, err := OperatorFor(kind, n)
 		if err != nil {
 			return
 		}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/fft"
@@ -217,17 +218,26 @@ func (o *MatrixOp) ApplyTransposeAll(dst, src *mat.Matrix) error {
 // --- DCT (FFT fast path) -------------------------------------------------------
 
 // dctOp computes the orthonormal DCT-II basis of basis.DCT matrix-free via
-// Makhoul's n-point FFT method: ApplyTranspose is the DCT-II analysis
-// (even/odd permutation, FFT, half-sample twiddle), Apply inverts the same
-// pipeline (DCT-III synthesis).
+// Makhoul's n-point FFT method: analysis (ApplyTranspose) is even/odd
+// permutation, FFT, half-sample twiddle; synthesis (Apply) inverts the same
+// pipeline (DCT-III). Both directions exist as a single-vector kernel and a
+// paired one that carries two real vectors through one complex FFT (analysis
+// separates the two spectra by conjugate symmetry, synthesis combines them by
+// linearity). The kernels address vector element i at offset+i·stride, gather
+// all input before writing any output (so dst may be src), and share one table
+// set.
 type dctOp struct {
-	n     int
-	plan  *fft.Plan
-	cosT  []float64 // cos(πk/2n)
-	sinT  []float64 // sin(πk/2n)
-	scale []float64 // s(0)=√(1/n), s(k>0)=√(2/n)
-	tab   []float64 // full twiddle period: tab[t] = cos(πt/2n), t < 4n
-	pool  sync.Pool
+	n      int
+	plan   *fft.Plan
+	rev    []int     // bit reversal (synthesis scatters the spectrum through it)
+	gather []int     // Makhoul permutation ∘ bit reversal (analysis input)
+	scale  []float64 // s(0)=√(1/n), s(k>0)=√(2/n)
+	tab    []float64 // full twiddle period: tab[t] = cos(πt/2n), t < 4n
+	pool   sync.Pool
+	// Transform twiddles with the scale folded in: s(k)·cos|sin(πk/2n) for
+	// analysis, cos|sin(πk/2n)/(n·s(k)) — the inverse FFT's 1/n included —
+	// for synthesis.
+	fwdCos, fwdSin, invCos, invSin []float64
 }
 
 // rowTableLimit bounds the closed-form row/entry twiddle tables. The DCT
@@ -251,19 +261,27 @@ func newDCTOp(n int) (*dctOp, error) {
 	}
 	o := &dctOp{
 		n: n, plan: plan,
-		cosT:  make([]float64, n),
-		sinT:  make([]float64, n),
+		rev: make([]int, n), gather: make([]int, n),
+		fwdCos: make([]float64, n), fwdSin: make([]float64, n),
+		invCos: make([]float64, n), invSin: make([]float64, n),
 		scale: make([]float64, n),
 		pool:  newComplexPool(n),
 	}
+	shift := 64 - bits.TrailingZeros(uint(n))
 	for k := 0; k < n; k++ {
 		s, c := math.Sincos(math.Pi * float64(k) / (2 * float64(n)))
-		o.cosT[k] = c
-		o.sinT[k] = s
 		o.scale[k] = math.Sqrt(2 / float64(n))
-	}
-	if n > 0 {
-		o.scale[0] = math.Sqrt(1 / float64(n))
+		if k == 0 {
+			o.scale[k] = math.Sqrt(1 / float64(n))
+		}
+		o.fwdCos[k], o.fwdSin[k] = o.scale[k]*c, o.scale[k]*s
+		o.invCos[k], o.invSin[k] = c/(o.scale[k]*float64(n)), s/(o.scale[k]*float64(n))
+		// FFT input slot r holds x[2r] for r < n/2 and x[2(n−1−r)+1] above.
+		r := int(bits.Reverse64(uint64(k)) >> shift)
+		o.rev[k], o.gather[k] = r, 2*r
+		if 2*r >= n {
+			o.gather[k] = 2*n - 1 - 2*r
+		}
 	}
 	if n <= rowTableLimit {
 		o.tab = make([]float64, 4*n)
@@ -278,57 +296,105 @@ func (o *dctOp) Dim() int { return o.n }
 
 // ApplyTranspose computes α = Φᵀx, the orthonormal DCT-II of x.
 func (o *dctOp) ApplyTranspose(dst, src []float64) {
-	n := o.n
-	checkLens(n, dst, src)
-	if n == 1 {
-		dst[0] = src[0]
-		return
-	}
-	sc := o.pool.Get().(*complexScratch)
-	re, im := sc.re, sc.im
-	// Makhoul permutation: evens ascending, odds descending.
-	for i := 0; i < n/2; i++ {
-		re[i] = src[2*i]
-		re[n-1-i] = src[2*i+1]
-	}
-	for i := range im {
-		im[i] = 0
-	}
-	o.plan.Forward(re, im)
-	// X2[k] = Re(e^{-jπk/2n}·V[k]); α[k] = s(k)·X2[k].
-	for k := 0; k < n; k++ {
-		dst[k] = o.scale[k] * (o.cosT[k]*re[k] + o.sinT[k]*im[k])
-	}
-	o.pool.Put(sc)
+	checkLens(o.n, dst, src)
+	o.applyPairs(dst, src, 1, 0, 1, true)
 }
 
 // Apply computes x = Φα, the orthonormal DCT-III inverse of ApplyTranspose.
 func (o *dctOp) Apply(dst, src []float64) {
-	n := o.n
-	checkLens(n, dst, src)
-	if n == 1 {
-		dst[0] = src[0]
+	checkLens(o.n, dst, src)
+	o.applyPairs(dst, src, 1, 0, 1, false)
+}
+
+// applyPairs transforms count vectors, vector v holding element i at
+// v·vecStride + i·stride of src and dst alike: two per complex FFT, an odd
+// last one (and n == 1) through the single-vector kernels, all on one
+// scratch. dst may be src.
+func (o *dctOp) applyPairs(dst, src []float64, count, vecStride, stride int, transpose bool) {
+	if o.n == 1 {
+		for v := 0; v < count; v++ {
+			dst[v*vecStride] = src[v*vecStride]
+		}
 		return
 	}
 	sc := o.pool.Get().(*complexScratch)
 	re, im := sc.re, sc.im
-	// Rebuild V[k] = e^{jπk/2n}·(X2[k] − j·X2[n−k]) from the unscaled
-	// coefficients, exploiting the conjugate symmetry of the real signal.
-	re[0] = src[0] / o.scale[0]
-	im[0] = 0
-	for k := 1; k < n; k++ {
-		zre := src[k] / o.scale[k]
-		zim := -src[n-k] / o.scale[n-k]
-		re[k] = o.cosT[k]*zre - o.sinT[k]*zim
-		im[k] = o.cosT[k]*zim + o.sinT[k]*zre
-	}
-	o.plan.Inverse(re, im)
-	// Undo the even/odd permutation.
-	for i := 0; i < n/2; i++ {
-		dst[2*i] = re[i]
-		dst[2*i+1] = re[n-1-i]
+	for v := 0; v < count; v += 2 {
+		a, b := v*vecStride, (v+1)*vecStride
+		switch {
+		case transpose && v+1 < count:
+			o.analyze2(dst, src, a, b, stride, re, im)
+		case transpose:
+			o.analyze1(dst, src, a, stride, re, im)
+		case v+1 < count:
+			o.synth2(dst, src, a, b, stride, re, im)
+		default:
+			o.synth1(dst, src, a, stride, re, im)
+		}
 	}
 	o.pool.Put(sc)
+}
+
+// analyze1: V = FFT(permuted x); α[k] = s(k)·Re(e^{-jπk/2n}·V[k]).
+func (o *dctOp) analyze1(dst, src []float64, a, st int, re, im []float64) {
+	for i, g := range o.gather {
+		re[i], im[i] = src[a+g*st], 0
+	}
+	o.plan.Butterflies(re, im, false)
+	for k, c := range o.fwdCos {
+		dst[a+k*st] = c*re[k] + o.fwdSin[k]*im[k]
+	}
+}
+
+// analyze2 transforms z = xa + j·xb once; the spectra separate as
+// Va[k] = (Z[k] + Z*[n−k])/2 and Vb[k] = (Z[k] − Z*[n−k])/2j.
+func (o *dctOp) analyze2(dst, src []float64, a, b, st int, re, im []float64) {
+	for i, g := range o.gather {
+		re[i], im[i] = src[a+g*st], src[b+g*st]
+	}
+	o.plan.Butterflies(re, im, false)
+	n := o.n
+	for k := 0; k < n; k++ {
+		j := (n - k) & (n - 1)
+		c, s := 0.5*o.fwdCos[k], 0.5*o.fwdSin[k]
+		dst[a+k*st] = c*(re[k]+re[j]) + s*(im[k]-im[j])
+		dst[b+k*st] = c*(im[k]+im[j]) - s*(re[k]-re[j])
+	}
+}
+
+// synth1 rebuilds V[k] = e^{jπk/2n}·(X2[k] − j·X2[n−k]) from the unscaled
+// coefficients (the conjugate symmetry of a real signal's spectrum), inverts
+// it, and undoes the even/odd permutation.
+func (o *dctOp) synth1(dst, src []float64, a, st int, re, im []float64) {
+	n := o.n
+	re[0], im[0] = o.invCos[0]*src[a], 0
+	for k := 1; k < n; k++ {
+		c, s, r := o.invCos[k], o.invSin[k], o.rev[k]
+		x, y := src[a+k*st], src[a+(n-k)*st]
+		re[r], im[r] = c*x+s*y, s*x-c*y
+	}
+	o.plan.Butterflies(re, im, true)
+	for i := 0; i < n/2; i++ {
+		dst[a+2*i*st], dst[a+(2*i+1)*st] = re[i], re[n-1-i]
+	}
+}
+
+// synth2 inverts Z = Va + j·Vb once: the real part is xa's permuted signal,
+// the imaginary part xb's.
+func (o *dctOp) synth2(dst, src []float64, a, b, st int, re, im []float64) {
+	n := o.n
+	re[0], im[0] = o.invCos[0]*src[a], o.invCos[0]*src[b]
+	for k := 1; k < n; k++ {
+		c, s, r := o.invCos[k], o.invSin[k], o.rev[k]
+		xa, ya := src[a+k*st], src[a+(n-k)*st]
+		xb, yb := src[b+k*st], src[b+(n-k)*st]
+		re[r], im[r] = (c*xa+s*ya)-(s*xb-c*yb), (s*xa-c*ya)+(c*xb+s*yb)
+	}
+	o.plan.Butterflies(re, im, true)
+	for i := 0; i < n/2; i++ {
+		dst[a+2*i*st], dst[a+(2*i+1)*st] = re[i], re[n-1-i]
+		dst[b+2*i*st], dst[b+(2*i+1)*st] = im[i], im[n-1-i]
+	}
 }
 
 func (o *dctOp) ApplyAll(dst, src *mat.Matrix) error {
@@ -713,11 +779,20 @@ func (o *haarOp) RowInto(dst []float64, i int) {
 // that is O(n log n) against the O(n²) Kronecker matrix, and the (h·w)²
 // product matrix is never materialized. Factors may be any Operator,
 // including another Separable2D (the spatio-temporal decoder stacks a
-// temporal factor on a spatial one).
+// temporal factor on a spatial one). When both factors offer pairApplier
+// (the FFT-backed DCT does) the stages run strided on the column-stacked
+// layout, two vectors per FFT; otherwise each vector goes through the
+// factor's Apply/ApplyTranspose with a transpose between the stages.
 type Separable2D struct {
 	row, col Operator
 	h, w, n  int
 	pool     sync.Pool
+}
+
+// pairApplier is the factor refinement behind Separable2D's fast route: a
+// strided batch transform (see (*dctOp).applyPairs) that needs no transpose.
+type pairApplier interface {
+	applyPairs(dst, src []float64, count, vecStride, stride int, transpose bool)
 }
 
 // NewSeparable2D builds the separable operator for an h-row × w-col field
@@ -744,6 +819,15 @@ func (o *Separable2D) apply(dst, src []float64, transpose bool) {
 	checkLens(n, dst, src)
 	if n == 0 {
 		return
+	}
+	// Paired route: both stages run on the column-stacked layout itself,
+	// stage 2 in place over dst's rows (element stride h).
+	if rp, ok := o.row.(pairApplier); ok {
+		if cp, ok := o.col.(pairApplier); ok {
+			rp.applyPairs(dst, src, w, h, 1, transpose)
+			cp.applyPairs(dst, dst, h, 1, h, transpose)
+			return
+		}
 	}
 	sp := o.pool.Get().(*[]float64)
 	t1 := (*sp)[:n]

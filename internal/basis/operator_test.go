@@ -416,3 +416,25 @@ func BenchmarkOperatorDCT64(b *testing.B)   { benchOperatorDCT(b, 64) }
 func BenchmarkOperatorDCT1024(b *testing.B) { benchOperatorDCT(b, 1024) }
 func BenchmarkDenseDCT64(b *testing.B)      { benchDenseDCT(b, 64) }
 func BenchmarkDenseDCT1024(b *testing.B)    { benchDenseDCT(b, 1024) }
+
+// benchOperatorDCT2D times one analysis plus one synthesis of an n×n field
+// through the separable DCT — the shape of the bench's basis.dct2d_*_us probe
+// and of one CHS iteration's residual analysis.
+func benchOperatorDCT2D(b *testing.B, n int) {
+	f, err := OperatorFor(KindDCT, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	op := NewSeparable2D(f, f)
+	x := randVec(rand.New(rand.NewSource(19)), n*n)
+	y := make([]float64, n*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op.ApplyTranspose(y, x)
+		op.Apply(x, y)
+	}
+}
+
+func BenchmarkOperatorDCT2D64(b *testing.B)  { benchOperatorDCT2D(b, 64) }
+func BenchmarkOperatorDCT2D256(b *testing.B) { benchOperatorDCT2D(b, 256) }

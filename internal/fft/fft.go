@@ -104,8 +104,7 @@ func (p *Plan) Inverse(re, im []float64) {
 	}
 }
 
-// transform runs the iterative radix-2 butterfly. The loop body performs no
-// allocation and no calls; the schedule is a pure function of n.
+// transform bit-reverses the input in place and runs the butterflies.
 func (p *Plan) transform(re, im []float64, inverse bool) {
 	n := p.n
 	if len(re) != n || len(im) != n {
@@ -117,13 +116,43 @@ func (p *Plan) transform(re, im []float64, inverse bool) {
 			im[i], im[j] = im[j], im[i]
 		}
 	}
+	p.Butterflies(re, im, inverse)
+}
+
+// Butterflies runs the in-place radix-2 butterfly stages on input the caller
+// has already placed in bit-reversed order (w[i] = x[rev(i)]), leaving the
+// unscaled DFT — forward, or inverse without the 1/n — in natural order. It
+// is the core behind Forward/Inverse for callers that fold the permutation
+// into a gather of their own. The first two stages, whose twiddles are 1 and
+// ∓i, run as one multiply-free radix-4 pass. The loop bodies perform no
+// allocation and no calls; the schedule is a pure function of n.
+func (p *Plan) Butterflies(re, im []float64, inverse bool) {
+	n := p.n
+	if len(re) != n || len(im) != n {
+		panic(fmt.Sprintf("fft: buffer length %d/%d, want %d", len(re), len(im), n))
+	}
 	// The direction only flips the twiddle's imaginary sign; folding it
 	// into a constant here keeps the innermost butterfly branch-free.
 	sign := -1.0
 	if inverse {
 		sign = 1.0
 	}
-	for size := 2; size <= n; size <<= 1 {
+	if n == 2 {
+		re[0], re[1] = re[0]+re[1], re[0]-re[1]
+		im[0], im[1] = im[0]+im[1], im[0]-im[1]
+		return
+	}
+	for s := 0; s+3 < n; s += 4 {
+		ar, ai := re[s]+re[s+1], im[s]+im[s+1]
+		br, bi := re[s]-re[s+1], im[s]-im[s+1]
+		cr, ci := re[s+2]+re[s+3], im[s+2]+im[s+3]
+		dr, di := -sign*(im[s+2]-im[s+3]), sign*(re[s+2]-re[s+3]) // ∓i·(x₂−x₃)
+		re[s], im[s] = ar+cr, ai+ci
+		re[s+1], im[s+1] = br+dr, bi+di
+		re[s+2], im[s+2] = ar-cr, ai-ci
+		re[s+3], im[s+3] = br-dr, bi-di
+	}
+	for size := 8; size <= n; size <<= 1 {
 		half := size >> 1
 		step := n / size
 		for start := 0; start < n; start += size {

@@ -235,8 +235,10 @@ func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 
 // buildBatch encodes shard s's report scratch into its payload arena
 // and the shared message batch. The arena is reused every round: netsim
-// retains payload slices only until the following Flush, which the run
-// loop performs before the next buildBatch touches the arena.
+// references payload slices only until the following Flush — it keeps its
+// queue's backing array across rounds but clears every slot there
+// (TestFlushReusesQueueAndDropsPayloads) — and the run loop flushes
+// before the next buildBatch touches the arena.
 func (r *Runner) buildBatch(s *Shard) []netsim.Message {
 	from := r.shardFrom[s.Index]
 	to := r.zoneTo[s.Zone]

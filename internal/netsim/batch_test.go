@@ -339,3 +339,45 @@ func batchedEquivalence(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: fault clock diverges: %d vs %d", seed, seqNet.MsgCount(), batNet.MsgCount())
 	}
 }
+
+// TestFlushReusesQueueAndDropsPayloads pins the steady-state cost of a
+// batched round: once the queue has grown to a round's size, a further
+// DeliverBatch+Flush round allocates a constant number of objects (the
+// presized delivery list), not a chain of regrowths, and the retained
+// backing array holds no payload reference after Flush — senders reuse
+// their payload buffers between rounds.
+func TestFlushReusesQueueAndDropsPayloads(t *testing.T) {
+	const count = 4096
+	n := New(43)
+	delivered := 0
+	for _, id := range []string{"a", "r"} {
+		if err := n.Register(id, func(Message) { delivered++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.SetAsync(true)
+	msgs := genTraffic(43, []string{"a"}, "r", count)
+	round := func() {
+		if _, err := n.DeliverBatch(msgs); err != nil {
+			t.Fatal(err)
+		}
+		n.Flush()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(5, round); allocs > 4 {
+		t.Errorf("steady-state round of %d messages allocates %.0f objects, want O(1)", count, allocs)
+	}
+	if delivered != 7*count { // the first round, AllocsPerRun's warm-up, five measured
+		t.Errorf("handlers saw %d deliveries, want %d", delivered, 7*count)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.queue) != 0 || cap(n.queue) < count {
+		t.Fatalf("after Flush: queue len %d cap %d, want drained with capacity kept", len(n.queue), cap(n.queue))
+	}
+	for i, m := range n.queue[:cap(n.queue)] {
+		if m.Payload != nil || m.From != "" {
+			t.Fatalf("queue slot %d still references a flushed message", i)
+		}
+	}
+}

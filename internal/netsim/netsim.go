@@ -202,6 +202,19 @@ func (d *obsDelta) flush() {
 	}
 }
 
+// linkLocked returns the link for from→to under n.mu. With no per-pair
+// override registered it skips building the map key, which is otherwise a
+// string concatenation per message.
+func (n *Network) linkLocked(from, to string) Link {
+	if len(n.links) == 0 {
+		return n.defLink
+	}
+	if l, ok := n.links[from+"→"+to]; ok {
+		return l
+	}
+	return n.defLink
+}
+
 // transmitLocked runs one transmission attempt under n.mu: fault-plan
 // verdict, tx accounting, loss draw, then either async enqueue or sync
 // rx accounting. It consumes exactly the RNG draws Deliver historically
@@ -218,10 +231,7 @@ func (n *Network) transmitLocked(msg Message, d *obsDelta) (out txOutcome, h Han
 	if !ok {
 		return txErr, nil, 0, "", fmt.Errorf("%w: receiver %q", ErrUnknownNode, msg.To)
 	}
-	link, ok := n.links[msg.From+"→"+msg.To]
-	if !ok {
-		link = n.defLink
-	}
+	link := n.linkLocked(msg.From, msg.To)
 	idx := n.msgCount
 	n.msgCount++
 	size := len(msg.Payload)
@@ -395,7 +405,6 @@ func (n *Network) Flush() int {
 	var d obsDelta
 	n.mu.Lock()
 	q := n.queue
-	n.queue = nil
 	var dupP, reoP float64
 	if n.plan != nil {
 		dupP, reoP = n.plan.dupReorder()
@@ -413,7 +422,9 @@ func (n *Network) Flush() int {
 		}
 		q = append(kept, deferred...)
 	}
-	var out []delivery
+	// One delivery per queued message unless a duplicate draw doubles it;
+	// append covers those.
+	out := make([]delivery, 0, len(q))
 	for _, m := range q {
 		// Down check first: a message to a receiver that crashed after
 		// enqueue is dropped before the duplicate draw, so the dup RNG
@@ -431,10 +442,7 @@ func (n *Network) Flush() int {
 			copies = 2
 			d.duplicate++
 		}
-		link, ok := n.links[m.From+"→"+m.To]
-		if !ok {
-			link = n.defLink
-		}
+		link := n.linkLocked(m.From, m.To)
 		size := len(m.Payload)
 		rx := n.stats[m.To]
 		for c := 0; c < copies; c++ {
@@ -446,6 +454,12 @@ func (n *Network) Flush() int {
 			out = append(out, delivery{m, n.handlers[m.To], link.LatencyMS})
 		}
 	}
+	// Keep the drained queue's backing array for the next round — growing a
+	// quarter-million-message queue from nil costs several times its final
+	// size — but drop its payload references: senders reuse payload buffers
+	// once Flush returns.
+	clear(n.queue)
+	n.queue = n.queue[:0]
 	n.mu.Unlock()
 	d.flush()
 	for _, dv := range out {

@@ -28,8 +28,9 @@ go test -run '^$' -bench 'BenchmarkOMP256M30|BenchmarkIHT256|BenchmarkCoSaMP256'
     -benchmem -benchtime "$BENCHTIME" ./internal/cs/ | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkMul64|BenchmarkQR128x32' \
     -benchmem -benchtime "$BENCHTIME" ./internal/mat/ | tee -a "$TMP"
-# Fast-transform kernels: operator vs dense synthesize/analyze pairs.
-go test -run '^$' -bench 'BenchmarkOperatorDCT64|BenchmarkOperatorDCT1024|BenchmarkDenseDCT64|BenchmarkDenseDCT1024' \
+# Fast-transform kernels: operator vs dense synthesize/analyze pairs, and
+# the separable 2-D DCT (analysis + synthesis of one n×n field).
+go test -run '^$' -bench 'BenchmarkOperatorDCT64|BenchmarkOperatorDCT1024|BenchmarkOperatorDCT2D|BenchmarkDenseDCT64|BenchmarkDenseDCT1024' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-2000x}" ./internal/basis/ | tee -a "$TMP"
 # Observability overhead: the disabled path must stay ~free, the enabled
 # path cheap; a fixed large iteration count keeps sub-ns timings stable.

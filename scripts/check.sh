@@ -65,6 +65,20 @@ if ! go run ./cmd/sdlint -topicgraph ./... | diff -u docs/topicgraph.txt - >/dev
     exit 1
 fi
 
+echo "== experiment tables freshness =="
+# experiments_output.txt is the committed copy of every table in
+# EXPERIMENTS.md; a change that moves a printed digit (or adds a runner)
+# without regenerating it means the review never saw the new numbers. The
+# "(id completed in 12ms)" lines are wall clock: mask the duration, keep
+# the line.
+MASK_TIMING='s/ completed in .*)$/ completed in _)/'
+if ! go run ./cmd/experiments all | sed "$MASK_TIMING" \
+    | diff -u <(sed "$MASK_TIMING" experiments_output.txt) - >/dev/null; then
+    echo "FAIL: experiments_output.txt is stale — regenerate with:"
+    echo "  go run ./cmd/experiments all > experiments_output.txt"
+    exit 1
+fi
+
 echo "== fuzz smoke =="
 # A few seconds per target: enough to catch a decoder that started
 # panicking on NaN/Inf or a frame parser that accepts garbage, without
