@@ -191,26 +191,30 @@ func (br *Broker) Positions() map[string]int {
 // per-node request still gets the broker's timeout, but cancelling ctx
 // abandons the sweep early (the partial map is returned).
 func (br *Broker) PositionsContext(ctx context.Context) map[string]int {
+	ids := br.Nodes()
+	reps := make([]node.PositionReply, len(ids))
+	calls := make([]bus.Call, len(ids))
+	for i, id := range ids {
+		calls[i] = bus.NewCall(node.PositionTopic(br.ID, id), id, struct{}{}, &reps[i])
+	}
+	br.scatter(ctx, calls)
 	out := make(map[string]int)
-	for _, id := range br.Nodes() {
-		if ctx.Err() != nil {
-			return out
+	for i, id := range ids {
+		if calls[i].Err == nil {
+			out[id] = reps[i].GridIdx
 		}
-		var rep node.PositionReply
-		if err := br.request(ctx, node.PositionTopic(br.ID, id), struct{}{}, &rep); err != nil {
-			continue
-		}
-		out[id] = rep.GridIdx
 	}
 	return out
 }
 
-// request is one per-node round trip under the broker's retry policy:
-// each attempt is bounded by the broker's per-request timeout, transient
-// failures (node down, attempt timeout) are retried with seeded-jitter
-// backoff, and the whole exchange stays inside the caller's context.
-func (br *Broker) request(ctx context.Context, topic string, body, out any) error {
-	return bus.RequestRetryContext(ctx, br.Bus, topic, body, out, bus.RetryPolicy{
+// scatter runs one request per call, each under the broker's retry
+// policy: every attempt is bounded by the broker's per-request timeout,
+// transient failures (node down, attempt timeout) are retried with
+// seeded-jitter backoff, and the whole exchange stays inside the
+// caller's context. The calls overlap as far as the bus allows
+// (bus.Scatter); their outcomes land in calls[i].Err.
+func (br *Broker) scatter(ctx context.Context, calls []bus.Call) {
+	bus.Scatter(ctx, br.Bus, br.ID, calls, bus.RetryPolicy{
 		Attempts:       br.attempts,
 		AttemptTimeout: br.timeout,
 		BaseBackoff:    br.backoff,
@@ -248,7 +252,7 @@ func (br *Broker) Gather(kind sensor.Kind, m int) (*GatherResult, error) {
 }
 
 // GatherContext is Gather under a caller-supplied context. Cancellation
-// is checked between nodes and bounds every in-flight request, so a
+// ends every request in flight and every one not yet sent, so a
 // cancelled round returns promptly instead of draining the full roster
 // at one timeout per unreachable node.
 func (br *Broker) GatherContext(ctx context.Context, kind sensor.Kind, m int) (*GatherResult, error) {
@@ -285,32 +289,44 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 	ids := br.orderNodes(ctx)
 	res := &GatherResult{}
 	seen := make(map[int]bool)
-	for _, id := range ids {
-		if len(res.Locs) >= m {
-			break
+	// The roster is solicited in waves of exactly the readings still
+	// missing. A wave that size cannot overshoot: even if every node in it
+	// answers from a fresh cell the budget fills at its last reading, so
+	// it asks only nodes a one-at-a-time walk would have asked, and
+	// folding the replies in roster order gives that walk's result.
+	readings := make([]node.FieldReading, min(m, len(ids)))
+	calls := make([]bus.Call, len(readings))
+	for next := 0; next < len(ids) && len(res.Locs) < m; {
+		wave := ids[next:min(next+m-len(res.Locs), len(ids))]
+		next += len(wave)
+		for i, id := range wave {
+			readings[i] = node.FieldReading{}
+			calls[i] = bus.NewCall(node.MeasureTopic(br.ID, id), id,
+				node.MeasureRequest{Kind: string(kind)}, &readings[i])
 		}
+		br.scatter(ctx, calls[:len(wave)])
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("broker: gather round abandoned: %w", err)
 		}
-		var reading node.FieldReading
-		err := br.request(ctx, node.MeasureTopic(br.ID, id),
-			node.MeasureRequest{Kind: string(kind)}, &reading)
-		if err != nil {
-			continue
+		for i := range wave {
+			reading := &readings[i]
+			if calls[i].Err != nil {
+				continue
+			}
+			if reading.Denied {
+				res.Denied++
+				continue
+			}
+			if seen[reading.GridIdx] || exclude[reading.GridIdx] {
+				continue // duplicate cell adds no spatial information
+			}
+			seen[reading.GridIdx] = true
+			res.Locs = append(res.Locs, reading.GridIdx)
+			res.Values = append(res.Values, reading.Value)
+			res.Sigmas = append(res.Sigmas, reading.Sigma)
+			res.NodeIDs = append(res.NodeIDs, reading.NodeID)
+			res.NodesUsed++
 		}
-		if reading.Denied {
-			res.Denied++
-			continue
-		}
-		if seen[reading.GridIdx] || exclude[reading.GridIdx] {
-			continue // duplicate cell adds no spatial information
-		}
-		seen[reading.GridIdx] = true
-		res.Locs = append(res.Locs, reading.GridIdx)
-		res.Values = append(res.Values, reading.Value)
-		res.Sigmas = append(res.Sigmas, reading.Sigma)
-		res.NodeIDs = append(res.NodeIDs, reading.NodeID)
-		res.NodesUsed++
 	}
 	// Infrastructure fallback for the shortfall (unless the outage model
 	// has taken the region's infra sensors offline).
@@ -360,16 +376,18 @@ func (br *Broker) orderNodes(ctx context.Context) []string {
 			id   string
 			frac float64
 		}
+		reps := make([]node.StatusReply, len(ids))
+		calls := make([]bus.Call, len(ids))
+		for i, id := range ids {
+			calls[i] = bus.NewCall(node.StatusTopic(br.ID, id), id, struct{}{}, &reps[i])
+		}
+		br.scatter(ctx, calls)
 		stats := make([]nb, 0, len(ids))
-		for _, id := range ids {
-			if ctx.Err() != nil {
-				break
-			}
-			var st node.StatusReply
-			if err := br.request(ctx, node.StatusTopic(br.ID, id), struct{}{}, &st); err != nil {
+		for i, id := range ids {
+			if calls[i].Err != nil {
 				continue // unreachable nodes sort last by omission
 			}
-			stats = append(stats, nb{id: id, frac: st.BatteryFrac})
+			stats = append(stats, nb{id: id, frac: reps[i].BatteryFrac})
 		}
 		sort.SliceStable(stats, func(i, j int) bool { return stats[i].frac > stats[j].frac })
 		out := make([]string, len(stats))

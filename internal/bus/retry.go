@@ -4,18 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Retry observability (no-ops until obs.Enable). attempts counts every
-// request attempt made under a retry policy; recovered counts calls that
-// succeeded on a retry (attempt > 1); giveups counts calls that exhausted
-// their budget or hit a terminal error. attempts_per_call shows how hard
-// the retry layer is working — a drift toward the high buckets means the
-// transport is degrading faster than the policy can hide.
+// Retry observability (no-ops until obs.Enable), kept by Scatter for every
+// call it runs. attempts counts every request published; recovered counts
+// calls that succeeded on a retry (attempt > 1); giveups counts calls that
+// exhausted their budget, hit a terminal error or were abandoned.
+// attempts_per_call shows how hard the retry layer is working — a drift
+// toward the high buckets means the transport is degrading faster than
+// the policy can hide.
 var (
 	obsRetryAttempts  = obs.GetCounter("bus.retry.attempts")
 	obsRetryRecovered = obs.GetCounter("bus.retry.recovered")
@@ -23,7 +23,7 @@ var (
 	obsRetryPerCall   = obs.GetHistogram("bus.retry.attempts_per_call", obs.CountBuckets)
 )
 
-// RetryPolicy bounds RequestRetryContext. The zero value is usable: 3
+// RetryPolicy bounds each call of a Scatter. The zero value is usable: 3
 // attempts, 10ms base backoff capped at 32× base, no per-attempt
 // deadline beyond the caller's context, jitter seeded with 0.
 type RetryPolicy struct {
@@ -69,54 +69,15 @@ func IsRetryable(err error) bool {
 // RequestRetryContext is RequestContext under a retry policy: capped
 // exponential backoff with deterministic seeded jitter and a per-call
 // attempt budget. Terminal errors (IsRetryable == false) and outer-ctx
-// expiry stop the loop immediately; only transient failures burn budget.
-// The final error wraps the last attempt's failure.
+// expiry stop it immediately; only transient failures burn budget. The
+// final error wraps the last attempt's failure. It is a Scatter of one
+// call, which is where the policy is carried out.
 func RequestRetryContext(ctx context.Context, b *Bus, topic string, body, out any, pol RetryPolicy) error {
-	pol = pol.withDefaults()
-	// Seeded at the first backoff, not here: seeding costs ~5 KB and a
-	// 607-word loop, and a call whose first attempt succeeds never draws.
-	// The schedule for a given Seed is the same either way, because the
-	// stream still starts at its first draw.
-	var rng *rand.Rand
-	var err error
-	attempt := 0
-	for attempt < pol.Attempts {
-		attempt++
-		obsRetryAttempts.Inc()
-		err = requestAttempt(ctx, b, topic, body, out, pol.AttemptTimeout)
-		if err == nil {
-			if attempt > 1 {
-				obsRetryRecovered.Inc()
-			}
-			obsRetryPerCall.Observe(float64(attempt))
-			return nil
-		}
-		if ctx.Err() != nil || !IsRetryable(err) || attempt == pol.Attempts {
-			break
-		}
-		backoff := pol.BaseBackoff << (attempt - 1)
-		if backoff <= 0 || backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
-		// Deterministic jitter in [backoff/2, backoff]: seeded, so a replay
-		// with the same policy walks the same schedule.
-		if rng == nil {
-			rng = rand.New(rand.NewSource(pol.Seed))
-		}
-		delay := backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			obsRetryGiveups.Inc()
-			obsRetryPerCall.Observe(float64(attempt))
-			return fmt.Errorf("bus: request on %q: %w", topic, ctx.Err())
-		}
+	c := request(ctx, b, topic, body, out, pol)
+	if c.Err == nil {
+		return nil
 	}
-	obsRetryGiveups.Inc()
-	obsRetryPerCall.Observe(float64(attempt))
-	return fmt.Errorf("bus: request on %q failed after %d attempt(s): %w", topic, attempt, err)
+	return fmt.Errorf("bus: request on %q failed after %d attempt(s): %w", topic, c.Attempts, c.Err)
 }
 
 // RequestRetry is the context-less convenience wrapper around
@@ -126,15 +87,4 @@ func RequestRetry(b *Bus, topic string, body, out any, timeout time.Duration, po
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	return RequestRetryContext(ctx, b, topic, body, out, pol)
-}
-
-// requestAttempt runs one RequestContext round, bounded by the
-// per-attempt timeout when one is set.
-func requestAttempt(ctx context.Context, b *Bus, topic string, body, out any, per time.Duration) error {
-	if per > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, per)
-		defer cancel()
-	}
-	return RequestContext(ctx, b, topic, body, out)
 }

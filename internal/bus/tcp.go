@@ -3,10 +3,13 @@ package bus
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // frame is the newline-delimited JSON wire format of the TCP transport.
@@ -40,6 +43,47 @@ func parseFrame(line []byte) (frame, error) {
 		return frame{}, fmt.Errorf("bus: unknown frame op %q", f.Op)
 	}
 	return f, nil
+}
+
+// frameWriter puts frames on one connection for any number of
+// goroutines. It buffers, so that a run of frames can leave in one write.
+type frameWriter struct {
+	mu  sync.Mutex
+	buf *bufio.Writer // guarded by mu
+	enc *json.Encoder // guarded by mu; encodes into buf
+}
+
+func newFrameWriter(w io.Writer) *frameWriter {
+	buf := bufio.NewWriter(w)
+	return &frameWriter{buf: buf, enc: json.NewEncoder(buf)}
+}
+
+// write queues f behind the frames already buffered and, unless the
+// caller has more to follow at once, flushes the lot.
+func (fw *frameWriter) write(f frame, more bool) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if err := fw.enc.Encode(f); err != nil {
+		return err
+	}
+	if more {
+		return nil
+	}
+	return fw.buf.Flush()
+}
+
+// forward writes a subscription's messages to fw as msg frames until the
+// subscription closes or a write fails. It flushes whenever its channel
+// is empty, so a burst (a scatter wave bound for the nodes behind one
+// connection) shares writes, while the last frame queued is never held
+// back: a frame is left in the buffer only when another is already
+// waiting behind it, and that one's write flushes both.
+func forward(fw *frameWriter, sub *Subscription) {
+	for msg := range sub.C {
+		if err := fw.write(frame{Op: "msg", Topic: msg.Topic, Payload: msg.Payload}, len(sub.C) > 0); err != nil {
+			return
+		}
+	}
 }
 
 // Server bridges a Bus onto a TCP listener so nodes in other processes
@@ -100,21 +144,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		//lint:ignore errcheck teardown after the serve loop exited; the close error has no consumer
 		_ = conn.Close()
 	}()
-	var (
-		writeMu sync.Mutex
-		subs    []*Subscription
-	)
+	var subs []*Subscription
 	defer func() {
 		for _, sub := range subs {
 			sub.Unsubscribe()
 		}
 	}()
-	enc := json.NewEncoder(conn)
-	send := func(f frame) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		return enc.Encode(f)
-	}
+	fw := newFrameWriter(conn)
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for scanner.Scan() {
@@ -137,14 +173,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			// when serveConn's teardown unsubscribes (closing sub.C) or
 			// the first failed write reports the conn gone.
 			s.wg.Add(1)
-			go func(sub *Subscription) {
+			go func() {
 				defer s.wg.Done()
-				for msg := range sub.C {
-					if err := send(frame{Op: "msg", Topic: msg.Topic, Payload: msg.Payload}); err != nil {
-						return
-					}
-				}
-			}(sub)
+				forward(fw, sub)
+			}()
 		}
 	}
 }
@@ -167,12 +199,18 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// obsClientDropped counts messages a Client discarded because a
+// subscriber channel was full (no-op until obs.Enable); the per-client
+// count is Client.Dropped.
+var obsClientDropped = obs.GetCounter("bus.tcp.client.dropped")
+
 // Client is a TCP participant on a remote bus.
 type Client struct {
 	conn      net.Conn
 	enc       *json.Encoder
 	readDone  chan struct{} // closed when readLoop exits
 	closeOnce sync.Once
+	dropped   atomic.Int64
 
 	mu     sync.Mutex
 	subs   []chan Message // guarded by mu
@@ -205,6 +243,8 @@ func (c *Client) readLoop() {
 			select {
 			case ch <- msg:
 			default:
+				c.dropped.Add(1)
+				obsClientDropped.Inc()
 			}
 		}
 		c.mu.Unlock()
@@ -218,6 +258,11 @@ func (c *Client) readLoop() {
 	c.closed = true
 	c.mu.Unlock()
 }
+
+// Dropped returns how many received messages were discarded because a
+// subscriber channel was full: like the bus, the read loop never blocks
+// on a slow consumer.
+func (c *Client) Dropped() int64 { return c.dropped.Load() }
 
 // Publish sends a message to the remote bus.
 func (c *Client) Publish(topic string, payload []byte) error {
@@ -264,6 +309,3 @@ func (c *Client) Close() error {
 	<-c.readDone
 	return err
 }
-
-// ErrClientClosed reports use after Close.
-var ErrClientClosed = errors.New("bus: client closed")

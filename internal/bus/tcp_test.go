@@ -1,13 +1,19 @@
 package bus
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
@@ -361,5 +367,264 @@ func TestRespondContextStops(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled responder did not stop")
+	}
+}
+
+// --- Scatter over TCP, frame coalescing, client drops ----------------------
+
+// tcpNodes hosts n node identities "<host>/n<i>" of NanoCloud "nc0" behind
+// one client connection, answering every command with the node's ID. With
+// dieOnCommand it drops the connection at the first command instead.
+func tcpNodes(t *testing.T, srv *Server, b *Bus, host string, n int, dieOnCommand bool) (ids []string) {
+	t.Helper()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds, err := cli.Subscribe(NodeCommandPattern("nc0", host))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for msg := range cmds {
+			if dieOnCommand {
+				//lint:ignore errcheck the test kills the connection on purpose; the close error is not the point
+				_ = cli.conn.Close()
+				continue // cmds closes once the read loop notices
+			}
+			var env envelope
+			if err := json.Unmarshal(msg.Payload, &env); err != nil || env.ReplyTo == "" {
+				continue
+			}
+			id := strings.TrimSuffix(strings.TrimPrefix(msg.Topic, "nc0/node/"), "/measure")
+			raw, err := json.Marshal(id)
+			if err != nil {
+				continue
+			}
+			if err := cli.Publish(env.ReplyTo, raw); err != nil {
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		//lint:ignore errcheck teardown; a connection the test already killed reports net.ErrClosed
+		_ = cli.Close()
+		<-done
+	})
+	for i := 0; i < n; i++ {
+		ids = append(ids, fmt.Sprintf("%s/n%d", host, i))
+	}
+	waitSubscribed(t, b, NodeMeasureTopic("nc0", ids[0]))
+	return ids
+}
+
+// One wave spans more nodes than either connection hosts: its requests
+// fan out over both sockets and every reply finds its slot.
+func TestScatterWaveSpansTCPConnections(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ids := append(tcpNodes(t, srv, b, "w0", 5, false), tcpNodes(t, srv, b, "w1", 5, false)...)
+	if len(ids) > scatterWidth {
+		t.Fatalf("%d nodes do not fit one wave of %d", len(ids), scatterWidth)
+	}
+	for round := 0; round < 20; round++ {
+		calls, outs := make([]Call, len(ids)), make([]string, len(ids))
+		for i, id := range ids {
+			calls[i] = NewCall(NodeMeasureTopic("nc0", id), id, struct{}{}, &outs[i])
+		}
+		Scatter(context.Background(), b, "nc0", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 10 * time.Second})
+		for i, id := range ids {
+			if calls[i].Err != nil || outs[i] != id {
+				t.Fatalf("round %d, node %s: err %v, reply %q", round, id, calls[i].Err, outs[i])
+			}
+		}
+	}
+}
+
+// A connection that dies mid-wave costs its own nodes their attempts and
+// nobody else anything: the wave settles at the attempt deadline, the
+// other connection's replies are kept, and nothing leaks.
+func TestScatterTCPConnectionKilledMidWave(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	alive := tcpNodes(t, srv, b, "w0", 4, false)
+	dead := tcpNodes(t, srv, b, "w1", 4, true)
+	ids := append(append([]string(nil), alive...), dead...)
+	calls, outs := make([]Call, len(ids)), make([]string, len(ids))
+	for i, id := range ids {
+		calls[i] = NewCall(NodeMeasureTopic("nc0", id), id, struct{}{}, &outs[i])
+	}
+	keys0, subs0, _ := indexSize(t, b)
+	Scatter(context.Background(), b, "nc0", calls, RetryPolicy{Attempts: 2, AttemptTimeout: 150 * time.Millisecond, BaseBackoff: time.Millisecond})
+	for i, id := range ids {
+		if i < len(alive) {
+			if calls[i].Err != nil || outs[i] != id {
+				t.Errorf("node %s on the live connection: err %v, reply %q", id, calls[i].Err, outs[i])
+			}
+			continue
+		}
+		if !errors.Is(calls[i].Err, context.DeadlineExceeded) || calls[i].Attempts != 2 {
+			t.Errorf("node %s on the dead connection: %v after %d attempt(s), want 2 timed-out attempts", id, calls[i].Err, calls[i].Attempts)
+		}
+	}
+	if keys, subs, _ := indexSize(t, b); keys != keys0 || subs != subs0 {
+		t.Errorf("exact index after the wave: %d keys, %d subscriptions; before %d, %d", keys, subs, keys0, subs0)
+	}
+}
+
+// countingWriter records what each Write call carried.
+type countingWriter struct {
+	mu     sync.Mutex
+	writes int
+	buf    bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.writes++
+	return w.buf.Write(p)
+}
+
+// frames parses everything written so far.
+func (w *countingWriter) frames(t *testing.T) (writes int, frames []frame) {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, line := range bytes.Split(bytes.TrimSpace(w.buf.Bytes()), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		f, err := parseFrame(line)
+		if err != nil {
+			t.Fatalf("wrote an unparseable frame %q: %v", line, err)
+		}
+		frames = append(frames, f)
+	}
+	return w.writes, frames
+}
+
+// A queue of N frames leaves in fewer than N writes, and a frame with
+// nothing queued behind it is on the wire without waiting for a
+// successor, a timer or the subscription's end.
+func TestForwardCoalescesQueuedFramesAndStrandsNone(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := New()
+	defer b.Close()
+	const n = 100
+	sub, err := b.Subscribe("burst/#", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := b.Publish("burst/"+strconv.Itoa(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &countingWriter{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		forward(newFrameWriter(w), sub)
+	}()
+	// The forwarder stays parked on the open subscription: the frames must
+	// arrive all the same.
+	arrived := func(want int) (writes int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			writes, frames := w.frames(t)
+			if len(frames) == want {
+				for i, f := range frames {
+					if f.Op != "msg" || f.Topic != "burst/"+strconv.Itoa(i) || len(f.Payload) != 1 || f.Payload[0] != byte(i) {
+						t.Fatalf("frame %d is %+v", i, f)
+					}
+				}
+				return writes
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d frames written with the subscription still open", len(frames), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if writes := arrived(n); writes >= n/4 {
+		t.Errorf("%d queued frames took %d writes", n, writes)
+	}
+	// One more, alone: it must not sit in the buffer.
+	if err := b.Publish("burst/"+strconv.Itoa(n), []byte{byte(n)}); err != nil {
+		t.Fatal(err)
+	}
+	arrived(n + 1)
+	sub.Unsubscribe()
+	<-done
+}
+
+// A subscriber that stops draining loses messages at the client; the
+// loss is counted, per client and in obs.
+func TestClientCountsDroppedMessages(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	obs.Enable()
+	defer obs.Disable()
+	dropped0 := obsClientDropped.Value()
+	b := New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ch, err := cli.Subscribe("flood/#")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSubscribed(t, b, "flood/x")
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: client channel holds %d, client dropped %d", what, len(ch), cli.Dropped())
+			}
+		}
+	}
+	// Fill the client's channel exactly, then send ten more. The two
+	// steps keep the server-side subscription (as deep) from overflowing.
+	for i := 0; i < cap(ch); i++ {
+		if err := b.Publish("flood/x", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor("filling the channel", func() bool { return len(ch) == cap(ch) })
+	if d := cli.Dropped(); d != 0 {
+		t.Fatalf("%d drops before the channel overflowed", d)
+	}
+	const extra = 10
+	for i := 0; i < extra; i++ {
+		if err := b.Publish("flood/x", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor("overflowing the channel", func() bool { return cli.Dropped() == extra })
+	if got := obsClientDropped.Value() - dropped0; got != extra {
+		t.Fatalf("bus.tcp.client.dropped advanced by %d, want %d", got, extra)
 	}
 }

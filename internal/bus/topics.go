@@ -11,6 +11,9 @@
 //	<nc>/node/<id>/measure     broker → node measure-on-demand request
 //	<nc>/node/<id>/position    broker → node position query
 //	<nc>/node/<id>/status      broker → node status/battery query
+//	<nc>/inbox/<s>/<id>/<k>    node → broker reply to request k of the
+//	                           broker's scatter s (one subscription,
+//	                           <nc>/inbox/<s>/#, hears them all)
 //	<nc>/ctx/<id>              retained per-node context snapshots
 package bus
 
@@ -47,4 +50,23 @@ func NodeCommandPattern(ncID, nodeID string) string {
 // context snapshot within a broker's namespace.
 func NodeContextTopic(brokerID, nodeID string) string {
 	return brokerID + "/ctx/" + nodeID
+}
+
+// InboxPattern returns the subscription pattern covering every reply to
+// one scatter: call is the scatter's process-wide number.
+func InboxPattern(ncID, call string) string {
+	return ncID + "/inbox/" + call + "/#"
+}
+
+// InboxTopic returns the reply topic of one request attempt of a
+// scatter. k numbers the attempt within the scatter, so the topic is
+// unique per attempt (a node's duplicate-command window keys on it), and
+// it comes last, where the requester reads it back. nodeID names the
+// responder for transports that attribute traffic by topic; a request
+// with no such peer leaves the segment out.
+func InboxTopic(ncID, call, nodeID, k string) string {
+	if nodeID == "" {
+		return ncID + "/inbox/" + call + "/" + k
+	}
+	return ncID + "/inbox/" + call + "/" + nodeID + "/" + k
 }

@@ -202,6 +202,7 @@ func testTopicConfig() *TopicConfig {
 			"(*" + p + ".Bus).Retained":        {Role: TopicRetainedRead, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
 			p + ".Request":                     {Role: TopicRequest, TopicArg: 1, BodyArg: 2, OutArg: 3, HandlerArg: -1},
 			p + ".Respond":                     {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
+			p + ".RespondTyped":                {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
 		},
 	}
 }

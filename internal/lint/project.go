@@ -124,7 +124,10 @@ var HotAmortizedStops = []string{
 // with the operand positions of the topic, the request body, the reply
 // destination, and the responder handler. Keys are call-graph FuncIDs.
 // The bus package itself is the protocol implementation, not a protocol
-// participant — its internal publishes/subscribes are excluded.
+// participant — its internal publishes/subscribes are excluded. A
+// scatter's requests are described one bus.NewCall at a time, so that
+// call site, not bus.Scatter's, is the request endpoint: it is the one
+// with the topic, body and reply operands.
 func ProjectTopicConfig() *TopicConfig {
 	return &TopicConfig{
 		ImplPkgs: []string{"repro/internal/bus"},
@@ -136,6 +139,7 @@ func ProjectTopicConfig() *TopicConfig {
 			"(*repro/internal/bus.Bus).Retained":        {Role: TopicRetainedRead, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
 			"(*repro/internal/bus.Client).Publish":      {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
 			"(*repro/internal/bus.Client).Subscribe":    {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
+			"repro/internal/bus.NewCall":                {Role: TopicRequest, TopicArg: 0, BodyArg: 2, OutArg: 3, HandlerArg: -1},
 			"repro/internal/bus.Request":                {Role: TopicRequest, TopicArg: 1, BodyArg: 2, OutArg: 3, HandlerArg: -1},
 			"repro/internal/bus.RequestContext":         {Role: TopicRequest, TopicArg: 2, BodyArg: 3, OutArg: 4, HandlerArg: -1},
 			"repro/internal/bus.RequestRetry":           {Role: TopicRequest, TopicArg: 1, BodyArg: 2, OutArg: 3, HandlerArg: -1},

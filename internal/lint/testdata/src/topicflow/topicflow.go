@@ -25,6 +25,11 @@ func Respond(b *Bus, pattern string, fn func(topic string, body []byte) (any, er
 	return nil
 }
 
+// RespondTyped decodes each request body into a MeasureReq before it
+// calls fn: the handler's parameter type, not an Unmarshal in its body,
+// is the decode type.
+func RespondTyped(b *Bus, pattern string, fn func(MeasureReq) (any, error)) error { return nil }
+
 // --- payload types ----------------------------------------------------------
 
 type MeasureReq struct{ Kind int }
@@ -123,6 +128,20 @@ func Invalid(b *Bus) {
 func MismatchedRequest(b *Bus, id string) {
 	var out StatusReply
 	_ = Request(b, "node/"+id+"/measure", BadBody{X: 2}, &out) // want `request on "node/\+/measure" sends body type topicflow.BadBody but the responder at topicflow.go:\d+ decodes topicflow.MeasureReq \(payload mismatch\)` `request on "node/\+/measure" decodes the reply into topicflow.StatusReply but the responder at topicflow.go:\d+ replies with topicflow.MeasureReply \(payload mismatch\)`
+}
+
+// TypedResponder's handler never sees bytes; its parameter still pins
+// the body type a request must send.
+func TypedResponder(b *Bus) {
+	_ = RespondTyped(b, "typed/measure", handleTyped)
+}
+
+func handleTyped(req MeasureReq) (any, error) { return MeasureReply{Value: float64(req.Kind)}, nil }
+
+func TypedRequests(b *Bus) {
+	var out MeasureReply
+	_ = Request(b, "typed/measure", MeasureReq{Kind: 3}, &out)
+	_ = Request(b, "typed/measure", BadBody{X: 3}, &out) // want `request on "typed/measure" sends body type topicflow.BadBody but the responder at topicflow.go:\d+ decodes topicflow.MeasureReq \(payload mismatch\)`
 }
 
 // --- unrequested responder --------------------------------------------------

@@ -770,7 +770,9 @@ type handlerPayload struct {
 
 // handlerPayloadOf scans a handler body: json.Unmarshal(body, &x)
 // against the handler's []byte parameter gives the decode type; return
-// statements give the reply types.
+// statements give the reply types. A handler with no []byte parameter
+// is handed the body already decoded (its caller unmarshals envelope and
+// body in one pass), so its last named-type parameter is the decode type.
 func handlerPayloadOf(n *CGNode) handlerPayload {
 	var hp handlerPayload
 	sig := nodeSig(n)
@@ -778,13 +780,19 @@ func handlerPayloadOf(n *CGNode) handlerPayload {
 		return hp
 	}
 	var bodyParam *types.Var
+	typedParam := ""
 	for i := 0; i < sig.Params().Len(); i++ {
 		p := sig.Params().At(i)
 		if sl, ok := p.Type().(*types.Slice); ok {
 			if b, ok := sl.Elem().(*types.Basic); ok && b.Kind() == types.Byte {
 				bodyParam = p // last []byte parameter is the body
 			}
+		} else if k := typeKey(p.Type()); k != "" {
+			typedParam = k
 		}
+	}
+	if bodyParam == nil {
+		hp.decode = typedParam
 	}
 	info := n.Pkg.Info
 	seen := map[string]bool{}

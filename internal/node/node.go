@@ -71,9 +71,10 @@ type Node struct {
 	mobility mobility.Model
 	rng      *rand.Rand
 
-	mu      sync.Mutex
-	subs    []*bus.Subscription
-	serveWG sync.WaitGroup // joins the bus-handler goroutines on Detach
+	mu        sync.Mutex
+	subs      []*bus.Subscription
+	storeKeys map[sensor.Kind]string // guarded by mu; "<id>/<kind>" per kind measured so far
+	serveWG   sync.WaitGroup         // joins the bus-handler goroutines on Detach
 }
 
 // New builds a node with the full standard probe complement.
@@ -112,7 +113,8 @@ func New(cfg Config, env Environment, mob mobility.Model) (*Node, error) {
 		Radio:   cfg.Radio,
 		Store:   store.New(4096),
 		env:     env, mobility: mob,
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
+		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
+		storeKeys: make(map[sensor.Kind]string),
 	}, nil
 }
 
@@ -147,15 +149,19 @@ type FieldReading struct {
 // privacy policy. The sensing happens regardless of policy (the user sees
 // their own data); only *sharing* is gated.
 func (n *Node) MeasureField(kind sensor.Kind) (FieldReading, error) {
-	probes := n.Probes.ByKind(kind)
-	if len(probes) == 0 {
+	p, ok := n.Probes.First(kind)
+	if !ok {
 		return FieldReading{}, fmt.Errorf("node %s: no probe of kind %q", n.ID, kind)
 	}
-	p := probes[0]
 	idx := n.GridIndex()
 	sigma := p.NoiseSigma()
 	n.mu.Lock()
 	noise := n.rng.NormFloat64() * sigma
+	key, ok := n.storeKeys[kind]
+	if !ok {
+		key = n.ID + "/" + string(kind)
+		n.storeKeys[kind] = key
+	}
 	n.mu.Unlock()
 	truth := n.env.FieldValue(kind, idx)
 	value := truth + noise
@@ -165,7 +171,7 @@ func (n *Node) MeasureField(kind sensor.Kind) (FieldReading, error) {
 	//lint:ignore errcheck sampling-overhead drain is best-effort; depletion is surfaced by the caller's battery check
 	_ = n.Battery.Drain(0.01)
 	//lint:ignore errcheck local logging is best-effort; a full or closed store must not fail the measurement itself
-	_ = n.Store.AppendScalar(fmt.Sprintf("%s/%s", n.ID, kind), 0, value)
+	_ = n.Store.AppendScalar(key, 0, value)
 	obsMeasurements.Inc()
 	shared, ok := n.Policy.Filter(kind, []float64{value})
 	if !ok {
@@ -242,7 +248,7 @@ func (n *Node) AttachBus(b *bus.Bus, ncID string) error {
 // loop that answers it with fn's result. It is the node's single
 // responder registration point: sdlint's topicflow analyzer treats every
 // serveTopic call as "this node answers requests on that topic".
-func (n *Node) serveTopic(b *bus.Bus, topic string, fn func(body []byte) (any, error)) error {
+func (n *Node) serveTopic(b *bus.Bus, topic string, fn func(MeasureRequest) (any, error)) error {
 	sub, err := b.Subscribe(topic, 16)
 	if err != nil {
 		return err
@@ -275,43 +281,47 @@ func (n *Node) Detach() {
 // small enough that a long-lived node never grows it.
 const dedupWindow = 64
 
-// serve decodes request envelopes from sub and replies with fn's result.
-// It exits when the subscription's channel closes (Unsubscribe or bus
-// Close). A transport that duplicates deliveries (netsim's async path)
-// re-presents the same envelope; the reply-to topic is unique per
-// request, so a bounded ring of recent reply-to keys suppresses the
-// duplicate instead of measuring (and replying, and spending energy)
-// twice for one command.
-func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(body []byte) (any, error)) {
+// command is a node command as it arrives: the requester's envelope and
+// the request in it, decoded in one pass. Every command's body fits
+// MeasureRequest: measure names a kind, position and status send "{}".
+type command struct {
+	ReplyTo string         `json:"replyTo"`
+	Body    MeasureRequest `json:"body"`
+}
+
+// serve decodes commands from sub and replies with fn's result. It exits
+// when the subscription's channel closes (Unsubscribe or bus Close). A
+// transport that duplicates deliveries (netsim's async path) re-presents
+// the same envelope; the reply-to topic is unique per request, so a
+// bounded ring of recent reply-to keys suppresses the duplicate instead
+// of measuring (and replying, and spending energy) twice for one command.
+func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) (any, error)) {
 	defer n.serveWG.Done()
 	seen := make(map[string]bool, dedupWindow)
 	var order []string
 	for msg := range sub.C {
-		var env struct {
-			ReplyTo string          `json:"replyTo"`
-			Body    json.RawMessage `json:"body"`
-		}
-		if err := json.Unmarshal(msg.Payload, &env); err != nil {
+		var cmd command
+		if err := json.Unmarshal(msg.Payload, &cmd); err != nil {
 			continue
 		}
 		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
 		_ = n.Meter.ChargeRx(n.Radio, len(msg.Payload))
-		if env.ReplyTo != "" {
-			if seen[env.ReplyTo] {
+		if cmd.ReplyTo != "" {
+			if seen[cmd.ReplyTo] {
 				// The radio already paid to hear it; don't serve it again.
 				obsDuplicateCmds.Inc()
 				continue
 			}
-			seen[env.ReplyTo] = true
-			order = append(order, env.ReplyTo)
+			seen[cmd.ReplyTo] = true
+			order = append(order, cmd.ReplyTo)
 			if len(order) > dedupWindow {
 				delete(seen, order[0])
 				order = order[1:]
 			}
 		}
 		obsServedCmds.Inc()
-		reply, err := fn(env.Body)
-		if err != nil || env.ReplyTo == "" {
+		reply, err := fn(cmd.Body)
+		if err != nil || cmd.ReplyTo == "" {
 			continue
 		}
 		raw, err := json.Marshal(reply)
@@ -321,23 +331,19 @@ func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(body []byte) (an
 		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
 		_ = n.Meter.ChargeTx(n.Radio, len(raw))
 		//lint:ignore errcheck reply delivery is best-effort by contract; the requester may already have timed out
-		_ = b.Publish(env.ReplyTo, raw)
+		_ = b.Publish(cmd.ReplyTo, raw)
 	}
 }
 
-func (n *Node) handleMeasure(body []byte) (any, error) {
-	var req MeasureRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
+func (n *Node) handleMeasure(req MeasureRequest) (any, error) {
 	return n.MeasureField(sensor.Kind(req.Kind))
 }
 
-func (n *Node) handlePosition([]byte) (any, error) {
+func (n *Node) handlePosition(MeasureRequest) (any, error) {
 	return PositionReply{NodeID: n.ID, GridIdx: n.GridIndex()}, nil
 }
 
-func (n *Node) handleStatus([]byte) (any, error) {
+func (n *Node) handleStatus(MeasureRequest) (any, error) {
 	return StatusReply{
 		NodeID: n.ID, GridIdx: n.GridIndex(),
 		BatteryFrac: n.Battery.FractionRemaining(),
@@ -365,12 +371,12 @@ type ContextReport struct {
 // When pipe is non-nil only pipe.M of the window's samples are charged to
 // the battery — the compressive duty cycle.
 func (n *Node) SenseContext(windowLen int, rateHz float64, pipe *contextproc.Pipeline) (ContextReport, error) {
-	accels := n.Probes.ByKind(sensor.Accelerometer)
-	if len(accels) == 0 {
+	accel, ok := n.Probes.First(sensor.Accelerometer)
+	if !ok {
 		return ContextReport{}, fmt.Errorf("node %s: no accelerometer", n.ID)
 	}
 	obsContextRuns.Inc()
-	window, err := accels[0].CollectAxis(windowLen, 2)
+	window, err := accel.CollectAxis(windowLen, 2)
 	if err != nil {
 		return ContextReport{}, err
 	}
@@ -403,21 +409,21 @@ func (n *Node) SenseContext(windowLen int, rateHz float64, pipe *contextproc.Pip
 	}
 	// IsIndoor from one GPS fix + one WiFi scan.
 	var envReading contextproc.EnvReading
-	if gps := n.Probes.ByKind(sensor.GPS); len(gps) > 0 {
-		s := gps[0].Next()
+	if gps, ok := n.Probes.First(sensor.GPS); ok {
+		s := gps.Next()
 		envReading.GPSSatellites, envReading.GPSAccuracyM = s.Values[0], s.Values[1]
 		//lint:ignore errcheck context sampling energy is best-effort accounting; it must not veto the context report
 		_ = n.Meter.ChargeSamples(sensor.GPS, 1)
 	}
-	if wifi := n.Probes.ByKind(sensor.WiFi); len(wifi) > 0 {
-		s := wifi[0].Next()
+	if wifi, ok := n.Probes.First(sensor.WiFi); ok {
+		s := wifi.Next()
 		envReading.WiFiRSSIdBm, envReading.WiFiAPCount = s.Values[0], s.Values[1]
 		//lint:ignore errcheck context sampling energy is best-effort accounting; it must not veto the context report
 		_ = n.Meter.ChargeSamples(sensor.WiFi, 1)
 	}
 	stress := 0.0
-	if mic := n.Probes.ByKind(sensor.Microphone); len(mic) > 0 {
-		s := mic[0].Next()
+	if mic, ok := n.Probes.First(sensor.Microphone); ok {
+		s := mic.Next()
 		//lint:ignore errcheck context sampling energy is best-effort accounting; it must not veto the context report
 		_ = n.Meter.ChargeSamples(sensor.Microphone, 1)
 		stress = contextproc.StressIndex(s.Values[0], act)

@@ -248,6 +248,21 @@ func (r *Registry) List() []string {
 	return names
 }
 
+// First returns the probe ByKind(kind) lists first, the one of that
+// modality whose name sorts lowest, without building the list: it is what
+// a node reads on every measurement.
+func (r *Registry) First(kind Kind) (*Probe, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var first *Probe
+	for _, p := range r.probes {
+		if p.Kind() == kind && (first == nil || p.Name() < first.Name()) {
+			first = p
+		}
+	}
+	return first, first != nil
+}
+
 // ByKind returns all probes of a modality, sorted by name.
 func (r *Registry) ByKind(kind Kind) []*Probe {
 	r.mu.RLock()

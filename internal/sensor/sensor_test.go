@@ -238,6 +238,30 @@ func TestRegistry(t *testing.T) {
 	reg.Unregister("missing") // no-op
 }
 
+// First is ByKind's head without the list: the lowest name of the kind,
+// and nothing for a kind with no probe.
+func TestRegistryFirstIsByKindHead(t *testing.T) {
+	reg := NewRegistry()
+	for _, name := range []string{"n/temp2", "n/temp0", "n/temp1"} {
+		p, err := NewProbe(name, Temperature, 1, Config{RateHz: 1}, constModel(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, ok := reg.First(Temperature); !ok || p != reg.ByKind(Temperature)[0] || p.Name() != "n/temp0" {
+		t.Fatalf("First(Temperature) = %v, %v", p, ok)
+	}
+	if p, ok := reg.First(Light); ok || p != nil {
+		t.Fatalf("First(Light) = %v, %v on a registry with no light probe", p, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { reg.First(Temperature) }); allocs != 0 {
+		t.Fatalf("First allocates %.1f per call", allocs)
+	}
+}
+
 func TestStandardPhoneFullComplement(t *testing.T) {
 	reg, err := StandardPhone("n0", 7, ProfileMidrange, MotionWalking, AlternatingSchedule(600))
 	if err != nil {

@@ -32,10 +32,26 @@ type Record struct {
 }
 
 // Store is a concurrency-safe multi-series log.
+//
+// A bounded series is stored with its evicted records still in front of
+// the retained ones: the series is the newest maxPerKey records of the
+// slice (retained), and the slice is cut back to them in place only once
+// a quarter as many evicted records have piled up. A full series
+// therefore appends in amortised O(1) and, its capacity settled, without
+// allocating; shifting or re-copying on every append costs O(maxPerKey).
 type Store struct {
 	mu        sync.RWMutex
-	series    map[string][]Record // guarded by mu
+	series    map[string][]Record // guarded by mu; read through retained
 	maxPerKey int                 // immutable after New; 0 = unbounded
+}
+
+// retained returns the records of a stored slice that are still in the
+// series: all of them, or the newest maxPerKey.
+func (s *Store) retained(recs []Record) []Record {
+	if s.maxPerKey > 0 && len(recs) > s.maxPerKey {
+		return recs[len(recs)-s.maxPerKey:]
+	}
+	return recs
 }
 
 // ErrNoSeries reports a query on an unknown series.
@@ -66,9 +82,12 @@ func (s *Store) Append(series string, r Record) error {
 		recs = append(recs, r)
 	}
 	if s.maxPerKey > 0 && len(recs) > s.maxPerKey {
-		drop := len(recs) - s.maxPerKey
-		recs = append(recs[:0:0], recs[drop:]...)
-		obsEvictions.Add(int64(drop))
+		obsEvictions.Inc() // the append pushed the oldest retained record out
+		if len(recs) > s.maxPerKey+s.maxPerKey/4 {
+			n := copy(recs, s.retained(recs))
+			clear(recs[n:]) // let go of the Values the moved records left behind
+			recs = recs[:n]
+		}
 	}
 	s.series[series] = recs
 	obsAppends.Inc()
@@ -89,6 +108,7 @@ func (s *Store) Query(series string, from, to float64) ([]Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSeries, series)
 	}
+	recs = s.retained(recs)
 	lo := sort.Search(len(recs), func(i int) bool { return recs[i].T >= from })
 	hi := sort.Search(len(recs), func(i int) bool { return recs[i].T > to })
 	out := make([]Record, hi-lo)
@@ -123,7 +143,7 @@ func (s *Store) Series() []string {
 func (s *Store) Len(series string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.series[series])
+	return len(s.retained(s.series[series]))
 }
 
 // Stats summarizes the first value-column of a series over a time range.
@@ -234,7 +254,11 @@ func (s *Store) Delete(series string) {
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return json.NewEncoder(w).Encode(s.series)
+	series := make(map[string][]Record, len(s.series))
+	for name, recs := range s.series {
+		series[name] = s.retained(recs)
+	}
+	return json.NewEncoder(w).Encode(series)
 }
 
 // Restore replaces the store contents from a Snapshot stream.

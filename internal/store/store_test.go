@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -230,5 +231,69 @@ func TestWindowAggregateValidation(t *testing.T) {
 	}
 	if _, err := s.WindowAggregate("missing", 0, 10, 1); err == nil {
 		t.Fatal("want series error")
+	}
+}
+
+// A full series evicts in place: appends do not allocate once its
+// capacity has settled, and however the evicted records pile up in front
+// of the retained ones, every read sees exactly the newest maxPerKey.
+func TestFullSeriesAppendsInPlace(t *testing.T) {
+	const keep = 64
+	s := New(keep)
+	vals := []float64{1}
+	next := 0.0
+	appendOne := func() {
+		if err := s.Append("x", Record{T: next, Values: vals}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < 3*keep; i++ {
+		appendOne()
+	}
+	if allocs := testing.AllocsPerRun(10*keep, appendOne); allocs != 0 {
+		t.Fatalf("append to a full series allocates %.2f per call, want 0", allocs)
+	}
+	check := func(oldest float64) {
+		t.Helper()
+		if got := s.Len("x"); got != keep {
+			t.Fatalf("Len = %d, want %d", got, keep)
+		}
+		recs, err := s.Query("x", 0, next)
+		if err != nil || len(recs) != keep || recs[0].T != oldest {
+			t.Fatalf("Query returned %d records from T=%v (err %v), want %d from T=%v", len(recs), recs[0].T, err, keep, oldest)
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i].T < recs[i-1].T {
+				t.Fatalf("series out of order at %d: %v after %v", i, recs[i].T, recs[i-1].T)
+			}
+		}
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string][]Record
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil || len(snap["x"]) != keep || snap["x"][0].T != oldest {
+			t.Fatalf("Snapshot holds %d records (err %v), want the %d retained from T=%v", len(snap["x"]), err, keep, oldest)
+		}
+	}
+	// Checked at every fill level of the slack in front of the series.
+	for i := 0; i < keep; i++ {
+		check(next - keep)
+		appendOne()
+	}
+	// A late record older than everything retained is evicted at once; one
+	// inside the series pushes the oldest out.
+	oldest := next - keep
+	if err := s.AppendScalar("x", oldest-10, 7); err != nil {
+		t.Fatal(err)
+	}
+	check(oldest)
+	if err := s.AppendScalar("x", oldest+0.5, 7); err != nil {
+		t.Fatal(err)
+	}
+	check(oldest + 0.5)
+	if last, err := s.Latest("x"); err != nil || last.T != next-1 {
+		t.Fatalf("Latest = %+v (err %v), want T=%v", last, err, next-1)
 	}
 }

@@ -83,28 +83,39 @@ func netSeed(seed int64, brokerID string) int64 {
 // Topics on an NC bus have two request/reply shapes (node IDs themselves
 // contain slashes, e.g. "lc0/nc0/n3"):
 //
-//	<brID>/node/<nodeID>/<op>            broker → node command
-//	<brID>/node/<nodeID>/<op>/reply/<k>  node → broker reply
+//	<brID>/node/<nodeID>/<op>      broker → node command
+//	<brID>/inbox/<s>/<nodeID>/<k>  node → broker reply (bus.InboxTopic)
 //
 // Anything else is control traffic and passes through unfaulted.
 func interceptFor(net *netsim.Network, brID string) bus.Interceptor {
-	prefix := brID + "/node/"
+	commands, replies := brID+"/node/", brID+"/inbox/"
 	return func(m bus.Message) (bool, error) {
-		rest, ok := strings.CutPrefix(m.Topic, prefix)
-		if !ok {
-			return true, nil
+		from, to := brID, brID
+		if rest, ok := strings.CutPrefix(m.Topic, commands); ok {
+			to = middle(rest, 0)
+		} else if rest, ok := strings.CutPrefix(m.Topic, replies); ok {
+			from = middle(rest, 1)
 		}
-		segs := strings.Split(rest, "/")
-		var from, to string
-		if len(segs) >= 4 && segs[len(segs)-2] == "reply" {
-			from, to = strings.Join(segs[:len(segs)-3], "/"), brID
-		} else if len(segs) >= 2 {
-			from, to = brID, strings.Join(segs[:len(segs)-1], "/")
-		} else {
+		if from == "" || to == "" || from == to {
 			return true, nil
 		}
 		return net.Deliver(netsim.Message{From: from, To: to, Topic: m.Topic, Payload: m.Payload})
 	}
+}
+
+// middle returns path without its last segment and its first lead
+// segments, or "" when nothing is left between them.
+func middle(path string, lead int) string {
+	for ; lead > 0; lead-- {
+		var ok bool
+		if _, path, ok = strings.Cut(path, "/"); !ok {
+			return ""
+		}
+	}
+	if i := strings.LastIndexByte(path, '/'); i > 0 {
+		return path[:i]
+	}
+	return ""
 }
 
 // Plan returns the fault plan governing a broker's network (nil for an
