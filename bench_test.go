@@ -157,7 +157,7 @@ func BenchmarkC9Opportunistic(b *testing.B) {
 	benchTable(b, func() (*experiments.Table, error) { return experiments.C9(cfg) })
 }
 
-// --- 2-D field decode: dense reference vs matrix-free operators -------------
+// --- 2-D field decode through matrix-free operators --------------------------
 
 // gridProblem builds one deterministic w×h plume-field decode problem.
 func gridProblem(b *testing.B, w, h, m int) (*field.Field, []int, []float64) {
@@ -178,26 +178,9 @@ func gridProblem(b *testing.B, w, h, m int) (*field.Field, []int, []float64) {
 	return truth, locs, y
 }
 
-// BenchmarkDecode64GridDense decodes a 64×64 field through the dense
-// 4096×4096 Kronecker DCT matrix — the pre-operator reference path.
-func BenchmarkDecode64GridDense(b *testing.B) {
-	truth, locs, y := gridProblem(b, 64, 64, 400)
-	phi, err := truth.Basis2D(basis.KindDCT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := cs.CHSOptions{MaxSupport: 32, PerIter: 2, Tol: 1e-6}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cs.CHS(phi, locs, y, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecode64GridOperator decodes the identical 64×64 problem
-// through the separable fast-DCT operator (DESIGN.md §9).
+// BenchmarkDecode64GridOperator decodes a 64×64 field through the
+// separable fast-DCT operator. DESIGN.md §9 keeps the last recorded
+// comparison with the dense 4096×4096 Kronecker matrix.
 func BenchmarkDecode64GridOperator(b *testing.B) {
 	truth, locs, y := gridProblem(b, 64, 64, 400)
 	op, err := truth.Operator2D(basis.KindDCT)
@@ -268,8 +251,8 @@ func BenchmarkFleetCampaign100k(b *testing.B) {
 // BenchmarkMillionNodeCampaign is the headline scale point: 10^6 nodes
 // across 16 zones of a 256×256 field, a full duty cycle of batched
 // measurement traffic, and 16 parallel zone decodes. It runs only when
-// FLEET_BENCH_FULL=1 (scripts/bench.sh sets it) so the CI bench smoke,
-// which executes every benchmark once, stays fast.
+// FLEET_BENCH_FULL=1 (set by hand) so the CI bench smoke, which executes
+// every benchmark once, stays fast.
 func BenchmarkMillionNodeCampaign(b *testing.B) {
 	if os.Getenv("FLEET_BENCH_FULL") == "" {
 		b.Skip("set FLEET_BENCH_FULL=1 to run the 10^6-node campaign")

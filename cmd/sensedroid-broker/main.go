@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -104,19 +105,20 @@ func main() {
 		}
 	}()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
+	// An interrupt cancels the round in flight as well as the loop: a gather
+	// waiting on stragglers returns "gather round abandoned" at once instead
+	// of timing every one of them out first.
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer cancel()
 	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
 	round := 0
-	for {
+	for ctx.Err() == nil {
 		select {
-		case <-stop:
-			log.Printf("broker shutting down after %d rounds", round)
-			return
+		case <-ctx.Done():
 		case <-ticker.C:
 			round++
-			rec, err := br.Reconstruct(sensor.Temperature, *m, broker.ReconstructOptions{UseGLS: true})
+			rec, err := br.ReconstructContext(ctx, sensor.Temperature, *m, broker.ReconstructOptions{UseGLS: true})
 			if err != nil {
 				log.Printf("round %d: %v", round, err)
 				continue
@@ -130,4 +132,5 @@ func main() {
 			}
 		}
 	}
+	log.Printf("broker shutting down after %d rounds", round)
 }

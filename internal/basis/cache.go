@@ -8,10 +8,10 @@ import (
 )
 
 // The decode fast path asks for the same deterministic bases over and over
-// — every zone reconstruction in a campaign rebuilds its DCT Kron product,
-// every Fig-4-style sweep rebuilds the N-point DFT — each an O(N²)
-// (trigonometric) construction. Since a basis is fully determined by
-// (kind, size), the constructors are memoized here.
+// — every zone reconstruction in a campaign needs its 2-D DCT, every
+// Fig-4-style sweep the N-point DFT — each a trigonometric table (or, for
+// a dense matrix, O(N²)) construction. Since a basis is fully determined
+// by (kind, size), the constructors are memoized here.
 //
 // Cached matrices are SHARED: callers must treat them as read-only. Every
 // in-repo consumer (analysis, synthesis, the cs decoders) only reads Φ.
@@ -112,32 +112,6 @@ func Cached(kind Kind, n int) (*mat.Matrix, error) {
 	return m, nil
 }
 
-// Cached2D returns the shared, read-only separable 2-D basis
-// Kron2D(kind_h, kind_w) for an h-row × w-col field, memoized by
-// (kind, h, w). This is the per-zone basis every broker reconstruction
-// needs; memoizing it turns the O((h·w)²) Kron fill into a map lookup for
-// all campaigns after the first.
-func Cached2D(kind Kind, h, w int) (*mat.Matrix, error) {
-	key := cacheKey{kind: kind, h: h, w: w}
-	if m, ok := cacheGet(key); ok {
-		return m, nil
-	}
-	pr, err := Cached(kind, h)
-	if err != nil {
-		return nil, err
-	}
-	pc, err := Cached(kind, w)
-	if err != nil {
-		return nil, err
-	}
-	m, err := Kron2D(pr, pc)
-	if err != nil {
-		return nil, err
-	}
-	cachePut(key, m)
-	return m, nil
-}
-
 // CachedDCT is the memoized counterpart of DCT, preserving its no-error
 // contract for the experiment sweeps that build Φ inline.
 func CachedDCT(n int) *mat.Matrix {
@@ -145,14 +119,6 @@ func CachedDCT(n int) *mat.Matrix {
 		return m
 	}
 	return DCT(n)
-}
-
-// CachedDFT is the memoized counterpart of DFT.
-func CachedDFT(n int) *mat.Matrix {
-	if m, err := Cached(KindDFT, n); err == nil {
-		return m
-	}
-	return DFT(n)
 }
 
 // CachedOperator returns the shared matrix-free operator for (kind, n),
@@ -173,11 +139,11 @@ func CachedOperator(kind Kind, n int) (Operator, error) {
 }
 
 // CachedOperator2D returns the memoized Separable2D operator for an
-// h-row × w-col field in the given basis family — the matrix-free
-// counterpart of Cached2D. The Kronecker product is never materialized:
-// even when the 1-D factors fall back to dense matrices (non-dyadic
-// sizes), applying them separably costs O(h·w·(h+w)) instead of the
-// Kron path's O((h·w)²) flops and memory.
+// h-row × w-col field in the given basis family. This is the per-zone
+// basis every broker reconstruction needs, memoized by (kind, h, w). The
+// Kronecker product is never materialized: even when the 1-D factors fall
+// back to dense matrices (non-dyadic sizes), applying them separably costs
+// O(h·w·(h+w)) instead of Kron2D's O((h·w)²) flops and memory.
 func CachedOperator2D(kind Kind, h, w int) (Operator, error) {
 	key := cacheKey{kind: kind, h: h, w: w}
 	if op, ok := opCacheGet(key); ok {

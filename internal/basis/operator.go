@@ -33,15 +33,11 @@ import (
 // Operator is a matrix-free orthonormal basis Φ of dimension n×n. Apply is
 // synthesis (x = Φα, paper Eq. 2), ApplyTranspose is analysis (α = Φᵀx; the
 // transpose is the inverse for orthonormal Φ). dst and src must both have
-// length Dim() and must not alias. ApplyAll/ApplyTransposeAll are the
-// batched multi-RHS forms: each ROW of src is one vector, transformed into
-// the corresponding row of dst.
+// length Dim() and must not alias.
 type Operator interface {
 	Dim() int
 	Apply(dst, src []float64)
 	ApplyTranspose(dst, src []float64)
-	ApplyAll(dst, src *mat.Matrix) error
-	ApplyTransposeAll(dst, src *mat.Matrix) error
 }
 
 // ErrNoOperator reports a (kind, n) pair with no operator implementation.
@@ -116,26 +112,6 @@ func checkLens(n int, dst, src []float64) {
 	}
 }
 
-// applyRows runs op row by row over the rows of src/dst — the shared
-// implementation behind the batched ApplyAll/ApplyTransposeAll forms.
-func applyRows(op Operator, dst, src *mat.Matrix, transpose bool) error {
-	n := op.Dim()
-	if src.Cols != n || dst.Cols != n || src.Rows != dst.Rows {
-		return fmt.Errorf("%w: batch (%dx%d)->(%dx%d) for operator dim %d",
-			mat.ErrShape, src.Rows, src.Cols, dst.Rows, dst.Cols, n)
-	}
-	for r := 0; r < src.Rows; r++ {
-		d := dst.Data[r*n : (r+1)*n]
-		s := src.Data[r*n : (r+1)*n]
-		if transpose {
-			op.ApplyTranspose(d, s)
-		} else {
-			op.Apply(d, s)
-		}
-	}
-	return nil
-}
-
 // --- identity -----------------------------------------------------------------
 
 type identityOp struct{ n int }
@@ -158,12 +134,6 @@ func (o *identityOp) Entry(i, j int) float64 {
 		return 1
 	}
 	return 0
-}
-func (o *identityOp) ApplyAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, false)
-}
-func (o *identityOp) ApplyTransposeAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, true)
 }
 
 // --- dense reference wrapper ---------------------------------------------------
@@ -207,12 +177,6 @@ func (o *MatrixOp) ApplyTranspose(dst, src []float64) {
 	if err := mat.MulTVecInto(dst, o.m, src); err != nil {
 		panic(err)
 	}
-}
-func (o *MatrixOp) ApplyAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, false)
-}
-func (o *MatrixOp) ApplyTransposeAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, true)
 }
 
 // --- DCT (FFT fast path) -------------------------------------------------------
@@ -397,13 +361,6 @@ func (o *dctOp) synth2(dst, src []float64, a, b, st int, re, im []float64) {
 	}
 }
 
-func (o *dctOp) ApplyAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, false)
-}
-func (o *dctOp) ApplyTransposeAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, true)
-}
-
 // RowInto fills dst with row i of Φ in closed form: Φ[i,k] =
 // s(k)·cos((2i+1)πk/2n). The cosine argument advances by a fixed step of
 // the table period — k(2i+1) mod 4n — so with the precomputed twiddle
@@ -568,13 +525,6 @@ func (o *dftOp) Apply(dst, src []float64) {
 	o.plan.Inverse(re, im)
 	copy(dst, re)
 	o.pool.Put(sc)
-}
-
-func (o *dftOp) ApplyAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, false)
-}
-func (o *dftOp) ApplyTransposeAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, true)
 }
 
 // RowInto fills dst with row i of Φ in closed form — Φ[i,0] = √(1/n),
@@ -750,13 +700,6 @@ func (o *haarOp) Apply(dst, src []float64) {
 	o.pool.Put(sp)
 }
 
-func (o *haarOp) ApplyAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, false)
-}
-func (o *haarOp) ApplyTransposeAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, true)
-}
-
 // RowInto fills dst with row i of Φ = Φᵀe_i; the lifting cascade is
 // already O(n), so one analysis of a standard basis vector is row cost.
 func (o *haarOp) RowInto(dst []float64, i int) {
@@ -897,25 +840,8 @@ func factorRow(op Operator, dst []float64, i int) {
 	e[i] = 1
 	op.ApplyTranspose(dst, e)
 }
-func (o *Separable2D) ApplyAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, false)
-}
-func (o *Separable2D) ApplyTransposeAll(dst, src *mat.Matrix) error {
-	return applyRows(o, dst, src, true)
-}
 
 // --- convenience ---------------------------------------------------------------
-
-// OpSynthesize returns x = Φα through an operator (allocating form of
-// Apply, mirroring Synthesize).
-func OpSynthesize(op Operator, alpha []float64) ([]float64, error) {
-	if len(alpha) != op.Dim() {
-		return nil, fmt.Errorf("%w: coefficients %d for operator dim %d", mat.ErrShape, len(alpha), op.Dim())
-	}
-	out := make([]float64, op.Dim())
-	op.Apply(out, alpha)
-	return out, nil
-}
 
 // OpAnalyze returns α = Φᵀx through an operator (allocating form of
 // ApplyTranspose, mirroring Analyze).

@@ -237,45 +237,6 @@ func TestSeparable2DMatchesKron(t *testing.T) {
 	}
 }
 
-// TestOperatorApplyAll checks the batched multi-RHS form against row-by-row
-// single applies.
-func TestOperatorApplyAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	op, err := OperatorFor(KindDCT, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rows = 5
-	src := mat.New(rows, 32)
-	for i := range src.Data {
-		src.Data[i] = rng.NormFloat64()
-	}
-	dst := mat.New(rows, 32)
-	if err := op.ApplyAll(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	row := make([]float64, 32)
-	for r := 0; r < rows; r++ {
-		op.Apply(row, src.Data[r*32:(r+1)*32])
-		if d := opMaxAbsDiff(row, dst.Data[r*32:(r+1)*32]); d != 0 {
-			t.Errorf("ApplyAll row %d differs from Apply by %.3g", r, d)
-		}
-	}
-	if err := op.ApplyTransposeAll(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < rows; r++ {
-		op.ApplyTranspose(row, src.Data[r*32:(r+1)*32])
-		if d := opMaxAbsDiff(row, dst.Data[r*32:(r+1)*32]); d != 0 {
-			t.Errorf("ApplyTransposeAll row %d differs from ApplyTranspose by %.3g", r, d)
-		}
-	}
-	bad := mat.New(rows, 16)
-	if err := op.ApplyAll(bad, src); err == nil {
-		t.Error("ApplyAll accepted mismatched batch shape")
-	}
-}
-
 // TestOperatorDeterministic pins the determinism contract: repeated applies
 // of the same input are bit-identical, including across operator instances.
 func TestOperatorDeterministic(t *testing.T) {

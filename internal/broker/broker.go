@@ -181,15 +181,10 @@ func (br *Broker) Nodes() []string {
 	return out
 }
 
-// Positions queries every registered node for its current grid cell.
-// Unreachable nodes are skipped.
-func (br *Broker) Positions() map[string]int {
-	return br.PositionsContext(context.Background())
-}
-
-// PositionsContext is Positions under a caller-supplied context: each
-// per-node request still gets the broker's timeout, but cancelling ctx
-// abandons the sweep early (the partial map is returned).
+// PositionsContext queries every registered node for its current grid
+// cell. Unreachable nodes are skipped. Each per-node request gets the
+// broker's timeout, and cancelling ctx abandons the sweep early (the
+// partial map is returned).
 func (br *Broker) PositionsContext(ctx context.Context) map[string]int {
 	ids := br.Nodes()
 	reps := make([]node.PositionReply, len(ids))
@@ -222,12 +217,7 @@ func (br *Broker) scatter(ctx context.Context, calls []bus.Call) {
 	})
 }
 
-// Gather is one telemetry round: the broker randomly selects up to m
-// registered nodes (stochastic spatial sampling), commands each to measure
-// kind, and collects the readings. If fewer than m distinct grid cells
-// respond — nodes may be unreachable, privacy-denied, or co-located — the
-// broker tops up with infrastructure-sensor measurements at random
-// uncovered cells, per the paper's fallback.
+// GatherResult is the outcome of one telemetry round (GatherContext).
 type GatherResult struct {
 	Locs      []int     // grid indices (one per measurement)
 	Values    []float64 // measured values
@@ -246,15 +236,15 @@ type GatherResult struct {
 	Shortfall     int
 }
 
-// Gather runs one measurement round for the given sensor kind.
-func (br *Broker) Gather(kind sensor.Kind, m int) (*GatherResult, error) {
-	return br.GatherContext(context.Background(), kind, m)
-}
-
-// GatherContext is Gather under a caller-supplied context. Cancellation
-// ends every request in flight and every one not yet sent, so a
-// cancelled round returns promptly instead of draining the full roster
-// at one timeout per unreachable node.
+// GatherContext is one telemetry round for the given sensor kind: the
+// broker randomly selects up to m registered nodes (stochastic spatial
+// sampling), commands each to measure kind, and collects the readings. If
+// fewer than m distinct grid cells respond — nodes may be unreachable,
+// privacy-denied, or co-located — the broker tops up with
+// infrastructure-sensor measurements at random uncovered cells, per the
+// paper's fallback. Cancelling ctx ends every request in flight and every
+// one not yet sent, so a cancelled round returns promptly instead of
+// draining the full roster at one timeout per unreachable node.
 func (br *Broker) GatherContext(ctx context.Context, kind sensor.Kind, m int) (*GatherResult, error) {
 	return br.GatherExcludingContext(ctx, kind, m, nil)
 }
@@ -430,13 +420,8 @@ type Reconstruction struct {
 	Gather *GatherResult
 }
 
-// Reconstruct runs a Gather round and recovers the region's field with the
-// Fig. 6 CHS algorithm (OLS or GLS per options).
-func (br *Broker) Reconstruct(kind sensor.Kind, m int, opts ReconstructOptions) (*Reconstruction, error) {
-	return br.ReconstructContext(context.Background(), kind, m, opts)
-}
-
-// ReconstructContext is Reconstruct with the gather round bounded by ctx.
+// ReconstructContext runs a gather round, bounded by ctx, and recovers the
+// region's field with the Fig. 6 CHS algorithm (OLS or GLS per options).
 func (br *Broker) ReconstructContext(ctx context.Context, kind sensor.Kind, m int, opts ReconstructOptions) (*Reconstruction, error) {
 	g, err := br.GatherContext(ctx, kind, m)
 	if err != nil {

@@ -98,7 +98,7 @@ func TestRegisterDuplicate(t *testing.T) {
 
 func TestPositionsQueriesAllNodes(t *testing.T) {
 	br, _, _ := testNC(t, 4, 2)
-	pos := br.Positions()
+	pos := br.PositionsContext(context.Background())
 	if len(pos) != 4 {
 		t.Fatalf("positions for %d nodes, want 4", len(pos))
 	}
@@ -111,7 +111,7 @@ func TestPositionsQueriesAllNodes(t *testing.T) {
 
 func TestGatherUsesNodesAndInfraFallback(t *testing.T) {
 	br, _, _ := testNC(t, 5, 3)
-	g, err := br.Gather(sensor.Temperature, 20)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestGatherCountsPrivacyDenials(t *testing.T) {
 	for _, nd := range nodes {
 		nd.Policy.SetOptOut(true)
 	}
-	g, err := br.Gather(sensor.Temperature, 10)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestGatherCountsPrivacyDenials(t *testing.T) {
 
 func TestGatherValidation(t *testing.T) {
 	br, _, _ := testNC(t, 1, 5)
-	if _, err := br.Gather(sensor.Temperature, 0); err == nil {
+	if _, err := br.GatherContext(context.Background(), sensor.Temperature, 0); err == nil {
 		t.Fatal("want budget error")
 	}
 	// Budget above the cell count clamps.
-	g, err := br.Gather(sensor.Temperature, 1000)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestGatherValidation(t *testing.T) {
 
 func TestReconstructRecoversPlume(t *testing.T) {
 	br, truth, _ := testNC(t, 6, 6)
-	rec, err := br.Reconstruct(sensor.Temperature, 28, ReconstructOptions{Basis: basis.KindDCT, K: 10})
+	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 28, ReconstructOptions{Basis: basis.KindDCT, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestReconstructRecoversPlume(t *testing.T) {
 
 func TestReconstructGLSOption(t *testing.T) {
 	br, truth, _ := testNC(t, 6, 7)
-	rec, err := br.Reconstruct(sensor.Temperature, 28, ReconstructOptions{UseGLS: true, K: 10})
+	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 28, ReconstructOptions{UseGLS: true, K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestReconstructGLSOption(t *testing.T) {
 
 func TestReconstructDefaultsKHeuristic(t *testing.T) {
 	br, _, _ := testNC(t, 4, 8)
-	rec, err := br.Reconstruct(sensor.Temperature, 24, ReconstructOptions{})
+	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 24, ReconstructOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestBatterySelectionPrefersFullNodes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		nodes[i].Battery.Drain(900)
 	}
-	g, err := br.Gather(sensor.Temperature, 3)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestBatterySelectionPrefersFullNodes(t *testing.T) {
 
 func TestGatherRecordsNodeIDs(t *testing.T) {
 	br, _, _ := testNC(t, 3, 10)
-	g, err := br.Gather(sensor.Temperature, 10)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestGatherSurvivesUnreachableNodes(t *testing.T) {
 	}
 	br.Register("ghost1")
 	br.Register("ghost2")
-	g, err := br.Gather(sensor.Temperature, 6)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestGatherRetriesTransientNodeFailures(t *testing.T) {
 		}
 		return true, nil
 	})
-	g, err := br.Gather(sensor.Temperature, 6)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestGatherInfraTopUpForPermanentlyDownNode(t *testing.T) {
 		}
 		return true, nil
 	})
-	g, err := br.Gather(sensor.Temperature, 8)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestGatherDeduplicatesCoLocatedNodes(t *testing.T) {
 		ndRef := nd
 		defer ndRef.Detach()
 	}
-	g, err := br.Gather(sensor.Temperature, 4)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestGatherDeduplicatesCoLocatedNodes(t *testing.T) {
 func TestGatherShortfallWithInfraDisabled(t *testing.T) {
 	br, _, _ := testNC(t, 2, 25)
 	br.SetInfraEnabled(false)
-	g, err := br.Gather(sensor.Temperature, 10)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestGatherContextCancelled(t *testing.T) {
 		t.Fatalf("GatherContext with cancelled ctx = %v, want context.Canceled", err)
 	}
 	// The context-less wrapper still works after a cancelled round.
-	if _, err := br.Gather(sensor.Temperature, 5); err != nil {
+	if _, err := br.GatherContext(context.Background(), sensor.Temperature, 5); err != nil {
 		t.Fatalf("Gather after cancelled round: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func TestRosterChurnRecycledIDs(t *testing.T) {
 		}
 		if g == generations-1 {
 			// Final generation: the roster must still drive real traffic.
-			res, err := br.Gather(sensor.Temperature, 8)
+			res, err := br.GatherContext(context.Background(), sensor.Temperature, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

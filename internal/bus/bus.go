@@ -77,9 +77,6 @@ type Subscription struct {
 	dropped atomic.Int64
 }
 
-// Pattern returns the subscription's topic pattern.
-func (s *Subscription) Pattern() string { return s.pattern }
-
 // Dropped returns how many messages were discarded due to a full buffer.
 func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -150,9 +151,17 @@ func TestCloseBus(t *testing.T) {
 	b.Close() // idempotent
 }
 
+// requestWithin is one RequestContext round trip that gives up after
+// timeout.
+func requestWithin(b *Bus, topic string, body, out any, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return RequestContext(ctx, b, topic, body, out)
+}
+
 func TestRequestReply(t *testing.T) {
 	b := New()
-	go Respond(b, "svc/echo", func(topic string, body []byte) (any, error) {
+	go RespondContext(context.Background(), b, "svc/echo", func(topic string, body []byte) (any, error) {
 		return map[string]string{"echo": string(body)}, nil
 	})
 	// Give the responder a moment to subscribe.
@@ -161,7 +170,7 @@ func TestRequestReply(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	var out map[string]string
-	if err := Request(b, "svc/echo", "ping", &out, time.Second); err != nil {
+	if err := requestWithin(b, "svc/echo", "ping", &out, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if out["echo"] != `"ping"` {
@@ -171,7 +180,7 @@ func TestRequestReply(t *testing.T) {
 
 func TestRequestTimeout(t *testing.T) {
 	b := New()
-	err := Request(b, "svc/nobody", "x", nil, 20*time.Millisecond)
+	err := requestWithin(b, "svc/nobody", "x", nil, 20*time.Millisecond)
 	if err == nil {
 		t.Fatal("want timeout error")
 	}

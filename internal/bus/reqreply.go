@@ -314,16 +314,6 @@ func request(ctx context.Context, b *Bus, topic string, body, out any, pol Retry
 	return &calls[0]
 }
 
-// Request is the context-less convenience wrapper: one round trip with a
-// deadline. The timeout rides on a context (not a bare time.After), so
-// its timer is released as soon as the reply lands instead of ticking on
-// for the full duration.
-func Request(b *Bus, topic string, body any, out any, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return RequestContext(ctx, b, topic, body, out)
-}
-
 // RespondContext subscribes to a request topic pattern and serves each
 // request with fn until the subscription closes (returns nil) or ctx is
 // done (returns ctx.Err()). fn receives the decoded request body bytes
@@ -347,13 +337,6 @@ func RespondContext(ctx context.Context, b *Bus, pattern string, fn func(topic s
 			return ctx.Err()
 		}
 	}
-}
-
-// Respond serves until the subscription closes, with no external stop:
-// the bus closing is the shutdown signal. Prefer RespondContext anywhere
-// the responder must die before the bus does.
-func Respond(b *Bus, pattern string, fn func(topic string, body []byte) (any, error)) error {
-	return RespondContext(context.Background(), b, pattern, fn)
 }
 
 func serveRequest(b *Bus, msg Message, fn func(topic string, body []byte) (any, error)) {

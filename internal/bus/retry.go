@@ -79,12 +79,3 @@ func RequestRetryContext(ctx context.Context, b *Bus, topic string, body, out an
 	}
 	return fmt.Errorf("bus: request on %q failed after %d attempt(s): %w", topic, c.Attempts, c.Err)
 }
-
-// RequestRetry is the context-less convenience wrapper around
-// RequestRetryContext: the overall deadline rides on an internal context
-// while the policy bounds the attempts within it.
-func RequestRetry(b *Bus, topic string, body, out any, timeout time.Duration, pol RetryPolicy) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return RequestRetryContext(ctx, b, topic, body, out, pol)
-}

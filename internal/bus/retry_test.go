@@ -26,8 +26,8 @@ func (terminalErr) Retryable() bool { return false }
 func startEcho(t *testing.T, b *Bus) {
 	t.Helper()
 	go func() {
-		//lint:ignore errcheck test responder: Respond returns nil when the bus closes in cleanup
-		_ = Respond(b, "svc", func(_ string, body []byte) (any, error) {
+		//lint:ignore errcheck test responder: RespondContext returns nil when the bus closes in cleanup
+		_ = RespondContext(context.Background(), b, "svc", func(_ string, body []byte) (any, error) {
 			var v int
 			if err := decode(body, &v); err != nil {
 				return nil, err

@@ -144,7 +144,7 @@ func TestRequestBusClosedMidRequest(t *testing.T) {
 		<-sub.C   // swallow the request
 		b.Close() // server goes away mid-request
 	}()
-	err = Request(b, "svc/slow", struct{}{}, nil, 10*time.Second)
+	err = requestWithin(b, "svc/slow", struct{}{}, nil, 10*time.Second)
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("Request during close = %v, want ErrClosed", err)
 	}
@@ -155,7 +155,7 @@ func TestRequestTimeoutNoResponder(t *testing.T) {
 	b := New()
 	defer b.Close()
 	start := time.Now()
-	err := Request(b, "svc/absent", struct{}{}, nil, 50*time.Millisecond)
+	err := requestWithin(b, "svc/absent", struct{}{}, nil, 50*time.Millisecond)
 	if err == nil {
 		t.Fatal("Request with no responder succeeded")
 	}
@@ -167,7 +167,7 @@ func TestRequestTimeoutNoResponder(t *testing.T) {
 func TestRequestUnmarshalableBody(t *testing.T) {
 	b := New()
 	defer b.Close()
-	if err := Request(b, "svc/enc", make(chan int), nil, time.Second); err == nil {
+	if err := requestWithin(b, "svc/enc", make(chan int), nil, time.Second); err == nil {
 		t.Fatal("Request with unmarshalable body succeeded")
 	}
 }
@@ -178,7 +178,7 @@ func TestRespondIgnoresMalformedEnvelopes(t *testing.T) {
 	defer b.Close()
 	served := make(chan string, 1)
 	go func() {
-		_ = Respond(b, "svc/echo", func(topic string, body []byte) (any, error) {
+		_ = RespondContext(context.Background(), b, "svc/echo", func(topic string, body []byte) (any, error) {
 			served <- string(body)
 			return map[string]string{"ok": "yes"}, nil
 		})
@@ -192,7 +192,7 @@ func TestRespondIgnoresMalformedEnvelopes(t *testing.T) {
 	}
 	// ...so a well-formed request afterwards still gets served.
 	var out map[string]string
-	if err := Request(b, "svc/echo", "hello", &out, 5*time.Second); err != nil {
+	if err := requestWithin(b, "svc/echo", "hello", &out, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if out["ok"] != "yes" {
@@ -351,7 +351,7 @@ func TestRespondContextStops(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var out string
-		if err := Request(b, "svc/stoppable", "hi", &out, 100*time.Millisecond); err == nil {
+		if err := requestWithin(b, "svc/stoppable", "hi", &out, 100*time.Millisecond); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

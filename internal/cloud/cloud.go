@@ -122,25 +122,21 @@ func NewLocalCloud(env *ZoneEnv, brokers ...*broker.Broker) (*LocalCloud, error)
 	return &LocalCloud{Env: env, Brokers: brokers}, nil
 }
 
-// Gather splits the zone's measurement budget evenly across the LC's
-// NanoCloud brokers and concatenates their telemetry, deduplicating grid
-// cells ("the nodes … concatenate the results of the NCs for the local
+// GatherContext splits the zone's measurement budget evenly across the
+// LC's NanoCloud brokers and concatenates their telemetry, deduplicating
+// grid cells ("the nodes … concatenate the results of the NCs for the local
 // region"). Infrastructure fallback inside each broker keeps the total on
 // budget even when mobile coverage is short.
-func (lc *LocalCloud) Gather(kind sensor.Kind, m int) (*broker.GatherResult, error) {
-	return lc.GatherContext(context.Background(), kind, m)
-}
-
-// GatherContext is Gather with every broker round bounded by ctx, and
-// with graceful degradation: a broker whose round fails outright no
-// longer aborts the zone — its budget share is redistributed to the
-// surviving brokers (and their infra fallback) in a top-up pass, and the
-// degradation is reported in the merged result's BrokersFailed and
-// Shortfall fields. Each broker gathers with the cells already covered
-// by its predecessors excluded, so the merge is duplicate-free and
-// on-budget by construction rather than by dropping overlaps after the
-// fact. Cancellation still aborts the zone: ctx expiry is the caller's
-// decision, not a broker fault.
+//
+// Every broker round is bounded by ctx, and the zone degrades gracefully:
+// a broker whose round fails outright does not abort the zone — its
+// budget share is redistributed to the surviving brokers (and their infra
+// fallback) in a top-up pass, and the degradation is reported in the
+// merged result's BrokersFailed and Shortfall fields. Each broker gathers
+// with the cells already covered by its predecessors excluded, so the
+// merge is duplicate-free and on-budget by construction rather than by
+// dropping overlaps after the fact. Cancellation still aborts the zone:
+// ctx expiry is the caller's decision, not a broker fault.
 func (lc *LocalCloud) GatherContext(ctx context.Context, kind sensor.Kind, m int) (*broker.GatherResult, error) {
 	if m <= 0 {
 		return nil, errors.New("cloud: budget must be positive")
@@ -220,13 +216,8 @@ func mergeGather(merged, g *broker.GatherResult, seen map[int]bool) {
 	merged.Denied += g.Denied
 }
 
-// Reconstruct gathers m measurements across the LC's brokers and recovers
-// the zone subfield.
-func (lc *LocalCloud) Reconstruct(kind sensor.Kind, m int, opts broker.ReconstructOptions) (*broker.Reconstruction, error) {
-	return lc.ReconstructContext(context.Background(), kind, m, opts)
-}
-
-// ReconstructContext is Reconstruct with the gather rounds bounded by ctx.
+// ReconstructContext gathers m measurements across the LC's brokers, the
+// gather rounds bounded by ctx, and recovers the zone subfield.
 func (lc *LocalCloud) ReconstructContext(ctx context.Context, kind sensor.Kind, m int, opts broker.ReconstructOptions) (*broker.Reconstruction, error) {
 	g, err := lc.GatherContext(ctx, kind, m)
 	if err != nil {
@@ -361,35 +352,27 @@ type ZoneReport struct {
 	Budget         int
 }
 
-// Assemble runs every LC's reconstruction under the budget plan and
+// AssembleContext runs every LC's reconstruction under the budget plan and
 // stitches the zone subfields into the global estimate. Zones are
 // independent — each LC owns its brokers, nodes, and RNG streams — so their
 // reconstructions fan out across min(zones, GOMAXPROCS) workers; results
 // are stitched in LC order afterwards, which keeps the assembled field and
 // reports identical to a serial run at any GOMAXPROCS.
-func (pc *PublicCloud) Assemble(kind sensor.Kind, plan BudgetPlan, opts broker.ReconstructOptions) (*field.Field, map[int]*ZoneReport, error) {
-	return pc.AssembleContext(context.Background(), kind, plan, opts)
-}
-
-// AssembleContext is Assemble under a caller-supplied context. The first
-// zone failure cancels the remaining zones so an assembly does not drain
-// the full plan after its outcome is already decided; the reported error
-// is still deterministic — the scan below prefers the lowest-index zone
-// whose failure was not itself the cancellation — so the caller sees the
-// same error at any GOMAXPROCS.
-func (pc *PublicCloud) AssembleContext(ctx context.Context, kind sensor.Kind, plan BudgetPlan, opts broker.ReconstructOptions) (*field.Field, map[int]*ZoneReport, error) {
-	return pc.AssembleSeededContext(ctx, kind, plan, opts, nil)
-}
-
-// AssembleSeededContext is AssembleContext with per-zone warm-start
-// seeds: seeds maps zone ID → the support recovered for that zone in a
-// previous assembly (ZoneReport.Reconstruction.Result.Support). Each
-// zone's decode warm-starts from its own seed; zones absent from the map
-// decode cold. This is the streaming pipeline's window-to-window fast
-// path — on a slowly-varying field an unchanged zone support skips the
-// greedy search entirely. The seeds map is read-only here, so one map can
-// safely serve the concurrent zone fan-out.
-func (pc *PublicCloud) AssembleSeededContext(ctx context.Context, kind sensor.Kind, plan BudgetPlan, opts broker.ReconstructOptions, seeds map[int][]int) (*field.Field, map[int]*ZoneReport, error) {
+//
+// The first zone failure cancels the remaining zones so an assembly does
+// not drain the full plan after its outcome is already decided; the
+// reported error is still deterministic — the scan below prefers the
+// lowest-index zone whose failure was not itself the cancellation — so the
+// caller sees the same error at any GOMAXPROCS.
+//
+// seeds maps zone ID → the support recovered for that zone in a previous
+// assembly (ZoneReport.Reconstruction.Result.Support). Each zone's decode
+// warm-starts from its own seed; zones absent from the map (all of them
+// under nil seeds) decode cold. This is the streaming pipeline's
+// window-to-window fast path — on a slowly-varying field an unchanged zone
+// support skips the greedy search entirely. The seeds map is read-only
+// here, so one map can safely serve the concurrent zone fan-out.
+func (pc *PublicCloud) AssembleContext(ctx context.Context, kind sensor.Kind, plan BudgetPlan, opts broker.ReconstructOptions, seeds map[int][]int) (*field.Field, map[int]*ZoneReport, error) {
 	sp := obs.StartSpan("cloud.assemble")
 	sp.Label("zones", fmt.Sprint(len(pc.LCs)))
 	defer sp.Finish()

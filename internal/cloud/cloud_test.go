@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -137,7 +138,7 @@ func TestLocalCloudGatherMergesBrokers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := lc.Gather(sensor.Temperature, 21)
+	g, err := lc.GatherContext(context.Background(), sensor.Temperature, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestLocalCloudGatherMergesBrokers(t *testing.T) {
 		}
 		seen[l] = true
 	}
-	if _, err := lc.Gather(sensor.Temperature, 0); err == nil {
+	if _, err := lc.GatherContext(context.Background(), sensor.Temperature, 0); err == nil {
 		t.Fatal("want budget error")
 	}
 }
@@ -180,7 +181,7 @@ func TestLocalCloudGatherOverlappingCoverageStaysOnBudget(t *testing.T) {
 	// All-infra gather over 64 cells, 20 per broker: the two independent
 	// random samples overlap with near-certainty, which is exactly the
 	// case the old merge lost measurements on.
-	g, err := lc.Gather(sensor.Temperature, 40)
+	g, err := lc.GatherContext(context.Background(), sensor.Temperature, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestLocalCloudGatherDegradesOnBrokerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := lc.Gather(sensor.Temperature, 20)
+	g, err := lc.GatherContext(context.Background(), sensor.Temperature, 20)
 	if err != nil {
 		t.Fatalf("zone gather must survive a failed broker: %v", err)
 	}
@@ -229,7 +230,7 @@ func TestLocalCloudGatherDegradesOnBrokerFailure(t *testing.T) {
 	}
 	// With every broker down the zone still fails — degradation has a floor.
 	br1.SetInfraEnabled(false)
-	if _, err := lc.Gather(sensor.Temperature, 20); err == nil {
+	if _, err := lc.GatherContext(context.Background(), sensor.Temperature, 20); err == nil {
 		t.Fatal("want error when no broker can gather anything")
 	}
 }
@@ -350,7 +351,7 @@ func TestAssembleReconstructsGlobalField(t *testing.T) {
 	})
 	pc := buildHierarchy(t, truth, 4, 5)
 	plan := pc.UniformBudget(56)
-	global, reports, err := pc.Assemble(sensor.Temperature, plan, broker.ReconstructOptions{K: 10})
+	global, reports, err := pc.AssembleContext(context.Background(), sensor.Temperature, plan, broker.ReconstructOptions{K: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestAssembleReconstructsGlobalField(t *testing.T) {
 func TestAssembleMissingBudget(t *testing.T) {
 	truth := field.GenSmoothGradient(16, 8, 20, 5, 2)
 	pc := buildHierarchy(t, truth, 0, 6)
-	if _, _, err := pc.Assemble(sensor.Temperature, BudgetPlan{0: 10}, broker.ReconstructOptions{}); err == nil {
+	if _, _, err := pc.AssembleContext(context.Background(), sensor.Temperature, BudgetPlan{0: 10}, broker.ReconstructOptions{}, nil); err == nil {
 		t.Fatal("want missing-budget error")
 	}
 }

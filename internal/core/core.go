@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -316,7 +317,8 @@ func (sd *SenseDroid) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	} else {
 		plan = sd.Public.UniformBudget(cfg.TotalM)
 	}
-	global, reports, err := sd.Public.Assemble(cfg.Kind, plan, cfg.Recon)
+	// No caller context yet: bench/ calls RunCampaign by this signature.
+	global, reports, err := sd.Public.AssembleContext(context.TODO(), cfg.Kind, plan, cfg.Recon, nil)
 	if err != nil {
 		return nil, err
 	}

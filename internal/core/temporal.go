@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -75,7 +76,8 @@ func (sd *SenseDroid) RunTemporalCampaign(cfg TemporalCampaignConfig) (*Temporal
 			if m <= 0 {
 				return nil, fmt.Errorf("core: zone %d has no budget", z.ID)
 			}
-			g, err := lc.Gather(cfg.Kind, m)
+			// No caller context yet, as in RunCampaign.
+			g, err := lc.GatherContext(context.TODO(), cfg.Kind, m)
 			if err != nil {
 				return nil, fmt.Errorf("core: step %d zone %d: %w", step, z.ID, err)
 			}

@@ -8,7 +8,7 @@ import (
 
 // Sensing-matrix cache: Φ̃ = Φ(L,:) depends only on the basis matrix and
 // the measurement locations, and several workloads decode repeatedly with
-// the same pair — ChooseKCrossVal sweeps K over one gather, CHS-then-GLS
+// the same pair — ChooseKCrossValOp sweeps K over one gather, CHS-then-GLS
 // refits one support, A6-style adaptive loops re-decode a window. Keyed by
 // the basis identity (bases are themselves memoized in internal/basis, so
 // pointer identity is stable) plus an FNV hash of the locations; the stored

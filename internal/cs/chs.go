@@ -71,25 +71,18 @@ type CHSOptions struct {
 	SeedRelTol float64
 }
 
-// CHS runs the paper's Fig. 6 "Compressive Heterogeneous Sensing"
+// CHSOp runs the paper's Fig. 6 "Compressive Heterogeneous Sensing"
 // algorithm: starting from an empty support it repeatedly (a) interpolates
 // the sensor residual to the full grid with Υ, (b) analyzes it in the
 // basis, (c–d) admits the most significant coefficients to the index set J,
 // (e) re-solves the coefficients on J with OLS or GLS, and (f) updates the
 // residual, until the stop criterion is met. It returns the reconstruction
 // x̂ = Φ_K α_K along with the recovered support.
-func CHS(phi *mat.Matrix, locs []int, y []float64, opts CHSOptions) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return chsDict(d, locs, y, opts)
-}
-
-// CHSOp is CHS through a matrix-free basis operator: the step-(b)
-// full-basis analysis Φᵀe becomes one fast transform and each admitted
-// column one synthesis — the combination that makes 1024² broker
-// reconstructions feasible (the dense Φ there would be ~8 TB).
+//
+// Through a matrix-free basis operator the step-(b) full-basis analysis
+// Φᵀe becomes one fast transform and each admitted column one synthesis —
+// the combination that makes 1024² broker reconstructions feasible (the
+// dense Φ there would be ~8 TB).
 func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {

@@ -4,13 +4,17 @@
 // sensor locations L, possibly corrupted by heterogeneous sensor noise.
 //
 // Decoders provided:
-//   - OMP: orthogonal matching pursuit for Eq. (13), the workhorse.
+//   - OMPOp: orthogonal matching pursuit for Eq. (13), the workhorse.
 //   - BasisPursuit: L1 minimization (Eq. 9) via the LP reformulation
 //     (Eq. 10), solved with the internal simplex solver.
-//   - FixedSupportOLS / FixedSupportGLS: the closed-form least-squares
+//   - FixedSupportOLSOp / FixedSupportGLSOp: the closed-form least-squares
 //     estimates of Eqs. (11) and (12) when the support J is known.
-//   - CHS (chs.go): the iterative Compressive Heterogeneous Sensing
+//   - CHSOp (chs.go): the iterative Compressive Heterogeneous Sensing
 //     algorithm of Fig. 6 with a pluggable interpolation operator Υ.
+//
+// The greedy decoders take the basis as a basis.Operator. A dense basis
+// matrix goes in through basis.FromMatrix, which routes to the dense
+// reference kernels (dict.go).
 package cs
 
 import (
@@ -35,7 +39,7 @@ type Result struct {
 	Alpha []float64 // recovered coefficients, length N (zero off support)
 	// Support holds the indices of the recovered nonzero coefficients J,
 	// in admission order. Feeding it back as the seed of the next decode
-	// (OMPSeeded / CHSOptions.SeedSupport) warm-starts the solver: for an
+	// (OMPSeededOp / CHSOptions.SeedSupport) warm-starts the solver: for an
 	// unchanged field the warm decode is bit-identical to a cold one and
 	// skips the greedy search entirely.
 	Support    []int
@@ -44,7 +48,7 @@ type Result struct {
 	Iterations int
 }
 
-// OMP recovers a K-sparse coefficient vector from measurements y taken at
+// OMPOp recovers a K-sparse coefficient vector from measurements y taken at
 // locations locs, using orthogonal matching pursuit (Tropp & Gilbert; the
 // solver the paper names for Eq. 13). It stops after k atoms or when the
 // residual norm drops below tol.
@@ -54,31 +58,19 @@ type Result struct {
 // factorization, and the residual is deflated in O(M) — no per-iteration
 // submatrix copy or full refactorization. The least-squares coefficients
 // are solved once, at the end, from the accumulated factors.
-func OMP(phi *mat.Matrix, locs []int, y []float64, k int, tol float64) (*Result, error) {
-	return OMPSeeded(phi, locs, y, k, tol, nil)
-}
-
-// OMPSeeded is OMP warm-started from a previously recovered support (see
-// Result.Support). Seed columns are folded into the incremental-QR factors
-// before the first greedy iteration; an unchanged field then costs one
-// residual check plus the final solve and is bit-identical to the cold
-// decode. Invalid or rank-deficient seeds fall back to a cold start.
-func OMPSeeded(phi *mat.Matrix, locs []int, y []float64, k int, tol float64, seed []int) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return ompDict(d, y, k, tol, seed)
-}
-
-// OMPOp is OMP through a matrix-free basis operator: correlations and
-// column extractions run in O(n log n) scatter/gather applies instead of
-// dense M×N passes. A *basis.MatrixOp routes to the dense reference kernel.
+//
+// Through a matrix-free basis operator the correlations and column
+// extractions run in O(n log n) scatter/gather applies instead of dense
+// M×N passes. A *basis.MatrixOp routes to the dense reference kernel.
 func OMPOp(op basis.Operator, locs []int, y []float64, k int, tol float64) (*Result, error) {
 	return OMPSeededOp(op, locs, y, k, tol, nil)
 }
 
-// OMPSeededOp is OMPSeeded through a matrix-free operator.
+// OMPSeededOp is OMPOp warm-started from a previously recovered support
+// (see Result.Support). Seed columns are folded into the incremental-QR
+// factors before the first greedy iteration; an unchanged field then costs
+// one residual check plus the final solve and is bit-identical to the cold
+// decode. Invalid or rank-deficient seeds fall back to a cold start.
 func OMPSeededOp(op basis.Operator, locs []int, y []float64, k int, tol float64, seed []int) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
@@ -185,27 +177,11 @@ func ompDict(d dict, y []float64, k int, tol float64, seed []int) (*Result, erro
 	return packResultDict(d, support, coef, y, iters)
 }
 
-// OMPCentered recovers a signal whose prior mean mu (length N) is known —
+// OMPCenteredOp recovers a signal whose prior mean mu (length N) is known —
 // the right decoder for a PCA basis learned from historical traces, whose
 // columns span the variation *around* the mean: the measurements are
 // mean-centered before decoding and the mean is added back to Xhat.
 // Alpha/Support/Residual describe the centered component.
-func OMPCentered(phi *mat.Matrix, locs []int, y []float64, mu []float64, k int, tol float64) (*Result, error) {
-	yc, err := centerMeasurements(locs, y, mu, phi.Rows)
-	if err != nil {
-		return nil, err
-	}
-	res, err := OMP(phi, locs, yc, k, tol)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res.Xhat {
-		res.Xhat[i] += mu[i]
-	}
-	return res, nil
-}
-
-// OMPCenteredOp is OMPCentered through a matrix-free operator.
 func OMPCenteredOp(op basis.Operator, locs []int, y []float64, mu []float64, k int, tol float64) (*Result, error) {
 	yc, err := centerMeasurements(locs, y, mu, op.Dim())
 	if err != nil {
@@ -284,20 +260,12 @@ func BasisPursuit(phi *mat.Matrix, locs []int, y []float64, zeroTol float64) (*R
 	return packResultDict(&denseDict{phi: phi, a: a}, support, coef, y, sol.Iterations)
 }
 
-// FixedSupportOLS solves for the coefficients on a known support J with
+// FixedSupportOLSOp solves for the coefficients on a known support J with
 // ordinary least squares — the paper's Eq. (11), appropriate for
-// homogeneous sensors. Requires len(locs) ≥ len(support).
-func FixedSupportOLS(phi *mat.Matrix, locs []int, y []float64, support []int) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return fixedSupportDict(d, y, support, nil)
-}
-
-// FixedSupportOLSOp is FixedSupportOLS through a matrix-free operator: the
-// M×|J| design matrix is assembled column by column via scatter/gather
-// applies — Φ is never materialized or sliced densely.
+// homogeneous sensors. Requires len(locs) ≥ len(support). Through a
+// matrix-free operator the M×|J| design matrix is assembled column by
+// column via scatter/gather applies — Φ is never materialized or sliced
+// densely.
 func FixedSupportOLSOp(op basis.Operator, locs []int, y []float64, support []int) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
@@ -306,18 +274,9 @@ func FixedSupportOLSOp(op basis.Operator, locs []int, y []float64, support []int
 	return fixedSupportDict(d, y, support, nil)
 }
 
-// FixedSupportGLS solves for the coefficients on a known support with
+// FixedSupportGLSOp solves for the coefficients on a known support with
 // generalized least squares under sensor-noise covariance V — the paper's
 // Eq. (12), for heterogeneous sensors. V is M×M (ordered like locs).
-func FixedSupportGLS(phi *mat.Matrix, locs []int, y []float64, support []int, v *mat.Matrix) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return fixedSupportDict(d, y, support, v)
-}
-
-// FixedSupportGLSOp is FixedSupportGLS through a matrix-free operator.
 func FixedSupportGLSOp(op basis.Operator, locs []int, y []float64, support []int, v *mat.Matrix) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
@@ -423,26 +382,13 @@ func NoiseCovariance(sigmas []float64, minSigma float64) *mat.Matrix {
 	return mat.Diag(d)
 }
 
-// ChooseKCrossVal picks the sparsity K that minimizes held-out measurement
-// error: it splits the measurements into a training and validation set,
-// runs OMP at each K in [1, kMax], and returns the K whose reconstruction
-// best predicts the held-out sensors. This automates the paper's "pick an
-// optimal K such that the total error ε is minimal" guidance without
-// needing ground truth.
-func ChooseKCrossVal(phi *mat.Matrix, locs []int, y []float64, kMax int, holdout float64, rng *rand.Rand) (int, error) {
-	return chooseKCore(func(l []int, yy []float64, k int) (*Result, error) {
-		return OMP(phi, l, yy, k, 0)
-	}, locs, y, kMax, holdout, rng)
-}
-
-// ChooseKCrossValOp is ChooseKCrossVal through a matrix-free operator.
+// ChooseKCrossValOp picks the sparsity K that minimizes held-out
+// measurement error: it splits the measurements into a training and
+// validation set, runs OMP at each K in [1, kMax], and returns the K whose
+// reconstruction best predicts the held-out sensors. This automates the
+// paper's "pick an optimal K such that the total error ε is minimal"
+// guidance without needing ground truth.
 func ChooseKCrossValOp(op basis.Operator, locs []int, y []float64, kMax int, holdout float64, rng *rand.Rand) (int, error) {
-	return chooseKCore(func(l []int, yy []float64, k int) (*Result, error) {
-		return OMPOp(op, l, yy, k, 0)
-	}, locs, y, kMax, holdout, rng)
-}
-
-func chooseKCore(decode func(locs []int, y []float64, k int) (*Result, error), locs []int, y []float64, kMax int, holdout float64, rng *rand.Rand) (int, error) {
 	m := len(locs)
 	if m < 4 {
 		return 0, errors.New("cs: too few measurements for cross-validation")
@@ -466,7 +412,7 @@ func chooseKCore(decode func(locs []int, y []float64, k int) (*Result, error), l
 		kMax = len(trLocs)
 	}
 	for k := 1; k <= kMax; k++ {
-		res, err := decode(trLocs, trY, k)
+		res, err := OMPOp(op, trLocs, trY, k, 0)
 		if err != nil {
 			continue
 		}

@@ -27,9 +27,21 @@ func sparseSignal(rng *rand.Rand, phi *mat.Matrix, k int) ([]float64, []float64,
 	return x, alpha, support
 }
 
+// denseOp wraps a dense basis matrix for the decoders, which take a
+// basis.Operator; the wrapper routes to the dense reference kernels.
+func denseOp(tb testing.TB, phi *mat.Matrix) basis.Operator {
+	tb.Helper()
+	op, err := basis.FromMatrix(phi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return op
+}
+
 func TestOMPExactRecoveryNoiseless(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	x, alpha, _ := sparseSignal(rng, phi, 4)
 	locs, err := RandomLocations(rng, 64, 24)
 	if err != nil {
@@ -39,7 +51,7 @@ func TestOMPExactRecoveryNoiseless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OMP(phi, locs, y, 4, 1e-12)
+	res, err := OMPOp(op, locs, y, 4, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +69,11 @@ func TestOMPExactRecoveryNoiseless(t *testing.T) {
 func TestOMPNoisyRecoveryDegradesGracefully(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	phi := basis.DCT(128)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 5)
 	locs, _ := RandomLocations(rng, 128, 50)
 	y, _ := Measure(x, locs, rng, []float64{0.02})
-	res, err := OMP(phi, locs, y, 5, 0)
+	res, err := OMPOp(op, locs, y, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,17 +84,18 @@ func TestOMPNoisyRecoveryDegradesGracefully(t *testing.T) {
 
 func TestOMPErrorsAndEdgeCases(t *testing.T) {
 	phi := basis.DCT(16)
-	if _, err := OMP(phi, nil, nil, 3, 0); err != ErrNoMeasurements {
+	op := denseOp(t, phi)
+	if _, err := OMPOp(op, nil, nil, 3, 0); err != ErrNoMeasurements {
 		t.Fatalf("err=%v, want ErrNoMeasurements", err)
 	}
-	if _, err := OMP(phi, []int{1, 2}, []float64{1}, 3, 0); err == nil {
+	if _, err := OMPOp(op, []int{1, 2}, []float64{1}, 3, 0); err == nil {
 		t.Fatal("want measurement length error")
 	}
-	if _, err := OMP(phi, []int{1, 2}, []float64{1, 2}, 0, 0); err == nil {
+	if _, err := OMPOp(op, []int{1, 2}, []float64{1, 2}, 0, 0); err == nil {
 		t.Fatal("want sparsity error")
 	}
 	// Zero measurements → zero reconstruction.
-	res, err := OMP(phi, []int{1, 2, 3}, []float64{0, 0, 0}, 2, 1e-9)
+	res, err := OMPOp(op, []int{1, 2, 3}, []float64{0, 0, 0}, 2, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +107,11 @@ func TestOMPErrorsAndEdgeCases(t *testing.T) {
 func TestOMPSupportCappedByMeasurements(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	phi := basis.DCT(32)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 32, 6)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := OMP(phi, locs, y, 20, 0) // ask for more atoms than measurements
+	res, err := OMPOp(op, locs, y, 20, 0) // ask for more atoms than measurements
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +141,7 @@ func TestBasisPursuitExactRecovery(t *testing.T) {
 func TestBasisPursuitMatchesOMPOnEasyProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	phi := basis.DCT(24)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
 	y, _ := Measure(x, locs, rng, nil)
@@ -133,7 +149,7 @@ func TestBasisPursuitMatchesOMPOnEasyProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	omp, err := OMP(phi, locs, y, 2, 1e-12)
+	omp, err := OMPOp(op, locs, y, 2, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +161,11 @@ func TestBasisPursuitMatchesOMPOnEasyProblem(t *testing.T) {
 func TestFixedSupportOLSExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	phi := basis.DCT(48)
+	op := denseOp(t, phi)
 	x, alpha, support := sparseSignal(rng, phi, 5)
 	locs, _ := RandomLocations(rng, 48, 15)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := FixedSupportOLS(phi, locs, y, support)
+	res, err := FixedSupportOLSOp(op, locs, y, support)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +176,13 @@ func TestFixedSupportOLSExact(t *testing.T) {
 
 func TestFixedSupportBadSupport(t *testing.T) {
 	phi := basis.DCT(8)
+	op := denseOp(t, phi)
 	locs := []int{0, 1, 2, 3}
 	y := []float64{1, 2, 3, 4}
-	if _, err := FixedSupportOLS(phi, locs, y, []int{9}); err == nil {
+	if _, err := FixedSupportOLSOp(op, locs, y, []int{9}); err == nil {
 		t.Fatal("want range error")
 	}
-	if _, err := FixedSupportOLS(phi, locs, y, []int{1, 1}); err == nil {
+	if _, err := FixedSupportOLSOp(op, locs, y, []int{1, 1}); err == nil {
 		t.Fatal("want duplicate error")
 	}
 }
@@ -174,6 +192,7 @@ func TestGLSBeatsOLSUnderHeterogeneousNoise(t *testing.T) {
 	// an order of magnitude noisier and V reflects that.
 	rng := rand.New(rand.NewSource(7))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	wins, trials := 0, 20
 	for trial := 0; trial < trials; trial++ {
 		x, _, support := sparseSignal(rng, phi, 4)
@@ -188,11 +207,11 @@ func TestGLSBeatsOLSUnderHeterogeneousNoise(t *testing.T) {
 		}
 		y, _ := Measure(x, locs, rng, sigmas)
 		v := NoiseCovariance(sigmas, 1e-6)
-		gls, err := FixedSupportGLS(phi, locs, y, support, v)
+		gls, err := FixedSupportGLSOp(op, locs, y, support, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ols, err := FixedSupportOLS(phi, locs, y, support)
+		ols, err := FixedSupportOLSOp(op, locs, y, support)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,10 +227,11 @@ func TestGLSBeatsOLSUnderHeterogeneousNoise(t *testing.T) {
 func TestCHSRecoversSparseSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 24)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := CHS(phi, locs, y, CHSOptions{Tol: 1e-10})
+	res, err := CHSOp(op, locs, y, CHSOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +246,7 @@ func TestCHSRecoversSparseSignal(t *testing.T) {
 func TestCHSWithGLSUnderNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 28)
 	sigmas := make([]float64, 28)
@@ -233,7 +254,7 @@ func TestCHSWithGLSUnderNoise(t *testing.T) {
 		sigmas[i] = 0.02 + 0.3*float64(i%2)
 	}
 	y, _ := Measure(x, locs, rng, sigmas)
-	res, err := CHS(phi, locs, y, CHSOptions{
+	res, err := CHSOp(op, locs, y, CHSOptions{
 		Tol: 1e-6, MaxSupport: 4, V: NoiseCovariance(sigmas, 1e-6),
 	})
 	if err != nil {
@@ -247,10 +268,11 @@ func TestCHSWithGLSUnderNoise(t *testing.T) {
 func TestCHSPerIterBatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 6)
 	locs, _ := RandomLocations(rng, 64, 30)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := CHS(phi, locs, y, CHSOptions{PerIter: 3, Tol: 1e-10})
+	res, err := CHSOp(op, locs, y, CHSOptions{PerIter: 3, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +287,8 @@ func TestCHSPerIterBatching(t *testing.T) {
 
 func TestCHSZeroSignal(t *testing.T) {
 	phi := basis.DCT(16)
-	res, err := CHS(phi, []int{0, 5, 9}, []float64{0, 0, 0}, CHSOptions{Tol: 1e-9})
+	op := denseOp(t, phi)
+	res, err := CHSOp(op, []int{0, 5, 9}, []float64{0, 0, 0}, CHSOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +422,12 @@ func TestCompressionRatioAndTheoreticalM(t *testing.T) {
 func TestDiagnose(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 24)
 	sigmas := []float64{0.01}
 	y, _ := Measure(x, locs, rng, sigmas)
-	res, err := OMP(phi, locs, y, 4, 0)
+	res, err := OMPOp(op, locs, y, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,17 +455,18 @@ func TestDiagnose(t *testing.T) {
 func TestChooseKCrossVal(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 32)
 	y, _ := Measure(x, locs, rng, []float64{0.01})
-	k, err := ChooseKCrossVal(phi, locs, y, 12, 0.25, rng)
+	k, err := ChooseKCrossValOp(op, locs, y, 12, 0.25, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k < 3 || k > 7 {
 		t.Fatalf("cross-validated K=%d, want near 4", k)
 	}
-	if _, err := ChooseKCrossVal(phi, locs[:2], y[:2], 4, 0.25, rng); err == nil {
+	if _, err := ChooseKCrossValOp(op, locs[:2], y[:2], 4, 0.25, rng); err == nil {
 		t.Fatal("want too-few-measurements error")
 	}
 }
@@ -458,6 +483,7 @@ func TestLowFrequencySupport(t *testing.T) {
 // operates in).
 func TestRecoveryProbability(t *testing.T) {
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	ok := 0
 	const trials = 25
 	for seed := int64(0); seed < trials; seed++ {
@@ -465,7 +491,7 @@ func TestRecoveryProbability(t *testing.T) {
 		x, _, _ := sparseSignal(rng, phi, 4)
 		locs, _ := RandomLocations(rng, 64, 24)
 		y, _ := Measure(x, locs, rng, nil)
-		res, err := OMP(phi, locs, y, 4, 1e-12)
+		res, err := OMPOp(op, locs, y, 4, 1e-12)
 		if err != nil {
 			continue
 		}
@@ -482,6 +508,7 @@ func TestRecoveryProbability(t *testing.T) {
 // size ≤ min(k, M), and Alpha is zero off-support.
 func TestPropResultInvariants(t *testing.T) {
 	phi := basis.DCT(32)
+	op := denseOp(t, phi)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(6)
@@ -495,7 +522,7 @@ func TestPropResultInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := OMP(phi, locs, y, k, 0)
+		res, err := OMPOp(op, locs, y, k, 0)
 		if err != nil {
 			return false
 		}
@@ -524,13 +551,14 @@ func TestPropResultInvariants(t *testing.T) {
 func BenchmarkOMP256M30(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	phi := basis.DCT(256)
+	op := denseOp(b, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 30)
 	y, _ := Measure(x, locs, rng, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := OMP(phi, locs, y, 8, 1e-12); err != nil {
+		if _, err := OMPOp(op, locs, y, 8, 1e-12); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -554,13 +582,14 @@ func BenchmarkBasisPursuit32(b *testing.B) {
 func BenchmarkCHS256(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	phi := basis.DCT(256)
+	op := denseOp(b, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 40)
 	y, _ := Measure(x, locs, rng, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CHS(phi, locs, y, CHSOptions{Tol: 1e-10}); err != nil {
+		if _, err := CHSOp(op, locs, y, CHSOptions{Tol: 1e-10}); err != nil {
 			b.Fatal(err)
 		}
 	}

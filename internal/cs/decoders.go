@@ -24,21 +24,12 @@ type IHTOptions struct {
 	Tol      float64 // stop when residual norm change < Tol (default 1e-9)
 }
 
-// IHT recovers a K-sparse coefficient vector by projected gradient
+// IHTOp recovers a K-sparse coefficient vector by projected gradient
 // descent: α ← H_K(α + µ·Φ̃ᵀ(y − Φ̃α)), where H_K keeps the K largest
 // magnitudes. Slower to converge than OMP but a single matrix-vector pair
-// per iteration and very robust to coherent dictionaries.
-func IHT(phi *mat.Matrix, locs []int, y []float64, opts IHTOptions) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return ihtDict(d, y, opts)
-}
-
-// IHTOp is IHT through a matrix-free basis operator: the per-iteration
-// matrix-vector pair (predict, correlate) becomes one synthesis and one
-// analysis at O(n log n).
+// per iteration and very robust to coherent dictionaries. Through a
+// matrix-free basis operator that pair (predict, correlate) is one
+// synthesis and one analysis at O(n log n).
 func IHTOp(op basis.Operator, locs []int, y []float64, opts IHTOptions) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
@@ -155,18 +146,9 @@ type CoSaMPOptions struct {
 	Tol     float64
 }
 
-// CoSaMP (Needell & Tropp) recovers a K-sparse vector by repeatedly
+// CoSaMPOp (Needell & Tropp) recovers a K-sparse vector by repeatedly
 // merging the 2K strongest residual correlations into the support, solving
 // least squares, and pruning back to K.
-func CoSaMP(phi *mat.Matrix, locs []int, y []float64, opts CoSaMPOptions) (*Result, error) {
-	d, err := denseDictFor(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return cosampDict(d, y, opts)
-}
-
-// CoSaMPOp is CoSaMP through a matrix-free basis operator.
 func CoSaMPOp(op basis.Operator, locs []int, y []float64, opts CoSaMPOptions) (*Result, error) {
 	d, err := dictFor(op, locs)
 	if err != nil {
@@ -348,15 +330,11 @@ func BPDN(phi *mat.Matrix, locs []int, y []float64, eps, zeroTol float64) (*Resu
 
 // --- helpers -------------------------------------------------------------------
 
-// hardThreshold zeroes all but the k largest-magnitude entries in place.
-func hardThreshold(v []float64, k int) {
-	hardThresholdWith(v, k, make([]int, len(v)), make([]bool, len(v)))
-}
-
-// hardThresholdWith is hardThreshold with caller-provided scratch, so hot
-// loops can run it without allocating. idxScratch must have len(v) entries
-// and mask must be an all-false []bool of len(v); the mask is restored to
-// all-false before returning.
+// hardThresholdWith zeroes all but the k largest-magnitude entries in
+// place, on caller-provided scratch so hot loops can run it without
+// allocating. idxScratch must have len(v) entries and mask must be an
+// all-false []bool of len(v); the mask is restored to all-false before
+// returning.
 func hardThresholdWith(v []float64, k int, idxScratch []int, mask []bool) {
 	keep := topKIndicesInto(v, k, idxScratch)
 	for _, j := range keep {
@@ -372,14 +350,9 @@ func hardThresholdWith(v []float64, k int, idxScratch []int, mask []bool) {
 	}
 }
 
-// topKIndices returns the indices of the k largest |v| entries.
-func topKIndices(v []float64, k int) []int {
-	return topKIndicesInto(v, k, make([]int, len(v)))
-}
-
-// topKIndicesInto is topKIndices with a caller-provided scratch slice of
-// len(v); the returned slice aliases idxScratch and is valid until the next
-// call that reuses the scratch.
+// topKIndicesInto returns the indices of the k largest |v| entries in a
+// caller-provided scratch slice of len(v); the returned slice aliases
+// idxScratch and is valid until the next call that reuses the scratch.
 func topKIndicesInto(v []float64, k int, idxScratch []int) []int {
 	if k <= 0 {
 		return nil
@@ -413,12 +386,4 @@ func supportOf(v []float64) []int {
 		}
 	}
 	return out
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -13,10 +13,11 @@ import (
 func TestIHTExactRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 28)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := IHT(phi, locs, y, IHTOptions{K: 4})
+	res, err := IHTOp(op, locs, y, IHTOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +31,14 @@ func TestIHTExactRecovery(t *testing.T) {
 
 func TestIHTValidation(t *testing.T) {
 	phi := basis.DCT(16)
-	if _, err := IHT(phi, []int{1, 2}, []float64{1, 2}, IHTOptions{}); err == nil {
+	op := denseOp(t, phi)
+	if _, err := IHTOp(op, []int{1, 2}, []float64{1, 2}, IHTOptions{}); err == nil {
 		t.Fatal("want K error")
 	}
-	if _, err := IHT(phi, []int{1}, []float64{1, 2}, IHTOptions{K: 1}); err == nil {
+	if _, err := IHTOp(op, []int{1}, []float64{1, 2}, IHTOptions{K: 1}); err == nil {
 		t.Fatal("want length error")
 	}
-	if _, err := IHT(phi, nil, nil, IHTOptions{K: 1}); err == nil {
+	if _, err := IHTOp(op, nil, nil, IHTOptions{K: 1}); err == nil {
 		t.Fatal("want measurements error")
 	}
 }
@@ -44,10 +46,11 @@ func TestIHTValidation(t *testing.T) {
 func TestCoSaMPExactRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	phi := basis.DCT(64)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 30)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 4})
+	res, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,18 +62,19 @@ func TestCoSaMPExactRecovery(t *testing.T) {
 func TestCoSaMPClampsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	phi := basis.DCT(32)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 32, 9)
 	y, _ := Measure(x, locs, rng, nil)
 	// 3K > m forces an internal clamp rather than an error.
-	res, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 8})
+	res, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Support) > 3 {
 		t.Fatalf("clamped support %d", len(res.Support))
 	}
-	if _, err := CoSaMP(phi, locs, y, CoSaMPOptions{}); err == nil {
+	if _, err := CoSaMPOp(op, locs, y, CoSaMPOptions{}); err == nil {
 		t.Fatal("want K error")
 	}
 }
@@ -78,10 +82,11 @@ func TestCoSaMPClampsK(t *testing.T) {
 func TestCoSaMPNoisyComparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	phi := basis.DCT(128)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 5)
 	locs, _ := RandomLocations(rng, 128, 50)
 	y, _ := Measure(x, locs, rng, []float64{0.02})
-	res, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 5})
+	res, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,18 +141,19 @@ func TestBPDNZeroEpsFallsBackToBP(t *testing.T) {
 func TestDecodersAgreeOnEasyProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	phi := basis.DCT(48)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 48, 24)
 	y, _ := Measure(x, locs, rng, nil)
-	omp, err := OMP(phi, locs, y, 3, 1e-12)
+	omp, err := OMPOp(op, locs, y, 3, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iht, err := IHT(phi, locs, y, IHTOptions{K: 3})
+	iht, err := IHTOp(op, locs, y, IHTOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cosamp, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 3})
+	cosamp, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +166,14 @@ func TestDecodersAgreeOnEasyProblem(t *testing.T) {
 
 func TestHardThresholdAndTopK(t *testing.T) {
 	v := []float64{1, -5, 3, 0.5}
-	hardThreshold(v, 2)
+	hardThresholdWith(v, 2, make([]int, len(v)), make([]bool, len(v)))
 	if v[0] != 0 || v[1] != -5 || v[2] != 3 || v[3] != 0 {
-		t.Fatalf("hardThreshold got %v", v)
+		t.Fatalf("hardThresholdWith got %v", v)
 	}
-	if got := topKIndices([]float64{1, 2}, 0); got != nil {
+	if got := topKIndicesInto([]float64{1, 2}, 0, make([]int, 2)); got != nil {
 		t.Fatalf("topK(0)=%v", got)
 	}
-	if got := topKIndices([]float64{1, 2}, 5); len(got) != 2 {
+	if got := topKIndicesInto([]float64{1, 2}, 5, make([]int, 2)); len(got) != 2 {
 		t.Fatalf("topK over-len=%v", got)
 	}
 }
@@ -255,6 +261,7 @@ func TestRecoverSequenceValidation(t *testing.T) {
 func TestOMPCentered(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	phi := basis.DCT(32)
+	op := denseOp(t, phi)
 	// Signal = mean + sparse deviation.
 	mu := make([]float64, 32)
 	for i := range mu {
@@ -264,14 +271,14 @@ func TestOMPCentered(t *testing.T) {
 	x := mat.AddVec(mu, dev)
 	locs, _ := RandomLocations(rng, 32, 14)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := OMPCentered(phi, locs, y, mu, 2, 1e-10)
+	res, err := OMPCenteredOp(op, locs, y, mu, 2, 1e-10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm := NMSE(x, res.Xhat); nm > 1e-10 {
 		t.Fatalf("centered NMSE %v", nm)
 	}
-	if _, err := OMPCentered(phi, locs, y, mu[:3], 2, 0); err == nil {
+	if _, err := OMPCenteredOp(op, locs, y, mu[:3], 2, 0); err == nil {
 		t.Fatal("want mean-length error")
 	}
 }
@@ -279,13 +286,14 @@ func TestOMPCentered(t *testing.T) {
 func BenchmarkIHT256(b *testing.B) {
 	rng := rand.New(rand.NewSource(39))
 	phi := basis.DCT(256)
+	op := denseOp(b, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 48)
 	y, _ := Measure(x, locs, rng, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := IHT(phi, locs, y, IHTOptions{K: 8}); err != nil {
+		if _, err := IHTOp(op, locs, y, IHTOptions{K: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,13 +302,14 @@ func BenchmarkIHT256(b *testing.B) {
 func BenchmarkCoSaMP256(b *testing.B) {
 	rng := rand.New(rand.NewSource(40))
 	phi := basis.DCT(256)
+	op := denseOp(b, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 48)
 	y, _ := Measure(x, locs, rng, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CoSaMP(phi, locs, y, CoSaMPOptions{K: 8}); err != nil {
+		if _, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}

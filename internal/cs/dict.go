@@ -60,9 +60,9 @@ type dict interface {
 }
 
 // dictFor builds the decode dictionary for an operator at the given sensor
-// locations. A *basis.MatrixOp routes to the dense reference dictionary so
-// matrix-backed operators (learned bases, non-dyadic fallbacks) decode
-// bit-identically to the historical dense entry points.
+// locations. A *basis.MatrixOp routes to the dense reference dictionary:
+// matrix-backed operators (learned bases, non-dyadic fallbacks, a dense
+// basis wrapped with basis.FromMatrix) decode on the exact mat kernels.
 func dictFor(op basis.Operator, locs []int) (dict, error) {
 	if mo, ok := op.(*basis.MatrixOp); ok {
 		return denseDictFor(mo.Matrix(), locs)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/basis"
 	"repro/internal/mat"
 )
 
@@ -32,8 +33,7 @@ func newFuzzProblem(data []byte) (fuzzProblem, bool) {
 	if len(data) < 4 {
 		return fuzzProblem{}, false
 	}
-	n := 1 + int(data[0]%8)  // signal length (basis rows)
-	c := 1 + int(data[1]%8)  // basis columns
+	n := 1 + int(data[0]%8)  // signal length; the basis is n×n (data[1] is spare)
 	m := 1 + int(data[2]%8)  // measurement count
 	k := int(data[3]%10) - 1 // -1..8: k <= 0 must error, not panic
 	data = data[4:]
@@ -50,7 +50,7 @@ func newFuzzProblem(data []byte) (fuzzProblem, bool) {
 		}
 		return 0
 	}
-	phi := mat.New(n, c)
+	phi := mat.New(n, n)
 	for i := range phi.Data {
 		phi.Data[i] = next()
 	}
@@ -115,7 +115,11 @@ func FuzzDecodeOMP(f *testing.F) {
 		if !ok {
 			return
 		}
-		res, err := OMP(p.phi, p.locs, p.y, p.k, 1e-9)
+		op, err := basis.FromMatrix(p.phi)
+		if err != nil {
+			return
+		}
+		res, err := OMPOp(op, p.locs, p.y, p.k, 1e-9)
 		if err != nil {
 			return
 		}
@@ -137,7 +141,11 @@ func FuzzDecodeIHT(f *testing.F) {
 		if !ok {
 			return
 		}
-		res, err := IHT(p.phi, p.locs, p.y, IHTOptions{K: p.k, MaxIter: 50})
+		op, err := basis.FromMatrix(p.phi)
+		if err != nil {
+			return
+		}
+		res, err := IHTOp(op, p.locs, p.y, IHTOptions{K: p.k, MaxIter: 50})
 		if err != nil {
 			return
 		}

@@ -91,6 +91,7 @@ func TestWarmStartCHSBitIdenticalOnUnchangedField(t *testing.T) {
 
 func TestWarmStartCHSDenseBitIdentical(t *testing.T) {
 	phi := basis.DCT(128)
+	op := denseOp(t, phi)
 	rng := rand.New(rand.NewSource(7))
 	alpha := make([]float64, 128)
 	for i := 0; i < 5; i++ {
@@ -113,12 +114,12 @@ func TestWarmStartCHSDenseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := CHSOptions{MaxSupport: 8, Tol: 1e-10}
-	cold, err := CHS(phi, locs, y, opts)
+	cold, err := CHSOp(op, locs, y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.SeedSupport = cold.Support
-	warm, err := CHS(phi, locs, y, opts)
+	warm, err := CHSOp(op, locs, y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

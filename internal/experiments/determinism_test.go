@@ -61,7 +61,7 @@ func TestA4DeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestCampaignDeterministicAcrossGOMAXPROCS exercises the zone fan-out in
-// PublicCloud.Assemble: two identically seeded middleware stacks must
+// PublicCloud.AssembleContext: two identically seeded middleware stacks must
 // produce the exact same reconstruction whether zones run serially or
 // concurrently.
 func TestCampaignDeterministicAcrossGOMAXPROCS(t *testing.T) {

@@ -69,18 +69,11 @@ func FromVector(w, h int, x []float64) (*Field, error) {
 	return out, nil
 }
 
-// Basis2D returns the separable 2-D orthonormal basis for this field's
-// shape: the row basis of size H Kronecker the column basis of size W,
-// matching the column-stacking convention. The matrix is memoized per
-// (kind, H, W) and shared — callers must not mutate it.
-func (f *Field) Basis2D(kind basis.Kind) (*mat.Matrix, error) {
-	return basis.Cached2D(kind, f.H, f.W)
-}
-
-// Operator2D returns the matrix-free separable 2-D basis operator for this
-// field's shape — the fast-path counterpart of Basis2D. The Kronecker
-// product is never materialized; the operator is memoized per (kind, H, W)
-// and safe for concurrent use.
+// Operator2D returns the matrix-free separable 2-D orthonormal basis
+// operator for this field's shape: the row basis of size H Kronecker the
+// column basis of size W, matching the column-stacking convention. The
+// Kronecker product is never materialized; the operator is memoized per
+// (kind, H, W) and safe for concurrent use.
 func (f *Field) Operator2D(kind basis.Kind) (basis.Operator, error) {
 	return basis.CachedOperator2D(kind, f.H, f.W)
 }

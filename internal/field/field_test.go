@@ -55,7 +55,7 @@ func TestGenSparseInBasisIsExactlySparse(t *testing.T) {
 	if len(support) != 5 {
 		t.Fatalf("support size %d", len(support))
 	}
-	phi, _ := f.Basis2D(basis.KindDCT)
+	phi, _ := basis.Kron2D(basis.DCT(f.H), basis.DCT(f.W))
 	alpha, _ := basis.Analyze(phi, f.Vector())
 	if nz := mat.Norm0(alpha, 1e-9); nz != 5 {
 		t.Fatalf("field has %d nonzero coefficients, want 5", nz)

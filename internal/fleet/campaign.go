@@ -147,9 +147,6 @@ func NewRunner(p *Population, netSeed int64, budgetPerZone int) (*Runner, error)
 	return r, nil
 }
 
-// Collector exposes a zone's collector (for tests and experiments).
-func (r *Runner) Collector(z int) *ZoneCollector { return r.collectors[z] }
-
 // CampaignConfig controls one Run.
 type CampaignConfig struct {
 	Rounds     int        // duty rounds (default Config.DutyPeriod: every node reports once)

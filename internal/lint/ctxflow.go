@@ -18,8 +18,8 @@ import (
 //     ctx or something derived from it (context.WithCancel/WithTimeout/
 //     ... results are tracked through local assignments);
 //   - no blocking downgrades: calls to the configured blocking
-//     functions' context-less convenience wrappers (bus.Request,
-//     broker.Gather, ...) are flagged with the ctx-aware variant to use.
+//     functions' context-less convenience wrappers (Pipeline.Step) are
+//     flagged with the ctx-aware variant to use.
 //
 // The analysis is per function declaration, in source order; function
 // literals inside the body share the declaration's derived-context set

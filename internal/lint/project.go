@@ -61,17 +61,10 @@ const ModulePrefix = "repro/"
 // CtxBlocking maps the context-less convenience wrappers of blocking
 // middleware operations to their context-aware variants. Inside a
 // context-accepting function, calling the wrapper silently discards the
-// caller's cancellation — ctxflow points at the variant instead.
+// caller's cancellation — ctxflow points at the variant instead. One
+// wrapper is left: bench/ calls Pipeline.Step by name.
 var CtxBlocking = map[string]string{
-	"repro/internal/bus.Request":                   "bus.RequestContext",
-	"repro/internal/bus.RequestRetry":              "bus.RequestRetryContext",
-	"repro/internal/bus.Respond":                   "bus.RespondContext",
-	"(*repro/internal/broker.Broker).Gather":       "Broker.GatherContext",
-	"(*repro/internal/cloud.LocalCloud).Gather":    "LocalCloud.GatherContext",
-	"(*repro/internal/cloud.PublicCloud).Assemble": "PublicCloud.AssembleContext",
-	"(*repro/internal/stream.Pipeline).Step":       "Pipeline.StepContext",
-	"(*repro/internal/stream.Pipeline).Run":        "Pipeline.RunContext",
-	"(*repro/internal/snapshot.Registry).Wait":     "Registry.WaitContext",
+	"(*repro/internal/stream.Pipeline).Step": "Pipeline.StepContext",
 }
 
 // PublishSinks maps the module's publish functions to the index of the
@@ -140,11 +133,8 @@ func ProjectTopicConfig() *TopicConfig {
 			"(*repro/internal/bus.Client).Publish":      {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
 			"(*repro/internal/bus.Client).Subscribe":    {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
 			"repro/internal/bus.NewCall":                {Role: TopicRequest, TopicArg: 0, BodyArg: 2, OutArg: 3, HandlerArg: -1},
-			"repro/internal/bus.Request":                {Role: TopicRequest, TopicArg: 1, BodyArg: 2, OutArg: 3, HandlerArg: -1},
 			"repro/internal/bus.RequestContext":         {Role: TopicRequest, TopicArg: 2, BodyArg: 3, OutArg: 4, HandlerArg: -1},
-			"repro/internal/bus.RequestRetry":           {Role: TopicRequest, TopicArg: 1, BodyArg: 2, OutArg: 3, HandlerArg: -1},
 			"repro/internal/bus.RequestRetryContext":    {Role: TopicRequest, TopicArg: 2, BodyArg: 3, OutArg: 4, HandlerArg: -1},
-			"repro/internal/bus.Respond":                {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
 			"repro/internal/bus.RespondContext":         {Role: TopicRespond, TopicArg: 2, BodyArg: -1, OutArg: -1, HandlerArg: 3},
 			"(*repro/internal/node.Node).serveTopic":    {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
 		},

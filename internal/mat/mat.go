@@ -192,15 +192,6 @@ func Sub(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Scale returns s*a.
-func Scale(s float64, a *Matrix) *Matrix {
-	out := a.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
 // SelectRows returns the submatrix of a formed from the given row indices,
 // in order. Indices may repeat.
 func SelectRows(a *Matrix, idx []int) (*Matrix, error) {
@@ -227,15 +218,6 @@ func SelectCols(a *Matrix, idx []int) (*Matrix, error) {
 		}
 	}
 	return out, nil
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest |element| of m (0 for an empty matrix).
@@ -406,27 +388,6 @@ func QRDecompose(a *Matrix) (*QR, error) {
 		}
 	}
 	return &QR{Q: qt, R: rt}, nil
-}
-
-// SolveUpperTriangular solves R*x = b for upper-triangular R.
-func SolveUpperTriangular(r *Matrix, b []float64) ([]float64, error) {
-	n := r.Rows
-	if r.Cols != n || len(b) != n {
-		return nil, ErrShape
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= r.Data[i*n+j] * x[j]
-		}
-		d := r.Data[i*n+i]
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		x[i] = s / d
-	}
-	return x, nil
 }
 
 // LeastSquares solves min_x ||a*x - b||₂ via QR (requires a.Rows >= a.Cols

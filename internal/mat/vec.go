@@ -79,15 +79,6 @@ func SubVec(a, b []float64) []float64 {
 	return out
 }
 
-// ScaleVec returns s*v.
-func ScaleVec(s float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = s * x
-	}
-	return out
-}
-
 // CloneVec returns a copy of v.
 func CloneVec(v []float64) []float64 {
 	out := make([]float64, len(v))

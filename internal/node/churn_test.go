@@ -14,7 +14,7 @@ import (
 )
 
 // rawEnvelope mirrors the bus request envelope so churn tests can
-// publish commands with a *chosen* reply-to topic (bus.Request always
+// publish commands with a *chosen* reply-to topic (bus.RequestContext always
 // generates a unique one, which would never collide with a dedup entry).
 type rawEnvelope struct {
 	ReplyTo string          `json:"replyTo"`
@@ -84,7 +84,7 @@ func TestChurnRecycledNodeIDs(t *testing.T) {
 		// A sample of this generation's nodes must actually serve.
 		for _, i := range []int{0, cohort / 2, cohort - 1} {
 			var rep PositionReply
-			if err := bus.Request(b, PositionTopic("nc0", nodes[i].ID), struct{}{}, &rep, 2*time.Second); err != nil {
+			if err := requestWithin(b, PositionTopic("nc0", nodes[i].ID), struct{}{}, &rep, 2*time.Second); err != nil {
 				t.Fatalf("generation %d node %d: %v", g, i, err)
 			}
 			if rep.NodeID != nodes[i].ID {
@@ -193,7 +193,7 @@ func TestAttachBusFailureLeavesNoState(t *testing.T) {
 	}
 	defer n.Detach()
 	var rep StatusReply
-	if err := bus.Request(b, StatusTopic("nc0", "n0"), struct{}{}, &rep, 2*time.Second); err != nil {
+	if err := requestWithin(b, StatusTopic("nc0", "n0"), struct{}{}, &rep, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if rep.NodeID != "n0" || rep.BatteryFrac <= 0 {

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -20,6 +21,14 @@ type fakeEnv struct{ value float64 }
 func (f fakeEnv) FieldValue(kind sensor.Kind, gridIdx int) float64 { return f.value }
 func (f fakeEnv) GridDims() (int, int)                             { return 8, 8 }
 func (f fakeEnv) AreaDims() (float64, float64)                     { return 80, 80 }
+
+// requestWithin is one bus.RequestContext round trip that gives up after
+// timeout.
+func requestWithin(b *bus.Bus, topic string, body, out any, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return bus.RequestContext(ctx, b, topic, body, out)
+}
 
 func newTestNode(t *testing.T, id string) *Node {
 	t.Helper()
@@ -110,7 +119,7 @@ func TestBusMeasureRoundTrip(t *testing.T) {
 	}
 	defer n.Detach()
 	var reading FieldReading
-	err := bus.Request(b, MeasureTopic("nc0", "n0"),
+	err := requestWithin(b, MeasureTopic("nc0", "n0"),
 		MeasureRequest{Kind: string(sensor.Temperature)}, &reading, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +128,7 @@ func TestBusMeasureRoundTrip(t *testing.T) {
 		t.Fatalf("reading %+v", reading)
 	}
 	var pos PositionReply
-	if err := bus.Request(b, PositionTopic("nc0", "n0"), struct{}{}, &pos, 2*time.Second); err != nil {
+	if err := requestWithin(b, PositionTopic("nc0", "n0"), struct{}{}, &pos, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if pos.GridIdx != 3*8+1 {
@@ -165,7 +174,7 @@ func TestServeSuppressesDuplicateRequests(t *testing.T) {
 	}
 	// A different request (fresh reply-to) is served normally.
 	var reading FieldReading
-	if err := bus.Request(b, MeasureTopic("nc0", "n0"),
+	if err := requestWithin(b, MeasureTopic("nc0", "n0"),
 		MeasureRequest{Kind: string(sensor.Temperature)}, &reading, 2*time.Second); err != nil {
 		t.Fatalf("fresh request after duplicates: %v", err)
 	}
@@ -179,7 +188,7 @@ func TestDetachStopsServing(t *testing.T) {
 	}
 	n.Detach()
 	var reading FieldReading
-	err := bus.Request(b, MeasureTopic("nc0", "n0"),
+	err := requestWithin(b, MeasureTopic("nc0", "n0"),
 		MeasureRequest{Kind: "temperature"}, &reading, 50*time.Millisecond)
 	if err == nil {
 		t.Fatal("detached node still serving")

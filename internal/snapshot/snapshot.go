@@ -169,12 +169,6 @@ func (r *Registry) Len() int {
 	return len(r.hist)
 }
 
-// Wait blocks until a snapshot with Version ≥ minVersion is published and
-// returns it. Prefer WaitContext inside context-threaded code.
-func (r *Registry) Wait(minVersion uint64) (*Snapshot, error) {
-	return r.WaitContext(context.Background(), minVersion)
-}
-
 // WaitContext blocks until a snapshot with Version ≥ minVersion is
 // published (returning the latest such snapshot) or ctx is done. The
 // staleness-bound tests use it to observe exactly when the service

@@ -126,7 +126,7 @@ func TestWaitContextReturnsOnPublishAndCancel(t *testing.T) {
 	}
 	done := make(chan *Snapshot, 1)
 	go func() {
-		got, werr := r.Wait(3)
+		got, werr := r.WaitContext(context.Background(), 3)
 		if werr != nil {
 			t.Error(werr)
 		}

@@ -64,8 +64,8 @@ type Config struct {
 }
 
 // Pipeline drives windows of sense→reconstruct→publish against a deployed
-// hierarchy. Step is the unit of work; Run loops it on a ticker; Start and
-// Stop manage a background Run.
+// hierarchy. StepContext is the unit of work; RunContext loops it on a
+// ticker; Start and Stop manage a background RunContext.
 type Pipeline struct {
 	sd  *core.SenseDroid
 	reg *snapshot.Registry
@@ -118,8 +118,8 @@ func (p *Pipeline) LastErr() error {
 	return p.lastErr
 }
 
-// Step runs one window to completion. Prefer StepContext inside
-// context-threaded code.
+// Step runs one window to completion. It is the one context-less wrapper
+// left, because bench/ calls it by name; use StepContext everywhere else.
 func (p *Pipeline) Step() (*snapshot.Snapshot, error) {
 	return p.StepContext(context.Background())
 }
@@ -155,7 +155,7 @@ func (p *Pipeline) StepContext(ctx context.Context) (*snapshot.Snapshot, error) 
 		opts.SeedRelTol = p.cfg.SeedRelTol
 		obsSeededZn.Add(int64(len(seeds)))
 	}
-	global, reports, err := p.sd.Public.AssembleSeededContext(ctx, p.cfg.Kind, plan, opts, seeds)
+	global, reports, err := p.sd.Public.AssembleContext(ctx, p.cfg.Kind, plan, opts, seeds)
 	if err != nil {
 		return nil, p.failLocked(err)
 	}
@@ -207,10 +207,6 @@ func (p *Pipeline) failLocked(err error) error {
 	obsWindowErrs.Inc()
 	return err
 }
-
-// Run loops StepContext on the configured cadence. Prefer RunContext
-// inside context-threaded code.
-func (p *Pipeline) Run() error { return p.RunContext(context.Background()) }
 
 // RunContext loops windows on the ticker until ctx is done or MaxWindows
 // successful windows have completed. A failed window does not stop the
