@@ -191,7 +191,8 @@ func TestJacobiEigenKnown(t *testing.T) {
 	}
 	// Check A v = λ v for each column.
 	for k := 0; k < 2; k++ {
-		v := vecs.Col(k)
+		col, _ := mat.SelectCols(vecs, []int{k})
+		v := col.Data
 		av, _ := mat.MulVec(a, v)
 		for i := range v {
 			if math.Abs(av[i]-vals[k]*v[i]) > 1e-9 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,11 +41,13 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude map[int]bool)
 			break
 		}
 		var reading node.FieldReading
-		err := bus.RequestRetryContext(ctx, br.Bus, node.MeasureTopic(br.ID, id),
-			node.MeasureRequest{Kind: string(kind)}, &reading, bus.RetryPolicy{
-				Attempts: br.attempts, AttemptTimeout: br.timeout, BaseBackoff: br.backoff, Seed: br.retrySeed,
-			})
-		if err != nil {
+		topic := node.MeasureTopic(br.ID, id)
+		calls := []bus.Call{bus.NewCall(topic, "", node.MeasureRequest{Kind: string(kind)}, &reading)}
+		root, _, _ := strings.Cut(topic, "/")
+		bus.Scatter(ctx, br.Bus, root, calls, bus.RetryPolicy{
+			Attempts: br.attempts, AttemptTimeout: br.timeout, BaseBackoff: br.backoff, Seed: br.retrySeed,
+		})
+		if calls[0].Err != nil {
 			continue
 		}
 		if reading.Denied {

@@ -108,7 +108,6 @@ type Bus struct {
 	wild        []*Subscription            // guarded by mu; patterns with a "+" or "#" segment
 	nextID      uint64                     // guarded by mu
 	hooks       []Hook                     // guarded by mu
-	retained    map[string]Message         // guarded by mu; last-value cache per topic
 	closed      bool                       // guarded by mu
 	interceptor atomic.Pointer[Interceptor]
 }
@@ -119,9 +118,8 @@ var ErrClosed = errors.New("bus: closed")
 // New returns an empty bus.
 func New() *Bus {
 	return &Bus{
-		subs:     make(map[uint64]*Subscription),
-		exact:    make(map[string][]*Subscription),
-		retained: make(map[string]Message),
+		subs:  make(map[uint64]*Subscription),
+		exact: make(map[string][]*Subscription),
 	}
 }
 
@@ -206,17 +204,6 @@ func (b *Bus) Subscribe(pattern string, buffer int) (*Subscription, error) {
 	} else {
 		b.wild = append(b.wild, sub)
 	}
-	// Deliver matching retained messages (last-value cache) so late
-	// joiners see current state immediately.
-	for topic, msg := range b.retained {
-		if Match(pattern, topic) {
-			select {
-			case ch <- msg:
-			default:
-				sub.noteDrop()
-			}
-		}
-	}
 	return sub, nil
 }
 
@@ -248,39 +235,6 @@ func removeSub(list []*Subscription, s *Subscription) []*Subscription {
 		return slices.Delete(list, i, i+1)
 	}
 	return list
-}
-
-// PublishRetained publishes like Publish and additionally stores the
-// message as the topic's last value: future subscribers whose pattern
-// matches receive it immediately on Subscribe. A nil payload clears the
-// retained value (MQTT semantics).
-func (b *Bus) PublishRetained(topic string, payload []byte) error {
-	if !ValidTopic(topic) {
-		return fmt.Errorf("bus: invalid topic %q", topic)
-	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return ErrClosed
-	}
-	if payload == nil {
-		delete(b.retained, topic)
-	} else {
-		b.retained[topic] = Message{Topic: topic, Payload: payload}
-	}
-	b.mu.Unlock()
-	if payload == nil {
-		return nil
-	}
-	return b.Publish(topic, payload)
-}
-
-// Retained returns the stored last value for a topic, if any.
-func (b *Bus) Retained(topic string) (Message, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	m, ok := b.retained[topic]
-	return m, ok
 }
 
 // SetInterceptor installs (or, with nil, removes) the transport
@@ -390,23 +344,6 @@ func ObsHook() Hook {
 		h.messages.Inc()
 		h.bytes.Add(int64(payloadBytes))
 	}
-}
-
-// SubscribeFunc subscribes a handler callback: a worker goroutine drains
-// the subscription and invokes fn for each message until Unsubscribe (or
-// bus Close) ends it. Convenient for fire-and-forget consumers that don't
-// want to manage a channel loop.
-func (b *Bus) SubscribeFunc(pattern string, buffer int, fn func(Message)) (*Subscription, error) {
-	sub, err := b.Subscribe(pattern, buffer)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		for msg := range sub.C {
-			fn(msg)
-		}
-	}()
-	return sub, nil
 }
 
 // SubscriberCount returns how many subscriptions currently match topic.

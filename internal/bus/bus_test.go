@@ -342,92 +342,3 @@ func BenchmarkPublish(b *testing.B) {
 	roster, target, sub = rosterBus(b, 2)
 	b.Run("subs=144+2wild", run(roster, target, sub))
 }
-
-func TestRetainedDeliveredToLateJoiner(t *testing.T) {
-	b := New()
-	if err := b.PublishRetained("state/zone1", []byte("hot")); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := b.Subscribe("state/#", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case msg := <-sub.C:
-		if msg.Topic != "state/zone1" || string(msg.Payload) != "hot" {
-			t.Fatalf("retained delivery %+v", msg)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("retained message not delivered on subscribe")
-	}
-	// Live subscribers also got it at publish time.
-	if m, ok := b.Retained("state/zone1"); !ok || string(m.Payload) != "hot" {
-		t.Fatalf("Retained lookup %v %v", m, ok)
-	}
-}
-
-func TestRetainedOverwriteAndClear(t *testing.T) {
-	b := New()
-	b.PublishRetained("s", []byte("v1"))
-	b.PublishRetained("s", []byte("v2"))
-	if m, _ := b.Retained("s"); string(m.Payload) != "v2" {
-		t.Fatalf("retained not overwritten: %s", m.Payload)
-	}
-	// nil payload clears.
-	if err := b.PublishRetained("s", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.Retained("s"); ok {
-		t.Fatal("retained not cleared")
-	}
-	sub, _ := b.Subscribe("s", 1)
-	select {
-	case m := <-sub.C:
-		t.Fatalf("cleared retained still delivered: %+v", m)
-	default:
-	}
-}
-
-func TestRetainedValidation(t *testing.T) {
-	b := New()
-	if err := b.PublishRetained("bad//topic", []byte("x")); err == nil {
-		t.Fatal("want topic error")
-	}
-	b.Close()
-	if err := b.PublishRetained("s", []byte("x")); err != ErrClosed {
-		t.Fatalf("err=%v, want ErrClosed", err)
-	}
-}
-
-func TestSubscribeFunc(t *testing.T) {
-	b := New()
-	var mu sync.Mutex
-	var got []string
-	sub, err := b.SubscribeFunc("evt/#", 16, func(m Message) {
-		mu.Lock()
-		got = append(got, string(m.Payload))
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Publish("evt/a", []byte("1"))
-	b.Publish("evt/b", []byte("2"))
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("handler saw %d messages, want 2", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	sub.Unsubscribe()
-	if _, err := b.SubscribeFunc("a//b", 1, func(Message) {}); err == nil {
-		t.Fatal("want pattern error")
-	}
-}

@@ -269,8 +269,8 @@ func TestRequestRetryLazyJitterKeepsTheSchedule(t *testing.T) {
 		waitSubscribed(t, b, "svc")
 		attempts := failFirstN(b, "svc", 2, flakyErr{})
 		start := time.Now()
-		err := RequestRetryContext(context.Background(), b, "svc", 7, nil,
-			RetryPolicy{Attempts: 4, BaseBackoff: base, Seed: seed})
+		err := requestRetry(context.Background(), b, "svc", 7, nil,
+			RetryPolicy{Attempts: 4, BaseBackoff: base, Seed: seed}).Err
 		elapsed := time.Since(start)
 		b.Close()
 		if err != nil || attempts.Load() != 3 {
@@ -296,7 +296,7 @@ func TestRequestRetryFirstAttemptSuccessSeedsNothing(t *testing.T) {
 	startEcho(t, b)
 	waitSubscribed(t, b, "svc")
 	request := func() {
-		if err := RequestRetryContext(context.Background(), b, "svc", 7, nil, RetryPolicy{Seed: 1}); err != nil {
+		if err := requestRetry(context.Background(), b, "svc", 7, nil, RetryPolicy{Seed: 1}).Err; err != nil {
 			t.Fatal(err)
 		}
 	}

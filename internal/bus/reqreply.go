@@ -59,8 +59,7 @@ var scatterCounter atomic.Uint64
 
 // Scatter runs every call as a request/reply exchange under one reply
 // subscription, InboxPattern(root, n) for the process's n-th scatter. It
-// is the only request path: RequestContext and RequestRetryContext are a
-// scatter of one.
+// is the only request path: RequestContext is a scatter of one.
 //
 // The calls go out in waves. A wave's requests are published back to
 // back, each with a reply topic of its own (InboxTopic), and the replies
@@ -302,16 +301,10 @@ func (s *scatterState) closeOpen(pending []*Call, cause error) {
 // down on every path). It is a Scatter of one call with one attempt; the
 // reply inbox sits under the topic's first segment.
 func RequestContext(ctx context.Context, b *Bus, topic string, body any, out any) error {
-	return request(ctx, b, topic, body, out, RetryPolicy{Attempts: 1}).Err
-}
-
-// request is the scatter of one behind RequestContext and
-// RequestRetryContext.
-func request(ctx context.Context, b *Bus, topic string, body, out any, pol RetryPolicy) *Call {
 	calls := [1]Call{NewCall(topic, "", body, out)}
 	root, _, _ := strings.Cut(topic, "/")
-	Scatter(ctx, b, root, calls[:], pol)
-	return &calls[0]
+	Scatter(ctx, b, root, calls[:], RetryPolicy{Attempts: 1})
+	return calls[0].Err
 }
 
 // RespondContext subscribes to a request topic pattern and serves each

@@ -3,7 +3,6 @@ package bus
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/obs"
@@ -64,18 +63,4 @@ func IsRetryable(err error) bool {
 		return false
 	}
 	return errors.Is(err, context.DeadlineExceeded)
-}
-
-// RequestRetryContext is RequestContext under a retry policy: capped
-// exponential backoff with deterministic seeded jitter and a per-call
-// attempt budget. Terminal errors (IsRetryable == false) and outer-ctx
-// expiry stop it immediately; only transient failures burn budget. The
-// final error wraps the last attempt's failure. It is a Scatter of one
-// call, which is where the policy is carried out.
-func RequestRetryContext(ctx context.Context, b *Bus, topic string, body, out any, pol RetryPolicy) error {
-	c := request(ctx, b, topic, body, out, pol)
-	if c.Err == nil {
-		return nil
-	}
-	return fmt.Errorf("bus: request on %q failed after %d attempt(s): %w", topic, c.Attempts, c.Err)
 }

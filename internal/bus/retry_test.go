@@ -59,14 +59,23 @@ func failFirstN(b *Bus, topic string, n int, err error) *atomic.Int64 {
 	return &seen
 }
 
+// requestRetry is one request under pol: a Scatter of one call, with the
+// reply inbox under the topic's first segment as RequestContext roots it.
+func requestRetry(ctx context.Context, b *Bus, topic string, body, out any, pol RetryPolicy) *Call {
+	calls := []Call{NewCall(topic, "", body, out)}
+	root, _, _ := strings.Cut(topic, "/")
+	Scatter(ctx, b, root, calls, pol)
+	return &calls[0]
+}
+
 func TestRequestRetryRecoversFromTransientFailures(t *testing.T) {
 	b := New()
 	defer b.Close()
 	startEcho(t, b)
 	attempts := failFirstN(b, "svc", 2, flakyErr{})
 	var out int
-	err := RequestRetryContext(context.Background(), b, "svc", 41, &out,
-		RetryPolicy{Attempts: 4, BaseBackoff: time.Millisecond, Seed: 1})
+	err := requestRetry(context.Background(), b, "svc", 41, &out,
+		RetryPolicy{Attempts: 4, BaseBackoff: time.Millisecond, Seed: 1}).Err
 	if err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}
@@ -83,8 +92,8 @@ func TestRequestRetryTerminalErrorStopsImmediately(t *testing.T) {
 	defer b.Close()
 	startEcho(t, b)
 	attempts := failFirstN(b, "svc", 100, terminalErr{})
-	err := RequestRetryContext(context.Background(), b, "svc", 1, nil,
-		RetryPolicy{Attempts: 5, BaseBackoff: time.Millisecond, Seed: 2})
+	err := requestRetry(context.Background(), b, "svc", 1, nil,
+		RetryPolicy{Attempts: 5, BaseBackoff: time.Millisecond, Seed: 2}).Err
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -102,13 +111,14 @@ func TestRequestRetryExhaustsBudget(t *testing.T) {
 	defer b.Close()
 	startEcho(t, b)
 	attempts := failFirstN(b, "svc", 100, flakyErr{})
-	err := RequestRetryContext(context.Background(), b, "svc", 1, nil,
+	c := requestRetry(context.Background(), b, "svc", 1, nil,
 		RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond, Seed: 3})
+	err := c.Err
 	if err == nil {
 		t.Fatal("want error after budget exhaustion")
 	}
-	if !strings.Contains(err.Error(), "after 3 attempt(s)") {
-		t.Fatalf("error %q does not report the attempt budget", err)
+	if c.Attempts != 3 {
+		t.Fatalf("call reports %d attempts, want the budget of 3", c.Attempts)
 	}
 	var fe flakyErr
 	if !errors.As(err, &fe) {
@@ -130,8 +140,8 @@ func TestRequestRetryCancelDuringBackoffUnblocks(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err := RequestRetryContext(ctx, b, "svc", 1, nil,
-		RetryPolicy{Attempts: 10, BaseBackoff: 10 * time.Second, Seed: 4})
+	err := requestRetry(ctx, b, "svc", 1, nil,
+		RetryPolicy{Attempts: 10, BaseBackoff: 10 * time.Second, Seed: 4}).Err
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled retry = %v, want context.Canceled", err)
 	}
@@ -152,8 +162,8 @@ func TestRequestRetryAttemptTimeoutIsTransient(t *testing.T) {
 		}
 		return true, nil
 	})
-	err := RequestRetryContext(context.Background(), b, "svc", 1, nil,
-		RetryPolicy{Attempts: 2, AttemptTimeout: 20 * time.Millisecond, BaseBackoff: time.Millisecond, Seed: 5})
+	err := requestRetry(context.Background(), b, "svc", 1, nil,
+		RetryPolicy{Attempts: 2, AttemptTimeout: 20 * time.Millisecond, BaseBackoff: time.Millisecond, Seed: 5}).Err
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("unanswered retry = %v, want wrapped DeadlineExceeded", err)
 	}
@@ -172,8 +182,8 @@ func TestRequestRetryBacksOff(t *testing.T) {
 	failFirstN(b, "svc", 2, flakyErr{})
 	base := 30 * time.Millisecond
 	start := time.Now()
-	if err := RequestRetryContext(context.Background(), b, "svc", 7, nil,
-		RetryPolicy{Attempts: 4, BaseBackoff: base, Seed: 6}); err != nil {
+	if err := requestRetry(context.Background(), b, "svc", 7, nil,
+		RetryPolicy{Attempts: 4, BaseBackoff: base, Seed: 6}).Err; err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < base/2+base {

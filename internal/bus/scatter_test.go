@@ -253,17 +253,18 @@ func TestScatterCancelMidWave(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	answered := make(chan struct{})
-	tap, err := b.SubscribeFunc(InboxPattern("grp", "+"), 16, func() func(Message) {
+	tap, err := b.Subscribe(InboxPattern("grp", "+"), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
 		n := 0
-		return func(Message) {
+		for range tap.C {
 			if n++; n == 4 {
 				close(answered)
 			}
 		}
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
+	}()
 	go func() {
 		<-answered
 		cancel()

@@ -14,7 +14,6 @@
 //	<nc>/inbox/<s>/<id>/<k>    node → broker reply to request k of the
 //	                           broker's scatter s (one subscription,
 //	                           <nc>/inbox/<s>/#, hears them all)
-//	<nc>/ctx/<id>              retained per-node context snapshots
 package bus
 
 // RegisterTopic returns the NanoCloud's node-registration topic, on
@@ -44,12 +43,6 @@ func NodeStatusTopic(ncID, nodeID string) string {
 // whole command namespace at once.
 func NodeCommandPattern(ncID, nodeID string) string {
 	return ncID + "/node/" + nodeID + "/#"
-}
-
-// NodeContextTopic returns the retained topic carrying a node's latest
-// context snapshot within a broker's namespace.
-func NodeContextTopic(brokerID, nodeID string) string {
-	return brokerID + "/ctx/" + nodeID
 }
 
 // InboxPattern returns the subscription pattern covering every reply to

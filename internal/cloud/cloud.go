@@ -12,13 +12,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/broker"
 	"repro/internal/field"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sensor"
 )
 
@@ -59,13 +59,6 @@ func NewZoneEnv(global *field.Field, zone field.Zone, metersPerCell float64) (*Z
 		return nil, fmt.Errorf("cloud: zone %d exceeds field bounds", zone.ID)
 	}
 	return &ZoneEnv{global: global, zone: zone, scale: metersPerCell}, nil
-}
-
-// SetGlobal swaps the live global field (e.g. the next time step).
-func (z *ZoneEnv) SetGlobal(f *field.Field) {
-	z.mu.Lock()
-	z.global = f
-	z.mu.Unlock()
 }
 
 // FieldValue returns the global truth at a zone-local grid index.
@@ -384,11 +377,7 @@ func (pc *PublicCloud) AssembleContext(ctx context.Context, kind sensor.Kind, pl
 		err error
 	}
 	outs := make([]zoneOut, len(pc.LCs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pc.LCs) {
-		workers = len(pc.LCs)
-	}
-	reconstruct := func(i int) {
+	par.ForEach(len(pc.LCs), func(i int) {
 		lc := pc.LCs[i]
 		z := lc.Env.Zone()
 		m, ok := plan[z.ID]
@@ -406,29 +395,7 @@ func (pc *PublicCloud) AssembleContext(ctx context.Context, kind sensor.Kind, pl
 			return
 		}
 		outs[i] = zoneOut{rec: rec, m: m}
-	}
-	if workers <= 1 {
-		for i := range pc.LCs {
-			reconstruct(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					reconstruct(i)
-				}
-			}()
-		}
-		for i := range pc.LCs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	})
 	// Deterministic error choice: the first zone (in LC order) that failed
 	// for a reason of its own beats any zone that merely observed the
 	// cancellation triggered by a sibling.

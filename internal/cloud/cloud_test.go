@@ -57,13 +57,7 @@ func TestZoneEnvValidation(t *testing.T) {
 
 func TestZoneEnvSetGlobalAndCriticality(t *testing.T) {
 	f1 := field.New(4, 4)
-	f2 := field.New(4, 4)
-	f2.Data[0] = 99
 	env, _ := NewZoneEnv(f1, field.Zone{W: 4, H: 4, Criticality: 1}, 10)
-	env.SetGlobal(f2)
-	if env.FieldValue(sensor.Temperature, 0) != 99 {
-		t.Fatal("SetGlobal did not take")
-	}
 	env.SetCriticality(5)
 	if env.Zone().Criticality != 5 {
 		t.Fatal("SetCriticality did not take")

@@ -115,109 +115,6 @@ func ClassifyActivity(f Features) Activity {
 	return ActivityDriving
 }
 
-// IsDriving reports the driving context from an accelerometer window.
-func IsDriving(f Features) bool { return ClassifyActivity(f) == ActivityDriving }
-
-// --- Nearest-centroid classifier ---------------------------------------------
-
-// Centroid is a labeled point in feature space for the trainable
-// classifier (the paper's "machine learning techniques for activity
-// modeling" alternative to fixed thresholds).
-type Centroid struct {
-	Label Activity
-	Point []float64
-}
-
-// NCClassifier is a nearest-centroid classifier over standardized feature
-// vectors.
-type NCClassifier struct {
-	centroids []Centroid
-	mean, std []float64
-}
-
-// featureVector flattens the discriminative features.
-func featureVector(f Features) []float64 {
-	return []float64{f.Variance, f.DominantHz, f.ZeroCrossHz, f.PeakToPeak}
-}
-
-// TrainNC fits a nearest-centroid classifier from labeled feature windows.
-func TrainNC(samples map[Activity][]Features) (*NCClassifier, error) {
-	if len(samples) == 0 {
-		return nil, errors.New("contextproc: no training data")
-	}
-	dim := len(featureVector(Features{}))
-	// Global standardization.
-	var all [][]float64
-	for _, fs := range samples {
-		for _, f := range fs {
-			all = append(all, featureVector(f))
-		}
-	}
-	if len(all) == 0 {
-		return nil, errors.New("contextproc: empty training classes")
-	}
-	mean := make([]float64, dim)
-	std := make([]float64, dim)
-	for _, v := range all {
-		for j, x := range v {
-			mean[j] += x
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(len(all))
-	}
-	for _, v := range all {
-		for j, x := range v {
-			d := x - mean[j]
-			std[j] += d * d
-		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / float64(len(all)))
-		if std[j] == 0 {
-			std[j] = 1
-		}
-	}
-	clf := &NCClassifier{mean: mean, std: std}
-	for label, fs := range samples {
-		if len(fs) == 0 {
-			continue
-		}
-		c := make([]float64, dim)
-		for _, f := range fs {
-			v := featureVector(f)
-			for j := range c {
-				c[j] += (v[j] - mean[j]) / std[j]
-			}
-		}
-		for j := range c {
-			c[j] /= float64(len(fs))
-		}
-		clf.centroids = append(clf.centroids, Centroid{Label: label, Point: c})
-	}
-	return clf, nil
-}
-
-// Classify returns the nearest centroid's label.
-func (c *NCClassifier) Classify(f Features) Activity {
-	v := featureVector(f)
-	for j := range v {
-		v[j] = (v[j] - c.mean[j]) / c.std[j]
-	}
-	best, bestD := c.centroids[0].Label, math.Inf(1)
-	for _, cent := range c.centroids {
-		d := 0.0
-		for j := range v {
-			dd := v[j] - cent.Point[j]
-			d += dd * dd
-		}
-		if d < bestD {
-			bestD, best = d, cent.Label
-		}
-	}
-	return best
-}
-
 // --- IsIndoor -----------------------------------------------------------------
 
 // EnvReading is one joint GPS+WiFi observation.

@@ -87,57 +87,13 @@ func TestClassifyActivityScenarios(t *testing.T) {
 func TestIsDriving(t *testing.T) {
 	xs := window(t, sensor.MotionDriving, 256, 0.05, 4)
 	f, _ := Extract(xs, 64)
-	if !IsDriving(f) {
+	if ClassifyActivity(f) != ActivityDriving {
 		t.Fatal("driving window not detected")
 	}
 	xs = window(t, sensor.MotionIdle, 256, 0.05, 5)
 	f, _ = Extract(xs, 64)
-	if IsDriving(f) {
+	if ClassifyActivity(f) == ActivityDriving {
 		t.Fatal("idle window misdetected as driving")
-	}
-}
-
-func TestNearestCentroidClassifier(t *testing.T) {
-	train := map[Activity][]Features{}
-	scens := map[Activity]sensor.MotionScenario{
-		ActivityIdle:    sensor.MotionIdle,
-		ActivityWalking: sensor.MotionWalking,
-		ActivityDriving: sensor.MotionDriving,
-	}
-	for act, scen := range scens {
-		for seed := int64(0); seed < 6; seed++ {
-			f, err := Extract(window(t, scen, 256, 0.1, 100+seed), 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			train[act] = append(train[act], f)
-		}
-	}
-	clf, err := TrainNC(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	correct, total := 0, 0
-	for act, scen := range scens {
-		for seed := int64(50); seed < 56; seed++ {
-			f, _ := Extract(window(t, scen, 256, 0.1, 1000+seed), 64)
-			if clf.Classify(f) == act {
-				correct++
-			}
-			total++
-		}
-	}
-	if correct < total-1 {
-		t.Fatalf("NC classifier accuracy %d/%d", correct, total)
-	}
-}
-
-func TestTrainNCErrors(t *testing.T) {
-	if _, err := TrainNC(nil); err == nil {
-		t.Fatal("want empty error")
-	}
-	if _, err := TrainNC(map[Activity][]Features{ActivityIdle: nil}); err == nil {
-		t.Fatal("want empty-class error")
 	}
 }
 

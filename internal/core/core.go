@@ -18,7 +18,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/cloud"
 	"repro/internal/cs"
-	"repro/internal/discovery"
 	"repro/internal/field"
 	"repro/internal/mobility"
 	"repro/internal/node"
@@ -48,28 +47,16 @@ type Options struct {
 // field. Mutating the truth (SetTruth) is the simulation's stand-in for
 // the physical world changing.
 type SenseDroid struct {
-	Opts      Options
-	Truth     *field.Field
-	Public    *cloud.PublicCloud
-	Nodes     []*node.Node
-	Buses     []*bus.Bus
-	Directory *discovery.Registry // who is alive where (brokers + nodes)
+	Opts   Options
+	Truth  *field.Field
+	Public *cloud.PublicCloud
+	Nodes  []*node.Node
+	Buses  []*bus.Bus
 
-	envs       []*cloud.ZoneEnv
 	busBytes   atomic.Int64
-	nodeBus    map[string]*bus.Bus
 	nodeBroker map[string]string
 	brokerBus  map[string]*bus.Bus
 	brokers    map[string]*broker.Broker
-}
-
-// busFor returns the NanoCloud bus and broker ID a node is attached to.
-func (sd *SenseDroid) busFor(nodeID string) (*bus.Bus, string, bool) {
-	b, ok := sd.nodeBus[nodeID]
-	if !ok {
-		return nil, "", false
-	}
-	return b, sd.nodeBroker[nodeID], true
 }
 
 // BusOf returns the NanoCloud bus a broker runs on — the attachment
@@ -137,8 +124,6 @@ func New(opts Options) (*SenseDroid, error) {
 	}
 	sd := &SenseDroid{
 		Opts: opts, Truth: truth,
-		Directory:  discovery.NewRegistry(24 * time.Hour),
-		nodeBus:    make(map[string]*bus.Bus),
 		nodeBroker: make(map[string]string),
 		brokerBus:  make(map[string]*bus.Bus),
 		brokers:    make(map[string]*broker.Broker),
@@ -151,7 +136,6 @@ func New(opts Options) (*SenseDroid, error) {
 		if err != nil {
 			return nil, err
 		}
-		sd.envs = append(sd.envs, env)
 		var brokers []*broker.Broker
 		for nc := 0; nc < opts.NCsPerZone; nc++ {
 			b := bus.New()
@@ -163,12 +147,6 @@ func New(opts Options) (*SenseDroid, error) {
 				ID: brID, Seed: rng.Int63(), Timeout: opts.Timeout,
 			}, b, env)
 			if err != nil {
-				return nil, err
-			}
-			if err := sd.Directory.Announce(discovery.Entry{
-				Name: brID, Kind: "broker",
-				Metadata: map[string]string{"zone": fmt.Sprint(z.ID)},
-			}, 0); err != nil {
 				return nil, err
 			}
 			aw, ah := env.AreaDims()
@@ -194,13 +172,6 @@ func New(opts Options) (*SenseDroid, error) {
 				if err := br.Register(nodeID); err != nil {
 					return nil, err
 				}
-				if err := sd.Directory.Announce(discovery.Entry{
-					Name: nodeID, Kind: "node",
-					Metadata: map[string]string{"broker": brID},
-				}, 0); err != nil {
-					return nil, err
-				}
-				sd.nodeBus[nodeID] = b
 				sd.nodeBroker[nodeID] = brID
 				sd.Nodes = append(sd.Nodes, nd)
 			}
@@ -349,23 +320,8 @@ func (sd *SenseDroid) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 func (sd *SenseDroid) Close() {
 	for _, n := range sd.Nodes {
 		n.Detach()
-		sd.Directory.Withdraw(n.ID)
 	}
 	for _, b := range sd.Buses {
 		b.Close()
 	}
-}
-
-// GroupContexts runs on-device context sensing on every node and fuses the
-// group view (the wellness use case).
-func (sd *SenseDroid) GroupContexts(windowLen int, rateHz float64) ([]node.ContextReport, error) {
-	out := make([]node.ContextReport, 0, len(sd.Nodes))
-	for _, n := range sd.Nodes {
-		rep, err := n.SenseContext(windowLen, rateHz, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/contextproc"
 	"repro/internal/field"
+	"repro/internal/node"
 	"repro/internal/sensor"
 )
 
@@ -214,9 +215,13 @@ func TestGroupContexts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sd.Close()
-	reports, err := sd.GroupContexts(256, 64)
-	if err != nil {
-		t.Fatal(err)
+	reports := make([]node.ContextReport, 0, len(sd.Nodes))
+	for _, n := range sd.Nodes {
+		rep, err := n.SenseContext(256, 64, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
 	}
 	if len(reports) != len(sd.Nodes) {
 		t.Fatalf("reports %d for %d nodes", len(reports), len(sd.Nodes))
@@ -258,31 +263,6 @@ func TestCampaignWithGLSAndKindDefaults(t *testing.T) {
 	_ = sensor.Temperature // default kind exercised above
 }
 
-func TestDirectoryTracksHierarchy(t *testing.T) {
-	sd, err := New(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	brokers := sd.Directory.ByKind("broker")
-	nodes := sd.Directory.ByKind("node")
-	if len(brokers) != 4 {
-		t.Fatalf("directory brokers %d, want 4", len(brokers))
-	}
-	if len(nodes) != 16 {
-		t.Fatalf("directory nodes %d, want 16", len(nodes))
-	}
-	// Every node entry names its broker.
-	for _, n := range nodes {
-		if n.Metadata["broker"] == "" {
-			t.Fatalf("node %s has no broker metadata", n.Name)
-		}
-	}
-	sd.Close()
-	if got := sd.Directory.ByKind("node"); len(got) != 0 {
-		t.Fatalf("nodes still announced after Close: %d", len(got))
-	}
-}
-
 func TestMultipleNCsPerZone(t *testing.T) {
 	opts := smallOpts()
 	opts.NCsPerZone = 2
@@ -304,108 +284,5 @@ func TestMultipleNCsPerZone(t *testing.T) {
 	}
 	if res.GlobalNMSE > 0.05 {
 		t.Fatalf("multi-NC campaign NMSE %v", res.GlobalNMSE)
-	}
-}
-
-func TestRunTemporalCampaignJointBeatsStatic(t *testing.T) {
-	sd, err := New(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sd.Close()
-	evolve := func(step int) *field.Field {
-		return field.GenPlumes(16, 16, 12, []field.Plume{{
-			Row: 4 + 0.4*float64(step), Col: 4 + 0.3*float64(step),
-			Sigma: 2.2, Amplitude: 30,
-		}})
-	}
-	res, err := sd.RunTemporalCampaign(TemporalCampaignConfig{
-		Steps: 6, TotalM: 48, Evolve: evolve, Compare: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Fields) != 6 || len(res.PerStepNMSE) != 6 {
-		t.Fatalf("result shape %+v", res)
-	}
-	if res.MeanNMSE >= res.MeanStatic {
-		t.Fatalf("joint %v not below static %v on identical measurements",
-			res.MeanNMSE, res.MeanStatic)
-	}
-	if res.MeanNMSE > 0.1 {
-		t.Fatalf("joint NMSE %v too large", res.MeanNMSE)
-	}
-	// The recovered final field localizes the moved plume.
-	r, c, _ := res.Fields[5].MaxLoc()
-	if (r-6)*(r-6)+(c-6)*(c-6) > 8 {
-		t.Fatalf("final hotspot at (%d,%d), truth near (6,6)", r, c)
-	}
-}
-
-func TestRunTemporalCampaignValidation(t *testing.T) {
-	sd, err := New(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sd.Close()
-	if _, err := sd.RunTemporalCampaign(TemporalCampaignConfig{Steps: 3, TotalM: 40}); err == nil {
-		t.Fatal("want Evolve error")
-	}
-	evolve := func(int) *field.Field { return field.New(16, 16) }
-	if _, err := sd.RunTemporalCampaign(TemporalCampaignConfig{Evolve: evolve}); err == nil {
-		t.Fatal("want Steps/TotalM error")
-	}
-}
-
-func TestContextServicePublishAndQuery(t *testing.T) {
-	opts := smallOpts()
-	opts.NodesPerNC = 2
-	sd, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sd.Close()
-	reports, err := sd.PublishContexts(256, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != len(sd.Nodes) {
-		t.Fatalf("published %d of %d", len(reports), len(sd.Nodes))
-	}
-	// All nodes walk by construction → the walking filter matches all.
-	walkers, err := sd.QueryContexts("activity == 'walking'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(walkers) != len(sd.Nodes) {
-		t.Fatalf("walking filter matched %d of %d", len(walkers), len(sd.Nodes))
-	}
-	// An impossible filter matches none.
-	none, err := sd.QueryContexts("stress > 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 {
-		t.Fatalf("impossible filter matched %d", len(none))
-	}
-	// A single-node filter matches exactly one.
-	one, err := sd.QueryContexts("node == '" + sd.Nodes[0].ID + "'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != 1 || one[0].NodeID != sd.Nodes[0].ID {
-		t.Fatalf("node filter got %v", one)
-	}
-	// Bad filter reports a compile error.
-	if _, err := sd.QueryContexts("((("); err == nil {
-		t.Fatal("want compile error")
-	}
-	// Retained delivery: a late subscriber on any NC bus sees a context.
-	b, brokerID, ok := sd.busFor(sd.Nodes[0].ID)
-	if !ok {
-		t.Fatal("busFor failed")
-	}
-	if _, ok := b.Retained(ContextTopic(brokerID, sd.Nodes[0].ID)); !ok {
-		t.Fatal("context not retained on the bus")
 	}
 }

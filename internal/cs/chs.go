@@ -8,18 +8,12 @@ import (
 	"repro/internal/mat"
 )
 
-// Interpolator is the Υ: R^M → R^N operator of the Fig. 6 algorithm: it
-// lifts a residual known only at the M sensor locations to a full-length
-// field estimate. Implementations live in internal/field (nearest
-// neighbour, inverse-distance weighting); ZeroFill is the basis-agnostic
-// default.
-type Interpolator func(locs []int, vals []float64) ([]float64, error)
-
-// ZeroFill returns an Interpolator that places the residual values at
-// their locations and zeros elsewhere. For an orthonormal Φ this makes the
-// coefficient scan α_r = Φᵀ e exactly the correlation used by matching
-// pursuit, so it is a safe default when no geometry is known.
-func ZeroFill(n int) Interpolator {
+// ZeroFill returns the Υ: R^M → R^N operator of the Fig. 6 algorithm that
+// CHSOp uses: it lifts a residual known only at the M sensor locations to
+// a full-length field by placing the values at their locations and zeros
+// elsewhere. For an orthonormal Φ this makes the coefficient scan
+// α_r = Φᵀ e exactly the correlation used by matching pursuit.
+func ZeroFill(n int) func(locs []int, vals []float64) ([]float64, error) {
 	return func(locs []int, vals []float64) ([]float64, error) {
 		if len(locs) != len(vals) {
 			return nil, errors.New("cs: locs/vals length mismatch")
@@ -49,8 +43,6 @@ type CHSOptions struct {
 	// V is the sensor-noise covariance; when non-nil the coefficients are
 	// solved with GLS (Fig. 6 step e-ii) instead of OLS (step e-i).
 	V *mat.Matrix
-	// Interp is the Υ operator (default ZeroFill).
-	Interp Interpolator
 	// SeedSupport warm-starts the decode from a previously recovered
 	// support (Result.Support, in admission order): the seed columns are
 	// folded into the incremental-QR factors and the sensor residual
@@ -117,8 +109,8 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	if opts.MaxSupport <= 0 || opts.MaxSupport > len(locs) {
 		opts.MaxSupport = len(locs)
 	}
-	// Under the default ZeroFill interpolation, steps (a)+(b) compose to
-	// exactly Φ̃ᵀe_r — one scatter+analysis with no interpolant allocation.
+	// Under ZeroFill interpolation, steps (a)+(b) compose to exactly Φ̃ᵀe_r
+	// — one scatter+analysis with no interpolant allocation.
 	// The fused path is taken only on the matrix-free dictionary (where it
 	// is bit-identical to ZeroFill+analyzeFull, both being a scatter into
 	// the same buffer followed by one ApplyTranspose); the dense dictionary
@@ -126,10 +118,8 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	// bit-identical to the pre-operator implementation. Duplicate sensor
 	// locations disable it: corrT accumulates where ZeroFill overwrites.
 	od, fused := d.(*opDict)
-	fused = fused && opts.Interp == nil && !hasDuplicateLocs(locs)
-	if opts.Interp == nil {
-		opts.Interp = ZeroFill(d.signalDim())
-	}
+	fused = fused && !hasDuplicateLocs(locs)
+	interp := ZeroFill(d.signalDim())
 
 	// Step 1: J = ∅, e_r = x_S. The growing-support OLS of step (e) is kept
 	// as an incrementally updated QR factorization: each admitted column is
@@ -182,7 +172,7 @@ outer:
 				return nil, err
 			}
 		} else {
-			eNew, err = opts.Interp(locs, resid)
+			eNew, err = interp(locs, resid)
 			if err != nil {
 				return nil, err
 			}

@@ -7,10 +7,9 @@
 //   - OMPOp: orthogonal matching pursuit for Eq. (13), the workhorse.
 //   - BasisPursuit: L1 minimization (Eq. 9) via the LP reformulation
 //     (Eq. 10), solved with the internal simplex solver.
-//   - FixedSupportOLSOp / FixedSupportGLSOp: the closed-form least-squares
-//     estimates of Eqs. (11) and (12) when the support J is known.
 //   - CHSOp (chs.go): the iterative Compressive Heterogeneous Sensing
-//     algorithm of Fig. 6 with a pluggable interpolation operator Υ.
+//     algorithm of Fig. 6, whose step (e) is the least-squares estimate of
+//     Eq. (11), or of Eq. (12) for heterogeneous sensors.
 //
 // The greedy decoders take the basis as a basis.Operator. A dense basis
 // matrix goes in through basis.FromMatrix, which routes to the dense
@@ -258,79 +257,6 @@ func BasisPursuit(phi *mat.Matrix, locs []int, y []float64, zeroTol float64) (*R
 		}
 	}
 	return packResultDict(&denseDict{phi: phi, a: a}, support, coef, y, sol.Iterations)
-}
-
-// FixedSupportOLSOp solves for the coefficients on a known support J with
-// ordinary least squares — the paper's Eq. (11), appropriate for
-// homogeneous sensors. Requires len(locs) ≥ len(support). Through a
-// matrix-free operator the M×|J| design matrix is assembled column by
-// column via scatter/gather applies — Φ is never materialized or sliced
-// densely.
-func FixedSupportOLSOp(op basis.Operator, locs []int, y []float64, support []int) (*Result, error) {
-	d, err := dictFor(op, locs)
-	if err != nil {
-		return nil, err
-	}
-	return fixedSupportDict(d, y, support, nil)
-}
-
-// FixedSupportGLSOp solves for the coefficients on a known support with
-// generalized least squares under sensor-noise covariance V — the paper's
-// Eq. (12), for heterogeneous sensors. V is M×M (ordered like locs).
-func FixedSupportGLSOp(op basis.Operator, locs []int, y []float64, support []int, v *mat.Matrix) (*Result, error) {
-	d, err := dictFor(op, locs)
-	if err != nil {
-		return nil, err
-	}
-	return fixedSupportDict(d, y, support, v)
-}
-
-// fixedSupportDict is the shared Eq. (11)/(12) core: v == nil selects OLS,
-// otherwise GLS under covariance v.
-func fixedSupportDict(d dict, y []float64, support []int, v *mat.Matrix) (*Result, error) {
-	if err := checkSupport(support, d.cols()); err != nil {
-		return nil, err
-	}
-	sub := mat.New(d.rows(), len(support))
-	if err := d.subInto(sub, support); err != nil {
-		return nil, err
-	}
-	var coef []float64
-	var err error
-	if v == nil {
-		coef, err = mat.LeastSquares(sub, y)
-	} else {
-		coef, err = mat.WeightedLeastSquares(sub, y, v)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return packResultDict(d, support, coef, y, 1)
-}
-
-func checkSupport(support []int, n int) error {
-	seen := make(map[int]bool, len(support))
-	for _, j := range support {
-		if j < 0 || j >= n {
-			return fmt.Errorf("%w: %d not in [0,%d)", ErrBadSupport, j, n)
-		}
-		if seen[j] {
-			return fmt.Errorf("%w: duplicate index %d", ErrBadSupport, j)
-		}
-		seen[j] = true
-	}
-	return nil
-}
-
-// LowFrequencySupport returns the support {0, 1, …, k−1}: the K lowest
-// modes of a frequency-ordered basis such as DCT. It encodes the smooth
-// field prior used when no coefficient ordering has been learned.
-func LowFrequencySupport(k int) []int {
-	s := make([]int, k)
-	for i := range s {
-		s[i] = i
-	}
-	return s
 }
 
 // RandomLocations draws m distinct sensor locations uniformly from

@@ -76,12 +76,6 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			{"CoSaMPOp", func(op basis.Operator) (*Result, error) {
 				return CoSaMPOp(op, locs, y, CoSaMPOptions{K: p.k})
 			}},
-			{"FixedSupportOLSOp", func(op basis.Operator) (*Result, error) {
-				return FixedSupportOLSOp(op, locs, y, truth)
-			}},
-			{"FixedSupportGLSOp", func(op basis.Operator) (*Result, error) {
-				return FixedSupportGLSOp(op, locs, y, truth, v)
-			}},
 		}
 		for _, d := range decoders {
 			want, err := d.decode(dense)

@@ -8,19 +8,6 @@ import (
 	"repro/internal/mat"
 )
 
-// RMSE returns the root-mean-square error between truth and estimate.
-func RMSE(x, xhat []float64) float64 {
-	if len(x) != len(xhat) || len(x) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range x {
-		d := x[i] - xhat[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // NMSE returns ‖x − x̂‖² / ‖x‖², the normalized mean-square error used for
 // the Fig. 4 reconstruction-error curve. Returns +Inf for a zero truth
 // signal with nonzero estimate.
@@ -67,16 +54,6 @@ func SNRdB(x, xhat []float64) float64 {
 		return math.Inf(1)
 	}
 	return -10 * math.Log10(n)
-}
-
-// PSNRdB returns the peak signal-to-noise ratio in decibels for a signal
-// with the given peak value.
-func PSNRdB(x, xhat []float64, peak float64) float64 {
-	r := RMSE(x, xhat)
-	if r == 0 {
-		return math.Inf(1)
-	}
-	return 20 * math.Log10(peak/r)
 }
 
 // ErrorBreakdown decomposes the total reconstruction error into the
@@ -146,62 +123,6 @@ func Diagnose(phi *mat.Matrix, x []float64, locs []int, res *Result, noiseSigmas
 		bd.NoiseNMSE = noiseE / sigE
 	}
 	return bd, nil
-}
-
-// MutualCoherence returns µ(Φ̃) = max_{i≠j} |⟨φ̃ᵢ, φ̃ⱼ⟩| / (‖φ̃ᵢ‖‖φ̃ⱼ‖),
-// the worst normalized correlation between distinct columns of the sensing
-// matrix at the given locations. Low coherence is the classical sufficient
-// condition for sparse recovery (exact for K < (1 + 1/µ)/2), so brokers
-// can use it to sanity-check a sensor placement before trusting a
-// reconstruction. Zero columns are skipped.
-func MutualCoherence(phi *mat.Matrix, locs []int) (float64, error) {
-	a, err := sensingMatrix(phi, locs)
-	if err != nil {
-		return 0, err
-	}
-	m, n := a.Rows, a.Cols
-	norms := make([]float64, n)
-	for j := 0; j < n; j++ {
-		s := 0.0
-		for i := 0; i < m; i++ {
-			v := a.Data[i*n+j]
-			s += v * v
-		}
-		norms[j] = math.Sqrt(s)
-	}
-	mu := 0.0
-	for j1 := 0; j1 < n; j1++ {
-		if norms[j1] == 0 {
-			continue
-		}
-		for j2 := j1 + 1; j2 < n; j2++ {
-			if norms[j2] == 0 {
-				continue
-			}
-			dot := 0.0
-			for i := 0; i < m; i++ {
-				dot += a.Data[i*n+j1] * a.Data[i*n+j2]
-			}
-			if c := math.Abs(dot) / (norms[j1] * norms[j2]); c > mu {
-				mu = c
-			}
-		}
-	}
-	return mu, nil
-}
-
-// CoherenceSparsityBound returns the largest K for which mutual coherence
-// µ guarantees exact recovery: K < (1 + 1/µ)/2. Returns a large bound for
-// µ = 0 (orthogonal columns).
-func CoherenceSparsityBound(mu float64) int {
-	if mu <= 0 {
-		return math.MaxInt32
-	}
-	k := int(math.Ceil((1+1/mu)/2)) - 1
-	if k < 0 {
-		k = 0
-	}
-	return k
 }
 
 // CompressionRatio returns N/M, the paper's compression ratio for M

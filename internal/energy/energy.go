@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/sensor"
@@ -34,7 +33,6 @@ type Model struct {
 	RadioTxByteMJ  map[RadioKind]float64   // per transmitted byte
 	RadioRxByteMJ  map[RadioKind]float64   // per received byte
 	RadioWakeMJ    map[RadioKind]float64   // fixed cost to wake the radio per exchange
-	CPUPerSecMJ    float64                 // active computation
 	IdlePerSecMJ   float64                 // baseline draw
 }
 
@@ -66,7 +64,6 @@ func DefaultModel() *Model {
 		RadioWakeMJ: map[RadioKind]float64{
 			RadioWiFi: 6.0, RadioBluetooth: 0.8, RadioGSM: 12.0,
 		},
-		CPUPerSecMJ:  90,
 		IdlePerSecMJ: 7,
 	}
 }
@@ -127,11 +124,6 @@ func (m *Meter) ChargeRx(radio RadioKind, bytes int) error {
 	return nil
 }
 
-// ChargeCPU charges seconds of active computation.
-func (m *Meter) ChargeCPU(seconds float64) {
-	m.charge("cpu", m.model.CPUPerSecMJ*seconds)
-}
-
 // ChargeIdle charges seconds of baseline draw.
 func (m *Meter) ChargeIdle(seconds float64) {
 	m.charge("idle", m.model.IdlePerSecMJ*seconds)
@@ -152,18 +144,6 @@ func (m *Meter) Breakdown() map[string]float64 {
 	for k, v := range m.byCat {
 		out[k] = v
 	}
-	return out
-}
-
-// Categories returns the spending category names, sorted.
-func (m *Meter) Categories() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.byCat))
-	for k := range m.byCat {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -201,16 +181,6 @@ func (b *Battery) Drain(mj float64) error {
 		return ErrDepleted
 	}
 	return nil
-}
-
-// RemainingMJ returns the charge left (never negative).
-func (b *Battery) RemainingMJ() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if r := b.capacity - b.used; r > 0 {
-		return r
-	}
-	return 0
 }
 
 // FractionRemaining returns remaining charge as a fraction of capacity.

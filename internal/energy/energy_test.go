@@ -59,17 +59,15 @@ func TestMeterRadioCharges(t *testing.T) {
 	}
 }
 
-func TestMeterCPUIdleAndReset(t *testing.T) {
+func TestMeterIdleAndReset(t *testing.T) {
 	m := NewMeter(nil)
-	m.ChargeCPU(2)
 	m.ChargeIdle(10)
-	want := 2*DefaultModel().CPUPerSecMJ + 10*DefaultModel().IdlePerSecMJ
+	want := 10 * DefaultModel().IdlePerSecMJ
 	if got := m.TotalMJ(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("total %v want %v", got, want)
 	}
-	cats := m.Categories()
-	if len(cats) != 2 || cats[0] != "cpu" || cats[1] != "idle" {
-		t.Fatalf("categories %v", cats)
+	if bd := m.Breakdown(); len(bd) != 1 || bd["idle"] != want {
+		t.Fatalf("breakdown %v", bd)
 	}
 	m.Reset()
 	if m.TotalMJ() != 0 || len(m.Breakdown()) != 0 {
@@ -85,12 +83,12 @@ func TestMeterConcurrentSafety(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				m.ChargeCPU(0.001)
+				m.ChargeIdle(0.001)
 			}
 		}()
 	}
 	wg.Wait()
-	want := 800 * 0.001 * DefaultModel().CPUPerSecMJ
+	want := 800 * 0.001 * DefaultModel().IdlePerSecMJ
 	if got := m.TotalMJ(); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("concurrent total %v, want %v", got, want)
 	}
@@ -101,17 +99,14 @@ func TestBattery(t *testing.T) {
 	if err := b.Drain(40); err != nil {
 		t.Fatal(err)
 	}
-	if b.RemainingMJ() != 60 {
-		t.Fatalf("remaining %v", b.RemainingMJ())
+	if r := b.capacity - b.used; r != 60 {
+		t.Fatalf("remaining %v", r)
 	}
 	if f := b.FractionRemaining(); math.Abs(f-0.6) > 1e-12 {
 		t.Fatalf("fraction %v", f)
 	}
 	if err := b.Drain(70); err != ErrDepleted {
 		t.Fatalf("err=%v, want ErrDepleted", err)
-	}
-	if b.RemainingMJ() != 0 {
-		t.Fatal("depleted battery should report 0 remaining")
 	}
 	if b.FractionRemaining() != 0 {
 		t.Fatal("depleted fraction should clamp to 0")

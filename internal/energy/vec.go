@@ -54,16 +54,6 @@ func (b *Bank) DrainAll(mj float64) {
 // >= boundary as Battery.Drain's ErrDepleted).
 func (b *Bank) Depleted(i int) bool { return b.UsedMJ[i] >= b.CapacityMJ }
 
-// RemainingFrac returns node i's remaining charge as a fraction of
-// capacity, clamped to [0,1].
-func (b *Bank) RemainingFrac(i int) float64 {
-	f := 1 - b.UsedMJ[i]/b.CapacityMJ
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
 // Alive counts nodes that still have charge.
 func (b *Bank) Alive() int {
 	n := 0

@@ -6,8 +6,8 @@ import (
 	"repro/internal/sensor"
 )
 
-// TestBankMatchesBatterySemantics: Bank's depletion boundary and
-// remaining-fraction clamp agree with the scalar Battery.
+// TestBankMatchesBatterySemantics: Bank's depletion boundary agrees with
+// the scalar Battery.
 func TestBankMatchesBatterySemantics(t *testing.T) {
 	b, err := NewBank(3, 10)
 	if err != nil {
@@ -22,9 +22,6 @@ func TestBankMatchesBatterySemantics(t *testing.T) {
 	if b.Depleted(0) {
 		t.Fatal("bank depleted at 4/10")
 	}
-	if got, want := b.RemainingFrac(0), bat.FractionRemaining(); got != want {
-		t.Fatalf("remaining fraction %v != battery %v", got, want)
-	}
 
 	// Exactly at capacity is depleted, matching Battery.Drain's >=.
 	b.Drain(0, 6)
@@ -33,9 +30,6 @@ func TestBankMatchesBatterySemantics(t *testing.T) {
 	}
 	if !b.Depleted(0) {
 		t.Fatal("bank not depleted at exactly capacity")
-	}
-	if b.RemainingFrac(0) != 0 {
-		t.Fatalf("remaining fraction %v after depletion, want 0", b.RemainingFrac(0))
 	}
 
 	// Other nodes are unaffected; Alive counts them.

@@ -14,8 +14,8 @@ package experiments
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // mix64 is the splitmix64 finalizer; it decorrelates adjacent seeds.
@@ -39,41 +39,12 @@ func subSeed(seed int64, path ...int64) int64 {
 	return int64(h >> 1) // non-negative, the convention for rand seeds here
 }
 
-// forEach runs fn(i) for i in [0, n) on min(n, GOMAXPROCS) workers and
-// blocks until all complete. Errors land in per-index slots and the
-// lowest-index one is returned, so the reported error does not depend on
-// scheduling either.
+// forEach runs fn(i) for i in [0, n) on the par pool. Errors land in
+// per-index slots and the lowest-index one is returned, so the reported
+// error does not depend on scheduling either.
 func forEach(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	errs := make([]error, max(n, 0))
+	par.ForEach(n, func(i int) { errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err

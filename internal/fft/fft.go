@@ -60,9 +60,6 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// N returns the transform size.
-func (p *Plan) N() int { return p.n }
-
 // plan cache: transforms of the same size share one table set.
 var (
 	planMu sync.RWMutex

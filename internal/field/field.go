@@ -2,8 +2,7 @@
 // reconstructs: the discretized spatial field map f[i,j] of the paper's §4,
 // its column-stacked vectorization (Eq. 1), zone partitioning for the
 // hierarchical local-cloud architecture, synthetic field generators used in
-// place of real-world phenomena, local sparsity estimation, and the
-// interpolation operator Υ used by the Fig. 6 algorithm.
+// place of real-world phenomena, and local sparsity estimation.
 package field
 
 import (
@@ -41,19 +40,9 @@ func (f *Field) At(r, c int) float64 { return f.Data[c*f.H+r] }
 // Set assigns the value at row r, column c.
 func (f *Field) Set(r, c int, v float64) { f.Data[c*f.H+r] = v }
 
-// Index returns the vector index of grid point (row r, col c) under the
+// Loc returns the (row, col) of vector position k under the
 // column-stacking convention of Eq. (1).
-func (f *Field) Index(r, c int) int { return c*f.H + r }
-
-// Loc inverts Index: the (row, col) of vector position k.
 func (f *Field) Loc(k int) (r, c int) { return k % f.H, k / f.H }
-
-// Clone returns a deep copy.
-func (f *Field) Clone() *Field {
-	out := New(f.W, f.H)
-	copy(out.Data, f.Data)
-	return out
-}
 
 // Vector returns the column-stacked field values. The slice aliases the
 // field's storage; callers that mutate it mutate the field.
@@ -329,89 +318,6 @@ func (tr *Traces) Mean() []float64 {
 		mu[j] /= float64(tr.X.Rows)
 	}
 	return mu
-}
-
-// --- Interpolation operator Υ ------------------------------------------------
-
-// InterpolateNearest implements the Υ: R^M → R^N operator of the Fig. 6
-// algorithm with nearest-neighbour interpolation: each grid point takes the
-// value of the nearest measured location (Euclidean distance on the grid).
-// locs are vector indices (Eq. 1 convention) of the M measurements; vals
-// are the corresponding measured values.
-func InterpolateNearest(w, h int, locs []int, vals []float64) ([]float64, error) {
-	if len(locs) != len(vals) {
-		return nil, errors.New("field: locs/vals length mismatch")
-	}
-	if len(locs) == 0 {
-		return make([]float64, w*h), nil
-	}
-	f := New(w, h)
-	out := make([]float64, w*h)
-	type pt struct{ r, c int }
-	pts := make([]pt, len(locs))
-	for i, k := range locs {
-		if k < 0 || k >= w*h {
-			return nil, fmt.Errorf("field: location %d out of range [0,%d)", k, w*h)
-		}
-		r, c := f.Loc(k)
-		pts[i] = pt{r, c}
-	}
-	for k := 0; k < w*h; k++ {
-		r, c := f.Loc(k)
-		best, bi := math.Inf(1), 0
-		for i, p := range pts {
-			dr, dc := float64(r-p.r), float64(c-p.c)
-			d := dr*dr + dc*dc
-			if d < best {
-				best, bi = d, i
-			}
-		}
-		out[k] = vals[bi]
-	}
-	return out, nil
-}
-
-// InterpolateIDW implements Υ with inverse-distance weighting (power 2),
-// which gives a smoother initial field estimate than nearest-neighbour.
-func InterpolateIDW(w, h int, locs []int, vals []float64) ([]float64, error) {
-	if len(locs) != len(vals) {
-		return nil, errors.New("field: locs/vals length mismatch")
-	}
-	if len(locs) == 0 {
-		return make([]float64, w*h), nil
-	}
-	f := New(w, h)
-	out := make([]float64, w*h)
-	type pt struct{ r, c int }
-	pts := make([]pt, len(locs))
-	for i, k := range locs {
-		if k < 0 || k >= w*h {
-			return nil, fmt.Errorf("field: location %d out of range [0,%d)", k, w*h)
-		}
-		r, c := f.Loc(k)
-		pts[i] = pt{r, c}
-	}
-	for k := 0; k < w*h; k++ {
-		r, c := f.Loc(k)
-		num, den := 0.0, 0.0
-		exact := false
-		for i, p := range pts {
-			dr, dc := float64(r-p.r), float64(c-p.c)
-			d := dr*dr + dc*dc
-			if d == 0 {
-				out[k] = vals[i]
-				exact = true
-				break
-			}
-			wgt := 1 / d
-			num += wgt * vals[i]
-			den += wgt
-		}
-		if !exact {
-			out[k] = num / den
-		}
-	}
-	return out, nil
 }
 
 func min(a, b int) int {

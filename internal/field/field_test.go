@@ -14,8 +14,8 @@ func TestIndexLocRoundTrip(t *testing.T) {
 	f := New(5, 3)
 	for k := 0; k < f.N(); k++ {
 		r, c := f.Loc(k)
-		if f.Index(r, c) != k {
-			t.Fatalf("Index(Loc(%d)) = %d", k, f.Index(r, c))
+		if c*f.H+r != k {
+			t.Fatalf("Index(Loc(%d)) = %d", k, c*f.H+r)
 		}
 	}
 }
@@ -134,7 +134,7 @@ func TestPartition(t *testing.T) {
 		}
 		for c := 0; c < z.W; c++ {
 			for r := 0; r < z.H; r++ {
-				seen[f.Index(z.Row0+r, z.Col0+c)]++
+				seen[(z.Col0+c)*f.H+z.Row0+r]++
 			}
 		}
 	}
@@ -243,59 +243,6 @@ func TestCollectTracesShapeMismatch(t *testing.T) {
 	_, err := CollectTraces(4, 4, 2, func(step int) *Field { return New(3, 3) })
 	if err == nil {
 		t.Fatal("want shape error")
-	}
-}
-
-func TestInterpolateNearestExactAtSamples(t *testing.T) {
-	locs := []int{0, 10, 30}
-	vals := []float64{1, 2, 3}
-	out, err := InterpolateNearest(6, 6, locs, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range locs {
-		if out[k] != vals[i] {
-			t.Fatalf("sample %d not preserved: %v", k, out[k])
-		}
-	}
-	// Every output value is one of the sample values.
-	for _, v := range out {
-		if v != 1 && v != 2 && v != 3 {
-			t.Fatalf("unexpected interpolated value %v", v)
-		}
-	}
-}
-
-func TestInterpolateIDWExactAtSamplesAndBounded(t *testing.T) {
-	locs := []int{0, 35}
-	vals := []float64{0, 10}
-	out, err := InterpolateIDW(6, 6, locs, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0 || out[35] != 10 {
-		t.Fatal("IDW not exact at samples")
-	}
-	for _, v := range out {
-		if v < 0-1e-9 || v > 10+1e-9 {
-			t.Fatalf("IDW value %v outside sample range", v)
-		}
-	}
-}
-
-func TestInterpolateErrors(t *testing.T) {
-	if _, err := InterpolateNearest(4, 4, []int{1}, []float64{1, 2}); err == nil {
-		t.Fatal("want length mismatch error")
-	}
-	if _, err := InterpolateNearest(4, 4, []int{99}, []float64{1}); err == nil {
-		t.Fatal("want range error")
-	}
-	if _, err := InterpolateIDW(4, 4, []int{-1}, []float64{1}); err == nil {
-		t.Fatal("want range error")
-	}
-	out, err := InterpolateIDW(4, 4, nil, nil)
-	if err != nil || len(out) != 16 {
-		t.Fatal("empty interpolation should give zero field")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cs"
 	"repro/internal/field"
 	"repro/internal/netsim"
+	"repro/internal/par"
 )
 
 // sampleSize is the wire size of one measurement envelope payload:
@@ -39,8 +40,8 @@ func decodeSample(b []byte) (cell, node uint32, value, sigma float64, ok bool) {
 }
 
 // ShardEndpoint is shard i's sender id on the simulated network — the
-// per-shard accounting granularity: netsim.NodeStats(ShardEndpoint(i))
-// is shard i's radio ledger.
+// per-shard accounting granularity: the network's Stats for
+// ShardEndpoint(i) are shard i's radio ledger.
 func ShardEndpoint(i int) string { return fmt.Sprintf("fleet/s%d", i) }
 
 // ZoneEndpoint is zone z's collector id, matching the broker naming
@@ -256,7 +257,7 @@ func (r *Runner) decode(cfg CampaignConfig, res *Result) error {
 	p := r.Pop
 	subs := make([]*field.Field, len(p.Zones))
 	errs := make([]error, len(p.Zones))
-	forEachIndex(len(p.Zones), func(z int) {
+	par.ForEach(len(p.Zones), func(z int) {
 		zone := p.Zones[z]
 		zc := r.collectors[z]
 		zf := field.New(zone.W, zone.H)

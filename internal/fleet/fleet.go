@@ -23,15 +23,13 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"math/rand"
 
 	"repro/internal/energy"
 	"repro/internal/field"
 	"repro/internal/mobility"
+	"repro/internal/par"
 	"repro/internal/sensor"
 )
 
@@ -299,38 +297,5 @@ func (p *Population) Alive() int {
 // discipline); the pool joins before returning, so callers see a
 // completed parallel phase.
 func (p *Population) forEachShard(fn func(*Shard)) {
-	forEachIndex(len(p.Shards), func(i int) { fn(p.Shards[i]) })
-}
-
-// forEachIndex runs fn(0..n-1) on a GOMAXPROCS-bounded worker pool and
-// joins. fn(i) must write only slots owned by index i, so the output is
-// independent of worker count and interleaving — the mechanism behind
-// the package's GOMAXPROCS float-identity guarantee.
-func forEachIndex(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	par.ForEach(len(p.Shards), func(i int) { fn(p.Shards[i]) })
 }

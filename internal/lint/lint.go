@@ -70,6 +70,7 @@ type Program struct {
 	Pkgs []*Package
 
 	cg     *CallGraph
+	guards *guardTable
 	locks  *lockAnalysis
 	races  *raceAnalysis
 	pub    *pubAnalysis

@@ -196,13 +196,11 @@ func testTopicConfig() *TopicConfig {
 	const p = "repro/internal/lint/testdata/src/topicflow"
 	return &TopicConfig{
 		Roots: map[string]TopicRoot{
-			"(*" + p + ".Bus).Publish":         {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*" + p + ".Bus).PublishRetained": {Role: TopicPublish, Retained: true, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*" + p + ".Bus).Subscribe":       {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*" + p + ".Bus).Retained":        {Role: TopicRetainedRead, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			p + ".Request":                     {Role: TopicRequest, TopicArg: 1, BodyArg: 2, OutArg: 3, HandlerArg: -1},
-			p + ".Respond":                     {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
-			p + ".RespondTyped":                {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
+			"(*" + p + ".Bus).Publish":   {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
+			"(*" + p + ".Bus).Subscribe": {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
+			p + ".Request":               {Role: TopicRequest, TopicArg: 1, BodyArg: 2, OutArg: 3, HandlerArg: -1},
+			p + ".Respond":               {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
+			p + ".RespondTyped":          {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
 		},
 	}
 }

@@ -67,9 +67,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {

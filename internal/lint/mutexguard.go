@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
 	"strings"
@@ -33,9 +34,11 @@ func MutexGuard() *Analyzer {
 		Doc:  "fields documented as 'guarded by mu' may only be accessed in methods that lock mu",
 	}
 	a.Run = func(pass *Pass) {
-		guarded := collectGuardedFields(pass)
-		if len(guarded) == 0 {
-			return
+		guards := pass.Prog.guardTableResult()
+		for _, bad := range guards.malformed {
+			if bad.pkg == pass.Pkg {
+				pass.Reportf(bad.pos, "guarded-by comment names %q, which is not a sync.Mutex/RWMutex field of %s", bad.guard, bad.typeName)
+			}
 		}
 		for _, f := range pass.Pkg.Files {
 			for _, decl := range f.Decls {
@@ -43,51 +46,86 @@ func MutexGuard() *Analyzer {
 				if !ok || fd.Recv == nil || fd.Body == nil {
 					continue
 				}
-				checkGuardedMethod(pass, guarded, fd)
+				checkGuardedMethod(pass, guards.fields, fd)
 			}
 		}
 	}
 	return a
 }
 
-// guardedFields maps a struct type name to field name to guarding mutex
-// field name.
-type guardedFields map[string]map[string]string
+// guardTable is every "guarded by mu" annotation of a program, resolved
+// once for both analyzers that enforce it: mutexguard (per method,
+// flow-insensitive) and raceguard (goroutine-reachable writes, flow
+// ordered).
+type guardTable struct {
+	fields    map[*types.Var]guardedField
+	malformed []malformedGuard // annotations naming no sibling mutex; mutexguard reports them
+}
 
-func collectGuardedFields(pass *Pass) guardedFields {
-	out := guardedFields{}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				mu := guardAnnotation(field)
-				if mu == "" {
-					continue
-				}
-				if !structHasMutexField(pass, st, mu) {
-					pass.Reportf(field.Pos(), "guarded-by comment names %q, which is not a sync.Mutex/RWMutex field of %s", mu, ts.Name.Name)
-					continue
-				}
-				for _, name := range field.Names {
-					m := out[ts.Name.Name]
-					if m == nil {
-						m = map[string]string{}
-						out[ts.Name.Name] = m
-					}
-					m[name.Name] = mu
-				}
-			}
-			return true
-		})
+// guardedField is one "guarded by mu" annotation resolved to the owning
+// struct and to type-level identities: the field, and the guard's lock
+// ID in lockorder's naming scheme ("pkg.Type.mu").
+type guardedField struct {
+	typeName string // bare name of the owning struct type
+	owner    string // "pkg.Type.field", for messages
+	lockID   string // "pkg.Type.mu", matches lockWalker.lockID
+	guard    string // bare guard field name, for messages
+}
+
+// malformedGuard is an annotation whose guard is not a sync.Mutex or
+// sync.RWMutex field of the same struct.
+type malformedGuard struct {
+	pkg      *Package
+	pos      token.Pos
+	guard    string
+	typeName string
+}
+
+// guardTableResult collects (once) the program's guard table.
+func (p *Program) guardTableResult() *guardTable {
+	if p.guards != nil {
+		return p.guards
 	}
-	return out
+	gt := &guardTable{fields: map[*types.Var]guardedField{}}
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					mu := guardAnnotation(field)
+					if mu == "" {
+						continue
+					}
+					if !structHasMutexField(pkg, st, mu) {
+						gt.malformed = append(gt.malformed, malformedGuard{pkg: pkg, pos: field.Pos(), guard: mu, typeName: ts.Name.Name})
+						continue
+					}
+					for _, name := range field.Names {
+						fld, _ := pkg.Info.Defs[name].(*types.Var)
+						if fld == nil {
+							continue
+						}
+						gt.fields[fld] = guardedField{
+							typeName: ts.Name.Name,
+							owner:    pkg.Path + "." + ts.Name.Name + "." + name.Name,
+							lockID:   pkg.Path + "." + ts.Name.Name + "." + mu,
+							guard:    mu,
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	p.guards = gt
+	return gt
 }
 
 func guardAnnotation(field *ast.Field) string {
@@ -102,13 +140,13 @@ func guardAnnotation(field *ast.Field) string {
 	return ""
 }
 
-func structHasMutexField(pass *Pass, st *ast.StructType, name string) bool {
+func structHasMutexField(pkg *Package, st *ast.StructType, name string) bool {
 	for _, field := range st.Fields.List {
 		for _, n := range field.Names {
 			if n.Name != name {
 				continue
 			}
-			tv, ok := pass.Pkg.Info.Types[field.Type]
+			tv, ok := pkg.Info.Types[field.Type]
 			if !ok {
 				return false
 			}
@@ -118,12 +156,8 @@ func structHasMutexField(pass *Pass, st *ast.StructType, name string) bool {
 	return false
 }
 
-func checkGuardedMethod(pass *Pass, guarded guardedFields, fd *ast.FuncDecl) {
+func checkGuardedMethod(pass *Pass, guarded map[*types.Var]guardedField, fd *ast.FuncDecl) {
 	recvType := receiverTypeName(fd)
-	fields := guarded[recvType]
-	if fields == nil {
-		return
-	}
 	if strings.HasSuffix(fd.Name.Name, "Locked") {
 		return
 	}
@@ -146,12 +180,13 @@ func checkGuardedMethod(pass *Pass, guarded guardedFields, fd *ast.FuncDecl) {
 		if !ok || info.ObjectOf(id) != recvObj {
 			return true
 		}
-		mu, isGuarded := fields[sel.Sel.Name]
-		if !isGuarded || locked[mu] {
+		fld, _ := info.ObjectOf(sel.Sel).(*types.Var)
+		gf, isGuarded := guarded[fld]
+		if !isGuarded || gf.typeName != recvType || locked[gf.guard] {
 			return true
 		}
 		pass.Reportf(sel.Sel.Pos(), "%s.%s is guarded by %s, but method %s does not lock it (lock %s.%s, or suffix the method name with Locked if the caller holds it)",
-			recvType, sel.Sel.Name, mu, fd.Name.Name, id.Name, mu)
+			recvType, sel.Sel.Name, gf.guard, fd.Name.Name, id.Name, gf.guard)
 		return true
 	})
 }

@@ -74,7 +74,6 @@ var CtxBlocking = map[string]string{
 var PublishSinks = map[string]int{
 	"(*repro/internal/snapshot.Registry).Publish": 0,
 	"(*repro/internal/bus.Bus).Publish":           1,
-	"(*repro/internal/bus.Bus).PublishRetained":   1,
 }
 
 // HotEntryPoints are the per-event entry functions whose module-local
@@ -89,7 +88,6 @@ var HotEntryPoints = []string{
 	"(*repro/internal/serve.Server).Aggregate",
 	"(*repro/internal/snapshot.Registry).Latest",
 	"(*repro/internal/bus.Bus).Publish",
-	"(*repro/internal/bus.Bus).PublishRetained",
 	"(*repro/internal/netsim.Network).Send",
 	"(*repro/internal/netsim.Network).Deliver",
 	"(*repro/internal/netsim.Network).DeliverBatch",
@@ -125,18 +123,14 @@ func ProjectTopicConfig() *TopicConfig {
 	return &TopicConfig{
 		ImplPkgs: []string{"repro/internal/bus"},
 		Roots: map[string]TopicRoot{
-			"(*repro/internal/bus.Bus).Publish":         {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Bus).PublishRetained": {Role: TopicPublish, Retained: true, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Bus).Subscribe":       {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Bus).SubscribeFunc":   {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Bus).Retained":        {Role: TopicRetainedRead, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Client).Publish":      {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Client).Subscribe":    {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"repro/internal/bus.NewCall":                {Role: TopicRequest, TopicArg: 0, BodyArg: 2, OutArg: 3, HandlerArg: -1},
-			"repro/internal/bus.RequestContext":         {Role: TopicRequest, TopicArg: 2, BodyArg: 3, OutArg: 4, HandlerArg: -1},
-			"repro/internal/bus.RequestRetryContext":    {Role: TopicRequest, TopicArg: 2, BodyArg: 3, OutArg: 4, HandlerArg: -1},
-			"repro/internal/bus.RespondContext":         {Role: TopicRespond, TopicArg: 2, BodyArg: -1, OutArg: -1, HandlerArg: 3},
-			"(*repro/internal/node.Node).serveTopic":    {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
+			"(*repro/internal/bus.Bus).Publish":      {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
+			"(*repro/internal/bus.Bus).Subscribe":    {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
+			"(*repro/internal/bus.Client).Publish":   {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
+			"(*repro/internal/bus.Client).Subscribe": {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
+			"repro/internal/bus.NewCall":             {Role: TopicRequest, TopicArg: 0, BodyArg: 2, OutArg: 3, HandlerArg: -1},
+			"repro/internal/bus.RequestContext":      {Role: TopicRequest, TopicArg: 2, BodyArg: 3, OutArg: 4, HandlerArg: -1},
+			"repro/internal/bus.RespondContext":      {Role: TopicRespond, TopicArg: 2, BodyArg: -1, OutArg: -1, HandlerArg: 3},
+			"(*repro/internal/node.Node).serveTopic": {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
 		},
 	}
 }

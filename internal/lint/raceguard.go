@@ -65,15 +65,6 @@ type raceAnalysis struct {
 	findings []raceFinding
 }
 
-// guardedField is one "guarded by mu" annotation resolved to type-level
-// identities: the owning struct, the field, and the guard's lock ID in
-// lockorder's naming scheme ("pkg.Type.mu").
-type guardedField struct {
-	owner  string // "pkg.Type.field", for messages
-	lockID string // "pkg.Type.mu", matches lockWalker.lockID
-	guard  string // bare guard field name, for messages
-}
-
 // raceAccess is one access to a guarded field with its flow state.
 type raceAccess struct {
 	node  *CGNode
@@ -92,7 +83,7 @@ func (p *Program) raceAnalysisResult() *raceAnalysis {
 	g := p.CallGraph()
 	nodes := g.SortedNodes()
 
-	guards := collectGuardTable(p.Pkgs)
+	guards := p.guardTableResult().fields
 	atomicFields, atomicWitness := collectAtomicMixing(p.Pkgs, ra)
 
 	// Per-function hooked walk: held sets at call edges (for the entry
@@ -211,64 +202,6 @@ func fieldOwnerID(fld *types.Var) string {
 		}
 	}
 	return fld.Pkg().Path() + "." + fld.Name()
-}
-
-// collectGuardTable resolves every "guarded by mu" annotation in the
-// loaded packages to its field object and type-level lock identity.
-// Annotations whose guard is not a sibling mutex are mutexguard's
-// finding; they are simply skipped here.
-func collectGuardTable(pkgs []*Package) map[*types.Var]guardedField {
-	out := map[*types.Var]guardedField{}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, field := range st.Fields.List {
-					mu := guardAnnotation(field)
-					if mu == "" || !structHasMutexFieldInfo(pkg, st, mu) {
-						continue
-					}
-					for _, name := range field.Names {
-						fld, _ := pkg.Info.Defs[name].(*types.Var)
-						if fld == nil {
-							continue
-						}
-						out[fld] = guardedField{
-							owner:  pkg.Path + "." + ts.Name.Name + "." + name.Name,
-							lockID: pkg.Path + "." + ts.Name.Name + "." + mu,
-							guard:  mu,
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// structHasMutexFieldInfo is structHasMutexField without a Pass.
-func structHasMutexFieldInfo(pkg *Package, st *ast.StructType, name string) bool {
-	for _, field := range st.Fields.List {
-		for _, n := range field.Names {
-			if n.Name != name {
-				continue
-			}
-			tv, ok := pkg.Info.Types[field.Type]
-			if !ok {
-				return false
-			}
-			return isNamed(tv.Type, "sync", "Mutex") || isNamed(tv.Type, "sync", "RWMutex")
-		}
-	}
-	return false
 }
 
 // plainAtomicAccess is one non-atomic access to a field that is accessed

@@ -14,10 +14,8 @@ import (
 
 type Bus struct{}
 
-func (b *Bus) Publish(topic string, payload []byte) error         { return nil }
-func (b *Bus) PublishRetained(topic string, payload []byte) error { return nil }
-func (b *Bus) Subscribe(pattern string, buffer int) error         { return nil }
-func (b *Bus) Retained(topic string) ([]byte, bool)               { return nil, false }
+func (b *Bus) Publish(topic string, payload []byte) error { return nil }
+func (b *Bus) Subscribe(pattern string, buffer int) error { return nil }
 
 func Request(b *Bus, topic string, body, out any) error { return nil }
 
@@ -44,7 +42,6 @@ type BadBody struct{ X int }
 func CleanPair(b *Bus, id string) {
 	_ = b.Subscribe("telemetry/"+id+"/#", 8)
 	_ = b.Publish("telemetry/"+id+"/cpu", nil)
-	_ = b.PublishRetained("telemetry/"+id+"/last", nil)
 }
 
 // SprintfPair exercises the format-string shape abstraction: %d becomes
@@ -81,21 +78,10 @@ func handleMeasure(topic string, body []byte) (any, error) {
 	return MeasureReply{Value: float64(req.Kind)}, nil
 }
 
-// RetainedPair: a retained publish with no live subscriber is satisfied
-// by a retained read.
-func RetainedPair(b *Bus) {
-	_ = b.PublishRetained("retained/ok", nil)
-	_, _ = b.Retained("retained/ok")
-}
-
 // --- orphan publishes -------------------------------------------------------
 
 func Orphan(b *Bus) {
 	_ = b.Publish("lost/event", nil) // want `publish on "lost/event" matches no subscription or responder pattern \(orphan publish\)`
-}
-
-func RetainedOrphan(b *Bus) {
-	_ = b.PublishRetained("retained/orphan", nil) // want `retained publish on "retained/orphan" matches no subscription, responder, or retained read \(orphan publish\)`
 }
 
 // publishVia exercises parametric lifting: the endpoint is reported at

@@ -49,12 +49,11 @@ import (
 //
 // Checks, all deduplicated per endpoint and reported at the call site:
 //
-//   - invalid: a concrete topic (publish/request/retained-read) with an
+//   - invalid: a concrete topic (publish/request) with an
 //     empty or wildcard segment; a pattern (subscribe/respond) with an
 //     empty segment or a non-final "#" — both rejected by the bus at
 //     runtime, caught here at compile time;
-//   - orphan publish: no subscription or responder pattern may match
-//     (a retained publish is also satisfied by a Retained() read);
+//   - orphan publish: no subscription or responder pattern may match;
 //   - unanswered request: no responder or subscription may match the
 //     request topic — the request can only ever time out;
 //   - unrequested responder: a respond endpoint no request (or plain
@@ -70,11 +69,10 @@ type TopicRole uint8
 
 // Endpoint roles.
 const (
-	TopicPublish      TopicRole = iota // fire-and-forget publish (topic)
-	TopicSubscribe                     // subscription (pattern)
-	TopicRequest                       // request/reply initiator (topic)
-	TopicRespond                       // request/reply responder (pattern)
-	TopicRetainedRead                  // read of a retained topic (topic)
+	TopicPublish   TopicRole = iota // fire-and-forget publish (topic)
+	TopicSubscribe                  // subscription (pattern)
+	TopicRequest                    // request/reply initiator (topic)
+	TopicRespond                    // request/reply responder (pattern)
 )
 
 func (r TopicRole) String() string {
@@ -87,8 +85,6 @@ func (r TopicRole) String() string {
 		return "request"
 	case TopicRespond:
 		return "respond"
-	case TopicRetainedRead:
-		return "retained-read"
 	}
 	return "?"
 }
@@ -98,11 +94,10 @@ func (r TopicRole) String() string {
 // indexes are positional (receiver excluded); -1 means "not present".
 type TopicRoot struct {
 	Role       TopicRole
-	Retained   bool // publish keeps a retained copy
-	TopicArg   int  // topic/pattern operand
-	BodyArg    int  // request body operand, or -1
-	OutArg     int  // request reply-destination operand, or -1
-	HandlerArg int  // responder handler operand, or -1
+	TopicArg   int // topic/pattern operand
+	BodyArg    int // request body operand, or -1
+	OutArg     int // request reply-destination operand, or -1
+	HandlerArg int // responder handler operand, or -1
 }
 
 // TopicConfig scopes the topicflow analysis: which functions are
@@ -525,7 +520,6 @@ type operand struct {
 // lifted to the caller that supplies its topic) with its resolved shape.
 type topicEndpoint struct {
 	role     TopicRole
-	retained bool
 	pkg      *Package
 	pos      token.Pos
 	opaque   bool // topic operand not statically evaluable
@@ -619,8 +613,7 @@ func (ta *topicAnalysis) collect(res *topicResolver, cfg *TopicConfig, isImpl fu
 	parts, ok := res.resolve(&shapeCtx{node: owner}, call.Args[root.TopicArg], 0)
 	if !ok {
 		ta.endpoints = append(ta.endpoints, &topicEndpoint{
-			role: root.Role, retained: root.Retained,
-			pkg: owner.Pkg, pos: call.Lparen, opaque: true,
+			role: root.Role, pkg: owner.Pkg, pos: call.Lparen, opaque: true,
 		})
 		return
 	}
@@ -710,8 +703,7 @@ func (ta *topicAnalysis) finalize(res *topicResolver, node *CGNode, pos token.Po
 	parts []topicPart, body, out, handler operand) {
 
 	ep := &topicEndpoint{
-		role: root.Role, retained: root.Retained,
-		pkg: node.Pkg, pos: pos, shape: partsToShape(parts),
+		role: root.Role, pkg: node.Pkg, pos: pos, shape: partsToShape(parts),
 	}
 	if body.expr != nil {
 		ep.bodyType = body.pkg.Info.TypeOf(body.expr)
@@ -834,7 +826,7 @@ func handlerPayloadOf(n *CGNode) handlerPayload {
 
 // check runs every protocol check over the collected endpoint set.
 func (ta *topicAnalysis) check() {
-	var pats, reqs, resps, reads []*topicEndpoint
+	var pats, reqs, resps []*topicEndpoint
 	opaquePattern := false
 	for _, ep := range ta.endpoints {
 		if ep.opaque {
@@ -863,8 +855,6 @@ func (ta *topicAnalysis) check() {
 			}
 		case TopicRequest:
 			reqs = append(reqs, ep)
-		case TopicRetainedRead:
-			reads = append(reads, ep)
 		}
 	}
 	matchedByPattern := func(shape topicShape) bool {
@@ -882,20 +872,6 @@ func (ta *topicAnalysis) check() {
 		switch ep.role {
 		case TopicPublish:
 			if opaquePattern || matchedByPattern(ep.shape) {
-				continue
-			}
-			if ep.retained {
-				ok := false
-				for _, rd := range reads {
-					if shapeMayMatch(rd.shape, ep.shape) {
-						ok = true
-						break
-					}
-				}
-				if ok {
-					continue
-				}
-				ta.finding(ep, "retained publish on %q matches no subscription, responder, or retained read (orphan publish)", ep.shape)
 				continue
 			}
 			ta.finding(ep, "publish on %q matches no subscription or responder pattern (orphan publish)", ep.shape)
@@ -1009,9 +985,6 @@ func FormatTopicGraph(prog *Program, cfg *TopicConfig) string {
 			key = ep.shape.String()
 		}
 		role := ep.role.String()
-		if ep.role == TopicPublish && ep.retained {
-			role = "publish-retained"
-		}
 		at := ep.pkg.Fset.Position(ep.pos)
 		site := fmt.Sprintf("%s:%d", baseName(at.Filename), at.Line)
 		extra := ""

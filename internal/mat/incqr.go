@@ -13,8 +13,7 @@ var ErrAlias = errors.New("mat: output aliases input")
 // whose columns arrive one at a time — the factorization greedy decoders
 // (OMP, CHS) grow per iteration. Appending a column costs O(m·k) via
 // modified Gram–Schmidt with one re-orthogonalization pass, instead of the
-// O(m·k²) full Householder refactorization per iteration; dropping the most
-// recently appended column is O(1).
+// O(m·k²) full Householder refactorization per iteration.
 //
 // Q's columns are stored contiguously (column j at q[j*m:(j+1)*m]) so the
 // append-time projections are sequential scans.
@@ -43,9 +42,6 @@ func NewIncrementalQR(m, maxCols int) (*IncrementalQR, error) {
 
 // Len returns the number of columns currently factored.
 func (f *IncrementalQR) Len() int { return f.k }
-
-// Rows returns the row dimension m.
-func (f *IncrementalQR) Rows() int { return f.m }
 
 // Append factors one more column into Q·R. It returns ErrSingular without
 // modifying the factorization when the new column is (numerically) linearly
@@ -91,13 +87,6 @@ func (f *IncrementalQR) Append(col []float64) error {
 	}
 	f.k++
 	return nil
-}
-
-// Drop removes the most recently appended column (no-op when empty).
-func (f *IncrementalQR) Drop() {
-	if f.k > 0 {
-		f.k--
-	}
 }
 
 // DeflateLatest subtracts from v its projection onto the newest Q column:

@@ -77,111 +77,3 @@ func SelectColsInto(out, a *Matrix, idx []int) error {
 	}
 	return nil
 }
-
-// SelectRowsInto writes the submatrix of a formed from the given row
-// indices into out (shape len(idx) × a.Cols). out must not alias a.
-func SelectRowsInto(out, a *Matrix, idx []int) error {
-	if out.Rows != len(idx) || out.Cols != a.Cols {
-		return fmt.Errorf("%w: SelectRowsInto out %dx%d, want %dx%d", ErrShape, out.Rows, out.Cols, len(idx), a.Cols)
-	}
-	if sameSlice(out.Data, a.Data) {
-		return ErrAlias
-	}
-	for k, i := range idx {
-		if i < 0 || i >= a.Rows {
-			return fmt.Errorf("mat: row index %d out of range [0,%d)", i, a.Rows)
-		}
-		copy(out.Data[k*a.Cols:(k+1)*a.Cols], a.Data[i*a.Cols:(i+1)*a.Cols])
-	}
-	return nil
-}
-
-// mulBlock is the tile edge for the blocked product: three float64 tiles of
-// this size stay well inside a typical 32 KiB L1 data cache.
-const mulBlock = 64
-
-// MulInto computes out = a*b without allocating. For operands larger than
-// one tile the k/j loops are blocked so each b tile is reused across a full
-// stripe of a while still resident. out must not alias a or b.
-func MulInto(out, a, b *Matrix) error {
-	if a.Cols != b.Rows {
-		return fmt.Errorf("%w: (%dx%d)*(%dx%d)", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if out.Rows != a.Rows || out.Cols != b.Cols {
-		return fmt.Errorf("%w: MulInto out %dx%d, want %dx%d", ErrShape, out.Rows, out.Cols, a.Rows, b.Cols)
-	}
-	if sameSlice(out.Data, a.Data) || sameSlice(out.Data, b.Data) {
-		return ErrAlias
-	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
-	n, p := a.Cols, b.Cols
-	if n <= mulBlock && p <= mulBlock {
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Data[i*n : (i+1)*n]
-			orow := out.Data[i*p : (i+1)*p]
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Data[k*p : (k+1)*p]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-		return nil
-	}
-	for k0 := 0; k0 < n; k0 += mulBlock {
-		k1 := k0 + mulBlock
-		if k1 > n {
-			k1 = n
-		}
-		for j0 := 0; j0 < p; j0 += mulBlock {
-			j1 := j0 + mulBlock
-			if j1 > p {
-				j1 = p
-			}
-			for i := 0; i < a.Rows; i++ {
-				arow := a.Data[i*n : (i+1)*n]
-				orow := out.Data[i*p : (i+1)*p]
-				for k := k0; k < k1; k++ {
-					av := arow[k]
-					if av == 0 {
-						continue
-					}
-					brow := b.Data[k*p : (k+1)*p]
-					for j := j0; j < j1; j++ {
-						orow[j] += av * brow[j]
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// MulATB returns aᵀ*b computed without materializing the transpose: both
-// operands are scanned row-major (out[j,:] accumulates a[i,j]·b[i,:]).
-func MulATB(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows {
-		return nil, fmt.Errorf("%w: (%dx%d)ᵀ*(%dx%d)", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := New(a.Cols, b.Cols)
-	p := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		brow := b.Data[i*p : (i+1)*p]
-		for j, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Data[j*p : (j+1)*p]
-			for q, bv := range brow {
-				orow[q] += av * bv
-			}
-		}
-	}
-	return out, nil
-}

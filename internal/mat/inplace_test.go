@@ -79,7 +79,6 @@ func TestSelectIntoMatchAllocatingVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randMat(rng, 6, 8)
 	cols := []int{7, 0, 3}
-	rows := []int{5, 2}
 
 	wantC, err := SelectCols(a, cols)
 	if err != nil {
@@ -91,56 +90,9 @@ func TestSelectIntoMatchAllocatingVariants(t *testing.T) {
 	}
 	matsEqual(t, "SelectColsInto", gotC, wantC, 0)
 
-	wantR, err := SelectRows(a, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotR := New(len(rows), 8)
-	if err := SelectRowsInto(gotR, a, rows); err != nil {
-		t.Fatal(err)
-	}
-	matsEqual(t, "SelectRowsInto", gotR, wantR, 0)
-
 	if err := SelectColsInto(gotC, a, []int{0, 1, 8}); err == nil {
 		t.Fatal("out-of-range column accepted")
 	}
-	if err := SelectRowsInto(gotR, a, []int{0, 6}); err == nil {
-		t.Fatal("out-of-range row accepted")
-	}
-}
-
-func TestMulIntoMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	// Small (single-tile) and large (blocked) shapes exercise both paths.
-	for _, dims := range [][3]int{{5, 4, 6}, {70, 80, 65}} {
-		m, n, p := dims[0], dims[1], dims[2]
-		a := randMat(rng, m, n)
-		b := randMat(rng, n, p)
-		want, err := Mul(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := New(m, p)
-		if err := MulInto(got, a, b); err != nil {
-			t.Fatal(err)
-		}
-		matsEqual(t, "MulInto", got, want, 1e-9)
-	}
-}
-
-func TestMulATBMatchesTransposeMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randMat(rng, 9, 4)
-	b := randMat(rng, 9, 3)
-	want, err := Mul(a.T(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MulATB(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matsEqual(t, "MulATB", got, want, 1e-12)
 }
 
 func TestInPlaceShapeErrors(t *testing.T) {
@@ -157,18 +109,6 @@ func TestInPlaceShapeErrors(t *testing.T) {
 	if err := SelectColsInto(New(3, 2), a, []int{0}); !errors.Is(err, ErrShape) {
 		t.Fatalf("SelectColsInto bad out: %v, want ErrShape", err)
 	}
-	if err := SelectRowsInto(New(2, 3), a, []int{0, 1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("SelectRowsInto bad out: %v, want ErrShape", err)
-	}
-	if err := MulInto(New(3, 3), a, New(3, 3)); !errors.Is(err, ErrShape) {
-		t.Fatalf("MulInto inner mismatch: %v, want ErrShape", err)
-	}
-	if err := MulInto(New(2, 3), a, New(2, 3)); !errors.Is(err, ErrShape) {
-		t.Fatalf("MulInto bad out: %v, want ErrShape", err)
-	}
-	if _, err := MulATB(a, New(2, 2)); !errors.Is(err, ErrShape) {
-		t.Fatalf("MulATB row mismatch: %v, want ErrShape", err)
-	}
 }
 
 func TestInPlaceAliasDetection(t *testing.T) {
@@ -183,16 +123,5 @@ func TestInPlaceAliasDetection(t *testing.T) {
 	shared := &Matrix{Rows: 3, Cols: 3, Data: a.Data}
 	if err := SelectColsInto(shared, a, []int{0, 1, 2}); !errors.Is(err, ErrAlias) {
 		t.Fatalf("SelectColsInto aliased: %v, want ErrAlias", err)
-	}
-	if err := SelectRowsInto(shared, a, []int{0, 1, 2}); !errors.Is(err, ErrAlias) {
-		t.Fatalf("SelectRowsInto aliased: %v, want ErrAlias", err)
-	}
-	if err := MulInto(shared, a, New(3, 3)); !errors.Is(err, ErrAlias) {
-		t.Fatalf("MulInto out aliases a: %v, want ErrAlias", err)
-	}
-	b := New(3, 3)
-	sharedB := &Matrix{Rows: 3, Cols: 3, Data: b.Data}
-	if err := MulInto(sharedB, New(3, 3), b); !errors.Is(err, ErrAlias) {
-		t.Fatalf("MulInto out aliases b: %v, want ErrAlias", err)
 	}
 }

@@ -76,22 +76,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := New(m.Rows, m.Cols)
@@ -168,30 +152,6 @@ func MulTVec(a *Matrix, x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Add returns a+b.
-func Add(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, ErrShape
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out, nil
-}
-
-// Sub returns a-b.
-func Sub(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, ErrShape
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] -= v
-	}
-	return out, nil
-}
-
 // SelectRows returns the submatrix of a formed from the given row indices,
 // in order. Indices may repeat.
 func SelectRows(a *Matrix, idx []int) (*Matrix, error) {
@@ -215,97 +175,6 @@ func SelectCols(a *Matrix, idx []int) (*Matrix, error) {
 		}
 		for i := 0; i < a.Rows; i++ {
 			out.Data[i*len(idx)+k] = a.Data[i*a.Cols+j]
-		}
-	}
-	return out, nil
-}
-
-// MaxAbs returns the largest |element| of m (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// Solve solves the square system a*x = b by Gaussian elimination with
-// partial pivoting. a and b are not modified.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("%w: Solve needs square matrix, got %dx%d", ErrShape, a.Rows, a.Cols)
-	}
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(b), n)
-	}
-	// Augmented working copy.
-	w := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		p := col
-		best := math.Abs(w.Data[col*n+col])
-		for i := col + 1; i < n; i++ {
-			if v := math.Abs(w.Data[i*n+col]); v > best {
-				best, p = v, i
-			}
-		}
-		if best == 0 {
-			return nil, ErrSingular
-		}
-		if p != col {
-			for j := 0; j < n; j++ {
-				w.Data[col*n+j], w.Data[p*n+j] = w.Data[p*n+j], w.Data[col*n+j]
-			}
-			x[col], x[p] = x[p], x[col]
-		}
-		piv := w.Data[col*n+col]
-		for i := col + 1; i < n; i++ {
-			f := w.Data[i*n+col] / piv
-			if f == 0 {
-				continue
-			}
-			w.Data[i*n+col] = 0
-			for j := col + 1; j < n; j++ {
-				w.Data[i*n+j] -= f * w.Data[col*n+j]
-			}
-			x[i] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= w.Data[i*n+j] * x[j]
-		}
-		x[i] = s / w.Data[i*n+i]
-	}
-	return x, nil
-}
-
-// Inverse returns a⁻¹ for square a.
-func Inverse(a *Matrix) (*Matrix, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, fmt.Errorf("%w: Inverse needs square matrix", ErrShape)
-	}
-	out := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := Solve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			out.Data[i*n+j] = col[i]
 		}
 	}
 	return out, nil
@@ -501,34 +370,6 @@ func solveLowerTriangular(l *Matrix, b []float64) ([]float64, error) {
 		x[i] = s / d
 	}
 	return x, nil
-}
-
-// PseudoInverse returns the Moore–Penrose pseudo-inverse of a full
-// column-rank matrix a (Rows >= Cols): (aᵀa)⁻¹aᵀ, computed via QR as
-// R⁻¹Qᵀ for numerical robustness. This is the Φ† operator of the paper.
-func PseudoInverse(a *Matrix) (*Matrix, error) {
-	if a.Rows < a.Cols {
-		// Right pseudo-inverse for full row rank: aᵀ(a aᵀ)⁻¹.
-		at := a.T()
-		aat, err := Mul(a, at)
-		if err != nil {
-			return nil, err
-		}
-		inv, err := Inverse(aat)
-		if err != nil {
-			return nil, err
-		}
-		return Mul(at, inv)
-	}
-	qr, err := QRDecompose(a)
-	if err != nil {
-		return nil, err
-	}
-	rinv, err := Inverse(qr.R)
-	if err != nil {
-		return nil, err
-	}
-	return Mul(rinv, qr.Q.T())
 }
 
 // ConditionEstimate estimates the 2-norm condition number of a from the

@@ -23,26 +23,6 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of v (sum of absolute values).
-func Norm1(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// NormInf returns the max-abs norm of v.
-func NormInf(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
 // Norm0 returns the number of entries with |v[i]| > tol — the "L0 norm"
 // used throughout the compressive-sensing literature (paper Eq. 8).
 func Norm0(v []float64, tol float64) int {
@@ -110,16 +90,4 @@ func Variance(v []float64) float64 {
 		s += d * d
 	}
 	return s / float64(len(v))
-}
-
-// ArgMaxAbs returns the index of the entry with largest absolute value
-// (-1 for empty input).
-func ArgMaxAbs(v []float64) int {
-	idx, best := -1, -1.0
-	for i, x := range v {
-		if a := math.Abs(x); a > best {
-			best, idx = a, i
-		}
-	}
-	return idx
 }

@@ -75,7 +75,7 @@ func TestFlushDupToDownReceiverAccounting(t *testing.T) {
 		t.Fatalf("handlers saw b=%d c=%d, want 0 and 2", *got["b"], *got["c"])
 	}
 
-	sa, _ := n.NodeStats("a")
+	sa := *n.stats["a"]
 	if sa.Dropped != 2 {
 		t.Fatalf("sender charged %d Dropped, want 2 (one per undeliverable message, not per would-be copy)", sa.Dropped)
 	}
@@ -180,8 +180,8 @@ func TestFlushAccountingInvariant(t *testing.T) {
 			if int64(tot.RxMessages) != int64(tot.TxMessages)-int64(tot.Dropped)+d.dup {
 				t.Fatalf("rx %d != tx %d - dropped %d + dup %d", tot.RxMessages, tot.TxMessages, tot.Dropped, d.dup)
 			}
-			if n.Pending() != 0 {
-				t.Fatalf("%d messages still queued after flush", n.Pending())
+			if len(n.queue) != 0 {
+				t.Fatalf("%d messages still queued after flush", len(n.queue))
 			}
 		})
 	}
@@ -249,7 +249,7 @@ func TestDeliverBatchDownSkipsWithoutCharge(t *testing.T) {
 	if *got["b"] != 2 || *got["c"] != 0 {
 		t.Fatalf("handlers saw b=%d c=%d", *got["b"], *got["c"])
 	}
-	sa, _ := n.NodeStats("a")
+	sa := *n.stats["a"]
 	if sa.TxMessages != 2 || sa.TxBytes != 2 || sa.Dropped != 0 {
 		t.Fatalf("down message charged the sender: %+v", sa)
 	}
@@ -283,8 +283,8 @@ func TestDeliverBatchAsyncQueuesAndFlushes(t *testing.T) {
 	if res.Queued != 16 || res.Delivered != 0 {
 		t.Fatalf("batch result %+v, want 16 queued", res)
 	}
-	if n.Pending() != 16 {
-		t.Fatalf("pending %d, want 16", n.Pending())
+	if len(n.queue) != 16 {
+		t.Fatalf("pending %d, want 16", len(n.queue))
 	}
 	if d := n.Flush(); d != 16 {
 		t.Fatalf("flush delivered %d, want 16", d)
@@ -323,8 +323,8 @@ func batchedEquivalence(t *testing.T, seed int64) {
 	batNet.Flush()
 
 	for _, id := range append(senders, "r") {
-		ss, _ := seqNet.NodeStats(id)
-		bs, _ := batNet.NodeStats(id)
+		ss := *seqNet.stats[id]
+		bs := *batNet.stats[id]
 		if ss != bs {
 			t.Fatalf("seed %d: node %s stats diverge: sequential %+v, batched %+v", seed, id, ss, bs)
 		}
@@ -335,8 +335,8 @@ func batchedEquivalence(t *testing.T, seed int64) {
 	if seqNet.SimTimeMS() != batNet.SimTimeMS() {
 		t.Fatalf("seed %d: simulated time diverges: %v vs %v", seed, seqNet.SimTimeMS(), batNet.SimTimeMS())
 	}
-	if seqNet.MsgCount() != batNet.MsgCount() {
-		t.Fatalf("seed %d: fault clock diverges: %d vs %d", seed, seqNet.MsgCount(), batNet.MsgCount())
+	if seqNet.msgCount != batNet.msgCount {
+		t.Fatalf("seed %d: fault clock diverges: %d vs %d", seed, seqNet.msgCount, batNet.msgCount)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package netsim is the simulated transport substrate: an in-process
-// message network with per-link loss and latency bookkeeping and — the
+// message network with link loss and latency bookkeeping and — the
 // part the evaluation leans on — exact per-node transmission and byte
 // accounting. The paper's O(N²)→O(NM) transmission claim (after Luo et
 // al.) is about how many radio sends the gathering scheme needs, which the
@@ -39,7 +39,8 @@ type Message struct {
 // Handler consumes a delivered message.
 type Handler func(Message)
 
-// Link describes one directed link's quality.
+// Link describes link quality. Every link of a network shares one
+// (SetDefaultLink); fault plans add per-node and per-pair faults on top.
 type Link struct {
 	LatencyMS float64 // recorded, not slept: simulation time bookkeeping
 	LossProb  float64 // [0,1]
@@ -58,7 +59,6 @@ type Network struct {
 	mu       sync.Mutex
 	rng      *rand.Rand         // guarded by mu
 	handlers map[string]Handler // guarded by mu
-	links    map[string]Link    // guarded by mu; key "from→to"
 	stats    map[string]*Stats  // guarded by mu
 	defLink  Link               // guarded by mu
 	simTime  float64            // guarded by mu; accumulated virtual latency across delivered messages
@@ -76,7 +76,6 @@ func New(seed int64) *Network {
 	return &Network{
 		rng:      rand.New(rand.NewSource(seed)),
 		handlers: make(map[string]Handler),
-		links:    make(map[string]Link),
 		stats:    make(map[string]*Stats),
 	}
 }
@@ -94,17 +93,10 @@ func (n *Network) Register(id string, h Handler) error {
 	return nil
 }
 
-// SetDefaultLink sets the link quality used when no explicit link exists.
+// SetDefaultLink sets the quality of every link.
 func (n *Network) SetDefaultLink(l Link) {
 	n.mu.Lock()
 	n.defLink = l
-	n.mu.Unlock()
-}
-
-// SetLink sets a directed link's quality.
-func (n *Network) SetLink(from, to string, l Link) {
-	n.mu.Lock()
-	n.links[from+"→"+to] = l
 	n.mu.Unlock()
 }
 
@@ -116,14 +108,6 @@ func (n *Network) SetFaultPlan(p *FaultPlan) {
 	n.mu.Unlock()
 }
 
-// MsgCount returns the number of transmission attempts so far — the
-// deterministic clock that fault-plan windows are keyed on.
-func (n *Network) MsgCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.msgCount
-}
-
 // SetAsync toggles asynchronous delivery: when on, messages that survive
 // loss are queued instead of handled inline, and Flush delivers the
 // batch (applying the fault plan's duplicate/reorder knobs). Call Flush
@@ -133,13 +117,6 @@ func (n *Network) SetAsync(on bool) {
 	n.mu.Lock()
 	n.async = on
 	n.mu.Unlock()
-}
-
-// Pending returns the number of messages queued for async delivery.
-func (n *Network) Pending() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.queue)
 }
 
 // Send delivers a message, applying the fault plan and link loss and
@@ -202,19 +179,6 @@ func (d *obsDelta) flush() {
 	}
 }
 
-// linkLocked returns the link for from→to under n.mu. With no per-pair
-// override registered it skips building the map key, which is otherwise a
-// string concatenation per message.
-func (n *Network) linkLocked(from, to string) Link {
-	if len(n.links) == 0 {
-		return n.defLink
-	}
-	if l, ok := n.links[from+"→"+to]; ok {
-		return l
-	}
-	return n.defLink
-}
-
 // transmitLocked runs one transmission attempt under n.mu: fault-plan
 // verdict, tx accounting, loss draw, then either async enqueue or sync
 // rx accounting. It consumes exactly the RNG draws Deliver historically
@@ -231,7 +195,7 @@ func (n *Network) transmitLocked(msg Message, d *obsDelta) (out txOutcome, h Han
 	if !ok {
 		return txErr, nil, 0, "", fmt.Errorf("%w: receiver %q", ErrUnknownNode, msg.To)
 	}
-	link := n.linkLocked(msg.From, msg.To)
+	link := n.defLink
 	idx := n.msgCount
 	n.msgCount++
 	size := len(msg.Payload)
@@ -442,16 +406,16 @@ func (n *Network) Flush() int {
 			copies = 2
 			d.duplicate++
 		}
-		link := n.linkLocked(m.From, m.To)
+		latency := n.defLink.LatencyMS
 		size := len(m.Payload)
 		rx := n.stats[m.To]
 		for c := 0; c < copies; c++ {
 			rx.RxMessages++
 			rx.RxBytes += size
-			n.simTime += link.LatencyMS
+			n.simTime += latency
 			d.rxMsgs++
 			d.rxBytes += int64(size)
-			out = append(out, delivery{m, n.handlers[m.To], link.LatencyMS})
+			out = append(out, delivery{m, n.handlers[m.To], latency})
 		}
 	}
 	// Keep the drained queue's backing array for the next round — growing a
@@ -471,55 +435,6 @@ func (n *Network) Flush() int {
 	return len(out)
 }
 
-// SetDuplexLink sets both directions of a link to the same quality.
-func (n *Network) SetDuplexLink(a, b string, l Link) {
-	n.SetLink(a, b, l)
-	n.SetLink(b, a, l)
-}
-
-// Broadcast sends the payload from one node to every other registered
-// node, returning how many transmissions were attempted (and therefore
-// charged to the sender — Send charges even on loss but never on error).
-// Loss applies per receiver independently. On a mid-loop failure the
-// count of transmissions attempted before the failing one is returned
-// alongside the error, so the caller's view agrees with the sender's
-// byte/tx accounting instead of reporting zero for a partially charged
-// broadcast.
-func (n *Network) Broadcast(from, topic string, payload []byte) (int, error) {
-	n.mu.Lock()
-	if _, ok := n.handlers[from]; !ok {
-		n.mu.Unlock()
-		return 0, fmt.Errorf("%w: sender %q", ErrUnknownNode, from)
-	}
-	targets := make([]string, 0, len(n.handlers))
-	for id := range n.handlers {
-		if id != from {
-			targets = append(targets, id)
-		}
-	}
-	n.mu.Unlock()
-	sort.Strings(targets) // deterministic delivery order
-	attempted := 0
-	for _, to := range targets {
-		if err := n.Send(Message{From: from, To: to, Topic: topic, Payload: payload}); err != nil {
-			return attempted, err
-		}
-		attempted++
-	}
-	return attempted, nil
-}
-
-// NodeStats returns a copy of a node's counters.
-func (n *Network) NodeStats(id string) (Stats, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s, ok := n.stats[id]
-	if !ok {
-		return Stats{}, fmt.Errorf("%w: %q", ErrUnknownNode, id)
-	}
-	return *s, nil
-}
-
 // Totals sums the counters across all nodes.
 func (n *Network) Totals() Stats {
 	n.mu.Lock()
@@ -533,25 +448,6 @@ func (n *Network) Totals() Stats {
 		t.Dropped += s.Dropped
 	}
 	return t
-}
-
-// MaxTx returns the node with the highest transmit count and that count —
-// the bottleneck metric for the Fig. 1 hierarchy experiment.
-func (n *Network) MaxTx() (string, int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ids := make([]string, 0, len(n.stats))
-	for id := range n.stats {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // deterministic tie-break
-	best, bestN := "", -1
-	for _, id := range ids {
-		if n.stats[id].TxMessages > bestN {
-			best, bestN = id, n.stats[id].TxMessages
-		}
-	}
-	return best, bestN
 }
 
 // MaxRx returns the node with the highest receive count and that count.
@@ -578,14 +474,4 @@ func (n *Network) SimTimeMS() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.simTime
-}
-
-// ResetStats zeros all counters, keeping topology.
-func (n *Network) ResetStats() {
-	n.mu.Lock()
-	for id := range n.stats {
-		n.stats[id] = &Stats{}
-	}
-	n.simTime = 0
-	n.mu.Unlock()
 }

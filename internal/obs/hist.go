@@ -104,14 +104,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // HistSnapshot is a consistent-enough copy of a histogram with computed
 // summary statistics.
 type HistSnapshot struct {

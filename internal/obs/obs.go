@@ -17,7 +17,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -129,20 +128,6 @@ func (g *Gauge) Set(v float64) {
 	g.v.Store(math.Float64bits(v))
 }
 
-// Add adds delta to the gauge (CAS loop) when enabled.
-func (g *Gauge) Add(delta float64) {
-	if g == nil || !g.on.Load() {
-		return
-	}
-	for {
-		old := g.v.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.v.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -216,23 +201,4 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	snap.Spans = r.Spans()
 	return snap
-}
-
-// MetricNames returns every registered metric name, sorted (counters,
-// gauges, and histograms share one namespace for listing purposes).
-func (r *Registry) MetricNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -19,11 +19,10 @@ type SpanRecord struct {
 
 // SpanRecorder is a bounded ring buffer of recent spans.
 type SpanRecorder struct {
-	reg   *Registry
-	mu    sync.Mutex
-	ring  []SpanRecord
-	next  int
-	total int64
+	reg  *Registry
+	mu   sync.Mutex
+	ring []SpanRecord
+	next int
 }
 
 func newSpanRecorder(reg *Registry, size int) *SpanRecorder {
@@ -41,7 +40,6 @@ func (sr *SpanRecorder) record(rec SpanRecord) {
 		sr.ring[sr.next] = rec
 		sr.next = (sr.next + 1) % cap(sr.ring)
 	}
-	sr.total++
 	sr.mu.Unlock()
 }
 
@@ -58,14 +56,6 @@ func (r *Registry) Spans() []SpanRecord {
 		out = append(out, sr.ring...)
 	}
 	return out
-}
-
-// SpanCount returns how many spans have ever been recorded (including
-// those already evicted from the ring).
-func (r *Registry) SpanCount() int64 {
-	r.spans.mu.Lock()
-	defer r.spans.mu.Unlock()
-	return r.spans.total
 }
 
 // Span is an in-flight traced operation. The zero Span (returned when the

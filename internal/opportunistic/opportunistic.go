@@ -116,38 +116,6 @@ func Elect(peers []Peer, clusters [][]int, policy ElectionPolicy) ([]int, error)
 	return reps, nil
 }
 
-// RoundStats summarizes one protocol round.
-type RoundStats struct {
-	Peers      int
-	Clusters   int
-	Reports    int     // uploads actually sent (= clusters)
-	Suppressed int     // redundant reports avoided
-	Redundancy float64 // suppressed / peers
-}
-
-// Round runs one opportunistic-collaboration round: cluster, elect,
-// suppress. It returns the statistics and the representative indices.
-func Round(peers []Peer, radius float64, policy ElectionPolicy) (RoundStats, []int, error) {
-	clusters, err := Clusters(peers, radius)
-	if err != nil {
-		return RoundStats{}, nil, err
-	}
-	reps, err := Elect(peers, clusters, policy)
-	if err != nil {
-		return RoundStats{}, nil, err
-	}
-	st := RoundStats{
-		Peers:      len(peers),
-		Clusters:   len(clusters),
-		Reports:    len(reps),
-		Suppressed: len(peers) - len(reps),
-	}
-	if st.Peers > 0 {
-		st.Redundancy = float64(st.Suppressed) / float64(st.Peers)
-	}
-	return st, reps, nil
-}
-
 // CoverageLoss estimates the spatial price of suppression: the mean
 // distance (meters) from a suppressed peer to its cluster representative —
 // how far the reported sample can be from the suppressed peer's location.

@@ -77,27 +77,6 @@ func TestElectPolicies(t *testing.T) {
 	}
 }
 
-func TestRoundSuppressionStats(t *testing.T) {
-	peers := peersAt([][2]float64{
-		{0, 0}, {1, 0}, {2, 0},
-		{100, 100}, {101, 100},
-		{500, 500},
-	})
-	st, reps, err := Round(peers, 5, ElectFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Peers != 6 || st.Clusters != 3 || st.Reports != 3 || st.Suppressed != 3 {
-		t.Fatalf("stats %+v", st)
-	}
-	if math.Abs(st.Redundancy-0.5) > 1e-12 {
-		t.Fatalf("redundancy %v", st.Redundancy)
-	}
-	if len(reps) != 3 {
-		t.Fatalf("reps %v", reps)
-	}
-}
-
 func TestCoverageLoss(t *testing.T) {
 	peers := peersAt([][2]float64{{0, 0}, {4, 0}})
 	clusters := [][]int{{0, 1}}
@@ -126,11 +105,15 @@ func TestDensityDrivesSuppression(t *testing.T) {
 				Pos: mobility.Point{X: rng.Float64() * 200, Y: rng.Float64() * 200},
 			}
 		}
-		st, _, err := Round(peers, 15, ElectFirst)
+		clusters, err := Clusters(peers, 15)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Redundancy
+		reps, err := Elect(peers, clusters, ElectFirst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(n-len(reps)) / float64(n)
 	}
 	sparse := run(10, 1)
 	dense := run(200, 1)
@@ -194,23 +177,5 @@ func TestPropPartitionInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkRound200(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	peers := make([]Peer, 200)
-	for i := range peers {
-		peers[i] = Peer{
-			ID:  fmt.Sprintf("p%d", i),
-			Pos: mobility.Point{X: rng.Float64() * 300, Y: rng.Float64() * 300},
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Round(peers, 15, ElectFirst); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

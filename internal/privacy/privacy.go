@@ -4,18 +4,10 @@
 // or disable features, control the type of sensors and parameter that can
 // be shared … In the worst case, the user can opt-out."
 //
-// A Policy gates and degrades (quantizes) per-sensor sharing; a Crypter
-// provides authenticated encryption (AES-GCM) for payloads leaving the
-// device.
+// A Policy gates and degrades (quantizes) per-sensor sharing.
 package privacy
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/rand"
-	"errors"
-	"fmt"
-	"io"
 	"math"
 	"sync"
 
@@ -54,13 +46,6 @@ func (p *Policy) SetOptOut(v bool) {
 	p.mu.Lock()
 	p.optOut = v
 	p.mu.Unlock()
-}
-
-// OptedOut reports the global opt-out state.
-func (p *Policy) OptedOut() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.optOut
 }
 
 // SetShare enables or disables sharing of one sensor kind.
@@ -108,46 +93,4 @@ func (p *Policy) Filter(kind sensor.Kind, values []float64) ([]float64, bool) {
 		}
 	}
 	return out, true
-}
-
-// --- Encryption ----------------------------------------------------------------
-
-// Crypter provides AES-GCM authenticated encryption for shared payloads.
-type Crypter struct {
-	aead cipher.AEAD
-}
-
-// NewCrypter builds a crypter from a 16-, 24- or 32-byte key.
-func NewCrypter(key []byte) (*Crypter, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	return &Crypter{aead: aead}, nil
-}
-
-// Seal encrypts plain with a random nonce (prepended to the ciphertext).
-func (c *Crypter) Seal(plain []byte) ([]byte, error) {
-	nonce := make([]byte, c.aead.NonceSize())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
-		return nil, fmt.Errorf("privacy: nonce: %w", err)
-	}
-	return c.aead.Seal(nonce, nonce, plain, nil), nil
-}
-
-// Open decrypts a Seal output, authenticating it.
-func (c *Crypter) Open(blob []byte) ([]byte, error) {
-	ns := c.aead.NonceSize()
-	if len(blob) < ns {
-		return nil, errors.New("privacy: ciphertext too short")
-	}
-	plain, err := c.aead.Open(nil, blob[:ns], blob[ns:], nil)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: decrypt: %w", err)
-	}
-	return plain, nil
 }

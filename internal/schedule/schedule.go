@@ -1,14 +1,10 @@
 // Package schedule implements the sensor-scheduling and adaptive-sampling
 // strategies the paper lists as the energy-efficiency research directions
 // (§5): a variance-driven adaptive sampler that backs off when the signal
-// is quiet and accelerates when it moves, and a battery-aware load
-// balancer that rotates sensing duty across redundant nodes.
+// is quiet and accelerates when it moves.
 package schedule
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // AdaptiveSampler chooses the next sampling interval from observed signal
 // dynamics: additive-increase of the interval while the recent window is
@@ -41,9 +37,6 @@ func NewAdaptiveSampler(minInterval, maxInterval, threshold float64) (*AdaptiveS
 	}, nil
 }
 
-// Interval returns the current sampling period.
-func (s *AdaptiveSampler) Interval() float64 { return s.interval }
-
 // Observe feeds the variance of the most recent sample window and returns
 // the next sampling interval.
 func (s *AdaptiveSampler) Observe(windowVariance float64) float64 {
@@ -63,74 +56,3 @@ func (s *AdaptiveSampler) Observe(windowVariance float64) float64 {
 
 // Reset returns the sampler to the fastest rate.
 func (s *AdaptiveSampler) Reset() { s.interval = s.MinInterval }
-
-// --- Battery-aware duty rotation -------------------------------------------------
-
-// LoadBalancer rotates sensing duty across redundant nodes so no single
-// battery is drained — the "sensor scheduling" knob. Selection prefers
-// the largest remaining battery fraction, breaking ties by least-recently
-// used.
-type LoadBalancer struct {
-	lastUsed []int
-	round    int
-}
-
-// NewLoadBalancer tracks n nodes.
-func NewLoadBalancer(n int) (*LoadBalancer, error) {
-	if n <= 0 {
-		return nil, errors.New("schedule: need at least one node")
-	}
-	lu := make([]int, n)
-	for i := range lu {
-		lu[i] = -1
-	}
-	return &LoadBalancer{lastUsed: lu}, nil
-}
-
-// Pick selects the node to sense this round given per-node battery
-// fractions (0..1). Depleted nodes (fraction <= 0) are skipped; -1 is
-// returned if no node can sense.
-func (lb *LoadBalancer) Pick(batteryFrac []float64) int {
-	if len(batteryFrac) != len(lb.lastUsed) {
-		return -1
-	}
-	best := -1
-	for i, b := range batteryFrac {
-		if b <= 0 {
-			continue
-		}
-		if best < 0 {
-			best = i
-			continue
-		}
-		if b > batteryFrac[best]+1e-12 {
-			best = i
-		} else if math.Abs(b-batteryFrac[best]) <= 1e-12 && lb.lastUsed[i] < lb.lastUsed[best] {
-			best = i
-		}
-	}
-	if best >= 0 {
-		lb.lastUsed[best] = lb.round
-	}
-	lb.round++
-	return best
-}
-
-// PickK selects k distinct nodes by repeated Pick (for M-of-N rounds).
-func (lb *LoadBalancer) PickK(batteryFrac []float64, k int) []int {
-	if k <= 0 {
-		return nil
-	}
-	frac := make([]float64, len(batteryFrac))
-	copy(frac, batteryFrac)
-	var out []int
-	for len(out) < k {
-		i := lb.Pick(frac)
-		if i < 0 {
-			break
-		}
-		out = append(out, i)
-		frac[i] = 0 // exclude for the rest of this round
-	}
-	return out
-}

@@ -1,9 +1,6 @@
 package schedule
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestNewAdaptiveSamplerValidation(t *testing.T) {
 	if _, err := NewAdaptiveSampler(0, 10, 1); err == nil {
@@ -22,10 +19,10 @@ func TestAdaptiveSamplerBacksOffWhenQuiet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Interval() != 1 {
+	if s.interval != 1 {
 		t.Fatal("should start at the fastest rate")
 	}
-	prev := s.Interval()
+	prev := s.interval
 	for i := 0; i < 200; i++ {
 		next := s.Observe(0.01) // quiet
 		if next < prev {
@@ -33,8 +30,8 @@ func TestAdaptiveSamplerBacksOffWhenQuiet(t *testing.T) {
 		}
 		prev = next
 	}
-	if s.Interval() != 60 {
-		t.Fatalf("interval %v, want saturation at 60", s.Interval())
+	if s.interval != 60 {
+		t.Fatalf("interval %v, want saturation at 60", s.interval)
 	}
 }
 
@@ -51,8 +48,8 @@ func TestAdaptiveSamplerReactsFastToActivity(t *testing.T) {
 	// A couple more active windows pin it at the minimum.
 	s.Observe(5.0)
 	s.Observe(5.0)
-	if s.Interval() != 1 {
-		t.Fatalf("interval %v, want clamp at min", s.Interval())
+	if s.interval != 1 {
+		t.Fatalf("interval %v, want clamp at min", s.interval)
 	}
 }
 
@@ -60,7 +57,7 @@ func TestAdaptiveSamplerAIMDAsymmetry(t *testing.T) {
 	s, _ := NewAdaptiveSampler(1, 60, 0.5)
 	// Count rounds to slow from min to max vs to speed from max to min.
 	up := 0
-	for s.Interval() < 60 {
+	for s.interval < 60 {
 		s.Observe(0)
 		up++
 		if up > 10000 {
@@ -68,7 +65,7 @@ func TestAdaptiveSamplerAIMDAsymmetry(t *testing.T) {
 		}
 	}
 	down := 0
-	for s.Interval() > 1 {
+	for s.interval > 1 {
 		s.Observe(10)
 		down++
 	}
@@ -83,84 +80,7 @@ func TestAdaptiveSamplerReset(t *testing.T) {
 		s.Observe(0)
 	}
 	s.Reset()
-	if s.Interval() != 2 {
+	if s.interval != 2 {
 		t.Fatal("reset failed")
-	}
-}
-
-func TestLoadBalancerPicksFullestBattery(t *testing.T) {
-	lb, err := NewLoadBalancer(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lb.Pick([]float64{0.2, 0.9, 0.5}); got != 1 {
-		t.Fatalf("picked %d, want 1", got)
-	}
-	// Depleted nodes are skipped.
-	if got := lb.Pick([]float64{0, 0, 0.1}); got != 2 {
-		t.Fatalf("picked %d, want 2", got)
-	}
-	if got := lb.Pick([]float64{0, 0, 0}); got != -1 {
-		t.Fatalf("picked %d from depleted fleet, want -1", got)
-	}
-	if got := lb.Pick([]float64{1}); got != -1 {
-		t.Fatal("length mismatch should return -1")
-	}
-}
-
-func TestLoadBalancerTieBreaksLRU(t *testing.T) {
-	lb, _ := NewLoadBalancer(2)
-	equal := []float64{0.5, 0.5}
-	first := lb.Pick(equal)
-	second := lb.Pick(equal)
-	if first == second {
-		t.Fatalf("equal batteries should rotate, got %d twice", first)
-	}
-}
-
-func TestLoadBalancerRotationEqualizesLoad(t *testing.T) {
-	// Simulate draining: each pick costs 0.1 battery; over many rounds the
-	// pick counts must equalize.
-	lb, _ := NewLoadBalancer(4)
-	bat := []float64{1, 1, 1, 1}
-	counts := make([]int, 4)
-	for round := 0; round < 36; round++ {
-		i := lb.Pick(bat)
-		if i < 0 {
-			break
-		}
-		counts[i]++
-		bat[i] -= 0.1
-	}
-	for i, c := range counts {
-		if math.Abs(float64(c)-9) > 1 {
-			t.Fatalf("node %d picked %d times, want ~9 (%v)", i, c, counts)
-		}
-	}
-}
-
-func TestPickK(t *testing.T) {
-	lb, _ := NewLoadBalancer(5)
-	picks := lb.PickK([]float64{0.9, 0.1, 0.8, 0, 0.7}, 3)
-	if len(picks) != 3 {
-		t.Fatalf("picks %v", picks)
-	}
-	seen := map[int]bool{}
-	for _, p := range picks {
-		if seen[p] || p == 3 {
-			t.Fatalf("invalid picks %v", picks)
-		}
-		seen[p] = true
-	}
-	// Asking for more than available returns what exists.
-	lb2, _ := NewLoadBalancer(2)
-	if got := lb2.PickK([]float64{0.5, 0}, 5); len(got) != 1 {
-		t.Fatalf("PickK over-ask got %v", got)
-	}
-	if lb2.PickK([]float64{1, 1}, 0) != nil {
-		t.Fatal("PickK(0) should be nil")
-	}
-	if _, err := NewLoadBalancer(0); err == nil {
-		t.Fatal("want size error")
 	}
 }

@@ -125,15 +125,6 @@ func (p *Probe) Next() Sample {
 	return s
 }
 
-// Collect returns the next n samples.
-func (p *Probe) Collect(n int) []Sample {
-	out := make([]Sample, n)
-	for i := range out {
-		out[i] = p.Next()
-	}
-	return out
-}
-
 // CollectAxis returns the next n readings of a single axis as a plain
 // vector, the shape the compressive-sensing layer consumes.
 func (p *Probe) CollectAxis(n, axis int) ([]float64, error) {
@@ -146,11 +137,6 @@ func (p *Probe) CollectAxis(n, axis int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Truth returns the noiseless model value at time t for an axis — ground
-// truth for accuracy evaluation (unavailable on real hardware, invaluable
-// in a simulator).
-func (p *Probe) Truth(t float64, axis int) float64 { return p.model(t, axis) }
 
 // Reset rewinds simulation time and re-seeds the noise stream, replaying
 // the identical sample sequence.
@@ -227,13 +213,6 @@ func (r *Registry) Get(name string) (*Probe, bool) {
 	defer r.mu.RUnlock()
 	p, ok := r.probes[name]
 	return p, ok
-}
-
-// Unregister removes a probe by name; removing an absent name is a no-op.
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.probes, name)
 }
 
 // List returns all probe names, sorted.

@@ -90,7 +90,9 @@ func TestProbeLazySeedMatchesEagerStream(t *testing.T) {
 	}
 	// A noiseless probe never needs a generator at all.
 	quiet, _ := NewProbe("quiet", Temperature, 1, Config{RateHz: 1, Seed: 7}, constModel(3))
-	quiet.Collect(8)
+	for i := 0; i < 8; i++ {
+		quiet.Next()
+	}
 	if quiet.rng != nil {
 		t.Fatal("noiseless probe seeded a generator it never draws from")
 	}
@@ -231,11 +233,6 @@ func TestRegistry(t *testing.T) {
 	if ps := reg.ByKind(Temperature); len(ps) != 1 || ps[0].Name() != "a/temp" {
 		t.Fatalf("ByKind=%v", ps)
 	}
-	reg.Unregister("a/temp")
-	if reg.Len() != 1 {
-		t.Fatal("Unregister failed")
-	}
-	reg.Unregister("missing") // no-op
 }
 
 // First is ByKind's head without the list: the lowest name of the kind,
@@ -309,23 +306,6 @@ func TestFuseOrientationErrors(t *testing.T) {
 	}
 	if _, err := FuseOrientation([]float64{0, 0, 0}, []float64{1, 2, 3}); err == nil {
 		t.Fatal("want zero-gravity error")
-	}
-}
-
-func TestInclination(t *testing.T) {
-	v, err := Inclination([]float64{0, 0, 9.81})
-	if err != nil || math.Abs(v) > 1e-9 {
-		t.Fatalf("flat inclination %v err %v", v, err)
-	}
-	v, _ = Inclination([]float64{9.81, 0, 0})
-	if math.Abs(v-math.Pi/2) > 1e-9 {
-		t.Fatalf("sideways inclination %v, want π/2", v)
-	}
-	if _, err := Inclination([]float64{0, 0}); err == nil {
-		t.Fatal("want axis error")
-	}
-	if _, err := Inclination([]float64{0, 0, 0}); err == nil {
-		t.Fatal("want zero error")
 	}
 }
 

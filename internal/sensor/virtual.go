@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the *fused* virtual sensors of the paper's Fig. 3:
-// orientation, compass and inclinometer, constructed by combining physical
+// orientation and compass, constructed by combining physical
 // accelerometer and magnetometer probes. (The *context* virtual sensors —
 // IsIndoor, IsDriving, activity — live in internal/contextproc because
 // they additionally need feature extraction and classification.)
@@ -44,19 +44,6 @@ func FuseOrientation(accel, mag []float64) (Orientation, error) {
 		az2 += 2 * math.Pi
 	}
 	return Orientation{Pitch: pitch, Roll: roll, Azimuth: az2}, nil
-}
-
-// Inclination returns the tilt angle (radians) between the device z-axis
-// and gravity — the virtual inclinometer probe.
-func Inclination(accel []float64) (float64, error) {
-	if len(accel) != 3 {
-		return 0, errors.New("sensor: Inclination needs a 3-axis input")
-	}
-	g := math.Sqrt(accel[0]*accel[0] + accel[1]*accel[1] + accel[2]*accel[2])
-	if g == 0 {
-		return 0, errors.New("sensor: zero accelerometer vector")
-	}
-	return math.Acos(clamp(accel[2]/g, -1, 1)), nil
 }
 
 // CompassHeading returns the fused azimuth in radians — the virtual

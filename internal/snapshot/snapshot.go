@@ -3,9 +3,7 @@
 // serving layer reads the latest snapshot lock-free (a single atomic
 // load on the hot path, no mutex, no copy), while the streaming pipeline
 // publishes a fresh snapshot per reconstruction window. A bounded ring
-// of recent snapshots is retained for history, and each publish can be
-// mirrored into internal/store so dashboards query reconstruction
-// history with the ordinary time-series API.
+// of recent snapshots is retained for history.
 package snapshot
 
 import (
@@ -18,7 +16,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/sensor"
-	"repro/internal/store"
 )
 
 // Snapshot observability handles (no-ops until obs.Enable).
@@ -63,13 +60,11 @@ type Registry struct {
 	cur atomic.Pointer[Snapshot]
 
 	mu      sync.Mutex
-	version uint64           // guarded by mu
-	hist    []*Snapshot      // guarded by mu; oldest first, len ≤ retain
-	retain  int              // immutable after New
-	notify  chan struct{}    // guarded by mu (swapped); closed on publish
+	version uint64        // guarded by mu
+	hist    []*Snapshot   // guarded by mu; oldest first, len ≤ retain
+	retain  int           // immutable after New
+	notify  chan struct{} // guarded by mu (swapped); closed on publish
 	subs    []func(*Snapshot)
-	st      *store.Store // optional history mirror; set before first Publish
-	series  string
 }
 
 // NewRegistry creates a registry retaining the last retain snapshots
@@ -96,20 +91,6 @@ func (r *Registry) Subscribe(fn func(*Snapshot)) {
 	r.mu.Unlock()
 }
 
-// BindStore mirrors every publish into a time-series store: one record
-// per snapshot on the given series with values [version, NMSE,
-// measurements, shortfall]. The store's own retention bounds the
-// history. Bind before the pipeline starts.
-func (r *Registry) BindStore(st *store.Store, series string) error {
-	if st == nil || series == "" {
-		return errors.New("snapshot: nil store or empty series")
-	}
-	r.mu.Lock()
-	r.st, r.series = st, series
-	r.mu.Unlock()
-	return nil
-}
-
 // Publish assigns the next version to s, swaps it in as the latest
 // snapshot, retains it in the history ring (evicting the oldest beyond
 // the retention bound), and wakes waiters. The caller transfers
@@ -131,7 +112,6 @@ func (r *Registry) Publish(s *Snapshot) (uint64, error) {
 	r.cur.Store(s) // swap after version assignment, before waking waiters
 	close(r.notify)
 	r.notify = make(chan struct{})
-	st, series := r.st, r.series
 	subs := r.subs
 	retained := len(r.hist)
 	r.mu.Unlock()
@@ -140,14 +120,6 @@ func (r *Registry) Publish(s *Snapshot) (uint64, error) {
 	obsEvicted.Add(int64(evicted))
 	obsVersion.Set(float64(s.Version))
 	obsRetained.Set(float64(retained))
-	if st != nil {
-		rec := store.Record{T: s.T, Values: []float64{
-			float64(s.Version), s.NMSE, float64(s.Measurements), float64(s.Shortfall),
-		}}
-		if err := st.Append(series, rec); err != nil {
-			return s.Version, fmt.Errorf("snapshot: history append: %w", err)
-		}
-	}
 	for _, fn := range subs {
 		fn(s)
 	}

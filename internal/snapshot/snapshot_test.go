@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/sensor"
-	"repro/internal/store"
 	"repro/internal/testutil"
 )
 
@@ -86,30 +85,6 @@ func TestSubscribersRunOnEveryPublish(t *testing.T) {
 	}
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("subscriber saw versions %v, want [1 2 3]", got)
-	}
-}
-
-func TestBindStoreMirrorsHistory(t *testing.T) {
-	r := NewRegistry(2)
-	st := store.New(16)
-	if err := r.BindStore(st, "recon.history"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.BindStore(nil, "x"); err == nil {
-		t.Fatal("nil store accepted")
-	}
-	s := mkSnap(1)
-	s.NMSE = 0.25
-	s.Measurements = 33
-	if _, err := r.Publish(s); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := st.Latest("recon.history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Values[0] != 1 || rec.Values[1] != 0.25 || rec.Values[2] != 33 {
-		t.Fatalf("mirrored record = %+v", rec)
 	}
 }
 

@@ -2,15 +2,12 @@
 // paper lists "data management routines and interface to a light weight
 // database such as SQLite"). It is an in-memory, append-mostly time-series
 // store keyed by series name (typically "<node>/<sensor>"), with
-// time-range queries, bounded retention, aggregate queries, and
-// JSON snapshot/restore in place of a database file.
+// time-range queries, bounded retention and aggregate queries.
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -27,8 +24,8 @@ var (
 
 // Record is one logged observation. T is simulation time in seconds.
 type Record struct {
-	T      float64   `json:"t"`
-	Values []float64 `json:"values"`
+	T      float64
+	Values []float64
 }
 
 // Store is a concurrency-safe multi-series log.
@@ -116,17 +113,6 @@ func (s *Store) Query(series string, from, to float64) ([]Record, error) {
 	return out, nil
 }
 
-// Latest returns the most recent record of a series.
-func (s *Store) Latest(series string) (Record, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	recs, ok := s.series[series]
-	if !ok || len(recs) == 0 {
-		return Record{}, fmt.Errorf("%w: %q", ErrNoSeries, series)
-	}
-	return recs[len(recs)-1], nil
-}
-
 // Series returns all series names, sorted.
 func (s *Store) Series() []string {
 	s.mu.RLock()
@@ -181,98 +167,4 @@ func (s *Store) Aggregate(series string, from, to float64) (Stats, error) {
 		st.Min, st.Max = 0, 0
 	}
 	return st, nil
-}
-
-// WindowStats is one fixed-width aggregation window.
-type WindowStats struct {
-	From, To float64
-	Stats
-}
-
-// WindowAggregate splits [from, to) into fixed-width windows and computes
-// Stats for each — the downsampling query a dashboard uses instead of
-// pulling raw records. Windows are [From, To) half-open; empty windows
-// are included with Count 0.
-func (s *Store) WindowAggregate(series string, from, to, width float64) ([]WindowStats, error) {
-	if width <= 0 {
-		return nil, errors.New("store: window width must be positive")
-	}
-	if to <= from {
-		return nil, errors.New("store: empty time range")
-	}
-	recs, err := s.Query(series, from, to)
-	if err != nil {
-		return nil, err
-	}
-	nWin := int(math.Ceil((to - from) / width))
-	out := make([]WindowStats, nWin)
-	for i := range out {
-		out[i] = WindowStats{
-			From:  from + float64(i)*width,
-			To:    from + float64(i+1)*width,
-			Stats: Stats{Min: math.Inf(1), Max: math.Inf(-1)},
-		}
-	}
-	sums := make([]float64, nWin)
-	for _, r := range recs {
-		if len(r.Values) == 0 {
-			continue
-		}
-		i := int((r.T - from) / width)
-		if i < 0 || i >= nWin {
-			continue // r.T == to lands past the last half-open window
-		}
-		v := r.Values[0]
-		w := &out[i]
-		w.Count++
-		sums[i] += v
-		if v < w.Min {
-			w.Min = v
-		}
-		if v > w.Max {
-			w.Max = v
-		}
-	}
-	for i := range out {
-		if out[i].Count > 0 {
-			out[i].Mean = sums[i] / float64(out[i].Count)
-		} else {
-			out[i].Min, out[i].Max = 0, 0
-		}
-	}
-	return out, nil
-}
-
-// Delete removes a series entirely.
-func (s *Store) Delete(series string) {
-	s.mu.Lock()
-	delete(s.series, series)
-	s.mu.Unlock()
-}
-
-// Snapshot writes the full store as JSON (the "database file").
-func (s *Store) Snapshot(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	series := make(map[string][]Record, len(s.series))
-	for name, recs := range s.series {
-		series[name] = s.retained(recs)
-	}
-	return json.NewEncoder(w).Encode(series)
-}
-
-// Restore replaces the store contents from a Snapshot stream.
-func (s *Store) Restore(r io.Reader) error {
-	var data map[string][]Record
-	if err := json.NewDecoder(r).Decode(&data); err != nil {
-		return fmt.Errorf("store: restore: %w", err)
-	}
-	for name, recs := range data {
-		sort.Slice(recs, func(i, j int) bool { return recs[i].T < recs[j].T })
-		data[name] = recs
-	}
-	s.mu.Lock()
-	s.series = data
-	s.mu.Unlock()
-	return nil
 }

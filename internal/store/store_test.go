@@ -1,10 +1,7 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -61,29 +58,12 @@ func TestRetention(t *testing.T) {
 	}
 }
 
-func TestLatest(t *testing.T) {
-	s := New(0)
-	s.AppendScalar("x", 1, 10)
-	s.AppendScalar("x", 2, 20)
-	r, err := s.Latest("x")
-	if err != nil || r.Values[0] != 20 {
-		t.Fatalf("latest %v err %v", r, err)
-	}
-	if _, err := s.Latest("missing"); err == nil {
-		t.Fatal("want error")
-	}
-}
-
 func TestSeriesAndDelete(t *testing.T) {
 	s := New(0)
 	s.AppendScalar("b", 0, 1)
 	s.AppendScalar("a", 0, 1)
 	if got := s.Series(); len(got) != 2 || got[0] != "a" {
 		t.Fatalf("Series=%v", got)
-	}
-	s.Delete("a")
-	if got := s.Series(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("after delete Series=%v", got)
 	}
 }
 
@@ -102,27 +82,6 @@ func TestAggregate(t *testing.T) {
 	empty, _ := s.Aggregate("x", 100, 200)
 	if empty.Count != 0 || empty.Min != 0 || empty.Max != 0 {
 		t.Fatalf("empty stats %+v", empty)
-	}
-}
-
-func TestSnapshotRestore(t *testing.T) {
-	s := New(0)
-	s.AppendScalar("x", 1, 10)
-	s.Append("y", Record{T: 2, Values: []float64{1, 2, 3}})
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(0)
-	if err := s2.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s2.Latest("y")
-	if err != nil || len(r.Values) != 3 {
-		t.Fatalf("restored %v err %v", r, err)
-	}
-	if err := s2.Restore(strings.NewReader("{broken")); err == nil {
-		t.Fatal("want decode error")
 	}
 }
 
@@ -178,62 +137,6 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
-func TestWindowAggregate(t *testing.T) {
-	s := New(0)
-	for i := 0; i < 10; i++ {
-		s.AppendScalar("x", float64(i), float64(i*10))
-	}
-	wins, err := s.WindowAggregate("x", 0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wins) != 2 {
-		t.Fatalf("windows %d", len(wins))
-	}
-	if wins[0].Count != 5 || wins[0].Mean != 20 || wins[0].Min != 0 || wins[0].Max != 40 {
-		t.Fatalf("window0 %+v", wins[0])
-	}
-	if wins[1].Count != 5 || wins[1].Mean != 70 {
-		t.Fatalf("window1 %+v", wins[1])
-	}
-	if wins[0].From != 0 || wins[0].To != 5 || wins[1].From != 5 {
-		t.Fatalf("window bounds %+v %+v", wins[0], wins[1])
-	}
-}
-
-func TestWindowAggregateEmptyWindows(t *testing.T) {
-	s := New(0)
-	s.AppendScalar("x", 1, 10)
-	s.AppendScalar("x", 21, 30)
-	wins, err := s.WindowAggregate("x", 0, 30, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wins) != 3 {
-		t.Fatalf("windows %d", len(wins))
-	}
-	if wins[1].Count != 0 || wins[1].Min != 0 || wins[1].Max != 0 {
-		t.Fatalf("empty window %+v", wins[1])
-	}
-	if wins[2].Count != 1 || wins[2].Mean != 30 {
-		t.Fatalf("window2 %+v", wins[2])
-	}
-}
-
-func TestWindowAggregateValidation(t *testing.T) {
-	s := New(0)
-	s.AppendScalar("x", 0, 1)
-	if _, err := s.WindowAggregate("x", 0, 10, 0); err == nil {
-		t.Fatal("want width error")
-	}
-	if _, err := s.WindowAggregate("x", 10, 5, 1); err == nil {
-		t.Fatal("want range error")
-	}
-	if _, err := s.WindowAggregate("missing", 0, 10, 1); err == nil {
-		t.Fatal("want series error")
-	}
-}
-
 // A full series evicts in place: appends do not allocate once its
 // capacity has settled, and however the evicted records pile up in front
 // of the retained ones, every read sees exactly the newest maxPerKey.
@@ -268,14 +171,6 @@ func TestFullSeriesAppendsInPlace(t *testing.T) {
 				t.Fatalf("series out of order at %d: %v after %v", i, recs[i].T, recs[i-1].T)
 			}
 		}
-		var buf bytes.Buffer
-		if err := s.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		var snap map[string][]Record
-		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil || len(snap["x"]) != keep || snap["x"][0].T != oldest {
-			t.Fatalf("Snapshot holds %d records (err %v), want the %d retained from T=%v", len(snap["x"]), err, keep, oldest)
-		}
 	}
 	// Checked at every fill level of the slack in front of the series.
 	for i := 0; i < keep; i++ {
@@ -293,7 +188,4 @@ func TestFullSeriesAppendsInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(oldest + 0.5)
-	if last, err := s.Latest("x"); err != nil || last.T != next-1 {
-		t.Fatalf("Latest = %+v (err %v), want T=%v", last, err, next-1)
-	}
 }

@@ -101,9 +101,6 @@ func New(sd *core.SenseDroid, reg *snapshot.Registry, cfg Config) (*Pipeline, er
 	return &Pipeline{sd: sd, reg: reg, cfg: cfg, prev: map[int][]int{}}, nil
 }
 
-// Registry returns the snapshot registry the pipeline publishes into.
-func (p *Pipeline) Registry() *snapshot.Registry { return p.reg }
-
 // Windows returns how many windows have completed successfully.
 func (p *Pipeline) Windows() int {
 	p.mu.Lock()

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/snapshot"
-	"repro/internal/store"
 	"repro/internal/testutil"
 	"repro/internal/testutil/chaos"
 )
@@ -24,6 +23,18 @@ func streamOpts() core.Options {
 		Seed:    7,
 		Timeout: 50 * time.Millisecond,
 	}
+}
+
+// faultFreeOpts is streamOpts for the tests that compare runs with each
+// other. A broker re-sends a request whose reply misses the attempt
+// timeout, and the node measures again with a fresh noise draw, so a
+// delivered reply that a loaded machine holds past 50 ms changes what the
+// run gathers. These tests lose no message, so they get a timeout only a
+// lost one could reach.
+func faultFreeOpts() core.Options {
+	o := streamOpts()
+	o.Timeout = 10 * time.Second
+	return o
 }
 
 // driftingPlumes is the slowly-varying world: two plumes whose centers
@@ -74,10 +85,6 @@ func TestStepPublishesVersionedSnapshots(t *testing.T) {
 	p, _ := newPipeline(t, Config{
 		Budget: 60, WarmStart: true, Evolve: driftingPlumes,
 	})
-	st := store.New(32)
-	if err := p.Registry().BindStore(st, "recon"); err != nil {
-		t.Fatal(err)
-	}
 	for i := 1; i <= 3; i++ {
 		s, err := p.Step()
 		if err != nil {
@@ -99,9 +106,6 @@ func TestStepPublishesVersionedSnapshots(t *testing.T) {
 	if p.Windows() != 3 {
 		t.Fatalf("Windows = %d, want 3", p.Windows())
 	}
-	if st.Len("recon") != 3 {
-		t.Fatalf("store mirrored %d records, want 3", st.Len("recon"))
-	}
 }
 
 // Start/Stop must leave no goroutines behind and publish windows while
@@ -120,14 +124,14 @@ func TestPipelineStartStopLifecycle(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := p.Registry().WaitContext(ctx, 2); err != nil {
+	if _, err := p.reg.WaitContext(ctx, 2); err != nil {
 		t.Fatalf("no snapshots while running: %v", err)
 	}
 	p.Stop()
 	p.Stop() // idempotent
-	v := p.Registry().Latest().Version
+	v := p.reg.Latest().Version
 	time.Sleep(20 * time.Millisecond)
-	if got := p.Registry().Latest().Version; got != v {
+	if got := p.reg.Latest().Version; got != v {
 		t.Fatalf("pipeline still publishing after Stop: %d → %d", v, got)
 	}
 }
@@ -165,7 +169,7 @@ func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	run := func(procs int) string {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		sd, err := core.New(streamOpts())
+		sd, err := core.New(faultFreeOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +205,7 @@ func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // measurements, so only the decode seeding differs.
 func TestWarmStartTracksColdQuality(t *testing.T) {
 	run := func(warm bool) []float64 {
-		sd, err := core.New(streamOpts())
+		sd, err := core.New(faultFreeOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +264,7 @@ func TestSnapshotStalenessBoundedUnderPartition(t *testing.T) {
 			t.Fatalf("healthy window: %v", err)
 		}
 	}
-	good := p.Registry().Latest()
+	good := p.reg.Latest()
 	if good.Version != 2 {
 		t.Fatalf("expected version 2 before fault, got %d", good.Version)
 	}
@@ -280,7 +284,7 @@ func TestSnapshotStalenessBoundedUnderPartition(t *testing.T) {
 	if p.LastErr() == nil {
 		t.Fatal("LastErr not recorded")
 	}
-	stale := p.Registry().Latest()
+	stale := p.reg.Latest()
 	if stale.Version != good.Version {
 		t.Fatalf("registry advanced during fault: %d → %d", good.Version, stale.Version)
 	}

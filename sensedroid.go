@@ -11,8 +11,9 @@
 //     real deployment the physical world plays this role.
 //   - Run collaborative compressive sensing campaigns with RunCampaign,
 //     choosing uniform or sparsity/criticality-adaptive per-zone budgets.
-//   - Run on-device context sensing (IsDriving, IsIndoor, activity,
-//     stress) and group fusion with GroupContexts / contextproc.
+//   - Run on-device context sensing (activity, IsIndoor, stress) per node
+//     with (*node.Node).SenseContext and fuse the group view with
+//     contextproc.FuseGroup.
 //
 // See examples/ for runnable scenarios and DESIGN.md for the system map.
 package sensedroid
@@ -32,11 +33,6 @@ type (
 	CampaignConfig = core.CampaignConfig
 	// CampaignResult reports a completed campaign.
 	CampaignResult = core.CampaignResult
-	// TemporalCampaignConfig parameterizes a multi-round campaign decoded
-	// jointly in the temporal⊗spatial basis.
-	TemporalCampaignConfig = core.TemporalCampaignConfig
-	// TemporalCampaignResult reports a completed temporal campaign.
-	TemporalCampaignResult = core.TemporalCampaignResult
 	// Field is a discretized 2-D spatial map (column-stacked, Eq. 1).
 	Field = field.Field
 	// Plume is one Gaussian hotspot in a synthetic field.

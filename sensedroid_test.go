@@ -50,9 +50,9 @@ func TestNewFieldHelper(t *testing.T) {
 }
 
 // TestDayInTheLife exercises the whole middleware in one scenario: deploy,
-// publish contexts, query them, run a spatial campaign, log zone summaries,
-// run a temporal campaign over an evolving field, and check the books
-// (energy, traffic, directory) at the end.
+// sense every member's context, run a spatial campaign, let the hotspot
+// drift while the nodes move, and check the books (energy, traffic) at the
+// end.
 func TestDayInTheLife(t *testing.T) {
 	sd, err := New(Options{
 		FieldW: 16, FieldH: 16, ZoneRows: 2, ZoneCols: 2,
@@ -63,16 +63,11 @@ func TestDayInTheLife(t *testing.T) {
 	}
 	defer sd.Close()
 
-	// Morning: everyone shares context; the wellness dashboard queries it.
-	if _, err := sd.PublishContexts(256, 64); err != nil {
-		t.Fatal(err)
-	}
-	active, err := sd.QueryContexts("activity == 'walking' && stress < 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(active) == 0 {
-		t.Fatal("no active members found")
+	// Morning: everyone senses context on device.
+	for _, n := range sd.Nodes {
+		if _, err := n.SenseContext(256, 64, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Midday: a hotspot appears; spatial campaign maps it.
@@ -88,21 +83,15 @@ func TestDayInTheLife(t *testing.T) {
 		t.Fatalf("midday campaign NMSE %v", res.GlobalNMSE)
 	}
 
-	// Afternoon: the hotspot drifts; temporal campaign tracks it jointly.
-	evolve := func(step int) *Field {
-		return GenPlumes(16, 16, 18, []Plume{{
+	// Afternoon: the hotspot drifts while the nodes move.
+	for step := 0; step < 4; step++ {
+		if err := sd.SetTruth(GenPlumes(16, 16, 18, []Plume{{
 			Row: 9 + 0.5*float64(step), Col: 4 + 0.4*float64(step),
 			Sigma: 2.2, Amplitude: 22,
-		}})
-	}
-	tres, err := sd.RunTemporalCampaign(TemporalCampaignConfig{
-		Steps: 4, TotalM: 48, Evolve: evolve,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tres.MeanNMSE > 0.1 {
-		t.Fatalf("temporal campaign NMSE %v", tres.MeanNMSE)
+		}})); err != nil {
+			t.Fatal(err)
+		}
+		sd.Tick(30)
 	}
 
 	// Evening audit: the middleware kept its books.
@@ -111,9 +100,6 @@ func TestDayInTheLife(t *testing.T) {
 	}
 	if sd.TotalEnergyMJ() == 0 {
 		t.Fatal("no energy recorded")
-	}
-	if got := len(sd.Directory.ByKind("node")); got != len(sd.Nodes) {
-		t.Fatalf("directory lists %d nodes, want %d", got, len(sd.Nodes))
 	}
 	for _, n := range sd.Nodes {
 		if n.Battery.FractionRemaining() >= 1 {
