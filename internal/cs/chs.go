@@ -83,16 +83,24 @@ func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result
 	return chsDict(d, locs, y, opts)
 }
 
-// hasDuplicateLocs reports whether any sensor location appears twice.
-func hasDuplicateLocs(locs []int) bool {
-	seen := make(map[int]struct{}, len(locs))
+// hasDuplicateLocs reports whether any sensor location appears twice,
+// marking locations in mark (all false, indexed over the signal) and
+// clearing its marks again before it returns.
+func hasDuplicateLocs(locs []int, mark []bool) bool {
+	dup := false
+	marked := 0
 	for _, l := range locs {
-		if _, ok := seen[l]; ok {
-			return true
+		if mark[l] {
+			dup = true
+			break
 		}
-		seen[l] = struct{}{}
+		mark[l] = true
+		marked++
 	}
-	return false
+	for _, l := range locs[:marked] {
+		mark[l] = false
+	}
+	return dup
 }
 
 func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) {
@@ -109,18 +117,6 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	if opts.MaxSupport <= 0 || opts.MaxSupport > len(locs) {
 		opts.MaxSupport = len(locs)
 	}
-	// Under ZeroFill interpolation, steps (a)+(b) compose to exactly Φ̃ᵀe_r
-	// — one scatter+analysis with no interpolant allocation.
-	// The fused path is taken only on the matrix-free dictionary (where it
-	// is bit-identical to ZeroFill+analyzeFull, both being a scatter into
-	// the same buffer followed by one ApplyTranspose); the dense dictionary
-	// keeps the historical two-step arithmetic so its decodes stay
-	// bit-identical to the pre-operator implementation. Duplicate sensor
-	// locations disable it: corrT accumulates where ZeroFill overwrites.
-	od, fused := d.(*opDict)
-	fused = fused && !hasDuplicateLocs(locs)
-	interp := ZeroFill(d.signalDim())
-
 	// Step 1: J = ∅, e_r = x_S. The growing-support OLS of step (e) is kept
 	// as an incrementally updated QR factorization: each admitted column is
 	// folded in with a rank-1 update and the sensor residual is deflated in
@@ -129,6 +125,19 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	resid := mat.CloneVec(y)
 	support := make([]int, 0, opts.MaxSupport)
 	inSupport := make([]bool, n)
+	// Under ZeroFill interpolation, steps (a)+(b) compose to exactly Φ̃ᵀe_r
+	// — one scatter+analysis with no interpolant allocation.
+	// The fused path is taken only on the matrix-free dictionary (where it
+	// is bit-identical to ZeroFill+analyzeFull, both being a scatter into
+	// the same buffer followed by one ApplyTranspose); the dense dictionary
+	// keeps the historical two-step arithmetic so its decodes stay
+	// bit-identical to the pre-operator implementation. Duplicate sensor
+	// locations disable it: corrT accumulates where ZeroFill overwrites.
+	// The duplicate scan borrows inSupport as its mark array (the op path
+	// validated every location into [0,n)).
+	od, fused := d.(*opDict)
+	fused = fused && !hasDuplicateLocs(locs, inSupport)
+	interp := ZeroFill(d.signalDim())
 	qr, err := mat.NewIncrementalQR(d.rows(), opts.MaxSupport)
 	if err != nil {
 		return nil, err

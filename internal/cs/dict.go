@@ -172,13 +172,13 @@ type opDict struct {
 	out   []float64 // length-n transform output buffer
 	norms []float64 // lazily computed column norms (OMP only)
 
-	// colJs/colBuf memoize gathered columns for the lifetime of one
-	// decode: the greedy decoders re-request every support column on each
-	// refit, so caching turns O(iters·|J|) synthesis transforms into one
-	// per distinct column. Support stays small (tens of atoms), so a
-	// linear scan over admission order beats a map — no hashing, no map
-	// allocation on the decode hot path. Entries are immutable once
-	// stored.
+	// colJs/colBuf memoize gathered columns for subInto over the lifetime
+	// of one decode: IHT/CoSaMP and the GLS refit re-request every support
+	// column on each refit, so caching turns O(iters·|J|) synthesis
+	// transforms into one per distinct column. Support stays small (tens
+	// of atoms), so a linear scan over admission order beats a map — no
+	// hashing, no map allocation on the decode hot path. Entries are
+	// immutable once stored.
 	colJs  []int
 	colBuf [][]float64
 	// sepU/sepV hold the factor columns when op is a Separable2D.
@@ -220,17 +220,19 @@ func (d *opDict) corrT(dst, r []float64) error {
 	return nil
 }
 
-// col synthesizes basis vector j and gathers it at the sensors.
+// col synthesizes basis vector j and gathers it at the sensors straight
+// into dst. It does not memoize: CHS, OMP and warm-start seeding fold
+// each column into a QR factorization that keeps its own copy.
 func (d *opDict) col(dst []float64, j int) error {
-	c, err := d.gatherCol(j)
-	if err != nil {
-		return err
+	if j < 0 || j >= d.n {
+		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadSupport, j, d.n)
 	}
-	copy(dst, c)
+	d.fillCol(dst, j)
 	return nil
 }
 
-// gatherCol returns the memoized gathered column Φ̃ e_j.
+// gatherCol returns the memoized gathered column Φ̃ e_j — the refits of
+// subInto request the same support columns again and again.
 func (d *opDict) gatherCol(j int) ([]float64, error) {
 	if j < 0 || j >= d.n {
 		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadSupport, j, d.n)
@@ -241,25 +243,30 @@ func (d *opDict) gatherCol(j int) ([]float64, error) {
 		}
 	}
 	c := make([]float64, len(d.locs))
+	d.fillCol(c, j)
+	d.colJs = append(d.colJs, j)
+	d.colBuf = append(d.colBuf, c)
+	return c, nil
+}
+
+// fillCol writes Φ̃ e_j into dst (length m).
+func (d *opDict) fillCol(dst []float64, j int) {
 	if sep, ok := d.op.(*basis.Separable2D); ok {
-		d.sepCol(sep, c, j)
+		d.sepCol(sep, dst, j)
 	} else if ea, ok := d.op.(basis.EntryAccessor); ok {
 		// Closed-form entries: the column restricted to the m sampled
 		// rows costs O(m), not one full synthesis.
 		for i, l := range d.locs {
-			c[i] = ea.Entry(l, j)
+			dst[i] = ea.Entry(l, j)
 		}
 	} else {
 		d.full[j] = 1
 		d.op.Apply(d.out, d.full)
 		d.full[j] = 0
 		for i, l := range d.locs {
-			c[i] = d.out[l]
+			dst[i] = d.out[l]
 		}
 	}
-	d.colJs = append(d.colJs, j)
-	d.colBuf = append(d.colBuf, c)
-	return c, nil
 }
 
 // sepCol exploits separability: column jc·h+jr of a 2-D operator is the

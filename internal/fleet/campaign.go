@@ -59,8 +59,8 @@ type ZoneCollector struct {
 	Zone   field.Zone
 	Budget int // max distinct cells; 0 = unbounded
 
-	cellAt    map[int32]int // cell → index into locs/vals/sigmas
-	locs      []int         // distinct cells in arrival order (decode locations)
+	cellAt    []int32 // dense over the zone's W×H cells: 1 + index into locs/vals/sigmas, 0 = not yet heard
+	locs      []int   // distinct cells in arrival order (decode locations)
 	vals      []float64
 	sigmas    []float64
 	envelopes int // handler deliveries, duplicates included
@@ -69,36 +69,36 @@ type ZoneCollector struct {
 }
 
 func newZoneCollector(zone field.Zone, budget int) *ZoneCollector {
-	return &ZoneCollector{Zone: zone, Budget: budget, cellAt: make(map[int32]int)}
+	return &ZoneCollector{Zone: zone, Budget: budget, cellAt: make([]int32, zone.W*zone.H)}
 }
 
 func (zc *ZoneCollector) handle(m netsim.Message) {
 	cell, _, value, sigma, ok := decodeSample(m.Payload)
-	if !ok || int(cell) >= zc.Zone.W*zc.Zone.H {
+	if !ok || int(cell) >= len(zc.cellAt) {
 		zc.malformed++
 		return
 	}
 	zc.envelopes++
-	if at, seen := zc.cellAt[int32(cell)]; seen {
-		zc.vals[at] = value
-		zc.sigmas[at] = sigma
+	if at := zc.cellAt[cell]; at > 0 {
+		zc.vals[at-1] = value
+		zc.sigmas[at-1] = sigma
 		return
 	}
 	if zc.Budget > 0 && len(zc.locs) >= zc.Budget {
 		zc.rejected++
 		return
 	}
-	zc.cellAt[int32(cell)] = len(zc.locs)
 	zc.locs = append(zc.locs, int(cell))
 	zc.vals = append(zc.vals, value)
 	zc.sigmas = append(zc.sigmas, sigma)
+	zc.cellAt[cell] = int32(len(zc.locs))
 }
 
 // Count returns the number of distinct cells collected.
 func (zc *ZoneCollector) Count() int { return len(zc.locs) }
 
 // Runner wires a Population to a netsim.Network and drives campaigns:
-// tick, report, merge (batched enqueue in shard order), flush, and
+// tick, report, merge (one run per shard, in shard order), flush, and
 // finally per-zone decode. Plan is live during Run — fault scenarios
 // (crash windows, partitions, dup/reorder) apply to the envelope stream
 // exactly as they would to node-backend traffic.
@@ -110,8 +110,6 @@ type Runner struct {
 	collectors []*ZoneCollector
 	shardFrom  []string // precomputed sender ids, indexed by shard
 	zoneTo     []string // precomputed collector ids, indexed by zone
-	arena      [][]byte // per-shard payload arenas, reused every round
-	batch      []netsim.Message
 }
 
 // NewRunner registers the population's shards and zone collectors on a
@@ -133,18 +131,12 @@ func NewRunner(p *Population, netSeed int64, budgetPerZone int) (*Runner, error)
 			return nil, err
 		}
 	}
-	maxN := 0
 	for _, s := range p.Shards {
 		r.shardFrom = append(r.shardFrom, ShardEndpoint(s.Index))
 		if err := net.Register(r.shardFrom[s.Index], nil); err != nil {
 			return nil, err
 		}
-		r.arena = append(r.arena, make([]byte, s.N*sampleSize))
-		if s.N > maxN {
-			maxN = s.N
-		}
 	}
-	r.batch = make([]netsim.Message, maxN)
 	return r, nil
 }
 
@@ -166,7 +158,7 @@ type Result struct {
 	Reports      int // envelopes produced by on-duty nodes (enqueue attempts)
 	Envelopes    int // envelopes delivered to collectors (duplicates included)
 	Measurements int // distinct cells decoded across zones
-	Lost, Down   int // batch enqueue outcomes (in-flight loss / down endpoints)
+	Lost, Down   int // run enqueue outcomes (in-flight loss / down endpoints)
 	Malformed    int
 
 	Totals    netsim.Stats
@@ -178,9 +170,11 @@ type Result struct {
 // Run drives a campaign: Rounds times (tick → report → merge in shard
 // order → flush), then decodes every zone against the collected
 // measurements and assembles the global field. Requires SetTruth. The
-// merge loop is the determinism linchpin: shards enqueue in ascending
-// shard index on the single driving goroutine, so the network's RNG
-// stream (loss, dup, reorder draws) is a pure function of the seeds.
+// merge loop is the determinism linchpin: each shard's envelopes go out
+// as one netsim run, in ascending shard index on the single driving
+// goroutine, so the network's RNG stream (loss, dup, reorder draws) is a
+// pure function of the seeds. The network reads a shard's arena until
+// the round's Flush, which comes before the next Report rewrites it.
 func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	p := r.Pop
 	if p.truth == nil {
@@ -201,12 +195,14 @@ func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 		p.Tick(cfg.Dt)
 		p.Report(round)
 		for _, s := range p.Shards {
-			batch := r.buildBatch(s)
-			if len(batch) == 0 {
+			if s.repN == 0 {
 				continue
 			}
-			res.Reports += len(batch)
-			br, err := r.Net.DeliverBatch(batch)
+			res.Reports += s.repN
+			br, err := r.Net.DeliverRun(netsim.Run{
+				From: r.shardFrom[s.Index], To: r.zoneTo[s.Zone], Topic: MeasureTopic,
+				Count: s.repN, Payload: s.env[:s.repN*sampleSize],
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -229,24 +225,6 @@ func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	res.EnergyMJ = p.EnergyUsedMJ()
 	res.Alive = p.Alive()
 	return res, nil
-}
-
-// buildBatch encodes shard s's report scratch into its payload arena
-// and the shared message batch. The arena is reused every round: netsim
-// references payload slices only until the following Flush — it keeps its
-// queue's backing array across rounds but clears every slot there
-// (TestFlushReusesQueueAndDropsPayloads) — and the run loop flushes
-// before the next buildBatch touches the arena.
-func (r *Runner) buildBatch(s *Shard) []netsim.Message {
-	from := r.shardFrom[s.Index]
-	to := r.zoneTo[s.Zone]
-	arena := r.arena[s.Index]
-	for j := 0; j < s.repN; j++ {
-		pay := arena[j*sampleSize : (j+1)*sampleSize]
-		encodeSample(pay, uint32(s.repCell[j]), uint32(s.repNode[j]), s.repValue[j], s.repSigma[j])
-		r.batch[j] = netsim.Message{From: from, To: to, Topic: MeasureTopic, Payload: pay}
-	}
-	return r.batch[:s.repN]
 }
 
 // decode reconstructs every zone from its collector via the matrix-free

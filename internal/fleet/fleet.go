@@ -98,13 +98,11 @@ type Shard struct {
 
 	// Round-report scratch, sized for the worst case (every node
 	// reports) at construction so the steady state never allocates.
-	// report fills [0:repN); the merge phase consumes it before the
-	// next Report overwrites it.
-	repN     int
-	repCell  []int32
-	repValue []float64
-	repSigma []float64
-	repNode  []int32
+	// report encodes this round's envelopes into env[:repN*sampleSize];
+	// the runner sends them as one netsim run and flushes before the
+	// next report overwrites them.
+	repN int
+	env  []byte
 }
 
 // Population is a sharded fleet over a zoned field.
@@ -160,26 +158,30 @@ func NewPopulation(cfg Config) (*Population, error) {
 		costMJ: sampleMJ + model.TxCostMJ(energy.RadioWiFi, sampleSize),
 	}
 
+	// The layout is sequential and cheap; the shards themselves — each a
+	// pure function of (Seed, index) — are built in parallel.
+	type spec struct{ zone, n int }
+	var specs []spec
 	perZone := cfg.Nodes / len(zones)
 	extra := cfg.Nodes % len(zones)
-	shardIdx := 0
-	for z, zone := range zones {
+	for z := range zones {
 		zn := perZone
 		if z < extra {
 			zn++
 		}
-		for zn > 0 {
-			n := cfg.ShardSize
-			if n > zn {
-				n = zn
-			}
-			s, err := newShard(shardIdx, z, n, zone, cfg)
-			if err != nil {
-				return nil, err
-			}
-			p.Shards = append(p.Shards, s)
-			shardIdx++
-			zn -= n
+		for ; zn > 0; zn -= cfg.ShardSize {
+			specs = append(specs, spec{z, min(cfg.ShardSize, zn)})
+		}
+	}
+	p.Shards = make([]*Shard, len(specs))
+	errs := make([]error, len(specs))
+	par.ForEach(len(specs), func(i int) {
+		sp := specs[i]
+		p.Shards[i], errs[i] = newShard(i, sp.zone, sp.n, zones[sp.zone], cfg)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err // the lowest-index error, whatever the schedule
 		}
 	}
 	return p, nil
@@ -204,8 +206,7 @@ func newShard(index, zoneIdx, n int, zone field.Zone, cfg Config) (*Shard, error
 		rng: rng, params: params, way: way, bank: bank,
 		phase: make([]uint16, n), sigma: make([]float64, n),
 		cells: make([]int32, n), zone: zone,
-		repCell: make([]int32, n), repValue: make([]float64, n),
-		repSigma: make([]float64, n), repNode: make([]int32, n),
+		env: make([]byte, n*sampleSize),
 	}
 	for i := 0; i < n; i++ {
 		s.phase[i] = uint16(rng.Intn(cfg.DutyPeriod))
@@ -244,18 +245,19 @@ func (s *Shard) Tick(dt float64, idlePerSecMJ float64) {
 }
 
 // Report has every on-duty, non-depleted node sample the truth at its
-// current cell into the shard's report scratch, in parallel across
-// shards. The merge (Runner.Run) consumes the scratch in shard order
-// before the next Report. Requires SetTruth.
+// current cell and encode the envelope into its shard's arena, in
+// parallel across shards. The merge (Runner.Run) sends the arenas in
+// shard order before the next Report. Requires SetTruth.
 func (p *Population) Report(round int) {
 	truth := p.truth
 	period := p.Cfg.DutyPeriod
 	p.forEachShard(func(s *Shard) { s.report(round, period, truth, p.costMJ) })
 }
 
-// report fills the shard's scratch with this round's measurements. All
-// RNG draws (one NormFloat64 per reporting node) happen in node-index
-// order on the shard's private stream. Allocation-free (hot path).
+// report encodes this round's measurements into the shard's envelope
+// arena. All RNG draws (one NormFloat64 per reporting node) happen in
+// node-index order on the shard's private stream. Allocation-free (hot
+// path).
 func (s *Shard) report(round, period int, truth *field.Field, costMJ float64) {
 	s.repN = 0
 	gh := s.zone.H
@@ -266,10 +268,7 @@ func (s *Shard) report(round, period int, truth *field.Field, costMJ float64) {
 		cell := int(s.cells[i])
 		v := truth.At(s.zone.Row0+cell%gh, s.zone.Col0+cell/gh) + s.rng.NormFloat64()*s.sigma[i]
 		s.bank.Drain(i, costMJ)
-		s.repCell[s.repN] = s.cells[i]
-		s.repValue[s.repN] = v
-		s.repSigma[s.repN] = s.sigma[i]
-		s.repNode[s.repN] = int32(i)
+		encodeSample(s.env[s.repN*sampleSize:(s.repN+1)*sampleSize], uint32(cell), uint32(i), v, s.sigma[i])
 		s.repN++
 	}
 }

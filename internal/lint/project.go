@@ -90,7 +90,8 @@ var HotEntryPoints = []string{
 	"(*repro/internal/bus.Bus).Publish",
 	"(*repro/internal/netsim.Network).Send",
 	"(*repro/internal/netsim.Network).Deliver",
-	"(*repro/internal/netsim.Network).DeliverBatch",
+	"(*repro/internal/netsim.Network).DeliverRun",
+	"(*repro/internal/netsim.Network).DeliverBatch", // bench/ still calls it
 	"(*repro/internal/netsim.Network).Flush",
 	"(*repro/internal/store.Store).Append",
 	"(*repro/internal/store.Store).AppendScalar",

@@ -64,17 +64,44 @@ func (f *IncrementalQR) Append(col []float64) error {
 	// Modified Gram–Schmidt with a second pass: the re-orthogonalization
 	// ("twice is enough") keeps Q orthonormal to machine precision even for
 	// the coherent point-sampled basis columns OMP selects near convergence.
-	for pass := 0; pass < 2; pass++ {
-		for j := 0; j < f.k; j++ {
+	// The 2k projection steps form one sweep: the loop that subtracts step
+	// t's projection also accumulates step t+1's dot product — or, after
+	// the last step, ‖v‖² — from each just-updated v[i], so v is walked
+	// once per step instead of twice. Every product and sum happens in the
+	// same order as a Dot-then-subtract loop, so Q and R are bit-identical
+	// to it.
+	var nv float64
+	if f.k == 0 {
+		nv = Norm2(v)
+	} else {
+		steps := 2 * f.k
+		d := Dot(f.q[:f.m], v)
+		for t := 0; t < steps; t++ {
+			j := t % f.k
 			qj := f.q[j*f.m : (j+1)*f.m]
-			d := Dot(qj, v)
 			rk[j] += d
-			for i, qv := range qj {
-				v[i] -= d * qv
+			s := 0.0
+			if t+1 < steps {
+				jn := (t + 1) % f.k
+				qn := f.q[jn*f.m : (jn+1)*f.m]
+				qn, v := qn[:len(qj)], v[:len(qj)]
+				for i, qv := range qj {
+					x := v[i] - d*qv
+					v[i] = x
+					s += qn[i] * x
+				}
+				d = s
+			} else {
+				v := v[:len(qj)]
+				for i, qv := range qj {
+					x := v[i] - d*qv
+					v[i] = x
+					s += x * x
+				}
+				nv = math.Sqrt(s)
 			}
 		}
 	}
-	nv := Norm2(v)
 	// Relative rank test: a residual this far below the column's own norm
 	// means the column lies in span(Q) to working precision.
 	if nv <= 1e-12*math.Max(norm0, 1) {

@@ -191,3 +191,150 @@ func TestIncrementalQRShapeErrors(t *testing.T) {
 		t.Fatalf("short deflate vector: err = %v, want ErrShape", err)
 	}
 }
+
+// appendTwoPass is the Gram–Schmidt append as it stood before the sweep
+// was fused: a Dot pass and a subtract pass per projection, then a
+// separate norm pass. The fused Append must match it bit for bit.
+func appendTwoPass(f *IncrementalQR, col []float64) error {
+	v := f.q[f.k*f.m : (f.k+1)*f.m]
+	copy(v, col)
+	norm0 := Norm2(col)
+	rk := f.r[f.k*f.maxCols:]
+	for j := 0; j < f.k; j++ {
+		rk[j] = 0
+	}
+	for pass := 0; pass < 2; pass++ {
+		for j := 0; j < f.k; j++ {
+			qj := f.q[j*f.m : (j+1)*f.m]
+			d := Dot(qj, v)
+			rk[j] += d
+			for i, qv := range qj {
+				v[i] -= d * qv
+			}
+		}
+	}
+	nv := Norm2(v)
+	if nv <= 1e-12*math.Max(norm0, 1) {
+		return ErrSingular
+	}
+	rk[f.k] = nv
+	inv := 1 / nv
+	for i := range v {
+		v[i] *= inv
+	}
+	f.k++
+	return nil
+}
+
+// sameBits reports whether two slices hold identical float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIncrementalQRFusedSweepBitIdentical: the one-pass sweep produces the
+// same Q, R and ErrSingular verdicts as the two-pass loop, bit for bit, on
+// random columns, on near-collinear columns (some of which the rank test
+// rejects), and on single-row factorizations; and a rejected column
+// leaves the factored columns untouched.
+func TestIncrementalQRFusedSweepBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	type input struct {
+		name string
+		m, k int
+		col  func(j int, base []float64) []float64
+	}
+	random := func(m int) func(int, []float64) []float64 {
+		return func(int, []float64) []float64 {
+			c := make([]float64, m)
+			for i := range c {
+				c[i] = rng.NormFloat64()
+			}
+			return c
+		}
+	}
+	nearCollinear := func(j int, base []float64) []float64 {
+		// Every other column is the base plus a perturbation at or below
+		// the rank test's threshold.
+		c := make([]float64, len(base))
+		scale := 1e-9
+		if j%2 == 1 {
+			scale = 1e-15
+		}
+		for i := range c {
+			c[i] = base[i] + scale*rng.NormFloat64()
+		}
+		return c
+	}
+	inputs := []input{
+		{"random", 96, 40, random(96)},
+		{"near-collinear", 64, 24, nearCollinear},
+		{"m=1", 1, 1, random(1)},
+	}
+	for _, in := range inputs {
+		base := random(in.m)(0, nil)
+		fused, err := NewIncrementalQR(in.m, in.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := NewIncrementalQR(in.m, in.k)
+		rejected := 0
+		// Offer more columns than capacity to also hit the capacity edge.
+		for j := 0; j < 2*in.k && fused.Len() < in.k; j++ {
+			c := in.col(j, base)
+			q0 := append([]float64(nil), fused.q[:fused.k*fused.m]...)
+			r0 := append([]float64(nil), fused.r[:fused.k*fused.maxCols]...)
+			errF, errR := fused.Append(c), appendTwoPass(ref, c)
+			if !errors.Is(errF, errR) || (errF == nil) != (errR == nil) {
+				t.Fatalf("%s col %d: fused err %v, two-pass err %v", in.name, j, errF, errR)
+			}
+			if fused.k != ref.k || !sameBits(fused.q, ref.q) || !sameBits(fused.r, ref.r) {
+				t.Fatalf("%s col %d: factors diverge from the two-pass loop", in.name, j)
+			}
+			if errF != nil {
+				rejected++
+				if !sameBits(fused.q[:fused.k*fused.m], q0) || !sameBits(fused.r[:fused.k*fused.maxCols], r0) {
+					t.Fatalf("%s col %d: rejected column modified the factors", in.name, j)
+				}
+			}
+		}
+		if in.name == "near-collinear" && (rejected == 0 || fused.Len() < 2) {
+			t.Fatalf("near-collinear input: %d rejected, %d accepted — want both outcomes", rejected, fused.Len())
+		}
+	}
+}
+
+// BenchmarkIncrementalQRAppend grows a 1024-row factorization to 64
+// columns per iteration — a greedy decode's full support.
+func BenchmarkIncrementalQRAppend(b *testing.B) {
+	const m, k = 1024, 64
+	rng := rand.New(rand.NewSource(1))
+	cols := make([][]float64, k)
+	for j := range cols {
+		cols[j] = make([]float64, m)
+		for i := range cols[j] {
+			cols[j][i] = rng.NormFloat64()
+		}
+	}
+	f, err := NewIncrementalQR(m, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		f.k = 0
+		for _, c := range cols {
+			if err := f.Append(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

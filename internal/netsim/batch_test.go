@@ -208,9 +208,9 @@ func genTraffic(seed int64, senders []string, to string, count int) []Message {
 }
 
 // equivNet builds a network with the property-test topology: lossy
-// default link, an installed (but dup/reorder-free) fault plan, sender
-// sinks, and a receiver that records delivery order.
-func equivNet(t *testing.T, seed int64, senders []string, to string) (*Network, *[]string) {
+// default link, an installed fault plan, sender sinks, and a receiver
+// that records delivery order and payload bytes.
+func equivNet(t *testing.T, seed int64, senders []string, to string) (*Network, *FaultPlan, *[]string) {
 	t.Helper()
 	n := New(seed)
 	p := NewFaultPlan()
@@ -222,10 +222,58 @@ func equivNet(t *testing.T, seed int64, senders []string, to string) (*Network, 
 		}
 	}
 	seen := &[]string{}
-	if err := n.Register(to, func(m Message) { *seen = append(*seen, m.Topic) }); err != nil {
+	if err := n.Register(to, func(m Message) { *seen = append(*seen, fmt.Sprintf("%s:%x", m.Topic, m.Payload)) }); err != nil {
 		t.Fatal(err)
 	}
-	return n, seen
+	return n, p, seen
+}
+
+// genRuns builds a deterministic pseudorandom mix of runs from seed:
+// varying senders, message counts and message sizes (zero included)
+// toward one receiver.
+func genRuns(seed int64, senders []string, to string, count int) []Run {
+	rng := rand.New(rand.NewSource(seed))
+	runs := make([]Run, count)
+	for i := range runs {
+		c, size := 2+rng.Intn(11), rng.Intn(9)
+		pay := make([]byte, c*size)
+		rng.Read(pay)
+		runs[i] = Run{From: senders[rng.Intn(len(senders))], To: to, Topic: fmt.Sprintf("t/%d", i), Count: c, Payload: pay}
+	}
+	return runs
+}
+
+// insideRun returns a fault-clock position strictly inside a random run
+// of runs — past its first message and before its last — so a window
+// edge placed there splits the run.
+func insideRun(rng *rand.Rand, runs []Run) int {
+	j := rng.Intn(len(runs))
+	pos := 0
+	for _, r := range runs[:j] {
+		pos += r.Count
+	}
+	return pos + 1 + rng.Intn(runs[j].Count-1)
+}
+
+// equivFaults scripts the same faults on both halves of the property:
+// a burst channel, a partition and two crash windows (one at a sender,
+// one at the receiver), every window edge inside a run.
+func equivFaults(p *FaultPlan, seed int64, runs []Run) {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	window := func() (int, int) {
+		a, b := insideRun(rng, runs), insideRun(rng, runs)
+		if a > b {
+			a, b = b, a
+		}
+		return a, b + 1
+	}
+	p.SetBurstLink("c", "r", GilbertElliott{PGoodToBad: 0.3, PBadToGood: 0.4, LossBad: 0.8})
+	from, to := window()
+	p.Partition("a", "r", from, to)
+	from, to = window()
+	p.Crash("b", from, to)
+	from, to = window()
+	p.Crash("r", from, to)
 }
 
 // TestDeliverBatchDownSkipsWithoutCharge: a down endpoint inside a batch
@@ -294,60 +342,89 @@ func TestDeliverBatchAsyncQueuesAndFlushes(t *testing.T) {
 	}
 }
 
-// batchedEquivalence is the property body shared with
-// TestSendDeliverEquivalence: for one seed, sequential sync Send and
-// batched async enqueue + Flush must produce byte-identical per-node
-// Stats, identical delivery order, and identical simulated time when
-// the dup/reorder knobs are zero.
-func batchedEquivalence(t *testing.T, seed int64) {
+// runEquivalence is the property body shared with
+// TestSendDeliverEquivalence: for one seed, sending every message of a
+// random run mix one by one with sync Deliver, and sending each run with
+// async DeliverRun followed by one Flush, must produce identical per-node
+// Stats, delivery order and payload bytes, simulated time, fault clock
+// and outcome counts when the dup/reorder knobs are zero — under link
+// loss, a burst channel, a partition and crash windows that open and
+// close in the middle of runs.
+func runEquivalence(t *testing.T, seed int64) {
 	t.Helper()
 	senders := []string{"a", "b", "c"}
-	msgs := genTraffic(seed, senders, "r", 64)
+	runs := genRuns(seed, senders, "r", 24)
 
-	seqNet, seqSeen := equivNet(t, seed, senders, "r")
-	for _, m := range msgs {
-		if _, err := seqNet.Deliver(m); err != nil {
-			t.Fatalf("seed %d: sequential send: %v", seed, err)
+	seqNet, seqPlan, seqSeen := equivNet(t, seed, senders, "r")
+	equivFaults(seqPlan, seed, runs)
+	var seq BatchResult
+	for _, r := range runs {
+		size := len(r.Payload) / r.Count
+		for i := 0; i < r.Count; i++ {
+			delivered, err := seqNet.Deliver(r.message(i, size))
+			switch {
+			case errors.Is(err, ErrNodeDown):
+				seq.Down++
+			case err != nil:
+				t.Fatalf("seed %d: sequential send: %v", seed, err)
+			case delivered:
+				seq.Delivered++
+			default:
+				seq.Lost++
+			}
 		}
 	}
 
-	batNet, batSeen := equivNet(t, seed, senders, "r")
-	batNet.SetAsync(true)
-	res, err := batNet.DeliverBatch(msgs)
-	if err != nil {
-		t.Fatalf("seed %d: batch enqueue: %v", seed, err)
+	runNet, runPlan, runSeen := equivNet(t, seed, senders, "r")
+	equivFaults(runPlan, seed, runs)
+	runNet.SetAsync(true)
+	var sum BatchResult
+	for _, r := range runs {
+		res, err := runNet.DeliverRun(r)
+		if err != nil {
+			t.Fatalf("seed %d: run enqueue: %v", seed, err)
+		}
+		sum.Queued += res.Queued
+		sum.Delivered += res.Delivered
+		sum.Lost += res.Lost
+		sum.Down += res.Down
 	}
-	if res.Queued+res.Lost != len(msgs) {
-		t.Fatalf("seed %d: batch result %+v does not cover %d messages", seed, res, len(msgs))
+	if got := runNet.Flush(); got != sum.Queued {
+		t.Fatalf("seed %d: flush delivered %d of %d queued", seed, got, sum.Queued)
 	}
-	batNet.Flush()
 
+	if sum.Queued != seq.Delivered || sum.Lost != seq.Lost || sum.Down != seq.Down || sum.Delivered != 0 {
+		t.Fatalf("seed %d: outcomes diverge: sequential %+v, runs %+v", seed, seq, sum)
+	}
+	if seq.Down == 0 || seq.Lost == 0 {
+		t.Fatalf("seed %d: faults not exercised: %+v", seed, seq)
+	}
 	for _, id := range append(senders, "r") {
 		ss := *seqNet.stats[id]
-		bs := *batNet.stats[id]
-		if ss != bs {
-			t.Fatalf("seed %d: node %s stats diverge: sequential %+v, batched %+v", seed, id, ss, bs)
+		rs := *runNet.stats[id]
+		if ss != rs {
+			t.Fatalf("seed %d: node %s stats diverge: sequential %+v, runs %+v", seed, id, ss, rs)
 		}
 	}
-	if sq, bq := strings.Join(*seqSeen, ","), strings.Join(*batSeen, ","); sq != bq {
-		t.Fatalf("seed %d: delivery order diverges:\nsequential %s\nbatched    %s", seed, sq, bq)
+	if sq, rq := strings.Join(*seqSeen, ","), strings.Join(*runSeen, ","); sq != rq {
+		t.Fatalf("seed %d: delivery diverges:\nsequential %s\nruns       %s", seed, sq, rq)
 	}
-	if seqNet.SimTimeMS() != batNet.SimTimeMS() {
-		t.Fatalf("seed %d: simulated time diverges: %v vs %v", seed, seqNet.SimTimeMS(), batNet.SimTimeMS())
+	if seqNet.SimTimeMS() != runNet.SimTimeMS() {
+		t.Fatalf("seed %d: simulated time diverges: %v vs %v", seed, seqNet.SimTimeMS(), runNet.SimTimeMS())
 	}
-	if seqNet.msgCount != batNet.msgCount {
-		t.Fatalf("seed %d: fault clock diverges: %d vs %d", seed, seqNet.msgCount, batNet.msgCount)
+	if seqNet.msgCount != runNet.msgCount {
+		t.Fatalf("seed %d: fault clock diverges: %d vs %d", seed, seqNet.msgCount, runNet.msgCount)
 	}
 }
 
 // TestFlushReusesQueueAndDropsPayloads pins the steady-state cost of a
-// batched round: once the queue has grown to a round's size, a further
-// DeliverBatch+Flush round allocates a constant number of objects (the
-// presized delivery list), not a chain of regrowths, and the retained
-// backing array holds no payload reference after Flush — senders reuse
-// their payload buffers between rounds.
+// fleet round: once the queue buffers have grown to a round's size, a
+// further DeliverRun+Flush round allocates nothing — no per-message
+// queue entry, no per-Flush delivery list — and the kept buffers hold
+// no payload reference after Flush: senders reuse their payload buffers
+// between rounds.
 func TestFlushReusesQueueAndDropsPayloads(t *testing.T) {
-	const count = 4096
+	const count, size = 4096, 24
 	n := New(43)
 	delivered := 0
 	for _, id := range []string{"a", "r"} {
@@ -355,29 +432,67 @@ func TestFlushReusesQueueAndDropsPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	p := NewFaultPlan()
+	p.SetReorderProb(0.1) // exercise the reorder scratch too
+	n.SetFaultPlan(p)
 	n.SetAsync(true)
-	msgs := genTraffic(43, []string{"a"}, "r", count)
+	run := Run{From: "a", To: "r", Topic: "t", Count: count, Payload: make([]byte, count*size)}
 	round := func() {
-		if _, err := n.DeliverBatch(msgs); err != nil {
+		if _, err := n.DeliverRun(run); err != nil {
 			t.Fatal(err)
 		}
 		n.Flush()
 	}
 	round()
-	if allocs := testing.AllocsPerRun(5, round); allocs > 4 {
-		t.Errorf("steady-state round of %d messages allocates %.0f objects, want O(1)", count, allocs)
+	if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+		t.Errorf("steady-state round of %d messages allocates %.0f objects, want 0", count, allocs)
 	}
 	if delivered != 7*count { // the first round, AllocsPerRun's warm-up, five measured
 		t.Errorf("handlers saw %d deliveries, want %d", delivered, 7*count)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if len(n.queue) != 0 || cap(n.queue) < count {
-		t.Fatalf("after Flush: queue len %d cap %d, want drained with capacity kept", len(n.queue), cap(n.queue))
+	if len(n.queue) != 0 || cap(n.queue) < count || cap(n.spareQ) < count {
+		t.Fatalf("after Flush: queue len %d cap %d, spare cap %d: want drained with capacity kept",
+			len(n.queue), cap(n.queue), cap(n.spareQ))
 	}
-	for i, m := range n.queue[:cap(n.queue)] {
-		if m.Payload != nil || m.From != "" {
-			t.Fatalf("queue slot %d still references a flushed message", i)
+	for _, buf := range [][]queuedRun{n.runs[:cap(n.runs)], n.spareRuns[:cap(n.spareRuns)]} {
+		for i, qr := range buf {
+			if qr.Payload != nil || qr.From != "" || qr.h != nil || qr.tx != nil {
+				t.Fatalf("run record %d still references a flushed run", i)
+			}
 		}
+	}
+}
+
+// TestDeliverRunMalformedChargesNothing: a run whose payload its count
+// does not divide, a negative count, and a run to an unknown endpoint
+// all fail before the radio transmits — nothing charged, no handler run,
+// and the fault clock unmoved. An empty run is a no-op.
+func TestDeliverRunMalformedChargesNothing(t *testing.T) {
+	n, _, got := faultNet(t, 47, "a", "b")
+	for _, r := range []Run{
+		{From: "a", To: "b", Count: 3, Payload: make([]byte, 7)},
+		{From: "a", To: "b", Count: -1},
+		{From: "a", To: "b", Count: 0, Payload: []byte("x")},
+		{From: "a", To: "ghost", Count: 2, Payload: make([]byte, 4)},
+		{From: "ghost", To: "b", Count: 1, Payload: []byte("x")},
+	} {
+		res, err := n.DeliverRun(r)
+		if err == nil {
+			t.Fatalf("run %+v accepted", r)
+		}
+		if res != (BatchResult{}) {
+			t.Fatalf("run %+v: result %+v, want nothing transmitted", r, res)
+		}
+	}
+	if res, err := n.DeliverRun(Run{From: "a", To: "b"}); err != nil || res != (BatchResult{}) {
+		t.Fatalf("empty run: %+v, %v", res, err)
+	}
+	if tot := n.Totals(); tot != (Stats{}) {
+		t.Fatalf("malformed runs charged %+v", tot)
+	}
+	if n.msgCount != 0 || *got["b"] != 0 {
+		t.Fatalf("fault clock %d, deliveries %d: want both 0", n.msgCount, *got["b"])
 	}
 }

@@ -77,7 +77,7 @@ type burstLink struct {
 // assigns to each transmission attempt), not wall clock, so a plan
 // replays identically for a fixed seed. A plan is safe for concurrent
 // use and may be mutated while traffic flows (Down/Up model a live
-// operator or supervisor).
+// operator or supervisor); a mutation takes effect at the next run.
 type FaultPlan struct {
 	mu          sync.Mutex
 	down        map[string]bool       // guarded by mu; nodes currently crashed
@@ -167,50 +167,71 @@ type faultAction int
 
 const (
 	faultNone         faultAction = iota // no opinion; apply the link's own loss model
-	faultDown                            // a party is crashed: typed error, nothing charged
+	faultSenderDown                      // the sender is crashed: typed error, nothing charged
+	faultReceiverDown                    // the receiver is crashed: typed error, nothing charged
 	faultPartition                       // link partitioned: charged, silently dropped
 	faultBurst                           // burst channel dropped it: charged, silently dropped
 	faultDeliverBurst                    // burst channel delivered it: skip the plain loss draw
 )
 
-// verdict decides one transmission's fate. Called by Network.Deliver
-// with the network mutex held; the only lock taken inside is the plan's
-// own (Network.mu → FaultPlan.mu, never the reverse). rng is the
-// network's seeded RNG so burst-state walks are reproducible.
-func (p *FaultPlan) verdict(from, to string, msgIdx int, rng *rand.Rand) (faultAction, string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.downLocked(from, msgIdx) {
-		return faultDown, from
+// linkFaults is a plan resolved for one directed link at the start of a
+// run: both ends' down flags and crash windows, the link's partition
+// windows and its burst channel. Per message what is left is the window
+// checks and the burst draws.
+type linkFaults struct {
+	fromDown, toDown   bool
+	fromCrash, toCrash []window
+	parts              []window
+	burst              *burstLink // nil: the link's plain loss model applies
+}
+
+func (p *FaultPlan) linkLocked(from, to string) linkFaults {
+	return linkFaults{
+		fromDown: p.down[from], toDown: p.down[to],
+		fromCrash: p.crashes[from], toCrash: p.crashes[to],
+		parts: p.parts[from+"→"+to], burst: p.burst[from+"→"+to],
 	}
-	if p.downLocked(to, msgIdx) {
-		return faultDown, to
-	}
-	for _, w := range p.parts[from+"→"+to] {
-		if w.contains(msgIdx) {
-			return faultPartition, ""
+}
+
+func inWindows(ws []window, idx int) bool {
+	for _, w := range ws {
+		if w.contains(idx) {
+			return true
 		}
 	}
-	if bl, ok := p.burst[from+"→"+to]; ok {
-		if bl.bad {
-			if rng.Float64() < bl.cfg.PBadToGood {
-				bl.bad = false
-			}
-		} else {
-			if rng.Float64() < bl.cfg.PGoodToBad {
-				bl.bad = true
-			}
-		}
-		loss := bl.cfg.LossGood
-		if bl.bad {
-			loss = bl.cfg.LossBad
-		}
-		if loss > 0 && rng.Float64() < loss {
-			return faultBurst, ""
-		}
-		return faultDeliverBurst, ""
+	return false
+}
+
+// verdict decides the fate of the network's message msgIdx on the link.
+// The plan's lock is held (the burst channel's state advances); rng is
+// the network's seeded RNG, so burst-state walks are reproducible.
+func (lf *linkFaults) verdict(msgIdx int, rng *rand.Rand) faultAction {
+	switch {
+	case lf.fromDown || inWindows(lf.fromCrash, msgIdx):
+		return faultSenderDown
+	case lf.toDown || inWindows(lf.toCrash, msgIdx):
+		return faultReceiverDown
+	case inWindows(lf.parts, msgIdx):
+		return faultPartition
+	case lf.burst == nil:
+		return faultNone
 	}
-	return faultNone, ""
+	bl := lf.burst
+	if bl.bad {
+		if rng.Float64() < bl.cfg.PBadToGood {
+			bl.bad = false
+		}
+	} else if rng.Float64() < bl.cfg.PGoodToBad {
+		bl.bad = true
+	}
+	loss := bl.cfg.LossGood
+	if bl.bad {
+		loss = bl.cfg.LossBad
+	}
+	if loss > 0 && rng.Float64() < loss {
+		return faultBurst
+	}
+	return faultDeliverBurst
 }
 
 // nodeDown reports whether a node is down at the given message count
@@ -218,19 +239,7 @@ func (p *FaultPlan) verdict(from, to string, msgIdx int, rng *rand.Rand) (faultA
 func (p *FaultPlan) nodeDown(id string, msgIdx int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.downLocked(id, msgIdx)
-}
-
-func (p *FaultPlan) downLocked(id string, msgIdx int) bool {
-	if p.down[id] {
-		return true
-	}
-	for _, w := range p.crashes[id] {
-		if w.contains(msgIdx) {
-			return true
-		}
-	}
-	return false
+	return p.down[id] || inWindows(p.crashes[id], msgIdx)
 }
 
 // dupReorder snapshots the async corruption knobs.

@@ -245,13 +245,14 @@ func TestSendDeliverEquivalence(t *testing.T) {
 		t.Fatalf("totals %+v", tot)
 	}
 
-	// Property: batched fleet enqueue (DeliverBatch in async mode) plus
-	// one Flush is byte-identical, per node, to sequential synchronous
-	// Send whenever the dup/reorder knobs are zero — same Stats structs,
-	// same delivery order, same simulated time, same fault clock — even
-	// over a lossy link, across seeds. This is the contract that lets the
-	// fleet backend reuse the netsim accounting unchanged.
+	// Property: a run (DeliverRun in async mode) plus one Flush is
+	// identical, per node, to sending its messages one by one with sync
+	// Deliver whenever the dup/reorder knobs are zero — same Stats
+	// structs, same delivery order and bytes, same simulated time, same
+	// fault clock — over a lossy link with burst loss, a partition and
+	// crash windows that split runs, across seeds. This is the contract
+	// that lets the fleet backend reuse the netsim accounting unchanged.
 	for seed := int64(0); seed < 20; seed++ {
-		batchedEquivalence(t, seed)
+		runEquivalence(t, seed)
 	}
 }

@@ -9,6 +9,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -36,6 +37,32 @@ type Message struct {
 	Payload  []byte
 }
 
+// Run is Count equal-size messages on one From→To link under one Topic:
+// message i is Payload[i*size:(i+1)*size], size = len(Payload)/Count. A
+// fleet shard's round of envelopes is one Run, so the network moves it
+// as a column — one endpoint lookup, one fault-plan resolution, one
+// queue record — not as Count Message values.
+type Run struct {
+	From, To string
+	Topic    string
+	Count    int
+	Payload  []byte
+}
+
+// msgSize validates the run's shape and returns its per-message size.
+func (r *Run) msgSize() (int, error) {
+	// Queue slots index messages with int32.
+	if r.Count < 0 || r.Count > math.MaxInt32 ||
+		len(r.Payload)%max(r.Count, 1) != 0 || (r.Count == 0 && len(r.Payload) > 0) {
+		return 0, fmt.Errorf("netsim: run of %d messages cannot split a %d-byte payload", r.Count, len(r.Payload))
+	}
+	return len(r.Payload) / max(r.Count, 1), nil
+}
+
+func (r *Run) message(i, size int) Message {
+	return Message{From: r.From, To: r.To, Topic: r.Topic, Payload: r.Payload[i*size : (i+1)*size]}
+}
+
 // Handler consumes a delivered message.
 type Handler func(Message)
 
@@ -53,19 +80,40 @@ type Stats struct {
 	Dropped                int
 }
 
+// queuedRun is a run with a message on the async queue, its endpoints
+// resolved at enqueue.
+type queuedRun struct {
+	Run
+	size   int
+	h      Handler
+	tx, rx *Stats
+	down   bool // Flush scratch: the receiver is down at this Flush
+}
+
+// slot is one queued message, idx of runs[run]. copies is Flush's verdict
+// (0 dropped, 1, or 2 duplicated), read by its unlocked handler pass.
+type slot struct {
+	run, idx int32
+	copies   uint8
+}
+
 // Network is an in-process simulated network. All methods are safe for
 // concurrent use.
 type Network struct {
-	mu       sync.Mutex
-	rng      *rand.Rand         // guarded by mu
-	handlers map[string]Handler // guarded by mu
-	stats    map[string]*Stats  // guarded by mu
-	defLink  Link               // guarded by mu
-	simTime  float64            // guarded by mu; accumulated virtual latency across delivered messages
-	msgCount int                // guarded by mu; transmission attempts so far (fault-plan clock)
-	plan     *FaultPlan         // guarded by mu; nil = no faults
-	async    bool               // guarded by mu; queue deliveries until Flush
-	queue    []Message          // guarded by mu; pending async deliveries
+	mu        sync.Mutex
+	rng       *rand.Rand         // guarded by mu
+	handlers  map[string]Handler // guarded by mu
+	stats     map[string]*Stats  // guarded by mu
+	defLink   Link               // guarded by mu
+	simTime   float64            // guarded by mu; accumulated virtual latency across delivered messages
+	msgCount  int                // guarded by mu; transmission attempts so far (fault-plan clock)
+	plan      *FaultPlan         // guarded by mu; nil = no faults
+	async     bool               // guarded by mu; queue deliveries until Flush
+	queue     []slot             // guarded by mu; pending async deliveries, in enqueue order
+	runs      []queuedRun        // guarded by mu; the runs queue slots index
+	spareQ    []slot             // guarded by mu; a drained queue kept for the next Flush to install
+	spareRuns []queuedRun        // guarded by mu; its run records, cleared of payloads
+	deferred  []slot             // guarded by mu; Flush's reorder scratch
 }
 
 // ErrUnknownNode reports a send to an unregistered node.
@@ -130,21 +178,10 @@ func (n *Network) Send(msg Message) error {
 	return err
 }
 
-// txOutcome classifies one transmission attempt inside transmitLocked.
-type txOutcome uint8
-
-const (
-	txErr       txOutcome = iota // unknown endpoint: nothing charged
-	txDown                       // a party is down: nothing charged
-	txLost                       // charged to the sender, dropped in flight
-	txQueued                     // accepted onto the async queue
-	txDelivered                  // sync delivery: rx charged, handler pending
-)
-
 // obsDelta batches observability increments accumulated while the
 // network lock is held; flush applies them to the global counters after
-// unlock, so a DeliverBatch of thousands of messages costs a handful of
-// atomic adds instead of a few per message.
+// unlock, so a run of thousands of messages costs a handful of atomic
+// adds instead of a few per message.
 type obsDelta struct {
 	txMsgs, txBytes, rxMsgs, rxBytes, lost     int64
 	down, partition, burst, duplicate, reorder int64
@@ -179,103 +216,8 @@ func (d *obsDelta) flush() {
 	}
 }
 
-// transmitLocked runs one transmission attempt under n.mu: fault-plan
-// verdict, tx accounting, loss draw, then either async enqueue or sync
-// rx accounting. It consumes exactly the RNG draws Deliver historically
-// consumed, in the same order, so a batch of calls is stream-identical
-// to sequential Deliver calls with the same seed. Observability deltas
-// go to d (the caller flushes after unlock); on txDelivered the caller
-// still owes the handler invocation and the latency observation. downID
-// names the down endpoint on txDown; err is non-nil only for txErr.
-func (n *Network) transmitLocked(msg Message, d *obsDelta) (out txOutcome, h Handler, latencyMS float64, downID string, err error) {
-	if _, ok := n.handlers[msg.From]; !ok {
-		return txErr, nil, 0, "", fmt.Errorf("%w: sender %q", ErrUnknownNode, msg.From)
-	}
-	h, ok := n.handlers[msg.To]
-	if !ok {
-		return txErr, nil, 0, "", fmt.Errorf("%w: receiver %q", ErrUnknownNode, msg.To)
-	}
-	link := n.defLink
-	idx := n.msgCount
-	n.msgCount++
-	size := len(msg.Payload)
-	skipLoss := false
-	if n.plan != nil {
-		act, id := n.plan.verdict(msg.From, msg.To, idx, n.rng)
-		switch act {
-		case faultDown:
-			d.down++
-			return txDown, nil, 0, id, nil
-		case faultPartition, faultBurst:
-			tx := n.stats[msg.From]
-			tx.TxMessages++
-			tx.TxBytes += size
-			tx.Dropped++
-			d.txMsgs++
-			d.txBytes += int64(size)
-			d.lost++
-			if act == faultPartition {
-				d.partition++
-			} else {
-				d.burst++
-			}
-			return txLost, nil, 0, "", nil
-		case faultDeliverBurst:
-			skipLoss = true // the burst channel already decided delivery
-		}
-	}
-	tx := n.stats[msg.From]
-	tx.TxMessages++
-	tx.TxBytes += size
-	d.txMsgs++
-	d.txBytes += int64(size)
-	if !skipLoss && link.LossProb > 0 && n.rng.Float64() < link.LossProb {
-		tx.Dropped++
-		d.lost++
-		return txLost, nil, 0, "", nil // lost in transit; not an error
-	}
-	if n.async {
-		n.queue = append(n.queue, msg)
-		return txQueued, nil, 0, "", nil // accepted; rx accounting happens at Flush
-	}
-	rx := n.stats[msg.To]
-	rx.RxMessages++
-	rx.RxBytes += size
-	n.simTime += link.LatencyMS
-	d.rxMsgs++
-	d.rxBytes += int64(size)
-	return txDelivered, h, link.LatencyMS, "", nil
-}
-
-// Deliver is Send exposing the delivery outcome: delivered=false with a
-// nil error means the message was transmitted (and charged) but lost in
-// flight — loss is not an error, but interceptors bridging this network
-// into a bus need to know whether to fan out. In async mode delivered
-// means "queued"; the fate of queued messages is decided at Flush.
-func (n *Network) Deliver(msg Message) (delivered bool, err error) {
-	var d obsDelta
-	n.mu.Lock()
-	out, h, latency, downID, err := n.transmitLocked(msg, &d)
-	n.mu.Unlock()
-	d.flush()
-	switch out {
-	case txErr:
-		return false, err
-	case txDown:
-		return false, &NodeDownError{ID: downID}
-	case txLost:
-		return false, nil
-	case txQueued:
-		return true, nil
-	}
-	obsLatency.Observe(latency)
-	if h != nil {
-		h(msg)
-	}
-	return true, nil
-}
-
-// BatchResult classifies the messages of one DeliverBatch call.
+// BatchResult classifies the messages of one DeliverRun or DeliverBatch
+// call.
 type BatchResult struct {
 	Queued    int // accepted onto the async queue (fate decided at Flush)
 	Delivered int // sync mode: rx charged and handler run
@@ -283,59 +225,176 @@ type BatchResult struct {
 	Down      int // a down endpoint: skipped, nothing charged
 }
 
-// DeliverBatch transmits a slice of messages under one lock acquisition
-// — the fleet layer's enqueue path, where a shard's round of measurement
-// envelopes would otherwise pay a lock handshake and a few atomic
-// counter updates per message. Per-message semantics are identical to
-// calling Deliver in slice order (same fault verdicts, same RNG draw
-// order, same per-node accounting), so batched enqueue followed by Flush
-// is equivalent to sequential sends; TestBatchedEnqueueMatchesSequentialSend
-// pins this. Two deviations, both deliberate: a down endpoint does not
-// fail the batch — the message is skipped with nothing charged (the
-// "error ⇒ nothing charged" contract) and counted in Down — and only an
-// unknown endpoint aborts, returning the partial result alongside the
-// error. In sync mode handlers run after the lock is released, in slice
-// order.
-func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
-	type delivery struct {
-		msg     Message
-		h       Handler
-		latency float64
+// runTally accumulates one call's outcomes while the lock is held.
+type runTally struct {
+	res    BatchResult
+	d      obsDelta
+	downID string // the down endpoint of the last refused message
+}
+
+// runLocked is the network's one transmit loop. It sends messages start,
+// start+1, … of r with endpoints, Stats and fault plan resolved once; per
+// message it makes the verdict, the tx accounting and the loss draw a
+// lone Deliver makes, in the same order, so a run is stream-identical to
+// its messages sent one by one. In sync mode it returns the index of the
+// first delivered message, whose handler the caller owes (unlocked) before
+// resuming; otherwise r.Count. An unknown endpoint fails uncharged.
+func (n *Network) runLocked(r *Run, size, start int, t *runTally) (int, Handler, error) {
+	tx, ok := n.stats[r.From]
+	if !ok {
+		return r.Count, nil, fmt.Errorf("%w: sender %q", ErrUnknownNode, r.From)
 	}
+	h, ok := n.handlers[r.To]
+	if !ok {
+		return r.Count, nil, fmt.Errorf("%w: receiver %q", ErrUnknownNode, r.To)
+	}
+	rx := n.stats[r.To]
+	var lf *linkFaults // nil: no plan installed
+	if n.plan != nil {
+		n.plan.mu.Lock() // Network.mu → FaultPlan.mu, never the reverse
+		defer n.plan.mu.Unlock()
+		v := n.plan.linkLocked(r.From, r.To)
+		lf = &v
+	}
+	link := n.defLink
+	queued := -1 // r's index in n.runs once a message of it is queued
+	for i := start; i < r.Count; i++ {
+		idx := n.msgCount
+		n.msgCount++
+		act := faultNone
+		if lf != nil {
+			act = lf.verdict(idx, n.rng)
+		}
+		if act == faultSenderDown || act == faultReceiverDown {
+			t.res.Down++
+			t.d.down++
+			t.downID = r.To
+			if act == faultSenderDown {
+				t.downID = r.From
+			}
+			continue
+		}
+		tx.TxMessages++
+		tx.TxBytes += size
+		t.d.txMsgs++
+		t.d.txBytes += int64(size)
+		lost := act == faultPartition || act == faultBurst ||
+			act == faultNone && link.LossProb > 0 && n.rng.Float64() < link.LossProb
+		if act == faultPartition {
+			t.d.partition++
+		} else if act == faultBurst {
+			t.d.burst++
+		}
+		if lost {
+			tx.Dropped++
+			t.d.lost++
+			t.res.Lost++
+			continue // charged, dropped in flight; not an error
+		}
+		if n.async {
+			if queued < 0 {
+				queued = len(n.runs)
+				n.runs = append(n.runs, queuedRun{Run: *r, size: size, h: h, tx: tx, rx: rx})
+			}
+			n.queue = append(n.queue, slot{run: int32(queued), idx: int32(i)})
+			t.res.Queued++
+			continue // rx accounting happens at Flush
+		}
+		rx.RxMessages++
+		rx.RxBytes += size
+		n.simTime += link.LatencyMS
+		t.d.rxMsgs++
+		t.d.rxBytes += int64(size)
+		t.res.Delivered++
+		obsLatency.Observe(link.LatencyMS)
+		return i, h, nil
+	}
+	return r.Count, h, nil
+}
+
+// DeliverRun transmits r's messages in order under one lock acquisition:
+// the fleet's enqueue path, one run per shard per round. Each message
+// fares as if sent alone with Deliver — same fault verdicts, RNG draws and
+// accounting — so a run plus Flush equals sequential sends
+// (TestSendDeliverEquivalence). The plan is resolved once per run: a plan
+// mutated while a run is in flight takes effect at the next run. A down
+// endpoint skips its messages uncharged, counted in Down; a malformed run
+// (Count does not divide the payload) or an unknown endpoint errors with
+// nothing charged. In sync mode each delivered message's handler runs
+// unlocked before the next is sent. The network reads r.Payload until the
+// Flush that drains it.
+func (n *Network) DeliverRun(r Run) (BatchResult, error) {
+	var t runTally
+	size, err := r.msgSize()
+	for i := 0; err == nil && i < r.Count; i++ {
+		var h Handler
+		n.mu.Lock()
+		i, h, err = n.runLocked(&r, size, i, &t)
+		n.mu.Unlock()
+		t.d.flush()
+		t.d = obsDelta{}
+		if i < r.Count && h != nil {
+			h(r.message(i, size))
+		}
+	}
+	return t.res, err
+}
+
+// Deliver is Send exposing the delivery outcome: delivered=false with a
+// nil error means the message was transmitted (and charged) but lost in
+// flight — loss is not an error, but interceptors bridging this network
+// into a bus need to know whether to fan out. In async mode delivered
+// means "queued"; the fate of queued messages is decided at Flush. It is
+// a one-message run.
+func (n *Network) Deliver(msg Message) (delivered bool, err error) {
 	var (
-		res    BatchResult
-		d      obsDelta
-		out    []delivery
-		batErr error
+		r Run
+		t runTally
+	)
+	// Field by field: a composite literal is built in a temporary and
+	// copied, which shows in the cost of a Send.
+	r.From, r.To, r.Topic, r.Count, r.Payload = msg.From, msg.To, msg.Topic, 1, msg.Payload
+	n.mu.Lock()
+	at, h, err := n.runLocked(&r, len(msg.Payload), 0, &t)
+	n.mu.Unlock()
+	t.d.flush()
+	switch {
+	case err != nil:
+		return false, err
+	case t.res.Down > 0:
+		return false, &NodeDownError{ID: t.downID}
+	case at == 0 && h != nil:
+		h(msg)
+	}
+	return t.res.Lost == 0, nil
+}
+
+// DeliverBatch sends msgs as one-message runs under one lock, in order,
+// with DeliverRun's semantics; an unknown endpoint aborts with the
+// partial result. In sync mode the lock is released around each
+// handler. It stays while bench/ calls it; DeliverRun is the fleet path.
+func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
+	var (
+		t   runTally
+		err error
 	)
 	n.mu.Lock()
-	for _, m := range msgs {
-		o, h, latency, _, err := n.transmitLocked(m, &d)
-		if o == txErr {
-			batErr = err
-			break // abort; messages already charged still get their handlers
-		}
-		switch o {
-		case txDown:
-			res.Down++
-		case txLost:
-			res.Lost++
-		case txQueued:
-			res.Queued++
-		case txDelivered:
-			res.Delivered++
-			out = append(out, delivery{m, h, latency})
+	for i := 0; i < len(msgs) && err == nil; i++ {
+		m := &msgs[i]
+		r := Run{From: m.From, To: m.To, Topic: m.Topic, Count: 1, Payload: m.Payload}
+		var (
+			at int
+			h  Handler
+		)
+		if at, h, err = n.runLocked(&r, len(m.Payload), 0, &t); at == 0 && h != nil {
+			n.mu.Unlock()
+			h(*m)
+			n.mu.Lock()
 		}
 	}
 	n.mu.Unlock()
-	d.flush()
-	for _, dv := range out {
-		obsLatency.Observe(dv.latency)
-		if dv.h != nil {
-			dv.h(dv.msg)
-		}
-	}
-	return res, batErr
+	t.d.flush()
+	return t.res, err
 }
 
 // Flush delivers the async queue, applying the fault plan's reorder and
@@ -360,79 +419,88 @@ func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
 // only for copies actually delivered, and netsim.fault.down once per
 // message dropped to a down receiver. TestFlushAccountingInvariant pins
 // all of it. Returns the number of handler deliveries performed.
+// Handlers run unlocked on a detached queue, so they may send meanwhile.
 func (n *Network) Flush() int {
-	type delivery struct {
-		msg     Message
-		h       Handler
-		latency float64
-	}
 	var d obsDelta
 	n.mu.Lock()
-	q := n.queue
+	if len(n.queue) == 0 {
+		n.mu.Unlock()
+		return 0
+	}
+	q, runs := n.queue, n.runs
+	n.queue, n.runs = n.spareQ[:0], n.spareRuns[:0]
+	n.spareQ, n.spareRuns = nil, nil
 	var dupP, reoP float64
 	if n.plan != nil {
 		dupP, reoP = n.plan.dupReorder()
 	}
 	if reoP > 0 && len(q) > 1 {
-		kept := make([]Message, 0, len(q))
-		var deferred []Message
-		for _, m := range q {
+		kept, deferred := q[:0], n.deferred[:0]
+		for _, s := range q {
 			if n.rng.Float64() < reoP {
-				deferred = append(deferred, m)
+				deferred = append(deferred, s)
 				d.reorder++
 			} else {
-				kept = append(kept, m)
+				kept = append(kept, s)
 			}
 		}
 		q = append(kept, deferred...)
+		n.deferred = deferred[:0]
 	}
-	// One delivery per queued message unless a duplicate draw doubles it;
-	// append covers those.
-	out := make([]delivery, 0, len(q))
-	for _, m := range q {
-		// Down check first: a message to a receiver that crashed after
-		// enqueue is dropped before the duplicate draw, so the dup RNG
-		// stream and netsim.fault.dup only see deliverable messages and
-		// the sender is charged one Dropped regardless of what a
-		// duplicate draw would have said.
-		if n.plan != nil && n.plan.nodeDown(m.To, n.msgCount) {
-			n.stats[m.From].Dropped++
+	// The fault clock is still during a Flush: one down check per run.
+	// It precedes the duplicate draw, so the dup RNG stream and
+	// netsim.fault.dup only see deliverable messages, and the sender of
+	// an undeliverable one is charged one Dropped whatever a duplicate
+	// draw would have said.
+	for i := range runs {
+		runs[i].down = n.plan != nil && n.plan.nodeDown(runs[i].To, n.msgCount)
+	}
+	latency := n.defLink.LatencyMS
+	delivered := 0
+	for i := range q {
+		s := &q[i]
+		qr := &runs[s.run]
+		if qr.down {
+			qr.tx.Dropped++
 			d.lost++
 			d.down++
+			s.copies = 0
 			continue
 		}
-		copies := 1
+		s.copies = 1
 		if dupP > 0 && n.rng.Float64() < dupP {
-			copies = 2
+			s.copies = 2
 			d.duplicate++
 		}
-		latency := n.defLink.LatencyMS
-		size := len(m.Payload)
-		rx := n.stats[m.To]
-		for c := 0; c < copies; c++ {
-			rx.RxMessages++
-			rx.RxBytes += size
+		for c := uint8(0); c < s.copies; c++ {
+			qr.rx.RxMessages++
+			qr.rx.RxBytes += qr.size
 			n.simTime += latency
 			d.rxMsgs++
-			d.rxBytes += int64(size)
-			out = append(out, delivery{m, n.handlers[m.To], latency})
+			d.rxBytes += int64(qr.size)
 		}
+		delivered += int(s.copies)
 	}
-	// Keep the drained queue's backing array for the next round — growing a
-	// quarter-million-message queue from nil costs several times its final
-	// size — but drop its payload references: senders reuse payload buffers
-	// once Flush returns.
-	clear(n.queue)
-	n.queue = n.queue[:0]
 	n.mu.Unlock()
 	d.flush()
-	for _, dv := range out {
-		obsLatency.Observe(dv.latency)
-		if dv.h != nil {
-			dv.h(dv.msg)
+	for _, s := range q {
+		qr := &runs[s.run]
+		for c := uint8(0); c < s.copies; c++ {
+			obsLatency.Observe(latency)
+			if qr.h != nil {
+				qr.h(qr.message(int(s.idx), qr.size))
+			}
 		}
 	}
-	return len(out)
+	// Keep the drained buffers for a later Flush, minus their payload
+	// references: senders reuse payload buffers once Flush returns.
+	clear(runs)
+	n.mu.Lock()
+	if cap(n.spareQ) < cap(q) {
+		n.spareQ, n.spareRuns = q[:0], runs[:0]
+	}
+	n.mu.Unlock()
+	return delivered
 }
 
 // Totals sums the counters across all nodes.

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -130,5 +131,113 @@ func TestObsCountersMatchTotals(t *testing.T) {
 	}
 	if h := obs.GetHistogram("netsim.link.latency_ms", obs.LatencyBuckets); h.Snapshot().Count == 0 {
 		t.Fatal("latency histogram empty after delivered traffic")
+	}
+}
+
+// TestDeliverRunConcurrentFlushReentrant is the -race audit of the run
+// path: four goroutines send runs while two flush, and the receiver's
+// handler sends a message on per delivery — a re-entrant enqueue from
+// inside Flush's unlocked handler pass, landing in the queue Flush just
+// detached from. Afterwards the ledger must balance (rx = tx − dropped +
+// duplicated), every rx-charged copy must have run a handler, the queue
+// must drain, and no goroutine may leak.
+func TestDeliverRunConcurrentFlushReentrant(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	obs.Enable()
+	defer obs.Disable()
+	before := snapNetsimObs()
+
+	n := New(53)
+	p := NewFaultPlan()
+	n.SetFaultPlan(p)
+	n.SetAsync(true)
+	n.SetDefaultLink(Link{LatencyMS: 1, LossProb: 0.05})
+	p.SetDuplicateProb(0.1)
+	p.SetReorderProb(0.1)
+	var hubRx, sinkRx atomic.Int64
+	senders := []string{"s0", "s1", "s2", "s3"}
+	for _, id := range senders {
+		if err := n.Register(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Register("sink", func(Message) { sinkRx.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Register("hub", func(m Message) {
+		hubRx.Add(1)
+		if err := n.Send(Message{From: "hub", To: "sink", Topic: "echo", Payload: m.Payload}); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	const runsPerSender = 200
+	var senderWG, flushWG sync.WaitGroup
+	for _, from := range senders {
+		senderWG.Add(1)
+		go func(from string) {
+			defer senderWG.Done()
+			for i := 0; i < runsPerSender; i++ {
+				c := 1 + i%7
+				// A fresh payload per run: the network reads it until the
+				// Flush that drains the run, whichever goroutine that is.
+				r := Run{From: from, To: "hub", Topic: "run", Count: c, Payload: make([]byte, 3*c)}
+				if _, err := n.DeliverRun(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(from)
+	}
+	stop := make(chan struct{})
+	for f := 0; f < 2; f++ {
+		flushWG.Add(1)
+		go func() {
+			defer flushWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					n.Flush()
+				}
+			}
+		}()
+	}
+	senderWG.Wait()
+	close(stop)
+	flushWG.Wait()
+	// Drain: the last flushes' echoes are still queued.
+	for i := 0; ; i++ {
+		n.Flush()
+		n.mu.Lock()
+		pending := len(n.queue)
+		n.mu.Unlock()
+		if pending == 0 {
+			break
+		}
+		if i == 10 {
+			t.Fatalf("queue did not drain: %d pending", pending)
+		}
+	}
+
+	d := snapNetsimObs().sub(before)
+	tot := n.Totals()
+	if int64(tot.RxMessages) != int64(tot.TxMessages)-int64(tot.Dropped)+d.dup {
+		t.Fatalf("rx %d != tx %d - dropped %d + dup %d", tot.RxMessages, tot.TxMessages, tot.Dropped, d.dup)
+	}
+	if got := hubRx.Load() + sinkRx.Load(); got != int64(tot.RxMessages) {
+		t.Fatalf("handlers ran %d times, rx charged %d", got, tot.RxMessages)
+	}
+	n.mu.Lock()
+	hubTx := n.stats["hub"].TxMessages
+	n.mu.Unlock()
+	if int64(hubTx) != hubRx.Load() {
+		t.Fatalf("hub sent %d echoes for %d deliveries", hubTx, hubRx.Load())
+	}
+	if d.dup == 0 || d.reorder == 0 || tot.Dropped == 0 {
+		t.Fatalf("faults not exercised: dup %d reorder %d dropped %d", d.dup, d.reorder, tot.Dropped)
 	}
 }
