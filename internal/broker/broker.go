@@ -466,7 +466,7 @@ func (br *Broker) ReconstructFrom(g *GatherResult, opts ReconstructOptions) (*Re
 		SeedSupport: opts.SeedSupport, SeedRelTol: opts.SeedRelTol,
 	}
 	if opts.UseGLS {
-		chsOpts.V = cs.NoiseCovariance(g.Sigmas, 1e-4)
+		chsOpts.Sigmas = g.Sigmas
 	}
 	sp := obs.StartSpan("broker.reconstruct")
 	res, err := cs.CHSOp(op, g.Locs, g.Values, chsOpts)

@@ -256,28 +256,11 @@ func (b *Bus) Publish(topic string, payload []byte) error {
 	if !ValidTopic(topic) {
 		return fmt.Errorf("bus: invalid topic %q", topic)
 	}
+	deliver := true
 	if ip := b.interceptor.Load(); ip != nil {
-		deliver, err := (*ip)(Message{Topic: topic, Payload: payload})
-		if err != nil {
+		var err error
+		if deliver, err = (*ip)(Message{Topic: topic, Payload: payload}); err != nil {
 			return err
-		}
-		if !deliver {
-			// Transmitted but lost in the simulated transport: the publish
-			// happened from the publisher's point of view — count it and run
-			// the energy hooks — but no subscriber hears it.
-			b.mu.RLock()
-			if b.closed {
-				b.mu.RUnlock()
-				return ErrClosed
-			}
-			hooks := b.hooks
-			b.mu.RUnlock()
-			obsPublished.Inc()
-			obsPublishBytes.Add(int64(len(payload)))
-			for _, h := range hooks {
-				h(topic, len(payload))
-			}
-			return nil
 		}
 	}
 	b.mu.RLock()
@@ -285,13 +268,17 @@ func (b *Bus) Publish(topic string, payload []byte) error {
 		b.mu.RUnlock()
 		return ErrClosed
 	}
-	msg := Message{Topic: topic, Payload: payload}
-	for _, sub := range b.exact[topic] {
-		sub.deliver(msg)
-	}
-	for _, sub := range b.wild {
-		if Match(sub.pattern, topic) {
+	// A message the interceptor lost was still transmitted: the publish is
+	// counted and the energy hooks run, but no subscriber hears it.
+	if deliver {
+		msg := Message{Topic: topic, Payload: payload}
+		for _, sub := range b.exact[topic] {
 			sub.deliver(msg)
+		}
+		for _, sub := range b.wild {
+			if Match(sub.pattern, topic) {
+				sub.deliver(msg)
+			}
 		}
 	}
 	hooks := b.hooks

@@ -2,52 +2,61 @@ package bus
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
 
-// FuzzParseFrame hammers the TCP wire decoder with arbitrary lines. The
+// FuzzParseFrame hammers the TCP wire decoder with arbitrary bytes. The
 // properties: parseFrame never panics, never accepts a frame the bus
-// would have to reject (unknown op, invalid topic or pattern), and any
-// frame it does accept survives the json.Encoder encode / parseFrame
-// decode round trip that the server and client loops rely on.
+// would have to reject (unknown op, invalid topic or pattern, another
+// version, a body over the limit), and any frame it does accept
+// re-encodes through appendFrame to the very bytes it was parsed from,
+// and parses back to the same frame.
 func FuzzParseFrame(f *testing.F) {
-	f.Add([]byte(`{"op":"pub","topic":"sense/temp/3","payload":"aGVsbG8="}`))
-	f.Add([]byte(`{"op":"sub","topic":"sense/#"}`))
-	f.Add([]byte(`{"op":"msg","topic":"sense/temp/3/reply","payload":""}`))
-	f.Add([]byte(`{"op":"pub","topic":"bad//topic"}`))
-	f.Add([]byte(`{"op":"sub","topic":"a/#/b"}`))
-	f.Add([]byte(`{"op":"nope","topic":"a"}`))
-	f.Add([]byte(`{"op":"pub","topic":"a","payload":"*not base64*"}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(``))
-	f.Fuzz(func(t *testing.T, line []byte) {
-		fr, err := parseFrame(line)
+	pub := appendFrame(nil, opPub, "sense/temp/3", []byte("hello"))
+	f.Add(pub)
+	f.Add(appendFrame(nil, opSub, "sense/#", nil))
+	f.Add(appendFrame(nil, opMsg, "sense/temp/3/reply", []byte(`{"v":1}`)))
+	f.Add(pub[:frameHeader+2]) // truncated header
+	pastEnd := bytes.Clone(pub)
+	pastEnd[frameHeader+3] = 0xff // topic length past the end
+	f.Add(pastEnd)
+	version0 := bytes.Clone(pub)
+	version0[frameHeader] = 0
+	f.Add(version0)
+	f.Add(appendFrame(nil, 9, "a", nil))                      // unknown op
+	f.Add(appendFrame(nil, opPub, "bad//topic", []byte("x"))) // invalid topic
+	f.Add(binary.BigEndian.AppendUint32(nil, maxFrameBody+1)) // length over 4 MiB
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := parseFrame(b)
 		if err != nil {
 			return
 		}
-		switch fr.Op {
-		case "pub", "msg":
-			if !ValidTopic(fr.Topic) {
-				t.Fatalf("accepted %s frame with invalid topic %q", fr.Op, fr.Topic)
+		switch fr.op {
+		case opPub, opMsg:
+			if !ValidTopic(fr.topic) {
+				t.Fatalf("accepted op %d frame with invalid topic %q", fr.op, fr.topic)
 			}
-		case "sub":
-			if !ValidPattern(fr.Topic) {
-				t.Fatalf("accepted sub frame with invalid pattern %q", fr.Topic)
+		case opSub:
+			if !ValidPattern(fr.topic) {
+				t.Fatalf("accepted sub frame with invalid pattern %q", fr.topic)
 			}
 		default:
-			t.Fatalf("accepted unknown op %q", fr.Op)
+			t.Fatalf("accepted unknown op %d", fr.op)
 		}
-		encoded, err := json.Marshal(fr)
-		if err != nil {
-			t.Fatalf("marshal of accepted frame failed: %v", err)
+		if b[frameHeader] != frameVersion || len(b)-frameHeader > maxFrameBody {
+			t.Fatalf("accepted version %d with a %d-byte body", b[frameHeader], len(b)-frameHeader)
+		}
+		encoded := appendFrame(nil, fr.op, fr.topic, fr.payload)
+		if !bytes.Equal(encoded, b) {
+			t.Fatalf("re-encoding %x gave %x", b, encoded)
 		}
 		rt, err := parseFrame(encoded)
 		if err != nil {
-			t.Fatalf("round trip rejected %s: %v", encoded, err)
+			t.Fatalf("round trip rejected %x: %v", encoded, err)
 		}
-		if rt.Op != fr.Op || rt.Topic != fr.Topic || !bytes.Equal(rt.Payload, fr.Payload) {
+		if rt.op != fr.op || rt.topic != fr.topic || !bytes.Equal(rt.payload, fr.payload) {
 			t.Fatalf("round trip mutated frame: %+v -> %+v", fr, rt)
 		}
 	})

@@ -2,9 +2,11 @@ package bus
 
 import (
 	"bufio"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,75 +14,191 @@ import (
 	"repro/internal/obs"
 )
 
-// frame is the newline-delimited JSON wire format of the TCP transport.
+// The TCP wire format: a big-endian uint32 body length, then the body: a
+// version byte, an op byte, a big-endian uint16 topic length, the topic,
+// and the raw payload to the end of the body. A peer that speaks another
+// version (or the newline JSON of earlier releases, whose first four bytes
+// read as a length far over the limit) is refused.
+const (
+	frameVersion = 1
+	frameHeader  = 4       // the body-length prefix
+	bodyHeader   = 4       // version, op and topic length
+	maxFrameBody = 4 << 20 // a longer body drops the connection
+	maxPending   = 1 << 20 // a connWriter's writes wait while this much is unsent
+
+	opPub byte = 1 // client → server: publish on the server's bus
+	opSub byte = 2 // client → server: forward what matches a pattern
+	opMsg byte = 3 // server → client: a forwarded message
+)
+
+// frame is one decoded wire frame.
 type frame struct {
-	Op      string `json:"op"`                // "pub", "sub", "msg"
-	Topic   string `json:"topic,omitempty"`   // pub/msg topic or sub pattern
-	Payload []byte `json:"payload,omitempty"` // base64 via encoding/json
+	op      byte
+	topic   string // pub/msg topic or sub pattern
+	payload []byte
 }
 
-// parseFrame decodes and validates one wire line. Frames from the
-// network are untrusted: a frame with an unknown op, a pub/msg frame
-// with an invalid topic, or a sub frame with an invalid pattern is
-// rejected here, before any of it reaches the bus. The encode side is
-// plain encoding/json (see the json.Encoder writers below), so
-// parseFrame(json.Marshal(f)) round-trips any frame it accepts.
-func parseFrame(line []byte) (frame, error) {
-	var f frame
-	if err := json.Unmarshal(line, &f); err != nil {
-		return frame{}, fmt.Errorf("bus: bad frame: %w", err)
+// appendFrame appends one frame to dst; write checks the topic fits.
+func appendFrame(dst []byte, op byte, topic string, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(bodyHeader+len(topic)+len(payload)))
+	dst = append(dst, frameVersion, op)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(topic)))
+	dst = append(dst, topic...)
+	return append(dst, payload...)
+}
+
+// parseFrame decodes one whole frame, prefix included. Frames from the
+// network are untrusted: one that is truncated, has a bad prefix, version
+// or topic length, an unknown op, or a topic (pattern, for sub) the bus
+// would refuse is rejected here. The payload aliases b, and appendFrame
+// re-encodes an accepted frame to b.
+func parseFrame(b []byte) (frame, error) {
+	if len(b) < frameHeader+bodyHeader {
+		return frame{}, fmt.Errorf("bus: truncated frame of %d bytes", len(b))
 	}
-	switch f.Op {
-	case "pub", "msg":
-		if !ValidTopic(f.Topic) {
-			return frame{}, fmt.Errorf("bus: frame op %q with invalid topic %q", f.Op, f.Topic)
+	body := b[frameHeader:]
+	if n := binary.BigEndian.Uint32(b); n > maxFrameBody || int(n) != len(body) {
+		return frame{}, fmt.Errorf("bus: %d-byte frame body under length prefix %x", len(body), b[:frameHeader])
+	}
+	end := bodyHeader + int(binary.BigEndian.Uint16(body[2:]))
+	if body[0] != frameVersion || end > len(body) {
+		return frame{}, fmt.Errorf("bus: frame version %d, topic end %d of %d", body[0], end, len(body))
+	}
+	f := frame{op: body[1], topic: string(body[bodyHeader:end]), payload: body[end:]}
+	if f.op == opSub && ValidPattern(f.topic) || (f.op == opPub || f.op == opMsg) && ValidTopic(f.topic) {
+		return f, nil
+	}
+	return frame{}, fmt.Errorf("bus: frame op %d with topic %q", f.op, f.topic)
+}
+
+// readFrame returns the next frame from r that parseFrame accepts. An
+// error (a failed read, or a prefix over maxFrameBody) ends the
+// connection. Each frame gets its own buffer, so payloads can be kept.
+func readFrame(r *bufio.Reader) (frame, error) {
+	for {
+		prefix, err := r.Peek(frameHeader)
+		if err != nil {
+			return frame{}, err
 		}
-	case "sub":
-		if !ValidPattern(f.Topic) {
-			return frame{}, fmt.Errorf("bus: sub frame with invalid pattern %q", f.Topic)
+		n := binary.BigEndian.Uint32(prefix)
+		if n > maxFrameBody {
+			return frame{}, errors.New("bus: frame body over 4 MiB")
 		}
+		b := make([]byte, frameHeader+int(n))
+		if _, err := io.ReadFull(r, b); err != nil {
+			return frame{}, err
+		}
+		if f, err := parseFrame(b); err == nil {
+			return f, nil
+		}
+	}
+}
+
+// TCP counters (no-ops until obs.Enable). writes ÷ frames_out is the share
+// of frames that left in a write of their own; client.dropped sums what
+// every Client's Dropped counts.
+var (
+	obsFramesOut     = obs.GetCounter("bus.tcp.frames_out")
+	obsWrites        = obs.GetCounter("bus.tcp.writes")
+	obsClientDropped = obs.GetCounter("bus.tcp.client.dropped")
+)
+
+// connWriter puts frames on one connection for any number of goroutines:
+// a write appends to pending and kicks the writer goroutine, which sends
+// all that is pending in one Write. Frames that pile up during a syscall
+// leave together, a lone frame leaves as soon as the writer is free, and
+// frames leave in the order their appends took mu.
+type connWriter struct {
+	w    io.Writer
+	kick chan struct{} // one slot, never closed
+	done chan struct{} // closed when the writer goroutine has exited
+
+	mu      sync.Mutex
+	room    sync.Cond // on mu: pending was taken, or err was set
+	pending []byte    // guarded by mu
+	err     error     // guarded by mu; the failed Write's error, or ErrClosed once closed
+}
+
+func newConnWriter(w io.Writer) *connWriter {
+	cw := &connWriter{w: w, kick: make(chan struct{}, 1), done: make(chan struct{})}
+	cw.room.L = &cw.mu
+	go cw.run()
+	return cw
+}
+
+// write queues one frame, waiting while maxPending bytes are unsent, so a
+// peer that stops reading slows its senders. It fails once closed or after
+// a failed Write.
+func (cw *connWriter) write(op byte, topic string, payload []byte) error {
+	if len(topic) > math.MaxUint16 {
+		return fmt.Errorf("bus: topic of %d bytes does not fit a frame", len(topic))
+	}
+	cw.mu.Lock()
+	for cw.err == nil && len(cw.pending) >= maxPending {
+		cw.room.Wait()
+	}
+	err := cw.err
+	if err == nil {
+		cw.pending = appendFrame(cw.pending, op, topic, payload)
+		obsFramesOut.Inc()
+	}
+	cw.mu.Unlock()
+	cw.nudge()
+	return err
+}
+
+// nudge wakes the writer unless a kick is already waiting for it.
+func (cw *connWriter) nudge() {
+	select {
+	case cw.kick <- struct{}{}:
 	default:
-		return frame{}, fmt.Errorf("bus: unknown frame op %q", f.Op)
 	}
-	return f, nil
 }
 
-// frameWriter puts frames on one connection for any number of
-// goroutines. It buffers, so that a run of frames can leave in one write.
-type frameWriter struct {
-	mu  sync.Mutex
-	buf *bufio.Writer // guarded by mu
-	enc *json.Encoder // guarded by mu; encodes into buf
-}
-
-func newFrameWriter(w io.Writer) *frameWriter {
-	buf := bufio.NewWriter(w)
-	return &frameWriter{buf: buf, enc: json.NewEncoder(buf)}
-}
-
-// write queues f behind the frames already buffered and, unless the
-// caller has more to follow at once, flushes the lot.
-func (fw *frameWriter) write(f frame, more bool) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	if err := fw.enc.Encode(f); err != nil {
-		return err
+// run is the writer goroutine; two buffers take turns on the wire.
+func (cw *connWriter) run() {
+	defer close(cw.done)
+	var spare []byte
+	for range cw.kick {
+		cw.mu.Lock()
+		buf, closed := cw.pending, cw.err != nil
+		cw.pending = spare[:0]
+		cw.room.Broadcast()
+		cw.mu.Unlock()
+		if len(buf) > 0 {
+			obsWrites.Inc()
+			if _, err := cw.w.Write(buf); err != nil {
+				cw.mu.Lock()
+				if cw.err == nil {
+					cw.err = err
+				}
+				cw.room.Broadcast()
+				cw.mu.Unlock()
+				return
+			}
+		}
+		if closed {
+			return
+		}
+		spare = buf
 	}
-	if more {
-		return nil
-	}
-	return fw.buf.Flush()
 }
 
-// forward writes a subscription's messages to fw as msg frames until the
-// subscription closes or a write fails. It flushes whenever its channel
-// is empty, so a burst (a scatter wave bound for the nodes behind one
-// connection) shares writes, while the last frame queued is never held
-// back: a frame is left in the buffer only when another is already
-// waiting behind it, and that one's write flushes both.
-func forward(fw *frameWriter, sub *Subscription) {
+// close refuses further writes, lets the writer send what it accepted,
+// and joins it. Safe to call more than once.
+func (cw *connWriter) close() {
+	cw.mu.Lock()
+	cw.err = ErrClosed
+	cw.room.Broadcast()
+	cw.mu.Unlock()
+	cw.nudge()
+	<-cw.done
+}
+
+// forward writes a subscription's messages to cw until either ends.
+func forward(cw *connWriter, sub *Subscription) {
 	for msg := range sub.C {
-		if err := fw.write(frame{Op: "msg", Topic: msg.Topic, Payload: msg.Payload}, len(sub.C) > 0); err != nil {
+		if cw.write(opMsg, msg.Topic, msg.Payload) != nil {
 			return
 		}
 	}
@@ -137,45 +255,40 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		//lint:ignore errcheck teardown after the serve loop exited; the close error has no consumer
-		_ = conn.Close()
-	}()
+	cw := newConnWriter(conn)
 	var subs []*Subscription
 	defer func() {
 		for _, sub := range subs {
 			sub.Unsubscribe()
 		}
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		//lint:ignore errcheck teardown after the serve loop exited; the close error has no consumer
+		_ = conn.Close()
+		cw.close() // the conn is shut, so this only joins the writer
 	}()
-	fw := newFrameWriter(conn)
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for scanner.Scan() {
-		f, err := parseFrame(scanner.Bytes())
+	r := bufio.NewReaderSize(conn, 64<<10)
+	for {
+		f, err := readFrame(r)
 		if err != nil {
-			continue // unparseable or invalid frames from a peer are dropped
+			return
 		}
-		switch f.Op {
-		case "pub":
+		switch f.op {
+		case opPub:
 			//lint:ignore errcheck remote publishes are fire-and-forget; an invalid topic or closed bus is not reportable over this one-way frame
-			_ = s.bus.Publish(f.Topic, f.Payload)
-		case "sub":
-			sub, err := s.bus.Subscribe(f.Topic, 256)
+			_ = s.bus.Publish(f.topic, f.payload)
+		case opSub:
+			sub, err := s.bus.Subscribe(f.topic, 256)
 			if err != nil {
 				continue
 			}
 			subs = append(subs, sub)
-			// The forwarder joins the server's WaitGroup: Close must not
-			// return while any goroutine still writes to a conn. It exits
-			// when serveConn's teardown unsubscribes (closing sub.C) or
-			// the first failed write reports the conn gone.
+			// Joined by Close; it ends when the teardown unsubscribes.
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				forward(fw, sub)
+				forward(cw, sub)
 			}()
 		}
 	}
@@ -199,22 +312,15 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// obsClientDropped counts messages a Client discarded because a
-// subscriber channel was full (no-op until obs.Enable); the per-client
-// count is Client.Dropped.
-var obsClientDropped = obs.GetCounter("bus.tcp.client.dropped")
-
 // Client is a TCP participant on a remote bus.
 type Client struct {
-	conn      net.Conn
-	enc       *json.Encoder
-	readDone  chan struct{} // closed when readLoop exits
-	closeOnce sync.Once
-	dropped   atomic.Int64
+	conn     net.Conn
+	cw       *connWriter
+	readDone chan struct{} // closed when readLoop exits
+	dropped  atomic.Int64
 
-	mu     sync.Mutex
-	subs   []chan Message // guarded by mu
-	closed bool           // guarded by mu
+	mu   sync.Mutex
+	subs []chan Message // guarded by mu
 }
 
 // Dial connects to a bus server.
@@ -223,21 +329,35 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bus: dial: %w", err)
 	}
-	c := &Client{conn: conn, enc: json.NewEncoder(conn), readDone: make(chan struct{})}
+	c := &Client{conn: conn, cw: newConnWriter(conn), readDone: make(chan struct{})}
 	go c.readLoop()
 	return c, nil
 }
 
+// readLoop delivers msg frames until the connection fails, then drops it:
+// Publish and Subscribe return ErrClosed and every subscriber channel closes.
 func (c *Client) readLoop() {
 	defer close(c.readDone)
-	scanner := bufio.NewScanner(c.conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for scanner.Scan() {
-		f, err := parseFrame(scanner.Bytes())
-		if err != nil || f.Op != "msg" {
+	defer func() {
+		c.mu.Lock()
+		for _, ch := range c.subs {
+			close(ch)
+		}
+		c.subs = nil
+		c.mu.Unlock()
+	}()
+	defer c.cw.close()
+	defer c.conn.Close() // first, so the writer's last pass cannot block
+	r := bufio.NewReaderSize(c.conn, 64<<10)
+	for {
+		f, err := readFrame(r)
+		if err != nil {
+			return
+		}
+		if f.op != opMsg {
 			continue
 		}
-		msg := Message{Topic: f.Topic, Payload: f.Payload}
+		msg := Message{Topic: f.topic, Payload: f.payload}
 		c.mu.Lock()
 		for _, ch := range c.subs {
 			select {
@@ -249,32 +369,18 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 	}
-	// Connection gone: close subscriber channels.
-	c.mu.Lock()
-	for _, ch := range c.subs {
-		close(ch)
-	}
-	c.subs = nil
-	c.closed = true
-	c.mu.Unlock()
 }
 
-// Dropped returns how many received messages were discarded because a
-// subscriber channel was full: like the bus, the read loop never blocks
-// on a slow consumer.
+// Dropped returns how many received messages a full subscriber channel
+// discarded: like the bus, the read loop never blocks on a slow consumer.
 func (c *Client) Dropped() int64 { return c.dropped.Load() }
 
-// Publish sends a message to the remote bus.
+// Publish queues a message for the remote bus; Close still sends it.
 func (c *Client) Publish(topic string, payload []byte) error {
 	if !ValidTopic(topic) {
 		return fmt.Errorf("bus: invalid topic %q", topic)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	return c.enc.Encode(frame{Op: "pub", Topic: topic, Payload: payload})
+	return c.cw.write(opPub, topic, payload)
 }
 
 // Subscribe asks the server for a pattern; matching messages arrive on the
@@ -285,12 +391,9 @@ func (c *Client) Subscribe(pattern string) (<-chan Message, error) {
 	if !ValidPattern(pattern) {
 		return nil, fmt.Errorf("bus: invalid pattern %q", pattern)
 	}
-	c.mu.Lock()
+	c.mu.Lock() // so the read loop cannot close subs between write and append
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if err := c.enc.Encode(frame{Op: "sub", Topic: pattern}); err != nil {
+	if err := c.cw.write(opSub, pattern, nil); err != nil {
 		return nil, err
 	}
 	ch := make(chan Message, 256)
@@ -298,14 +401,15 @@ func (c *Client) Subscribe(pattern string) (<-chan Message, error) {
 	return ch, nil
 }
 
-// Close drops the connection and joins the read loop: when Close
-// returns, the readLoop goroutine has exited and every subscriber
-// channel is closed. Safe to call more than once, and also after the
-// server side already dropped the connection (the socket still needs
-// closing on this side either way).
+// Close sends every frame already queued, drops the connection and joins
+// both goroutines, so every subscriber channel is closed. Safe to call
+// more than once, and after the server already dropped the connection.
 func (c *Client) Close() error {
-	var err error
-	c.closeOnce.Do(func() { err = c.conn.Close() })
+	c.cw.close()
+	err := c.conn.Close()
 	<-c.readDone
+	if errors.Is(err, net.ErrClosed) {
+		return nil // the read loop, or an earlier Close, got there first
+	}
 	return err
 }

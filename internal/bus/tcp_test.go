@@ -3,13 +3,16 @@ package bus
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -486,18 +489,32 @@ func TestScatterTCPConnectionKilledMidWave(t *testing.T) {
 	}
 }
 
-// countingWriter records what each Write call carried.
+// countingWriter records what each Write call carried. delay makes it a
+// slow socket: each Write sleeps that long first. A non-nil next also
+// receives every write, and fail fails every write instead.
 type countingWriter struct {
+	delay time.Duration
+	next  io.Writer
+	fail  error
+
 	mu     sync.Mutex
 	writes int
 	buf    bytes.Buffer
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.delay)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.writes++
-	return w.buf.Write(p)
+	if w.fail != nil {
+		return 0, w.fail
+	}
+	w.buf.Write(p)
+	if w.next != nil {
+		return w.next.Write(p)
+	}
+	return len(p), nil
 }
 
 // frames parses everything written so far.
@@ -505,22 +522,27 @@ func (w *countingWriter) frames(t *testing.T) (writes int, frames []frame) {
 	t.Helper()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, line := range bytes.Split(bytes.TrimSpace(w.buf.Bytes()), []byte("\n")) {
-		if len(line) == 0 {
-			continue
+	for b := w.buf.Bytes(); len(b) > 0; {
+		if len(b) < frameHeader {
+			t.Fatalf("wrote a torn length prefix %x", b)
 		}
-		f, err := parseFrame(line)
+		n := int(binary.BigEndian.Uint32(b))
+		if len(b) < frameHeader+n {
+			t.Fatalf("wrote a torn frame %x", b)
+		}
+		f, err := parseFrame(b[:frameHeader+n])
 		if err != nil {
-			t.Fatalf("wrote an unparseable frame %q: %v", line, err)
+			t.Fatalf("wrote an unparseable frame %x: %v", b[:frameHeader+n], err)
 		}
 		frames = append(frames, f)
+		b = b[frameHeader+n:]
 	}
 	return w.writes, frames
 }
 
-// A queue of N frames leaves in fewer than N writes, and a frame with
-// nothing queued behind it is on the wire without waiting for a
-// successor, a timer or the subscription's end.
+// A queue of N frames leaves a slow writer in fewer than N/4 writes, and
+// a frame with nothing queued behind it is on the wire without waiting
+// for a successor, a timer or the subscription's end.
 func TestForwardCoalescesQueuedFramesAndStrandsNone(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := New()
@@ -535,11 +557,13 @@ func TestForwardCoalescesQueuedFramesAndStrandsNone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w := &countingWriter{}
+	w := &countingWriter{delay: time.Millisecond}
+	cw := newConnWriter(w)
+	defer cw.close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		forward(newFrameWriter(w), sub)
+		forward(cw, sub)
 	}()
 	// The forwarder stays parked on the open subscription: the frames must
 	// arrive all the same.
@@ -550,7 +574,7 @@ func TestForwardCoalescesQueuedFramesAndStrandsNone(t *testing.T) {
 			writes, frames := w.frames(t)
 			if len(frames) == want {
 				for i, f := range frames {
-					if f.Op != "msg" || f.Topic != "burst/"+strconv.Itoa(i) || len(f.Payload) != 1 || f.Payload[0] != byte(i) {
+					if f.op != opMsg || f.topic != "burst/"+strconv.Itoa(i) || len(f.payload) != 1 || f.payload[0] != byte(i) {
 						t.Fatalf("frame %d is %+v", i, f)
 					}
 				}
@@ -572,6 +596,288 @@ func TestForwardCoalescesQueuedFramesAndStrandsNone(t *testing.T) {
 	arrived(n + 1)
 	sub.Unsubscribe()
 	<-done
+}
+
+// dialSlow is Dial with every write of the client's connection going
+// through w (whose next it sets), so a test can slow and count them.
+func dialSlow(t *testing.T, addr string, w *countingWriter) *Client {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.next = conn
+	c := &Client{conn: conn, cw: newConnWriter(w), readDone: make(chan struct{})}
+	go c.readLoop()
+	return c
+}
+
+// The client end coalesces too: publishes that pile up behind a slow
+// write leave together, and a lone publish is not stranded.
+func TestClientPublishCoalescesAndStrandsNone(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const n = 100
+	sink, err := b.Subscribe("up/#", n+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &countingWriter{delay: time.Millisecond}
+	cli := dialSlow(t, srv.Addr(), w)
+	defer cli.Close()
+	receive := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			select {
+			case msg := <-sink.C:
+				if msg.Topic != "up/"+strconv.Itoa(i) {
+					t.Fatalf("message %d arrived on %q", i, msg.Topic)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("message %d of %d never arrived", i, to)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := cli.Publish("up/"+strconv.Itoa(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	receive(0, n)
+	if writes, _ := w.frames(t); writes >= n/4 {
+		t.Errorf("%d publishes took %d writes", n, writes)
+	}
+	if err := cli.Publish("up/"+strconv.Itoa(n), nil); err != nil {
+		t.Fatal(err)
+	}
+	receive(n, n+1)
+}
+
+// Eight goroutines publish while Close runs. Nothing panics; a publish
+// that starts after Close has returned gets ErrClosed; and every publish
+// that returned nil reaches the server's subscriber, each goroutine's in
+// the order it sent them, because Close sends what it accepted.
+func TestClientPublishRacingClose(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const publishers, most = 8, 2000
+	sink, err := b.Subscribe("race/#", publishers*most)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		closed   atomic.Bool
+		sent     atomic.Int64
+		finished sync.WaitGroup
+		accepted [publishers]int
+	)
+	finished.Add(publishers)
+	for g := 0; g < publishers; g++ {
+		go func() {
+			defer finished.Done()
+			topic := "race/" + strconv.Itoa(g)
+			for seq, after := 0, 0; seq < most && after < 10; seq++ {
+				wasClosed := closed.Load()
+				err := cli.Publish(topic, []byte(strconv.Itoa(seq)))
+				switch {
+				case err == nil && wasClosed:
+					t.Errorf("publisher %d: publish %d accepted after Close returned", g, seq)
+					return
+				case err == nil:
+					accepted[g]++
+					sent.Add(1)
+				case !errors.Is(err, ErrClosed):
+					t.Errorf("publisher %d: publish %d: %v, want ErrClosed", g, seq, err)
+					return
+				default:
+					after++
+				}
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); sent.Load() < 10*publishers && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	finished.Wait()
+	t.Logf("accepted per publisher: %v", accepted)
+	total := 0
+	for _, n := range accepted {
+		total += n
+	}
+	next := [publishers]int{}
+	for i := 0; i < total; i++ {
+		select {
+		case msg := <-sink.C:
+			g, err := strconv.Atoi(strings.TrimPrefix(msg.Topic, "race/"))
+			if err != nil {
+				t.Fatalf("message on %q", msg.Topic)
+			}
+			if want := strconv.Itoa(next[g]); string(msg.Payload) != want {
+				t.Fatalf("publisher %d: message %q arrived where %s was due", g, msg.Payload, want)
+			}
+			next[g]++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d accepted publishes reached the server (per publisher %v of %v)", i, total, next, accepted)
+		}
+	}
+}
+
+// A write that fails fails the writer: the frame after it is refused with
+// that error, nothing is written again, and close still returns. Over
+// TCP, a client whose server hangs up starts refusing publishes, and
+// keeps refusing them.
+func TestPublishFailsAfterTheConnectionFails(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	boom := errors.New("peer hung up")
+	w := &countingWriter{fail: boom}
+	cw := newConnWriter(w)
+	if err := cw.write(opPub, "a/b", nil); err != nil {
+		t.Fatalf("first write: %v", err)
+	}
+	<-cw.done // the writer exits on the failed Write
+	if err := cw.write(opPub, "a/b", nil); !errors.Is(err, boom) {
+		t.Fatalf("write after a failed Write: %v, want %v", err, boom)
+	}
+	cw.close()
+	if writes, _ := w.frames(t); writes != 1 {
+		t.Fatalf("%d Write calls, want 1", writes)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cli, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close() // the server hangs up
+	deadline := time.Now().Add(5 * time.Second)
+	for cli.Publish("a/b", []byte("x")) == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("publishes still accepted 5 s after the server hung up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		if err := cli.Publish("a/b", []byte("x")); err == nil {
+			t.Fatal("a publish was accepted after one was refused")
+		}
+	}
+}
+
+// bus.tcp.frames_out and bus.tcp.writes count what a connWriter queued
+// and how many writes carried it; disabled, a queued frame allocates
+// nothing.
+func TestConnWriterCounters(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	payload := make([]byte, 64)
+	cw := newConnWriter(io.Discard)
+	for i := 0; i < 10; i++ {
+		if err := cw.write(opPub, "a/b", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := cw.write(opPub, "a/b", payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a queued frame allocates %v times with obs disabled", allocs)
+	}
+	cw.close()
+
+	obs.Enable()
+	defer obs.Disable()
+	frames0, writes0 := obsFramesOut.Value(), obsWrites.Value()
+	w := &countingWriter{delay: time.Millisecond}
+	cw = newConnWriter(w)
+	const n = 50
+	for i := 0; i < n; i++ {
+		if err := cw.write(opPub, "a/b", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cw.close()
+	writes, frames := w.frames(t)
+	if len(frames) != n || obsFramesOut.Value()-frames0 != n {
+		t.Errorf("%d frames written, bus.tcp.frames_out advanced by %d; want %d", len(frames), obsFramesOut.Value()-frames0, n)
+	}
+	if got := obsWrites.Value() - writes0; got != int64(writes) {
+		t.Errorf("bus.tcp.writes advanced by %d over %d writes", got, writes)
+	}
+}
+
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	payload := []byte(`{"nodeId":"w0/n17","gridIdx":517,"value":21.73,"sigma":0.2}`)
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = appendFrame(buf[:0], opMsg, "nc0/inbox/12/w0/n17/3", payload)
+		if _, err := parseFrame(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// 256 publishes from a client, counted as they reach an in-process
+// subscriber on the server's bus.
+func BenchmarkClientPublishBurst(b *testing.B) {
+	bs := New()
+	defer bs.Close()
+	srv, err := NewServer(bs, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	const burst = 256
+	sink, err := bs.Subscribe("probe/burst", burst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < burst; j++ {
+			if err := cli.Publish("probe/burst", payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for j := 0; j < burst; j++ {
+			<-sink.C
+		}
+	}
 }
 
 // A subscriber that stops draining loses messages at the client; the

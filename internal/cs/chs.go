@@ -40,9 +40,10 @@ type CHSOptions struct {
 	Tol float64
 	// MaxSupport caps |J| (default: number of measurements).
 	MaxSupport int
-	// V is the sensor-noise covariance; when non-nil the coefficients are
-	// solved with GLS (Fig. 6 step e-ii) instead of OLS (step e-i).
-	V *mat.Matrix
+	// Sigmas are the per-measurement noise std-devs; when non-nil the
+	// coefficients are solved with GLS (Fig. 6 step e-ii) instead of OLS
+	// (step e-i), each sigma floored at minSigma.
+	Sigmas []float64
 	// SeedSupport warm-starts the decode from a previously recovered
 	// support (Result.Support, in admission order): the seed columns are
 	// folded into the incremental-QR factors and the sensor residual
@@ -241,15 +242,27 @@ outer:
 		return nil, err
 	}
 	// Fig. 6 step (e-ii): for heterogeneous sensors, refit the recovered
-	// support with the noise-covariance-weighted GLS estimate.
-	if opts.V != nil {
+	// support with the noise-weighted GLS estimate.
+	if opts.Sigmas != nil {
 		sub := mat.New(d.rows(), len(support))
 		if err := d.subInto(sub, support); err != nil {
 			return nil, err
 		}
-		if gcoef, err := mat.WeightedLeastSquares(sub, y, opts.V); err == nil {
+		if gcoef, err := glsRefit(sub, y, opts.Sigmas); err == nil {
 			coef = gcoef
 		}
 	}
 	return packResultDict(d, support, coef, y, iters)
+}
+
+// minSigma floors each σ of a GLS refit: no reading gets an infinite weight.
+const minSigma = 1e-4
+
+// glsRefit is the GLS estimate on sub under the covariance diag(σ²).
+func glsRefit(sub *mat.Matrix, y, sigmas []float64) ([]float64, error) {
+	floored := make([]float64, len(sigmas))
+	for i, s := range sigmas {
+		floored[i] = max(s, minSigma)
+	}
+	return mat.WeightedLeastSquares(sub, y, floored)
 }

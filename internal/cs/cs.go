@@ -294,20 +294,6 @@ func Measure(x []float64, locs []int, rng *rand.Rand, sigmas []float64) ([]float
 	return y, nil
 }
 
-// NoiseCovariance builds the diagonal sensor-noise covariance V from
-// per-measurement standard deviations. Zero sigmas are floored at
-// minSigma to keep V positive definite.
-func NoiseCovariance(sigmas []float64, minSigma float64) *mat.Matrix {
-	d := make([]float64, len(sigmas))
-	for i, s := range sigmas {
-		if s < minSigma {
-			s = minSigma
-		}
-		d[i] = s * s
-	}
-	return mat.Diag(d)
-}
-
 // ChooseKCrossValOp picks the sparsity K that minimizes held-out
 // measurement error: it splits the measurements into a training and
 // validation set, runs OMP at each K in [1, kMax], and returns the K whose

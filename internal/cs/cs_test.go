@@ -189,13 +189,110 @@ func TestCHSWithGLSUnderNoise(t *testing.T) {
 	}
 	y, _ := Measure(x, locs, rng, sigmas)
 	res, err := CHSOp(op, locs, y, CHSOptions{
-		Tol: 1e-6, MaxSupport: 4, V: NoiseCovariance(sigmas, 1e-6),
+		Tol: 1e-6, MaxSupport: 4, Sigmas: sigmas,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm := NMSE(x, res.Xhat); nm > 0.05 {
 		t.Fatalf("CHS-GLS NMSE %v", nm)
+	}
+}
+
+// choleskyGLS is the GLS refit as it was computed before it became row
+// scaling: build the covariance diag(max(σ, floor)²), factor it with
+// Cholesky, whiten sub and y with forward substitution, then solve OLS.
+func choleskyGLS(sub *mat.Matrix, y, sigmas []float64, floor float64) ([]float64, error) {
+	m := len(sigmas)
+	v := mat.New(m, m)
+	for i, s := range sigmas {
+		if s < floor {
+			s = floor
+		}
+		v.Data[i*m+i] = s * s
+	}
+	l := mat.New(m, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j <= i; j++ {
+			s := v.Data[i*m+j]
+			for k := 0; k < j; k++ {
+				s -= l.Data[i*m+k] * l.Data[j*m+k]
+			}
+			if i == j {
+				if s <= 0 {
+					return nil, mat.ErrSingular
+				}
+				l.Data[i*m+i] = math.Sqrt(s)
+			} else {
+				l.Data[i*m+j] = s / l.Data[j*m+j]
+			}
+		}
+	}
+	solve := func(b []float64) []float64 {
+		x := make([]float64, m)
+		for i := 0; i < m; i++ {
+			s := b[i]
+			for j := 0; j < i; j++ {
+				s -= l.Data[i*m+j] * x[j]
+			}
+			x[i] = s / l.Data[i*m+i]
+		}
+		return x
+	}
+	wa := mat.New(sub.Rows, sub.Cols)
+	col := make([]float64, sub.Rows)
+	for j := 0; j < sub.Cols; j++ {
+		for i := range col {
+			col[i] = sub.Data[i*sub.Cols+j]
+		}
+		for i, w := range solve(col) {
+			wa.Data[i*sub.Cols+j] = w
+		}
+	}
+	return mat.LeastSquares(wa, solve(y))
+}
+
+// The GLS refit divides each row by its floored sigma instead of whitening
+// with a Cholesky factor. On a diagonal covariance the two compute the
+// same quotients, so the coefficients must agree bit for bit: over random
+// covariances spanning six decades, sigmas at and below the floor, a
+// single measurement, and the M < K shape both must reject.
+func TestGLSRowScalingMatchesCholesky(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 200; trial++ {
+		m, k := 1+rng.Intn(40), 1+rng.Intn(8)
+		if trial%10 == 0 {
+			m, k = 1, 1
+		}
+		sub, y, sigmas := mat.New(m, k), make([]float64, m), make([]float64, m)
+		for i := range sub.Data {
+			sub.Data[i] = rng.NormFloat64()
+		}
+		for i := range y {
+			y[i] = 10 * rng.NormFloat64()
+			sigmas[i] = math.Pow(10, -3+3*rng.Float64())
+			switch rng.Intn(8) {
+			case 0:
+				sigmas[i] = 0
+			case 1:
+				sigmas[i] = minSigma * rng.Float64()
+			case 2:
+				sigmas[i] = minSigma
+			}
+		}
+		want, wantErr := choleskyGLS(sub, y, sigmas, minSigma)
+		got, err := glsRefit(sub, y, sigmas)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("trial %d (M=%d, K=%d): err %v, Cholesky path err %v", trial, m, k, err, wantErr)
+		}
+		if m < k && err == nil {
+			t.Fatalf("trial %d: M=%d < K=%d solved", trial, m, k)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (M=%d, K=%d): coefficient %d = %v, Cholesky path %v", trial, m, k, i, got[i], want[i])
+			}
+		}
 	}
 }
 

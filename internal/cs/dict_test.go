@@ -41,7 +41,6 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := NoiseCovariance(sigmas, 1e-6)
 		mu := make([]float64, p.n)
 		for i := range mu {
 			mu[i] = 20 + 0.1*float64(i%7)
@@ -68,7 +67,7 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 				return CHSOp(op, locs, y, CHSOptions{MaxSupport: p.k})
 			}},
 			{"CHSOp/GLS", func(op basis.Operator) (*Result, error) {
-				return CHSOp(op, locs, y, CHSOptions{MaxSupport: p.k, V: v})
+				return CHSOp(op, locs, y, CHSOptions{MaxSupport: p.k, Sigmas: sigmas})
 			}},
 			{"IHTOp", func(op basis.Operator) (*Result, error) {
 				return IHTOp(op, locs, y, IHTOptions{K: p.k})

@@ -445,7 +445,7 @@ func Fig6(cfg Fig6Config) (*Table, error) {
 			return nil, err
 		}
 		gls, err := cs.CHSOp(op, locs, y, cs.CHSOptions{
-			MaxSupport: cfg.K, Tol: 1e-6, V: cs.NoiseCovariance(sigmas, 1e-4),
+			MaxSupport: cfg.K, Tol: 1e-6, Sigmas: sigmas,
 		})
 		if err != nil {
 			return nil, err

@@ -257,7 +257,7 @@ func (r *Runner) decode(cfg CampaignConfig, res *Result) error {
 		}
 		opts := cs.CHSOptions{MaxSupport: k, MaxIter: k, Tol: 1e-8, PerIter: 1}
 		if cfg.UseGLS {
-			opts.V = cs.NoiseCovariance(zc.sigmas, 1e-4)
+			opts.Sigmas = zc.sigmas
 		}
 		dec, err := cs.CHSOp(op, zc.locs, zc.vals, opts)
 		if err != nil {

@@ -61,15 +61,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Matrix {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.Data[i*len(d)+i] = v
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -118,36 +109,18 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 
 // MulVec returns a*x for a column vector x.
 func MulVec(a *Matrix, x []float64) ([]float64, error) {
-	if a.Cols != len(x) {
-		return nil, fmt.Errorf("%w: (%dx%d)*vec(%d)", ErrShape, a.Rows, a.Cols, len(x))
-	}
 	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
+	if err := MulVecInto(out, a, x); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // MulTVec returns aᵀ*x, computed without materializing the transpose.
 func MulTVec(a *Matrix, x []float64) ([]float64, error) {
-	if a.Rows != len(x) {
-		return nil, fmt.Errorf("%w: (%dx%d)ᵀ*vec(%d)", ErrShape, a.Rows, a.Cols, len(x))
-	}
 	out := make([]float64, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j, v := range row {
-			out[j] += v * xi
-		}
+	if err := MulTVecInto(out, a, x); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -169,13 +142,8 @@ func SelectRows(a *Matrix, idx []int) (*Matrix, error) {
 // indices, in order.
 func SelectCols(a *Matrix, idx []int) (*Matrix, error) {
 	out := New(a.Rows, len(idx))
-	for k, j := range idx {
-		if j < 0 || j >= a.Cols {
-			return nil, fmt.Errorf("mat: col index %d out of range [0,%d)", j, a.Cols)
-		}
-		for i := 0; i < a.Rows; i++ {
-			out.Data[i*len(idx)+k] = a.Data[i*a.Cols+j]
-		}
+	if err := SelectColsInto(out, a, idx); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -291,85 +259,27 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	return f.Solve(b)
 }
 
-// WeightedLeastSquares solves the generalized least squares problem
-// min_x (a*x-b)ᵀ V⁻¹ (a*x-b) for a noise covariance V, the paper's GLS
-// estimate, Eq. (12). V must be symmetric positive definite. The system is
-// whitened with the Cholesky factor of V and solved with ordinary QR.
-func WeightedLeastSquares(a *Matrix, b []float64, v *Matrix) ([]float64, error) {
-	if v.Rows != a.Rows || v.Cols != a.Rows {
-		return nil, fmt.Errorf("%w: covariance %dx%d, want %dx%d", ErrShape, v.Rows, v.Cols, a.Rows, a.Rows)
+// WeightedLeastSquares solves min_x Σᵢ ((a*x − b)ᵢ / σᵢ)², the paper's GLS
+// estimate, Eq. (12), under the diagonal noise covariance V = diag(σᵢ²):
+// row i of a and b is divided by √(σᵢ²), the Cholesky factor of V, and
+// the whitened system is solved with ordinary QR.
+func WeightedLeastSquares(a *Matrix, b, sigma []float64) ([]float64, error) {
+	if len(sigma) != a.Rows || len(b) != a.Rows {
+		return nil, fmt.Errorf("%w: %d sigmas and %d rhs for %d rows", ErrShape, len(sigma), len(b), a.Rows)
 	}
-	l, err := Cholesky(v)
-	if err != nil {
-		return nil, fmt.Errorf("mat: covariance not positive definite: %w", err)
-	}
-	// Whiten: solve L*Ã = A and L*b̃ = b, then OLS on (Ã, b̃).
-	wb, err := solveLowerTriangular(l, b)
-	if err != nil {
-		return nil, err
-	}
-	wa := New(a.Rows, a.Cols)
-	col := make([]float64, a.Rows)
-	for j := 0; j < a.Cols; j++ {
-		for i := 0; i < a.Rows; i++ {
-			col[i] = a.Data[i*a.Cols+j]
+	wa, wb := New(a.Rows, a.Cols), make([]float64, a.Rows)
+	for i, s := range sigma {
+		v := s * s
+		if v <= 0 {
+			return nil, fmt.Errorf("mat: row %d has sigma %v: %w", i, s, ErrSingular)
 		}
-		wc, err := solveLowerTriangular(l, col)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < a.Rows; i++ {
-			wa.Data[i*a.Cols+j] = wc[i]
+		d := math.Sqrt(v)
+		wb[i] = b[i] / d
+		for j := i * a.Cols; j < (i+1)*a.Cols; j++ {
+			wa.Data[j] = a.Data[j] / d
 		}
 	}
 	return LeastSquares(wa, wb)
-}
-
-// Cholesky returns the lower-triangular L with a = L*Lᵀ for symmetric
-// positive-definite a.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, ErrShape
-	}
-	l := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.Data[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= l.Data[i*n+k] * l.Data[j*n+k]
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrSingular
-				}
-				l.Data[i*n+i] = math.Sqrt(s)
-			} else {
-				l.Data[i*n+j] = s / l.Data[j*n+j]
-			}
-		}
-	}
-	return l, nil
-}
-
-func solveLowerTriangular(l *Matrix, b []float64) ([]float64, error) {
-	n := l.Rows
-	if len(b) != n {
-		return nil, ErrShape
-	}
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= l.Data[i*n+j] * x[j]
-		}
-		d := l.Data[i*n+i]
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		x[i] = s / d
-	}
-	return x, nil
 }
 
 // ConditionEstimate estimates the 2-norm condition number of a from the

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -221,7 +222,11 @@ func TestWeightedLeastSquaresMatchesOLSForIdentityCov(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gls, err := WeightedLeastSquares(a, b, Identity(9))
+	ones := make([]float64, 9)
+	for i := range ones {
+		ones[i] = 1
+	}
+	gls, err := WeightedLeastSquares(a, b, ones)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,15 +249,15 @@ func TestWeightedLeastSquaresDownweightsNoisyRows(t *testing.T) {
 	for i := 4; i < 8; i++ {
 		b[i] += 3 // gross corruption on second block
 	}
-	vdiag := make([]float64, 8)
-	for i := range vdiag {
+	sigma := make([]float64, 8)
+	for i := range sigma {
 		if i < 4 {
-			vdiag[i] = 0.01
+			sigma[i] = 0.1
 		} else {
-			vdiag[i] = 100
+			sigma[i] = 10
 		}
 	}
-	gls, err := WeightedLeastSquares(a, b, Diag(vdiag))
+	gls, err := WeightedLeastSquares(a, b, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,28 +275,17 @@ func TestWeightedLeastSquaresDownweightsNoisyRows(t *testing.T) {
 	}
 }
 
-func TestCholesky(t *testing.T) {
-	// Build SPD matrix a = bᵀb + I.
-	rng := rand.New(rand.NewSource(11))
-	b := randMatrix(rng, 6, 6)
-	a, _ := Mul(b.T(), b)
-	for i := 0; i < 6; i++ {
-		a.Set(i, i, a.At(i, i)+1) // a + I
+// A zero sigma claims an exact row: its weight would be infinite, so the
+// system is reported singular instead of solved with Inf entries.
+func TestWeightedLeastSquaresRejectsZeroSigma(t *testing.T) {
+	a, _ := NewFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
+	for _, sigma := range [][]float64{{1, 0, 1}, {1, 1, -0.0}} {
+		if _, err := WeightedLeastSquares(a, []float64{1, 2, 3}, sigma); !errors.Is(err, ErrSingular) {
+			t.Fatalf("sigma %v: err %v, want ErrSingular", sigma, err)
+		}
 	}
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	llt, _ := Mul(l, l.T())
-	if d := maxAbsDiff(llt, a); d > 1e-9 {
-		t.Fatalf("LLᵀ deviates by %v", d)
-	}
-}
-
-func TestCholeskyNotPD(t *testing.T) {
-	a, _ := NewFromRows([][]float64{{1, 0}, {0, -1}})
-	if _, err := Cholesky(a); err == nil {
-		t.Fatal("want error for non-PD matrix")
+	if _, err := WeightedLeastSquares(a, []float64{1, 2, 3}, []float64{1, 1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("2 sigmas for 3 rows: err %v, want ErrShape", err)
 	}
 }
 
@@ -320,7 +314,7 @@ func TestSelectRowsCols(t *testing.T) {
 }
 
 func TestConditionEstimate(t *testing.T) {
-	d := Diag([]float64{10, 1, 0.1})
+	d, _ := NewFromRows([][]float64{{10, 0, 0}, {0, 1, 0}, {0, 0, 0.1}})
 	c, err := ConditionEstimate(d)
 	if err != nil {
 		t.Fatal(err)
