@@ -98,7 +98,6 @@ var HotEntryPoints = []string{
 	"(*repro/internal/fleet.Shard).Tick",
 	"(*repro/internal/fleet.Shard).report",
 	"repro/internal/mobility.StepWaypoints",
-	"repro/internal/mobility.GridIndexes",
 	"(*repro/internal/energy.Bank).DrainAll",
 }
 

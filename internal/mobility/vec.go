@@ -122,28 +122,3 @@ func StepWaypoints(rng *rand.Rand, p WaypointParams, s *WaypointState, dt float6
 		}
 	}
 }
-
-// GridIndexes maps every position to its column-stacked grid index,
-// writing into dst (len(dst) must equal len(xs)). Same clamping and
-// arithmetic as GridIndex, vectorized and allocation-free for the fleet
-// tick path. Indexes are int32: fleets address zone-local grids, which
-// are far below 2³¹ cells.
-func GridIndexes(dst []int32, xs, ys []float64, w, h float64, gridW, gridH int) {
-	for i := range xs {
-		col := int(xs[i] / w * float64(gridW))
-		row := int(ys[i] / h * float64(gridH))
-		if col >= gridW {
-			col = gridW - 1
-		}
-		if col < 0 {
-			col = 0
-		}
-		if row >= gridH {
-			row = gridH - 1
-		}
-		if row < 0 {
-			row = 0
-		}
-		dst[i] = int32(col*gridH + row)
-	}
-}

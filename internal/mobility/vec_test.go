@@ -59,32 +59,6 @@ func TestStepWaypointsConfinedToArea(t *testing.T) {
 	}
 }
 
-// TestGridIndexesMatchesScalar: the vectorized cell mapping agrees with
-// GridIndex on every position, including clamped boundary cases.
-func TestGridIndexesMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n = 256
-	w, h := 30.0, 20.0
-	gw, gh := 16, 10
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := 0; i < n; i++ {
-		// Include exact-boundary and slightly-out-of-range positions.
-		xs[i] = rng.Float64()*w*1.1 - 0.05*w
-		ys[i] = rng.Float64()*h*1.1 - 0.05*h
-	}
-	xs[0], ys[0] = 0, 0
-	xs[1], ys[1] = w, h
-	dst := make([]int32, n)
-	GridIndexes(dst, xs, ys, w, h, gw, gh)
-	for i := 0; i < n; i++ {
-		want := GridIndex(Point{X: xs[i], Y: ys[i]}, w, h, gw, gh)
-		if int(dst[i]) != want {
-			t.Fatalf("node %d at (%v,%v): vec %d != scalar %d", i, xs[i], ys[i], dst[i], want)
-		}
-	}
-}
-
 // TestInitWaypointsValidation mirrors the scalar constructor's checks.
 func TestInitWaypointsValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -112,11 +86,9 @@ func BenchmarkStepWaypoints4096(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cells := make([]int32, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		StepWaypoints(rng, p, s, 1)
-		GridIndexes(cells, s.X, s.Y, p.W, p.H, 64, 64)
 	}
 }
