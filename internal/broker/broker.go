@@ -394,9 +394,14 @@ func (br *Broker) orderNodes(ctx context.Context) []string {
 }
 
 // ReconstructOptions tunes the broker-side recovery.
+//
+// K is a cap, and not the only one: the decode runs CHS's default 32
+// iterations of one atom each, so a cold decode admits at most 32 atoms
+// (a warm one, 32 beyond its seed) whatever K asks for. ROADMAP.md item 2
+// (one support-size rule) removes that second cap.
 type ReconstructOptions struct {
 	Basis    basis.Kind  // default DCT
-	K        int         // sparsity budget; 0 = len(locs)/3 heuristic
+	K        int         // support cap; 0 = len(locs)/3 heuristic (see above)
 	UseGLS   bool        // weight by per-sensor noise (heterogeneous phones)
 	LearnPhi *mat.Matrix // optional prior basis overriding Basis
 

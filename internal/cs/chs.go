@@ -123,8 +123,11 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	// folded in with a rank-1 update and the sensor residual is deflated in
 	// O(M), instead of copying Φ̃_J and refactorizing from scratch every
 	// iteration. Coefficients are materialized once, after the loop.
+	// The loop admits at most PerIter columns per iteration on top of the
+	// seed, so the factors are sized to that, not to the support cap.
+	cols := min(opts.MaxSupport, len(opts.SeedSupport)+opts.MaxIter*opts.PerIter)
 	resid := mat.CloneVec(y)
-	support := make([]int, 0, opts.MaxSupport)
+	support := make([]int, 0, cols)
 	inSupport := make([]bool, n)
 	// Under ZeroFill interpolation, steps (a)+(b) compose to exactly Φ̃ᵀe_r
 	// — one scatter+analysis with no interpolant allocation.
@@ -139,7 +142,7 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	od, fused := d.(*opDict)
 	fused = fused && !hasDuplicateLocs(locs, inSupport)
 	interp := ZeroFill(d.signalDim())
-	qr, err := mat.NewIncrementalQR(d.rows(), opts.MaxSupport)
+	qr, err := mat.NewIncrementalQR(d.rows(), cols)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +166,7 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 			ok = false // the field drifted past what the old support explains
 		}
 		if !ok {
-			qr, resid, support, err = coldRestart(d, y, opts.MaxSupport, support, inSupport)
+			qr, resid, support, err = coldRestart(d, y, cols, support, inSupport)
 			if err != nil {
 				return nil, err
 			}

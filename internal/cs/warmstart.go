@@ -56,13 +56,14 @@ func seedFactors(d dict, qr *mat.IncrementalQR, resid, col []float64, support []
 	return support, true, nil
 }
 
-// coldRestart discards a failed seed: fresh factors, full residual, empty
-// support. The inSupport marks set during seeding are cleared in place.
-func coldRestart(d dict, y []float64, maxSupport int, support []int, inSupport []bool) (*mat.IncrementalQR, []float64, []int, error) {
+// coldRestart discards a failed seed: fresh factors with room for cols
+// columns, full residual, empty support. The inSupport marks set during
+// seeding are cleared in place.
+func coldRestart(d dict, y []float64, cols int, support []int, inSupport []bool) (*mat.IncrementalQR, []float64, []int, error) {
 	for _, j := range support {
 		inSupport[j] = false
 	}
-	qr, err := mat.NewIncrementalQR(d.rows(), maxSupport)
+	qr, err := mat.NewIncrementalQR(d.rows(), cols)
 	if err != nil {
 		return nil, nil, nil, err
 	}
