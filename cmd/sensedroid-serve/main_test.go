@@ -63,10 +63,10 @@ func TestHandlersNoSnapshot(t *testing.T) {
 func TestHandlersBadParams(t *testing.T) {
 	mux := testMux(t, true)
 	for _, url := range []string{
-		"/field/point",                   // both params missing
-		"/field/point?row=1",             // col missing
-		"/field/point?row=x&col=2",       // non-integer
-		"/field/range?row0=0&col0=0",     // row1/col1 missing
+		"/field/point",               // both params missing
+		"/field/point?row=1",         // col missing
+		"/field/point?row=x&col=2",   // non-integer
+		"/field/range?row0=0&col0=0", // row1/col1 missing
 		"/field/range?row0=a&col0=0&row1=2&col1=2",
 		"/field/agg?zone=abc",
 	} {

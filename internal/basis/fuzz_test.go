@@ -25,7 +25,9 @@ func fuzzOperator2D(kind Kind, h, w int) (Operator, error) {
 // byte pattern. A first byte ≥ 128 draws a 2-D shape instead — factors of
 // 1..8 rows by 1..8 columns, square or rectangular — so Separable2D's paired
 // route, its single-row/column tails and its dense-factor loop see the same
-// inputs.
+// inputs. A 2-D operator also analyzes x from its nonzero entries alone
+// (ApplyTransposeScattered, one location listed twice with a zero value),
+// which must agree with ApplyTranspose of x.
 func FuzzOperatorRoundTrip(f *testing.F) {
 	f.Add([]byte("\x01\x03abcdefgh12345678"))
 	f.Add([]byte("\x02\x08" +
@@ -37,6 +39,7 @@ func FuzzOperatorRoundTrip(f *testing.F) {
 	f.Add([]byte("\x85\x3babcdefgh12345678ABCDEFGH")) // 2-D DCT, 4×8
 	f.Add([]byte("\x85\x38abcdefgh"))                 // 2-D DCT, 1×8: the odd-count tail
 	f.Add([]byte("\x85\x15abcdefgh12345678"))         // 2-D DCT, 6×3: dense factors
+	f.Add([]byte("\x85\x3f\x03\x00\x00\xfd\x00\x7f")) // 2-D DCT, 8×8, 3 of 64 nonzero: scattered front end
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -82,6 +85,20 @@ func FuzzOperatorRoundTrip(f *testing.F) {
 		back := make([]float64, n)
 		op.Apply(mid, x)
 		op.ApplyTranspose(back, mid)
+		var locs []int
+		var vals []float64
+		sep, is2D := op.(*Separable2D)
+		if is2D {
+			for i, v := range x {
+				if v != 0 {
+					locs, vals = append(locs, i), append(vals, v)
+				}
+			}
+			if len(locs) > 0 {
+				locs, vals = append(locs, locs[0]), append(vals, 0)
+			}
+			sep.ApplyTransposeScattered(mid, locs, vals)
+		}
 		if !finite {
 			return
 		}
@@ -94,6 +111,14 @@ func FuzzOperatorRoundTrip(f *testing.F) {
 		for i := range x {
 			if math.Abs(back[i]-x[i]) > 1e-6*scale {
 				t.Fatalf("%s/%d: round-trip [%d] %v -> %v (scale %v)", kind, n, i, x[i], back[i], scale)
+			}
+		}
+		if is2D {
+			op.ApplyTranspose(back, x)
+			for i := range back {
+				if math.Abs(mid[i]-back[i]) > 1e-9*scale {
+					t.Fatalf("%s/%d: scattered analysis [%d] %v, dense %v (scale %v)", kind, n, i, mid[i], back[i], scale)
+				}
 			}
 		}
 	})

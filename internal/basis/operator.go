@@ -187,9 +187,11 @@ func (o *MatrixOp) ApplyTranspose(dst, src []float64) {
 // pipeline (DCT-III). Both directions exist as a single-vector kernel and a
 // paired one that carries two real vectors through one complex FFT (analysis
 // separates the two spectra by conjugate symmetry, synthesis combines them by
-// linearity). The kernels address vector element i at offset+i·stride, gather
-// all input before writing any output (so dst may be src), and share one table
-// set.
+// linearity). The synthesis kernels address vector element i at
+// offset+i·stride and gather all input before writing any output (so dst may
+// be src); the analysis kernels read contiguous vectors, the paired one
+// writing its coefficients split by parity for Separable2D. All share one
+// table set.
 type dctOp struct {
 	n      int
 	plan   *fft.Plan
@@ -261,20 +263,26 @@ func (o *dctOp) Dim() int { return o.n }
 // ApplyTranspose computes α = Φᵀx, the orthonormal DCT-II of x.
 func (o *dctOp) ApplyTranspose(dst, src []float64) {
 	checkLens(o.n, dst, src)
-	o.applyPairs(dst, src, 1, 0, 1, true)
+	if o.n == 1 {
+		dst[0] = src[0]
+		return
+	}
+	sc := o.pool.Get().(*complexScratch)
+	o.analyze1(dst, src, sc.re, sc.im)
+	o.pool.Put(sc)
 }
 
 // Apply computes x = Φα, the orthonormal DCT-III inverse of ApplyTranspose.
 func (o *dctOp) Apply(dst, src []float64) {
 	checkLens(o.n, dst, src)
-	o.applyPairs(dst, src, 1, 0, 1, false)
+	o.synthPairs(dst, src, 1, 0, 1)
 }
 
-// applyPairs transforms count vectors, vector v holding element i at
+// synthPairs synthesizes count vectors, vector v holding element i at
 // v·vecStride + i·stride of src and dst alike: two per complex FFT, an odd
-// last one (and n == 1) through the single-vector kernels, all on one
+// last one (and n == 1) through the single-vector kernel, all on one
 // scratch. dst may be src.
-func (o *dctOp) applyPairs(dst, src []float64, count, vecStride, stride int, transpose bool) {
+func (o *dctOp) synthPairs(dst, src []float64, count, vecStride, stride int) {
 	if o.n == 1 {
 		for v := 0; v < count; v++ {
 			dst[v*vecStride] = src[v*vecStride]
@@ -285,14 +293,9 @@ func (o *dctOp) applyPairs(dst, src []float64, count, vecStride, stride int, tra
 	re, im := sc.re, sc.im
 	for v := 0; v < count; v += 2 {
 		a, b := v*vecStride, (v+1)*vecStride
-		switch {
-		case transpose && v+1 < count:
-			o.analyze2(dst, src, a, b, stride, re, im)
-		case transpose:
-			o.analyze1(dst, src, a, stride, re, im)
-		case v+1 < count:
+		if v+1 < count {
 			o.synth2(dst, src, a, b, stride, re, im)
-		default:
+		} else {
 			o.synth1(dst, src, a, stride, re, im)
 		}
 	}
@@ -300,29 +303,37 @@ func (o *dctOp) applyPairs(dst, src []float64, count, vecStride, stride int, tra
 }
 
 // analyze1: V = FFT(permuted x); α[k] = s(k)·Re(e^{-jπk/2n}·V[k]).
-func (o *dctOp) analyze1(dst, src []float64, a, st int, re, im []float64) {
+func (o *dctOp) analyze1(dst, src, re, im []float64) {
 	for i, g := range o.gather {
-		re[i], im[i] = src[a+g*st], 0
+		re[i], im[i] = src[g], 0
 	}
 	o.plan.Butterflies(re, im, false)
 	for k, c := range o.fwdCos {
-		dst[a+k*st] = c*re[k] + o.fwdSin[k]*im[k]
+		dst[k] = c*re[k] + o.fwdSin[k]*im[k]
 	}
 }
 
-// analyze2 transforms z = xa + j·xb once; the spectra separate as
-// Va[k] = (Z[k] + Z*[n−k])/2 and Vb[k] = (Z[k] − Z*[n−k])/2j.
-func (o *dctOp) analyze2(dst, src []float64, a, b, st int, re, im []float64) {
+// analyzePair transforms z = xa + j·xb once; the spectra separate as
+// Va[k] = (Z[k] + Z*[n−k])/2 and Vb[k] = (Z[k] − Z*[n−k])/2j. The
+// coefficients come out split by parity — α[2p] of xa into ea[p], α[2p+1]
+// into oa[p], likewise xb into eb/ob — which is the layout of the paired
+// FFT planes a 2-D analysis feeds its second stage from (n ≥ 2).
+func (o *dctOp) analyzePair(xa, xb, ea, oa, eb, ob, re, im []float64) {
 	for i, g := range o.gather {
-		re[i], im[i] = src[a+g*st], src[b+g*st]
+		re[i], im[i] = xa[g], xb[g]
 	}
 	o.plan.Butterflies(re, im, false)
 	n := o.n
 	for k := 0; k < n; k++ {
 		j := (n - k) & (n - 1)
 		c, s := 0.5*o.fwdCos[k], 0.5*o.fwdSin[k]
-		dst[a+k*st] = c*(re[k]+re[j]) + s*(im[k]-im[j])
-		dst[b+k*st] = c*(im[k]+im[j]) - s*(re[k]-re[j])
+		va := c*(re[k]+re[j]) + s*(im[k]-im[j])
+		vb := c*(im[k]+im[j]) - s*(re[k]-re[j])
+		if k&1 == 0 {
+			ea[k>>1], eb[k>>1] = va, vb
+		} else {
+			oa[k>>1], ob[k>>1] = va, vb
+		}
 	}
 }
 
@@ -722,20 +733,24 @@ func (o *haarOp) RowInto(dst []float64, i int) {
 // that is O(n log n) against the O(n²) Kronecker matrix, and the (h·w)²
 // product matrix is never materialized. Factors may be any Operator,
 // including another Separable2D (the spatio-temporal decoder stacks a
-// temporal factor on a spatial one). When both factors offer pairApplier
-// (the FFT-backed DCT does) the stages run strided on the column-stacked
-// layout, two vectors per FFT; otherwise each vector goes through the
-// factor's Apply/ApplyTranspose with a transpose between the stages.
+// temporal factor on a spatial one). When both factors are FFT-backed DCTs
+// the stages run on the column-stacked layout two vectors per FFT (the
+// paired route below); otherwise each vector goes through the factor's
+// Apply/ApplyTranspose with a transpose between the stages.
 type Separable2D struct {
 	row, col Operator
 	h, w, n  int
 	pool     sync.Pool
-}
-
-// pairApplier is the factor refinement behind Separable2D's fast route: a
-// strided batch transform (see (*dctOp).applyPairs) that needs no transpose.
-type pairApplier interface {
-	applyPairs(dst, src []float64, count, vecStride, stride int, transpose bool)
+	// rd/cd are the factors when both are FFT-backed DCTs, nil otherwise.
+	// slot[c] is the stage-2 FFT input row field column c feeds: the
+	// inverse of the column factor's Makhoul bit-reversed gather.
+	rd, cd *dctOp
+	slot   []int
+	// rowTab holds Φr row by row, each row split into its even-index
+	// coefficients then its odd-index ones (h·h values) — the scattered
+	// analysis's first stage. Built on first use.
+	rowTabOnce sync.Once
+	rowTab     []float64
 }
 
 // NewSeparable2D builds the separable operator for an h-row × w-col field
@@ -743,13 +758,23 @@ type pairApplier interface {
 func NewSeparable2D(rowOp, colOp Operator) *Separable2D {
 	h, w := rowOp.Dim(), colOp.Dim()
 	n := h * w
-	return &Separable2D{
+	o := &Separable2D{
 		row: rowOp, col: colOp, h: h, w: w, n: n,
 		pool: sync.Pool{New: func() any {
 			s := make([]float64, 2*n)
 			return &s
 		}},
 	}
+	rd, rok := rowOp.(*dctOp)
+	cd, cok := colOp.(*dctOp)
+	if rok && cok {
+		o.rd, o.cd = rd, cd
+		o.slot = make([]int, w)
+		for i, c := range cd.gather {
+			o.slot[c] = i
+		}
+	}
+	return o
 }
 
 // Factors returns the row and column factor operators.
@@ -757,21 +782,173 @@ func (o *Separable2D) Factors() (rowOp, colOp Operator) { return o.row, o.col }
 
 func (o *Separable2D) Dim() int { return o.n }
 
-func (o *Separable2D) apply(dst, src []float64, transpose bool) {
-	h, w, n := o.h, o.w, o.n
-	checkLens(n, dst, src)
-	if n == 0 {
+// Apply computes x = Φ₂α. On the paired route both stages run strided on
+// the column-stacked layout itself, stage 2 in place over dst's rows
+// (element stride h).
+func (o *Separable2D) Apply(dst, src []float64) {
+	checkLens(o.n, dst, src)
+	if o.n == 0 {
 		return
 	}
-	// Paired route: both stages run on the column-stacked layout itself,
-	// stage 2 in place over dst's rows (element stride h).
-	if rp, ok := o.row.(pairApplier); ok {
-		if cp, ok := o.col.(pairApplier); ok {
-			rp.applyPairs(dst, src, w, h, 1, transpose)
-			cp.applyPairs(dst, dst, h, 1, h, transpose)
+	if o.rd != nil {
+		o.rd.synthPairs(dst, src, o.w, o.h, 1)
+		o.cd.synthPairs(dst, dst, o.h, 1, o.h)
+		return
+	}
+	o.generic(dst, src, false)
+}
+
+// ApplyTranspose computes α = Φ₂ᵀx. On the paired route stage 1 runs the
+// row factor over the field's columns two per FFT, writing each column's
+// coefficients straight into the column factor's paired FFT planes; stage
+// 2 is one batched FFT over those planes (see colStage). A single-row or
+// single-column field is one factor analysis.
+func (o *Separable2D) ApplyTranspose(dst, src []float64) {
+	checkLens(o.n, dst, src)
+	switch {
+	case o.n == 0:
+	case o.rd == nil:
+		o.generic(dst, src, true)
+	case o.h == 1:
+		o.cd.ApplyTranspose(dst, src)
+	case o.w == 1:
+		o.rd.ApplyTranspose(dst, src)
+	default:
+		sp := o.pool.Get().(*[]float64)
+		re, im := (*sp)[:o.n/2], (*sp)[o.n/2:o.n]
+		o.rowStage(re, im, src)
+		o.colStage(dst, re, im)
+		o.pool.Put(sp)
+	}
+}
+
+// ApplyTransposeScattered computes α = Φ₂ᵀx for the x that is vals[i] at
+// locs[i] and zero elsewhere; duplicate locations accumulate. dst has
+// length Dim(), and every location must lie in [0, Dim()). The result
+// agrees with scattering into a zero field and calling ApplyTranspose to
+// a few ulps.
+//
+// On the paired route with few locations, stage 1 skips the field: each
+// location adds vals[i]·Φr[row, :] into the stage-2 planes, O(M·h) instead
+// of w/2 row-factor FFTs (scatterWins decides from M, h and w). Otherwise
+// the values are scattered into a zeroed field and analyzed as
+// ApplyTranspose does, which is bit-identical to doing that by hand.
+func (o *Separable2D) ApplyTransposeScattered(dst []float64, locs []int, vals []float64) {
+	n := o.n
+	if len(dst) != n || len(locs) != len(vals) {
+		panic(fmt.Sprintf("basis: scattered analysis dst %d for dim %d, %d locations for %d values", len(dst), n, len(locs), len(vals)))
+	}
+	paired := o.rd != nil && o.h > 1 && o.w > 1
+	sp := o.pool.Get().(*[]float64)
+	re, im, x := (*sp)[:n/2], (*sp)[n/2:n], (*sp)[n:]
+	if paired && scatterWins(len(locs), o.h, o.w) {
+		o.rowTabOnce.Do(o.buildRowTab)
+		o.scatterStage(re, im, locs, vals)
+	} else {
+		clear(x)
+		for i, l := range locs {
+			x[l] += vals[i]
+		}
+		if !paired {
+			o.ApplyTranspose(dst, x)
+			o.pool.Put(sp)
 			return
 		}
+		o.rowStage(re, im, x)
 	}
+	o.colStage(dst, re, im)
+	o.pool.Put(sp)
+}
+
+// scatterWins is the front-end rule of ApplyTransposeScattered, an op
+// count in M, h and w alone: the scattered stage 1 costs M·h multiply-adds
+// (one factor row per location), the dense one about 2·(log₂h − 1)
+// operations per field element (w/2 paired h-point FFTs with their gather
+// and twiddles), and stage 2 is the same for both. DESIGN.md §9 lists the
+// measured crossovers beside the rule, from 16×16 to 256×256.
+func scatterWins(m, h, w int) bool {
+	return m < 2*w*(bits.Len(uint(h))-2)
+}
+
+// buildRowTab fills rowTab from the row factor's closed-form rows.
+func (o *Separable2D) buildRowTab() {
+	h, half := o.h, o.h/2
+	tab := make([]float64, h*h)
+	row := make([]float64, h)
+	for r := 0; r < h; r++ {
+		o.rd.RowInto(row, r)
+		t := tab[r*h : (r+1)*h]
+		for p := 0; p < half; p++ {
+			t[p], t[half+p] = row[2*p], row[2*p+1]
+		}
+	}
+	o.rowTab = tab
+}
+
+// Stage-2 planes: the column factor's paired FFT input for all h/2 pairs
+// of coefficient rows at once, in fft.Plan.BatchButterflies layout — row i
+// of a plane (h/2 contiguous values) is FFT input slot i, which holds field
+// column gather[i]; value p of the row belongs to pair p, whose real part
+// (re) carries row-factor coefficient 2p and whose imaginary part (im)
+// carries coefficient 2p+1. Stage 1 fills the planes, colStage finishes.
+
+// rowStage is the dense stage 1: the row factor's paired analysis over
+// field columns (c, c+1), each column's coefficients landing in its plane
+// row. The arithmetic is the paired kernel's, so the planes hold exactly
+// the values the strided route used to leave in dst.
+func (o *Separable2D) rowStage(re, im, src []float64) {
+	h, half := o.h, o.h/2
+	sc := o.rd.pool.Get().(*complexScratch)
+	for c := 0; c < o.w; c += 2 {
+		a, b := o.slot[c]*half, o.slot[c+1]*half
+		o.rd.analyzePair(src[c*h:(c+1)*h], src[(c+1)*h:(c+2)*h],
+			re[a:a+half], im[a:a+half], re[b:b+half], im[b:b+half], sc.re, sc.im)
+	}
+	o.rd.pool.Put(sc)
+}
+
+// scatterStage is the scattered stage 1: location l = c·h + r adds
+// v·Φr[r, 2p] to re and v·Φr[r, 2p+1] to im in column c's plane row.
+func (o *Separable2D) scatterStage(re, im []float64, locs []int, vals []float64) {
+	clear(re)
+	clear(im)
+	h, half := o.h, o.h/2
+	for i, l := range locs {
+		v := vals[i]
+		base := o.slot[l/h] * half
+		pr, pi := re[base:][:half], im[base:][:half]
+		even := o.rowTab[(l%h)*h:][:half]
+		odd := o.rowTab[(l%h)*h+half:][:half]
+		for p := range pr {
+			pr[p] += v * even[p]
+			pi[p] += v * odd[p]
+		}
+	}
+}
+
+// colStage is stage 2: one batched FFT over the h/2 pairs, then the paired
+// kernel's spectrum separation and half-sample twiddle, written row by row
+// of the column-stacked output — α[k·h + 2p] and α[k·h + 2p+1] are
+// neighbours, so the writes are contiguous.
+func (o *Separable2D) colStage(dst, re, im []float64) {
+	cd, h, w, half := o.cd, o.h, o.w, o.h/2
+	cd.plan.BatchButterflies(re, im, half, false)
+	for k := 0; k < w; k++ {
+		j := (w - k) & (w - 1)
+		c, s := 0.5*cd.fwdCos[k], 0.5*cd.fwdSin[k]
+		rk, ik := re[k*half:][:half], im[k*half:][:half]
+		rj, ij := re[j*half:][:half], im[j*half:][:half]
+		out := dst[k*h:][:h]
+		for p := range rk {
+			out[2*p] = c*(rk[p]+rj[p]) + s*(ik[p]-ij[p])
+			out[2*p+1] = c*(ik[p]+ij[p]) - s*(rk[p]-rj[p])
+		}
+	}
+}
+
+// generic is the per-vector route for factors without the paired kernels.
+func (o *Separable2D) generic(dst, src []float64, transpose bool) {
+	h, w, n := o.h, o.w, o.n
 	sp := o.pool.Get().(*[]float64)
 	t1 := (*sp)[:n]
 	t2 := (*sp)[n : 2*n]
@@ -805,9 +982,6 @@ func (o *Separable2D) apply(dst, src []float64, transpose bool) {
 	}
 	o.pool.Put(sp)
 }
-
-func (o *Separable2D) Apply(dst, src []float64)          { o.apply(dst, src, false) }
-func (o *Separable2D) ApplyTranspose(dst, src []float64) { o.apply(dst, src, true) }
 
 // RowInto fills dst with row i of the 2-D operator: the Kronecker row is
 // the outer product of the factor rows, Φ₂[i, jc·h+jr] = Φr[ir,jr]·Φc[ic,jc]

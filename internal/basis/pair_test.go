@@ -19,10 +19,12 @@ func relDiff(a, b []float64) float64 {
 	return opMaxAbsDiff(a, b) / scale
 }
 
-// TestDCTPairedMatchesSingle pins the paired kernel to the single-vector one:
-// two (and three, for the odd tail) vectors through applyPairs agree with
-// per-vector Apply/ApplyTranspose to ≤ 1e-12 relative, for every power-of-two
-// size up to 1024, contiguous and strided, out of place and in place.
+// TestDCTPairedMatchesSingle pins the paired kernels to the single-vector
+// ones: two (and three, for the odd tail) vectors through synthPairs agree
+// with per-vector Apply to ≤ 1e-12 relative, for every power-of-two size up
+// to 1024, contiguous and strided, out of place and in place; and two
+// vectors through analyzePair agree with ApplyTranspose to the same bound,
+// read back from its parity-split halves.
 func TestDCTPairedMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for n := 1; n <= 1024; n <<= 1 {
@@ -43,46 +45,59 @@ func TestDCTPairedMatchesSingle(t *testing.T) {
 			for _, l := range layouts {
 				size := (count-1)*l.vecStride + (n-1)*l.stride + 1
 				src := randVec(rng, size)
-				for _, transpose := range []bool{true, false} {
-					label := fmt.Sprintf("n=%d count=%d %s transpose=%v", n, count, l.name, transpose)
-					want := make([]float64, size)
-					copy(want, src) // slots no vector covers must come through untouched
-					in, out := make([]float64, n), make([]float64, n)
-					for v := 0; v < count; v++ {
-						for i := range in {
-							in[i] = src[v*l.vecStride+i*l.stride]
-						}
-						if transpose {
-							o.ApplyTranspose(out, in)
-						} else {
-							o.Apply(out, in)
-						}
-						for i, x := range out {
-							want[v*l.vecStride+i*l.stride] = x
-						}
+				label := fmt.Sprintf("n=%d count=%d %s", n, count, l.name)
+				want := make([]float64, size)
+				copy(want, src) // slots no vector covers must come through untouched
+				in, out := make([]float64, n), make([]float64, n)
+				for v := 0; v < count; v++ {
+					for i := range in {
+						in[i] = src[v*l.vecStride+i*l.stride]
 					}
-					got := make([]float64, size)
-					copy(got, src)
-					o.applyPairs(got, src, count, l.vecStride, l.stride, transpose)
-					if d := relDiff(got, want); d > 1e-12 {
-						t.Errorf("%s: paired deviates from single by %.3g relative", label, d)
-					}
-					inPlace := make([]float64, size)
-					copy(inPlace, src)
-					o.applyPairs(inPlace, inPlace, count, l.vecStride, l.stride, transpose)
-					for i := range got {
-						if inPlace[i] != got[i] {
-							t.Fatalf("%s: in-place result differs from out-of-place at %d", label, i)
-						}
+					o.Apply(out, in)
+					for i, x := range out {
+						want[v*l.vecStride+i*l.stride] = x
 					}
 				}
+				got := make([]float64, size)
+				copy(got, src)
+				o.synthPairs(got, src, count, l.vecStride, l.stride)
+				if d := relDiff(got, want); d > 1e-12 {
+					t.Errorf("%s: paired synthesis deviates from single by %.3g relative", label, d)
+				}
+				inPlace := make([]float64, size)
+				copy(inPlace, src)
+				o.synthPairs(inPlace, inPlace, count, l.vecStride, l.stride)
+				for i := range got {
+					if inPlace[i] != got[i] {
+						t.Fatalf("%s: in-place result differs from out-of-place at %d", label, i)
+					}
+				}
+			}
+		}
+		if n == 1 {
+			continue // analyzePair needs a coefficient of each parity
+		}
+		xa, xb := randVec(rng, n), randVec(rng, n)
+		half := n / 2
+		split := make([]float64, 2*n)
+		re, im := make([]float64, n), make([]float64, n)
+		o.analyzePair(xa, xb, split[:half], split[half:n], split[n:n+half], split[n+half:], re, im)
+		for v, x := range [][]float64{xa, xb} {
+			want := make([]float64, n)
+			o.ApplyTranspose(want, x)
+			got := make([]float64, n)
+			for p := 0; p < half; p++ {
+				got[2*p], got[2*p+1] = split[v*n+p], split[v*n+half+p]
+			}
+			if d := relDiff(got, want); d > 1e-12 {
+				t.Errorf("n=%d vector %d: paired analysis deviates from single by %.3g relative", n, v, d)
 			}
 		}
 	}
 }
 
-// plainOp hides every refinement of the wrapped operator (the pair interface
-// in particular), forcing Separable2D onto its generic per-vector loop.
+// plainOp hides every refinement of the wrapped operator (its concrete DCT
+// type in particular), forcing Separable2D onto its generic per-vector loop.
 type plainOp struct{ Operator }
 
 // TestSeparable2DPairedMatchesGeneric runs the paired route against the
@@ -101,13 +116,13 @@ func TestSeparable2DPairedMatchesGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := row.(pairApplier); !ok {
-			t.Fatalf("dct/%d does not offer the pair interface", h)
-		}
 		paired := NewSeparable2D(row, col)
+		if paired.rd == nil {
+			t.Fatalf("dct/%d ⊗ dct/%d did not take the paired route", h, w)
+		}
 		generic := NewSeparable2D(plainOp{row}, plainOp{col})
-		if _, ok := generic.row.(pairApplier); ok {
-			t.Fatal("plainOp leaks the pair interface; the reference would take the paired route too")
+		if generic.rd != nil {
+			t.Fatal("plainOp leaks the DCT factor; the reference would take the paired route too")
 		}
 		x := randVec(rng, h*w)
 		got, want := make([]float64, h*w), make([]float64, h*w)
@@ -122,7 +137,7 @@ func TestSeparable2DPairedMatchesGeneric(t *testing.T) {
 			t.Errorf("%dx%d: paired Apply deviates from generic by %.3g relative", h, w, d)
 		}
 	}
-	// A factor pair where only one side offers the interface stays generic.
+	// A factor pair where only one side is an FFT-backed DCT stays generic.
 	dct, _ := OperatorFor(KindDCT, 8)
 	haar, _ := OperatorFor(KindHaar, 4)
 	mixed := NewSeparable2D(dct, haar)

@@ -84,13 +84,13 @@ func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result
 	return chsDict(d, locs, y, opts)
 }
 
-// hasDuplicateLocs reports whether any sensor location appears twice,
-// marking locations in mark (all false, indexed over the signal) and
-// clearing its marks again before it returns.
-func hasDuplicateLocs(locs []int, mark []bool) bool {
+// hasDuplicates reports whether any index (a sensor location, a seed
+// atom) appears twice, marking indices in mark (all false, covering every
+// index) and clearing its marks again before it returns.
+func hasDuplicates(idx []int, mark []bool) bool {
 	dup := false
 	marked := 0
-	for _, l := range locs {
+	for _, l := range idx {
 		if mark[l] {
 			dup = true
 			break
@@ -98,7 +98,7 @@ func hasDuplicateLocs(locs []int, mark []bool) bool {
 		mark[l] = true
 		marked++
 	}
-	for _, l := range locs[:marked] {
+	for _, l := range idx[:marked] {
 		mark[l] = false
 	}
 	return dup
@@ -130,17 +130,17 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	support := make([]int, 0, cols)
 	inSupport := make([]bool, n)
 	// Under ZeroFill interpolation, steps (a)+(b) compose to exactly Φ̃ᵀe_r
-	// — one scatter+analysis with no interpolant allocation.
-	// The fused path is taken only on the matrix-free dictionary (where it
-	// is bit-identical to ZeroFill+analyzeFull, both being a scatter into
-	// the same buffer followed by one ApplyTranspose); the dense dictionary
-	// keeps the historical two-step arithmetic so its decodes stay
-	// bit-identical to the pre-operator implementation. Duplicate sensor
+	// — one scatter+analysis with no interpolant allocation, or one
+	// scattered analysis of the M values on a 2-D operator (equal to
+	// ZeroFill+analyzeFull to 1e-12 relative, bit for bit otherwise).
+	// The fused path is taken only on the matrix-free dictionary; the
+	// dense dictionary keeps the historical two-step arithmetic so its
+	// decodes stay bit-identical to the pre-operator implementation. Duplicate sensor
 	// locations disable it: corrT accumulates where ZeroFill overwrites.
 	// The duplicate scan borrows inSupport as its mark array (the op path
 	// validated every location into [0,n)).
 	od, fused := d.(*opDict)
-	fused = fused && !hasDuplicateLocs(locs, inSupport)
+	fused = fused && !hasDuplicates(locs, inSupport)
 	interp := ZeroFill(d.signalDim())
 	qr, err := mat.NewIncrementalQR(d.rows(), cols)
 	if err != nil {
@@ -156,7 +156,7 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	// measurements (residual under the seed tolerance, or the support cap
 	// already reached), the loop below exits immediately and the decode
 	// costs one residual check plus the final solve.
-	if validSeed(opts.SeedSupport, n, opts.MaxSupport) {
+	if validSeed(opts.SeedSupport, n, opts.MaxSupport, inSupport) {
 		var ok bool
 		support, ok, err = seedFactors(d, qr, resid, col, support, inSupport, opts.SeedSupport)
 		if err != nil {

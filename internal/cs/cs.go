@@ -103,7 +103,7 @@ func ompDict(d dict, y []float64, k int, tol float64, seed []int) (*Result, erro
 	// first correlation scan. A seed that fills the support (or already
 	// drives the residual under tol) skips the scans — and the column-norm
 	// pass below — entirely.
-	if validSeed(seed, n, k) {
+	if validSeed(seed, n, k, inSupport) {
 		var ok bool
 		support, ok, err = seedFactors(d, qr, resid, col, support, inSupport, seed)
 		if err != nil {

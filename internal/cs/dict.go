@@ -10,16 +10,19 @@ package cs
 //   - opDict: the matrix-free fast path. Φ is a basis.Operator and Φ̃ is
 //     applied by scatter/gather around Apply/ApplyTranspose: a correlation
 //     Φ̃ᵀr scatters the M residual values onto the full grid and runs one
-//     O(n log n) analysis; a column Φ̃e_j synthesizes one basis vector and
-//     gathers it at the sensor locations. No M×N sensing matrix — and no
-//     N×N basis — is ever materialized, which is what unlocks 1024² grids
-//     (dense Φ there would be (2²⁰)² floats ≈ 8 TB).
+//     O(n log n) analysis — or, on a 2-D operator, hands the M values to
+//     its scattered analysis, which on DCT factors with few sensors skips
+//     the full grid and the first-stage FFTs; a column Φ̃e_j synthesizes
+//     one basis vector and gathers it at the sensor locations. No M×N
+//     sensing matrix — and no N×N basis — is ever materialized, which is
+//     what unlocks 1024² grids (dense Φ there would be (2²⁰)² floats ≈ 8 TB).
 //
 // Numerical contract: both paths implement the same linear algebra; the op
 // path reassociates floating-point sums inside the fast transforms, so its
 // results agree with dense to the documented ≤1e-9 equivalence bound
-// (DESIGN.md §9) rather than bit-for-bit. Each path is individually
-// deterministic at every GOMAXPROCS.
+// (DESIGN.md §9) rather than bit-for-bit, and the scattered correlation
+// agrees with scatter + ApplyTranspose to ≤1e-12 relative. Each path is
+// individually deterministic at every GOMAXPROCS.
 
 import (
 	"fmt"
@@ -183,6 +186,15 @@ type opDict struct {
 	colBuf [][]float64
 	// sepU/sepV hold the factor columns when op is a Separable2D.
 	sepU, sepV []float64
+	// scat is op's scattered analysis when it has one (basis.Separable2D).
+	scat scatteredAnalyzer
+}
+
+// scatteredAnalyzer is an operator that analyzes a signal given only at
+// some locations: dst = Φᵀx for x = vals at locs (accumulating duplicates),
+// zero elsewhere.
+type scatteredAnalyzer interface {
+	ApplyTransposeScattered(dst []float64, locs []int, vals []float64)
 }
 
 func newOpDict(op basis.Operator, locs []int) (*opDict, error) {
@@ -195,10 +207,12 @@ func newOpDict(op basis.Operator, locs []int) (*opDict, error) {
 			return nil, fmt.Errorf("cs: location %d out of range [0,%d)", l, n)
 		}
 	}
+	scat, _ := op.(scatteredAnalyzer)
 	return &opDict{
 		op: op, locs: locs, n: n,
 		full: make([]float64, n),
 		out:  make([]float64, n),
+		scat: scat,
 	}, nil
 }
 
@@ -207,9 +221,14 @@ func (d *opDict) cols() int      { return d.n }
 func (d *opDict) signalDim() int { return d.n }
 
 // corrT scatters the residual onto the grid (zeros elsewhere — the ZeroFill
-// embedding, under which Φ̃ᵀr = Φᵀ(scatter r)) and runs one analysis.
+// embedding, under which Φ̃ᵀr = Φᵀ(scatter r)) and runs one analysis; an
+// operator with a scattered analysis takes the M values directly.
 // Duplicate locations accumulate, matching the dense row-sum.
 func (d *opDict) corrT(dst, r []float64) error {
+	if d.scat != nil {
+		d.scat.ApplyTransposeScattered(dst, d.locs, r)
+		return nil
+	}
 	for i, l := range d.locs {
 		d.full[l] += r[i]
 	}

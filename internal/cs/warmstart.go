@@ -16,22 +16,18 @@ import (
 // non-empty, within the support cap, all indices in range and distinct.
 // Invalid seeds are silently discarded (the caller decodes cold): a stale
 // support from a differently-sized window is an expected input, not an
-// error.
-func validSeed(seed []int, n, maxSupport int) bool {
+// error. The duplicate check borrows the decoder's inSupport marks (length
+// n, all false) and leaves them all false again.
+func validSeed(seed []int, n, maxSupport int, mark []bool) bool {
 	if len(seed) == 0 || len(seed) > maxSupport {
 		return false
 	}
-	seen := make(map[int]struct{}, len(seed))
 	for _, j := range seed {
 		if j < 0 || j >= n {
 			return false
 		}
-		if _, dup := seen[j]; dup {
-			return false
-		}
-		seen[j] = struct{}{}
 	}
-	return true
+	return !hasDuplicates(seed, mark)
 }
 
 // seedFactors folds the seed columns into the incremental-QR factors and

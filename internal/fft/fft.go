@@ -170,6 +170,72 @@ func (p *Plan) Butterflies(re, im []float64, inverse bool) {
 	}
 }
 
+// BatchButterflies runs the butterflies of Butterflies over b interleaved
+// vectors at once: element i of vector v sits at i*b+v of re and im, each of
+// length n*b. Every vector sees exactly the schedule and the per-element
+// expressions of a Butterflies call of its own, so the results are
+// bit-identical to b separate calls; the loops differ only in order — the
+// innermost one runs over the b contiguous elements that share a twiddle,
+// which is what makes a batch of strided columns cheaper than b gathers.
+func (p *Plan) BatchButterflies(re, im []float64, b int, inverse bool) {
+	n := p.n
+	if b < 0 || len(re) != n*b || len(im) != n*b {
+		panic(fmt.Sprintf("fft: batch buffer length %d/%d, want %d×%d", len(re), len(im), n, b))
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	if n == 2 {
+		r0, r1 := re[:b], re[b:][:b]
+		i0, i1 := im[:b], im[b:][:b]
+		for v := range r0 {
+			r0[v], r1[v] = r0[v]+r1[v], r0[v]-r1[v]
+			i0[v], i1[v] = i0[v]+i1[v], i0[v]-i1[v]
+		}
+		return
+	}
+	for s := 0; s+3 < n; s += 4 {
+		r0, i0 := re[s*b:][:b], im[s*b:][:b]
+		r1, i1 := re[(s+1)*b:][:b], im[(s+1)*b:][:b]
+		r2, i2 := re[(s+2)*b:][:b], im[(s+2)*b:][:b]
+		r3, i3 := re[(s+3)*b:][:b], im[(s+3)*b:][:b]
+		for v := range r0 {
+			ar, ai := r0[v]+r1[v], i0[v]+i1[v]
+			br, bi := r0[v]-r1[v], i0[v]-i1[v]
+			cr, ci := r2[v]+r3[v], i2[v]+i3[v]
+			dr, di := -sign*(i2[v]-i3[v]), sign*(r2[v]-r3[v])
+			r0[v], i0[v] = ar+cr, ai+ci
+			r1[v], i1[v] = br+dr, bi+di
+			r2[v], i2[v] = ar-cr, ai-ci
+			r3[v], i3[v] = br-dr, bi-di
+		}
+	}
+	for size := 8; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			tw := 0
+			for k := start; k < start+half; k++ {
+				wre := p.cos[tw]
+				wim := sign * p.sin[tw]
+				j := k + half
+				rk, ik := re[k*b:][:b], im[k*b:][:b]
+				rj, ij := re[j*b:][:b], im[j*b:][:b]
+				for v := range rk {
+					tre := rj[v]*wre - ij[v]*wim
+					tim := rj[v]*wim + ij[v]*wre
+					rj[v] = rk[v] - tre
+					ij[v] = ik[v] - tim
+					rk[v] += tre
+					ik[v] += tim
+				}
+				tw += step
+			}
+		}
+	}
+}
+
 // Naive computes the DFT by direct O(n²) summation — the reference the
 // property tests compare the butterfly against. Any length is accepted.
 func Naive(re, im []float64) ([]float64, []float64) {

@@ -168,6 +168,47 @@ func TestTransformAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchButterfliesMatchesButterflies pins the batched kernel to the
+// single-vector one bit for bit: b interleaved vectors through one
+// BatchButterflies call equal b Butterflies calls, both directions, every
+// power-of-two size from 1 to 1024.
+func TestBatchButterfliesMatchesButterflies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 1024; n <<= 1 {
+		p, err := PlanFor(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []int{1, 2, 7, 32} {
+			for _, inverse := range []bool{false, true} {
+				re, im := make([]float64, n*b), make([]float64, n*b)
+				for i := range re {
+					re[i], im[i] = rng.NormFloat64(), rng.NormFloat64()
+				}
+				vr, vi := make([]float64, n), make([]float64, n)
+				want := make([][2][]float64, b)
+				for v := range want {
+					for i := 0; i < n; i++ {
+						vr[i], vi[i] = re[i*b+v], im[i*b+v]
+					}
+					p.Butterflies(vr, vi, inverse)
+					want[v] = [2][]float64{append([]float64(nil), vr...), append([]float64(nil), vi...)}
+				}
+				p.BatchButterflies(re, im, b, inverse)
+				for v := range want {
+					for i := 0; i < n; i++ {
+						if math.Float64bits(re[i*b+v]) != math.Float64bits(want[v][0][i]) ||
+							math.Float64bits(im[i*b+v]) != math.Float64bits(want[v][1][i]) {
+							t.Fatalf("n=%d b=%d inverse=%v: vector %d element %d = (%v, %v), single (%v, %v)",
+								n, b, inverse, v, i, re[i*b+v], im[i*b+v], want[v][0][i], want[v][1][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkFFT1024(b *testing.B) {
 	p, err := PlanFor(1024)
 	if err != nil {

@@ -60,10 +60,10 @@ type pubAnalysis struct {
 // pubEvent is one publish site inside a function.
 type pubEvent struct {
 	pos    token.Pos
-	sink   string          // human name for messages
-	root   types.Object    // the published local/param, nil if untracked
-	byAddr bool            // published &root: rebinding root also writes through it
-	sel    *ast.CallExpr   // nil for channel sends
+	sink   string        // human name for messages
+	root   types.Object  // the published local/param, nil if untracked
+	byAddr bool          // published &root: rebinding root also writes through it
+	sel    *ast.CallExpr // nil for channel sends
 }
 
 // mutSummary records which parameters a function writes through,

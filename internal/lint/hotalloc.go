@@ -44,7 +44,7 @@ import (
 type hotState uint8
 
 const (
-	hotNone hotState = iota
+	hotNone  hotState = iota
 	hotPlain          // on the event path: runs once per event
 	hotLoop           // reached through a loop: runs once per element
 )

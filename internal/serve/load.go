@@ -16,14 +16,14 @@ import (
 // need not sum to 1; they are normalized. Filters, when non-empty, is
 // sampled uniformly for range/aggregate predicates.
 type LoadConfig struct {
-	Workers    int
-	Duration   time.Duration
-	PointFrac  float64 // default 0.7
-	RangeFrac  float64 // default 0.2
-	AggFrac    float64 // default 0.1
-	RangeSpan  int     // max rectangle edge (default 8)
-	Filters    []string
-	Seed       int64
+	Workers   int
+	Duration  time.Duration
+	PointFrac float64 // default 0.7
+	RangeFrac float64 // default 0.2
+	AggFrac   float64 // default 0.1
+	RangeSpan int     // max rectangle edge (default 8)
+	Filters   []string
+	Seed      int64
 }
 
 // LoadReport summarizes a load run. Latency quantiles come from the
