@@ -9,14 +9,15 @@
 // Diagnostics print one per line as path:line:col: message (check) and
 // are sorted by position. Exit status: 0 clean, 1 findings (or no
 // packages matched — a silent no-op gate is worse than a loud one),
-// 2 load/usage errors. The final "sdlint: analyzed N packages" summary
-// on stderr is parsed by scripts/check.sh as a zero-package guard and
-// an analyzer-count gate.
+// 2 load/usage errors. scripts/check.sh and CI gate on the exit status
+// alone; the "sdlint: analyzed N packages" summary on stderr is for
+// people.
 //
 // With -json the stdout report is instead one deterministic JSON
-// document (version, packages, sorted analyzer names, position-sorted
-// findings, suppressed count); exit codes and the stderr summary are
-// unchanged, so machine consumers get both the artifact and the gate.
+// document (version, packages, sorted analyzer names, per-analyzer
+// timings, position-sorted findings, suppressed count); exit codes and
+// the stderr summary are unchanged, so machine consumers get both the
+// artifact and the gate.
 //
 // Debug dumps (both deterministic, sorted, to stdout, exit 0):
 //

@@ -9,11 +9,10 @@ import (
 )
 
 // The interprocedural layer: a deterministic static call graph over the
-// loaded package set. The concurrency analyzers (lockorder, goroleak)
+// loaded package set. The concurrency analyzers (lockorder, raceguard)
 // are built on top of it — the bug classes they guard (AB/BA deadlocks
-// between package mutexes, goroutines leaked per connection, shutdown
-// paths that never propagate) are properties of call *chains*, not of
-// any single function body.
+// between package mutexes, writes off-lock on a goroutine path) are
+// properties of call *chains*, not of any single function body.
 //
 // Resolution policy, chosen for zero false edges:
 //
@@ -343,6 +342,38 @@ func (g *CallGraph) GoReachable() map[*CGNode]*CallEdge {
 	}
 	g.goReachable = reach
 	return reach
+}
+
+// fixpoint is the one interprocedural fixpoint routine. It sweeps the
+// nodes in SortedNodes order, handing update each node with its call and
+// defer edges — never go edges: a spawned goroutine runs on its own
+// stack, so no summary or entry state crosses one — until a whole sweep
+// changes nothing. Summaries that flow callee to caller read a node's
+// out-edges (in=false); entry states that flow caller to callee read its
+// in-edges (in=true), or push along its out-edges. The sweep order is
+// fixed, so a fact that records its first witness is deterministic.
+func (g *CallGraph) fixpoint(in bool, update func(n *CGNode, edges []*CallEdge) bool) {
+	nodes := g.SortedNodes()
+	edges := make([][]*CallEdge, len(nodes))
+	for i, n := range nodes {
+		all := n.Out
+		if in {
+			all = n.In
+		}
+		for _, e := range all {
+			if e.Kind != EdgeGo {
+				edges[i] = append(edges[i], e)
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, n := range nodes {
+			if update(n, edges[i]) {
+				changed = true
+			}
+		}
+	}
 }
 
 // FormatCallGraph renders the call graph of the packages matched by

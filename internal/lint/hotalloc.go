@@ -90,34 +90,30 @@ func hotClosure(g *CallGraph, entries []string, stops []string) (map[*CGNode]hot
 		stop[id] = true
 	}
 	loops := map[*CGNode][][2]token.Pos{}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.SortedNodes() {
-			st := state[n]
-			if st == hotNone || stop[n.ID] {
-				continue
+	g.fixpoint(false, func(n *CGNode, out []*CallEdge) bool {
+		st := state[n]
+		if st == hotNone || stop[n.ID] {
+			return false
+		}
+		if _, done := loops[n]; !done {
+			loops[n] = loopRanges(n.Body())
+		}
+		changed := false
+		for _, e := range out {
+			next := st
+			if st == hotPlain && posInRanges(e.Pos, loops[n]) {
+				next = hotLoop
 			}
-			if _, done := loops[n]; !done {
-				loops[n] = loopRanges(n.Body())
-			}
-			for _, e := range n.Out {
-				if e.Kind == EdgeGo || e.Callee == nil {
-					continue
+			if next > state[e.Callee] {
+				state[e.Callee] = next
+				if via[e.Callee] == "" {
+					via[e.Callee] = via[n]
 				}
-				next := st
-				if st == hotPlain && posInRanges(e.Pos, loops[n]) {
-					next = hotLoop
-				}
-				if next > state[e.Callee] {
-					state[e.Callee] = next
-					if via[e.Callee] == "" {
-						via[e.Callee] = via[n]
-					}
-					changed = true
-				}
+				changed = true
 			}
 		}
-	}
+		return changed
+	})
 	return state, via
 }
 

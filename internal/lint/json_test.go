@@ -111,8 +111,8 @@ func TestWriteJSONEmpty(t *testing.T) {
 	if rep.Version != 2 {
 		t.Errorf("version = %d, want 2", rep.Version)
 	}
-	if len(rep.Analyzers) != 13 {
-		t.Errorf("analyzers = %d, want 13 (the project suite)", len(rep.Analyzers))
+	if want := len(ProjectAnalyzers()); len(rep.Analyzers) != want {
+		t.Errorf("analyzers = %d, want %d (the project suite)", len(rep.Analyzers), want)
 	}
 	if rep.Timings == nil || len(rep.Timings) != 0 {
 		t.Errorf("timings = %v, want empty non-null list", rep.Timings)

@@ -73,9 +73,7 @@ type Program struct {
 	guards *guardTable
 	locks  *lockAnalysis
 	races  *raceAnalysis
-	pub    *pubAnalysis
 	topics *topicAnalysis
-	chans  *chanAnalysis
 }
 
 // CallGraph returns the memoized module-local call graph.
@@ -85,9 +83,6 @@ func (p *Program) CallGraph() *CallGraph {
 	}
 	return p.cg
 }
-
-// Fset returns the file set the package was parsed into.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -101,7 +96,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Result is the outcome of a lint run.
 type Result struct {
 	Diagnostics []Diagnostic     // post-suppression, sorted by position
-	Packages    int              // packages analyzed (the zero-guard in check.sh watches this)
+	Packages    int              // packages analyzed (cmd/sdlint exits 1 when it is zero)
 	Suppressed  int              // diagnostics silenced by //lint:ignore directives
 	Timings     []AnalyzerTiming // wall time per analyzer, sorted by name
 }
@@ -176,8 +171,8 @@ func WriteDiagnostics(w io.Writer, diags []Diagnostic) error {
 }
 
 // jsonReport is the wire shape of `sdlint -json`. The field order here IS
-// the output order, scripts/check.sh and CI parse it, and TestWriteJSON
-// pins the bytes — treat any change as a format-version bump.
+// the output order, CI uploads it as an artifact, and TestWriteJSON pins
+// the bytes — treat any change as a format-version bump.
 type jsonReport struct {
 	Version    int              `json:"version"`
 	Packages   int              `json:"packages"`

@@ -136,16 +136,8 @@ func TestGoldenErrCheck(t *testing.T) {
 	runGolden(t, "errcheck", ErrCheck(testdataScope), "errcheck")
 }
 
-func TestGoldenPrintBan(t *testing.T) {
-	runGolden(t, "printban", PrintBan(pathMatcher()), "printban")
-}
-
 func TestGoldenLockOrder(t *testing.T) {
 	runGolden(t, "lockorder", Lockorder(), "lockorder")
-}
-
-func TestGoldenGoroLeak(t *testing.T) {
-	runGolden(t, "goroleak", GoroLeak(), "goroleak")
 }
 
 func TestGoldenCtxFlow(t *testing.T) {
@@ -157,18 +149,6 @@ func TestGoldenCtxFlow(t *testing.T) {
 
 func TestGoldenRaceGuard(t *testing.T) {
 	runGolden(t, "raceguard", RaceGuard(), "raceguard")
-}
-
-// testAliasPubSinks configures the fixture's own publish function as a
-// sink (argument 0), the way project.go lists the middleware's.
-func testAliasPubSinks() map[string]int {
-	return map[string]int{
-		"repro/internal/lint/testdata/src/aliaspub.publish": 0,
-	}
-}
-
-func TestGoldenAliasPub(t *testing.T) {
-	runGolden(t, "aliaspub", AliasPub(testAliasPubSinks(), "repro/"), "aliaspub")
 }
 
 // testHotAllocEntries: every per-event entry point of the fixture, plus
@@ -209,37 +189,58 @@ func TestGoldenTopicFlow(t *testing.T) {
 	runGolden(t, "topicflow", TopicFlow(testTopicConfig()), "topicflow")
 }
 
-func TestGoldenChanFlow(t *testing.T) {
-	runGolden(t, "chanflow", ChanFlow(), "chanflow")
-}
-
-// TestGoldenSuppressedCounts pins that each concurrency analyzer has at
+// TestGoldenSuppressedCounts pins that every project analyzer has at
 // least one finding silenced by an audited //lint:ignore in its golden
 // package — the suppression path is part of the contract, not a fluke
 // of the fixtures.
 func TestGoldenSuppressedCounts(t *testing.T) {
 	hotEntries, hotStops := testHotAllocEntries()
 	cases := []struct {
-		name string
-		a    *Analyzer
+		pkg string
+		a   *Analyzer
 	}{
+		{"nondet", Nondeterminism(testdataScope)},
+		{"mutexguard", MutexGuard()},
+		{"obshot", ObsHot(testdataScope, ObsPath)},
+		{"errcheck", ErrCheck(testdataScope)},
 		{"lockorder", Lockorder()},
-		{"goroleak", GoroLeak()},
 		{"ctxflow", CtxFlow(map[string]string{
 			"repro/internal/lint/testdata/src/ctxflow.Request": "RequestContext",
 		}, "repro/")},
 		{"raceguard", RaceGuard()},
-		{"aliaspub", AliasPub(testAliasPubSinks(), "repro/")},
 		{"hotalloc", HotAlloc(hotEntries, hotStops)},
 		{"topicflow", TopicFlow(testTopicConfig())},
-		{"chanflow", ChanFlow()},
 	}
+	covered := map[string]bool{}
 	for _, c := range cases {
-		pkg := loadTestdata(t, c.name)
+		covered[c.a.Name] = true
+		pkg := loadTestdata(t, c.pkg)
 		res := Run([]*Package{pkg}, []*Analyzer{c.a})
 		if res.Suppressed == 0 {
-			t.Errorf("%s: golden package has no suppressed finding; the ignore-directive path is untested", c.name)
+			t.Errorf("%s: golden package %s has no suppressed finding; the ignore-directive path is untested", c.a.Name, c.pkg)
 		}
+	}
+	for _, a := range ProjectAnalyzers() {
+		if !covered[a.Name] {
+			t.Errorf("%s: no golden package pins its suppression path", a.Name)
+		}
+	}
+}
+
+// TestProjectAnalyzerSet pins the analyzer suite sdlint runs: CI and
+// check.sh gate on sdlint's exit status alone, so a wiring change that
+// dropped an analyzer would otherwise pass silently.
+func TestProjectAnalyzerSet(t *testing.T) {
+	want := []string{
+		"nondeterminism", "mutexguard", "obshot", "errcheck",
+		"lockorder", "ctxflow", "raceguard", "hotalloc", "topicflow",
+	}
+	var got []string
+	for _, a := range ProjectAnalyzers() {
+		got = append(got, a.Name)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("ProjectAnalyzers() = %v, want %v", got, want)
 	}
 }
 
@@ -247,7 +248,7 @@ func TestGoldenSuppressedCounts(t *testing.T) {
 // want annotations in ignoredemo mark exactly the findings a directive
 // on the wrong line (or a malformed one) fails to silence.
 func TestGoldenIgnoreDemo(t *testing.T) {
-	runGolden(t, "ignoredemo", PrintBan(pathMatcher()), "printban")
+	runGolden(t, "ignoredemo", ErrCheck(testdataScope), "errcheck")
 }
 
 // TestLoadPatterns pins the "..." expansion the CLI depends on: the
@@ -276,8 +277,8 @@ func pkgPaths(pkgs []*Package) []string {
 	return out
 }
 
-// TestZeroPackages pins the contract behind check.sh's zero-guard: a
-// run over nothing reports zero packages analyzed.
+// TestZeroPackages pins the contract behind cmd/sdlint's zero-package
+// exit status: a run over nothing reports zero packages analyzed.
 func TestZeroPackages(t *testing.T) {
 	res := Run(nil, ProjectAnalyzers())
 	if res.Packages != 0 {

@@ -97,38 +97,30 @@ func (p *Program) lockAnalysisResult() *lockAnalysis {
 			heldAt:   map[*CallEdge]map[string]lockMode{},
 			acquires: map[string]lockMode{},
 		}}
-		w.stmts(n.Body().List, map[string]lockMode{})
+		w.walk()
 		summ[n] = w.summ
 	}
 
-	// Transitive may-acquire fixpoint over call and defer edges (never
-	// go edges: the spawned goroutine's acquisitions happen on another
-	// stack and cannot deadlock against locks merely held by the
-	// spawner at spawn time).
+	// Transitive may-acquire sets, callee to caller. Go edges never
+	// carry them: the spawned goroutine's acquisitions happen on another
+	// stack and cannot deadlock against locks merely held by the spawner
+	// at spawn time.
 	for _, s := range summ {
-		s.transAcq = map[string]lockMode{}
-		for id, m := range s.acquires {
-			s.transAcq[id] = m
-		}
+		s.transAcq = cloneHeld(s.acquires)
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			s := summ[n]
-			for _, e := range n.Out {
-				if e.Kind == EdgeGo {
-					continue
-				}
-				cs := summ[e.Callee]
-				for id, m := range cs.transAcq {
-					if s.transAcq[id]&m != m {
-						s.transAcq[id] |= m
-						changed = true
-					}
+	g.fixpoint(false, func(n *CGNode, out []*CallEdge) bool {
+		changed := false
+		s := summ[n]
+		for _, e := range out {
+			for id, m := range summ[e.Callee].transAcq {
+				if s.transAcq[id]&m != m {
+					s.transAcq[id] |= m
+					changed = true
 				}
 			}
 		}
-	}
+		return changed
+	})
 
 	// Interprocedural edges and self-deadlocks: compose each call site's
 	// held set with the callee's transitive acquisitions.
@@ -251,9 +243,10 @@ func lockReaches(succ map[string][]string, from, to string) bool {
 	return false
 }
 
-// lockWalker interprets one function body in statement order.
+// lockWalker is the flow walker's rule set for one function body: the
+// held set is the state, lock and unlock calls are the transfer.
 //
-// The walker has a second consumer beyond lockorder: raceguard runs its
+// It has a second consumer beyond lockorder: raceguard runs its
 // own walkers with the access hook set, reusing the held-set flow
 // tracking to learn which locks are held at every field access. The hook
 // is observational only — it never changes how held sets evolve — so
@@ -290,25 +283,28 @@ func intersectHeld(a, b map[string]lockMode) map[string]lockMode {
 	return out
 }
 
-// stmts walks a statement list; it returns the held set at the fall-off
-// point and whether control provably never falls off (return/panic on
-// every path).
-func (w *lockWalker) stmts(list []ast.Stmt, held map[string]lockMode) (map[string]lockMode, bool) {
-	for _, s := range list {
-		var term bool
-		held, term = w.stmt(s, held)
-		if term {
-			return held, true
-		}
-	}
-	return held, false
+// walk interprets the node's body on the flow walker, the held set
+// (lock → modes held) as its state.
+func (w *lockWalker) walk() {
+	fw := &flowWalker[map[string]lockMode]{pkg: w.node.Pkg, rules: w}
+	fw.stmts(w.node.Body().List, map[string]lockMode{})
 }
 
-func (w *lockWalker) stmt(s ast.Stmt, held map[string]lockMode) (map[string]lockMode, bool) {
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		return w.stmts(x.List, held)
+func (*lockWalker) clone(h map[string]lockMode) map[string]lockMode { return cloneHeld(h) }
 
+// join keeps only the locks held on both paths.
+func (*lockWalker) join(a, b map[string]lockMode) map[string]lockMode { return intersectHeld(a, b) }
+
+func (w *lockWalker) expr(e ast.Expr, held map[string]lockMode) map[string]lockMode {
+	w.exprEdges(e, held)
+	return held
+}
+
+// leaf applies Lock/RLock and Unlock/RUnlock calls to the held set (a
+// deferred unlock keeps the lock held to function exit) and snapshots
+// the held set at every other statement's call edges and field accesses.
+func (w *lockWalker) leaf(s ast.Stmt, held map[string]lockMode) map[string]lockMode {
+	switch x := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := x.X.(*ast.CallExpr); ok {
 			if id, mode, acq, ok := w.lockOp(call); ok {
@@ -317,157 +313,22 @@ func (w *lockWalker) stmt(s ast.Stmt, held map[string]lockMode) (map[string]lock
 				} else {
 					delete(held, id)
 				}
-				return held, false
+				return held
 			}
 		}
 		w.exprEdges(x.X, held)
-		return held, isTerminalExpr(w.node.Pkg, x.X)
-
 	case *ast.DeferStmt:
-		if id, _, acq, ok := w.lockOp(x.Call); ok && !acq {
-			_ = id // deferred unlock: the lock stays held until exit
-			return held, false
+		if _, _, acq, ok := w.lockOp(x.Call); ok && !acq {
+			return held
 		}
 		w.exprEdges(x.Call, held)
-		return held, false
-
 	case *ast.GoStmt:
 		w.exprEdges(x.Call, held)
-		return held, false
-
-	case *ast.ReturnStmt, *ast.AssignStmt, *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt:
+	default:
 		w.markWrites(s, held)
 		w.exprEdges(s, held)
-		_, isRet := s.(*ast.ReturnStmt)
-		return held, isRet
-
-	case *ast.IfStmt:
-		if x.Init != nil {
-			held, _ = w.stmt(x.Init, held)
-		}
-		w.exprEdges(x.Cond, held)
-		thenOut, thenTerm := w.stmts(x.Body.List, cloneHeld(held))
-		elseOut, elseTerm := held, false
-		if x.Else != nil {
-			elseOut, elseTerm = w.stmt(x.Else, cloneHeld(held))
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return held, true
-		case thenTerm:
-			return elseOut, false
-		case elseTerm:
-			return thenOut, false
-		default:
-			return intersectHeld(thenOut, elseOut), false
-		}
-
-	case *ast.ForStmt:
-		if x.Init != nil {
-			held, _ = w.stmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			w.exprEdges(x.Cond, held)
-		}
-		bodyOut, bodyTerm := w.stmts(x.Body.List, cloneHeld(held))
-		if x.Post != nil && !bodyTerm {
-			bodyOut, _ = w.stmt(x.Post, bodyOut)
-		}
-		if bodyTerm {
-			return held, false
-		}
-		return intersectHeld(held, bodyOut), false
-
-	case *ast.RangeStmt:
-		w.exprEdges(x.X, held)
-		bodyOut, bodyTerm := w.stmts(x.Body.List, cloneHeld(held))
-		if bodyTerm {
-			return held, false
-		}
-		return intersectHeld(held, bodyOut), false
-
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			held, _ = w.stmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			w.exprEdges(x.Tag, held)
-		}
-		return w.caseMerge(x.Body.List, held, false)
-
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			held, _ = w.stmt(x.Init, held)
-		}
-		return w.caseMerge(x.Body.List, held, false)
-
-	case *ast.SelectStmt:
-		return w.caseMerge(x.Body.List, held, true)
-
-	case *ast.BranchStmt:
-		// break/continue/goto leave the linear flow; for merge purposes
-		// the path is gone (a slight under-approximation that only ever
-		// shrinks held sets — it cannot create false positives).
-		return held, true
-
-	case *ast.LabeledStmt:
-		return w.stmt(x.Stmt, held)
-
-	default:
-		return held, false
 	}
-}
-
-// caseMerge walks switch/select clause bodies from a shared entry state
-// and merges the survivors by intersection. Without a default clause a
-// switch may skip every case, so the entry state joins the merge; a
-// select with no default blocks until some clause runs.
-func (w *lockWalker) caseMerge(clauses []ast.Stmt, held map[string]lockMode, isSelect bool) (map[string]lockMode, bool) {
-	var outs []map[string]lockMode
-	hasDefault := false
-	nCases := 0
-	for _, cl := range clauses {
-		var body []ast.Stmt
-		switch c := cl.(type) {
-		case *ast.CaseClause:
-			if c.List == nil {
-				hasDefault = true
-			}
-			for _, e := range c.List {
-				w.exprEdges(e, held)
-			}
-			body = c.Body
-		case *ast.CommClause:
-			if c.Comm == nil {
-				hasDefault = true
-			} else {
-				_, _ = w.stmt(c.Comm, cloneHeld(held))
-			}
-			body = c.Body
-		default:
-			continue
-		}
-		nCases++
-		out, term := w.stmts(body, cloneHeld(held))
-		if !term {
-			outs = append(outs, out)
-		}
-	}
-	exhaustive := hasDefault || (isSelect && nCases > 0)
-	if len(outs) == 0 {
-		if exhaustive {
-			return held, true // every clause terminates and one must run
-		}
-		return held, false
-	}
-	merged := outs[0]
-	for _, o := range outs[1:] {
-		merged = intersectHeld(merged, o)
-	}
-	if !exhaustive {
-		merged = intersectHeld(merged, held)
-	}
-	return merged, false
+	return held
 }
 
 // acquire records a Lock/RLock: order edges against everything already

@@ -46,11 +46,6 @@ var HotPathPkgs = []string{
 // main and carry their own error handling idiom (often log.Fatal).
 var ErrcheckScope = []string{"repro/internal/..."}
 
-// PrintAllowedPkgs may print to ambient streams despite being library
-// packages. Currently empty: the experiments table printers already take
-// an io.Writer, which is the preferred shape. Extend deliberately.
-var PrintAllowedPkgs = []string{}
-
 // ObsPath is the observability package the obshot check guards calls into.
 const ObsPath = "repro/internal/obs"
 
@@ -65,15 +60,6 @@ const ModulePrefix = "repro/"
 // wrapper is left: bench/ calls Pipeline.Step by name.
 var CtxBlocking = map[string]string{
 	"(*repro/internal/stream.Pipeline).Step": "Pipeline.StepContext",
-}
-
-// PublishSinks maps the module's publish functions to the index of the
-// argument whose ownership transfers to concurrent readers at the call.
-// Channel sends and atomic.Pointer Store/Swap/CompareAndSwap are always
-// sinks; this table adds the middleware's named publication points.
-var PublishSinks = map[string]int{
-	"(*repro/internal/snapshot.Registry).Publish": 0,
-	"(*repro/internal/bus.Bus).Publish":           1,
 }
 
 // HotEntryPoints are the per-event entry functions whose module-local
@@ -143,14 +129,10 @@ func ProjectAnalyzers() []*Analyzer {
 		MutexGuard(),
 		ObsHot(pathMatcher(HotPathPkgs...), ObsPath),
 		ErrCheck(pathMatcher(ErrcheckScope...)),
-		PrintBan(pathMatcher(PrintAllowedPkgs...)),
 		Lockorder(),
-		GoroLeak(),
 		CtxFlow(CtxBlocking, ModulePrefix),
 		RaceGuard(),
-		AliasPub(PublishSinks, ModulePrefix),
 		HotAlloc(HotEntryPoints, HotAmortizedStops),
 		TopicFlow(ProjectTopicConfig()),
-		ChanFlow(),
 	}
 }

@@ -1,8 +1,11 @@
 package lint
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -35,9 +38,6 @@ func TestProjectTablesNameLiveFunctions(t *testing.T) {
 	for id := range CtxBlocking {
 		check("CtxBlocking", id)
 	}
-	for id := range PublishSinks {
-		check("PublishSinks", id)
-	}
 	for _, id := range HotEntryPoints {
 		check("HotEntryPoints", id)
 	}
@@ -46,6 +46,76 @@ func TestProjectTablesNameLiveFunctions(t *testing.T) {
 	}
 	for id := range ProjectTopicConfig().Roots {
 		check("ProjectTopicConfig().Roots", id)
+	}
+
+	// The package tables are import-path patterns: each one must still
+	// match a loaded package.
+	var paths []string
+	for _, n := range g.SortedNodes() {
+		paths = append(paths, n.Pkg.Path)
+	}
+	live := func(table string, patterns ...string) {
+		for _, p := range patterns {
+			match := pathMatcher(p)
+			found := false
+			for _, path := range paths {
+				found = found || match(path)
+			}
+			if !found {
+				t.Errorf("%s names %s, which matches no package of the module", table, p)
+			}
+		}
+	}
+	live("DeterministicPkgs", DeterministicPkgs...)
+	live("HotPathPkgs", HotPathPkgs...)
+	live("ErrcheckScope", ErrcheckScope...)
+	live("ObsPath", ObsPath)
+}
+
+// mutant is one seeded bug of the kill-matrix corpus: an edit of real
+// tree code aimed at the analyzer its file is named after.
+type mutant struct {
+	Name        string `json:"name"`
+	File        string `json:"file"`
+	Anchor      string `json:"anchor"`
+	Replacement string `json:"replacement"`
+	Bug         string `json:"bug"`
+}
+
+// TestMutantAnchors keeps the kill-matrix corpus (testdata/mutants, run
+// by scripts/killmatrix.sh) applicable: every anchor occurs exactly once
+// in its file, so code that moves fails here instead of silently
+// shrinking the corpus. Each analyzer's file holds at least three.
+func TestMutantAnchors(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "mutants", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no mutant corpus: %v", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms []mutant
+		if err := json.Unmarshal(raw, &ms); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if len(ms) < 3 {
+			t.Errorf("%s: %d mutants, want at least 3", f, len(ms))
+		}
+		for _, m := range ms {
+			src, err := os.ReadFile(filepath.Join("..", "..", m.File))
+			if err != nil {
+				t.Errorf("%s: mutant %s: %v", f, m.Name, err)
+				continue
+			}
+			if n := strings.Count(string(src), m.Anchor); n != 1 {
+				t.Errorf("%s: mutant %s: anchor occurs %d times in %s, want exactly once", f, m.Name, n, m.File)
+			}
+			if m.Anchor == m.Replacement || m.Bug == "" {
+				t.Errorf("%s: mutant %s: no edit, or no bug description", f, m.Name)
+			}
+		}
 	}
 }
 

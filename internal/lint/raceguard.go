@@ -116,11 +116,11 @@ func (p *Program) raceAnalysisResult() *raceAnalysis {
 			bySel[sel] = a
 			accesses = append(accesses, a)
 		}
-		w.stmts(n.Body().List, map[string]lockMode{})
+		w.walk()
 		summ[n] = w.summ
 	}
 
-	entry := raceEntryFixpoint(nodes, summ)
+	entry := raceEntryFixpoint(g, summ)
 
 	// Findings: unguarded writes on goroutine-reachable paths.
 	reach := g.GoReachable()
@@ -287,53 +287,51 @@ func collectAtomicMixing(pkgs []*Package, _ *raceAnalysis) ([]plainAtomicAccess,
 // raceEntryFixpoint computes, for every function, the set of locks held
 // on entry along *every* incoming edge: the meet (intersection) over
 // call and defer edges of the caller's entry set united with the locks
-// held at the call site, with `go` edges contributing the empty set.
-// Functions with no incoming edges start empty (external callers hold
-// nothing we can prove). Nodes only reachable through unresolved calls
-// or dead cycles stay absent from the map — no grounded state, and the
-// caller treats them as unknown rather than unlocked.
-func raceEntryFixpoint(nodes []*CGNode, summ map[*CGNode]*lockSummary) map[*CGNode]map[string]lockMode {
+// held at the call site. A `go` edge contributes the empty set, so a
+// function with one starts empty, as does a function with no incoming
+// edges (external callers hold nothing we can prove). Nodes only
+// reachable through unresolved calls or dead cycles stay absent from the
+// map — no grounded state, and the caller treats them as unknown rather
+// than unlocked.
+func raceEntryFixpoint(g *CallGraph, summ map[*CGNode]*lockSummary) map[*CGNode]map[string]lockMode {
 	entry := map[*CGNode]map[string]lockMode{}
-	for _, n := range nodes {
-		if len(n.In) == 0 {
+	grounded := map[*CGNode]bool{}
+	for _, n := range g.SortedNodes() {
+		grounded[n] = len(n.In) == 0
+		for _, e := range n.In {
+			grounded[n] = grounded[n] || e.Kind == EdgeGo
+		}
+		if grounded[n] {
 			entry[n] = map[string]lockMode{}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			if len(n.In) == 0 {
-				continue
+	g.fixpoint(true, func(n *CGNode, in []*CallEdge) bool {
+		if grounded[n] {
+			return false
+		}
+		var meet map[string]lockMode
+		have := false
+		for _, e := range in {
+			callerEntry, known := entry[e.Caller]
+			if !known {
+				continue // ⊤: identity for intersection
 			}
-			var meet map[string]lockMode
-			have := false
-			for _, e := range n.In {
-				var contrib map[string]lockMode
-				if e.Kind == EdgeGo {
-					contrib = map[string]lockMode{}
-				} else {
-					callerEntry, known := entry[e.Caller]
-					if !known {
-						continue // ⊤: identity for intersection
-					}
-					held := summ[e.Caller].heldAt[e]
-					contrib = unionHeld(callerEntry, held)
-				}
-				if !have {
-					meet, have = cloneHeld(contrib), true
-				} else {
-					meet = intersectHeld(meet, contrib)
-				}
-			}
+			contrib := unionHeld(callerEntry, summ[e.Caller].heldAt[e])
 			if !have {
-				continue
-			}
-			if prev, known := entry[n]; !known || !heldEqual(prev, meet) {
-				entry[n] = meet
-				changed = true
+				meet, have = contrib, true
+			} else {
+				meet = intersectHeld(meet, contrib)
 			}
 		}
-	}
+		if !have {
+			return false
+		}
+		if prev, known := entry[n]; known && heldEqual(prev, meet) {
+			return false
+		}
+		entry[n] = meet
+		return true
+	})
 	return entry
 }
 

@@ -43,26 +43,26 @@ func TestParseDirective(t *testing.T) {
 // malformed directive surfaces as an sdlint finding.
 func TestSuppressionPositions(t *testing.T) {
 	pkg := loadTestdata(t, "ignoredemo")
-	res := Run([]*Package{pkg}, []*Analyzer{PrintBan(pathMatcher())})
+	res := Run([]*Package{pkg}, []*Analyzer{ErrCheck(testdataScope)})
 
 	if res.Suppressed != 3 {
 		t.Errorf("Suppressed = %d, want 3 (same line, line above, multi-check)", res.Suppressed)
 	}
 
-	var printbanLines, sdlintLines []int
+	var errcheckLines, sdlintLines []int
 	for _, d := range res.Diagnostics {
 		switch d.Check {
-		case "printban":
-			printbanLines = append(printbanLines, d.Pos.Line)
+		case "errcheck":
+			errcheckLines = append(errcheckLines, d.Pos.Line)
 		case "sdlint":
 			sdlintLines = append(sdlintLines, d.Pos.Line)
 		default:
 			t.Errorf("unexpected check %q: %s", d.Check, d)
 		}
 	}
-	wantPrintban := []int{20, 23, 25, 31}
-	if !equalInts(printbanLines, wantPrintban) {
-		t.Errorf("surviving printban lines = %v, want %v", printbanLines, wantPrintban)
+	wantErrcheck := []int{20, 23, 25, 31}
+	if !equalInts(errcheckLines, wantErrcheck) {
+		t.Errorf("surviving errcheck lines = %v, want %v", errcheckLines, wantErrcheck)
 	}
 	// The reasonless directive on line 30 is malformed: reported, and it
 	// suppressed nothing (line 31 survives above).

@@ -104,3 +104,65 @@ func (b *box) unlockThenCall() {
 	b.mu.Unlock()
 	b.bump()
 }
+
+// The flow walker's edge cases. A labeled break or continue out of a
+// select leaves the linear flow, so only the arm that falls through
+// reaches the call, still holding b.mu.
+func (b *box) selectLoop(ch chan int) {
+	b.mu.Lock()
+loop:
+	for {
+		select {
+		case <-ch:
+			break loop
+		case v := <-ch:
+			if v > 0 {
+				continue loop
+			}
+			b.bump() // want `self-deadlock`
+		}
+	}
+	b.mu.Unlock()
+}
+
+// gotoRetry jumps back after unlocking; the path that falls through the
+// if still holds b.mu.
+func (b *box) gotoRetry(n int) {
+retry:
+	b.mu.Lock()
+	if n > 0 {
+		n--
+		b.mu.Unlock()
+		goto retry
+	}
+	b.bump() // want `self-deadlock`
+	b.mu.Unlock()
+}
+
+// switchNoDefault: a switch without default may run no case, so the
+// entry state joins the merge and b.mu is still held after it.
+func (b *box) switchNoDefault(k int) {
+	b.mu.Lock()
+	switch k {
+	case 0:
+		b.mu.Unlock()
+		return
+	case 1:
+		b.n++
+	}
+	b.bump() // want `self-deadlock`
+	b.mu.Unlock()
+}
+
+// selectNoDefault: a select without default runs one of its clauses, and
+// both take b.mu.
+func (b *box) selectNoDefault(x, y chan int) {
+	select {
+	case <-x:
+		b.mu.Lock()
+	case <-y:
+		b.mu.Lock()
+	}
+	b.bump() // want `self-deadlock`
+	b.mu.Unlock()
+}

@@ -83,3 +83,9 @@ func innerAppend(m map[string][]int) int {
 	}
 	return n
 }
+
+// suppressed pins the audited-ignore path.
+func suppressed() int64 {
+	//lint:ignore nondeterminism golden-test fixture: demonstrates audited suppression
+	return time.Now().UnixNano()
+}

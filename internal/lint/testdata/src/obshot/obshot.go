@@ -43,3 +43,9 @@ func staticSpan() {
 	span := obs.StartSpan("obshot.decode")
 	span.Finish()
 }
+
+// suppressed pins the audited-ignore path.
+func suppressed() {
+	//lint:ignore obshot golden-test fixture: demonstrates audited suppression
+	obs.GetCounter("obshot.audited").Inc()
+}

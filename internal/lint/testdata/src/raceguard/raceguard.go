@@ -86,6 +86,72 @@ func spawnAll(c *counter) {
 	go c.rflush()
 	go c.suppressed()
 	go aliasWrite(c)
+	go c.selectLoop(nil)
+	go c.gotoRetry(1)
+	go c.switchNoDefault(0)
+	go c.selectNoDefault(nil, nil)
+}
+
+// The flow walker's edge cases, on goroutine-reachable writers. A
+// labeled break or continue out of a select leaves the linear flow; the
+// continue arm writes before it leaves, without the lock.
+func (c *counter) selectLoop(ch chan int) {
+loop:
+	for {
+		select {
+		case v := <-ch:
+			if v < 0 {
+				break loop
+			}
+			c.mu.Lock()
+			c.n = v
+			c.mu.Unlock()
+		case <-ch:
+			c.n = 0 // want `guarded by mu but written without holding it`
+			continue loop
+		}
+	}
+}
+
+// gotoRetry jumps back after unlocking: the write that falls through the
+// if holds mu, the one after the unlock does not.
+func (c *counter) gotoRetry(k int) {
+retry:
+	c.mu.Lock()
+	if k > 0 {
+		k--
+		c.mu.Unlock()
+		goto retry
+	}
+	c.n = k
+	c.mu.Unlock()
+	c.n = 1 // want `guarded by mu but written without holding it`
+}
+
+// switchNoDefault: a switch without default may run no case, so neither
+// case's lock is proven at the write.
+func (c *counter) switchNoDefault(k int) {
+	switch k {
+	case 0:
+		c.mu.Lock()
+	case 1:
+		c.mu.Lock()
+	}
+	c.n = k // want `guarded by mu but written without holding it`
+	c.mu.Unlock()
+}
+
+// selectNoDefault: a select without default runs one of its clauses, and
+// both lock, so the write is guarded.
+func (c *counter) selectNoDefault(x, y chan int) {
+	select {
+	case <-x:
+		c.mu.Lock()
+	case <-y:
+		c.mu.Lock()
+	}
+	c.n = 2
+	c.mu.Unlock()
 }
 
 // notSpawned writes without the lock but is never reachable from a go

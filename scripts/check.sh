@@ -9,29 +9,17 @@ echo "== go vet =="
 go vet ./...
 
 echo "== sdlint =="
-# Project-invariant static analysis (internal/lint). The summary line on
-# stderr doubles as a self-check: a refactor that breaks package loading
-# would report zero packages analyzed and "pass" vacuously, so gate on
-# the package count AND the analyzer count (a suite wiring regression
-# that silently dropped the interprocedural analyzers would also pass
-# vacuously). The wall-clock budget keeps the call-graph/lock-order
-# layer honest: whole-tree analysis must stay interactive.
+# Project-invariant static analysis (internal/lint). sdlint exits 1 on
+# any finding and when no package matches, so a refactor that breaks
+# package loading cannot pass vacuously; TestProjectAnalyzerSet pins the
+# analyzer set. The wall-clock budget keeps the call-graph layer honest:
+# whole-tree analysis must stay interactive.
 SDLINT_START=$SECONDS
-SDLINT_OUT="$(go run ./cmd/sdlint ./... 2>&1)" || {
-    echo "$SDLINT_OUT"
+go run ./cmd/sdlint ./... || {
     echo "FAIL: sdlint reported findings (or could not load the tree)"
     exit 1
 }
 SDLINT_SECS=$((SECONDS - SDLINT_START))
-echo "$SDLINT_OUT"
-if ! echo "$SDLINT_OUT" | grep -Eq 'analyzed [1-9][0-9]* packages'; then
-    echo "FAIL: sdlint analyzed zero packages — loader or pattern expansion is broken"
-    exit 1
-fi
-if ! echo "$SDLINT_OUT" | grep -Eq 'with 13 analyzers'; then
-    echo "FAIL: sdlint ran without the full 13-analyzer suite — check ProjectAnalyzers wiring"
-    exit 1
-fi
 if [ "$SDLINT_SECS" -gt 35 ]; then
     echo "FAIL: sdlint took ${SDLINT_SECS}s (> 35s budget) — the interprocedural layer regressed"
     echo "per-analyzer wall time (sdlint -json .timings):"
@@ -39,21 +27,6 @@ if [ "$SDLINT_SECS" -gt 35 ]; then
     exit 1
 fi
 echo "sdlint wall clock: ${SDLINT_SECS}s (budget 35s)"
-# The machine-readable report must stay parseable and agree with the
-# human run: a clean tree is an empty findings list with all 13
-# analyzers present.
-SDLINT_JSON="$(go run ./cmd/sdlint -json ./... 2>/dev/null)" || {
-    echo "FAIL: sdlint -json exited non-zero on a tree the plain run passed"
-    exit 1
-}
-if ! echo "$SDLINT_JSON" | grep -q '"version": 2'; then
-    echo "FAIL: sdlint -json output missing the version marker"
-    exit 1
-fi
-if ! echo "$SDLINT_JSON" | grep -q '"findings": \[\]'; then
-    echo "FAIL: sdlint -json reports findings the plain run did not"
-    exit 1
-fi
 
 echo "== topic graph freshness =="
 # docs/topicgraph.txt is the committed protocol map; a bus call site
