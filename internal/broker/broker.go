@@ -19,7 +19,6 @@ import (
 	"repro/internal/bus"
 	"repro/internal/cs"
 	"repro/internal/field"
-	"repro/internal/mat"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/sensor"
@@ -54,14 +53,21 @@ const (
 
 // Config configures a broker.
 type Config struct {
-	ID           string
-	Seed         int64
-	InfraSigma   float64         // noise of infrastructure sensors (default 0.05)
-	Timeout      time.Duration   // per-node request timeout (default 2 s)
-	Selection    SelectionPolicy // node selection policy (default SelectRandom)
-	Retries      int             // extra per-node attempts after the first (0 = default 2, negative = none)
-	RetryBackoff time.Duration   // base backoff between attempts (default 5 ms)
+	ID        string
+	Seed      int64
+	Timeout   time.Duration   // per-node request timeout (default 2 s)
+	Selection SelectionPolicy // node selection policy (default SelectRandom)
 }
+
+// Retry policy of every per-node request: the first try plus two
+// retries, backing off from 5 ms.
+const (
+	retryAttempts = 3
+	retryBackoff  = 5 * time.Millisecond
+)
+
+// infraSigma is the noise std-dev of infrastructure sensors.
+const infraSigma = 0.05
 
 // Broker orchestrates one NanoCloud.
 type Broker struct {
@@ -71,10 +77,7 @@ type Broker struct {
 	env       node.Environment
 	rng       *rand.Rand
 	timeout   time.Duration
-	infraSD   float64
 	selection SelectionPolicy
-	attempts  int
-	backoff   time.Duration
 	retrySeed int64
 
 	mu      sync.Mutex
@@ -93,29 +96,16 @@ func New(cfg Config, b *bus.Bus, env node.Environment) (*Broker, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.InfraSigma <= 0 {
-		cfg.InfraSigma = 0.05
-	}
 	if cfg.Selection == "" {
 		cfg.Selection = SelectRandom
 	}
-	attempts := 1 + cfg.Retries
-	if cfg.Retries == 0 {
-		attempts = 3 // default: the first try plus two retries
-	}
-	if attempts < 1 {
-		attempts = 1
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 5 * time.Millisecond
-	}
 	return &Broker{
 		ID: cfg.ID, Bus: b, env: env,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		timeout: cfg.Timeout, infraSD: cfg.InfraSigma,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		timeout:   cfg.Timeout,
 		selection: cfg.Selection,
-		attempts:  attempts, backoff: cfg.RetryBackoff, retrySeed: cfg.Seed,
-		infraOK: true,
+		retrySeed: cfg.Seed,
+		infraOK:   true,
 	}, nil
 }
 
@@ -210,9 +200,9 @@ func (br *Broker) PositionsContext(ctx context.Context) map[string]int {
 // (bus.Scatter); their outcomes land in calls[i].Err.
 func (br *Broker) scatter(ctx context.Context, calls []bus.Call) {
 	bus.Scatter(ctx, br.Bus, br.ID, calls, bus.RetryPolicy{
-		Attempts:       br.attempts,
+		Attempts:       retryAttempts,
 		AttemptTimeout: br.timeout,
-		BaseBackoff:    br.backoff,
+		BaseBackoff:    retryBackoff,
 		Seed:           br.retrySeed,
 	})
 }
@@ -334,10 +324,10 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 			need = len(free)
 		}
 		for _, cell := range free[:need] {
-			v := br.env.FieldValue(kind, cell) + br.rng.NormFloat64()*br.infraSD
+			v := br.env.FieldValue(kind, cell) + br.rng.NormFloat64()*infraSigma
 			res.Locs = append(res.Locs, cell)
 			res.Values = append(res.Values, v)
-			res.Sigmas = append(res.Sigmas, br.infraSD)
+			res.Sigmas = append(res.Sigmas, infraSigma)
 			res.NodeIDs = append(res.NodeIDs, "")
 			res.InfraUsed++
 		}
@@ -393,17 +383,13 @@ func (br *Broker) orderNodes(ctx context.Context) []string {
 	}
 }
 
-// ReconstructOptions tunes the broker-side recovery.
-//
-// K is a cap, and not the only one: the decode runs CHS's default 32
-// iterations of one atom each, so a cold decode admits at most 32 atoms
-// (a warm one, 32 beyond its seed) whatever K asks for. ROADMAP.md item 2
-// (one support-size rule) removes that second cap.
+// ReconstructOptions tunes the broker-side recovery, a CHS decode in the
+// DCT basis with a support cap of len(locs)/3. The cap is not the only
+// one: the decode runs CHS's default 32 iterations of one atom each, so a
+// cold decode admits at most 32 atoms (a warm one, 32 beyond its seed).
+// ROADMAP.md item 2 (one support-size rule) removes that second cap.
 type ReconstructOptions struct {
-	Basis    basis.Kind  // default DCT
-	K        int         // support cap; 0 = len(locs)/3 heuristic (see above)
-	UseGLS   bool        // weight by per-sensor noise (heterogeneous phones)
-	LearnPhi *mat.Matrix // optional prior basis overriding Basis
+	UseGLS bool // weight by per-sensor noise (heterogeneous phones)
 
 	// SeedSupport warm-starts the CHS decode from a previous round's
 	// recovered support (Reconstruction.Result.Support): on a
@@ -435,36 +421,17 @@ func (br *Broker) ReconstructContext(ctx context.Context, kind sensor.Kind, m in
 	return br.ReconstructFrom(g, opts)
 }
 
-// ReconstructFrom recovers the field from an existing gather round. The
-// default bases decode matrix-free (basis.Operator fast path); a LearnPhi
-// prior is matrix-backed and runs the dense reference kernels.
+// ReconstructFrom recovers the field from an existing gather round,
+// matrix-free in the DCT basis (basis.Operator fast path).
 func (br *Broker) ReconstructFrom(g *GatherResult, opts ReconstructOptions) (*Reconstruction, error) {
 	gw, gh := br.env.GridDims()
-	var op basis.Operator
-	if opts.LearnPhi != nil {
-		var err error
-		op, err = basis.FromMatrix(opts.LearnPhi)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		kind := opts.Basis
-		if kind == "" {
-			kind = basis.KindDCT
-		}
-		f := field.New(gw, gh)
-		var err error
-		op, err = f.Operator2D(kind)
-		if err != nil {
-			return nil, err
-		}
+	op, err := field.New(gw, gh).Operator2D(basis.KindDCT)
+	if err != nil {
+		return nil, err
 	}
-	k := opts.K
-	if k <= 0 {
-		k = len(g.Locs) / 3
-		if k < 1 {
-			k = 1
-		}
+	k := len(g.Locs) / 3
+	if k < 1 {
+		k = 1
 	}
 	chsOpts := cs.CHSOptions{
 		MaxSupport: k, Tol: 1e-8, PerIter: 1,

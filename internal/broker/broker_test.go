@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/basis"
 	"repro/internal/bus"
 	"repro/internal/cs"
 	"repro/internal/field"
@@ -174,7 +173,7 @@ func TestGatherValidation(t *testing.T) {
 
 func TestReconstructRecoversPlume(t *testing.T) {
 	br, truth, _ := testNC(t, 6, 6)
-	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 28, ReconstructOptions{Basis: basis.KindDCT, K: 10})
+	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 28, ReconstructOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestReconstructRecoversPlume(t *testing.T) {
 
 func TestReconstructGLSOption(t *testing.T) {
 	br, truth, _ := testNC(t, 6, 7)
-	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 28, ReconstructOptions{UseGLS: true, K: 10})
+	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 28, ReconstructOptions{UseGLS: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude map[int]bool)
 		calls := []bus.Call{bus.NewCall(topic, "", node.MeasureRequest{Kind: string(kind)}, &reading)}
 		root, _, _ := strings.Cut(topic, "/")
 		bus.Scatter(ctx, br.Bus, root, calls, bus.RetryPolicy{
-			Attempts: br.attempts, AttemptTimeout: br.timeout, BaseBackoff: br.backoff, Seed: br.retrySeed,
+			Attempts: retryAttempts, AttemptTimeout: br.timeout, BaseBackoff: retryBackoff, Seed: br.retrySeed,
 		})
 		if calls[0].Err != nil {
 			continue
@@ -74,10 +74,10 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude map[int]bool)
 		br.mu.Lock()
 		br.rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
 		for _, cell := range free[:min(m-len(res.Locs), len(free))] {
-			v := br.env.FieldValue(kind, cell) + br.rng.NormFloat64()*br.infraSD
+			v := br.env.FieldValue(kind, cell) + br.rng.NormFloat64()*infraSigma
 			res.Locs = append(res.Locs, cell)
 			res.Values = append(res.Values, v)
-			res.Sigmas = append(res.Sigmas, br.infraSD)
+			res.Sigmas = append(res.Sigmas, infraSigma)
 			res.NodeIDs = append(res.NodeIDs, "")
 			res.InfraUsed++
 		}

@@ -40,7 +40,6 @@ func (s *Subscription) noteDrop() {
 	s.dropped.Add(1)
 	obsDropped.Inc()
 	if !dropWarned.Load() && dropWarned.CompareAndSwap(false, true) {
-		//lint:ignore printban deliberate once-per-process operator warning; the flood-free contract is pinned by the drop-warning regression test
 		log.Printf("bus: subscriber %q buffer full; dropping messages (see bus.deliver.dropped metric and Subscription.Dropped; this warning is logged once)", s.pattern)
 	}
 }

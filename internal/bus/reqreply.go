@@ -200,9 +200,10 @@ func (s *scatterState) run(ctx context.Context, calls []Call) error {
 // replay with the same policy walks the same schedule. A done ctx cuts
 // it short and is returned.
 func (s *scatterState) backoff(ctx context.Context, round int, rng *rand.Rand) error {
+	maxBackoff := 32 * s.pol.BaseBackoff
 	backoff := s.pol.BaseBackoff << (round - 1)
-	if backoff <= 0 || backoff > s.pol.MaxBackoff {
-		backoff = s.pol.MaxBackoff
+	if backoff <= 0 || backoff > maxBackoff {
+		backoff = maxBackoff
 	}
 	timer := time.NewTimer(backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1)))
 	defer timer.Stop()

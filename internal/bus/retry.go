@@ -29,7 +29,6 @@ type RetryPolicy struct {
 	Attempts       int           // total attempts including the first (min 1); 0 = 3
 	AttemptTimeout time.Duration // per-attempt deadline; 0 = outer ctx only
 	BaseBackoff    time.Duration // backoff before the second attempt; 0 = 10ms
-	MaxBackoff     time.Duration // backoff cap; 0 = 32× BaseBackoff
 	Seed           int64         // jitter seed: a fixed seed replays the exact backoff schedule
 }
 
@@ -39,9 +38,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BaseBackoff <= 0 {
 		p.BaseBackoff = 10 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 32 * p.BaseBackoff
 	}
 	return p
 }

@@ -318,7 +318,9 @@ func (pc *PublicCloud) AdaptiveBudget(total int, prior *field.Field, energyFrac 
 		plan[zi.id] = m
 		used += m
 	}
-	// Distribute rounding remainder to the heaviest zones.
+	// Distribute the rounding remainder one measurement at a time,
+	// round-robin over the zones in LC order (not by weight), skipping
+	// zones that are already full.
 	for used < total {
 		grew := false
 		for _, zi := range infos {

@@ -345,7 +345,7 @@ func TestAssembleReconstructsGlobalField(t *testing.T) {
 	})
 	pc := buildHierarchy(t, truth, 4, 5)
 	plan := pc.UniformBudget(56)
-	global, reports, err := pc.AssembleContext(context.Background(), sensor.Temperature, plan, broker.ReconstructOptions{K: 10}, nil)
+	global, reports, err := pc.AssembleContext(context.Background(), sensor.Temperature, plan, broker.ReconstructOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

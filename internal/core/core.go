@@ -34,14 +34,16 @@ var (
 
 // Options sizes a SenseDroid deployment.
 type Options struct {
-	FieldW, FieldH     int     // global grid
-	ZoneRows, ZoneCols int     // hierarchy: ZoneRows×ZoneCols local clouds
-	NCsPerZone         int     // NanoCloud brokers per local cloud
-	NodesPerNC         int     // mobile nodes per NanoCloud
-	MetersPerCell      float64 // physical scale (default 10 m)
+	FieldW, FieldH     int // global grid
+	ZoneRows, ZoneCols int // hierarchy: ZoneRows×ZoneCols local clouds
+	NCsPerZone         int // NanoCloud brokers per local cloud
+	NodesPerNC         int // mobile nodes per NanoCloud
 	Seed               int64
 	Timeout            time.Duration // broker↔node request timeout
 }
+
+// metersPerCell is the physical scale of a grid cell.
+const metersPerCell = 10
 
 // SenseDroid is a deployed middleware instance over a live ground-truth
 // field. Mutating the truth (SetTruth) is the simulation's stand-in for
@@ -114,9 +116,6 @@ func New(opts Options) (*SenseDroid, error) {
 	if opts.NodesPerNC < 0 {
 		return nil, errors.New("core: negative node count")
 	}
-	if opts.MetersPerCell <= 0 {
-		opts.MetersPerCell = 10
-	}
 	truth := field.New(opts.FieldW, opts.FieldH)
 	zones, err := field.Partition(truth, opts.ZoneRows, opts.ZoneCols)
 	if err != nil {
@@ -132,7 +131,7 @@ func New(opts Options) (*SenseDroid, error) {
 
 	var lcs []*cloud.LocalCloud
 	for _, z := range zones {
-		env, err := cloud.NewZoneEnv(truth, z, opts.MetersPerCell)
+		env, err := cloud.NewZoneEnv(truth, z, metersPerCell)
 		if err != nil {
 			return nil, err
 		}
@@ -236,15 +235,14 @@ func (sd *SenseDroid) TotalEnergyMJ() float64 {
 	return total
 }
 
-// CampaignConfig parameterizes one collaborative sensing campaign.
+// CampaignConfig parameterizes one collaborative sensing campaign, which
+// maps temperature with the broker's default reconstruction. An adaptive
+// plan keeps 98 % of the prior's local energy and gives every zone at
+// least 4 measurements.
 type CampaignConfig struct {
-	Kind       sensor.Kind // field quantity to map (default temperature)
-	TotalM     int         // global measurement budget
-	Adaptive   bool        // adaptive per-zone budgets vs uniform
-	Prior      *field.Field
-	EnergyFrac float64 // local-sparsity energy threshold (default 0.98)
-	MinPerZone int     // adaptive floor (default 4)
-	Recon      broker.ReconstructOptions
+	TotalM   int  // global measurement budget
+	Adaptive bool // adaptive per-zone budgets vs uniform
+	Prior    *field.Field
 }
 
 // CampaignResult reports a completed campaign.
@@ -266,22 +264,13 @@ type CampaignResult struct {
 // allocation, per-zone gather + reconstruction, global assembly, and
 // accuracy accounting against the live truth.
 func (sd *SenseDroid) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
-	if cfg.Kind == "" {
-		cfg.Kind = sensor.Temperature
-	}
 	if cfg.TotalM <= 0 {
 		return nil, errors.New("core: campaign needs a positive budget")
-	}
-	if cfg.EnergyFrac <= 0 || cfg.EnergyFrac > 1 {
-		cfg.EnergyFrac = 0.98
-	}
-	if cfg.MinPerZone <= 0 {
-		cfg.MinPerZone = 4
 	}
 	var plan cloud.BudgetPlan
 	if cfg.Adaptive {
 		var err error
-		plan, err = sd.Public.AdaptiveBudget(cfg.TotalM, cfg.Prior, cfg.EnergyFrac, cfg.MinPerZone)
+		plan, err = sd.Public.AdaptiveBudget(cfg.TotalM, cfg.Prior, 0.98, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -289,7 +278,7 @@ func (sd *SenseDroid) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		plan = sd.Public.UniformBudget(cfg.TotalM)
 	}
 	// No caller context yet: bench/ calls RunCampaign by this signature.
-	global, reports, err := sd.Public.AssembleContext(context.TODO(), cfg.Kind, plan, cfg.Recon, nil)
+	global, reports, err := sd.Public.AssembleContext(context.TODO(), sensor.Temperature, plan, broker.ReconstructOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}

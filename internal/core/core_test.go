@@ -6,7 +6,6 @@ import (
 	"repro/internal/contextproc"
 	"repro/internal/field"
 	"repro/internal/node"
-	"repro/internal/sensor"
 )
 
 func smallOpts() Options {
@@ -240,27 +239,6 @@ func TestGroupContexts(t *testing.T) {
 	if g.MajorityAct != contextproc.ActivityWalking {
 		t.Fatalf("group activity %s", g.MajorityAct)
 	}
-}
-
-func TestCampaignWithGLSAndKindDefaults(t *testing.T) {
-	sd, err := New(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sd.Close()
-	if err := sd.SetTruth(plumeTruth()); err != nil {
-		t.Fatal(err)
-	}
-	cfg := CampaignConfig{TotalM: 80}
-	cfg.Recon.UseGLS = true
-	res, err := sd.RunCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GlobalNMSE > 0.1 {
-		t.Fatalf("GLS campaign NMSE %v", res.GlobalNMSE)
-	}
-	_ = sensor.Temperature // default kind exercised above
 }
 
 func TestMultipleNCsPerZone(t *testing.T) {

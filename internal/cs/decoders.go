@@ -16,12 +16,11 @@ import (
 	"repro/internal/mat"
 )
 
-// IHTOptions tunes iterative hard thresholding.
+// IHTOptions tunes iterative hard thresholding, which stops early once
+// the residual norm changes by less than 1e-9.
 type IHTOptions struct {
-	K        int     // target sparsity (required)
-	MaxIter  int     // default 200
-	StepSize float64 // 0 = adaptive normalized-IHT step (recommended)
-	Tol      float64 // stop when residual norm change < Tol (default 1e-9)
+	K       int // target sparsity (required)
+	MaxIter int // default 200
 }
 
 // IHTOp recovers a K-sparse coefficient vector by projected gradient
@@ -49,10 +48,6 @@ func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 200
 	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-9
-	}
-	fixedMu := opts.StepSize
 	alpha := make([]float64, n)
 	// Per-iteration work buffers, hoisted so the loop allocates nothing.
 	pred := make([]float64, m)
@@ -73,7 +68,7 @@ func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 			r[i] = y[i] - pred[i]
 		}
 		rn := mat.Norm2(r)
-		if math.Abs(prevRes-rn) < opts.Tol {
+		if math.Abs(prevRes-rn) < 1e-9 {
 			break
 		}
 		prevRes = rn
@@ -85,31 +80,27 @@ func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 		// for the coherent point-sampled bases used here. The working
 		// support is the current support, or the top-K gradient entries on
 		// the first iteration.
-		mu := fixedMu
-		if mu <= 0 {
-			workSup := supportOf(alpha)
-			if len(workSup) == 0 {
-				workSup = topKIndicesInto(g, opts.K, idxScratch)
-			}
-			for _, j := range workSup {
-				gS[j] = g[j]
-			}
-			if err := d.predict(agS, gS); err != nil {
-				return nil, err
-			}
-			num := 0.0
-			for _, j := range workSup {
-				num += gS[j] * gS[j]
-			}
-			den := mat.Dot(agS, agS)
-			for _, j := range workSup {
-				gS[j] = 0
-			}
-			if den <= 0 {
-				mu = 1
-			} else {
-				mu = num / den
-			}
+		workSup := supportOf(alpha)
+		if len(workSup) == 0 {
+			workSup = topKIndicesInto(g, opts.K, idxScratch)
+		}
+		for _, j := range workSup {
+			gS[j] = g[j]
+		}
+		if err := d.predict(agS, gS); err != nil {
+			return nil, err
+		}
+		num := 0.0
+		for _, j := range workSup {
+			num += gS[j] * gS[j]
+		}
+		den := mat.Dot(agS, agS)
+		for _, j := range workSup {
+			gS[j] = 0
+		}
+		mu := 1.0
+		if den > 0 {
+			mu = num / den
 		}
 		for j := range alpha {
 			alpha[j] += mu * g[j]
@@ -139,11 +130,10 @@ func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 	return packResultDict(d, support, coef, y, iters)
 }
 
-// CoSaMPOptions tunes CoSaMP.
+// CoSaMPOptions tunes CoSaMP, which runs at most 50 iterations and stops
+// early once the residual norm, or its change, falls below 1e-9.
 type CoSaMPOptions struct {
-	K       int // target sparsity (required)
-	MaxIter int // default 50
-	Tol     float64
+	K int // target sparsity (required)
 }
 
 // CoSaMPOp (Needell & Tropp) recovers a K-sparse vector by repeatedly
@@ -172,12 +162,7 @@ func cosampDict(d dict, y []float64, opts CoSaMPOptions) (*Result, error) {
 			opts.K = 1
 		}
 	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 50
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-9
-	}
+	const maxIter, tol = 50, 1e-9
 	alpha := make([]float64, n)
 	resid := mat.CloneVec(y)
 	// Per-iteration work buffers, hoisted so the loop allocates only inside
@@ -196,9 +181,9 @@ func cosampDict(d dict, y []float64, opts CoSaMPOptions) (*Result, error) {
 	pred := make([]float64, m)
 	iters := 0
 	prev := math.Inf(1)
-	for ; iters < opts.MaxIter; iters++ {
+	for ; iters < maxIter; iters++ {
 		rn := mat.Norm2(resid)
-		if rn <= opts.Tol || math.Abs(prev-rn) < opts.Tol {
+		if rn <= tol || math.Abs(prev-rn) < tol {
 			break
 		}
 		prev = rn

@@ -23,12 +23,11 @@ import (
 	"repro/internal/basis"
 )
 
-// SequenceOptions tunes the per-step baseline decoder.
+// SequenceOptions tunes the per-step baseline decoder, which samples
+// without noise and decodes each step with a sparsity budget of M/3.
 type SequenceOptions struct {
-	M          int     // measurements per time step (required)
-	K          int     // sparsity budget per step (default M/3)
-	NoiseSigma float64 // measurement noise applied by the sampler
-	Seed       int64
+	M    int // measurements per time step (required)
+	Seed int64
 }
 
 // StepReport records one recovered time step.
@@ -50,12 +49,9 @@ func RecoverSequence(phi basis.Operator, seq [][]float64, opts SequenceOptions) 
 	if opts.M <= 0 {
 		return nil, nil, errors.New("cs: sequence recovery needs positive M")
 	}
-	k := opts.K
-	if k <= 0 {
-		k = opts.M / 3
-		if k < 1 {
-			k = 1
-		}
+	k := opts.M / 3
+	if k < 1 {
+		k = 1
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	reports := make([]StepReport, 0, len(seq))
@@ -65,7 +61,7 @@ func RecoverSequence(phi basis.Operator, seq [][]float64, opts SequenceOptions) 
 		if err != nil {
 			return nil, nil, err
 		}
-		y, err := Measure(x, locs, rng, sigmaSlice(opts.NoiseSigma))
+		y, err := Measure(x, locs, rng, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -79,10 +75,10 @@ func RecoverSequence(phi basis.Operator, seq [][]float64, opts SequenceOptions) 
 	return reports, recovered, nil
 }
 
-// SpatioTemporalOptions tunes the joint decoder.
+// SpatioTemporalOptions tunes the joint decoder, whose sparsity budget
+// is T·M/3.
 type SpatioTemporalOptions struct {
 	M          int // measurements per time step (same sampler as the baseline)
-	K          int // joint sparsity budget (default T·M/3 capped at T·M−1)
 	NoiseSigma float64
 	Seed       int64
 }
@@ -166,11 +162,7 @@ func RecoverSpatioTemporal(phi basis.Operator, seq [][]float64, opts SpatioTempo
 			jm.Y = append(jm.Y, ys[i])
 		}
 	}
-	k := opts.K
-	if k <= 0 {
-		k = t * opts.M / 3
-	}
-	recovered, res, err := DecodeSpatioTemporal(phi, jm, k)
+	recovered, res, err := DecodeSpatioTemporal(phi, jm, t*opts.M/3)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -59,10 +59,9 @@ type ZoneCollector struct {
 	Zone   field.Zone
 	Budget int // max distinct cells; 0 = unbounded
 
-	cellAt    []int32 // dense over the zone's W×H cells: 1 + index into locs/vals/sigmas, 0 = not yet heard
+	cellAt    []int32 // dense over the zone's W×H cells: 1 + index into locs/vals, 0 = not yet heard
 	locs      []int   // distinct cells in arrival order (decode locations)
 	vals      []float64
-	sigmas    []float64
 	envelopes int // handler deliveries, duplicates included
 	rejected  int // distinct cells beyond budget
 	malformed int
@@ -73,7 +72,7 @@ func newZoneCollector(zone field.Zone, budget int) *ZoneCollector {
 }
 
 func (zc *ZoneCollector) handle(m netsim.Message) {
-	cell, _, value, sigma, ok := decodeSample(m.Payload)
+	cell, _, value, _, ok := decodeSample(m.Payload)
 	if !ok || int(cell) >= len(zc.cellAt) {
 		zc.malformed++
 		return
@@ -81,7 +80,6 @@ func (zc *ZoneCollector) handle(m netsim.Message) {
 	zc.envelopes++
 	if at := zc.cellAt[cell]; at > 0 {
 		zc.vals[at-1] = value
-		zc.sigmas[at-1] = sigma
 		return
 	}
 	if zc.Budget > 0 && len(zc.locs) >= zc.Budget {
@@ -90,7 +88,6 @@ func (zc *ZoneCollector) handle(m netsim.Message) {
 	}
 	zc.locs = append(zc.locs, int(cell))
 	zc.vals = append(zc.vals, value)
-	zc.sigmas = append(zc.sigmas, sigma)
 	zc.cellAt[cell] = int32(len(zc.locs))
 }
 
@@ -140,13 +137,11 @@ func NewRunner(p *Population, netSeed int64, budgetPerZone int) (*Runner, error)
 	return r, nil
 }
 
-// CampaignConfig controls one Run.
+// CampaignConfig controls one Run: Config.DutyPeriod rounds of one
+// second each, so every node reports once, then an OLS decode of every
+// zone in the DCT basis.
 type CampaignConfig struct {
-	Rounds     int        // duty rounds (default Config.DutyPeriod: every node reports once)
-	Dt         float64    // seconds per round (default 1)
-	Basis      basis.Kind // decode basis (default DCT)
-	MaxSupport int        // decode support cap per zone (default distinct cells / 3)
-	UseGLS     bool       // weight the decode by reported sigmas
+	MaxSupport int // decode support cap per zone (default distinct cells / 3)
 }
 
 // Result is one fleet campaign's deterministic output.
@@ -167,7 +162,7 @@ type Result struct {
 	Alive     int
 }
 
-// Run drives a campaign: Rounds times (tick → report → merge in shard
+// Run drives a campaign: DutyPeriod times (tick → report → merge in shard
 // order → flush), then decodes every zone against the collected
 // measurements and assembles the global field. Requires SetTruth. The
 // merge loop is the determinism linchpin: each shard's envelopes go out
@@ -180,19 +175,9 @@ func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	if p.truth == nil {
 		return nil, errors.New("fleet: SetTruth before Run")
 	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = p.Cfg.DutyPeriod
-	}
-	if cfg.Dt == 0 {
-		cfg.Dt = 1
-	}
-	if cfg.Basis == "" {
-		cfg.Basis = basis.KindDCT
-	}
-
 	res := &Result{}
-	for round := 0; round < cfg.Rounds; round++ {
-		p.Tick(cfg.Dt)
+	for round := 0; round < p.Cfg.DutyPeriod; round++ {
+		p.Tick(1)
 		p.Report(round)
 		for _, s := range p.Shards {
 			if s.repN == 0 {
@@ -243,7 +228,7 @@ func (r *Runner) decode(cfg CampaignConfig, res *Result) error {
 			subs[z] = zf // nothing heard from this zone: flat-zero estimate
 			return
 		}
-		op, err := zf.Operator2D(cfg.Basis)
+		op, err := zf.Operator2D(basis.KindDCT)
 		if err != nil {
 			errs[z] = err
 			return
@@ -255,11 +240,7 @@ func (r *Runner) decode(cfg CampaignConfig, res *Result) error {
 		if k < 1 {
 			k = 1
 		}
-		opts := cs.CHSOptions{MaxSupport: k, MaxIter: k, Tol: 1e-8, PerIter: 1}
-		if cfg.UseGLS {
-			opts.Sigmas = zc.sigmas
-		}
-		dec, err := cs.CHSOp(op, zc.locs, zc.vals, opts)
+		dec, err := cs.CHSOp(op, zc.locs, zc.vals, cs.CHSOptions{MaxSupport: k, MaxIter: k, Tol: 1e-8, PerIter: 1})
 		if err != nil {
 			errs[z] = err
 			return

@@ -39,43 +39,30 @@ type Config struct {
 	Nodes     int // total participants across all zones
 	ShardSize int // nodes per shard (default 4096)
 
-	FieldW, FieldH     int     // global grid dimensions
-	ZoneRows, ZoneCols int     // zone partition (must divide the grid)
-	MetersPerCell      float64 // area scale (default 10 m)
+	FieldW, FieldH     int // global grid dimensions
+	ZoneRows, ZoneCols int // zone partition (must divide the grid)
 
 	Seed int64
 
-	DutyPeriod         int     // a node reports every DutyPeriod rounds (default 8)
-	SigmaMin, SigmaMax float64 // per-node noise level range (default 0.05..0.25)
-	BatteryMJ          float64 // per-node battery (default 4e7, a phone battery)
-
-	MinSpeed, MaxSpeed float64 // waypoint speed range, m/s (default 0.8..2.2)
-	Pause              float64 // waypoint dwell, s (default 2)
+	DutyPeriod int // a node reports every DutyPeriod rounds (default 8)
 }
 
 func (c *Config) applyDefaults() {
 	if c.ShardSize == 0 {
 		c.ShardSize = 4096
 	}
-	if c.MetersPerCell == 0 {
-		c.MetersPerCell = 10
-	}
 	if c.DutyPeriod == 0 {
 		c.DutyPeriod = 8
 	}
-	if c.SigmaMin == 0 && c.SigmaMax == 0 {
-		c.SigmaMin, c.SigmaMax = 0.05, 0.25
-	}
-	if c.BatteryMJ == 0 {
-		c.BatteryMJ = 4e7
-	}
-	if c.MinSpeed == 0 && c.MaxSpeed == 0 {
-		c.MinSpeed, c.MaxSpeed = 0.8, 2.2
-	}
-	if c.Pause == 0 {
-		c.Pause = 2
-	}
 }
+
+// Every node is a phone with a full battery (mJ) and a noise level drawn
+// uniformly from [sigmaMin, sigmaMax]; a grid cell is 10 m across.
+const (
+	metersPerCell      = 10
+	batteryMJ          = 4e7
+	sigmaMin, sigmaMax = 0.05, 0.25
+)
 
 // Shard is one struct-of-arrays block of nodes, all in the same zone.
 // Everything here is owned by the shard's scheduler turn: Tick and
@@ -189,14 +176,14 @@ func NewPopulation(cfg Config) (*Population, error) {
 func newShard(index, zoneIdx, n int, zone field.Zone, cfg Config) (*Shard, error) {
 	rng := rand.New(rand.NewSource(shardSeed(cfg.Seed, index)))
 	params := mobility.WaypointParams{
-		W: float64(zone.W) * cfg.MetersPerCell, H: float64(zone.H) * cfg.MetersPerCell,
-		MinSpeed: cfg.MinSpeed, MaxSpeed: cfg.MaxSpeed, Pause: cfg.Pause,
+		W: float64(zone.W) * metersPerCell, H: float64(zone.H) * metersPerCell,
+		MinSpeed: 0.8, MaxSpeed: 2.2, Pause: 2, // walking: m/s, and a 2 s dwell
 	}
 	way, err := mobility.InitWaypoints(rng, params, n)
 	if err != nil {
 		return nil, err
 	}
-	bank, err := energy.NewBank(n, cfg.BatteryMJ)
+	bank, err := energy.NewBank(n, batteryMJ)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +195,7 @@ func newShard(index, zoneIdx, n int, zone field.Zone, cfg Config) (*Shard, error
 	}
 	for i := 0; i < n; i++ {
 		s.phase[i] = uint16(rng.Intn(cfg.DutyPeriod))
-		s.sigma[i] = cfg.SigmaMin + rng.Float64()*(cfg.SigmaMax-cfg.SigmaMin)
+		s.sigma[i] = sigmaMin + rng.Float64()*(sigmaMax-sigmaMin)
 	}
 	return s, nil
 }

@@ -3,9 +3,11 @@ package lint
 import (
 	"encoding/json"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -286,4 +288,156 @@ func interfaceMethodNames(pkgs []*Package) map[string]bool {
 		addScope(pkg.Types)
 	}
 	return names
+}
+
+// optionsHaveSettersAllowed are the option fields that may stay without a
+// non-test writer, each with the reason. Keep it at five entries or fewer.
+var optionsHaveSettersAllowed = map[string]string{
+	"repro/internal/broker.Config.Selection":             "battery-aware selection is set only by tests; ROADMAP item 13 decides whether it goes on the path",
+	"repro/internal/node.Config.Battery":                 "battery-aware selection is set only by tests; ROADMAP item 13 decides whether it goes on the path",
+	"repro/internal/fleet.Config.DutyPeriod":             "bench/fleetround.go reads it",
+	"repro/internal/cs.IHTOptions.MaxIter":               "FuzzDecodeIHT sets it to bound the cost of each fuzz input",
+	"repro/internal/cs.SpatioTemporalOptions.NoiseSigma": "set only by tests; ROADMAP item 8(c) moves the Recover* helpers out of cs",
+}
+
+// TestOptionsHaveSetters keeps internal/ free of configuration nobody
+// runs: every exported field of an exported *Config, *Options or *Policy
+// struct declared under repro/internal/ is written by non-test code.
+func TestOptionsHaveSetters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	pkgs, err := testLoader(t).Load("./...")
+	if err != nil {
+		t.Fatalf("Load ./...: %v", err)
+	}
+	n, findings := optionSetterFindings(pkgs, func(path string) bool {
+		return strings.HasPrefix(path, "repro/internal/") &&
+			path != "repro/internal/testutil" && !strings.HasPrefix(path, "repro/internal/testutil/")
+	}, optionsHaveSettersAllowed)
+	t.Logf("%d option fields", n)
+	for _, f := range findings {
+		t.Error(f)
+	}
+	if len(optionsHaveSettersAllowed) > 5 {
+		t.Errorf("optionsHaveSettersAllowed has %d entries, want at most 5", len(optionsHaveSettersAllowed))
+	}
+}
+
+// TestOptionSetterRule runs the rule on a fixture: a field assigned from
+// another package and one set in its own package's keyed literal pass, a
+// field only its own package defaults is flagged, and an allowlist entry
+// naming a field that has a writer is reported as stale.
+func TestOptionSetterRule(t *testing.T) {
+	const p = "repro/internal/lint/testdata/src/options"
+	pkgs := []*Package{loadTestdata(t, "options"), loadTestdata(t, filepath.Join("options", "setter"))}
+	n, findings := optionSetterFindings(pkgs, func(path string) bool { return path == p },
+		map[string]string{p + ".Config.Remote": "stale on purpose"})
+	want := []string{
+		"allowlisted " + p + ".Config.Remote (stale on purpose) is gone or has a writer: drop it from the allowlist",
+		p + ".Config.Defaulted has no non-test writer: make it a constant, or allowlist it with a reason",
+	}
+	if n != 3 || strings.Join(findings, "\n") != strings.Join(want, "\n") {
+		t.Errorf("%d option fields, findings:\n%s\nwant 3 fields, findings:\n%s", n, strings.Join(findings, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// optionSetterFindings checks the option fields of the packages declared
+// admits. A field is written by a keyed composite literal anywhere in
+// pkgs, by an unkeyed one, or by an assignment, an increment or an
+// address-of outside its own package; a package's own defaulting
+// assignments do not make an option somebody sets. It returns the number
+// of option fields checked and one message per unset field that allowed
+// does not name, and per allowed entry that names no unset option field.
+func optionSetterFindings(pkgs []*Package, declared func(path string) bool, allowed map[string]string) (int, []string) {
+	written := map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		outside := func(e ast.Expr) {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				if v := s.Obj().(*types.Var).Origin(); v.Pkg() != pkg.Types {
+					written[v] = true
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					t := pkg.Info.Types[n].Type
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem() // an elided &T{…} in a []*T literal
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if v, ok := pkg.Info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								written[v.Origin()] = true
+							}
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						outside(lhs)
+					}
+				case *ast.IncDecStmt:
+					outside(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						outside(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	total := 0
+	unset := map[string]bool{}
+	var findings []string
+	for _, pkg := range pkgs {
+		if !declared(pkg.Path) {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if !v.Exported() {
+					continue
+				}
+				total++
+				if written[v] {
+					continue
+				}
+				id := pkg.Path + "." + name + "." + v.Name()
+				unset[id] = true
+				if _, ok := allowed[id]; !ok {
+					findings = append(findings, id+" has no non-test writer: make it a constant, or allowlist it with a reason")
+				}
+			}
+		}
+	}
+	for id, reason := range allowed {
+		if !unset[id] {
+			findings = append(findings, "allowlisted "+id+" ("+reason+") is gone or has a writer: drop it from the allowlist")
+		}
+	}
+	sort.Strings(findings)
+	return total, findings
 }

@@ -53,7 +53,6 @@ type Config struct {
 	Profile sensor.DeviceProfile
 	Motion  sensor.MotionScenario
 	Indoor  sensor.Schedule
-	Radio   energy.RadioKind
 	Battery float64 // capacity in mJ; 0 = default 4e7 (a ~40 kJ phone pack)
 }
 
@@ -64,7 +63,6 @@ type Node struct {
 	Policy  *privacy.Policy
 	Meter   *energy.Meter
 	Battery *energy.Battery
-	Radio   energy.RadioKind
 	Store   *store.Store
 
 	env      Environment
@@ -94,9 +92,6 @@ func New(cfg Config, env Environment, mob mobility.Model) (*Node, error) {
 	if cfg.Indoor == nil {
 		cfg.Indoor = sensor.AlternatingSchedule(0)
 	}
-	if cfg.Radio == "" {
-		cfg.Radio = energy.RadioWiFi
-	}
 	if cfg.Battery <= 0 {
 		cfg.Battery = 4e7
 	}
@@ -110,7 +105,6 @@ func New(cfg Config, env Environment, mob mobility.Model) (*Node, error) {
 		Policy:  privacy.AllowAll(sensor.Accelerometer, sensor.Temperature, sensor.GPS, sensor.WiFi, sensor.Light, sensor.Humidity, sensor.Barometer, sensor.Microphone),
 		Meter:   energy.NewMeter(nil),
 		Battery: energy.NewBattery(cfg.Battery),
-		Radio:   cfg.Radio,
 		Store:   store.New(4096),
 		env:     env, mobility: mob,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
@@ -305,7 +299,7 @@ func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) 
 			continue
 		}
 		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
-		_ = n.Meter.ChargeRx(n.Radio, len(msg.Payload))
+		_ = n.Meter.ChargeRx(energy.RadioWiFi, len(msg.Payload))
 		if cmd.ReplyTo != "" {
 			if seen[cmd.ReplyTo] {
 				// The radio already paid to hear it; don't serve it again.
@@ -329,7 +323,7 @@ func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) 
 			continue
 		}
 		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
-		_ = n.Meter.ChargeTx(n.Radio, len(raw))
+		_ = n.Meter.ChargeTx(energy.RadioWiFi, len(raw))
 		//lint:ignore errcheck reply delivery is best-effort by contract; the requester may already have timed out
 		_ = b.Publish(cmd.ReplyTo, raw)
 	}

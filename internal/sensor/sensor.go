@@ -5,7 +5,7 @@
 // feed the GLS noise covariance.
 //
 // There is no real hardware in this reproduction, so each probe wraps a
-// parametric signal model (models.go) plus a configurable noise/bias/drift
+// parametric signal model (models.go) plus a configurable white-noise
 // pipeline. The reconstruction and context layers only ever see sampled
 // values and noise statistics, which is exactly what they would see from
 // real hardware.
@@ -55,8 +55,6 @@ type Model func(t float64, axis int) float64
 type Config struct {
 	RateHz     float64 // sampling rate; must be > 0
 	NoiseSigma float64 // additive white noise std-dev per axis
-	Bias       float64 // constant additive offset
-	DriftPerS  float64 // linear drift added as DriftPerS·t
 	Seed       int64   // noise RNG seed (deterministic replay)
 }
 
@@ -112,7 +110,7 @@ func (p *Probe) NoiseSigma() float64 { return p.cfg.NoiseSigma }
 func (p *Probe) Next() Sample {
 	s := Sample{T: p.t, Values: make([]float64, p.axes)}
 	for a := 0; a < p.axes; a++ {
-		v := p.model(p.t, a) + p.cfg.Bias + p.cfg.DriftPerS*p.t
+		v := p.model(p.t, a)
 		if p.cfg.NoiseSigma > 0 {
 			if p.rng == nil {
 				p.rng = rand.New(rand.NewSource(p.cfg.Seed))

@@ -12,19 +12,18 @@ import (
 )
 
 // LoadConfig shapes a synthetic query workload: Workers concurrent
-// clients issuing a Point/Range/Aggregate mix for Duration. Weights
-// need not sum to 1; they are normalized. Filters, when non-empty, is
-// sampled uniformly for range/aggregate predicates.
+// clients issuing for Duration a mix of 70 % Point, 20 % Range (edges of
+// at most rangeSpan cells) and 10 % Aggregate queries. Filters, when
+// non-empty, is sampled uniformly for range/aggregate predicates.
 type LoadConfig struct {
-	Workers   int
-	Duration  time.Duration
-	PointFrac float64 // default 0.7
-	RangeFrac float64 // default 0.2
-	AggFrac   float64 // default 0.1
-	RangeSpan int     // max rectangle edge (default 8)
-	Filters   []string
-	Seed      int64
+	Workers  int
+	Duration time.Duration
+	Filters  []string
+	Seed     int64
 }
+
+// rangeSpan is the largest rectangle edge a load Range query asks for.
+const rangeSpan = 8
 
 // LoadReport summarizes a load run. Latency quantiles come from the
 // serve histograms, so they cover exactly the queries this process
@@ -66,16 +65,6 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (LoadReport, error)
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
 	}
-	if cfg.PointFrac == 0 && cfg.RangeFrac == 0 && cfg.AggFrac == 0 {
-		cfg.PointFrac, cfg.RangeFrac, cfg.AggFrac = 0.7, 0.2, 0.1
-	}
-	if cfg.RangeSpan <= 0 {
-		cfg.RangeSpan = 8
-	}
-	total := cfg.PointFrac + cfg.RangeFrac + cfg.AggFrac
-	pPoint := cfg.PointFrac / total
-	pRange := pPoint + cfg.RangeFrac/total
-
 	lctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 	counts := make([]int64, cfg.Workers)
@@ -92,13 +81,13 @@ func RunLoad(ctx context.Context, s *Server, cfg LoadConfig) (LoadReport, error)
 			for lctx.Err() == nil {
 				var err error
 				switch u := rng.Float64(); {
-				case u < pPoint:
+				case u < 0.7:
 					_, err = s.Point(rng.Intn(s.fieldH), rng.Intn(s.fieldW))
-				case u < pRange:
+				case u < 0.9:
 					r0 := rng.Intn(s.fieldH)
 					c0 := rng.Intn(s.fieldW)
-					r1 := min(s.fieldH, r0+1+rng.Intn(cfg.RangeSpan))
-					c1 := min(s.fieldW, c0+1+rng.Intn(cfg.RangeSpan))
+					r1 := min(s.fieldH, r0+1+rng.Intn(rangeSpan))
+					c1 := min(s.fieldW, c0+1+rng.Intn(rangeSpan))
 					_, err = s.Range(Rect{r0, c0, r1, c1}, pickFilter(rng, cfg.Filters))
 				default:
 					_, err = s.Aggregate(rng.Intn(zones+1)-1, ops[rng.Intn(len(ops))], pickFilter(rng, cfg.Filters))

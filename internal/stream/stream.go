@@ -33,17 +33,11 @@ var (
 	obsWindowMs   = obs.GetHistogram("stream.window.ms", obs.LatencyBuckets)
 )
 
-// Config parameterizes a streaming pipeline.
+// Config parameterizes a streaming pipeline, which maps temperature with
+// the broker's default per-zone decode.
 type Config struct {
-	Kind     sensor.Kind   // field quantity (default temperature)
 	Budget   int           // global measurement budget per window (required)
 	Interval time.Duration // Run cadence (default 100ms)
-
-	// MaxWindows stops Run after that many successful windows; 0 runs
-	// until the context is done.
-	MaxWindows int
-
-	Recon broker.ReconstructOptions // per-zone decode options
 
 	// WarmStart seeds each zone's decode with the support that zone
 	// recovered in the previous window. SeedRelTol bounds how much
@@ -88,9 +82,6 @@ func New(sd *core.SenseDroid, reg *snapshot.Registry, cfg Config) (*Pipeline, er
 	}
 	if cfg.Budget <= 0 {
 		return nil, errors.New("stream: per-window budget must be positive")
-	}
-	if cfg.Kind == "" {
-		cfg.Kind = sensor.Temperature
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 100 * time.Millisecond
@@ -145,14 +136,14 @@ func (p *Pipeline) StepContext(ctx context.Context) (*snapshot.Snapshot, error) 
 	p.sd.Tick(p.cfg.DT)
 
 	plan := p.sd.Public.UniformBudget(p.cfg.Budget)
-	opts := p.cfg.Recon
+	var opts broker.ReconstructOptions
 	var seeds map[int][]int
 	if p.cfg.WarmStart && len(p.prev) > 0 {
 		seeds = p.prev
 		opts.SeedRelTol = p.cfg.SeedRelTol
 		obsSeededZn.Add(int64(len(seeds)))
 	}
-	global, reports, err := p.sd.Public.AssembleContext(ctx, p.cfg.Kind, plan, opts, seeds)
+	global, reports, err := p.sd.Public.AssembleContext(ctx, sensor.Temperature, plan, opts, seeds)
 	if err != nil {
 		return nil, p.failLocked(err)
 	}
@@ -160,7 +151,7 @@ func (p *Pipeline) StepContext(ctx context.Context) (*snapshot.Snapshot, error) 
 	s := &snapshot.Snapshot{
 		Step:     stepNo,
 		T:        t,
-		Kind:     p.cfg.Kind,
+		Kind:     sensor.Temperature,
 		Field:    global,
 		Supports: make(map[int][]int, len(reports)),
 		NMSE:     cs.NMSE(p.sd.Truth.Data, global.Data),
@@ -205,36 +196,28 @@ func (p *Pipeline) failLocked(err error) error {
 	return err
 }
 
-// RunContext loops windows on the ticker until ctx is done or MaxWindows
-// successful windows have completed. A failed window does not stop the
+// RunContext loops windows on the ticker until ctx is done, and returns
+// ctx's error. A failed window does not stop the
 // loop — continuous service rides through degraded rounds and the
 // registry keeps serving the last good snapshot; the failure is counted
 // and retrievable via LastErr.
 func (p *Pipeline) RunContext(ctx context.Context) error {
 	tick := time.NewTicker(p.cfg.Interval)
 	defer tick.Stop()
-	completed := 0
 	for {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:
-			if _, err := p.StepContext(ctx); err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				continue
-			}
-			completed++
-			if p.cfg.MaxWindows > 0 && completed >= p.cfg.MaxWindows {
-				return nil
+			if _, err := p.StepContext(ctx); err != nil && ctx.Err() != nil {
+				return ctx.Err()
 			}
 		}
 	}
 }
 
 // Start launches RunContext in a background goroutine. The goroutine
-// exits when Stop cancels its context (or MaxWindows is reached).
+// exits when Stop cancels its context.
 func (p *Pipeline) Start() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -246,7 +229,7 @@ func (p *Pipeline) Start() error {
 	p.cancel, p.done = cancel, done
 	go func() {
 		defer close(done)
-		//lint:ignore errcheck a background run ends by cancellation or MaxWindows; failures surface via LastErr
+		//lint:ignore errcheck a background run ends only by Stop's cancellation; window failures surface via LastErr
 		_ = p.RunContext(ctx)
 	}()
 	return nil

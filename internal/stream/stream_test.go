@@ -136,19 +136,6 @@ func TestPipelineStartStopLifecycle(t *testing.T) {
 	}
 }
 
-func TestRunContextStopsAtMaxWindows(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
-	p, _ := newPipeline(t, Config{
-		Budget: 60, Interval: time.Millisecond, MaxWindows: 3,
-	})
-	if err := p.RunContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if p.Windows() != 3 {
-		t.Fatalf("Windows = %d, want 3", p.Windows())
-	}
-}
-
 // fingerprint renders a snapshot's float state exactly (hex bits), so two
 // runs can be compared for float identity.
 func fingerprint(s *snapshot.Snapshot) string {

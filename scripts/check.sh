@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+test -z "$(gofmt -l .)" || { gofmt -l .; echo "FAIL: the files above are not gofmt-clean — run: gofmt -w ."; exit 1; }
+
 echo "== sdlint =="
 # Project-invariant static analysis (internal/lint). sdlint exits 1 on
 # any finding and when no package matches, so a refactor that breaks
