@@ -7,7 +7,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"log"
 	"math/rand"
@@ -120,33 +119,29 @@ func main() {
 				log.Printf("node %s: bus closed", *id)
 				return
 			}
-			var env struct {
-				ReplyTo string          `json:"replyTo"`
-				Body    json.RawMessage `json:"body"`
-			}
-			if err := json.Unmarshal(msg.Payload, &env); err != nil || env.ReplyTo == "" {
+			replyTo, _, err := bus.DecodeEnvelope(msg.Payload)
+			if err != nil || replyTo == "" {
 				continue
 			}
 			obsCommands.Inc()
-			var reply any
+			var raw []byte
 			switch msg.Topic {
 			case measureTopic:
 				idx := gridIdx()
-				reply = node.FieldReading{
+				raw, err = node.FieldReading{
 					NodeID: *id, GridIdx: idx,
 					Value: world.Data[idx] + rng.NormFloat64()*(*noise),
 					Sigma: *noise,
-				}
+				}.AppendJSON(nil)
 			case positionTopic:
-				reply = node.PositionReply{NodeID: *id, GridIdx: gridIdx()}
+				raw, err = node.PositionReply{NodeID: *id, GridIdx: gridIdx()}.AppendJSON(nil)
 			default:
 				continue
 			}
-			raw, err := json.Marshal(reply)
 			if err != nil {
 				continue
 			}
-			if err := cli.Publish(env.ReplyTo, raw); err != nil {
+			if err := cli.Publish(replyTo, raw); err != nil {
 				log.Printf("node %s: publish reply: %v", *id, err)
 			} else {
 				obsReplies.Inc()

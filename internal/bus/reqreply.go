@@ -2,7 +2,6 @@ package bus
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -10,13 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// envelope wraps a request payload with the topic the responder should
-// reply on.
-type envelope struct {
-	ReplyTo string          `json:"replyTo"`
-	Body    json.RawMessage `json:"body"`
-}
 
 // Call is one request of a scatter: where it goes, who answers it, what
 // it carries and where its reply decodes. Build one with NewCall for one
@@ -31,9 +23,9 @@ type Call struct {
 	// Attempts is how many times the request was published.
 	Attempts int
 
-	raw  json.RawMessage // body, encoded once for every attempt
-	seq  int             // reply number of the attempt in flight
-	open bool            // published and neither answered nor timed out
+	raw  []byte // body, encoded once for every attempt
+	seq  int    // reply number of the attempt in flight
+	open bool   // published and neither answered nor timed out
 }
 
 // NewCall describes one request for Scatter: body goes out JSON-encoded
@@ -146,7 +138,7 @@ func (s *scatterState) run(ctx context.Context, calls []Call) error {
 	for i := range calls {
 		c := &calls[i]
 		var err error
-		if c.raw, err = json.Marshal(c.body); err != nil {
+		if c.raw, err = marshal(c.body); err != nil {
 			c.Err = fmt.Errorf("bus: encode request: %w", err)
 			continue
 		}
@@ -232,11 +224,7 @@ func (s *scatterState) attempt(ctx context.Context, pending []*Call) error {
 		obsRetryAttempts.Inc()
 		c.seq = len(s.sent)
 		s.sent = append(s.sent, c)
-		env, err := json.Marshal(envelope{ReplyTo: InboxTopic(s.root, s.call, c.peer, strconv.Itoa(c.seq)), Body: c.raw})
-		if err != nil {
-			c.Err = fmt.Errorf("bus: encode envelope: %w", err)
-			continue
-		}
+		env := appendEnvelope(nil, InboxTopic(s.root, s.call, c.peer, strconv.Itoa(c.seq)), c.raw)
 		if c.Err = s.b.Publish(c.topic, env); c.Err == nil {
 			c.open = true
 			open++
@@ -256,7 +244,7 @@ func (s *scatterState) attempt(ctx context.Context, pending []*Call) error {
 			c.open = false
 			open--
 			if c.out != nil {
-				if err := json.Unmarshal(msg.Payload, c.out); err != nil {
+				if err := unmarshal(msg.Payload, c.out); err != nil {
 					c.Err = fmt.Errorf("bus: decode reply: %w", err)
 				}
 			}
@@ -334,19 +322,19 @@ func RespondContext(ctx context.Context, b *Bus, pattern string, fn func(topic s
 }
 
 func serveRequest(b *Bus, msg Message, fn func(topic string, body []byte) (any, error)) {
-	var env envelope
-	if err := json.Unmarshal(msg.Payload, &env); err != nil {
+	replyTo, body, err := DecodeEnvelope(msg.Payload)
+	if err != nil {
 		return // not a request envelope; ignore
 	}
-	reply, err := fn(msg.Topic, env.Body)
-	if err != nil || env.ReplyTo == "" {
+	reply, err := fn(msg.Topic, body)
+	if err != nil || replyTo == "" {
 		return
 	}
-	raw, err := json.Marshal(reply)
+	raw, err := marshal(reply)
 	if err != nil {
 		return
 	}
 	// Best-effort reply; requester may have timed out.
 	//lint:ignore errcheck reply delivery is best-effort by contract; a failed publish only means the requester is gone or the bus closed
-	_ = b.Publish(env.ReplyTo, raw)
+	_ = b.Publish(replyTo, raw)
 }

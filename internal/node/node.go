@@ -242,7 +242,7 @@ func (n *Node) AttachBus(b *bus.Bus, ncID string) error {
 // loop that answers it with fn's result. It is the node's single
 // responder registration point: sdlint's topicflow analyzer treats every
 // serveTopic call as "this node answers requests on that topic".
-func (n *Node) serveTopic(b *bus.Bus, topic string, fn func(MeasureRequest) (any, error)) error {
+func (n *Node) serveTopic(b *bus.Bus, topic string, fn func(MeasureRequest) (reply, error)) error {
 	sub, err := b.Subscribe(topic, 16)
 	if err != nil {
 		return err
@@ -283,19 +283,37 @@ type command struct {
 	Body    MeasureRequest `json:"body"`
 }
 
+// decodeCommand decodes a command exactly as json.Unmarshal would,
+// without reflection when envelope and body are canonical.
+func decodeCommand(payload []byte) (command, error) {
+	var req MeasureRequest
+	if replyTo, body, ok := bus.ParseEnvelope(payload); ok && req.ParseJSON(body) {
+		return command{ReplyTo: replyTo, Body: req}, nil
+	}
+	var cmd command // on the heap, so declared only on this path
+	err := json.Unmarshal(payload, &cmd)
+	return cmd, err
+}
+
+// reply is what a command handler answers with: a message with its own
+// JSON encoder.
+type reply interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
 // serve decodes commands from sub and replies with fn's result. It exits
 // when the subscription's channel closes (Unsubscribe or bus Close). A
 // transport that duplicates deliveries (netsim's async path) re-presents
 // the same envelope; the reply-to topic is unique per request, so a
 // bounded ring of recent reply-to keys suppresses the duplicate instead
 // of measuring (and replying, and spending energy) twice for one command.
-func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) (any, error)) {
+func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) (reply, error)) {
 	defer n.serveWG.Done()
 	seen := make(map[string]bool, dedupWindow)
 	var order []string
 	for msg := range sub.C {
-		var cmd command
-		if err := json.Unmarshal(msg.Payload, &cmd); err != nil {
+		cmd, err := decodeCommand(msg.Payload)
+		if err != nil {
 			continue
 		}
 		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
@@ -314,11 +332,11 @@ func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) 
 			}
 		}
 		obsServedCmds.Inc()
-		reply, err := fn(cmd.Body)
+		out, err := fn(cmd.Body)
 		if err != nil || cmd.ReplyTo == "" {
 			continue
 		}
-		raw, err := json.Marshal(reply)
+		raw, err := out.AppendJSON(make([]byte, 0, 128))
 		if err != nil {
 			continue
 		}
@@ -329,15 +347,15 @@ func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) 
 	}
 }
 
-func (n *Node) handleMeasure(req MeasureRequest) (any, error) {
+func (n *Node) handleMeasure(req MeasureRequest) (reply, error) {
 	return n.MeasureField(sensor.Kind(req.Kind))
 }
 
-func (n *Node) handlePosition(MeasureRequest) (any, error) {
+func (n *Node) handlePosition(MeasureRequest) (reply, error) {
 	return PositionReply{NodeID: n.ID, GridIdx: n.GridIndex()}, nil
 }
 
-func (n *Node) handleStatus(MeasureRequest) (any, error) {
+func (n *Node) handleStatus(MeasureRequest) (reply, error) {
 	return StatusReply{
 		NodeID: n.ID, GridIdx: n.GridIndex(),
 		BatteryFrac: n.Battery.FractionRemaining(),

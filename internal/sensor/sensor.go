@@ -187,11 +187,12 @@ func (d DeviceProfile) Apply(cfg Config) Config {
 type Registry struct {
 	mu     sync.RWMutex
 	probes map[string]*Probe
+	first  map[Kind]*Probe // per kind, the probe whose name sorts lowest
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{probes: make(map[string]*Probe)}
+	return &Registry{probes: make(map[string]*Probe), first: make(map[Kind]*Probe)}
 }
 
 // Register adds a probe; registering a duplicate name is an error.
@@ -202,6 +203,9 @@ func (r *Registry) Register(p *Probe) error {
 		return fmt.Errorf("sensor: probe %q already registered", p.Name())
 	}
 	r.probes[p.Name()] = p
+	if f, ok := r.first[p.Kind()]; !ok || p.Name() < f.Name() {
+		r.first[p.Kind()] = p
+	}
 	return nil
 }
 
@@ -226,18 +230,13 @@ func (r *Registry) List() []string {
 }
 
 // First returns the probe ByKind(kind) lists first, the one of that
-// modality whose name sorts lowest, without building the list: it is what
-// a node reads on every measurement.
+// modality whose name sorts lowest, from an index Register keeps: it is
+// what a node reads on every measurement.
 func (r *Registry) First(kind Kind) (*Probe, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var first *Probe
-	for _, p := range r.probes {
-		if p.Kind() == kind && (first == nil || p.Name() < first.Name()) {
-			first = p
-		}
-	}
-	return first, first != nil
+	p, ok := r.first[kind]
+	return p, ok
 }
 
 // ByKind returns all probes of a modality, sorted by name.

@@ -250,6 +250,39 @@ func TestRegistryFirstIsByKindHead(t *testing.T) {
 	}
 }
 
+// Register keeps First's per-kind index: after every registration, in
+// every order, First is ByKind's head. A probe of another kind with a
+// lower name and a refused duplicate leave it alone.
+func TestRegistryFirstUnderEveryRegistrationOrder(t *testing.T) {
+	orders := [][]string{
+		{"t0", "t1", "t2"}, {"t0", "t2", "t1"}, {"t1", "t0", "t2"},
+		{"t1", "t2", "t0"}, {"t2", "t0", "t1"}, {"t2", "t1", "t0"},
+	}
+	for _, order := range orders {
+		reg := NewRegistry()
+		other, _ := NewProbe("a", Light, 1, Config{RateHz: 1}, constModel(0))
+		if err := reg.Register(other); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range order {
+			p, _ := NewProbe(name, Temperature, 1, Config{RateHz: 1}, constModel(0))
+			if err := reg.Register(p); err != nil {
+				t.Fatal(err)
+			}
+			dup, _ := NewProbe(name, Temperature, 1, Config{RateHz: 1}, constModel(0))
+			if err := reg.Register(dup); err == nil {
+				t.Fatalf("%v: duplicate %q registered", order, name)
+			}
+			if p, ok := reg.First(Temperature); !ok || p != reg.ByKind(Temperature)[0] {
+				t.Fatalf("%v after %q: First(Temperature) = %v, ByKind head %v", order, name, p, reg.ByKind(Temperature)[0])
+			}
+		}
+		if p, _ := reg.First(Light); p != other {
+			t.Fatalf("%v: First(Light) = %v", order, p)
+		}
+	}
+}
+
 func TestStandardPhoneFullComplement(t *testing.T) {
 	reg, err := StandardPhone("n0", 7, ProfileMidrange, MotionWalking, AlternatingSchedule(600))
 	if err != nil {

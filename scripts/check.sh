@@ -65,6 +65,7 @@ go test -run '^$' -fuzz '^FuzzDecodeIHT$' -fuzztime 3s ./internal/cs
 go test -run '^$' -fuzz '^FuzzOperatorRoundTrip$' -fuzztime 3s ./internal/basis
 go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 3s ./internal/bus
 go test -run '^$' -fuzz '^FuzzTopicMatch$' -fuzztime 3s ./internal/bus
+go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 3s ./internal/node
 go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 3s ./internal/lint
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 3s ./internal/query
 
