@@ -74,6 +74,11 @@ type Subscription struct {
 	bus     *Bus
 	ch      chan Message
 	dropped atomic.Int64
+
+	// The wave planWaves is cutting and how many of its requests reach
+	// this subscription. Only planWaves touches them, under Bus.planMu.
+	wave uint64
+	load int
 }
 
 // Dropped returns how many messages were discarded due to a full buffer.
@@ -95,11 +100,11 @@ type Interceptor func(msg Message) (deliver bool, err error)
 // Fan-out is indexed, so a publish costs the same whatever the roster:
 // a wildcard-free pattern matches exactly the topic it spells, so those
 // subscriptions sit in a map keyed by that topic, and only the patterns
-// with a "+" or "#" segment are scanned. Every in-process subscriber
-// (node command topics, reply topics, responders, broker register) is
-// wildcard-free; wildcards arrive from TCP clients, one per connection.
-// A deployment with many wildcard subscribers is the reason to revisit
-// this (DESIGN.md §2).
+// with a "+" or "#" segment are scanned. The in-process node command
+// topics, responders and broker register are wildcard-free; the
+// wildcards are the reply inbox of each scatter in flight and one
+// pattern per TCP connection. A deployment with many wildcard
+// subscribers is the reason to revisit this (DESIGN.md §2).
 type Bus struct {
 	mu          sync.RWMutex
 	subs        map[uint64]*Subscription   // guarded by mu
@@ -109,6 +114,9 @@ type Bus struct {
 	hooks       []Hook                     // guarded by mu
 	closed      bool                       // guarded by mu
 	interceptor atomic.Pointer[Interceptor]
+
+	planMu  sync.Mutex // serialises planWaves, which writes Subscription.wave and .load
+	planned uint64     // guarded by planMu; the number of the last wave planWaves opened
 }
 
 // ErrClosed reports use of a closed bus.
@@ -131,52 +139,78 @@ func (b *Bus) AddHook(h Hook) {
 
 // ValidTopic reports whether a topic is publishable: non-empty, no
 // wildcards, no empty segments. Used as a pattern, a valid topic matches
-// itself and nothing else.
+// itself and nothing else. Every publish runs it, so it is one pass over
+// the bytes that allocates nothing.
 func ValidTopic(topic string) bool {
-	for more := true; more; {
-		var seg string
-		seg, topic, more = strings.Cut(topic, "/")
-		if seg == "" || seg == "+" || seg == "#" {
-			return false
+	prev := byte('/') // the byte before topic[i]: the topic opens a segment
+	for i := 0; i < len(topic); i++ {
+		c := topic[i]
+		switch {
+		case c == '/' && prev == '/':
+			return false // an empty segment
+		case (c == '+' || c == '#') && prev == '/' && (i+1 == len(topic) || topic[i+1] == '/'):
+			return false // a wildcard segment
 		}
+		prev = c
 	}
-	return true
+	return prev != '/' // empty, or an empty last segment
 }
 
 // ValidPattern reports whether a subscription pattern is well formed:
 // non-empty segments, "#" only in final position.
 func ValidPattern(pattern string) bool {
-	for more := true; more; {
-		var seg string
-		seg, pattern, more = strings.Cut(pattern, "/")
-		if seg == "" || (seg == "#" && more) {
+	prev := byte('/')
+	for i := 0; i < len(pattern); i++ {
+		c := pattern[i]
+		switch {
+		case c == '/' && prev == '/':
 			return false
+		case c == '#' && prev == '/' && i+1 < len(pattern) && pattern[i+1] == '/':
+			return false // "#" with a segment after it
 		}
+		prev = c
 	}
-	return true
+	return prev != '/'
 }
 
 // Match reports whether a concrete topic matches a pattern. "+" matches
 // exactly one segment; a trailing "#" matches any remainder (including
-// none). It walks both strings a segment at a time and allocates nothing:
-// every publish runs it once per wildcard subscription.
+// none). It walks both strings a segment at a time, byte by byte, and
+// allocates nothing: every publish runs it once per wildcard
+// subscription.
 func Match(pattern, topic string) bool {
-	pMore, tMore := true, true
-	for pMore {
-		var p, t string
-		p, pattern, pMore = strings.Cut(pattern, "/")
-		if p == "#" {
+	// p and t open the current segment of each; t past the end of topic
+	// means the topic has no segment left.
+	p, t := 0, 0
+	for {
+		wild := p < len(pattern) && (pattern[p] == '+' || pattern[p] == '#') &&
+			(p+1 == len(pattern) || pattern[p+1] == '/')
+		if wild && pattern[p] == '#' {
 			return true
 		}
-		if !tMore {
+		if t > len(topic) {
 			return false
 		}
-		t, topic, tMore = strings.Cut(topic, "/")
-		if p != "+" && p != t {
-			return false
+		if wild { // "+": skip one topic segment
+			p++
+			for t < len(topic) && topic[t] != '/' {
+				t++
+			}
+		} else {
+			for p < len(pattern) && t < len(topic) && pattern[p] == topic[t] && pattern[p] != '/' {
+				p++
+				t++
+			}
+			if (p < len(pattern) && pattern[p] != '/') || (t < len(topic) && topic[t] != '/') {
+				return false // the segments differ
+			}
 		}
+		if p == len(pattern) {
+			return t == len(topic)
+		}
+		p++ // past the '/' of each
+		t++
 	}
-	return !tMore
 }
 
 // Subscribe registers interest in a pattern with the given channel buffer

@@ -62,12 +62,11 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
-// FuzzTopicMatch hammers the wildcard matcher with arbitrary
-// pattern/topic pairs. The properties: Match never panics on any
-// input; a valid topic used as its own pattern always matches itself;
-// "#" alone matches every valid topic; and a match implies the
-// pattern's literal segments appear in order at their positions —
-// checked against a naive reference matcher.
+// FuzzTopicMatch hammers the topic checks with arbitrary pattern/topic
+// pairs. The properties: Match, ValidTopic and ValidPattern agree with
+// naive strings.Split references on every input, valid or not; a valid
+// topic used as its own pattern always matches itself; and "#" alone
+// matches every valid topic.
 func FuzzTopicMatch(f *testing.F) {
 	f.Add("a/b/c", "a/b/c")
 	f.Add("a/+/c", "a/b/c")
@@ -80,19 +79,28 @@ func FuzzTopicMatch(f *testing.F) {
 	f.Add("a/#/b", "a/x/b")
 	f.Add("+", "")
 	f.Add("", "")
+	f.Add("a/", "a/")
+	f.Add("+a/#b", "+a/#b")
+	f.Add("a/+", "a/")
+	f.Add("/+/", "//")
 	f.Fuzz(func(t *testing.T, pattern, topic string) {
-		got := Match(pattern, topic) // must never panic
+		if got, want := Match(pattern, topic), refMatch(pattern, topic); got != want {
+			t.Fatalf("Match(%q, %q) = %v, reference = %v", pattern, topic, got, want)
+		}
+		for _, s := range []string{pattern, topic} {
+			if got, want := ValidTopic(s), refValidTopic(s); got != want {
+				t.Fatalf("ValidTopic(%q) = %v, reference = %v", s, got, want)
+			}
+			if got, want := ValidPattern(s), refValidPattern(s); got != want {
+				t.Fatalf("ValidPattern(%q) = %v, reference = %v", s, got, want)
+			}
+		}
 		if ValidTopic(topic) {
 			if !Match(topic, topic) {
 				t.Fatalf("valid topic %q does not match itself", topic)
 			}
 			if !Match("#", topic) {
 				t.Fatalf(`"#" does not match valid topic %q`, topic)
-			}
-		}
-		if ValidPattern(pattern) && ValidTopic(topic) {
-			if want := refMatch(pattern, topic); got != want {
-				t.Fatalf("Match(%q, %q) = %v, reference = %v", pattern, topic, got, want)
 			}
 		}
 	})
@@ -116,4 +124,27 @@ func refMatch(pattern, topic string) bool {
 		}
 	}
 	return len(ps) == len(ts)
+}
+
+// refValidTopic is ValidTopic over a segment list: no segment empty, "+"
+// or "#".
+func refValidTopic(topic string) bool {
+	for _, seg := range strings.Split(topic, "/") {
+		if seg == "" || seg == "+" || seg == "#" {
+			return false
+		}
+	}
+	return true
+}
+
+// refValidPattern is ValidPattern over a segment list: no segment empty,
+// and "#" only as the last.
+func refValidPattern(pattern string) bool {
+	segs := strings.Split(pattern, "/")
+	for i, seg := range segs {
+		if seg == "" || seg == "#" && i < len(segs)-1 {
+			return false
+		}
+	}
+	return true
 }

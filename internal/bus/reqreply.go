@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Call is one request of a scatter: where it goes, who answers it, what
@@ -26,6 +28,7 @@ type Call struct {
 	raw  []byte // body, encoded once for every attempt
 	seq  int    // reply number of the attempt in flight
 	open bool   // published and neither answered nor timed out
+	cut  bool   // the call opens a wave (planWaves)
 }
 
 // NewCall describes one request for Scatter: body goes out JSON-encoded
@@ -36,13 +39,13 @@ func NewCall(topic, peer string, body, out any) Call {
 	return Call{topic: topic, peer: peer, body: body, out: out}
 }
 
-// scatterWidth is how many requests of a scatter are in flight at once.
-// A wave is answered by as many replies as it has requests, and nothing
-// on the way may overflow: the narrowest buffer a wave crosses is a
-// node's 16-deep command subscription (64 for RespondContext, 256 for a
-// TCP forwarder or client), so a wave of 16 cannot lose a message even
-// when every request is for one topic.
-const scatterWidth = 16
+// Wave observability (no-ops until obs.Enable): waves counts the waves
+// scatters run and wave_width the calls in each. A gather round's waves
+// are the request/reply round trips it waits for in series.
+var (
+	obsWaves     = obs.GetCounter("bus.scatter.waves")
+	obsWaveWidth = obs.GetHistogram("bus.scatter.wave_width", obs.CountBuckets)
+)
 
 // scatterCounter numbers scatter calls: the number is a segment of the
 // call's reply topics, which keeps two calls in flight under one root
@@ -67,46 +70,130 @@ var scatterCounter atomic.Uint64
 // ctx or a closed bus ends every call still open, sent or not, and
 // Scatter returns with nothing left subscribed.
 //
+// A wave is as wide as the buffers it crosses allow. Taking the calls in
+// order, a wave ends before the call that would put more of its requests
+// into some subscription than that subscription's channel holds
+// (planWaves), and the reply inbox holds as many messages as the widest
+// wave. So no wave can overflow a buffer on the bus even if its
+// responders read nothing until all of it is in, and the cuts depend on
+// the calls and the subscriptions, never on what a buffer happens to
+// hold.
+//
 // On a bus with an Interceptor a wave is one request wide. The simulated
 // medium behind an interceptor is serial: netsim numbers messages and
 // draws their faults from one generator in arrival order, so overlapped
 // exchanges would make a fault plan depend on goroutine scheduling.
 func Scatter(ctx context.Context, b *Bus, root string, calls []Call, pol RetryPolicy) {
-	width := scatterWidth
 	if b.interceptor.Load() != nil {
-		width = 1
+		for i := range calls {
+			calls[i].cut = true
+		}
+	} else {
+		b.planWaves(calls)
 	}
-	scatter(ctx, b, root, calls, pol.withDefaults(), width)
+	scatter(ctx, b, root, calls, pol.withDefaults())
 }
 
-func scatter(ctx context.Context, b *Bus, root string, calls []Call, pol RetryPolicy, width int) {
+// planWaves marks the call that opens each wave of a scatter. It routes
+// every call's topic as Publish would, through the exact index and then
+// the wildcard list, all under one read lock, and cuts before the call
+// that would put one request more into some subscription than its
+// channel's capacity. Each subscription keeps its count for the wave
+// being planned, stamped with that wave's number, so planning allocates
+// nothing; planMu keeps two scatters from planning into the same counts.
+func (b *Bus) planWaves(calls []Call) {
+	if len(calls) == 1 { // a scatter of one is one wave, wherever it goes
+		calls[0].cut = true
+		return
+	}
+	b.planMu.Lock()
+	defer b.planMu.Unlock()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for i := range calls {
+		c := &calls[i]
+		if c.cut = i == 0 || !b.reachLocked(c.topic); c.cut {
+			b.planned++
+			b.reachLocked(c.topic)
+		}
+	}
+}
+
+// reachLocked counts one request on topic against every subscription it
+// would reach in the wave being planned, and reports whether each still
+// holds all of that wave's requests. The caller holds planMu and mu.
+func (b *Bus) reachLocked(topic string) bool {
+	fits := true
+	for _, sub := range b.exact[topic] {
+		fits = sub.reach(b.planned) && fits
+	}
+	for _, sub := range b.wild {
+		if Match(sub.pattern, topic) {
+			fits = sub.reach(b.planned) && fits
+		}
+	}
+	return fits
+}
+
+// reach counts one request of wave against the subscription and reports
+// whether its channel holds every one counted.
+func (s *Subscription) reach(wave uint64) bool {
+	if s.wave != wave {
+		s.wave, s.load = wave, 0
+	}
+	s.load++
+	return s.load <= cap(s.ch)
+}
+
+// scatter runs calls in the waves their cut marks open; the first call
+// opens one whatever its mark.
+func scatter(ctx context.Context, b *Bus, root string, calls []Call, pol RetryPolicy) {
 	if len(calls) == 0 {
 		return
 	}
-	width = min(width, len(calls))
+	widest := 0
+	for lo := 0; lo < len(calls); {
+		hi := waveEnd(calls, lo)
+		widest = max(widest, hi-lo)
+		lo = hi
+	}
 	s := scatterState{
 		b: b, pol: pol, root: root,
 		call: strconv.FormatUint(scatterCounter.Add(1), 10),
-		wave: make([]*Call, 0, width),
+		wave: make([]*Call, 0, widest),
 	}
 	var err error
-	if s.sub, err = b.Subscribe(InboxPattern(root, s.call), width); err != nil {
+	if s.sub, err = b.Subscribe(InboxPattern(root, s.call), widest); err != nil {
 		for i := range calls {
 			calls[i].Err = err
 		}
 		return
 	}
 	defer s.sub.Unsubscribe()
-	for lo := 0; lo < len(calls); lo += width {
-		if stop := s.run(ctx, calls[lo:min(lo+width, len(calls))]); stop != nil {
+	for lo := 0; lo < len(calls); {
+		hi := waveEnd(calls, lo)
+		obsWaves.Inc()
+		obsWaveWidth.Observe(float64(hi - lo))
+		if stop := s.run(ctx, calls[lo:hi]); stop != nil {
 			// The scatter is over. The wave settled its own calls; the
 			// ones behind it were never sent.
-			for i := lo + width; i < len(calls); i++ {
+			for i := hi; i < len(calls); i++ {
 				calls[i].Err = failed(&calls[i], stop)
 			}
 			return
 		}
+		lo = hi
 	}
+}
+
+// waveEnd is where the wave that calls[lo] opens ends: at the next call
+// that opens one, or at the end.
+func waveEnd(calls []Call, lo int) int {
+	hi := lo + 1
+	for hi < len(calls) && !calls[hi].cut {
+		hi++
+	}
+	return hi
 }
 
 // scatterState is what the waves of one scatter share.

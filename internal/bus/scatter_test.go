@@ -8,38 +8,50 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
-// Tests for Scatter with waves wider than one request. The exported
-// entry point narrows a wave to one behind an Interceptor, so the tests
-// that need both a wide wave and a fault call scatter with a width.
+// Tests for Scatter's waves. A wave is as wide as the buffers its
+// requests reach, so each test sets its widths with the depth of its
+// responder's subscription. The exported entry point narrows a wave to
+// one behind an Interceptor, so the tests that need both a wide wave and
+// a fault plan the waves on the plain bus, then install the interceptor
+// and call scatter.
 
-// startEchoes serves every topic "grp/<x>", echoing the body back, until
-// the test ends.
-func startEchoes(t *testing.T, b *Bus) {
+// echo answers a request with its own body, an int.
+func echo(_ string, body []byte) (any, error) {
+	var v int
+	if err := decode(body, &v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// startEchoes serves every topic "grp/<x>" from one subscription depth
+// messages deep, echoing the body back, until the test ends or the bus
+// closes. Calls that all go to "grp/..." come in waves of depth.
+func startEchoes(t *testing.T, b *Bus, depth int) {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
+	sub, err := b.Subscribe("grp/+", depth)
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		//lint:ignore errcheck test responder: it returns when the cleanup cancels it or the bus closes
-		_ = RespondContext(ctx, b, "grp/+", func(_ string, body []byte) (any, error) {
-			var v int
-			if err := decode(body, &v); err != nil {
-				return nil, err
-			}
-			return v, nil
-		})
+		for msg := range sub.C {
+			serveRequest(b, msg, echo)
+		}
 	}()
 	t.Cleanup(func() {
-		cancel()
+		sub.Unsubscribe()
 		<-done
 	})
-	waitSubscribed(t, b, "grp/x")
 }
 
 // echoRequest reports whether topic is a request to one of startEchoes'
@@ -57,28 +69,159 @@ func echoCalls(n int) (calls []Call, outs []int) {
 	return calls, outs
 }
 
-// A scatter many waves long gets every reply into its own slot and leaves
-// nothing in the index, whatever the width.
-func TestScatterSlotsEveryReply(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	b := New()
-	defer b.Close()
-	startEchoes(t, b)
-	keys0, subs0, wild0 := indexSize(t, b)
-	for _, width := range []int{1, 3, scatterWidth, 100} {
-		calls, outs := echoCalls(50)
-		for i := range outs {
-			outs[i] = -1
-		}
-		scatter(context.Background(), b, "grp", calls, RetryPolicy{}.withDefaults(), width)
-		for i := range calls {
-			if calls[i].Err != nil || calls[i].Attempts != 1 || outs[i] != i {
-				t.Fatalf("width %d, call %d: err %v after %d attempt(s), reply %d", width, i, calls[i].Err, calls[i].Attempts, outs[i])
-			}
+// cuts counts the waves planWaves marked.
+func cuts(calls []Call) int {
+	n := 0
+	for i := range calls {
+		if calls[i].cut {
+			n++
 		}
 	}
-	if keys, subs, wild := indexSize(t, b); keys != keys0 || subs != subs0 || wild != wild0 {
-		t.Fatalf("index after the scatters: %d keys, %d exact, %d wildcard; before %d, %d, %d", keys, subs, wild, keys0, subs0, wild0)
+	return n
+}
+
+// scatterWaves is how many waves the process's scatters have run; obs
+// must be enabled for it to move.
+func scatterWaves() int64 { return obs.GetCounter("bus.scatter.waves").Value() }
+
+// A scatter many waves long gets every reply into its own slot and leaves
+// nothing in the index, whatever the depth that cuts its waves.
+func TestScatterSlotsEveryReply(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	for _, depth := range []int{1, 3, 16, 64} {
+		t.Run("depth="+strconv.Itoa(depth), func(t *testing.T) {
+			b := New()
+			defer b.Close()
+			startEchoes(t, b, depth)
+			keys0, subs0, wild0 := indexSize(t, b)
+			calls, outs := echoCalls(50)
+			for i := range outs {
+				outs[i] = -1
+			}
+			Scatter(context.Background(), b, "grp", calls, RetryPolicy{})
+			if got, want := cuts(calls), (len(calls)+depth-1)/depth; got != want {
+				t.Errorf("%d calls behind a %d-deep subscription went out in %d waves, want %d", len(calls), depth, got, want)
+			}
+			for i := range calls {
+				if calls[i].Err != nil || calls[i].Attempts != 1 || outs[i] != i {
+					t.Fatalf("call %d: err %v after %d attempt(s), reply %d", i, calls[i].Err, calls[i].Attempts, outs[i])
+				}
+			}
+			if keys, subs, wild := indexSize(t, b); keys != keys0 || subs != subs0 || wild != wild0 {
+				t.Fatalf("index after the scatter: %d keys, %d exact, %d wildcard; before %d, %d, %d", keys, subs, wild, keys0, subs0, wild0)
+			}
+		})
+	}
+}
+
+// Sixty-four calls to sixty-four subscriptions, each sixteen deep, are
+// one wave. Every responder holds its request until all sixty-four have
+// arrived, so a scatter that sent fewer at once would wait out its
+// attempt deadline.
+func TestScatterOneWaveAcrossSubscriptions(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	obs.Enable()
+	defer obs.Disable()
+	b := New()
+	const n = 64
+	var arrived atomic.Int32
+	all, stop := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		b.Close()
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < n; i++ {
+		sub, err := b.Subscribe("fan/"+strconv.Itoa(i), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			msg, ok := <-sub.C
+			if !ok {
+				return
+			}
+			if arrived.Add(1) == n {
+				close(all)
+			}
+			select {
+			case <-all:
+				serveRequest(b, msg, echo)
+			case <-stop:
+			}
+		}()
+	}
+	calls, outs := make([]Call, n), make([]int, n)
+	for i := range calls {
+		calls[i] = NewCall("fan/"+strconv.Itoa(i), "", i, &outs[i])
+	}
+	waves0 := scatterWaves()
+	Scatter(context.Background(), b, "fan", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 5 * time.Second})
+	for i := range calls {
+		if calls[i].Err != nil || calls[i].Attempts != 1 || outs[i] != i {
+			t.Fatalf("call %d: err %v after %d attempt(s), reply %d", i, calls[i].Err, calls[i].Attempts, outs[i])
+		}
+	}
+	if got := scatterWaves() - waves0; got != 1 {
+		t.Fatalf("bus.scatter.waves rose by %d, want 1", got)
+	}
+}
+
+// Forty calls to one topic behind one subscription go out in waves as
+// deep as its buffer. The responder reads nothing until the buffer holds
+// all of a wave, so a wider wave would lose requests to overflow.
+func TestScatterWavesFitOneBuffer(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	obs.Enable()
+	defer obs.Disable()
+	for _, depth := range []int{16, 3} {
+		b := New()
+		sub, err := b.Subscribe("one/x", depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 40
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			deadline := time.Now().Add(10 * time.Second)
+			for served := 0; served < n; {
+				want := min(depth, n-served)
+				for len(sub.C) < want {
+					if time.Now().After(deadline) {
+						return
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+				for ; want > 0; want-- {
+					serveRequest(b, <-sub.C, echo)
+					served++
+				}
+			}
+		}()
+		calls, outs := make([]Call, n), make([]int, n)
+		for i := range calls {
+			calls[i] = NewCall("one/x", "", i, &outs[i])
+		}
+		waves0 := scatterWaves()
+		Scatter(context.Background(), b, "one", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 5 * time.Second})
+		waves := scatterWaves() - waves0
+		b.Close()
+		<-done
+		if sub.Dropped() != 0 {
+			t.Errorf("depth %d: the subscription dropped %d requests", depth, sub.Dropped())
+		}
+		if want := int64((n + depth - 1) / depth); waves != want {
+			t.Errorf("depth %d: bus.scatter.waves rose by %d, want %d", depth, waves, want)
+		}
+		for i := range calls {
+			if calls[i].Err != nil || outs[i] != i {
+				t.Errorf("depth %d, call %d: err %v, reply %d", depth, i, calls[i].Err, outs[i])
+			}
+		}
 	}
 }
 
@@ -130,13 +273,14 @@ func TestScatterRetriesStragglersTogether(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := New()
 	defer b.Close()
-	startEchoes(t, b)
+	const n, width = 20, 16
+	startEchoes(t, b, width)
+	calls, outs := echoCalls(n)
+	b.planWaves(calls)
 	ft := &faultyTransport{seen: map[string]int{}}
 	b.SetInterceptor(ft.intercept)
-	const n, width = 20, 10
-	calls, outs := echoCalls(n)
 	pol := RetryPolicy{Attempts: 3, AttemptTimeout: 40 * time.Millisecond, BaseBackoff: time.Millisecond, Seed: 3}
-	scatter(context.Background(), b, "grp", calls, pol.withDefaults(), width)
+	scatter(context.Background(), b, "grp", calls, pol.withDefaults())
 
 	wantAttempts := []int{1, 2, 3, 3, 1}
 	for i := range calls {
@@ -164,7 +308,7 @@ func TestScatterRetriesStragglersTogether(t *testing.T) {
 	var want []string
 	for lo := 0; lo < n; lo += width {
 		for attempt := 1; attempt <= 3; attempt++ {
-			for i := lo; i < lo+width; i++ {
+			for i := lo; i < min(lo+width, n); i++ {
 				if wantAttempts[i%5] >= attempt {
 					want = append(want, "grp/"+strconv.Itoa(i))
 				}
@@ -203,7 +347,9 @@ func TestScatterWaveSharesOneJitterSchedule(t *testing.T) {
 	best := time.Hour
 	for try := 0; try < 5 && (try < 2 || best >= want+slack); try++ {
 		b := New()
-		startEchoes(t, b)
+		startEchoes(t, b, 16)
+		calls, _ := echoCalls(8)
+		b.planWaves(calls)
 		var mu sync.Mutex
 		seen := map[string]int{}
 		b.SetInterceptor(func(m Message) (bool, error) {
@@ -217,9 +363,8 @@ func TestScatterWaveSharesOneJitterSchedule(t *testing.T) {
 			}
 			return true, nil
 		})
-		calls, _ := echoCalls(8)
 		start := time.Now()
-		scatter(context.Background(), b, "grp", calls, RetryPolicy{Attempts: 4, BaseBackoff: base, Seed: seed}.withDefaults(), 8)
+		scatter(context.Background(), b, "grp", calls, RetryPolicy{Attempts: 4, BaseBackoff: base, Seed: seed}.withDefaults())
 		elapsed := time.Since(start)
 		for i := range calls {
 			if calls[i].Err != nil || calls[i].Attempts != 3 {
@@ -243,10 +388,10 @@ func TestScatterCancelMidWave(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := New()
 	defer b.Close()
-	startEchoes(t, b)
+	startEchoes(t, b, 3)
 	keys0, subs0, wild0 := indexSize(t, b)
-	// Calls 0..7 are one wave: the even ones are answered, the odd ones
-	// go to topics nobody serves. Calls 8..15 are never sent.
+	// Calls 0..5 are one wave: the even ones are answered, the odd ones
+	// go to topics nobody serves. Calls 6..15 are never sent.
 	calls, outs := echoCalls(16)
 	for i := 1; i < len(calls); i += 2 {
 		calls[i] = NewCall("void/"+strconv.Itoa(i), "", i, &outs[i])
@@ -260,7 +405,7 @@ func TestScatterCancelMidWave(t *testing.T) {
 	go func() {
 		n := 0
 		for range tap.C {
-			if n++; n == 4 {
+			if n++; n == 3 {
 				close(answered)
 			}
 		}
@@ -270,14 +415,14 @@ func TestScatterCancelMidWave(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	scatter(ctx, b, "grp", calls, RetryPolicy{Attempts: 3, AttemptTimeout: 10 * time.Second}.withDefaults(), 8)
+	Scatter(ctx, b, "grp", calls, RetryPolicy{Attempts: 3, AttemptTimeout: 10 * time.Second})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancelled scatter took %v", elapsed)
 	}
 	tap.Unsubscribe()
 	for i := range calls {
 		switch c := &calls[i]; {
-		case i < 8 && i%2 == 0:
+		case i < 6 && i%2 == 0:
 			// Its reply raced the cancellation; either outcome is legal,
 			// but a nil error must come with the reply.
 			if c.Err == nil && outs[i] != i || c.Err != nil && !errors.Is(c.Err, context.Canceled) {
@@ -285,7 +430,7 @@ func TestScatterCancelMidWave(t *testing.T) {
 			}
 		case !errors.Is(c.Err, context.Canceled):
 			t.Errorf("call %d: %v, want context.Canceled", i, c.Err)
-		case i >= 8 && c.Attempts != 0:
+		case i >= 6 && c.Attempts != 0:
 			t.Errorf("call %d of the unsent wave made %d attempt(s)", i, c.Attempts)
 		}
 	}
@@ -299,12 +444,12 @@ func TestScatterBusClosedMidWave(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := New()
 	// Swallow the first wave's requests, then take the bus away.
-	sink, err := b.Subscribe("void/#", 16)
+	sink, err := b.Subscribe("void/#", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		for i := 0; i < 8; i++ {
+		for i := 0; i < 3; i++ {
 			<-sink.C
 		}
 		b.Close()
@@ -313,7 +458,7 @@ func TestScatterBusClosedMidWave(t *testing.T) {
 	for i := range calls {
 		calls[i] = NewCall("void/"+strconv.Itoa(i), "", i, nil)
 	}
-	scatter(context.Background(), b, "void", calls, RetryPolicy{AttemptTimeout: 10 * time.Second}.withDefaults(), 8)
+	Scatter(context.Background(), b, "void", calls, RetryPolicy{AttemptTimeout: 10 * time.Second})
 	for i := range calls {
 		if !errors.Is(calls[i].Err, ErrClosed) {
 			t.Errorf("call %d: %v, want ErrClosed", i, calls[i].Err)

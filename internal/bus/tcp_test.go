@@ -424,9 +424,14 @@ func tcpNodes(t *testing.T, srv *Server, b *Bus, host string, n int, dieOnComman
 }
 
 // One wave spans more nodes than either connection hosts: its requests
-// fan out over both sockets and every reply finds its slot.
+// fan out over both sockets and every reply finds its slot. Each
+// connection's forwarder holds 256 messages, so all 128 requests of a
+// round go out at once, the shape of the wire-gather benchmark.
 func TestScatterWaveSpansTCPConnections(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	obs.Enable()
+	defer obs.Disable()
+	waves := obs.GetCounter("bus.scatter.waves")
 	b := New()
 	defer b.Close()
 	srv, err := NewServer(b, "127.0.0.1:0")
@@ -434,16 +439,17 @@ func TestScatterWaveSpansTCPConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ids := append(tcpNodes(t, srv, b, "w0", 5, false), tcpNodes(t, srv, b, "w1", 5, false)...)
-	if len(ids) > scatterWidth {
-		t.Fatalf("%d nodes do not fit one wave of %d", len(ids), scatterWidth)
-	}
+	ids := append(tcpNodes(t, srv, b, "w0", 64, false), tcpNodes(t, srv, b, "w1", 64, false)...)
 	for round := 0; round < 20; round++ {
 		calls, outs := make([]Call, len(ids)), make([]string, len(ids))
 		for i, id := range ids {
 			calls[i] = NewCall(NodeMeasureTopic("nc0", id), id, struct{}{}, &outs[i])
 		}
+		waves0 := waves.Value()
 		Scatter(context.Background(), b, "nc0", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 10 * time.Second})
+		if got := waves.Value() - waves0; got != 1 {
+			t.Fatalf("round %d: %d requests went out in %d waves, want 1", round, len(ids), got)
+		}
 		for i, id := range ids {
 			if calls[i].Err != nil || outs[i] != id {
 				t.Fatalf("round %d, node %s: err %v, reply %q", round, id, calls[i].Err, outs[i])
