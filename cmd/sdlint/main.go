@@ -22,8 +22,6 @@
 // Debug dumps (both deterministic, sorted, to stdout, exit 0):
 //
 //	sdlint -lockgraph ./...        inferred lock-acquisition hierarchy
-//	sdlint -topicgraph ./...       publisher/subscriber/responder topic
-//	                               graph (committed as docs/topicgraph.txt)
 //	sdlint -callgraph <pkg> ./...  call graph of one package (import
 //	                               path or suffix, e.g. internal/bus)
 package main
@@ -41,11 +39,10 @@ import (
 func main() {
 	root := flag.String("root", "", "module root (default: nearest go.mod at or above the working directory)")
 	lockgraph := flag.Bool("lockgraph", false, "dump the inferred lock-acquisition hierarchy instead of linting")
-	topicgraph := flag.Bool("topicgraph", false, "dump the message-protocol topic graph instead of linting")
 	callgraph := flag.String("callgraph", "", "dump the call graph of the named package (import path or suffix) instead of linting")
 	jsonOut := flag.Bool("json", false, "emit the run result as one deterministic JSON document on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sdlint [-root dir] [-json] [-lockgraph] [-topicgraph] [-callgraph pkg] <packages>\n  e.g.: sdlint ./...\n")
+		fmt.Fprintf(os.Stderr, "usage: sdlint [-root dir] [-json] [-lockgraph] [-callgraph pkg] <packages>\n  e.g.: sdlint ./...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -53,10 +50,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	os.Exit(run(*root, flag.Args(), *lockgraph, *topicgraph, *callgraph, *jsonOut))
+	os.Exit(run(*root, flag.Args(), *lockgraph, *callgraph, *jsonOut))
 }
 
-func run(root string, patterns []string, lockgraph, topicgraph bool, callgraph string, jsonOut bool) int {
+func run(root string, patterns []string, lockgraph bool, callgraph string, jsonOut bool) int {
 	if root == "" {
 		var err error
 		root, err = findModuleRoot()
@@ -75,8 +72,8 @@ func run(root string, patterns []string, lockgraph, topicgraph bool, callgraph s
 		fmt.Fprintln(os.Stderr, "sdlint:", err)
 		return 2
 	}
-	if lockgraph || topicgraph || callgraph != "" {
-		return dump(pkgs, lockgraph, topicgraph, callgraph)
+	if lockgraph || callgraph != "" {
+		return dump(pkgs, lockgraph, callgraph)
 	}
 	analyzers := lint.ProjectAnalyzers()
 	res := lint.Run(pkgs, analyzers)
@@ -104,13 +101,10 @@ func run(root string, patterns []string, lockgraph, topicgraph bool, callgraph s
 
 // dump prints the requested debug view. Both views are deterministic:
 // sorted nodes/edges, byte-identical run to run.
-func dump(pkgs []*lint.Package, lockgraph, topicgraph bool, callgraph string) int {
+func dump(pkgs []*lint.Package, lockgraph bool, callgraph string) int {
 	prog := &lint.Program{Pkgs: pkgs}
 	if lockgraph {
 		fmt.Print(lint.FormatLockGraph(prog))
-	}
-	if topicgraph {
-		fmt.Print(lint.FormatTopicGraph(prog, lint.ProjectTopicConfig()))
 	}
 	if callgraph != "" {
 		match := func(p string) bool {

@@ -105,8 +105,8 @@ func main() {
 		return mobility.GridIndex(mob.Pos(), areaW, areaH, *w, *h)
 	}
 
-	measureTopic := node.MeasureTopic(*ncID, *id)
-	positionTopic := node.PositionTopic(*ncID, *id)
+	measureTopic := bus.NodeMeasureTopic(*ncID, *id)
+	positionTopic := bus.NodePositionTopic(*ncID, *id)
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
 	for {

@@ -180,7 +180,7 @@ func (br *Broker) PositionsContext(ctx context.Context) map[string]int {
 	reps := make([]node.PositionReply, len(ids))
 	calls := make([]bus.Call, len(ids))
 	for i, id := range ids {
-		calls[i] = bus.NewCall(node.PositionTopic(br.ID, id), id, struct{}{}, &reps[i])
+		calls[i] = node.PositionCall(br.ID, id, &reps[i])
 	}
 	br.scatter(ctx, calls)
 	out := make(map[string]int)
@@ -281,8 +281,7 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 		next += len(wave)
 		for i, id := range wave {
 			readings[i] = node.FieldReading{}
-			calls[i] = bus.NewCall(node.MeasureTopic(br.ID, id), id,
-				node.MeasureRequest{Kind: string(kind)}, &readings[i])
+			calls[i] = node.MeasureCall(br.ID, id, kind, &readings[i])
 		}
 		br.scatter(ctx, calls[:len(wave)])
 		if err := ctx.Err(); err != nil {
@@ -359,7 +358,7 @@ func (br *Broker) orderNodes(ctx context.Context) []string {
 		reps := make([]node.StatusReply, len(ids))
 		calls := make([]bus.Call, len(ids))
 		for i, id := range ids {
-			calls[i] = bus.NewCall(node.StatusTopic(br.ID, id), id, struct{}{}, &reps[i])
+			calls[i] = node.StatusCall(br.ID, id, &reps[i])
 		}
 		br.scatter(ctx, calls)
 		stats := make([]nb, 0, len(ids))

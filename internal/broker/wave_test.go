@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -41,10 +40,8 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude map[int]bool)
 			break
 		}
 		var reading node.FieldReading
-		topic := node.MeasureTopic(br.ID, id)
-		calls := []bus.Call{bus.NewCall(topic, "", node.MeasureRequest{Kind: string(kind)}, &reading)}
-		root, _, _ := strings.Cut(topic, "/")
-		bus.Scatter(ctx, br.Bus, root, calls, bus.RetryPolicy{
+		calls := []bus.Call{node.MeasureCall(br.ID, id, kind, &reading)}
+		bus.Scatter(ctx, br.Bus, br.ID, calls, bus.RetryPolicy{
 			Attempts: retryAttempts, AttemptTimeout: br.timeout, BaseBackoff: retryBackoff, Seed: br.retrySeed,
 		})
 		if calls[0].Err != nil {

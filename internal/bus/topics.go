@@ -1,9 +1,8 @@
 // Topic construction helpers. Every topic string that crosses a
 // component boundary (broker ↔ node ↔ cloud ↔ serve) is built here, so
-// the protocol's segment layout lives in exactly one file. Keeping the
-// helpers as plain string concatenation (no fmt.Sprintf) also lets the
-// sdlint topicflow analyzer resolve every call site to an exact topic
-// shape instead of an abstract wildcard.
+// the protocol's segment layout lives in exactly one file. The node
+// commands pair each of their topics with a reply type in internal/node
+// (node.MeasureCall, PositionCall, StatusCall).
 //
 // Layout (NC = NanoCloud/broker ID):
 //

@@ -95,7 +95,6 @@ type CallGraph struct {
 	Nodes      map[string]*CGNode
 	EdgeByCall map[*ast.CallExpr]*CallEdge // call-site lookup for the flow walkers
 	byFunc     map[*types.Func]*CGNode
-	byLit      map[*ast.FuncLit]*CGNode
 
 	goReachable map[*CGNode]*CallEdge // node → witness go edge it is reachable from
 }
@@ -112,12 +111,6 @@ func FuncID(fn *types.Func) string {
 	}
 	return fn.Name()
 }
-
-// NodeFor returns the graph node of a declared function, if loaded.
-func (g *CallGraph) NodeFor(fn *types.Func) *CGNode { return g.byFunc[fn] }
-
-// NodeForLit returns the graph node of a function literal, if registered.
-func (g *CallGraph) NodeForLit(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
 
 // SortedNodes returns the nodes ordered by ID (deterministic output).
 func (g *CallGraph) SortedNodes() []*CGNode {
@@ -136,7 +129,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		Nodes:      map[string]*CGNode{},
 		EdgeByCall: map[*ast.CallExpr]*CallEdge{},
 		byFunc:     map[*types.Func]*CGNode{},
-		byLit:      map[*ast.FuncLit]*CGNode{},
 	}
 	// Pass 1: a node per declared function with a body.
 	type declWork struct {
@@ -197,7 +189,6 @@ func (g *CallGraph) walkBody(owner *CGNode, body *ast.BlockStmt, bindings map[ty
 		n := &CGNode{ID: fmt.Sprintf("%s$%d", rootID, lits.n), Pkg: owner.Pkg, Lit: lit}
 		g.Nodes[n.ID] = n
 		litNodes[lit] = n
-		g.byLit[lit] = n
 		nested = append(nested, litWork{node: n, lit: lit})
 		return n
 	}

@@ -73,7 +73,6 @@ type Program struct {
 	guards *guardTable
 	locks  *lockAnalysis
 	races  *raceAnalysis
-	topics *topicAnalysis
 }
 
 // CallGraph returns the memoized module-local call graph.

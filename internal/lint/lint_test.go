@@ -170,25 +170,6 @@ func TestGoldenHotAlloc(t *testing.T) {
 	runGolden(t, "hotalloc", HotAlloc(entries, stops), "hotalloc")
 }
 
-// testTopicConfig wires the fixture's miniature bus API as protocol
-// roots, mirroring ProjectTopicConfig's shape for the real middleware.
-func testTopicConfig() *TopicConfig {
-	const p = "repro/internal/lint/testdata/src/topicflow"
-	return &TopicConfig{
-		Roots: map[string]TopicRoot{
-			"(*" + p + ".Bus).Publish":   {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*" + p + ".Bus).Subscribe": {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			p + ".Request":               {Role: TopicRequest, TopicArg: 1, BodyArg: 2, OutArg: 3, HandlerArg: -1},
-			p + ".Respond":               {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
-			p + ".RespondTyped":          {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
-		},
-	}
-}
-
-func TestGoldenTopicFlow(t *testing.T) {
-	runGolden(t, "topicflow", TopicFlow(testTopicConfig()), "topicflow")
-}
-
 // TestGoldenSuppressedCounts pins that every project analyzer has at
 // least one finding silenced by an audited //lint:ignore in its golden
 // package — the suppression path is part of the contract, not a fluke
@@ -209,7 +190,6 @@ func TestGoldenSuppressedCounts(t *testing.T) {
 		}, "repro/")},
 		{"raceguard", RaceGuard()},
 		{"hotalloc", HotAlloc(hotEntries, hotStops)},
-		{"topicflow", TopicFlow(testTopicConfig())},
 	}
 	covered := map[string]bool{}
 	for _, c := range cases {
@@ -233,7 +213,7 @@ func TestGoldenSuppressedCounts(t *testing.T) {
 func TestProjectAnalyzerSet(t *testing.T) {
 	want := []string{
 		"nondeterminism", "mutexguard", "obshot", "errcheck",
-		"lockorder", "ctxflow", "raceguard", "hotalloc", "topicflow",
+		"lockorder", "ctxflow", "raceguard", "hotalloc",
 	}
 	var got []string
 	for _, a := range ProjectAnalyzers() {

@@ -96,31 +96,6 @@ var HotAmortizedStops = []string{
 	"(*repro/internal/serve.Server).compile",
 }
 
-// ProjectTopicConfig describes the middleware's message-protocol surface
-// for topicflow: every function whose call sites mint a topic or pattern,
-// with the operand positions of the topic, the request body, the reply
-// destination, and the responder handler. Keys are call-graph FuncIDs.
-// The bus package itself is the protocol implementation, not a protocol
-// participant — its internal publishes/subscribes are excluded. A
-// scatter's requests are described one bus.NewCall at a time, so that
-// call site, not bus.Scatter's, is the request endpoint: it is the one
-// with the topic, body and reply operands.
-func ProjectTopicConfig() *TopicConfig {
-	return &TopicConfig{
-		ImplPkgs: []string{"repro/internal/bus"},
-		Roots: map[string]TopicRoot{
-			"(*repro/internal/bus.Bus).Publish":      {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Bus).Subscribe":    {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Client).Publish":   {Role: TopicPublish, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"(*repro/internal/bus.Client).Subscribe": {Role: TopicSubscribe, TopicArg: 0, BodyArg: -1, OutArg: -1, HandlerArg: -1},
-			"repro/internal/bus.NewCall":             {Role: TopicRequest, TopicArg: 0, BodyArg: 2, OutArg: 3, HandlerArg: -1},
-			"repro/internal/bus.RequestContext":      {Role: TopicRequest, TopicArg: 2, BodyArg: 3, OutArg: 4, HandlerArg: -1},
-			"repro/internal/bus.RespondContext":      {Role: TopicRespond, TopicArg: 2, BodyArg: -1, OutArg: -1, HandlerArg: 3},
-			"(*repro/internal/node.Node).serveTopic": {Role: TopicRespond, TopicArg: 1, BodyArg: -1, OutArg: -1, HandlerArg: 2},
-		},
-	}
-}
-
 // ProjectAnalyzers returns the full sdlint analyzer suite with the
 // project's scoping baked in.
 func ProjectAnalyzers() []*Analyzer {
@@ -133,6 +108,5 @@ func ProjectAnalyzers() []*Analyzer {
 		CtxFlow(CtxBlocking, ModulePrefix),
 		RaceGuard(),
 		HotAlloc(HotEntryPoints, HotAmortizedStops),
-		TopicFlow(ProjectTopicConfig()),
 	}
 }

@@ -46,9 +46,6 @@ func TestProjectTablesNameLiveFunctions(t *testing.T) {
 	for _, id := range HotAmortizedStops {
 		check("HotAmortizedStops", id)
 	}
-	for id := range ProjectTopicConfig().Roots {
-		check("ProjectTopicConfig().Roots", id)
-	}
 
 	// The package tables are import-path patterns: each one must still
 	// match a loaded package.

@@ -148,85 +148,6 @@ func SelectCols(a *Matrix, idx []int) (*Matrix, error) {
 	return out, nil
 }
 
-// QR holds a thin Householder QR factorization a = Q*R with Q m×n
-// orthonormal columns and R n×n upper triangular (requires m >= n).
-type QR struct {
-	Q *Matrix
-	R *Matrix
-}
-
-// QRDecompose computes the thin QR factorization of a (Rows >= Cols).
-func QRDecompose(a *Matrix) (*QR, error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		return nil, fmt.Errorf("%w: QR needs rows >= cols, got %dx%d", ErrShape, m, n)
-	}
-	r := a.Clone()
-	// Accumulate Q explicitly by applying the Householder reflectors to I.
-	q := Identity(m)
-	v := make([]float64, m)
-	for k := 0; k < n; k++ {
-		// Build Householder vector for column k of r below the diagonal.
-		norm := 0.0
-		for i := k; i < m; i++ {
-			norm += r.Data[i*n+k] * r.Data[i*n+k]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		alpha := -norm
-		if r.Data[k*n+k] < 0 {
-			alpha = norm
-		}
-		vnorm2 := 0.0
-		for i := k; i < m; i++ {
-			v[i] = r.Data[i*n+k]
-			if i == k {
-				v[i] -= alpha
-			}
-			vnorm2 += v[i] * v[i]
-		}
-		if vnorm2 == 0 {
-			continue
-		}
-		// Apply H = I - 2 v vᵀ / (vᵀv) to r (columns k..n-1).
-		for j := k; j < n; j++ {
-			dot := 0.0
-			for i := k; i < m; i++ {
-				dot += v[i] * r.Data[i*n+j]
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				r.Data[i*n+j] -= f * v[i]
-			}
-		}
-		// Apply H to q from the right: q = q * H.
-		for i := 0; i < m; i++ {
-			dot := 0.0
-			for j := k; j < m; j++ {
-				dot += q.Data[i*m+j] * v[j]
-			}
-			f := 2 * dot / vnorm2
-			for j := k; j < m; j++ {
-				q.Data[i*m+j] -= f * v[j]
-			}
-		}
-	}
-	// Thin factors.
-	qt := New(m, n)
-	for i := 0; i < m; i++ {
-		copy(qt.Data[i*n:(i+1)*n], q.Data[i*m:i*m+n])
-	}
-	rt := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			rt.Data[i*n+j] = r.Data[i*n+j]
-		}
-	}
-	return &QR{Q: qt, R: rt}, nil
-}
-
 // LeastSquares solves min_x ||a*x - b||₂ via QR (requires a.Rows >= a.Cols
 // and full column rank). This implements the paper's ordinary least squares
 // (OLS) estimate, Eq. (11). The factorization is IncrementalQR's thin
@@ -243,6 +164,16 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if a.Rows < a.Cols {
 		return nil, fmt.Errorf("%w: LeastSquares needs rows >= cols, got %dx%d", ErrShape, a.Rows, a.Cols)
 	}
+	f, err := factorCols(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(b)
+}
+
+// factorCols factors a's columns, in order, into an IncrementalQR. It
+// fails with ErrSingular at the first column dependent on those before.
+func factorCols(a *Matrix) (*IncrementalQR, error) {
 	f, err := NewIncrementalQR(a.Rows, a.Cols)
 	if err != nil {
 		return nil, err
@@ -256,7 +187,7 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 			return nil, err
 		}
 	}
-	return f.Solve(b)
+	return f, nil
 }
 
 // WeightedLeastSquares solves min_x Σᵢ ((a*x − b)ᵢ / σᵢ)², the paper's GLS
@@ -283,32 +214,28 @@ func WeightedLeastSquares(a *Matrix, b, sigma []float64) ([]float64, error) {
 }
 
 // ConditionEstimate estimates the 2-norm condition number of a from the
-// extreme diagonal magnitudes of its QR factor R. This is a cheap lower
-// bound adequate for the ε_c diagnostics in the CS error decomposition; it
-// is exact for diagonal matrices and within a small factor for the
-// well-scaled basis submatrices used here.
+// extreme diagonal magnitudes of its QR factor R (a wide matrix is
+// transposed first). This is a cheap lower bound adequate for the ε_c
+// diagnostics in the CS error decomposition; it is exact for diagonal
+// matrices and within a small factor for the well-scaled basis
+// submatrices used here. A column dependent on the ones before it gives
+// +Inf.
 func ConditionEstimate(a *Matrix) (float64, error) {
 	work := a
 	if a.Rows < a.Cols {
 		work = a.T()
 	}
-	qr, err := QRDecompose(work)
+	f, err := factorCols(work)
+	if errors.Is(err, ErrSingular) {
+		return math.Inf(1), nil
+	}
 	if err != nil {
 		return 0, err
 	}
-	n := qr.R.Rows
 	mx, mn := 0.0, math.Inf(1)
-	for i := 0; i < n; i++ {
-		d := math.Abs(qr.R.Data[i*n+i])
-		if d > mx {
-			mx = d
-		}
-		if d < mn {
-			mn = d
-		}
-	}
-	if mn == 0 {
-		return math.Inf(1), nil
+	for j := 0; j < f.k; j++ {
+		d := f.r[j*f.maxCols+j] // Append leaves R's diagonal positive
+		mx, mn = math.Max(mx, d), math.Min(mn, d)
 	}
 	return mx / mn, nil
 }

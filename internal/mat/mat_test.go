@@ -24,11 +24,6 @@ func vecsAlmostEqual(a, b []float64, tol float64) bool {
 	return true
 }
 
-// maxAbsDiff is the largest |a[i,j] − b[i,j]| of two equal-shape matrices.
-func maxAbsDiff(a, b *Matrix) float64 {
-	return maxAbs(SubVec(a.Data, b.Data))
-}
-
 // maxAbs is the largest |v[i]| (0 for an empty vector).
 func maxAbs(v []float64) float64 {
 	mx := 0.0
@@ -140,39 +135,6 @@ func TestMulTVec(t *testing.T) {
 	want, _ := MulVec(a.T(), x)
 	if !vecsAlmostEqual(got, want, eps) {
 		t.Fatal("MulTVec disagrees with MulVec of transpose")
-	}
-}
-
-func TestQROrthonormalAndReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randMatrix(rng, 8, 5)
-	qr, err := QRDecompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// QᵀQ = I.
-	qtq, _ := Mul(qr.Q.T(), qr.Q)
-	if d := maxAbsDiff(qtq, Identity(5)); d > 1e-9 {
-		t.Fatalf("QᵀQ deviates from I by %v", d)
-	}
-	// Q*R = a.
-	recon, _ := Mul(qr.Q, qr.R)
-	if d2 := maxAbsDiff(recon, a); d2 > 1e-9 {
-		t.Fatalf("QR deviates from a by %v", d2)
-	}
-	// R upper triangular.
-	for i := 0; i < qr.R.Rows; i++ {
-		for j := 0; j < i; j++ {
-			if qr.R.At(i, j) != 0 {
-				t.Fatalf("R(%d,%d)=%v below diagonal", i, j, qr.R.At(i, j))
-			}
-		}
-	}
-}
-
-func TestQRWide(t *testing.T) {
-	if _, err := QRDecompose(New(2, 5)); err == nil {
-		t.Fatal("want error for wide matrix")
 	}
 }
 
@@ -412,18 +374,6 @@ func BenchmarkMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Mul(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQR128x32(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := randMatrix(rng, 128, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := QRDecompose(a); err != nil {
 			b.Fatal(err)
 		}
 	}

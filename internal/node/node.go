@@ -197,19 +197,47 @@ type StatusReply struct {
 	EnergyMJ    float64 `json:"energyMJ"` // meter total so far
 }
 
+// command binds one node command's topic to the reply it is answered
+// with. The broker's calls (MeasureCall, PositionCall, StatusCall) and
+// the node's handlers (AttachBus) both go through the three values
+// below, so a reply of the wrong type on either side does not compile.
+type command[R reply] struct {
+	topic func(ncID, nodeID string) string
+}
+
+var (
+	measureCmd  = command[FieldReading]{bus.NodeMeasureTopic}
+	positionCmd = command[PositionReply]{bus.NodePositionTopic}
+	statusCmd   = command[StatusReply]{bus.NodeStatusTopic}
+)
+
+// call describes one request of the command to node nodeID for
+// bus.Scatter; the reply decodes into out.
+func (c command[R]) call(ncID, nodeID string, body any, out *R) bus.Call {
+	return bus.NewCall(c.topic(ncID, nodeID), nodeID, body, out)
+}
+
 // MeasureTopic returns the node's measure-command topic on an NC bus.
 func MeasureTopic(ncID, nodeID string) string {
-	return bus.NodeMeasureTopic(ncID, nodeID)
+	return measureCmd.topic(ncID, nodeID)
 }
 
-// PositionTopic returns the node's position-query topic.
-func PositionTopic(ncID, nodeID string) string {
-	return bus.NodePositionTopic(ncID, nodeID)
+// MeasureCall asks node nodeID to measure kind; the reading decodes
+// into out.
+func MeasureCall(ncID, nodeID string, kind sensor.Kind, out *FieldReading) bus.Call {
+	return measureCmd.call(ncID, nodeID, MeasureRequest{Kind: string(kind)}, out)
 }
 
-// StatusTopic returns the node's status-query topic.
-func StatusTopic(ncID, nodeID string) string {
-	return bus.NodeStatusTopic(ncID, nodeID)
+// PositionCall asks node nodeID for its grid cell; the reply decodes
+// into out.
+func PositionCall(ncID, nodeID string, out *PositionReply) bus.Call {
+	return positionCmd.call(ncID, nodeID, struct{}{}, out)
+}
+
+// StatusCall asks node nodeID for its cell and battery; the reply
+// decodes into out.
+func StatusCall(ncID, nodeID string, out *StatusReply) bus.Call {
+	return statusCmd.call(ncID, nodeID, struct{}{}, out)
 }
 
 // AttachBus subscribes the node's command handlers on the NanoCloud bus.
@@ -224,26 +252,24 @@ func StatusTopic(ncID, nodeID string) string {
 // node IDs, and a recycled node must start with fresh handler state
 // (in particular, an empty reply-topic dedup window).
 func (n *Node) AttachBus(b *bus.Bus, ncID string) error {
-	if err := n.serveTopic(b, MeasureTopic(ncID, n.ID), n.handleMeasure); err != nil {
+	if err := serveCommand(n, b, ncID, measureCmd, n.handleMeasure); err != nil {
 		return err
 	}
-	if err := n.serveTopic(b, PositionTopic(ncID, n.ID), n.handlePosition); err != nil {
+	if err := serveCommand(n, b, ncID, positionCmd, n.handlePosition); err != nil {
 		n.Detach()
 		return err
 	}
-	if err := n.serveTopic(b, StatusTopic(ncID, n.ID), n.handleStatus); err != nil {
+	if err := serveCommand(n, b, ncID, statusCmd, n.handleStatus); err != nil {
 		n.Detach()
 		return err
 	}
 	return nil
 }
 
-// serveTopic subscribes one command topic and spawns the request-serving
-// loop that answers it with fn's result. It is the node's single
-// responder registration point: sdlint's topicflow analyzer treats every
-// serveTopic call as "this node answers requests on that topic".
-func (n *Node) serveTopic(b *bus.Bus, topic string, fn func(MeasureRequest) (reply, error)) error {
-	sub, err := b.Subscribe(topic, 16)
+// serveCommand subscribes the command's topic for node n and spawns the
+// loop that answers it with fn's result.
+func serveCommand[R reply](n *Node, b *bus.Bus, ncID string, c command[R], fn func(MeasureRequest) (R, error)) error {
+	sub, err := b.Subscribe(c.topic(ncID, n.ID), 16)
 	if err != nil {
 		return err
 	}
@@ -251,7 +277,7 @@ func (n *Node) serveTopic(b *bus.Bus, topic string, fn func(MeasureRequest) (rep
 	n.subs = append(n.subs, sub)
 	n.mu.Unlock()
 	n.serveWG.Add(1)
-	go n.serve(b, sub, fn)
+	go serve(n, b, sub, fn)
 	return nil
 }
 
@@ -275,22 +301,22 @@ func (n *Node) Detach() {
 // small enough that a long-lived node never grows it.
 const dedupWindow = 64
 
-// command is a node command as it arrives: the requester's envelope and
-// the request in it, decoded in one pass. Every command's body fits
+// incoming is a node command as it arrives: the requester's envelope
+// and the request in it, decoded in one pass. Every command's body fits
 // MeasureRequest: measure names a kind, position and status send "{}".
-type command struct {
+type incoming struct {
 	ReplyTo string         `json:"replyTo"`
 	Body    MeasureRequest `json:"body"`
 }
 
 // decodeCommand decodes a command exactly as json.Unmarshal would,
 // without reflection when envelope and body are canonical.
-func decodeCommand(payload []byte) (command, error) {
+func decodeCommand(payload []byte) (incoming, error) {
 	var req MeasureRequest
 	if replyTo, body, ok := bus.ParseEnvelope(payload); ok && req.ParseJSON(body) {
-		return command{ReplyTo: replyTo, Body: req}, nil
+		return incoming{ReplyTo: replyTo, Body: req}, nil
 	}
-	var cmd command // on the heap, so declared only on this path
+	var cmd incoming // on the heap, so declared only on this path
 	err := json.Unmarshal(payload, &cmd)
 	return cmd, err
 }
@@ -307,7 +333,7 @@ type reply interface {
 // the same envelope; the reply-to topic is unique per request, so a
 // bounded ring of recent reply-to keys suppresses the duplicate instead
 // of measuring (and replying, and spending energy) twice for one command.
-func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) (reply, error)) {
+func serve[R reply](n *Node, b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) (R, error)) {
 	defer n.serveWG.Done()
 	seen := make(map[string]bool, dedupWindow)
 	var order []string
@@ -347,15 +373,15 @@ func (n *Node) serve(b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) 
 	}
 }
 
-func (n *Node) handleMeasure(req MeasureRequest) (reply, error) {
+func (n *Node) handleMeasure(req MeasureRequest) (FieldReading, error) {
 	return n.MeasureField(sensor.Kind(req.Kind))
 }
 
-func (n *Node) handlePosition(MeasureRequest) (reply, error) {
+func (n *Node) handlePosition(MeasureRequest) (PositionReply, error) {
 	return PositionReply{NodeID: n.ID, GridIdx: n.GridIndex()}, nil
 }
 
-func (n *Node) handleStatus(MeasureRequest) (reply, error) {
+func (n *Node) handleStatus(MeasureRequest) (StatusReply, error) {
 	return StatusReply{
 		NodeID: n.ID, GridIdx: n.GridIndex(),
 		BatteryFrac: n.Battery.FractionRemaining(),

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -22,12 +23,14 @@ func (f fakeEnv) FieldValue(kind sensor.Kind, gridIdx int) float64 { return f.va
 func (f fakeEnv) GridDims() (int, int)                             { return 8, 8 }
 func (f fakeEnv) AreaDims() (float64, float64)                     { return 80, 80 }
 
-// requestWithin is one bus.RequestContext round trip that gives up after
-// timeout.
-func requestWithin(b *bus.Bus, topic string, body, out any, timeout time.Duration) error {
+// callWithin runs one typed command call on NanoCloud nc0, one attempt
+// that gives up after timeout.
+func callWithin(b *bus.Bus, c bus.Call, timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return bus.RequestContext(ctx, b, topic, body, out)
+	calls := []bus.Call{c}
+	bus.Scatter(ctx, b, "nc0", calls, bus.RetryPolicy{Attempts: 1})
+	return calls[0].Err
 }
 
 func newTestNode(t *testing.T, id string) *Node {
@@ -119,16 +122,14 @@ func TestBusMeasureRoundTrip(t *testing.T) {
 	}
 	defer n.Detach()
 	var reading FieldReading
-	err := requestWithin(b, MeasureTopic("nc0", "n0"),
-		MeasureRequest{Kind: string(sensor.Temperature)}, &reading, 2*time.Second)
-	if err != nil {
+	if err := callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &reading), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if reading.NodeID != "n0" || math.Abs(reading.Value-21.5) > 1.5 {
 		t.Fatalf("reading %+v", reading)
 	}
 	var pos PositionReply
-	if err := requestWithin(b, PositionTopic("nc0", "n0"), struct{}{}, &pos, 2*time.Second); err != nil {
+	if err := callWithin(b, PositionCall("nc0", "n0", &pos), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if pos.GridIdx != 3*8+1 {
@@ -138,6 +139,71 @@ func TestBusMeasureRoundTrip(t *testing.T) {
 	bd := n.Meter.Breakdown()
 	if bd["tx/wifi"] == 0 || bd["rx/wifi"] == 0 {
 		t.Fatalf("radio energy not charged: %v", bd)
+	}
+}
+
+// TestTypedCommandsRoundTrip sends each command through its typed
+// constructor to an attached node and checks every field of every reply,
+// and the reply bytes. The replies share nodeId and gridIdx, and JSON
+// decoding ignores unknown fields, so a handler answering with another
+// command's reply type decodes without error; only the fields that tell
+// the types apart, and the bytes on the wire, catch it.
+func TestTypedCommandsRoundTrip(t *testing.T) {
+	n := newTestNode(t, "n0")
+	// A twin built from the same config takes the same reading.
+	want, err := newTestNode(t, "n0").MeasureField(sensor.Temperature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Denied || want.Sigma <= 0 || math.Abs(want.Value-21.5) > 1.5 {
+		t.Fatalf("twin reading %+v", want)
+	}
+	b := bus.New()
+	defer b.Close()
+	inbox, err := b.Subscribe("nc0/inbox/#", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AttachBus(b, "nc0"); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Detach()
+	const cell = 3*8 + 1 // (35, 15) m on the 8×8 grid over 80×80 m
+
+	var reading FieldReading
+	if err := callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &reading), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if reading != want || reading.GridIdx != cell {
+		t.Fatalf("measure reply %+v, want %+v at cell %d", reading, want, cell)
+	}
+	var pos PositionReply
+	if err := callWithin(b, PositionCall("nc0", "n0", &pos), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if pos != (PositionReply{NodeID: "n0", GridIdx: cell}) {
+		t.Fatalf("position reply %+v", pos)
+	}
+	var st StatusReply
+	if err := callWithin(b, StatusCall("nc0", "n0", &st), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The measurement drained the battery; the meter is charged for the
+	// status reply's transmission only after the handler read it.
+	if st.NodeID != "n0" || st.GridIdx != cell ||
+		st.BatteryFrac != n.Battery.FractionRemaining() || st.BatteryFrac >= 1 ||
+		st.EnergyMJ <= 0 || st.EnergyMJ >= n.Meter.TotalMJ() {
+		t.Fatalf("status reply %+v (battery %v, meter %v mJ)", st, n.Battery.FractionRemaining(), n.Meter.TotalMJ())
+	}
+
+	for i, r := range []reply{reading, pos, st} {
+		wantRaw, err := r.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := <-inbox.C; !bytes.Equal(msg.Payload, wantRaw) {
+			t.Errorf("reply %d on the wire = %s, want %s", i, msg.Payload, wantRaw)
+		}
 	}
 }
 
@@ -174,8 +240,7 @@ func TestServeSuppressesDuplicateRequests(t *testing.T) {
 	}
 	// A different request (fresh reply-to) is served normally.
 	var reading FieldReading
-	if err := requestWithin(b, MeasureTopic("nc0", "n0"),
-		MeasureRequest{Kind: string(sensor.Temperature)}, &reading, 2*time.Second); err != nil {
+	if err := callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &reading), 2*time.Second); err != nil {
 		t.Fatalf("fresh request after duplicates: %v", err)
 	}
 }
@@ -188,9 +253,7 @@ func TestDetachStopsServing(t *testing.T) {
 	}
 	n.Detach()
 	var reading FieldReading
-	err := requestWithin(b, MeasureTopic("nc0", "n0"),
-		MeasureRequest{Kind: "temperature"}, &reading, 50*time.Millisecond)
-	if err == nil {
+	if err := callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &reading), 50*time.Millisecond); err == nil {
 		t.Fatal("detached node still serving")
 	}
 }

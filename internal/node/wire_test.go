@@ -206,9 +206,9 @@ func captureWireMessages(tb testing.TB) []bus.Message {
 		status   StatusReply
 	)
 	calls := []bus.Call{
-		bus.NewCall(MeasureTopic("nc0", n.ID), n.ID, MeasureRequest{Kind: string(sensor.Temperature)}, &reading),
-		bus.NewCall(PositionTopic("nc0", n.ID), n.ID, struct{}{}, &position),
-		bus.NewCall(StatusTopic("nc0", n.ID), n.ID, struct{}{}, &status),
+		MeasureCall("nc0", n.ID, sensor.Temperature, &reading),
+		PositionCall("nc0", n.ID, &position),
+		StatusCall("nc0", n.ID, &status),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -297,7 +297,7 @@ func FuzzWireCodec(f *testing.F) {
 			t.Fatalf("DecodeEnvelope(%q) = %q, %q, %v; json.Unmarshal = %q, %q, %v", src, replyTo, body, err, env.ReplyTo, env.Body, wantErr)
 		}
 
-		var want command
+		var want incoming
 		wantErr = json.Unmarshal(src, &want)
 		cmd, err := decodeCommand(src)
 		if (err != nil) != (wantErr != nil) || (err == nil && cmd != want) {

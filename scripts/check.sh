@@ -31,16 +31,6 @@ if [ "$SDLINT_SECS" -gt 35 ]; then
 fi
 echo "sdlint wall clock: ${SDLINT_SECS}s (budget 35s)"
 
-echo "== topic graph freshness =="
-# docs/topicgraph.txt is the committed protocol map; a bus call site
-# added without regenerating it means the review never saw the protocol
-# change. Mirrors the lockgraph freshness gate in CI.
-if ! go run ./cmd/sdlint -topicgraph ./... | diff -u docs/topicgraph.txt - >/dev/null; then
-    echo "FAIL: docs/topicgraph.txt is stale — regenerate with:"
-    echo "  go run ./cmd/sdlint -topicgraph ./... > docs/topicgraph.txt"
-    exit 1
-fi
-
 echo "== experiment tables freshness =="
 # experiments_output.txt is the committed copy of every table in
 # EXPERIMENTS.md; a change that moves a printed digit (or adds a runner)
