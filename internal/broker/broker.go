@@ -424,7 +424,7 @@ func (br *Broker) ReconstructContext(ctx context.Context, kind sensor.Kind, m in
 // matrix-free in the DCT basis (basis.Operator fast path).
 func (br *Broker) ReconstructFrom(g *GatherResult, opts ReconstructOptions) (*Reconstruction, error) {
 	gw, gh := br.env.GridDims()
-	op, err := field.New(gw, gh).Operator2D(basis.KindDCT)
+	op, err := basis.CachedOperator2D(basis.KindDCT, gh, gw)
 	if err != nil {
 		return nil, err
 	}

@@ -87,9 +87,11 @@ func sensingMatrix(phi *mat.Matrix, locs []int) (*mat.Matrix, error) {
 	return a, nil
 }
 
-// ResetSensingCache drops all memoized sensing matrices.
+// ResetSensingCache drops all memoized sensing matrices and the pooled
+// decode workspaces, so the next decode starts cold.
 func ResetSensingCache() {
 	sensingMu.Lock()
 	sensingCache = make(map[sensingKey]*sensingEntry)
 	sensingMu.Unlock()
+	resetWorkspaces()
 }

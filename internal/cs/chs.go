@@ -76,12 +76,17 @@ type CHSOptions struct {
 // Φᵀe becomes one fast transform and each admitted column one synthesis —
 // the combination that makes 1024² broker reconstructions feasible (the
 // dense Φ there would be ~8 TB).
+//
+// The decode's scratch comes from a pool of workspaces; the Result shares
+// no memory with it.
 func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result, error) {
-	d, err := dictFor(op, locs)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	d, err := ws.dict(op, locs)
 	if err != nil {
 		return nil, err
 	}
-	return chsDict(d, locs, y, opts)
+	return chsDict(d, ws, locs, y, opts)
 }
 
 // hasDuplicates reports whether any index (a sensor location, a seed
@@ -104,7 +109,8 @@ func hasDuplicates(idx []int, mark []bool) bool {
 	return dup
 }
 
-func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) {
+// chsDict runs the CHS loop on d with its scratch in ws.
+func chsDict(d dict, ws *workspace, locs []int, y []float64, opts CHSOptions) (*Result, error) {
 	if len(y) != d.rows() {
 		return nil, errors.New("cs: measurement/location length mismatch")
 	}
@@ -126,9 +132,13 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	// The loop admits at most PerIter columns per iteration on top of the
 	// seed, so the factors are sized to that, not to the support cap.
 	cols := min(opts.MaxSupport, len(opts.SeedSupport)+opts.MaxIter*opts.PerIter)
-	resid := mat.CloneVec(y)
+	ws.resid = resized(ws.resid, len(y))
+	resid := ws.resid
+	copy(resid, y)
 	support := make([]int, 0, cols)
-	inSupport := make([]bool, n)
+	// The workspace slices are re-sliced to n so that the compiler sees
+	// their length, which keeps bounds checks out of the argmax scan.
+	inSupport := ws.marks(n)[:n]
 	// Under ZeroFill interpolation, steps (a)+(b) compose to exactly Φ̃ᵀe_r
 	// — one scatter+analysis with no interpolant allocation, or one
 	// scattered analysis of the M values on a 2-D operator (equal to
@@ -142,13 +152,15 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	od, fused := d.(*opDict)
 	fused = fused && !hasDuplicates(locs, inSupport)
 	interp := ZeroFill(d.signalDim())
-	qr, err := mat.NewIncrementalQR(d.rows(), cols)
-	if err != nil {
+	qr := &ws.qr
+	if err := qr.Reset(d.rows(), cols); err != nil {
 		return nil, err
 	}
 	eNew := make([]float64, 0)
-	alphaR := make([]float64, n)
-	col := make([]float64, d.rows())
+	ws.alphaR = resized(ws.alphaR, n)
+	alphaR := ws.alphaR[:n]
+	ws.col = resized(ws.col, d.rows())
+	col := ws.col
 	iters := 0
 
 	// Warm start: fold the seed support into the factors before the first
@@ -158,6 +170,7 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 	// costs one residual check plus the final solve.
 	if validSeed(opts.SeedSupport, n, opts.MaxSupport, inSupport) {
 		var ok bool
+		var err error
 		support, ok, err = seedFactors(d, qr, resid, col, support, inSupport, opts.SeedSupport)
 		if err != nil {
 			return nil, err
@@ -166,8 +179,7 @@ func chsDict(d dict, locs []int, y []float64, opts CHSOptions) (*Result, error) 
 			ok = false // the field drifted past what the old support explains
 		}
 		if !ok {
-			qr, resid, support, err = coldRestart(d, y, cols, support, inSupport)
-			if err != nil {
+			if support, err = coldRestart(d, qr, resid, y, cols, support, inSupport); err != nil {
 				return nil, err
 			}
 		}
@@ -185,6 +197,7 @@ outer:
 				return nil, err
 			}
 		} else {
+			var err error
 			eNew, err = interp(locs, resid)
 			if err != nil {
 				return nil, err
@@ -240,8 +253,9 @@ outer:
 	if len(support) == 0 {
 		return zeroResult(d, y, iters), nil
 	}
-	coef, err := qr.Solve(y)
-	if err != nil {
+	ws.coef = resized(ws.coef, qr.Len())
+	coef := ws.coef
+	if err := qr.SolveInto(coef, y); err != nil {
 		return nil, err
 	}
 	// Fig. 6 step (e-ii): for heterogeneous sensors, refit the recovered

@@ -110,7 +110,7 @@ func ompDict(d dict, y []float64, k int, tol float64, seed []int) (*Result, erro
 			return nil, err
 		}
 		if !ok {
-			qr, resid, support, err = coldRestart(d, y, k, support, inSupport)
+			support, err = coldRestart(d, qr, resid, y, k, support, inSupport)
 			if err != nil {
 				return nil, err
 			}

@@ -198,22 +198,37 @@ type scatteredAnalyzer interface {
 }
 
 func newOpDict(op basis.Operator, locs []int) (*opDict, error) {
+	d := new(opDict)
+	if err := d.reset(op, locs); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// reset points d at op sampled at locs, dropping the memoized columns and
+// norms. The full, out and factor-column buffers keep their storage when
+// it is large enough; full is zeroed, as corrT, fillCol and synth expect.
+// On error d is unchanged.
+func (d *opDict) reset(op basis.Operator, locs []int) error {
 	if len(locs) == 0 {
-		return nil, ErrNoMeasurements
+		return ErrNoMeasurements
 	}
 	n := op.Dim()
 	for _, l := range locs {
 		if l < 0 || l >= n {
-			return nil, fmt.Errorf("cs: location %d out of range [0,%d)", l, n)
+			return fmt.Errorf("cs: location %d out of range [0,%d)", l, n)
 		}
 	}
 	scat, _ := op.(scatteredAnalyzer)
-	return &opDict{
+	*d = opDict{
 		op: op, locs: locs, n: n,
-		full: make([]float64, n),
-		out:  make([]float64, n),
+		full: resized(d.full, n),
+		out:  resized(d.out, n),
+		sepU: d.sepU, sepV: d.sepV,
 		scat: scat,
-	}, nil
+	}
+	clear(d.full)
+	return nil
 }
 
 func (d *opDict) rows() int      { return len(d.locs) }
@@ -294,9 +309,7 @@ func (d *opDict) fillCol(dst []float64, j int) {
 func (d *opDict) sepCol(sep *basis.Separable2D, dst []float64, j int) {
 	rowOp, colOp := sep.Factors()
 	h, w := rowOp.Dim(), colOp.Dim()
-	if d.sepU == nil {
-		d.sepU, d.sepV = make([]float64, h), make([]float64, w)
-	}
+	d.sepU, d.sepV = resized(d.sepU, h), resized(d.sepV, w)
 	jr, jc := j%h, j/h
 	d.full[jr] = 1
 	rowOp.Apply(d.sepU, d.full[:h])

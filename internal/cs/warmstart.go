@@ -52,16 +52,16 @@ func seedFactors(d dict, qr *mat.IncrementalQR, resid, col []float64, support []
 	return support, true, nil
 }
 
-// coldRestart discards a failed seed: fresh factors with room for cols
-// columns, full residual, empty support. The inSupport marks set during
-// seeding are cleared in place.
-func coldRestart(d dict, y []float64, cols int, support []int, inSupport []bool) (*mat.IncrementalQR, []float64, []int, error) {
+// coldRestart discards a failed seed in place: qr is emptied with room
+// for cols columns, resid is reset to y, and the inSupport marks set
+// during seeding are cleared. It returns the emptied support.
+func coldRestart(d dict, qr *mat.IncrementalQR, resid, y []float64, cols int, support []int, inSupport []bool) ([]int, error) {
 	for _, j := range support {
 		inSupport[j] = false
 	}
-	qr, err := mat.NewIncrementalQR(d.rows(), cols)
-	if err != nil {
-		return nil, nil, nil, err
+	if err := qr.Reset(d.rows(), cols); err != nil {
+		return nil, err
 	}
-	return qr, mat.CloneVec(y), support[:0], nil
+	copy(resid, y)
+	return support[:0], nil
 }

@@ -1,0 +1,83 @@
+package cs
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/basis"
+	"repro/internal/mat"
+)
+
+// workspace is the scratch of one CHS decode: the incremental-QR factors,
+// the step-(b) correlation, the sensor residual, one gathered column, the
+// final coefficients, the support marks, and the matrix-free dictionary
+// with its transform buffers. CHSOp takes a workspace from a pool and
+// returns it when the decode ends, so a steady stream of zone decodes
+// allocates little beyond each Result. A Result never points into a
+// workspace: Alpha, Xhat and Support are allocated per decode, and the
+// coefficients are copied out of coef into Alpha.
+type workspace struct {
+	pool *sync.Pool // the pool the workspace goes back to
+
+	qr        mat.IncrementalQR
+	od        opDict
+	alphaR    []float64 // length n
+	resid     []float64 // length m
+	col       []float64 // length m
+	coef      []float64 // length |J|
+	inSupport []bool    // length n, all false when handed out
+}
+
+// workspaces holds the current pool. ResetSensingCache swaps in an empty
+// one, so a decode after it starts from cold scratch as it does from a
+// cold sensing cache.
+var workspaces atomic.Pointer[sync.Pool]
+
+func init() { resetWorkspaces() }
+
+func resetWorkspaces() {
+	workspaces.Store(&sync.Pool{New: func() any { return new(workspace) }})
+}
+
+// getWorkspace takes a workspace from the current pool.
+func getWorkspace() *workspace {
+	p := workspaces.Load()
+	ws := p.Get().(*workspace)
+	ws.pool = p
+	return ws
+}
+
+// putWorkspace returns ws to the pool it came from, first dropping its
+// references to the caller's operator and locations.
+func putWorkspace(ws *workspace) {
+	ws.od.op, ws.od.scat, ws.od.locs = nil, nil, nil
+	ws.pool.Put(ws)
+}
+
+// dict is dictFor with the matrix-free dictionary held in ws, reusing its
+// buffers.
+func (ws *workspace) dict(op basis.Operator, locs []int) (dict, error) {
+	if mo, ok := op.(*basis.MatrixOp); ok {
+		return denseDictFor(mo.Matrix(), locs)
+	}
+	if err := ws.od.reset(op, locs); err != nil {
+		return nil, err
+	}
+	return &ws.od, nil
+}
+
+// marks returns the support marks for n coefficients, all false.
+func (ws *workspace) marks(n int) []bool {
+	ws.inSupport = resized(ws.inSupport, n)
+	clear(ws.inSupport)
+	return ws.inSupport
+}
+
+// resized returns s with length n, reallocating only when its capacity is
+// short. Reused elements keep whatever they held.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

@@ -1,0 +1,218 @@
+package cs
+
+import (
+	"fmt"
+	"math"
+	"runtime/debug"
+	"sync"
+	"testing"
+
+	"repro/internal/basis"
+)
+
+// decodeIn runs one CHS decode with its scratch in ws, as CHSOp does with
+// a pooled workspace.
+func decodeIn(t *testing.T, ws *workspace, op basis.Operator, locs []int, y []float64, opts CHSOptions) *Result {
+	t.Helper()
+	d, err := ws.dict(op, locs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := chsDict(d, ws, locs, y, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// cloneResult deep-copies a Result, so a later decode that wrote into
+// memory the Result shares would show up as a difference.
+func cloneResult(r *Result) *Result {
+	return &Result{
+		Alpha:   append([]float64(nil), r.Alpha...),
+		Support: append([]int(nil), r.Support...),
+		Xhat:    append([]float64(nil), r.Xhat...),
+
+		Residual: r.Residual, Iterations: r.Iterations,
+	}
+}
+
+// sameResult reports the first field in which two results differ in any
+// bit, or "" when they are identical.
+func sameResult(got, want *Result) string {
+	bits := func(name string, g, w []float64) string {
+		if len(g) != len(w) {
+			return fmt.Sprintf("%s length %d, want %d", name, len(g), len(w))
+		}
+		for i := range w {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				return fmt.Sprintf("%s[%d] = %v, want %v", name, i, g[i], w[i])
+			}
+		}
+		return ""
+	}
+	if len(got.Support) != len(want.Support) {
+		return fmt.Sprintf("support size %d, want %d", len(got.Support), len(want.Support))
+	}
+	for i, j := range want.Support {
+		if got.Support[i] != j {
+			return fmt.Sprintf("support[%d] = %d, want %d", i, got.Support[i], j)
+		}
+	}
+	if d := bits("alpha", got.Alpha, want.Alpha); d != "" {
+		return d
+	}
+	if d := bits("xhat", got.Xhat, want.Xhat); d != "" {
+		return d
+	}
+	if math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+		return fmt.Sprintf("residual %v, want %v", got.Residual, want.Residual)
+	}
+	if got.Iterations != want.Iterations {
+		return fmt.Sprintf("iterations %d, want %d", got.Iterations, want.Iterations)
+	}
+	return ""
+}
+
+// TestWorkspaceReuseBitIdentical decodes zone A, then a larger zone B,
+// then A again in one workspace, so the second A decode runs on buffers
+// and factors sized for B and holding B's values. Every decode must
+// equal the same decode in a fresh workspace, bit for bit, and a decode
+// must leave the Results of earlier decodes in the workspace untouched.
+// The same holds for warm starts whose seed is refused, which empty the
+// factors mid-decode (coldRestart), and through the pool via CHSOp.
+func TestWorkspaceReuseBitIdentical(t *testing.T) {
+	type decode struct {
+		name string
+		op   basis.Operator
+		locs []int
+		y    []float64
+		opts CHSOptions
+	}
+	var decodes []decode
+	for _, c := range []zoneCase{zoneCases[2], zoneCases[1], zoneCases[2], zoneCases[0]} {
+		op, locs, y, sigmas := zoneProblem(t, c, 3)
+		decodes = append(decodes, decode{c.name, op, locs, y, c.opts(sigmas)})
+	}
+	// Seeded decodes of zone A: a seed whose residual check fails starts
+	// over cold in the reused factors.
+	a := decodes[0]
+	fresh := decodeIn(t, new(workspace), a.op, a.locs, a.y, a.opts)
+	refused := a.opts
+	refused.SeedSupport, refused.SeedRelTol = fresh.Support[:3], 1e-12
+	kept := a.opts
+	kept.SeedSupport = fresh.Support
+	decodes = append(decodes,
+		decode{a.name + "/seed-refused", a.op, a.locs, a.y, refused},
+		decode{a.name + "/seed-kept", a.op, a.locs, a.y, kept})
+
+	ws := new(workspace)
+	var earlier, earlierCopies []*Result
+	for i, dc := range decodes {
+		want := decodeIn(t, new(workspace), dc.op, dc.locs, dc.y, dc.opts)
+		got := decodeIn(t, ws, dc.op, dc.locs, dc.y, dc.opts)
+		if d := sameResult(got, want); d != "" {
+			t.Fatalf("decode %d (%s) in a reused workspace: %s", i, dc.name, d)
+		}
+		pooled, err := CHSOp(dc.op, dc.locs, dc.y, dc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sameResult(pooled, want); d != "" {
+			t.Fatalf("decode %d (%s) through the pool: %s", i, dc.name, d)
+		}
+		earlier = append(earlier, got, pooled)
+		earlierCopies = append(earlierCopies, cloneResult(got), cloneResult(pooled))
+		for k, r := range earlier {
+			if d := sameResult(r, earlierCopies[k]); d != "" {
+				t.Fatalf("after decode %d (%s), an earlier Result changed: %s", i, dc.name, d)
+			}
+		}
+	}
+	if fresh.Iterations == 0 || len(fresh.Support) < 4 {
+		t.Fatalf("zone A decoded to support %v; the seeded cases are vacuous", fresh.Support)
+	}
+}
+
+// TestWorkspacePoolConcurrentDecodes: eight goroutines decode distinct
+// zones through the workspace pool at once, as the fleet's parallel zone
+// decodes do, and each result equals its serial decode bit for bit. Run
+// under -race it also checks that no workspace is shared by two decodes.
+func TestWorkspacePoolConcurrentDecodes(t *testing.T) {
+	const workers = 8
+	type job struct {
+		op   basis.Operator
+		locs []int
+		y    []float64
+		opts CHSOptions
+		want *Result
+	}
+	jobs := make([]job, workers)
+	for g := range jobs {
+		c := zoneCases[g%len(zoneCases)]
+		op, locs, y, sigmas := zoneProblem(t, c, int64(100+g))
+		want := decodeIn(t, new(workspace), op, locs, y, c.opts(sigmas))
+		jobs[g] = job{op, locs, y, c.opts(sigmas), want}
+	}
+	var wg sync.WaitGroup
+	for g := range jobs {
+		wg.Add(1)
+		go func(j job) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				got, err := CHSOp(j.op, j.locs, j.y, j.opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if d := sameResult(got, j.want); d != "" {
+					t.Errorf("concurrent decode: %s", d)
+					return
+				}
+			}
+		}(jobs[g])
+	}
+	wg.Wait()
+}
+
+// TestCHSSteadyStateAllocatesOnlyResult: at the fleet's zone shape (64×64
+// DCT, 1024 sensors, support 64), a warm CHSOp allocates the Result and
+// its Alpha, Support and Xhat, nothing else.
+func TestCHSSteadyStateAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool retention; alloc counts are meaningless")
+	}
+	// A collection empties the pool; keep the collector out of the count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	c := zoneCases[1]
+	op, locs, y, sigmas := zoneProblem(t, c, 9)
+	opts := c.opts(sigmas)
+	decode := func() {
+		if _, err := CHSOp(op, locs, y, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	const resultAllocs = 4 // *Result, Alpha, Support, Xhat
+	if allocs := testing.AllocsPerRun(20, decode); allocs != resultAllocs {
+		t.Fatalf("%.1f allocs per warm decode, want %d", allocs, resultAllocs)
+	}
+}
+
+// TestResetSensingCacheDropsWorkspaces: after ResetSensingCache the next
+// decode's workspace is a new one, with no storage sized by earlier
+// decodes, so a benchmark's set-up after the reset measures a cold start.
+func TestResetSensingCacheDropsWorkspaces(t *testing.T) {
+	c := zoneCases[1]
+	op, locs, y, sigmas := zoneProblem(t, c, 4)
+	ws := getWorkspace()
+	decodeIn(t, ws, op, locs, y, c.opts(sigmas))
+	putWorkspace(ws)
+
+	ResetSensingCache()
+	next := getWorkspace()
+	defer putWorkspace(next)
+	if next == ws || cap(next.alphaR) != 0 || cap(next.od.full) != 0 || next.qr.Len() != 0 {
+		t.Fatal("a workspace pooled before ResetSensingCache was handed out after it")
+	}
+}

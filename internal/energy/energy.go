@@ -68,6 +68,39 @@ func DefaultModel() *Model {
 	}
 }
 
+// Category names for the radios and sensor kinds the default model
+// prices, built once so that a charge does not concatenate a new string
+// on every call. Any other radio or kind builds its name per charge.
+var (
+	txCategory    = categoryNames("tx/", RadioWiFi, RadioBluetooth, RadioGSM)
+	rxCategory    = categoryNames("rx/", RadioWiFi, RadioBluetooth, RadioGSM)
+	senseCategory = categoryNames("sense/", sensorKinds(DefaultModel())...)
+)
+
+func categoryNames[K ~string](prefix string, keys ...K) map[K]string {
+	names := make(map[K]string, len(keys))
+	for _, k := range keys {
+		names[k] = prefix + string(k)
+	}
+	return names
+}
+
+func sensorKinds(m *Model) []sensor.Kind {
+	kinds := make([]sensor.Kind, 0, len(m.SensorSampleMJ))
+	for k := range m.SensorSampleMJ {
+		kinds = append(kinds, k)
+	}
+	return kinds
+}
+
+// category returns prefix+k, from names when it holds k.
+func category[K ~string](names map[K]string, prefix string, k K) string {
+	if name, ok := names[k]; ok {
+		return name
+	}
+	return prefix + string(k)
+}
+
 // Meter accrues energy spending for one node, broken down by category.
 // It is safe for concurrent use.
 type Meter struct {
@@ -99,7 +132,7 @@ func (m *Meter) ChargeSamples(kind sensor.Kind, n int) error {
 	if !ok {
 		return fmt.Errorf("energy: no sample cost for sensor kind %q", kind)
 	}
-	m.charge("sense/"+string(kind), c*float64(n))
+	m.charge(category(senseCategory, "sense/", kind), c*float64(n))
 	return nil
 }
 
@@ -110,7 +143,7 @@ func (m *Meter) ChargeTx(radio RadioKind, bytes int) error {
 	if !ok {
 		return fmt.Errorf("energy: unknown radio %q", radio)
 	}
-	m.charge("tx/"+string(radio), m.model.RadioWakeMJ[radio]+per*float64(bytes))
+	m.charge(category(txCategory, "tx/", radio), m.model.RadioWakeMJ[radio]+per*float64(bytes))
 	return nil
 }
 
@@ -120,7 +153,7 @@ func (m *Meter) ChargeRx(radio RadioKind, bytes int) error {
 	if !ok {
 		return fmt.Errorf("energy: unknown radio %q", radio)
 	}
-	m.charge("rx/"+string(radio), per*float64(bytes))
+	m.charge(category(rxCategory, "rx/", radio), per*float64(bytes))
 	return nil
 }
 

@@ -59,6 +59,59 @@ func TestMeterRadioCharges(t *testing.T) {
 	}
 }
 
+// TestMeterCategoryNames: the Breakdown keys are prefix/name for every
+// radio and sensor kind, whether the name was built ahead of the charge
+// (the default model's radios and kinds) or during it (a kind only a
+// custom model prices).
+func TestMeterCategoryNames(t *testing.T) {
+	model := DefaultModel()
+	model.SensorSampleMJ[sensor.Kind("custom")] = 1
+	m := NewMeter(model)
+	want := map[string]bool{"sense/custom": true}
+	if err := m.ChargeSamples(sensor.Kind("custom"), 1); err != nil {
+		t.Fatal(err)
+	}
+	for kind := range DefaultModel().SensorSampleMJ {
+		if err := m.ChargeSamples(kind, 1); err != nil {
+			t.Fatal(err)
+		}
+		want["sense/"+string(kind)] = true
+	}
+	for _, radio := range []RadioKind{RadioWiFi, RadioBluetooth, RadioGSM} {
+		if err := m.ChargeTx(radio, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ChargeRx(radio, 1); err != nil {
+			t.Fatal(err)
+		}
+		want["tx/"+string(radio)] = true
+		want["rx/"+string(radio)] = true
+	}
+	bd := m.Breakdown()
+	if len(bd) != len(want) {
+		t.Fatalf("breakdown has %d categories, want %d: %v", len(bd), len(want), bd)
+	}
+	for k := range want {
+		if _, ok := bd[k]; !ok {
+			t.Fatalf("breakdown lacks %q: %v", k, bd)
+		}
+	}
+}
+
+// TestMeterChargesDoNotAllocate: charging a known radio or sensor kind
+// into a category the meter already holds allocates nothing.
+func TestMeterChargesDoNotAllocate(t *testing.T) {
+	m := NewMeter(nil)
+	charge := func() {
+		_ = m.ChargeTx(RadioWiFi, 24)
+		_ = m.ChargeRx(RadioWiFi, 24)
+		_ = m.ChargeSamples(sensor.Temperature, 1)
+	}
+	if allocs := testing.AllocsPerRun(100, charge); allocs != 0 {
+		t.Fatalf("%.1f allocs per tx+rx+sample charge, want 0", allocs)
+	}
+}
+
 func TestMeterIdleAndReset(t *testing.T) {
 	m := NewMeter(nil)
 	m.ChargeIdle(10)

@@ -67,8 +67,15 @@ type ZoneCollector struct {
 	malformed int
 }
 
+// newZoneCollector presizes locs and vals to the budget, the most they
+// can hold.
 func newZoneCollector(zone field.Zone, budget int) *ZoneCollector {
-	return &ZoneCollector{Zone: zone, Budget: budget, cellAt: make([]int32, zone.W*zone.H)}
+	zc := &ZoneCollector{Zone: zone, Budget: budget, cellAt: make([]int32, zone.W*zone.H)}
+	if budget > 0 {
+		zc.locs = make([]int, 0, budget)
+		zc.vals = make([]float64, 0, budget)
+	}
+	return zc
 }
 
 func (zc *ZoneCollector) handle(m netsim.Message) {
@@ -168,35 +175,67 @@ type Result struct {
 // merge loop is the determinism linchpin: each shard's envelopes go out
 // as one netsim run, in ascending shard index on the single driving
 // goroutine, so the network's RNG stream (loss, dup, reorder draws) is a
-// pure function of the seeds. The network reads a shard's arena until
-// the round's Flush, which comes before the next Report rewrites it.
+// pure function of the seeds.
+//
+// A round's Flush runs on its own goroutine while the shards tick for the
+// next round, and the next Report waits for it. The two share nothing:
+// Tick touches only the shards' mobility, batteries and RNGs, and Flush
+// only the network, the collectors and the arenas Report already wrote,
+// which the network reads until Flush returns. So the overlap moves wall
+// clock only; every draw and every delivery happens as in the serial
+// order.
 func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	p := r.Pop
 	if p.truth == nil {
 		return nil, errors.New("fleet: SetTruth before Run")
 	}
 	res := &Result{}
+	p.Tick(1)
 	for round := 0; round < p.Cfg.DutyPeriod; round++ {
-		p.Tick(1)
 		p.Report(round)
-		for _, s := range p.Shards {
-			if s.repN == 0 {
-				continue
-			}
-			res.Reports += s.repN
-			br, err := r.Net.DeliverRun(netsim.Run{
-				From: r.shardFrom[s.Index], To: r.zoneTo[s.Zone], Topic: MeasureTopic,
-				Count: s.repN, Payload: s.env[:s.repN*sampleSize],
-			})
-			if err != nil {
-				return nil, err
-			}
-			res.Lost += br.Lost
-			res.Down += br.Down
+		if err := r.merge(res); err != nil {
+			return nil, err
 		}
-		r.Net.Flush()
+		if round == p.Cfg.DutyPeriod-1 {
+			r.Net.Flush()
+			break
+		}
+		flushed := make(chan struct{})
+		go func() {
+			r.Net.Flush()
+			close(flushed)
+		}()
+		p.Tick(1)
+		<-flushed
 	}
+	return r.finish(cfg, res)
+}
 
+// merge sends every shard's reports of this round as one netsim run, in
+// ascending shard order.
+func (r *Runner) merge(res *Result) error {
+	for _, s := range r.Pop.Shards {
+		if s.repN == 0 {
+			continue
+		}
+		res.Reports += s.repN
+		br, err := r.Net.DeliverRun(netsim.Run{
+			From: r.shardFrom[s.Index], To: r.zoneTo[s.Zone], Topic: MeasureTopic,
+			Count: s.repN, Payload: s.env[:s.repN*sampleSize],
+		})
+		if err != nil {
+			return err
+		}
+		res.Lost += br.Lost
+		res.Down += br.Down
+	}
+	return nil
+}
+
+// finish decodes the zones once delivery is over and fills in the rest
+// of res from the collectors, the network and the population.
+func (r *Runner) finish(cfg CampaignConfig, res *Result) (*Result, error) {
+	p := r.Pop
 	if err := r.decode(cfg, res); err != nil {
 		return nil, err
 	}
@@ -223,12 +262,11 @@ func (r *Runner) decode(cfg CampaignConfig, res *Result) error {
 	par.ForEach(len(p.Zones), func(z int) {
 		zone := p.Zones[z]
 		zc := r.collectors[z]
-		zf := field.New(zone.W, zone.H)
 		if zc.Count() == 0 {
-			subs[z] = zf // nothing heard from this zone: flat-zero estimate
+			subs[z] = field.New(zone.W, zone.H) // nothing heard from this zone: flat-zero estimate
 			return
 		}
-		op, err := zf.Operator2D(basis.KindDCT)
+		op, err := basis.CachedOperator2D(basis.KindDCT, zone.H, zone.W)
 		if err != nil {
 			errs[z] = err
 			return

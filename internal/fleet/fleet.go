@@ -77,16 +77,21 @@ type Shard struct {
 	params mobility.WaypointParams
 	way    *mobility.WaypointState
 	bank   *energy.Bank
-	phase  []uint16  // duty-cycle offset per node
 	sigma  []float64 // per-node measurement noise stddev
+
+	// The duty-cycle phase index: byPhase lists the shard's nodes grouped
+	// by phase, ascending within each group, and phase p's group is
+	// byPhase[phaseAt[p]:phaseAt[p+1]]. A round visits only its due group.
+	byPhase []int32
+	phaseAt []int32
 
 	zone field.Zone // geometry for truth lookups
 
-	// Round-report scratch, sized for the worst case (every node
-	// reports) at construction so the steady state never allocates.
-	// report encodes this round's envelopes into env[:repN*sampleSize];
-	// the runner sends them as one netsim run and flushes before the
-	// next report overwrites them.
+	// Round-report scratch, sized at construction for the largest phase
+	// group (at most that many nodes report in one round), so the steady
+	// state never allocates. report encodes this round's envelopes into
+	// env[:repN*sampleSize]; the runner sends them as one netsim run and
+	// flushes before the next report overwrites them.
 	repN int
 	env  []byte
 }
@@ -190,14 +195,37 @@ func newShard(index, zoneIdx, n int, zone field.Zone, cfg Config) (*Shard, error
 	s := &Shard{
 		Index: index, Zone: zoneIdx, N: n,
 		rng: rng, params: params, way: way, bank: bank,
-		phase: make([]uint16, n), sigma: make([]float64, n), zone: zone,
-		env: make([]byte, n*sampleSize),
+		sigma: make([]float64, n), zone: zone,
 	}
+	phase := make([]int32, n)
 	for i := 0; i < n; i++ {
-		s.phase[i] = uint16(rng.Intn(cfg.DutyPeriod))
+		phase[i] = int32(rng.Intn(cfg.DutyPeriod))
 		s.sigma[i] = sigmaMin + rng.Float64()*(sigmaMax-sigmaMin)
 	}
+	s.indexPhases(phase, cfg.DutyPeriod)
 	return s, nil
+}
+
+// indexPhases builds the phase index from each node's phase by a
+// counting sort, which keeps node order within a group, and sizes the
+// envelope arena to the largest group.
+func (s *Shard) indexPhases(phase []int32, period int) {
+	s.phaseAt = make([]int32, period+1)
+	for _, ph := range phase {
+		s.phaseAt[ph+1]++
+	}
+	largest := int32(0)
+	for p := 1; p <= period; p++ {
+		largest = max(largest, s.phaseAt[p])
+		s.phaseAt[p] += s.phaseAt[p-1]
+	}
+	s.byPhase = make([]int32, len(phase))
+	next := append([]int32(nil), s.phaseAt[:period]...)
+	for i, ph := range phase {
+		s.byPhase[next[ph]] = int32(i)
+		next[ph]++
+	}
+	s.env = make([]byte, int(largest)*sampleSize)
 }
 
 // SetTruth installs the ground-truth field reports sample from. The
@@ -239,16 +267,18 @@ func (p *Population) Report(round int) {
 
 // report encodes this round's measurements into the shard's envelope
 // arena. A node is due when round+phase ≡ 0 (mod period), i.e. when its
-// phase equals the round's due offset; only due nodes are binned to
-// their cell. All RNG draws (one NormFloat64 per reporting node) happen
-// in node-index order on the shard's private stream. Allocation-free
-// (hot path).
+// phase equals the round's due offset; report walks only that phase's
+// group of the index, and only due nodes are binned to their cell. All
+// RNG draws (one NormFloat64 per reporting node) happen in node-index
+// order on the shard's private stream, as a scan of every node would
+// make them. Allocation-free (hot path).
 func (s *Shard) report(round, period int, truth *field.Field, costMJ float64) {
 	s.repN = 0
 	gh := s.zone.H
-	due := uint16(((-round)%period + period) % period)
-	for i := 0; i < s.N; i++ {
-		if s.phase[i] != due || s.bank.Depleted(i) {
+	due := ((-round)%period + period) % period
+	for _, node := range s.byPhase[s.phaseAt[due]:s.phaseAt[due+1]] {
+		i := int(node)
+		if s.bank.Depleted(i) {
 			continue
 		}
 		cell := mobility.GridIndex(mobility.Point{X: s.way.X[i], Y: s.way.Y[i]}, s.params.W, s.params.H, s.zone.W, gh)

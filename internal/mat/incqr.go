@@ -33,17 +33,39 @@ const gsBlock = 4
 // NewIncrementalQR returns an empty factorization for m-row columns with
 // capacity maxCols (requires 0 < maxCols <= m for full column rank).
 func NewIncrementalQR(m, maxCols int) (*IncrementalQR, error) {
+	f := new(IncrementalQR)
+	if err := f.Reset(m, maxCols); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Reset empties the factorization and reshapes it for m-row columns with
+// capacity maxCols, under the same constraints as NewIncrementalQR. Q and
+// R keep their storage when its capacity suffices: every entry a later
+// Append, DeflateLatest or Solve reads is written first by an Append, so
+// what the storage held before cannot reach a result. On error f is
+// unchanged.
+func (f *IncrementalQR) Reset(m, maxCols int) error {
 	if m <= 0 || maxCols <= 0 {
-		return nil, fmt.Errorf("%w: IncrementalQR needs positive dims, got m=%d maxCols=%d", ErrShape, m, maxCols)
+		return fmt.Errorf("%w: IncrementalQR needs positive dims, got m=%d maxCols=%d", ErrShape, m, maxCols)
 	}
 	if maxCols > m {
-		return nil, fmt.Errorf("%w: IncrementalQR capacity %d exceeds row count %d", ErrShape, maxCols, m)
+		return fmt.Errorf("%w: IncrementalQR capacity %d exceeds row count %d", ErrShape, maxCols, m)
 	}
-	return &IncrementalQR{
-		m: m, maxCols: maxCols,
-		q: make([]float64, m*maxCols),
-		r: make([]float64, maxCols*maxCols),
-	}, nil
+	f.m, f.maxCols, f.k = m, maxCols, 0
+	f.q = resize(f.q, m*maxCols)
+	f.r = resize(f.r, maxCols*maxCols)
+	return nil
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. Reused elements keep whatever they held.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // Len returns the number of columns currently factored.

@@ -193,6 +193,68 @@ func TestIncrementalQRShapeErrors(t *testing.T) {
 	}
 }
 
+// TestIncrementalQRResetReusesStorage: factors Reset from a larger and
+// from a smaller shape — their storage holding the old factors — solve
+// and deflate bit for bit as fresh ones do, reuse the storage when it is
+// large enough, and a refused Reset leaves the factors as they were.
+func TestIncrementalQRResetReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	solve := func(f *IncrementalQR, a *Matrix, y []float64) ([]float64, []float64) {
+		appendCols(t, f, a)
+		x, err := f.Solve(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := append([]float64(nil), y...)
+		if _, err := f.DeflateLatest(r); err != nil {
+			t.Fatal(err)
+		}
+		return x, r
+	}
+	f := new(IncrementalQR)
+	for _, shape := range [][2]int{{40, 12}, {90, 30}, {40, 12}, {60, 5}} {
+		m, k := shape[0], shape[1]
+		a := randTall(rng, m, k)
+		y := make([]float64, m)
+		for i := range y {
+			y[i] = rng.NormFloat64()
+		}
+		fresh, err := NewIncrementalQR(m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantX, wantR := solve(fresh, a, y)
+		grew := cap(f.q) < m*k
+		var q0 *float64
+		if !grew {
+			q0 = &f.q[:1][0]
+		}
+		if err := f.Reset(m, k); err != nil {
+			t.Fatal(err)
+		}
+		if !grew && &f.q[0] != q0 {
+			t.Fatalf("%dx%d: Reset reallocated Q although its storage sufficed", m, k)
+		}
+		gotX, gotR := solve(f, a, y)
+		for i := range wantX {
+			if math.Float64bits(gotX[i]) != math.Float64bits(wantX[i]) {
+				t.Fatalf("%dx%d: x[%d] = %v after Reset, fresh %v", m, k, i, gotX[i], wantX[i])
+			}
+		}
+		for i := range wantR {
+			if math.Float64bits(gotR[i]) != math.Float64bits(wantR[i]) {
+				t.Fatalf("%dx%d: deflated r[%d] = %v after Reset, fresh %v", m, k, i, gotR[i], wantR[i])
+			}
+		}
+	}
+	if err := f.Reset(3, 4); !errors.Is(err, ErrShape) {
+		t.Fatalf("maxCols > m: err = %v, want ErrShape", err)
+	}
+	if f.m != 60 || f.maxCols != 5 || f.Len() != 5 {
+		t.Fatalf("a refused Reset changed the factors: m=%d maxCols=%d k=%d", f.m, f.maxCols, f.Len())
+	}
+}
+
 // appendMGS2 is the reference append: modified Gram–Schmidt, always two
 // passes, a Dot and a subtract per projection, then the same rank test.
 func appendMGS2(f *IncrementalQR, col []float64) error {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -167,12 +168,12 @@ func (n *Node) MeasureField(kind sensor.Kind) (FieldReading, error) {
 	//lint:ignore errcheck local logging is best-effort; a full or closed store must not fail the measurement itself
 	_ = n.Store.AppendScalar(key, 0, value)
 	obsMeasurements.Inc()
-	shared, ok := n.Policy.Filter(kind, []float64{value})
+	shared, ok := n.Policy.Filter(kind, value)
 	if !ok {
 		obsMeasureDenied.Inc()
 		return FieldReading{NodeID: n.ID, GridIdx: idx, Denied: true}, nil
 	}
-	return FieldReading{NodeID: n.ID, GridIdx: idx, Value: shared[0], Sigma: sigma}, nil
+	return FieldReading{NodeID: n.ID, GridIdx: idx, Value: shared, Sigma: sigma}, nil
 }
 
 // --- Bus protocol -------------------------------------------------------------
@@ -298,8 +299,50 @@ func (n *Node) Detach() {
 
 // dedupWindow bounds the per-handler duplicate-request memory: large
 // enough to cover any plausible duplicate-delivery reordering distance,
-// small enough that a long-lived node never grows it.
+// small enough that a long-lived node never grows it. A multiple of 8
+// (dedupRing packs eight fingerprints to a word).
 const dedupWindow = 64
+
+// dedupRing remembers the last dedupWindow distinct reply-to keys a
+// handler served, overwriting the oldest when full. Beside each key it
+// keeps a one-byte fingerprint (the low byte of the key's FNV-1a hash),
+// eight to a word, so a lookup tests eight slots per step and compares
+// strings only where a fingerprint matches: comparing all 64 strings
+// cost more than the map this ring replaced.
+type dedupRing struct {
+	keys [dedupWindow]string
+	tags [dedupWindow / 8]uint64 // byte i%8 of word i/8 fingerprints keys[i]
+	next int                     // slot the next key goes in
+}
+
+const bytesLSB, bytesMSB = 0x0101010101010101, 0x8080808080808080
+
+// add records key and reports true, or reports false when key is
+// already in the window.
+func (r *dedupRing) add(key string) bool {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	tag := h & 0xff
+	for w, word := range r.tags {
+		// x has a zero byte where the fingerprint matches; m flags every
+		// zero byte of x, plus possibly bytes above one (the borrow of
+		// the subtraction), which the string comparison sorts out.
+		x := word ^ tag*bytesLSB
+		for m := (x - bytesLSB) &^ x & bytesMSB; m != 0; m &= m - 1 {
+			if r.keys[w*8+bits.TrailingZeros64(m)/8] == key {
+				return false
+			}
+		}
+	}
+	r.keys[r.next] = key
+	w, shift := r.next/8, uint(r.next%8)*8
+	r.tags[w] = r.tags[w]&^(0xff<<shift) | tag<<shift
+	r.next = (r.next + 1) % dedupWindow
+	return true
+}
 
 // incoming is a node command as it arrives: the requester's envelope
 // and the request in it, decoded in one pass. Every command's body fits
@@ -335,8 +378,7 @@ type reply interface {
 // of measuring (and replying, and spending energy) twice for one command.
 func serve[R reply](n *Node, b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) (R, error)) {
 	defer n.serveWG.Done()
-	seen := make(map[string]bool, dedupWindow)
-	var order []string
+	var seen dedupRing
 	for msg := range sub.C {
 		cmd, err := decodeCommand(msg.Payload)
 		if err != nil {
@@ -344,18 +386,10 @@ func serve[R reply](n *Node, b *bus.Bus, sub *bus.Subscription, fn func(MeasureR
 		}
 		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
 		_ = n.Meter.ChargeRx(energy.RadioWiFi, len(msg.Payload))
-		if cmd.ReplyTo != "" {
-			if seen[cmd.ReplyTo] {
-				// The radio already paid to hear it; don't serve it again.
-				obsDuplicateCmds.Inc()
-				continue
-			}
-			seen[cmd.ReplyTo] = true
-			order = append(order, cmd.ReplyTo)
-			if len(order) > dedupWindow {
-				delete(seen, order[0])
-				order = order[1:]
-			}
+		if cmd.ReplyTo != "" && !seen.add(cmd.ReplyTo) {
+			// The radio already paid to hear it; don't serve it again.
+			obsDuplicateCmds.Inc()
+			continue
 		}
 		obsServedCmds.Inc()
 		out, err := fn(cmd.Body)

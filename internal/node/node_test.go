@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -242,6 +243,38 @@ func TestServeSuppressesDuplicateRequests(t *testing.T) {
 	var reading FieldReading
 	if err := callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &reading), 2*time.Second); err != nil {
 		t.Fatalf("fresh request after duplicates: %v", err)
+	}
+}
+
+// TestDedupRingMatchesSlidingWindow drives the reply-to ring and the
+// map-plus-queue window it replaced with the same random key stream —
+// recent repeats, repeats just past the window, fresh keys — and asserts
+// the two agree on every key.
+func TestDedupRingMatchesSlidingWindow(t *testing.T) {
+	var ring dedupRing
+	seen := map[string]bool{}
+	var order []string
+	rng := rand.New(rand.NewSource(5))
+	var keys []string
+	for i := 0; i < 5000; i++ {
+		key := fmt.Sprintf("reply/%d", len(keys))
+		if len(keys) > 0 && rng.Intn(2) == 0 {
+			back := 1 + rng.Intn(min(len(keys), 2*dedupWindow))
+			key = keys[len(keys)-back]
+		}
+		keys = append(keys, key)
+		fresh := !seen[key]
+		if fresh {
+			seen[key] = true
+			order = append(order, key)
+			if len(order) > dedupWindow {
+				delete(seen, order[0])
+				order = order[1:]
+			}
+		}
+		if got := ring.add(key); got != fresh {
+			t.Fatalf("key %d (%s): ring says fresh=%v, sliding window says %v", i, key, got, fresh)
+		}
 	}
 }
 

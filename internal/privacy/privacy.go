@@ -76,21 +76,17 @@ func (p *Policy) Allows(kind sensor.Kind) bool {
 }
 
 // Filter applies the policy to an outgoing reading: it returns the
-// (possibly quantized) values and true, or nil and false when sharing is
-// denied. The input slice is not modified.
-func (p *Policy) Filter(kind sensor.Kind, values []float64) ([]float64, bool) {
+// (possibly quantized) value and true, or 0 and false when sharing is
+// denied.
+func (p *Policy) Filter(kind sensor.Kind, v float64) (float64, bool) {
 	if !p.Allows(kind) {
-		return nil, false
+		return 0, false
 	}
 	p.mu.RLock()
 	step := p.quantize[kind]
 	p.mu.RUnlock()
-	out := make([]float64, len(values))
-	copy(out, values)
 	if step > 0 {
-		for i, v := range out {
-			out[i] = math.Round(v/step) * step
-		}
+		v = math.Round(v/step) * step
 	}
-	return out, true
+	return v, true
 }

@@ -11,7 +11,7 @@ func TestDenyByDefault(t *testing.T) {
 	if p.Allows(sensor.GPS) {
 		t.Fatal("zero policy must deny")
 	}
-	if _, ok := p.Filter(sensor.GPS, []float64{1}); ok {
+	if _, ok := p.Filter(sensor.GPS, 1); ok {
 		t.Fatal("filter should deny")
 	}
 }
@@ -37,23 +37,18 @@ func TestAllowAndOptOut(t *testing.T) {
 func TestQuantization(t *testing.T) {
 	p := AllowAll(sensor.GPS)
 	p.SetQuantize(sensor.GPS, 0.5)
-	vals, ok := p.Filter(sensor.GPS, []float64{1.26, -0.24})
-	if !ok {
-		t.Fatal("share denied")
-	}
-	if vals[0] != 1.5 || vals[1] != 0 {
-		t.Fatalf("quantized %v", vals)
-	}
-	// Input must not be mutated.
-	in := []float64{1.26}
-	p.Filter(sensor.GPS, in)
-	if in[0] != 1.26 {
-		t.Fatal("input mutated")
+	for _, c := range [][2]float64{{1.26, 1.5}, {-0.24, 0}} {
+		v, ok := p.Filter(sensor.GPS, c[0])
+		if !ok {
+			t.Fatal("share denied")
+		}
+		if v != c[1] {
+			t.Fatalf("quantized %v to %v, want %v", c[0], v, c[1])
+		}
 	}
 	// Disable quantization.
 	p.SetQuantize(sensor.GPS, 0)
-	vals, _ = p.Filter(sensor.GPS, []float64{1.26})
-	if vals[0] != 1.26 {
+	if v, _ := p.Filter(sensor.GPS, 1.26); v != 1.26 {
 		t.Fatal("quantization not removed")
 	}
 }
