@@ -383,10 +383,12 @@ func (br *Broker) orderNodes(ctx context.Context) []string {
 }
 
 // ReconstructOptions tunes the broker-side recovery, a CHS decode in the
-// DCT basis with a support cap of len(locs)/3. The cap is not the only
-// one: the decode runs CHS's default 32 iterations of one atom each, so a
-// cold decode admits at most 32 atoms (a warm one, 32 beyond its seed).
-// ROADMAP.md item 2 (one support-size rule) removes that second cap.
+// DCT basis with a support cap of len(locs)/3 that stops early once the
+// sensor residual is down to the gathered readings' noise (cs.NoiseTol of
+// GatherResult.Sigmas). The cap is not the only one: the decode runs
+// CHS's default 32 iterations of one atom each, so a cold decode admits
+// at most 32 atoms (a warm one, 32 beyond its seed). ROADMAP.md item 2
+// (one support-size rule) removes that second cap.
 type ReconstructOptions struct {
 	UseGLS bool // weight by per-sensor noise (heterogeneous phones)
 
@@ -433,7 +435,7 @@ func (br *Broker) ReconstructFrom(g *GatherResult, opts ReconstructOptions) (*Re
 		k = 1
 	}
 	chsOpts := cs.CHSOptions{
-		MaxSupport: k, Tol: 1e-8, PerIter: 1,
+		MaxSupport: k, Tol: cs.NoiseTol(g.Sigmas), PerIter: 1,
 		SeedSupport: opts.SeedSupport, SeedRelTol: opts.SeedRelTol,
 	}
 	if opts.UseGLS {

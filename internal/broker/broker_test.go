@@ -210,6 +210,35 @@ func TestReconstructDefaultsKHeuristic(t *testing.T) {
 	}
 }
 
+// TestReconstructStopsAtNoiseFloor: a round whose readings are noisy ends
+// its decode once the residual is down to their noise, under the support
+// cap; the same readings claiming no noise run to the cap.
+func TestReconstructStopsAtNoiseFloor(t *testing.T) {
+	br, truth, _ := testNC(t, 0, 9)
+	rng := rand.New(rand.NewSource(9))
+	g := &GatherResult{}
+	for _, l := range rng.Perm(len(truth.Data))[:48] {
+		g.Locs = append(g.Locs, l)
+		g.Values = append(g.Values, truth.Data[l]+2*rng.NormFloat64())
+		g.Sigmas = append(g.Sigmas, 2)
+	}
+	const k = 48 / 3
+	rec, err := br.ReconstructFrom(g, ReconstructOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tol := cs.NoiseTol(g.Sigmas); len(rec.Result.Support) >= k || rec.Result.Residual > tol {
+		t.Fatalf("noisy round: %d atoms, residual %.3g; want under %d atoms and at most the noise %.3g", len(rec.Result.Support), rec.Result.Residual, k, tol)
+	}
+	g.Sigmas = make([]float64, len(g.Locs))
+	if rec, err = br.ReconstructFrom(g, ReconstructOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Result.Support) != k {
+		t.Fatalf("noiseless round: %d atoms, want the cap %d", len(rec.Result.Support), k)
+	}
+}
+
 func TestBatterySelectionPrefersFullNodes(t *testing.T) {
 	// Build an NC with the battery policy; drain half the fleet and check
 	// the drained nodes are not solicited while full ones remain.

@@ -290,8 +290,7 @@ func (sd *SenseDroid) RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		ZoneNMSE:      map[int]float64{},
 	}
 	for id, rep := range reports {
-		sub := field.Extract(sd.Truth, rep.Zone)
-		res.ZoneNMSE[id] = cs.NMSE(sub.Data, rep.Reconstruction.Field.Data)
+		res.ZoneNMSE[id] = cs.ZoneNMSE(sd.Truth, rep.Zone, rep.Reconstruction.Field.Data)
 		res.Measurements += len(rep.Reconstruction.Gather.Locs)
 		res.NodesUsed += rep.Reconstruction.Gather.NodesUsed
 		res.InfraUsed += rep.Reconstruction.Gather.InfraUsed

@@ -6,6 +6,16 @@ import (
 
 	"repro/internal/basis"
 	"repro/internal/mat"
+	"repro/internal/obs"
+)
+
+// Why each CHS decode stopped, one counter per reason.
+var (
+	obsStopNoise   = obs.GetCounter("cs.chs.stop.noise_floor")
+	obsStopSupport = obs.GetCounter("cs.chs.stop.support_cap")
+	obsStopIters   = obs.GetCounter("cs.chs.stop.iteration_cap")
+	obsStopRank    = obs.GetCounter("cs.chs.stop.rank_deficient")
+	obsStopNone    = obs.GetCounter("cs.chs.stop.nothing_admissible")
 )
 
 // ZeroFill returns the Υ: R^M → R^N operator of the Fig. 6 algorithm that
@@ -37,6 +47,8 @@ type CHSOptions struct {
 	// iteration — step (c)'s "subset of coefficient indices" (default 1).
 	PerIter int
 	// Tol stops iteration when the sensor-residual norm falls below it.
+	// NoiseTol turns the readings' noise std-devs into the tolerance at
+	// which further atoms would only fit noise.
 	Tol float64
 	// MaxSupport caps |J| (default: number of measurements).
 	MaxSupport int
@@ -62,6 +74,41 @@ type CHSOptions struct {
 	// discarded and the decode restarts cold. 0 keeps any seed whose
 	// columns are linearly independent (the greedy loop still refines it).
 	SeedRelTol float64
+}
+
+// minTol is the stopping tolerance of a noiseless decode, and the floor of
+// NoiseTol.
+const minTol = 1e-8
+
+// NoiseTol is the discrepancy-principle stopping tolerance for a CHS decode
+// of readings with noise std-devs sigmas: √(Σσᵢ²), the sensor-residual norm
+// the noise alone leaves. Once the residual is down to it, every further
+// atom fits noise, not the field. Each σᵢ is capped at 3× the readings'
+// harmonic-mean σ (σᵢ² at 9× the harmonic mean of the σᵢ²), so a minority
+// of readings claiming inflated noise barely moves the tolerance; honest
+// spreads (σ within a factor of a few) are never clipped. A σ that is not
+// positive and finite (NaN, ±Inf, ≤ 0) claims no noise and is left out. The
+// result is finite and never below 1e-8, the tolerance of a noiseless
+// decode, so nil or all-zero sigmas give exactly 1e-8.
+func NoiseTol(sigmas []float64) float64 {
+	n, inv := 0, 0.0
+	for _, s := range sigmas {
+		if s > 0 && s <= math.MaxFloat64 {
+			n++
+			inv += 1 / (s * s)
+		}
+	}
+	if n == 0 {
+		return minTol
+	}
+	limit := 9 * float64(n) / inv
+	sum := 0.0
+	for _, s := range sigmas {
+		if s > 0 && s <= math.MaxFloat64 {
+			sum += min(s*s, limit)
+		}
+	}
+	return min(max(math.Sqrt(sum), minTol), math.MaxFloat64)
 }
 
 // CHSOp runs the paper's Fig. 6 "Compressive Heterogeneous Sensing"
@@ -185,9 +232,18 @@ func chsDict(d dict, ws *workspace, locs []int, y []float64, opts CHSOptions) (*
 		}
 	}
 
+	var stop *obs.Counter
 outer:
-	for iters < opts.MaxIter && len(support) < opts.MaxSupport {
-		if mat.Norm2(resid) <= opts.Tol {
+	for {
+		switch {
+		case len(support) >= opts.MaxSupport:
+			stop = obsStopSupport
+		case iters >= opts.MaxIter:
+			stop = obsStopIters
+		case mat.Norm2(resid) <= opts.Tol:
+			stop = obsStopNoise
+		}
+		if stop != nil {
 			break
 		}
 		iters++
@@ -234,6 +290,7 @@ outer:
 				// Rank-deficient admission: the column adds nothing the
 				// factors don't already span. Keep the factorization as is
 				// and stop — no retraction solve needed.
+				stop = obsStopRank
 				break outer
 			}
 			support = append(support, bestJ)
@@ -246,9 +303,11 @@ outer:
 			added++
 		}
 		if added == 0 {
-			break // nothing significant left to admit
+			stop = obsStopNone // nothing significant left to admit
+			break
 		}
 	}
+	stop.Inc()
 
 	if len(support) == 0 {
 		return zeroResult(d, y, iters), nil

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/basis"
+	"repro/internal/field"
 	"repro/internal/mat"
 )
 
@@ -21,6 +22,31 @@ func NMSE(x, xhat []float64) float64 {
 		num += d * d
 		den += x[i] * x[i]
 	}
+	return nmseRatio(num, den)
+}
+
+// ZoneNMSE is NMSE(field.Extract(truth, z).Data, xhat) without the copy:
+// it reads the zone in place, in the column-stacked order Extract lays it
+// out, so the sums — and the result — are bit-identical.
+func ZoneNMSE(truth *field.Field, z field.Zone, xhat []float64) float64 {
+	if len(xhat) != z.W*z.H || len(xhat) == 0 {
+		return math.NaN()
+	}
+	num, den := 0.0, 0.0
+	for c := 0; c < z.W; c++ {
+		x := truth.Data[(z.Col0+c)*truth.H+z.Row0:][:z.H]
+		est := xhat[c*z.H:][:z.H]
+		for r, v := range x {
+			d := v - est[r]
+			num += d * d
+			den += v * v
+		}
+	}
+	return nmseRatio(num, den)
+}
+
+// nmseRatio is num/den with NMSE's zero-truth convention.
+func nmseRatio(num, den float64) float64 {
 	if den == 0 {
 		if num == 0 {
 			return 0

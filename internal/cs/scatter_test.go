@@ -11,20 +11,30 @@ import (
 
 // zoneCase is one zone decode shape of the bench workloads: an h×h field
 // in the 2-D DCT, M sensors, the support cap K, the CHS iteration budget
-// (0: the default), and GLS weights or not.
+// (0: the default), GLS weights or not, and the readings' noise: the
+// sensors' σ cycle through noise, 2·noise and 3·noise.
 type zoneCase struct {
 	name          string
 	side, m, k    int
 	maxIter       int
 	gls           bool
+	noise         float64
 	wantScattered bool // the step-(b) correlation takes the scattered front end
 }
 
+// The fleet case's σ ∈ {0.075, 0.15, 0.225} have the mean σ² of the
+// fleet's uniform [0.05, 0.25].
 var zoneCases = []zoneCase{
-	{"campaign-decode/64x64_M400_K133_OLS", 64, 400, 133, 0, false, true},
-	{"fleet-round/64x64_M1024_K64_OLS", 64, 1024, 64, 64, false, false},
-	{"wire-gather/32x32_M96_K32_GLS", 32, 96, 32, 0, true, true},
+	{"campaign-decode/64x64_M400_K133_OLS", 64, 400, 133, 0, false, 0.002, true},
+	{"fleet-round/64x64_M1024_K64_OLS", 64, 1024, 64, 64, false, 0.075, false},
+	{"wire-gather/32x32_M96_K32_GLS", 32, 96, 32, 0, true, 0.002, true},
 }
+
+// zoneAmplitude scales zoneProblem's fields. At it each bench shape stops
+// where its workload's decodes do: the campaign-decode and wire-gather
+// shapes at their caps, the fleet's zone at its noise floor, some 35–45
+// atoms into its 64.
+const zoneAmplitude = 50
 
 // zoneProblem draws a compressible field (2-D DCT coefficients decaying
 // with frequency), M distinct sensor locations, and noisy readings with
@@ -40,7 +50,7 @@ func zoneProblem(tb testing.TB, c zoneCase, seed int64) (op basis.Operator, locs
 	alpha := make([]float64, n)
 	for j := range alpha {
 		fr, fc := float64(j%c.side), float64(j/c.side)
-		alpha[j] = rng.NormFloat64() / (1 + (fr+fc)*(fr+fc))
+		alpha[j] = zoneAmplitude * rng.NormFloat64() / (1 + (fr+fc)*(fr+fc))
 	}
 	x := make([]float64, n)
 	op.Apply(x, alpha)
@@ -49,7 +59,7 @@ func zoneProblem(tb testing.TB, c zoneCase, seed int64) (op basis.Operator, locs
 	}
 	sigmas = make([]float64, c.m)
 	for i := range sigmas {
-		sigmas[i] = 0.002 * float64(1+i%3)
+		sigmas[i] = c.noise * float64(1+i%3)
 	}
 	if y, err = Measure(x, locs, rng, sigmas); err != nil {
 		tb.Fatal(err)
@@ -57,8 +67,10 @@ func zoneProblem(tb testing.TB, c zoneCase, seed int64) (op basis.Operator, locs
 	return op, locs, y, sigmas
 }
 
+// opts are the options production decodes the zone with: stop at the
+// support cap or at the readings' noise floor.
 func (c zoneCase) opts(sigmas []float64) CHSOptions {
-	o := CHSOptions{MaxSupport: c.k, MaxIter: c.maxIter, Tol: 1e-8, PerIter: 1}
+	o := CHSOptions{MaxSupport: c.k, MaxIter: c.maxIter, Tol: NoiseTol(sigmas), PerIter: 1}
 	if c.gls {
 		o.Sigmas = sigmas
 	}
@@ -139,7 +151,8 @@ func TestCHSScatteredCorrelationMatchesFullGrid(t *testing.T) {
 }
 
 // BenchmarkCHSZone decodes one zone of each bench workload shape, the
-// step-(b) correlation through the scattered analysis.
+// step-(b) correlation through the scattered analysis, with the options
+// and noise level production runs.
 func BenchmarkCHSZone(b *testing.B) {
 	for _, c := range zoneCases {
 		op, locs, y, sigmas := zoneProblem(b, c, 1)

@@ -3,6 +3,7 @@ package cs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/basis"
@@ -225,6 +226,42 @@ func TestWarmStartSeedRelTolRejectsDriftedSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, "drift-rejected seed", cold, warm)
+}
+
+// A seed whose post-seed residual is already at the readings' noise floor
+// ends the decode at iteration 0: a re-measurement of the same field,
+// with fresh noise under the floor, keeps the support as it is, where the
+// noiseless tolerance would go on admitting atoms that fit the noise.
+func TestWarmStartSeedAtNoiseFloorExitsAtIterationZero(t *testing.T) {
+	op, locs, y := warmProblem(t, 256, 64, 8, 91)
+	sigmas := make([]float64, len(y))
+	for i := range sigmas {
+		sigmas[i] = 0.01 // warmProblem's noise
+	}
+	opts := CHSOptions{MaxSupport: 12, Tol: NoiseTol(sigmas)}
+	prev, err := CHSOp(op, locs, y, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	y2 := make([]float64, len(y))
+	for i, v := range y {
+		y2[i] = v + 0.001*rng.NormFloat64()
+	}
+	opts.SeedSupport = prev.Support
+	warm, err := CHSOp(op, locs, y2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Iterations != 0 || !slices.Equal(warm.Support, prev.Support) {
+		t.Fatalf("seed at the noise floor: %d iterations, support %v, want 0 and %v", warm.Iterations, warm.Support, prev.Support)
+	}
+	opts.Tol = 1e-8
+	if noiseless, err := CHSOp(op, locs, y2, opts); err != nil {
+		t.Fatal(err)
+	} else if noiseless.Iterations == 0 {
+		t.Fatal("the noiseless tolerance also stopped at the seed: the case does not exercise the noise floor")
+	}
 }
 
 // Without a tolerance, a still-valid seed on a slightly-changed field is

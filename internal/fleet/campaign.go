@@ -51,35 +51,38 @@ func ZoneEndpoint(z int) string { return fmt.Sprintf("lc%d", z) }
 
 // ZoneCollector is a zone's ingest endpoint: it accumulates the
 // envelope stream netsim delivers for that zone, keeping the first
-// Budget distinct cells (a re-report of a known cell updates the stored
-// value, so duplicated envelopes are idempotent). It is driven entirely
-// from Network.Flush/Deliver handler invocations on the runner's
-// goroutine — no locking, same single-writer discipline as the shards.
+// Budget distinct cells with their readings' noise σ (a re-report of a
+// known cell replaces the stored value and σ, so duplicated envelopes are
+// idempotent). It is driven entirely from Network.Flush/Deliver handler
+// invocations on the runner's goroutine — no locking, same single-writer
+// discipline as the shards.
 type ZoneCollector struct {
 	Zone   field.Zone
 	Budget int // max distinct cells; 0 = unbounded
 
-	cellAt    []int32 // dense over the zone's W×H cells: 1 + index into locs/vals, 0 = not yet heard
+	cellAt    []int32 // dense over the zone's W×H cells: 1 + index into locs/vals/sigmas, 0 = not yet heard
 	locs      []int   // distinct cells in arrival order (decode locations)
 	vals      []float64
-	envelopes int // handler deliveries, duplicates included
-	rejected  int // distinct cells beyond budget
+	sigmas    []float64 // each kept reading's noise std-dev: the decode's stopping tolerance
+	envelopes int       // handler deliveries, duplicates included
+	rejected  int       // distinct cells beyond budget
 	malformed int
 }
 
-// newZoneCollector presizes locs and vals to the budget, the most they
-// can hold.
+// newZoneCollector presizes locs, vals and sigmas to the budget, the
+// most they can hold.
 func newZoneCollector(zone field.Zone, budget int) *ZoneCollector {
 	zc := &ZoneCollector{Zone: zone, Budget: budget, cellAt: make([]int32, zone.W*zone.H)}
 	if budget > 0 {
 		zc.locs = make([]int, 0, budget)
 		zc.vals = make([]float64, 0, budget)
+		zc.sigmas = make([]float64, 0, budget)
 	}
 	return zc
 }
 
 func (zc *ZoneCollector) handle(m netsim.Message) {
-	cell, _, value, _, ok := decodeSample(m.Payload)
+	cell, _, value, sigma, ok := decodeSample(m.Payload)
 	if !ok || int(cell) >= len(zc.cellAt) {
 		zc.malformed++
 		return
@@ -87,6 +90,7 @@ func (zc *ZoneCollector) handle(m netsim.Message) {
 	zc.envelopes++
 	if at := zc.cellAt[cell]; at > 0 {
 		zc.vals[at-1] = value
+		zc.sigmas[at-1] = sigma
 		return
 	}
 	if zc.Budget > 0 && len(zc.locs) >= zc.Budget {
@@ -95,6 +99,7 @@ func (zc *ZoneCollector) handle(m netsim.Message) {
 	}
 	zc.locs = append(zc.locs, int(cell))
 	zc.vals = append(zc.vals, value)
+	zc.sigmas = append(zc.sigmas, sigma)
 	zc.cellAt[cell] = int32(len(zc.locs))
 }
 
@@ -254,7 +259,9 @@ func (r *Runner) finish(cfg CampaignConfig, res *Result) (*Result, error) {
 // decode reconstructs every zone from its collector via the matrix-free
 // CHS decoder, in parallel over zones (each zone's decode is a pure
 // function of its collected measurements), then assembles and scores
-// the global field sequentially in zone order.
+// the global field sequentially in zone order. A zone's decode stops at
+// the support cap or once its residual is down to the readings' noise
+// (cs.NoiseTol), whichever comes first.
 func (r *Runner) decode(cfg CampaignConfig, res *Result) error {
 	p := r.Pop
 	subs := make([]*field.Field, len(p.Zones))
@@ -278,7 +285,7 @@ func (r *Runner) decode(cfg CampaignConfig, res *Result) error {
 		if k < 1 {
 			k = 1
 		}
-		dec, err := cs.CHSOp(op, zc.locs, zc.vals, cs.CHSOptions{MaxSupport: k, MaxIter: k, Tol: 1e-8, PerIter: 1})
+		dec, err := cs.CHSOp(op, zc.locs, zc.vals, cs.CHSOptions{MaxSupport: k, MaxIter: k, Tol: cs.NoiseTol(zc.sigmas), PerIter: 1})
 		if err != nil {
 			errs[z] = err
 			return
@@ -302,8 +309,7 @@ func (r *Runner) decode(cfg CampaignConfig, res *Result) error {
 		if err := field.Insert(global, zone, subs[z]); err != nil {
 			return err
 		}
-		truthSub := field.Extract(p.truth, zone)
-		res.ZoneNMSE[z] = cs.NMSE(truthSub.Data, subs[z].Data)
+		res.ZoneNMSE[z] = cs.ZoneNMSE(p.truth, zone, subs[z].Data)
 	}
 	res.Global = global
 	res.GlobalNMSE = cs.NMSE(p.truth.Data, global.Data)

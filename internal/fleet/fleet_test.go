@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/basis"
+	"repro/internal/cs"
 	"repro/internal/field"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -217,8 +219,8 @@ func TestFleetObsCountersReconcileUnderFaults(t *testing.T) {
 }
 
 // TestCollectorDupIdempotentAndBudget: duplicated envelopes do not grow
-// the measurement set, malformed payloads are counted out, and the
-// budget caps distinct cells.
+// the measurement set, a re-report replaces the value and its σ,
+// malformed payloads are counted out, and the budget caps distinct cells.
 func TestCollectorDupIdempotent(t *testing.T) {
 	zc := newZoneCollector(field.Zone{W: 4, H: 4}, 2)
 	pay := make([]byte, sampleSize)
@@ -228,12 +230,17 @@ func TestCollectorDupIdempotent(t *testing.T) {
 	if zc.Count() != 1 || zc.envelopes != 2 {
 		t.Fatalf("count=%d envelopes=%d, want 1 and 2", zc.Count(), zc.envelopes)
 	}
+	encodeSample(pay, 5, 3, 1.75, 0.05) // re-report from another node
+	zc.handle(netsim.Message{Payload: pay})
+	if zc.Count() != 1 || zc.vals[0] != 1.75 || zc.sigmas[0] != 0.05 {
+		t.Fatalf("re-report kept value %v σ %v, want 1.75 and 0.05", zc.vals, zc.sigmas)
+	}
 	encodeSample(pay, 6, 1, 2.5, 0.1)
 	zc.handle(netsim.Message{Payload: pay})
 	encodeSample(pay, 7, 2, 3.5, 0.1) // beyond budget 2
 	zc.handle(netsim.Message{Payload: pay})
-	if zc.Count() != 2 || zc.rejected != 1 {
-		t.Fatalf("count=%d rejected=%d, want 2 and 1", zc.Count(), zc.rejected)
+	if zc.Count() != 2 || zc.rejected != 1 || len(zc.sigmas) != 2 || zc.sigmas[1] != 0.1 || cap(zc.sigmas) != 2 {
+		t.Fatalf("count=%d rejected=%d sigmas=%v, want 2, 1 and [0.05 0.1] in the budget's capacity", zc.Count(), zc.rejected, zc.sigmas)
 	}
 	encodeSample(pay, 99, 3, 0, 0) // cell out of the 16-cell zone
 	zc.handle(netsim.Message{Payload: pay})
@@ -253,5 +260,59 @@ func TestSampleCodecRoundTrip(t *testing.T) {
 	}
 	if _, _, _, _, ok := decodeSample(b[:sampleSize-1]); ok {
 		t.Fatal("short payload decoded")
+	}
+}
+
+// TestFleetZoneDecodesStopAtNoiseFloor: at the bench's zone shape (64×64,
+// 1024 readings, support cap 64) a zone decode stops at the support cap
+// or once its residual is down to the readings' noise, and the smooth
+// zones stop there well under the cap. Summed over the zones, the fields
+// recovered are closer to the truth than the 64-atom decodes of the same
+// readings, which fit noise.
+func TestFleetZoneDecodesStopAtNoiseFloor(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	floor := obs.GetCounter("cs.chs.stop.noise_floor")
+	capped := obs.GetCounter("cs.chs.stop.support_cap")
+	floor0, capped0 := floor.Value(), capped.Value()
+	cfg := Config{
+		Nodes: 8192, ShardSize: 1024,
+		FieldW: 128, FieldH: 128, ZoneRows: 2, ZoneCols: 2, Seed: 11,
+	}
+	p, err := NewPopulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetTruth(testTruth(cfg.FieldW, cfg.FieldH)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, 5, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 64
+	res, err := r.Run(CampaignConfig{MaxSupport: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atFloor, atCap := floor.Value()-floor0, capped.Value()-capped0
+	if atFloor+atCap != int64(len(p.Zones)) || atFloor < 2 {
+		t.Fatalf("%d zone decodes stopped at the noise floor and %d at the cap, want all %d and at least 2 at the floor", atFloor, atCap, len(p.Zones))
+	}
+	op, err := basis.CachedOperator2D(basis.KindDCT, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, fit := 0.0, 0.0
+	for z, zc := range r.collectors {
+		full, err := cs.CHSOp(op, zc.locs, zc.vals, cs.CHSOptions{MaxSupport: k, MaxIter: k, Tol: 1e-8, PerIter: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		noisy += cs.ZoneNMSE(p.truth, zc.Zone, full.Xhat)
+		fit += res.ZoneNMSE[z]
+	}
+	if fit >= noisy {
+		t.Fatalf("zone NMSE sums to %.3g with the noise stop, %.3g with %d atoms a zone", fit, noisy, k)
 	}
 }
