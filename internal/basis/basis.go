@@ -304,11 +304,6 @@ func JacobiEigen(a *mat.Matrix, maxSweeps int, tol float64) (*mat.Matrix, []floa
 	return sortedVecs, sortedVals, nil
 }
 
-// Analyze returns the coefficient vector α = Φᵀx for an orthonormal basis.
-func Analyze(phi *mat.Matrix, x []float64) ([]float64, error) {
-	return mat.MulTVec(phi, x)
-}
-
 // Synthesize returns the signal x = Φα.
 func Synthesize(phi *mat.Matrix, alpha []float64) ([]float64, error) {
 	return mat.MulVec(phi, alpha)

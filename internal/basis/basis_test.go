@@ -76,7 +76,7 @@ func TestAnalyzeSynthesizeRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		alpha, err := Analyze(phi, x)
+		alpha, err := mat.MulTVec(phi, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestDCTCompressesSmoothSignal(t *testing.T) {
 		d := (float64(i) - 32) / 10
 		x[i] = math.Exp(-d * d)
 	}
-	alpha, _ := Analyze(phi, x)
+	alpha, _ := mat.MulTVec(phi, x)
 	sparse, _ := SparsifyTopK(alpha, 12)
 	approx, _ := Synthesize(phi, sparse)
 	rel := mat.Norm2(mat.SubVec(approx, x)) / mat.Norm2(x)
@@ -116,7 +116,7 @@ func TestDFTCompressesSinusoid(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * 2 * float64(i) / float64(n))
 	}
-	alpha, _ := Analyze(phi, x)
+	alpha, _ := mat.MulTVec(phi, x)
 	sparse, _ := SparsifyTopK(alpha, 2)
 	approx, _ := Synthesize(phi, sparse)
 	rel := mat.Norm2(mat.SubVec(approx, x)) / mat.Norm2(x)
@@ -138,7 +138,7 @@ func TestHaarCompressesPiecewiseConstant(t *testing.T) {
 			x[i] = 0.5
 		}
 	}
-	alpha, _ := Analyze(phi, x)
+	alpha, _ := mat.MulTVec(phi, x)
 	if nz := mat.Norm0(alpha, 1e-9); nz > 12 {
 		t.Fatalf("piecewise-constant signal uses %d Haar coefficients, want few", nz)
 	}
@@ -284,7 +284,7 @@ func TestPropParseval(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		for _, phi := range phis {
-			alpha, err := Analyze(phi, x)
+			alpha, err := mat.MulTVec(phi, x)
 			if err != nil {
 				return false
 			}

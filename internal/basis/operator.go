@@ -136,11 +136,12 @@ func (o *identityOp) Entry(i, j int) float64 {
 	return 0
 }
 
-// --- dense reference wrapper ---------------------------------------------------
+// --- dense matrix wrapper ------------------------------------------------------
 
 // MatrixOp adapts an explicit (square) basis matrix to the Operator
-// interface — the reference path for learned bases and non-power-of-two
-// sizes. The decoders recognize it and run their dense kernels directly.
+// interface — the route for learned bases and non-power-of-two sizes. Its
+// RowInto and Entry read the matrix directly, so the decoders' column
+// norms cost O(n) per sensor and each gathered column O(m).
 type MatrixOp struct {
 	m *mat.Matrix
 }
@@ -153,9 +154,6 @@ func FromMatrix(m *mat.Matrix) (*MatrixOp, error) {
 	}
 	return &MatrixOp{m: m}, nil
 }
-
-// Matrix returns the wrapped dense basis.
-func (o *MatrixOp) Matrix() *mat.Matrix { return o.m }
 
 // RowInto copies row i of the wrapped matrix.
 func (o *MatrixOp) RowInto(dst []float64, i int) {
@@ -1018,7 +1016,7 @@ func factorRow(op Operator, dst []float64, i int) {
 // --- convenience ---------------------------------------------------------------
 
 // OpAnalyze returns α = Φᵀx through an operator (allocating form of
-// ApplyTranspose, mirroring Analyze).
+// ApplyTranspose).
 func OpAnalyze(op Operator, x []float64) ([]float64, error) {
 	if len(x) != op.Dim() {
 		return nil, fmt.Errorf("%w: signal %d for operator dim %d", mat.ErrShape, len(x), op.Dim())

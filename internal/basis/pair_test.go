@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/mat"
 )
 
 // relDiff is max|a−b| over max|b| (1 for an all-zero reference).
@@ -178,7 +180,7 @@ func TestNestedSpatioTemporalMatchesDense(t *testing.T) {
 		x := randVec(rng, joint.Dim())
 		got := make([]float64, joint.Dim())
 		joint.ApplyTranspose(got, x)
-		want, err := Analyze(dense, x)
+		want, err := mat.MulTVec(dense, x)
 		if err != nil {
 			t.Fatal(err)
 		}

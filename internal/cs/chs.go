@@ -119,21 +119,20 @@ func NoiseTol(sigmas []float64) float64 {
 // residual, until the stop criterion is met. It returns the reconstruction
 // x̂ = Φ_K α_K along with the recovered support.
 //
-// Through a matrix-free basis operator the step-(b) full-basis analysis
-// Φᵀe becomes one fast transform and each admitted column one synthesis —
-// the combination that makes 1024² broker reconstructions feasible (the
-// dense Φ there would be ~8 TB).
+// The step-(b) full-basis analysis Φᵀe is one fast transform of the
+// operator and each admitted column one gather — the combination that
+// makes 1024² broker reconstructions feasible (the dense Φ there would be
+// ~8 TB).
 //
 // The decode's scratch comes from a pool of workspaces; the Result shares
 // no memory with it.
 func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result, error) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	d, err := ws.dict(op, locs)
-	if err != nil {
+	if err := ws.od.reset(op, locs); err != nil {
 		return nil, err
 	}
-	return chsDict(d, ws, locs, y, opts)
+	return chsDict(&ws.od, ws, locs, y, opts)
 }
 
 // hasDuplicates reports whether any index (a sensor location, a seed
@@ -157,11 +156,11 @@ func hasDuplicates(idx []int, mark []bool) bool {
 }
 
 // chsDict runs the CHS loop on d with its scratch in ws.
-func chsDict(d dict, ws *workspace, locs []int, y []float64, opts CHSOptions) (*Result, error) {
+func chsDict(d *opDict, ws *workspace, locs []int, y []float64, opts CHSOptions) (*Result, error) {
 	if len(y) != d.rows() {
 		return nil, errors.New("cs: measurement/location length mismatch")
 	}
-	n := d.cols()
+	n := d.n
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 32
 	}
@@ -189,16 +188,13 @@ func chsDict(d dict, ws *workspace, locs []int, y []float64, opts CHSOptions) (*
 	// Under ZeroFill interpolation, steps (a)+(b) compose to exactly Φ̃ᵀe_r
 	// — one scatter+analysis with no interpolant allocation, or one
 	// scattered analysis of the M values on a 2-D operator (equal to
-	// ZeroFill+analyzeFull to 1e-12 relative, bit for bit otherwise).
-	// The fused path is taken only on the matrix-free dictionary; the
-	// dense dictionary keeps the historical two-step arithmetic so its
-	// decodes stay bit-identical to the pre-operator implementation. Duplicate sensor
-	// locations disable it: corrT accumulates where ZeroFill overwrites.
-	// The duplicate scan borrows inSupport as its mark array (the op path
-	// validated every location into [0,n)).
-	od, fused := d.(*opDict)
-	fused = fused && !hasDuplicates(locs, inSupport)
-	interp := ZeroFill(d.signalDim())
+	// ZeroFill + analysis to 1e-12 relative, bit for bit otherwise).
+	// Duplicate sensor locations take the two steps apart instead: corrT
+	// accumulates the readings of a repeated location where ZeroFill keeps
+	// the last one. The duplicate scan borrows inSupport as its mark array
+	// (the dictionary validated every location into [0,n)).
+	fused := !hasDuplicates(locs, inSupport)
+	interp := ZeroFill(n)
 	qr := &ws.qr
 	if err := qr.Reset(d.rows(), cols); err != nil {
 		return nil, err
@@ -249,18 +245,14 @@ outer:
 		iters++
 		// (a) e_new = Υ(e_r); (b) α_r = Φ† e_new; Φ orthonormal ⇒ Φ† = Φᵀ.
 		if fused {
-			if err := od.corrT(alphaR, resid); err != nil {
-				return nil, err
-			}
+			d.corrT(alphaR, resid)
 		} else {
 			var err error
 			eNew, err = interp(locs, resid)
 			if err != nil {
 				return nil, err
 			}
-			if err := d.analyzeFull(alphaR, eNew); err != nil {
-				return nil, err
-			}
+			d.op.ApplyTranspose(alphaR, eNew)
 		}
 		// (c–e) admit the PerIter most significant unused coefficients,
 		// folding each admitted column into the OLS factors. Support
@@ -328,7 +320,7 @@ outer:
 			coef = gcoef
 		}
 	}
-	return packResultDict(d, support, coef, y, iters)
+	return packResult(d, support, coef, y, iters)
 }
 
 // minSigma floors each σ of a GLS refit: no reading gets an infinite weight.

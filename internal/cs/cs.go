@@ -5,15 +5,15 @@
 //
 // Decoders provided:
 //   - OMPOp: orthogonal matching pursuit for Eq. (13), the workhorse.
-//   - BasisPursuit: L1 minimization (Eq. 9) via the LP reformulation
+//   - BasisPursuit, BPDN: L1 minimization (Eq. 9) via the LP reformulation
 //     (Eq. 10), solved with the internal simplex solver.
 //   - CHSOp (chs.go): the iterative Compressive Heterogeneous Sensing
 //     algorithm of Fig. 6, whose step (e) is the least-squares estimate of
 //     Eq. (11), or of Eq. (12) for heterogeneous sensors.
 //
-// The greedy decoders take the basis as a basis.Operator. A dense basis
-// matrix goes in through basis.FromMatrix, which routes to the dense
-// reference kernels (dict.go).
+// Every decoder, and Diagnose, takes the basis as a basis.Operator and
+// runs on the one matrix-free sensing dictionary of dict.go. A dense basis
+// matrix goes in through basis.FromMatrix.
 package cs
 
 import (
@@ -58,9 +58,8 @@ type Result struct {
 // submatrix copy or full refactorization. The least-squares coefficients
 // are solved once, at the end, from the accumulated factors.
 //
-// Through a matrix-free basis operator the correlations and column
-// extractions run in O(n log n) scatter/gather applies instead of dense
-// M×N passes. A *basis.MatrixOp routes to the dense reference kernel.
+// The correlations and column extractions run as O(n log n) scatter/gather
+// applies of the operator instead of dense M×N passes.
 func OMPOp(op basis.Operator, locs []int, y []float64, k int, tol float64) (*Result, error) {
 	return OMPSeededOp(op, locs, y, k, tol, nil)
 }
@@ -71,15 +70,15 @@ func OMPOp(op basis.Operator, locs []int, y []float64, k int, tol float64) (*Res
 // one residual check plus the final solve and is bit-identical to the cold
 // decode. Invalid or rank-deficient seeds fall back to a cold start.
 func OMPSeededOp(op basis.Operator, locs []int, y []float64, k int, tol float64, seed []int) (*Result, error) {
-	d, err := dictFor(op, locs)
+	d, err := newOpDict(op, locs)
 	if err != nil {
 		return nil, err
 	}
 	return ompDict(d, y, k, tol, seed)
 }
 
-func ompDict(d dict, y []float64, k int, tol float64, seed []int) (*Result, error) {
-	m, n := d.rows(), d.cols()
+func ompDict(d *opDict, y []float64, k int, tol float64, seed []int) (*Result, error) {
+	m, n := d.rows(), d.n
 	if len(y) != m {
 		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
 	}
@@ -126,15 +125,11 @@ func ompDict(d dict, y []float64, k int, tol float64, seed []int) (*Result, erro
 		}
 		if colNorm == nil {
 			colNorm = make([]float64, n)
-			if err := d.colNorms(colNorm); err != nil {
-				return nil, err
-			}
+			d.colNorms(colNorm)
 		}
 		iters++
 		// Correlate residual with every column in one dictionary pass.
-		if err := d.corrT(corr, resid); err != nil {
-			return nil, err
-		}
+		d.corrT(corr, resid)
 		best, bestJ := 0.0, -1
 		for j, dot := range corr {
 			if inSupport[j] || colNorm[j] == 0 {
@@ -173,7 +168,7 @@ func ompDict(d dict, y []float64, k int, tol float64, seed []int) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return packResultDict(d, support, coef, y, iters)
+	return packResult(d, support, coef, y, iters)
 }
 
 // OMPCenteredOp recovers a signal whose prior mean mu (length N) is known —
@@ -219,15 +214,12 @@ func centerMeasurements(locs []int, y, mu []float64, dim int) ([]float64, error)
 // Exact equality constraints make this appropriate for (near-)noiseless
 // measurements; use OMP or CHS when noise is significant. zeroTol trims
 // solver jitter from the returned support.
-func BasisPursuit(phi *mat.Matrix, locs []int, y []float64, zeroTol float64) (*Result, error) {
-	a, err := sensingMatrix(phi, locs)
+func BasisPursuit(op basis.Operator, locs []int, y []float64, zeroTol float64) (*Result, error) {
+	d, err := lpDict(op, locs, y)
 	if err != nil {
 		return nil, err
 	}
-	m, n := a.Rows, a.Cols
-	if len(y) != m {
-		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
-	}
+	m, n := d.rows(), d.n
 	prob := lp.Problem{
 		Rows: m, Cols: 2 * n,
 		A: make([]float64, m*2*n),
@@ -237,26 +229,53 @@ func BasisPursuit(phi *mat.Matrix, locs []int, y []float64, zeroTol float64) (*R
 	for j := 0; j < 2*n; j++ {
 		prob.C[j] = 1
 	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			prob.A[i*2*n+j] = a.Data[i*n+j]
-			prob.A[i*2*n+n+j] = -a.Data[i*n+j]
-		}
-	}
+	d.splitInto(prob.A, 2*n)
 	sol, err := lp.Solve(prob)
 	if err != nil {
 		return nil, fmt.Errorf("cs: basis pursuit LP failed: %w", err)
 	}
+	return lpResult(d, sol, y, zeroTol)
+}
+
+// lpDict is the dictionary of an LP decode, checked against y.
+func lpDict(op basis.Operator, locs []int, y []float64) (*opDict, error) {
+	d, err := newOpDict(op, locs)
+	if err != nil {
+		return nil, err
+	}
+	if len(y) != d.rows() {
+		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), d.rows())
+	}
+	return d, nil
+}
+
+// splitInto writes Φ̃ and −Φ̃ into the first 2n columns of the row-major
+// LP matrix a of row stride `stride` — the α = u − v split of Eq. 10 —
+// gathering Φ̃ once, column by column.
+func (d *opDict) splitInto(a []float64, stride int) {
+	col := make([]float64, d.rows())
+	for j := 0; j < d.n; j++ {
+		d.fillCol(col, j)
+		for i, v := range col {
+			a[i*stride+j] = v
+			a[i*stride+d.n+j] = -v
+		}
+	}
+}
+
+// lpResult packs an LP solution whose first 2n variables are the split
+// α = u − v, dropping coefficients no larger than zeroTol.
+func lpResult(d *opDict, sol *lp.Result, y []float64, zeroTol float64) (*Result, error) {
 	support := make([]int, 0)
 	coef := make([]float64, 0)
-	for j := 0; j < n; j++ {
-		v := sol.X[j] - sol.X[n+j]
+	for j := 0; j < d.n; j++ {
+		v := sol.X[j] - sol.X[d.n+j]
 		if math.Abs(v) > zeroTol {
 			support = append(support, j)
 			coef = append(coef, v)
 		}
 	}
-	return packResultDict(&denseDict{phi: phi, a: a}, support, coef, y, sol.Iterations)
+	return packResult(d, support, coef, y, sol.Iterations)
 }
 
 // RandomLocations draws m distinct sensor locations uniformly from

@@ -28,7 +28,7 @@ func sparseSignal(rng *rand.Rand, phi *mat.Matrix, k int) ([]float64, []float64,
 }
 
 // denseOp wraps a dense basis matrix for the decoders, which take a
-// basis.Operator; the wrapper routes to the dense reference kernels.
+// basis.Operator.
 func denseOp(tb testing.TB, phi *mat.Matrix) basis.Operator {
 	tb.Helper()
 	op, err := basis.FromMatrix(phi)
@@ -126,7 +126,7 @@ func TestBasisPursuitExactRecovery(t *testing.T) {
 	x, alpha, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 32, 14)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := BasisPursuit(phi, locs, y, 1e-7)
+	res, err := BasisPursuit(denseOp(t, phi), locs, y, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBasisPursuitMatchesOMPOnEasyProblem(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
 	y, _ := Measure(x, locs, rng, nil)
-	bp, err := BasisPursuit(phi, locs, y, 1e-7)
+	bp, err := BasisPursuit(op, locs, y, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,6 +348,24 @@ func TestZeroFillInterpolator(t *testing.T) {
 	}
 }
 
+// TestCHSDuplicateLocationKeepsLastReading pins CHS's step (a) at a
+// repeated sensor location: the ZeroFill interpolant holds the last
+// reading there, not the sum a fused scatter-correlation would form.
+func TestCHSDuplicateLocationKeepsLastReading(t *testing.T) {
+	op, err := basis.CachedOperator(basis.KindIdentity, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ZeroFill puts -10 at cell 2 and 1 at cell 5; a sum would put 0 and 1.
+	res, err := CHSOp(op, []int{2, 2, 5}, []float64{10, -10, 1}, CHSOptions{MaxSupport: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Support) != 1 || res.Support[0] != 2 {
+		t.Fatalf("support %v, want [2]: the first atom follows the last reading at cell 2", res.Support)
+	}
+}
+
 func TestRandomLocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	locs, err := RandomLocations(rng, 100, 30)
@@ -456,7 +474,7 @@ func TestDiagnose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := Diagnose(phi, x, locs, res, sigmas)
+	bd, err := Diagnose(op, x, locs, res, sigmas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +490,7 @@ func TestDiagnose(t *testing.T) {
 	if bd.TotalNMSE < 0 {
 		t.Fatal("total NMSE negative")
 	}
-	if _, err := Diagnose(phi, x, locs, nil, nil); err == nil {
+	if _, err := Diagnose(op, x, locs, nil, nil); err == nil {
 		t.Fatal("want nil-result error")
 	}
 }
@@ -588,10 +606,11 @@ func BenchmarkBasisPursuit32(b *testing.B) {
 	x, _, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 32, 14)
 	y, _ := Measure(x, locs, rng, nil)
+	op := denseOp(b, phi)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BasisPursuit(phi, locs, y, 1e-7); err != nil {
+		if _, err := BasisPursuit(op, locs, y, 1e-7); err != nil {
 			b.Fatal(err)
 		}
 	}

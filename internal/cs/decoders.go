@@ -26,19 +26,18 @@ type IHTOptions struct {
 // IHTOp recovers a K-sparse coefficient vector by projected gradient
 // descent: α ← H_K(α + µ·Φ̃ᵀ(y − Φ̃α)), where H_K keeps the K largest
 // magnitudes. Slower to converge than OMP but a single matrix-vector pair
-// per iteration and very robust to coherent dictionaries. Through a
-// matrix-free basis operator that pair (predict, correlate) is one
-// synthesis and one analysis at O(n log n).
+// per iteration and very robust to coherent dictionaries. That pair
+// (predict, correlate) is one synthesis and one analysis of the operator.
 func IHTOp(op basis.Operator, locs []int, y []float64, opts IHTOptions) (*Result, error) {
-	d, err := dictFor(op, locs)
+	d, err := newOpDict(op, locs)
 	if err != nil {
 		return nil, err
 	}
 	return ihtDict(d, y, opts)
 }
 
-func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
-	m, n := d.rows(), d.cols()
+func ihtDict(d *opDict, y []float64, opts IHTOptions) (*Result, error) {
+	m, n := d.rows(), d.n
 	if len(y) != m {
 		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
 	}
@@ -61,9 +60,7 @@ func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
 		// r = y − Φ̃α.
-		if err := d.predict(pred, alpha); err != nil {
-			return nil, err
-		}
+		d.predict(pred, alpha)
 		for i := range r {
 			r[i] = y[i] - pred[i]
 		}
@@ -72,9 +69,7 @@ func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 			break
 		}
 		prevRes = rn
-		if err := d.corrT(g, r); err != nil {
-			return nil, err
-		}
+		d.corrT(g, r)
 		// Normalized-IHT step (Blumensath & Davies): the exact line-search
 		// step restricted to the working support makes convergence robust
 		// for the coherent point-sampled bases used here. The working
@@ -87,9 +82,7 @@ func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 		for _, j := range workSup {
 			gS[j] = g[j]
 		}
-		if err := d.predict(agS, gS); err != nil {
-			return nil, err
-		}
+		d.predict(agS, gS)
 		num := 0.0
 		for _, j := range workSup {
 			num += gS[j] * gS[j]
@@ -127,7 +120,7 @@ func ihtDict(d dict, y []float64, opts IHTOptions) (*Result, error) {
 			coef[i] = alpha[j]
 		}
 	}
-	return packResultDict(d, support, coef, y, iters)
+	return packResult(d, support, coef, y, iters)
 }
 
 // CoSaMPOptions tunes CoSaMP, which runs at most 50 iterations and stops
@@ -140,15 +133,15 @@ type CoSaMPOptions struct {
 // merging the 2K strongest residual correlations into the support, solving
 // least squares, and pruning back to K.
 func CoSaMPOp(op basis.Operator, locs []int, y []float64, opts CoSaMPOptions) (*Result, error) {
-	d, err := dictFor(op, locs)
+	d, err := newOpDict(op, locs)
 	if err != nil {
 		return nil, err
 	}
 	return cosampDict(d, y, opts)
 }
 
-func cosampDict(d dict, y []float64, opts CoSaMPOptions) (*Result, error) {
-	m, n := d.rows(), d.cols()
+func cosampDict(d *opDict, y []float64, opts CoSaMPOptions) (*Result, error) {
+	m, n := d.rows(), d.n
 	if len(y) != m {
 		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
 	}
@@ -188,9 +181,7 @@ func cosampDict(d dict, y []float64, opts CoSaMPOptions) (*Result, error) {
 		}
 		prev = rn
 		// Proxy = Φ̃ᵀ r; take 2K strongest plus current support.
-		if err := d.corrT(proxy, resid); err != nil {
-			return nil, err
-		}
+		d.corrT(proxy, resid)
 		for _, j := range supportOf(alpha) {
 			mask[j] = true
 		}
@@ -247,7 +238,7 @@ func cosampDict(d dict, y []float64, opts CoSaMPOptions) (*Result, error) {
 	for i, j := range support {
 		coef[i] = alpha[j]
 	}
-	return packResultDict(d, support, coef, y, iters)
+	return packResult(d, support, coef, y, iters)
 }
 
 // BPDN solves basis pursuit denoising via the LP relaxation with a noise
@@ -255,21 +246,18 @@ func cosampDict(d dict, y []float64, opts CoSaMPOptions) (*Result, error) {
 // measurement (an L∞ fidelity box, which keeps the problem a plain LP).
 // Standard form uses α = u − v and slack s: Φ̃(u−v) + s = y + eps,
 // 0 ≤ s ≤ 2·eps, encoded with an extra slack pair.
-func BPDN(phi *mat.Matrix, locs []int, y []float64, eps, zeroTol float64) (*Result, error) {
+func BPDN(op basis.Operator, locs []int, y []float64, eps, zeroTol float64) (*Result, error) {
 	if eps < 0 {
 		return nil, errors.New("cs: BPDN needs eps >= 0")
 	}
 	if eps == 0 {
-		return BasisPursuit(phi, locs, y, zeroTol)
+		return BasisPursuit(op, locs, y, zeroTol)
 	}
-	a, err := sensingMatrix(phi, locs)
+	d, err := lpDict(op, locs, y)
 	if err != nil {
 		return nil, err
 	}
-	m, n := a.Rows, a.Cols
-	if len(y) != m {
-		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
-	}
+	m, n := d.rows(), d.n
 	// Variables: u(n), v(n), s(m), t(m) with
 	//   Φ̃(u−v) + s           = y + eps        (upper bound)
 	//   s + t                 = 2·eps          (s ≤ 2eps)
@@ -282,11 +270,8 @@ func BPDN(phi *mat.Matrix, locs []int, y []float64, eps, zeroTol float64) (*Resu
 		B: make([]float64, rows),
 		C: make([]float64, nv),
 	}
+	d.splitInto(prob.A, nv)
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			prob.A[i*nv+j] = a.Data[i*n+j]
-			prob.A[i*nv+n+j] = -a.Data[i*n+j]
-		}
 		prob.A[i*nv+2*n+i] = 1
 		prob.B[i] = y[i] + eps
 		// Row m+i: s_i + t_i = 2 eps.
@@ -301,16 +286,7 @@ func BPDN(phi *mat.Matrix, locs []int, y []float64, eps, zeroTol float64) (*Resu
 	if err != nil {
 		return nil, fmt.Errorf("cs: BPDN LP failed: %w", err)
 	}
-	support := make([]int, 0)
-	coef := make([]float64, 0)
-	for j := 0; j < n; j++ {
-		v := sol.X[j] - sol.X[n+j]
-		if math.Abs(v) > zeroTol {
-			support = append(support, j)
-			coef = append(coef, v)
-		}
-	}
-	return packResultDict(&denseDict{phi: phi, a: a}, support, coef, y, sol.Iterations)
+	return lpResult(d, sol, y, zeroTol)
 }
 
 // --- helpers -------------------------------------------------------------------

@@ -103,7 +103,7 @@ func TestBPDNToleratesNoise(t *testing.T) {
 	sigma := 0.05
 	y, _ := Measure(x, locs, rng, []float64{sigma})
 	eps := 2 * sigma
-	res, err := BPDN(phi, locs, y, eps, 1e-6)
+	res, err := BPDN(denseOp(t, phi), locs, y, eps, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,9 @@ func TestBPDNToleratesNoise(t *testing.T) {
 		t.Fatalf("BPDN NMSE %v", nm)
 	}
 	// Fidelity box respected at the sensors.
-	a, _ := mat.SelectRows(phi, locs)
-	pred, _ := mat.MulVec(a, res.Alpha)
-	for i := range y {
-		if math.Abs(pred[i]-y[i]) > eps+1e-6 {
-			t.Fatalf("fidelity violated at %d: %v", i, math.Abs(pred[i]-y[i]))
+	for i, l := range locs {
+		if math.Abs(res.Xhat[l]-y[i]) > eps+1e-6 {
+			t.Fatalf("fidelity violated at %d: %v", i, math.Abs(res.Xhat[l]-y[i]))
 		}
 	}
 }
@@ -123,17 +121,18 @@ func TestBPDNToleratesNoise(t *testing.T) {
 func TestBPDNZeroEpsFallsBackToBP(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	phi := basis.DCT(24)
+	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := BPDN(phi, locs, y, 0, 1e-7)
+	res, err := BPDN(op, locs, y, 0, 1e-7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm := NMSE(x, res.Xhat); nm > 1e-8 {
 		t.Fatalf("BPDN(eps=0) NMSE %v", nm)
 	}
-	if _, err := BPDN(phi, locs, y, -1, 1e-7); err == nil {
+	if _, err := BPDN(op, locs, y, -1, 1e-7); err == nil {
 		t.Fatal("want eps error")
 	}
 }

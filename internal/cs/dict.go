@@ -1,28 +1,26 @@
 package cs
 
-// The decoders are written against a sensing dictionary abstraction so the
-// same greedy cores serve two execution paths:
+// Every decoder runs on one sensing dictionary, opDict: the paper's
+// Φ̃ = Φ(L,:) (§4) for a basis.Operator Φ sampled at the sensor locations
+// L. Φ̃ is applied matrix-free, by scatter/gather around Apply and
+// ApplyTranspose: a correlation Φ̃ᵀr scatters the M residual values onto
+// the full grid and runs one analysis — or, on a 2-D operator, hands the M
+// values to its scattered analysis, which on DCT factors with few sensors
+// skips the full grid and the first-stage FFTs; a column Φ̃e_j is read
+// entry by entry (basis.EntryAccessor), built from two factor columns
+// (basis.Separable2D), or synthesized and gathered at the sensors. Only
+// the LP decoders gather the whole M×N sensing matrix, and none forms the
+// N×N basis, which is what unlocks 1024² grids (dense Φ there would be
+// (2²⁰)² floats ≈ 8 TB). A dense basis enters through basis.FromMatrix,
+// whose stored rows and entries make its column norms O(n) per sensor and
+// each column O(m).
 //
-//   - denseDict: the reference path. Φ and Φ̃ = Φ(L,:) are explicit
-//     matrices and every operation delegates to the exact mat kernels the
-//     decoders called before the abstraction existed, in the same order —
-//     the dense path stays bit-identical decode for decode.
-//   - opDict: the matrix-free fast path. Φ is a basis.Operator and Φ̃ is
-//     applied by scatter/gather around Apply/ApplyTranspose: a correlation
-//     Φ̃ᵀr scatters the M residual values onto the full grid and runs one
-//     O(n log n) analysis — or, on a 2-D operator, hands the M values to
-//     its scattered analysis, which on DCT factors with few sensors skips
-//     the full grid and the first-stage FFTs; a column Φ̃e_j synthesizes
-//     one basis vector and gathers it at the sensor locations. No M×N
-//     sensing matrix — and no N×N basis — is ever materialized, which is
-//     what unlocks 1024² grids (dense Φ there would be (2²⁰)² floats ≈ 8 TB).
-//
-// Numerical contract: both paths implement the same linear algebra; the op
-// path reassociates floating-point sums inside the fast transforms, so its
-// results agree with dense to the documented ≤1e-9 equivalence bound
-// (DESIGN.md §9) rather than bit-for-bit, and the scattered correlation
-// agrees with scatter + ApplyTranspose to ≤1e-12 relative. Each path is
-// individually deterministic at every GOMAXPROCS.
+// Numerical contract: a fast operator reassociates floating-point sums
+// inside its transforms, so its decodes agree with the same basis wrapped
+// by basis.FromMatrix to the ≤1e-9 equivalence bound of DESIGN.md §9
+// rather than bit for bit, and the scattered correlation agrees with
+// scatter + ApplyTranspose to ≤1e-12 relative. Every decode is
+// deterministic at every GOMAXPROCS.
 
 import (
 	"fmt"
@@ -32,148 +30,14 @@ import (
 	"repro/internal/mat"
 )
 
-// dict is the sensing dictionary Φ̃ = Φ(L,:) together with the full basis
-// Φ it was sampled from. m is the measurement count, n the coefficient
-// count, and signalDim the full signal length N (== n for the square
-// orthonormal operators; dense matrices may be rectangular).
-type dict interface {
-	rows() int
-	cols() int
-	signalDim() int
-	// corrT computes dst = Φ̃ᵀ r (length n) from a residual at the sensors.
-	corrT(dst, r []float64) error
-	// col extracts dst = Φ̃ e_j (length m), the j-th dictionary column.
-	col(dst []float64, j int) error
-	// colNorms fills dst[j] = ‖Φ̃ e_j‖₂ for every column.
-	colNorms(dst []float64) error
-	// predict computes dst = Φ̃ α (length m) from a full-length coefficient
-	// vector.
-	predict(dst, alpha []float64) error
-	// analyzeFull computes dst = Φᵀ e (length n) from a full-length signal —
-	// the CHS step-(b) scan.
-	analyzeFull(dst, e []float64) error
-	// subInto fills the dense m×len(idx) matrix of the selected dictionary
-	// columns — the small least-squares systems every decoder ends with.
-	subInto(dst *mat.Matrix, idx []int) error
-	// synth reconstructs the full signal Φ·α from support-packed
-	// coefficients.
-	synth(support []int, coef []float64) []float64
-	// residualSq returns ‖y − Φ̃_J coef‖² given the already-synthesized xhat.
-	residualSq(support []int, coef, y, xhat []float64) float64
-}
-
-// dictFor builds the decode dictionary for an operator at the given sensor
-// locations. A *basis.MatrixOp routes to the dense reference dictionary:
-// matrix-backed operators (learned bases, non-dyadic fallbacks, a dense
-// basis wrapped with basis.FromMatrix) decode on the exact mat kernels.
-func dictFor(op basis.Operator, locs []int) (dict, error) {
-	if mo, ok := op.(*basis.MatrixOp); ok {
-		return denseDictFor(mo.Matrix(), locs)
-	}
-	// Everything else — including a Separable2D over dense factors — runs
-	// matrix-free: applying the factors costs O(n·(h+w)) against the Kron
-	// product's O(n²).
-	return newOpDict(op, locs)
-}
-
-// denseDictFor builds the reference dictionary: Φ̃ gathered once through
-// the memoized sensingMatrix path.
-func denseDictFor(phi *mat.Matrix, locs []int) (dict, error) {
-	a, err := sensingMatrix(phi, locs)
-	if err != nil {
-		return nil, err
-	}
-	return &denseDict{phi: phi, a: a}, nil
-}
-
-// --- dense reference path ------------------------------------------------------
-
-type denseDict struct {
-	phi *mat.Matrix // full basis, N×n
-	a   *mat.Matrix // sensing matrix Φ(L,:), m×n
-}
-
-func (d *denseDict) rows() int      { return d.a.Rows }
-func (d *denseDict) cols() int      { return d.a.Cols }
-func (d *denseDict) signalDim() int { return d.phi.Rows }
-
-func (d *denseDict) corrT(dst, r []float64) error {
-	return mat.MulTVecInto(dst, d.a, r)
-}
-
-func (d *denseDict) col(dst []float64, j int) error {
-	n := d.a.Cols
-	for i := 0; i < d.a.Rows; i++ {
-		dst[i] = d.a.Data[i*n+j]
-	}
-	return nil
-}
-
-func (d *denseDict) colNorms(dst []float64) error {
-	n := d.a.Cols
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < d.a.Rows; i++ {
-		row := d.a.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			dst[j] += v * v
-		}
-	}
-	for j, s := range dst {
-		dst[j] = math.Sqrt(s)
-	}
-	return nil
-}
-
-func (d *denseDict) predict(dst, alpha []float64) error {
-	return mat.MulVecInto(dst, d.a, alpha)
-}
-
-func (d *denseDict) analyzeFull(dst, e []float64) error {
-	return mat.MulTVecInto(dst, d.phi, e)
-}
-
-func (d *denseDict) subInto(dst *mat.Matrix, idx []int) error {
-	return mat.SelectColsInto(dst, d.a, idx)
-}
-
-func (d *denseDict) synth(support []int, coef []float64) []float64 {
-	xhat := make([]float64, d.phi.Rows)
-	for s, j := range support {
-		cj := coef[s]
-		if cj == 0 {
-			continue
-		}
-		for i := 0; i < d.phi.Rows; i++ {
-			xhat[i] += d.phi.Data[i*d.phi.Cols+j] * cj
-		}
-	}
-	return xhat
-}
-
-func (d *denseDict) residualSq(support []int, coef, y, _ []float64) float64 {
-	res := 0.0
-	for i := 0; i < d.a.Rows; i++ {
-		pred := 0.0
-		for s, j := range support {
-			pred += d.a.Data[i*d.a.Cols+j] * coef[s]
-		}
-		diff := y[i] - pred
-		res += diff * diff
-	}
-	return res
-}
-
-// --- matrix-free path ----------------------------------------------------------
-
+// opDict is the sensing dictionary Φ̃ = Φ(L,:): m = len(locs) rows, n
+// columns, sampled from the n×n operator op.
 type opDict struct {
-	op    basis.Operator
-	locs  []int
-	n     int
-	full  []float64 // length-n scatter buffer, kept all-zero between uses
-	out   []float64 // length-n transform output buffer
-	norms []float64 // lazily computed column norms (OMP only)
+	op   basis.Operator
+	locs []int
+	n    int
+	full []float64 // length-n scatter buffer, kept all-zero between uses
+	out  []float64 // length-n transform output buffer
 
 	// colJs/colBuf memoize gathered columns for subInto over the lifetime
 	// of one decode: IHT/CoSaMP and the GLS refit re-request every support
@@ -205,8 +69,8 @@ func newOpDict(op basis.Operator, locs []int) (*opDict, error) {
 	return d, nil
 }
 
-// reset points d at op sampled at locs, dropping the memoized columns and
-// norms. The full, out and factor-column buffers keep their storage when
+// reset points d at op sampled at locs, dropping the memoized columns.
+// The full, out and factor-column buffers keep their storage when
 // it is large enough; full is zeroed, as corrT, fillCol and synth expect.
 // On error d is unchanged.
 func (d *opDict) reset(op basis.Operator, locs []int) error {
@@ -231,18 +95,16 @@ func (d *opDict) reset(op basis.Operator, locs []int) error {
 	return nil
 }
 
-func (d *opDict) rows() int      { return len(d.locs) }
-func (d *opDict) cols() int      { return d.n }
-func (d *opDict) signalDim() int { return d.n }
+func (d *opDict) rows() int { return len(d.locs) }
 
 // corrT scatters the residual onto the grid (zeros elsewhere — the ZeroFill
 // embedding, under which Φ̃ᵀr = Φᵀ(scatter r)) and runs one analysis; an
 // operator with a scattered analysis takes the M values directly.
-// Duplicate locations accumulate, matching the dense row-sum.
-func (d *opDict) corrT(dst, r []float64) error {
+// Duplicate locations accumulate, as the rows of Φ̃ they repeat do.
+func (d *opDict) corrT(dst, r []float64) {
 	if d.scat != nil {
 		d.scat.ApplyTransposeScattered(dst, d.locs, r)
-		return nil
+		return
 	}
 	for i, l := range d.locs {
 		d.full[l] += r[i]
@@ -251,7 +113,6 @@ func (d *opDict) corrT(dst, r []float64) error {
 	for _, l := range d.locs {
 		d.full[l] = 0
 	}
-	return nil
 }
 
 // col synthesizes basis vector j and gathers it at the sensors straight
@@ -322,9 +183,9 @@ func (d *opDict) sepCol(sep *basis.Separable2D, dst []float64, j int) {
 	}
 }
 
-// colNorms costs one analysis per measurement (row locs[i] of Φ is
-// Φᵀe_{locs[i]}) — O(M·n log n), done once per decode and only by OMP.
-func (d *opDict) colNorms(dst []float64) error {
+// colNorms costs one row of Φ per measurement (row locs[i] of Φ is
+// Φᵀe_{locs[i]}), done once per decode and only by OMP.
+func (d *opDict) colNorms(dst []float64) {
 	for j := range dst {
 		dst[j] = 0
 	}
@@ -352,24 +213,20 @@ func (d *opDict) colNorms(dst []float64) error {
 	for j, s := range dst {
 		dst[j] = math.Sqrt(s)
 	}
-	return nil
 }
 
-func (d *opDict) predict(dst, alpha []float64) error {
+// predict computes dst = Φ̃ α (length m) from a full-length coefficient
+// vector.
+func (d *opDict) predict(dst, alpha []float64) {
 	d.op.Apply(d.out, alpha)
 	for i, l := range d.locs {
 		dst[i] = d.out[l]
 	}
-	return nil
 }
 
-func (d *opDict) analyzeFull(dst, e []float64) error {
-	d.op.ApplyTranspose(dst, e)
-	return nil
-}
-
-// subInto builds the small m×|idx| system column by column — |idx| fast
-// synthesizes, never a dense slice of Φ.
+// subInto builds the small m×|idx| system Φ̃_idx that every decoder's
+// least-squares step solves, column by column from the memoized gathered
+// columns — never a dense slice of Φ.
 func (d *opDict) subInto(dst *mat.Matrix, idx []int) error {
 	m := len(d.locs)
 	if dst.Rows != m || dst.Cols != len(idx) {
@@ -387,6 +244,7 @@ func (d *opDict) subInto(dst *mat.Matrix, idx []int) error {
 	return nil
 }
 
+// synth reconstructs the full signal Φ·α from support-packed coefficients.
 func (d *opDict) synth(support []int, coef []float64) []float64 {
 	xhat := make([]float64, d.n)
 	if len(support) == 0 {
@@ -402,28 +260,20 @@ func (d *opDict) synth(support []int, coef []float64) []float64 {
 	return xhat
 }
 
-// residualSq reads the sensor predictions straight off the synthesized
-// signal: (Φ̃_J coef)_i = xhat[locs[i]] by construction.
-func (d *opDict) residualSq(_ []int, _, y, xhat []float64) float64 {
+// packResult assembles the Result every decoder returns: full-length
+// alpha, synthesized xhat, and the sensor-residual norm, whose sensor
+// predictions (Φ̃_J coef)_i = xhat[locs[i]] are read straight off xhat.
+func packResult(d *opDict, support []int, coef, y []float64, iters int) (*Result, error) {
+	alpha := make([]float64, d.n)
+	for s, j := range support {
+		alpha[j] = coef[s]
+	}
+	xhat := d.synth(support, coef)
 	res := 0.0
 	for i, l := range d.locs {
 		diff := y[i] - xhat[l]
 		res += diff * diff
 	}
-	return res
-}
-
-// --- shared result packing -----------------------------------------------------
-
-// packResultDict assembles the Result every decoder returns: full-length
-// alpha, synthesized xhat, and the sensor-residual norm.
-func packResultDict(d dict, support []int, coef, y []float64, iters int) (*Result, error) {
-	alpha := make([]float64, d.cols())
-	for s, j := range support {
-		alpha[j] = coef[s]
-	}
-	xhat := d.synth(support, coef)
-	res := d.residualSq(support, coef, y, xhat)
 	return &Result{
 		Alpha: alpha, Support: support, Xhat: xhat,
 		Residual: math.Sqrt(res), Iterations: iters,
@@ -431,9 +281,9 @@ func packResultDict(d dict, support []int, coef, y []float64, iters int) (*Resul
 }
 
 // zeroResult is the empty-support decode outcome.
-func zeroResult(d dict, y []float64, iters int) *Result {
+func zeroResult(d *opDict, y []float64, iters int) *Result {
 	return &Result{
-		Alpha: make([]float64, d.cols()), Support: nil,
-		Xhat: make([]float64, d.signalDim()), Residual: mat.Norm2(y), Iterations: iters,
+		Alpha: make([]float64, d.n), Support: nil,
+		Xhat: make([]float64, d.n), Residual: mat.Norm2(y), Iterations: iters,
 	}
 }

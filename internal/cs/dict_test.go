@@ -9,12 +9,13 @@ import (
 )
 
 // TestDecodersDenseMatchOperator pins the dict.go numerical contract at the
-// decoder level (DESIGN.md §9): the same problem decoded through the dense
-// reference dictionary (basis.FromMatrix) and through the matrix-free one
-// (the FFT-backed DCT operator) must admit the same atoms in the same order
-// and reconstruct the same signal to 1e-9. The signal is exactly sparse and
-// the sensors are mildly, heterogeneously noisy, so the GLS paths have a
-// covariance to weight by and no admission is a near-tie.
+// decoder level (DESIGN.md §9): the same problem decoded with the DCT as a
+// dense matrix (basis.FromMatrix) and as the FFT-backed operator must admit
+// the same atoms in the same order and reconstruct the same signal to
+// 1e-9, and Diagnose must give the same breakdown to 1e-9. The signal is
+// exactly sparse and the sensors are mildly, heterogeneously noisy, so the
+// GLS paths have a covariance to weight by and no admission is a near-tie;
+// basis pursuit gets the noiseless readings its equality constraints need.
 func TestDecodersDenseMatchOperator(t *testing.T) {
 	const bound = 1e-9
 	for _, p := range []struct{ n, m, k int }{{64, 32, 4}, {256, 80, 8}} {
@@ -46,8 +47,10 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			mu[i] = 20 + 0.1*float64(i%7)
 		}
 		yMu := make([]float64, p.m)
+		yClean := make([]float64, p.m)
 		for i, l := range locs {
 			yMu[i] = y[i] + mu[l]
+			yClean[i] = x[l]
 		}
 
 		decoders := []struct {
@@ -76,6 +79,22 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 				return CoSaMPOp(op, locs, y, CoSaMPOptions{K: p.k})
 			}},
 		}
+		// The LP decoders' dense simplex runs out of iterations on the
+		// 80×512 basis-pursuit program of the larger problem.
+		if p.n <= 64 {
+			decoders = append(decoders, []struct {
+				name   string
+				decode func(op basis.Operator) (*Result, error)
+			}{
+				{"BasisPursuit", func(op basis.Operator) (*Result, error) {
+					return BasisPursuit(op, locs, yClean, 1e-6)
+				}},
+				{"BPDN", func(op basis.Operator) (*Result, error) {
+					// A box of twice the noisier sensors' σ, as in A4.
+					return BPDN(op, locs, y, 0.1, 1e-6)
+				}},
+			}...)
+		}
 		for _, d := range decoders {
 			want, err := d.decode(dense)
 			if err != nil {
@@ -99,6 +118,34 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			}
 			if gap > bound {
 				t.Errorf("n=%d %s: max |ΔXhat| = %.3g between dictionaries, want ≤ %g", p.n, d.name, gap, bound)
+			}
+		}
+
+		// Diagnose each dictionary's OMP decode in its own basis, at half
+		// the true sparsity so that ε_a is not zero.
+		breakdown := func(op basis.Operator) *ErrorBreakdown {
+			res, err := OMPOp(op, locs, y, p.k/2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bd, err := Diagnose(op, x, locs, res, sigmas)
+			if err != nil {
+				t.Fatalf("n=%d Diagnose: %v", p.n, err)
+			}
+			return bd
+		}
+		bdDense, bdFast := breakdown(dense), breakdown(fast)
+		for _, f := range []struct {
+			name       string
+			got, dense float64
+		}{
+			{"ApproxNMSE", bdFast.ApproxNMSE, bdDense.ApproxNMSE},
+			{"Condition", bdFast.Condition, bdDense.Condition},
+			{"NoiseNMSE", bdFast.NoiseNMSE, bdDense.NoiseNMSE},
+			{"TotalNMSE", bdFast.TotalNMSE, bdDense.TotalNMSE},
+		} {
+			if gap := math.Abs(f.got - f.dense); gap > bound {
+				t.Errorf("n=%d Diagnose: operator %s = %v, dense %v (|Δ| = %.3g, want ≤ %g)", p.n, f.name, f.got, f.dense, gap, bound)
 			}
 		}
 

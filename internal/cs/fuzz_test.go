@@ -37,19 +37,7 @@ func newFuzzProblem(data []byte) (fuzzProblem, bool) {
 	m := 1 + int(data[2]%8)  // measurement count
 	k := int(data[3]%10) - 1 // -1..8: k <= 0 must error, not panic
 	data = data[4:]
-	next := func() float64 {
-		if len(data) >= 8 {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
-			data = data[8:]
-			return v
-		}
-		if len(data) > 0 {
-			v := float64(int8(data[0]))
-			data = data[1:]
-			return v
-		}
-		return 0
-	}
+	next := func() float64 { return fuzzFloat(&data) }
 	phi := mat.New(n, n)
 	for i := range phi.Data {
 		phi.Data[i] = next()
@@ -68,6 +56,21 @@ func newFuzzProblem(data []byte) (fuzzProblem, bool) {
 		y[i] = next()
 	}
 	return fuzzProblem{phi: phi, locs: locs, y: y, k: k}, true
+}
+
+// fuzzFloat consumes one float64 from data: eight bytes as a bit pattern,
+// else one byte as a small integer, else 0.
+func fuzzFloat(data *[]byte) float64 {
+	d := *data
+	switch {
+	case len(d) >= 8:
+		*data = d[8:]
+		return math.Float64frombits(binary.LittleEndian.Uint64(d))
+	case len(d) > 0:
+		*data = d[1:]
+		return float64(int8(d[0]))
+	}
+	return 0
 }
 
 // checkResult asserts the structural invariants every successful decode
@@ -150,5 +153,55 @@ func FuzzDecodeIHT(f *testing.F) {
 			return
 		}
 		checkResult(t, p, res)
+	})
+}
+
+// FuzzDecodeCHS drives the decoder the broker, fleet and stream run. Beside
+// the problem it fuzzes a GLS noise slice (one short, exact or one long
+// against the measurements, values from raw bit patterns) and a short
+// warm-start seed (out-of-range, duplicate and overlong entries included).
+// newFuzzProblem's duplicate locations reach the two-step ZeroFill branch.
+func FuzzDecodeCHS(f *testing.F) {
+	f.Add([]byte("\x06\x05\x04\x03ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnop0123456789"), []byte("\x01\x10\x20\x30\x40\x50"), []byte("\x03\x05"))
+	f.Add([]byte("\x04\x04\x03\x02"+
+		"\x00\x00\x00\x00\x00\x00\xf0\x7f"+ // +Inf
+		"\xff\xff\xff\xff\xff\xff\xff\xff"), // NaN
+		[]byte("\x01\xff\xff\xff\xff\xff\xff\xff\xff"), []byte("\x02\x02"))
+	f.Add([]byte("\x07\x00\x07\x05"+"\x00\x00\x00\x00\x00\x00\xf0\x3f"+"\x03\x03\x03\x04\x04\x05\x06"), []byte{}, []byte("\x04"))
+	f.Add([]byte("\x01\x01\x01\x00"), []byte("\x00"), []byte{}) // k == -1: default support cap
+	f.Fuzz(func(t *testing.T, data, sigmaBytes, seedBytes []byte) {
+		p, ok := newFuzzProblem(data)
+		if !ok {
+			return
+		}
+		op, err := basis.FromMatrix(p.phi)
+		if err != nil {
+			return
+		}
+		var sigmas []float64
+		if len(sigmaBytes) > 0 {
+			sigmas = make([]float64, len(p.locs)+int(sigmaBytes[0]%3)-1)
+			sigmaBytes = sigmaBytes[1:]
+			for i := range sigmas {
+				sigmas[i] = fuzzFloat(&sigmaBytes)
+			}
+		}
+		seed := make([]int, min(len(seedBytes), 4))
+		for i := range seed {
+			seed[i] = int(seedBytes[i]%16) - 2
+		}
+		opts := CHSOptions{MaxIter: 8, Tol: 1e-9, MaxSupport: p.k, Sigmas: sigmas, SeedSupport: seed}
+		res, err := CHSOp(op, p.locs, p.y, opts)
+		if err != nil {
+			return
+		}
+		checkResult(t, p, res)
+		limit := len(p.locs)
+		if p.k > 0 {
+			limit = min(limit, p.k)
+		}
+		if len(res.Support) > limit {
+			t.Fatalf("CHS support size %d exceeds MaxSupport %d (%d measurements)", len(res.Support), p.k, len(p.locs))
+		}
 	})
 }

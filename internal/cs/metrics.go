@@ -95,33 +95,32 @@ type ErrorBreakdown struct {
 }
 
 // Diagnose computes the error breakdown for a completed recovery against
-// ground truth x. noiseSigmas are the per-measurement noise standard
-// deviations used (nil → 0).
-func Diagnose(phi *mat.Matrix, x []float64, locs []int, res *Result, noiseSigmas []float64) (*ErrorBreakdown, error) {
+// ground truth x in the basis op. noiseSigmas are the per-measurement
+// noise standard deviations used (nil → 0).
+func Diagnose(op basis.Operator, x []float64, locs []int, res *Result, noiseSigmas []float64) (*ErrorBreakdown, error) {
 	if res == nil {
 		return nil, errors.New("cs: nil result")
 	}
+	d, err := newOpDict(op, locs)
+	if err != nil {
+		return nil, err
+	}
 	k := len(res.Support)
 	bd := &ErrorBreakdown{TotalNMSE: NMSE(x, res.Xhat)}
-	// ε_a: best K-term approximation in the basis.
-	alpha, err := basis.Analyze(phi, x)
+	// ε_a: best K-term approximation in the basis — analysis, top K,
+	// synthesis.
+	alpha, err := basis.OpAnalyze(op, x)
 	if err != nil {
 		return nil, err
 	}
 	sparse, _ := basis.SparsifyTopK(alpha, k)
-	xk, err := basis.Synthesize(phi, sparse)
-	if err != nil {
-		return nil, err
-	}
+	xk := make([]float64, d.n)
+	op.Apply(xk, sparse)
 	bd.ApproxNMSE = NMSE(x, xk)
 	// ε_c: conditioning of the sensing submatrix on the recovered support.
 	if k > 0 {
-		a, err := sensingMatrix(phi, locs)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := mat.SelectCols(a, res.Support)
-		if err != nil {
+		sub := mat.New(d.rows(), k)
+		if err := d.subInto(sub, res.Support); err != nil {
 			return nil, err
 		}
 		cond, err := mat.ConditionEstimate(sub)

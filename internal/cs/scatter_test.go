@@ -115,12 +115,8 @@ func TestCHSScatteredCorrelationMatchesFullGrid(t *testing.T) {
 			label := fmt.Sprintf("%s seed %d", c.name, seed)
 			n := op.Dim()
 			cg, cw := make([]float64, n), make([]float64, n)
-			if err := fast.corrT(cg, y); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.corrT(cw, y); err != nil {
-				t.Fatal(err)
-			}
+			fast.corrT(cg, y)
+			ref.corrT(cw, y)
 			scale, diff, bitsDiffer := 0.0, 0.0, false
 			for i, v := range cw {
 				scale = math.Max(scale, math.Abs(v))

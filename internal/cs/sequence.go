@@ -40,7 +40,7 @@ type StepReport struct {
 // RecoverSequence samples and recovers each field in the sequence
 // independently (each a column-stacked vector of length phi.Dim()). The
 // spatial basis is a matrix-free operator; wrap a dense matrix with
-// basis.FromMatrix to run the reference path.
+// basis.FromMatrix.
 func RecoverSequence(phi basis.Operator, seq [][]float64, opts SequenceOptions) ([]StepReport, [][]float64, error) {
 	n, err := checkSequence(phi, seq)
 	if err != nil {

@@ -35,7 +35,7 @@ func validSeed(seed []int, n, maxSupport int, mark []bool) bool {
 // ok=false when a seed column is linearly dependent on its predecessors
 // (the caller restarts cold). Hard errors (dictionary access on a
 // validated index) propagate.
-func seedFactors(d dict, qr *mat.IncrementalQR, resid, col []float64, support []int, inSupport []bool, seed []int) ([]int, bool, error) {
+func seedFactors(d *opDict, qr *mat.IncrementalQR, resid, col []float64, support []int, inSupport []bool, seed []int) ([]int, bool, error) {
 	for _, j := range seed {
 		if err := d.col(col, j); err != nil {
 			return support, false, err
@@ -55,7 +55,7 @@ func seedFactors(d dict, qr *mat.IncrementalQR, resid, col []float64, support []
 // coldRestart discards a failed seed in place: qr is emptied with room
 // for cols columns, resid is reset to y, and the inSupport marks set
 // during seeding are cleared. It returns the emptied support.
-func coldRestart(d dict, qr *mat.IncrementalQR, resid, y []float64, cols int, support []int, inSupport []bool) ([]int, error) {
+func coldRestart(d *opDict, qr *mat.IncrementalQR, resid, y []float64, cols int, support []int, inSupport []bool) ([]int, error) {
 	for _, j := range support {
 		inSupport[j] = false
 	}

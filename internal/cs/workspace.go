@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/basis"
 	"repro/internal/mat"
 )
 
@@ -28,14 +27,15 @@ type workspace struct {
 	inSupport []bool    // length n, all false when handed out
 }
 
-// workspaces holds the current pool. ResetSensingCache swaps in an empty
-// one, so a decode after it starts from cold scratch as it does from a
-// cold sensing cache.
+// workspaces holds the current pool.
 var workspaces atomic.Pointer[sync.Pool]
 
-func init() { resetWorkspaces() }
+func init() { ResetSensingCache() }
 
-func resetWorkspaces() {
+// ResetSensingCache drops the pooled decode workspaces: it swaps in an
+// empty pool, so the next decode starts from cold scratch. (The name dates
+// from a memo of dense sensing matrices it used to drop as well.)
+func ResetSensingCache() {
 	workspaces.Store(&sync.Pool{New: func() any { return new(workspace) }})
 }
 
@@ -52,18 +52,6 @@ func getWorkspace() *workspace {
 func putWorkspace(ws *workspace) {
 	ws.od.op, ws.od.scat, ws.od.locs = nil, nil, nil
 	ws.pool.Put(ws)
-}
-
-// dict is dictFor with the matrix-free dictionary held in ws, reusing its
-// buffers.
-func (ws *workspace) dict(op basis.Operator, locs []int) (dict, error) {
-	if mo, ok := op.(*basis.MatrixOp); ok {
-		return denseDictFor(mo.Matrix(), locs)
-	}
-	if err := ws.od.reset(op, locs); err != nil {
-		return nil, err
-	}
-	return &ws.od, nil
 }
 
 // marks returns the support marks for n coefficients, all false.

@@ -14,11 +14,10 @@ import (
 // a pooled workspace.
 func decodeIn(t *testing.T, ws *workspace, op basis.Operator, locs []int, y []float64, opts CHSOptions) *Result {
 	t.Helper()
-	d, err := ws.dict(op, locs)
-	if err != nil {
+	if err := ws.od.reset(op, locs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := chsDict(d, ws, locs, y, opts)
+	res, err := chsDict(&ws.od, ws, locs, y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

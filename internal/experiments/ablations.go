@@ -61,8 +61,8 @@ func A1(cfg A1Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The learned PCA basis has no fast transform; FromMatrix keeps it on
-	// the dense reference path behind the same Operator interface.
+	// The learned PCA basis has no fast transform; FromMatrix serves its
+	// rows and entries to the decoders straight from the matrix.
 	learnedOp, err := basis.FromMatrix(learned)
 	if err != nil {
 		return nil, err
@@ -196,7 +196,7 @@ func A2(cfg A2Config) (*Table, error) {
 				return err
 			}
 			nmses[trial] = cs.NMSE(x, res.Xhat)
-			bd, err := cs.Diagnose(phi, x, locs, res, []float64{cfg.Noise})
+			bd, err := cs.Diagnose(op, x, locs, res, []float64{cfg.Noise})
 			if err != nil {
 				return err
 			}

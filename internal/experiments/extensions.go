@@ -48,8 +48,7 @@ func A4(cfg A4Config) (*Table, error) {
 		name string
 		run  func(locs []int, y []float64) (*cs.Result, error)
 	}
-	// The greedy decoders run matrix-free; BPDN builds an explicit LP from
-	// the sensing matrix, so it stays on the dense path.
+	// BPDN gathers its LP's sensing matrix from the same operator.
 	decoders := []decoder{
 		{"omp", func(locs []int, y []float64) (*cs.Result, error) {
 			return cs.OMPOp(op, locs, y, cfg.K, 1e-9)
@@ -61,7 +60,7 @@ func A4(cfg A4Config) (*Table, error) {
 			return cs.IHTOp(op, locs, y, cs.IHTOptions{K: cfg.K})
 		}},
 		{"bpdn", func(locs []int, y []float64) (*cs.Result, error) {
-			return cs.BPDN(phi, locs, y, 2*cfg.Noise, 1e-6)
+			return cs.BPDN(op, locs, y, 2*cfg.Noise, 1e-6)
 		}},
 	}
 	nmse := make([][]float64, cfg.Trials)

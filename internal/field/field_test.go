@@ -56,7 +56,11 @@ func TestGenSparseInBasisIsExactlySparse(t *testing.T) {
 		t.Fatalf("support size %d", len(support))
 	}
 	phi, _ := basis.Kron2D(basis.DCT(f.H), basis.DCT(f.W))
-	alpha, _ := basis.Analyze(phi, f.Vector())
+	op, err := basis.FromMatrix(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha, _ := basis.OpAnalyze(op, f.Vector())
 	if nz := mat.Norm0(alpha, 1e-9); nz != 5 {
 		t.Fatalf("field has %d nonzero coefficients, want 5", nz)
 	}

@@ -160,6 +160,8 @@ var exportedCallersAllowed = map[string]string{
 	"repro/internal/basis.Kron2D":                      "reference the separable transform tests compare against",
 	"repro/internal/basis.CheckOrthonormal":            "reference the basis tests compare against",
 	"repro/internal/fft.Naive":                         "reference the FFT tests compare against",
+	"repro/internal/mat.SelectCols":                    "reference the SelectColsInto test compares against",
+	"repro/internal/mat.MulTVec":                       "reference the MulTVecInto and dense-basis tests compare against",
 	"repro/internal/mat.NewFromRows":                   "helper shared by other packages' tests",
 	"repro/internal/mat.Norm0":                         "helper shared by other packages' tests",
 	"repro/internal/mat.SubVec":                        "helper shared by other packages' tests",

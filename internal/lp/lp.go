@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/mat"
 )
 
 // Solver failure modes.
@@ -126,11 +128,40 @@ func Solve(p Problem) (*Result, error) {
 			x[bi] = tab[i*width+n+m]
 		}
 	}
+	resolveBasic(p, basis, x)
 	obj := 0.0
 	for j := 0; j < n; j++ {
 		obj += p.C[j] * x[j]
 	}
 	return &Result{X: x, Objective: obj, Iterations: iters}, nil
+}
+
+// resolveBasic recomputes the basic variables of x from the original data,
+// A_B x_B = b. The tableau's right-hand side drifts over many pivots — by
+// ~1e-8 on a 64-row BPDN program — while one solve on the final basis is
+// accurate to its conditioning. When A_B is singular the tableau values
+// stand; a tiny negative from the solve is clamped to keep x ≥ 0.
+func resolveBasic(p Problem, basis []int, x []float64) {
+	m, n := p.Rows, p.Cols
+	ab := mat.New(m, m)
+	for c, bj := range basis {
+		for i := 0; i < m; i++ {
+			if bj < n {
+				ab.Data[i*m+c] = p.A[i*n+bj]
+			} else if bj-n == i {
+				ab.Data[i*m+c] = 1
+			}
+		}
+	}
+	xb, err := mat.LeastSquares(ab, p.B)
+	if err != nil {
+		return
+	}
+	for c, bj := range basis {
+		if bj < n {
+			x[bj] = max(xb[c], 0)
+		}
+	}
 }
 
 // objective returns c·x for the current basic solution.

@@ -125,19 +125,6 @@ func MulTVec(a *Matrix, x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// SelectRows returns the submatrix of a formed from the given row indices,
-// in order. Indices may repeat.
-func SelectRows(a *Matrix, idx []int) (*Matrix, error) {
-	out := New(len(idx), a.Cols)
-	for k, i := range idx {
-		if i < 0 || i >= a.Rows {
-			return nil, fmt.Errorf("mat: row index %d out of range [0,%d)", i, a.Rows)
-		}
-		copy(out.Data[k*a.Cols:(k+1)*a.Cols], a.Data[i*a.Cols:(i+1)*a.Cols])
-	}
-	return out, nil
-}
-
 // SelectCols returns the submatrix of a formed from the given column
 // indices, in order.
 func SelectCols(a *Matrix, idx []int) (*Matrix, error) {

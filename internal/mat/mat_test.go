@@ -251,24 +251,14 @@ func TestWeightedLeastSquaresRejectsZeroSigma(t *testing.T) {
 	}
 }
 
-func TestSelectRowsCols(t *testing.T) {
+func TestSelectCols(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	r, err := SelectRows(a, []int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecsAlmostEqual(r.Data, []float64{7, 8, 9, 1, 2, 3}, 0) {
-		t.Fatalf("SelectRows got %v", r.Data)
-	}
 	c, err := SelectCols(a, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vecsAlmostEqual(c.Data, []float64{2, 5, 8}, 0) {
 		t.Fatalf("SelectCols got %v", c.Data)
-	}
-	if _, err := SelectRows(a, []int{3}); err == nil {
-		t.Fatal("want out-of-range error")
 	}
 	if _, err := SelectCols(a, []int{-1}); err == nil {
 		t.Fatal("want out-of-range error")

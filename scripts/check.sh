@@ -52,6 +52,7 @@ echo "== fuzz smoke =="
 # per invocation (the go tool fuzzes exactly one target at a time).
 go test -run '^$' -fuzz '^FuzzDecodeOMP$' -fuzztime 3s ./internal/cs
 go test -run '^$' -fuzz '^FuzzDecodeIHT$' -fuzztime 3s ./internal/cs
+go test -run '^$' -fuzz '^FuzzDecodeCHS$' -fuzztime 3s ./internal/cs
 go test -run '^$' -fuzz '^FuzzNoiseTol$' -fuzztime 3s ./internal/cs
 go test -run '^$' -fuzz '^FuzzOperatorRoundTrip$' -fuzztime 3s ./internal/basis
 go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 3s ./internal/bus
