@@ -5,8 +5,9 @@
 //
 // Decoders provided:
 //   - OMPOp: orthogonal matching pursuit for Eq. (13), the workhorse.
-//   - BasisPursuit, BPDN: L1 minimization (Eq. 9) via the LP reformulation
-//     (Eq. 10), solved with the internal simplex solver.
+//   - BPDN (decoders.go): ℓ1 minimization (Eq. 9) within a noise allowance
+//     eps, exact basis pursuit at eps = 0, solved matrix-free by
+//     Douglas–Rachford splitting instead of the LP of Eq. 10.
 //   - CHSOp (chs.go): the iterative Compressive Heterogeneous Sensing
 //     algorithm of Fig. 6, whose step (e) is the least-squares estimate of
 //     Eq. (11), or of Eq. (12) for heterogeneous sensors.
@@ -23,7 +24,6 @@ import (
 	"math/rand"
 
 	"repro/internal/basis"
-	"repro/internal/lp"
 	"repro/internal/mat"
 )
 
@@ -203,79 +203,6 @@ func centerMeasurements(locs []int, y, mu []float64, dim int) ([]float64, error)
 		yc[i] = y[i] - mu[l]
 	}
 	return yc, nil
-}
-
-// BasisPursuit recovers the minimum-L1 coefficient vector subject to the
-// measurement constraint (paper Eq. 9), via the slack-variable LP of
-// Eq. 10 expressed in standard form with the split α = u − v, u,v ≥ 0:
-//
-//	min Σu + Σv   s.t.  Φ̃(u − v) = x_S.
-//
-// Exact equality constraints make this appropriate for (near-)noiseless
-// measurements; use OMP or CHS when noise is significant. zeroTol trims
-// solver jitter from the returned support.
-func BasisPursuit(op basis.Operator, locs []int, y []float64, zeroTol float64) (*Result, error) {
-	d, err := lpDict(op, locs, y)
-	if err != nil {
-		return nil, err
-	}
-	m, n := d.rows(), d.n
-	prob := lp.Problem{
-		Rows: m, Cols: 2 * n,
-		A: make([]float64, m*2*n),
-		B: mat.CloneVec(y),
-		C: make([]float64, 2*n),
-	}
-	for j := 0; j < 2*n; j++ {
-		prob.C[j] = 1
-	}
-	d.splitInto(prob.A, 2*n)
-	sol, err := lp.Solve(prob)
-	if err != nil {
-		return nil, fmt.Errorf("cs: basis pursuit LP failed: %w", err)
-	}
-	return lpResult(d, sol, y, zeroTol)
-}
-
-// lpDict is the dictionary of an LP decode, checked against y.
-func lpDict(op basis.Operator, locs []int, y []float64) (*opDict, error) {
-	d, err := newOpDict(op, locs)
-	if err != nil {
-		return nil, err
-	}
-	if len(y) != d.rows() {
-		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), d.rows())
-	}
-	return d, nil
-}
-
-// splitInto writes Φ̃ and −Φ̃ into the first 2n columns of the row-major
-// LP matrix a of row stride `stride` — the α = u − v split of Eq. 10 —
-// gathering Φ̃ once, column by column.
-func (d *opDict) splitInto(a []float64, stride int) {
-	col := make([]float64, d.rows())
-	for j := 0; j < d.n; j++ {
-		d.fillCol(col, j)
-		for i, v := range col {
-			a[i*stride+j] = v
-			a[i*stride+d.n+j] = -v
-		}
-	}
-}
-
-// lpResult packs an LP solution whose first 2n variables are the split
-// α = u − v, dropping coefficients no larger than zeroTol.
-func lpResult(d *opDict, sol *lp.Result, y []float64, zeroTol float64) (*Result, error) {
-	support := make([]int, 0)
-	coef := make([]float64, 0)
-	for j := 0; j < d.n; j++ {
-		v := sol.X[j] - sol.X[d.n+j]
-		if math.Abs(v) > zeroTol {
-			support = append(support, j)
-			coef = append(coef, v)
-		}
-	}
-	return packResult(d, support, coef, y, sol.Iterations)
 }
 
 // RandomLocations draws m distinct sensor locations uniformly from

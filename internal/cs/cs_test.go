@@ -126,7 +126,7 @@ func TestBasisPursuitExactRecovery(t *testing.T) {
 	x, alpha, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 32, 14)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := BasisPursuit(denseOp(t, phi), locs, y, 1e-7)
+	res, err := BPDN(denseOp(t, phi), locs, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBasisPursuitMatchesOMPOnEasyProblem(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
 	y, _ := Measure(x, locs, rng, nil)
-	bp, err := BasisPursuit(op, locs, y, 1e-7)
+	bp, err := BPDN(op, locs, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,22 +595,6 @@ func BenchmarkOMP256M30(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := OMPOp(op, locs, y, 8, 1e-12); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBasisPursuit32(b *testing.B) {
-	rng := rand.New(rand.NewSource(16))
-	phi := basis.DCT(32)
-	x, _, _ := sparseSignal(rng, phi, 3)
-	locs, _ := RandomLocations(rng, 32, 14)
-	y, _ := Measure(x, locs, rng, nil)
-	op := denseOp(b, phi)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BasisPursuit(op, locs, y, 1e-7); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -100,21 +100,22 @@ func TestBPDNToleratesNoise(t *testing.T) {
 	phi := basis.DCT(32)
 	x, _, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 32, 16)
-	sigma := 0.05
-	y, _ := Measure(x, locs, rng, []float64{sigma})
-	eps := 2 * sigma
-	res, err := BPDN(denseOp(t, phi), locs, y, eps, 1e-6)
+	sigmas := make([]float64, len(locs))
+	for i := range sigmas {
+		sigmas[i] = 0.05
+	}
+	y, _ := Measure(x, locs, rng, sigmas)
+	eps := NoiseTol(sigmas)
+	res, err := BPDN(denseOp(t, phi), locs, y, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm := NMSE(x, res.Xhat); nm > 0.1 {
 		t.Fatalf("BPDN NMSE %v", nm)
 	}
-	// Fidelity box respected at the sensors.
-	for i, l := range locs {
-		if math.Abs(res.Xhat[l]-y[i]) > eps+1e-6 {
-			t.Fatalf("fidelity violated at %d: %v", i, math.Abs(res.Xhat[l]-y[i]))
-		}
+	// The fidelity constraint holds at the sensors, up to the stop rule.
+	if res.Residual > eps*(1+1e-6) {
+		t.Fatalf("fidelity violated: ‖y − Φ̃α‖ = %v, eps %v", res.Residual, eps)
 	}
 }
 
@@ -125,15 +126,20 @@ func TestBPDNZeroEpsFallsBackToBP(t *testing.T) {
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
 	y, _ := Measure(x, locs, rng, nil)
-	res, err := BPDN(op, locs, y, 0, 1e-7)
+	res, err := BPDN(op, locs, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nm := NMSE(x, res.Xhat); nm > 1e-8 {
 		t.Fatalf("BPDN(eps=0) NMSE %v", nm)
 	}
-	if _, err := BPDN(op, locs, y, -1, 1e-7); err == nil {
+	if _, err := BPDN(op, locs, y, -1); err == nil {
 		t.Fatal("want eps error")
+	}
+	// A repeated location with consistent readings is feasible, but breaks
+	// the orthonormal rows the projection relies on.
+	if _, err := BPDN(op, []int{locs[0], locs[0]}, []float64{y[0], y[0]}, 0); err == nil {
+		t.Fatal("want duplicate-location error")
 	}
 }
 
@@ -310,6 +316,52 @@ func BenchmarkCoSaMP256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 8}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBPDNScaleRelation: scaling the readings and eps by 2^±10 scales the
+// solve exactly. α, x̂ and the residual scale bit for bit, with the same
+// support and iteration count, both for exact basis pursuit and at the
+// noise floor. It fails if the solve depends on the readings' absolute
+// scale anywhere, say through an inexact rescale or an absolute floor.
+// At 2^510 the squared norms of iterates left at the readings' scale
+// overflow, and such a solve stops after two iterations far from the
+// constraint.
+func TestBPDNScaleRelation(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	phi := basis.DCT(64)
+	op, err := basis.CachedOperator(basis.KindDCT, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _, _ := sparseSignal(rng, phi, 5)
+	locs, _ := RandomLocations(rng, 64, 28)
+	y, _ := Measure(x, locs, rng, []float64{0.02})
+	for _, eps := range []float64{0, 0.02 * math.Sqrt(28)} {
+		base, err := BPDN(op, locs, y, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []int{-10, 10, 510} {
+			scale := func(v []float64) []float64 {
+				out := make([]float64, len(v))
+				for i, vi := range v {
+					out[i] = math.Ldexp(vi, e)
+				}
+				return out
+			}
+			got, err := BPDN(op, locs, scale(y), math.Ldexp(eps, e))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &Result{
+				Alpha: scale(base.Alpha), Support: base.Support, Xhat: scale(base.Xhat),
+				Residual: math.Ldexp(base.Residual, e), Iterations: base.Iterations,
+			}
+			if msg := sameResult(got, want); msg != "" {
+				t.Errorf("eps %v, scale 2^%d: %s", eps, e, msg)
+			}
 		}
 	}
 }

@@ -8,10 +8,10 @@ package cs
 // values to its scattered analysis, which on DCT factors with few sensors
 // skips the full grid and the first-stage FFTs; a column Φ̃e_j is read
 // entry by entry (basis.EntryAccessor), built from two factor columns
-// (basis.Separable2D), or synthesized and gathered at the sensors. Only
-// the LP decoders gather the whole M×N sensing matrix, and none forms the
-// N×N basis, which is what unlocks 1024² grids (dense Φ there would be
-// (2²⁰)² floats ≈ 8 TB). A dense basis enters through basis.FromMatrix,
+// (basis.Separable2D), or synthesized and gathered at the sensors. No
+// decoder gathers the whole M×N sensing matrix or forms the N×N basis,
+// which is what unlocks 1024² grids (dense Φ there would be (2²⁰)² floats
+// ≈ 8 TB). A dense basis enters through basis.FromMatrix,
 // whose stored rows and entries make its column norms O(n) per sensor and
 // each column O(m).
 //

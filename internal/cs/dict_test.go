@@ -78,22 +78,12 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			{"CoSaMPOp", func(op basis.Operator) (*Result, error) {
 				return CoSaMPOp(op, locs, y, CoSaMPOptions{K: p.k})
 			}},
-		}
-		// The LP decoders' dense simplex runs out of iterations on the
-		// 80×512 basis-pursuit program of the larger problem.
-		if p.n <= 64 {
-			decoders = append(decoders, []struct {
-				name   string
-				decode func(op basis.Operator) (*Result, error)
-			}{
-				{"BasisPursuit", func(op basis.Operator) (*Result, error) {
-					return BasisPursuit(op, locs, yClean, 1e-6)
-				}},
-				{"BPDN", func(op basis.Operator) (*Result, error) {
-					// A box of twice the noisier sensors' σ, as in A4.
-					return BPDN(op, locs, y, 0.1, 1e-6)
-				}},
-			}...)
+			{"BPDN/eps=0", func(op basis.Operator) (*Result, error) {
+				return BPDN(op, locs, yClean, 0)
+			}},
+			{"BPDN", func(op basis.Operator) (*Result, error) {
+				return BPDN(op, locs, y, NoiseTol(sigmas))
+			}},
 		}
 		for _, d := range decoders {
 			want, err := d.decode(dense)

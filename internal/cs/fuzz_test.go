@@ -3,6 +3,7 @@ package cs
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/basis"
@@ -202,6 +203,52 @@ func FuzzDecodeCHS(f *testing.F) {
 		}
 		if len(res.Support) > limit {
 			t.Fatalf("CHS support size %d exceeds MaxSupport %d (%d measurements)", len(res.Support), p.k, len(p.locs))
+		}
+	})
+}
+
+// FuzzDecodeBPDN drives the ℓ1 decoder with hostile readings (NaN, ±Inf,
+// overflowing, all zero), duplicate and out-of-range locations, and any
+// eps, negative and NaN included. The basis is the orthonormal DCT the
+// solver's closed-form projection assumes: newFuzzProblem's basis entries
+// are replaced. A decode either errors or returns a finite α that meets
+// the constraint up to the stop rule, ‖y − Φ̃α‖ ≤ eps + 1e-6·‖y‖. At
+// n ≤ 8 a solve that runs to the iteration cap stays cheap.
+func FuzzDecodeBPDN(f *testing.F) {
+	// n = 4 (a 16-entry basis), m = 3, locations from the three bytes after it.
+	head := "\x03\x00\x02\x00" + strings.Repeat("\x00", 16*8)
+	f.Add([]byte(head+"\x02\x03\x05"+"\x05\xfd\x01"), 0.0)
+	f.Add([]byte(head+"\x02\x03\x05"+"\x05\xfd\x01"), 0.5)
+	f.Add([]byte(head+"\x02\x03\x05"+"\x05\xfd\x01"), -1.0)                        // eps < 0
+	f.Add([]byte(head+"\x02\x03\x05"+"\xff\xff\xff\xff\xff\xff\xff\xff\x01"), 0.1) // NaN reading
+	f.Add([]byte(head+"\x02\x03\x05"+"\x00\x00\x00\x00\x00\x00\xf0\x7f\x01"), 0.1) // +Inf reading
+	f.Add([]byte(head+"\x02\x03\x05"+"\xa0\xc8\xeb\x85\xf3\xcc\xe1\x7f\x01"), 0.0) // 1e308
+	f.Add([]byte(head+"\x02\x03\x05"+strings.Repeat("v;w0\xd1B\xee\x7f", 3)), 0.0) // 1.7e308 ×3: α overflows
+	f.Add([]byte(head+"\x02\x02\x05"+"\x05\xfd\x01"), 0.0)                         // duplicate location
+	f.Add([]byte(head+"\x02\x03\x0f"+"\x05\xfd\x01"), 0.0)                         // location 13 of 4
+	f.Add([]byte(head+"\x02\x03\x05"+"\x00\x00\x00"), 0.0)                         // y = 0
+	f.Fuzz(func(t *testing.T, data []byte, eps float64) {
+		p, ok := newFuzzProblem(data)
+		if !ok {
+			return
+		}
+		p.phi = basis.DCT(p.phi.Rows)
+		op, err := basis.FromMatrix(p.phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := BPDN(op, p.locs, p.y, eps)
+		if err != nil {
+			return
+		}
+		checkResult(t, p, res)
+		for j, a := range res.Alpha {
+			if math.IsNaN(a) || math.IsInf(a, 0) {
+				t.Fatalf("Alpha[%d] = %v", j, a)
+			}
+		}
+		if limit := eps + 1e-6*mat.Norm2(p.y); !(res.Residual <= limit) {
+			t.Fatalf("‖y − Φ̃α‖ = %v above eps %v + 1e-6·‖y‖", res.Residual, eps)
 		}
 	})
 }

@@ -162,3 +162,19 @@ func BenchmarkCHSZone(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBPDNZone solves the ℓ1 program on one zone of each bench
+// workload shape, at the same noise floor BenchmarkCHSZone stops at.
+func BenchmarkBPDNZone(b *testing.B) {
+	for _, c := range zoneCases {
+		op, locs, y, sigmas := zoneProblem(b, c, 1)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BPDN(op, locs, y, NoiseTol(sigmas)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

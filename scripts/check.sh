@@ -53,6 +53,7 @@ echo "== fuzz smoke =="
 go test -run '^$' -fuzz '^FuzzDecodeOMP$' -fuzztime 3s ./internal/cs
 go test -run '^$' -fuzz '^FuzzDecodeIHT$' -fuzztime 3s ./internal/cs
 go test -run '^$' -fuzz '^FuzzDecodeCHS$' -fuzztime 3s ./internal/cs
+go test -run '^$' -fuzz '^FuzzDecodeBPDN$' -fuzztime 3s ./internal/cs
 go test -run '^$' -fuzz '^FuzzNoiseTol$' -fuzztime 3s ./internal/cs
 go test -run '^$' -fuzz '^FuzzOperatorRoundTrip$' -fuzztime 3s ./internal/basis
 go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 3s ./internal/bus
