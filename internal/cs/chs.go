@@ -302,7 +302,7 @@ outer:
 	stop.Inc()
 
 	if len(support) == 0 {
-		return zeroResult(d, y, iters), nil
+		return zeroResult(d, y, iters)
 	}
 	ws.coef = resized(ws.coef, qr.Len())
 	coef := ws.coef

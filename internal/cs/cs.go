@@ -31,6 +31,8 @@ import (
 var (
 	ErrNoMeasurements = errors.New("cs: no measurements")
 	ErrBadSupport     = errors.New("cs: invalid support index")
+	// ErrNonFinite: the decode's α, x̂ or residual overflowed or is NaN.
+	ErrNonFinite = errors.New("cs: decode is not finite")
 )
 
 // Result is the outcome of a sparse recovery.
@@ -162,7 +164,7 @@ func ompDict(d *opDict, y []float64, k int, tol float64, seed []int) (*Result, e
 	}
 	if len(support) == 0 {
 		// Zero signal.
-		return zeroResult(d, y, iters), nil
+		return zeroResult(d, y, iters)
 	}
 	coef, err := qr.Solve(y)
 	if err != nil {

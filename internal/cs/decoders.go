@@ -293,7 +293,7 @@ func BPDN(op basis.Operator, locs []int, y []float64, eps float64) (*Result, err
 	}
 	epsS := math.Ldexp(eps, -e)
 	if mat.Norm2(ys) <= epsS {
-		return zeroResult(d, y, 0), nil // α = 0 is feasible, and ℓ1-minimal
+		return zeroResult(d, y, 0) // α = 0 is feasible, and ℓ1-minimal
 	}
 
 	const maxIter, relTol = 20000, 1e-9

@@ -263,27 +263,74 @@ func (d *opDict) synth(support []int, coef []float64) []float64 {
 // packResult assembles the Result every decoder returns: full-length
 // alpha, synthesized xhat, and the sensor-residual norm, whose sensor
 // predictions (Φ̃_J coef)_i = xhat[locs[i]] are read straight off xhat.
+// It and zeroResult are the shared exit of every decoder, so a decode
+// whose α, x̂ or residual is not finite ends here as ErrNonFinite.
 func packResult(d *opDict, support []int, coef, y []float64, iters int) (*Result, error) {
 	alpha := make([]float64, d.n)
 	for s, j := range support {
 		alpha[j] = coef[s]
 	}
-	xhat := d.synth(support, coef)
-	res := 0.0
-	for i, l := range d.locs {
-		diff := y[i] - xhat[l]
-		res += diff * diff
-	}
-	return &Result{
-		Alpha: alpha, Support: support, Xhat: xhat,
-		Residual: math.Sqrt(res), Iterations: iters,
-	}, nil
+	return finiteResult(&Result{
+		Alpha: alpha, Support: support, Xhat: d.synth(support, coef),
+		Iterations: iters,
+	}, coef, d.locs, y)
 }
 
 // zeroResult is the empty-support decode outcome.
-func zeroResult(d *opDict, y []float64, iters int) *Result {
-	return &Result{
+func zeroResult(d *opDict, y []float64, iters int) (*Result, error) {
+	return finiteResult(&Result{
 		Alpha: make([]float64, d.n), Support: nil,
-		Xhat: make([]float64, d.n), Residual: mat.Norm2(y), Iterations: iters,
+		Xhat: make([]float64, d.n), Iterations: iters,
+	}, nil, d.locs, y)
+}
+
+// finiteResult fills in r's Residual, ‖y − x̂(locs)‖₂, and returns r if
+// α (zero but for its support coefficients coef), x̂ and the residual are
+// all finite, else ErrNonFinite.
+func finiteResult(r *Result, coef []float64, locs []int, y []float64) (*Result, error) {
+	r.Residual = residualNorm(locs, y, r.Xhat)
+	if !finite(r.Residual) || !allFinite(coef) || !allFinite(r.Xhat) {
+		return nil, fmt.Errorf("%w: residual %v", ErrNonFinite, r.Residual)
 	}
+	return r, nil
+}
+
+// residualNorm is ‖y − x̂(locs)‖₂ without overflow. The plain sum of
+// squares comes first, so every residual it can hold keeps its bits; only
+// if that sum overflows is it taken again scaled by the largest
+// |difference|. It is +Inf only if a difference itself overflows, and NaN
+// if one is NaN.
+func residualNorm(locs []int, y, xhat []float64) float64 {
+	sum := 0.0
+	for i, l := range locs {
+		diff := y[i] - xhat[l]
+		sum += diff * diff
+	}
+	if !math.IsInf(sum, 1) {
+		return math.Sqrt(sum)
+	}
+	scale := 0.0
+	for i, l := range locs {
+		scale = max(scale, math.Abs(y[i]-xhat[l]))
+	}
+	if math.IsInf(scale, 1) {
+		return scale
+	}
+	sum = 0
+	for i, l := range locs {
+		diff := (y[i] - xhat[l]) / scale
+		sum += diff * diff
+	}
+	return scale * math.Sqrt(sum)
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if !finite(x) {
+			return false
+		}
+	}
+	return true
 }

@@ -74,6 +74,22 @@ func fuzzFloat(data *[]byte) float64 {
 	return 0
 }
 
+// dct8Problem is the fuzz encoding of a decode on the orthonormal DCT-8
+// basis: readings y at locs, support cap 3.
+func dct8Problem(locs []int, y ...float64) []byte {
+	b := []byte{7, 0, byte(len(locs) - 1), 4}
+	for _, v := range basis.DCT(8).Data {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	for _, l := range locs {
+		b = append(b, byte(l+2))
+	}
+	for _, v := range y {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
 // checkResult asserts the structural invariants every successful decode
 // must satisfy no matter how degenerate the input values were.
 func checkResult(t *testing.T, p fuzzProblem, res *Result) {
@@ -97,8 +113,18 @@ func checkResult(t *testing.T, p fuzzProblem, res *Result) {
 		}
 		seen[j] = true
 	}
-	if res.Residual < 0 { // NaN-safe: NaN compares false
-		t.Fatalf("negative residual %v", res.Residual)
+	if !(res.Residual >= 0) || math.IsInf(res.Residual, 0) {
+		t.Fatalf("residual %v, want finite and non-negative", res.Residual)
+	}
+	for j, a := range res.Alpha {
+		if !finite(a) {
+			t.Fatalf("Alpha[%d] = %v", j, a)
+		}
+	}
+	for i, x := range res.Xhat {
+		if !finite(x) {
+			t.Fatalf("Xhat[%d] = %v", i, x)
+		}
 	}
 	if res.Iterations < 0 {
 		t.Fatalf("negative iteration count %d", res.Iterations)
@@ -170,6 +196,9 @@ func FuzzDecodeCHS(f *testing.F) {
 		[]byte("\x01\xff\xff\xff\xff\xff\xff\xff\xff"), []byte("\x02\x02"))
 	f.Add([]byte("\x07\x00\x07\x05"+"\x00\x00\x00\x00\x00\x00\xf0\x3f"+"\x03\x03\x03\x04\x04\x05\x06"), []byte{}, []byte("\x04"))
 	f.Add([]byte("\x01\x01\x01\x00"), []byte("\x00"), []byte{}) // k == -1: default support cap
+	// Readings of 1e308 on the orthonormal DCT-8.
+	f.Add(dct8Problem([]int{1, 5, 7}, 1e308, 1e308, 0), []byte{}, []byte{}) // the residual's squares overflow
+	f.Add(dct8Problem([]int{0, 1, 2}, 1e308, 1e308, 0), []byte{}, []byte{}) // α overflows: ErrNonFinite
 	f.Fuzz(func(t *testing.T, data, sigmaBytes, seedBytes []byte) {
 		p, ok := newFuzzProblem(data)
 		if !ok {
@@ -242,11 +271,6 @@ func FuzzDecodeBPDN(f *testing.F) {
 			return
 		}
 		checkResult(t, p, res)
-		for j, a := range res.Alpha {
-			if math.IsNaN(a) || math.IsInf(a, 0) {
-				t.Fatalf("Alpha[%d] = %v", j, a)
-			}
-		}
 		if limit := eps + 1e-6*mat.Norm2(p.y); !(res.Residual <= limit) {
 			t.Fatalf("‖y − Φ̃α‖ = %v above eps %v + 1e-6·‖y‖", res.Residual, eps)
 		}

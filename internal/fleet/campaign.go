@@ -182,26 +182,28 @@ type Result struct {
 // goroutine, so the network's RNG stream (loss, dup, reorder draws) is a
 // pure function of the seeds.
 //
-// A round's Flush runs on its own goroutine while the shards tick for the
-// next round, and the next Report waits for it. The two share nothing:
-// Tick touches only the shards' mobility, batteries and RNGs, and Flush
-// only the network, the collectors and the arenas Report already wrote,
-// which the network reads until Flush returns. So the overlap moves wall
-// clock only; every draw and every delivery happens as in the serial
-// order.
+// A round's Flush runs on its own goroutine while the shards tick and
+// move the next round's due group, and the next Report waits for it. The
+// two share nothing: tick and step touch only the shards' clocks,
+// mobility, batteries and RNGs, and Flush only the network, the
+// collectors and the arenas Report already wrote, which the network reads
+// until Flush returns. So the overlap moves wall clock only; every draw
+// and every delivery happens as in the serial order, where Report moves
+// its group itself.
 func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	p := r.Pop
 	if p.truth == nil {
 		return nil, errors.New("fleet: SetTruth before Run")
 	}
 	res := &Result{}
+	period := p.Cfg.DutyPeriod
 	p.Tick(1)
-	for round := 0; round < p.Cfg.DutyPeriod; round++ {
+	for round := 0; round < period; round++ {
 		p.Report(round)
 		if err := r.merge(res); err != nil {
 			return nil, err
 		}
-		if round == p.Cfg.DutyPeriod-1 {
+		if round == period-1 {
 			r.Net.Flush()
 			break
 		}
@@ -210,7 +212,11 @@ func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 			r.Net.Flush()
 			close(flushed)
 		}()
-		p.Tick(1)
+		due := dueOffset(round+1, period)
+		p.forEachShard(func(s *Shard) {
+			s.Tick(1, p.idleMJ)
+			s.step(due)
+		})
 		<-flushed
 	}
 	return r.finish(cfg, res)

@@ -2,22 +2,23 @@
 // internal/core instantiates a live node.Node (goroutines, bus
 // subscriptions, per-node maps) per participant and tops out at
 // hundreds, fleet keeps per-node state — position, energy, duty-cycle
-// phase, noise level — in struct-of-arrays shards
-// and advances whole shards at a time. That makes a simulated
-// participant a few hundred bytes of flat array instead of a scheduled
-// entity, which is what the paper's metropolitan-scale sensing claims
-// need from the evaluation harness (MOSDEN-class populations, not
-// testbed-class).
+// phase, noise level — in struct-of-arrays shards and advances whole
+// shards at a time, moving a node only in the round it reports. That
+// makes a simulated participant a few hundred bytes of flat array
+// instead of a scheduled entity, which is what the paper's
+// metropolitan-scale sensing claims need from the evaluation harness
+// (MOSDEN-class populations, not testbed-class).
 //
 // Determinism contract (the fleet analogue of DESIGN.md §5): every
 // shard owns a private RNG seeded from (Config.Seed, shard index), all
-// random draws happen inside a shard in node-index order, and every
-// cross-shard reduction — measurement merge, energy totals, decode
-// assembly — runs in ascending shard or zone order on the single
-// driving goroutine. Shards share no mutable state, so stepping them on
-// GOMAXPROCS workers reorders only wall-clock time, never arithmetic:
-// campaign outputs are float-identical across GOMAXPROCS settings
-// (pinned by TestFleetCampaignDeterministicAcrossGOMAXPROCS).
+// random draws happen inside a shard — a round's due group draws its
+// waypoint arrivals, then its measurement noise, each in node-index
+// order — and every cross-shard reduction — measurement merge, energy
+// totals, decode assembly — runs in ascending shard or zone order on the
+// single driving goroutine. Shards share no mutable state, so stepping
+// them on GOMAXPROCS workers reorders only wall-clock time, never
+// arithmetic: campaign outputs are float-identical across GOMAXPROCS
+// settings (pinned by TestFleetCampaignDeterministicAcrossGOMAXPROCS).
 package fleet
 
 import (
@@ -29,9 +30,15 @@ import (
 	"repro/internal/energy"
 	"repro/internal/field"
 	"repro/internal/mobility"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sensor"
 )
+
+// obsNodeSteps counts node moves (StepWaypoint calls), added once per
+// shard and step: the fleet's mobility work, Config.Nodes per campaign
+// when no battery runs out.
+var obsNodeSteps = obs.GetCounter("fleet.node_steps")
 
 // Config sizes and seeds a population. Zero values select defaults
 // (noted per field); Nodes and the field/zone geometry are required.
@@ -65,7 +72,7 @@ const (
 )
 
 // Shard is one struct-of-arrays block of nodes, all in the same zone.
-// Everything here is owned by the shard's scheduler turn: Tick and
+// Everything here is owned by the shard's scheduler turn: Tick, step and
 // report mutate it from exactly one goroutine at a time, and the merge
 // phase reads it only after the parallel phase has joined.
 type Shard struct {
@@ -84,6 +91,13 @@ type Shard struct {
 	// byPhase[phaseAt[p]:phaseAt[p+1]]. A round visits only its due group.
 	byPhase []int32
 	phaseAt []int32
+
+	// Mobility is lazy per phase group: clock is the shard's simulated
+	// time (seconds Tick has advanced), and stepped[p] the time phase p's
+	// nodes were last moved to. A group moves only when it is due, by
+	// clock − stepped[p] in one step.
+	clock   float64
+	stepped []float64
 
 	zone field.Zone // geometry for truth lookups
 
@@ -219,6 +233,7 @@ func (s *Shard) indexPhases(phase []int32, period int) {
 		largest = max(largest, s.phaseAt[p])
 		s.phaseAt[p] += s.phaseAt[p-1]
 	}
+	s.stepped = make([]float64, period)
 	s.byPhase = make([]int32, len(phase))
 	next := append([]int32(nil), s.phaseAt[:period]...)
 	for i, ph := range phase {
@@ -240,19 +255,49 @@ func (p *Population) SetTruth(f *field.Field) error {
 	return nil
 }
 
-// Tick advances every shard by dt seconds — movement and idle drain — in
-// parallel. Shards are independent, so worker count affects only
-// wall-clock time.
+// Tick advances every shard by dt seconds in parallel. Shards are
+// independent, so worker count affects only wall-clock time.
 func (p *Population) Tick(dt float64) {
 	p.forEachShard(func(s *Shard) { s.Tick(dt, p.idleMJ) })
 }
 
-// Tick advances one shard: waypoint movement and idle battery drain. This
-// is the per-tick hot loop guarded by the hotalloc analyzer — it must not
-// allocate.
+// Tick advances one shard's clock by dt seconds and drains every node's
+// idle battery. It moves no node: a phase group moves when it next
+// reports (step). This is the per-tick hot loop guarded by the hotalloc
+// analyzer — it must not allocate.
 func (s *Shard) Tick(dt float64, idlePerSecMJ float64) {
-	mobility.StepWaypoints(s.rng, s.params, s.way, dt)
+	s.clock += dt
 	s.bank.DrainAll(idlePerSecMJ * dt)
+}
+
+// dueOffset is the phase whose nodes report in round: a node is due when
+// round+phase ≡ 0 (mod period).
+func dueOffset(round, period int) int {
+	return ((-round)%period + period) % period
+}
+
+// step moves phase ph's live nodes, in ascending node order, by the time
+// since the group last moved, and marks the group moved to the shard
+// clock; a group already there is left alone. Depleted nodes stay where
+// they are: they never report again. The arrival draws come from the
+// shard's stream, so a group's step goes before its report's noise
+// draws. Allocation-free (hot path).
+func (s *Shard) step(ph int) {
+	dt := s.clock - s.stepped[ph]
+	if dt <= 0 {
+		return
+	}
+	s.stepped[ph] = s.clock
+	n := 0
+	for _, node := range s.byPhase[s.phaseAt[ph]:s.phaseAt[ph+1]] {
+		i := int(node)
+		if s.bank.Depleted(i) {
+			continue
+		}
+		mobility.StepWaypoint(s.rng, s.params, s.way, i, dt)
+		n++
+	}
+	obsNodeSteps.Add(int64(n))
 }
 
 // Report has every on-duty, non-depleted node sample the truth at its
@@ -268,14 +313,18 @@ func (p *Population) Report(round int) {
 // report encodes this round's measurements into the shard's envelope
 // arena. A node is due when round+phase ≡ 0 (mod period), i.e. when its
 // phase equals the round's due offset; report walks only that phase's
-// group of the index, and only due nodes are binned to their cell. All
-// RNG draws (one NormFloat64 per reporting node) happen in node-index
-// order on the shard's private stream, as a scan of every node would
-// make them. Allocation-free (hot path).
+// group of the index, and only due nodes are binned to their cell. It
+// first moves the group to the shard clock if Runner.Run has not already
+// (step), so Tick and Report driven by hand sample the same positions.
+// The RNG draws — the group's arrival draws, then one NormFloat64 per
+// reporting node — each happen in node-index order on the shard's
+// private stream, as a scan of every node would make them.
+// Allocation-free (hot path).
 func (s *Shard) report(round, period int, truth *field.Field, costMJ float64) {
 	s.repN = 0
 	gh := s.zone.H
-	due := ((-round)%period + period) % period
+	due := dueOffset(round, period)
+	s.step(due)
 	for _, node := range s.byPhase[s.phaseAt[due]:s.phaseAt[due+1]] {
 		i := int(node)
 		if s.bank.Depleted(i) {

@@ -316,3 +316,42 @@ func TestFleetZoneDecodesStopAtNoiseFloor(t *testing.T) {
 		t.Fatalf("zone NMSE sums to %.3g with the noise stop, %.3g with %d atoms a zone", fit, noisy, k)
 	}
 }
+
+// TestFleetStepsOnlyDueNodes pins the fleet's mobility work: with no
+// battery run out, a campaign moves each node once, in the round it
+// reports, so one Run adds exactly Config.Nodes to fleet.node_steps
+// (moving every node every round would add DutyPeriod × Nodes). Driving
+// Tick and Report by hand does the same work.
+func TestFleetStepsOnlyDueNodes(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	steps := obs.GetCounter("fleet.node_steps")
+	cfg := Config{
+		Nodes: 5000, ShardSize: 512,
+		FieldW: 32, FieldH: 32, ZoneRows: 2, ZoneCols: 2, Seed: 3,
+	}
+	before := steps.Value()
+	res := runFleet(t, cfg, 64, CampaignConfig{}, nil)
+	if res.Alive != cfg.Nodes {
+		t.Fatalf("%d of %d nodes alive, want all", res.Alive, cfg.Nodes)
+	}
+	if got := steps.Value() - before; got != int64(cfg.Nodes) {
+		t.Fatalf("Run moved nodes %d times, want %d (one move per node)", got, cfg.Nodes)
+	}
+
+	p, err := NewPopulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetTruth(testTruth(cfg.FieldW, cfg.FieldH)); err != nil {
+		t.Fatal(err)
+	}
+	before = steps.Value()
+	for round := 0; round < p.Cfg.DutyPeriod; round++ {
+		p.Tick(1)
+		p.Report(round)
+	}
+	if got := steps.Value() - before; got != int64(cfg.Nodes) {
+		t.Fatalf("Tick/Report by hand moved nodes %d times, want %d", got, cfg.Nodes)
+	}
+}

@@ -83,7 +83,8 @@ var HotEntryPoints = []string{
 	"(*repro/internal/store.Store).AppendScalar",
 	"(*repro/internal/fleet.Shard).Tick",
 	"(*repro/internal/fleet.Shard).report",
-	"repro/internal/mobility.StepWaypoints",
+	"repro/internal/mobility.StepWaypoint",
+	"repro/internal/mobility.StepWaypoints", // bench/ still calls it
 	"(*repro/internal/energy.Bank).DrainAll",
 }
 

@@ -1,13 +1,15 @@
 // Vectorized mobility: the random-waypoint process of RandomWaypoint,
-// stepped over struct-of-arrays state for a whole fleet shard at once.
-// A million simulated participants cannot afford one heap object and one
-// interface dispatch each per tick; WaypointState keeps each component
-// of every node's state in a flat slice, and StepWaypoints advances all
-// of them in one allocation-free pass. The process is the scalar model's
-// exactly — same RNG consumption order, same arithmetic expression
-// order — so a one-node WaypointState driven by the same seed produces
-// float-identical trajectories to RandomWaypoint (pinned by the vec
-// tests), and the fleet backend inherits the scalar model's validation.
+// stepped over struct-of-arrays state for a whole fleet shard. A million
+// simulated participants cannot afford one heap object and one interface
+// dispatch each per tick; WaypointState keeps each component of every
+// node's state in a flat slice. StepWaypoint is the one kernel: it moves
+// one node, and StepWaypoints loops it over all of them. The fleet calls
+// StepWaypoint itself, on only the nodes about to report, each by the
+// time since it last moved. The process is the scalar model's exactly —
+// same RNG consumption order, same arithmetic expression order — so a
+// one-node WaypointState driven by the same seed produces float-identical
+// trajectories to RandomWaypoint (pinned by the vec tests), and the fleet
+// backend inherits the scalar model's validation.
 
 package mobility
 
@@ -79,46 +81,56 @@ func InitWaypoints(rng *rand.Rand, p WaypointParams, n int) (*WaypointState, err
 	return s, nil
 }
 
-// StepWaypoints advances every node by dt seconds: consume pause time,
-// travel toward the waypoint, and on arrival pause and draw the next
-// destination and speed from rng. Node i's per-arrival draws happen in
-// index order, so the consumed RNG stream is a deterministic function of
-// (seed, trajectory) regardless of how many shards step concurrently —
-// each shard owns its own rng. The arithmetic matches
-// (*RandomWaypoint).Step term for term, keeping the two backends
-// float-identical. Allocation-free: this is the fleet tick's inner loop.
+// StepWaypoints advances every node by dt seconds, in index order, through
+// StepWaypoint. Node i's per-arrival draws happen in index order, so the
+// consumed RNG stream is a deterministic function of (seed, trajectory)
+// regardless of how many shards step concurrently — each shard owns its
+// own rng. Allocation-free.
 func StepWaypoints(rng *rand.Rand, p WaypointParams, s *WaypointState, dt float64) {
 	for i := range s.X {
-		t := dt
-		for t > 0 {
-			if s.PauseLeft[i] > 0 {
-				if s.PauseLeft[i] >= t {
-					s.PauseLeft[i] -= t
-					break
-				}
-				t -= s.PauseLeft[i]
-				s.PauseLeft[i] = 0
+		StepWaypoint(rng, p, s, i, dt)
+	}
+}
+
+// StepWaypoint advances node i alone by dt seconds: consume pause time,
+// travel toward the waypoint, and on arrival pause and draw the next
+// destination and speed from rng. The arithmetic matches
+// (*RandomWaypoint).Step term for term, keeping the two backends
+// float-identical. Stepping a node once by k s consumes the same draws as
+// stepping it k times by 1 s (each arrival draws once, whatever the dt
+// it falls in) and ends at the same position up to rounding, which is
+// what lets the fleet move a node only when it reports. Allocation-free:
+// this is the fleet's per-node mobility kernel.
+func StepWaypoint(rng *rand.Rand, p WaypointParams, s *WaypointState, i int, dt float64) {
+	t := dt
+	for t > 0 {
+		if s.PauseLeft[i] > 0 {
+			if s.PauseLeft[i] >= t {
+				s.PauseLeft[i] -= t
+				return
 			}
-			dx, dy := s.DstX[i]-s.X[i], s.DstY[i]-s.Y[i]
-			dist := math.Hypot(dx, dy)
-			travel := s.Speed[i] * t
-			if travel >= dist {
-				// Arrive, spend remaining time pausing then pick a new target.
-				s.X[i], s.Y[i] = s.DstX[i], s.DstY[i]
-				if s.Speed[i] > 0 {
-					t -= dist / s.Speed[i]
-				} else {
-					t = 0
-				}
-				s.PauseLeft[i] = p.Pause
-				s.DstX[i] = rng.Float64() * p.W
-				s.DstY[i] = rng.Float64() * p.H
-				s.Speed[i] = p.MinSpeed + rng.Float64()*(p.MaxSpeed-p.MinSpeed)
-				continue
-			}
-			s.X[i] += dx / dist * travel
-			s.Y[i] += dy / dist * travel
-			break
+			t -= s.PauseLeft[i]
+			s.PauseLeft[i] = 0
 		}
+		dx, dy := s.DstX[i]-s.X[i], s.DstY[i]-s.Y[i]
+		dist := math.Hypot(dx, dy)
+		travel := s.Speed[i] * t
+		if travel >= dist {
+			// Arrive, spend remaining time pausing then pick a new target.
+			s.X[i], s.Y[i] = s.DstX[i], s.DstY[i]
+			if s.Speed[i] > 0 {
+				t -= dist / s.Speed[i]
+			} else {
+				t = 0
+			}
+			s.PauseLeft[i] = p.Pause
+			s.DstX[i] = rng.Float64() * p.W
+			s.DstY[i] = rng.Float64() * p.H
+			s.Speed[i] = p.MinSpeed + rng.Float64()*(p.MaxSpeed-p.MinSpeed)
+			continue
+		}
+		s.X[i] += dx / dist * travel
+		s.Y[i] += dy / dist * travel
+		return
 	}
 }

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -36,6 +37,64 @@ func TestStepWaypointsMatchesScalarModel(t *testing.T) {
 					seed, step, vec.X[0], vec.Y[0], got.X, got.Y)
 			}
 		}
+	}
+}
+
+// TestStepWaypointOnceMatchesUnitSteps is the property the fleet's lazy
+// mobility rests on: moving a node once by k s consumes the same RNG
+// draws as moving it k times by 1 s — so it draws the same waypoints and
+// speeds — and ends at the same position and pause up to rounding. The
+// area is small and the pause fractional, so most cases cross arrivals
+// and pauses that straddle the 1 s boundaries; each case starts from a
+// different warm-up, mid-leg or mid-pause.
+func TestStepWaypointOnceMatchesUnitSteps(t *testing.T) {
+	p := WaypointParams{W: 6, H: 4, MinSpeed: 0.5, MaxSpeed: 3, Pause: 0.7}
+	const seeds = 2000
+	cases, arrived, paused := 0, 0, 0
+	for k := 1; k <= 8; k++ {
+		for seed := int64(0); seed < seeds; seed++ {
+			unitRng := rand.New(rand.NewSource(seed))
+			onceRng := rand.New(rand.NewSource(seed))
+			unit, err := InitWaypoints(unitRng, p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			once, err := InitWaypoints(onceRng, p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := float64(seed%17) * 0.23
+			StepWaypoint(unitRng, p, unit, 0, warm)
+			StepWaypoint(onceRng, p, once, 0, warm)
+			if unit.PauseLeft[0] > 0 {
+				paused++
+			}
+			speed := unit.Speed[0]
+
+			for j := 0; j < k; j++ {
+				StepWaypoint(unitRng, p, unit, 0, 1)
+			}
+			StepWaypoint(onceRng, p, once, 0, float64(k))
+			cases++
+			if unit.Speed[0] != speed {
+				arrived++
+			}
+			if u, o := unitRng.Int63(), onceRng.Int63(); u != o {
+				t.Fatalf("k=%d seed %d: the streams diverge (next draws %d and %d)", k, seed, u, o)
+			}
+			if unit.DstX[0] != once.DstX[0] || unit.DstY[0] != once.DstY[0] || unit.Speed[0] != once.Speed[0] {
+				t.Fatalf("k=%d seed %d: legs differ", k, seed)
+			}
+			if d := math.Hypot(unit.X[0]-once.X[0], unit.Y[0]-once.Y[0]); d > 1e-9 {
+				t.Fatalf("k=%d seed %d: positions %v m apart", k, seed, d)
+			}
+			if d := math.Abs(unit.PauseLeft[0] - once.PauseLeft[0]); d > 1e-9 {
+				t.Fatalf("k=%d seed %d: pauses differ by %v s", k, seed, d)
+			}
+		}
+	}
+	if arrived < cases/2 || paused < cases/10 {
+		t.Fatalf("of %d cases %d crossed an arrival and %d started paused: the property is not exercised", cases, arrived, paused)
 	}
 }
 
