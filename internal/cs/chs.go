@@ -9,7 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Why each CHS decode stopped, one counter per reason.
+// Why each greedy decode (CHSOp, and OMPOp, which runs the same loop)
+// stopped, one counter per reason.
 var (
 	obsStopNoise   = obs.GetCounter("cs.chs.stop.noise_floor")
 	obsStopSupport = obs.GetCounter("cs.chs.stop.support_cap")
@@ -17,27 +18,6 @@ var (
 	obsStopRank    = obs.GetCounter("cs.chs.stop.rank_deficient")
 	obsStopNone    = obs.GetCounter("cs.chs.stop.nothing_admissible")
 )
-
-// ZeroFill returns the Υ: R^M → R^N operator of the Fig. 6 algorithm that
-// CHSOp uses: it lifts a residual known only at the M sensor locations to
-// a full-length field by placing the values at their locations and zeros
-// elsewhere. For an orthonormal Φ this makes the coefficient scan
-// α_r = Φᵀ e exactly the correlation used by matching pursuit.
-func ZeroFill(n int) func(locs []int, vals []float64) ([]float64, error) {
-	return func(locs []int, vals []float64) ([]float64, error) {
-		if len(locs) != len(vals) {
-			return nil, errors.New("cs: locs/vals length mismatch")
-		}
-		out := make([]float64, n)
-		for i, k := range locs {
-			if k < 0 || k >= n {
-				return nil, ErrBadSupport
-			}
-			out[k] = vals[i]
-		}
-		return out, nil
-	}
-}
 
 // CHSOptions configures the Compressive Heterogeneous Sensing algorithm.
 type CHSOptions struct {
@@ -119,56 +99,46 @@ func NoiseTol(sigmas []float64) float64 {
 // residual, until the stop criterion is met. It returns the reconstruction
 // x̂ = Φ_K α_K along with the recovered support.
 //
-// The step-(b) full-basis analysis Φᵀe is one fast transform of the
-// operator and each admitted column one gather — the combination that
-// makes 1024² broker reconstructions feasible (the dense Φ there would be
-// ~8 TB).
+// Steps (a) and (b) run as one correlation Φ̃ᵀe: Υ places the residual at
+// the sensor locations (summing the readings of a repeated location, as
+// the repeated rows of Φ̃ that the factors fit do) and zeros elsewhere, and
+// the analysis is one fast transform of the operator; each admitted column
+// is one gather — the combination that makes 1024² broker reconstructions
+// feasible (the dense Φ there would be ~8 TB).
 //
 // The decode's scratch comes from a pool of workspaces; the Result shares
 // no memory with it.
 func CHSOp(op basis.Operator, locs []int, y []float64, opts CHSOptions) (*Result, error) {
+	return pursue(op, locs, y, opts, false)
+}
+
+// pursue runs the greedy loop of chsDict on op sampled at locs, with its
+// scratch in a pooled workspace.
+func pursue(op basis.Operator, locs []int, y []float64, opts CHSOptions, byNorm bool) (*Result, error) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	if err := ws.od.reset(op, locs); err != nil {
 		return nil, err
 	}
-	return chsDict(&ws.od, ws, locs, y, opts)
+	return chsDict(&ws.od, ws, y, opts, byNorm)
 }
 
-// hasDuplicates reports whether any index (a sensor location, a seed
-// atom) appears twice, marking indices in mark (all false, covering every
-// index) and clearing its marks again before it returns.
-func hasDuplicates(idx []int, mark []bool) bool {
-	dup := false
-	marked := 0
-	for _, l := range idx {
-		if mark[l] {
-			dup = true
-			break
-		}
-		mark[l] = true
-		marked++
-	}
-	for _, l := range idx[:marked] {
-		mark[l] = false
-	}
-	return dup
-}
-
-// chsDict runs the CHS loop on d with its scratch in ws.
-func chsDict(d *opDict, ws *workspace, locs []int, y []float64, opts CHSOptions) (*Result, error) {
-	if len(y) != d.rows() {
+// chsDict runs the greedy loop on d with its scratch in ws: CHS, or with
+// byNorm OMP, whose step (c) ranks each atom by |Φ̃ⱼᵀe| / ‖Φ̃ⱼ‖ and never
+// admits one the sensors do not see (‖Φ̃ⱼ‖ = 0).
+func chsDict(d *opDict, ws *workspace, y []float64, opts CHSOptions, byNorm bool) (*Result, error) {
+	m, n := d.rows(), d.n
+	if len(y) != m {
 		return nil, errors.New("cs: measurement/location length mismatch")
 	}
-	n := d.n
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 32
 	}
 	if opts.PerIter <= 0 {
 		opts.PerIter = 1
 	}
-	if opts.MaxSupport <= 0 || opts.MaxSupport > len(locs) {
-		opts.MaxSupport = len(locs)
+	if opts.MaxSupport <= 0 || opts.MaxSupport > m {
+		opts.MaxSupport = m
 	}
 	// Step 1: J = ∅, e_r = x_S. The growing-support OLS of step (e) is kept
 	// as an incrementally updated QR factorization: each admitted column is
@@ -178,32 +148,22 @@ func chsDict(d *opDict, ws *workspace, locs []int, y []float64, opts CHSOptions)
 	// The loop admits at most PerIter columns per iteration on top of the
 	// seed, so the factors are sized to that, not to the support cap.
 	cols := min(opts.MaxSupport, len(opts.SeedSupport)+opts.MaxIter*opts.PerIter)
-	ws.resid = resized(ws.resid, len(y))
+	ws.resid = resized(ws.resid, m)
 	resid := ws.resid
 	copy(resid, y)
 	support := make([]int, 0, cols)
 	// The workspace slices are re-sliced to n so that the compiler sees
 	// their length, which keeps bounds checks out of the argmax scan.
 	inSupport := ws.marks(n)[:n]
-	// Under ZeroFill interpolation, steps (a)+(b) compose to exactly Φ̃ᵀe_r
-	// — one scatter+analysis with no interpolant allocation, or one
-	// scattered analysis of the M values on a 2-D operator (equal to
-	// ZeroFill + analysis to 1e-12 relative, bit for bit otherwise).
-	// Duplicate sensor locations take the two steps apart instead: corrT
-	// accumulates the readings of a repeated location where ZeroFill keeps
-	// the last one. The duplicate scan borrows inSupport as its mark array
-	// (the dictionary validated every location into [0,n)).
-	fused := !hasDuplicates(locs, inSupport)
-	interp := ZeroFill(n)
 	qr := &ws.qr
-	if err := qr.Reset(d.rows(), cols); err != nil {
+	if err := qr.Reset(m, cols); err != nil {
 		return nil, err
 	}
-	eNew := make([]float64, 0)
 	ws.alphaR = resized(ws.alphaR, n)
 	alphaR := ws.alphaR[:n]
-	ws.col = resized(ws.col, d.rows())
+	ws.col = resized(ws.col, m)
 	col := ws.col
+	var norms []float64 // OMP's ‖Φ̃ⱼ‖, computed before the first scan
 	iters := 0
 
 	// Warm start: fold the seed support into the factors before the first
@@ -244,15 +204,22 @@ outer:
 		}
 		iters++
 		// (a) e_new = Υ(e_r); (b) α_r = Φ† e_new; Φ orthonormal ⇒ Φ† = Φᵀ.
-		if fused {
-			d.corrT(alphaR, resid)
-		} else {
-			var err error
-			eNew, err = interp(locs, resid)
-			if err != nil {
-				return nil, err
+		d.corrT(alphaR, resid)
+		if byNorm {
+			if norms == nil {
+				ws.norms = resized(ws.norms, n)
+				norms = ws.norms[:n]
+				d.colNorms(norms)
 			}
-			d.op.ApplyTranspose(alphaR, eNew)
+			// |α_r[j]| / ‖Φ̃ⱼ‖ is |α_r[j] / ‖Φ̃ⱼ‖| to the bit; a zero score
+			// is never admitted.
+			for j, s := range norms {
+				if s == 0 {
+					alphaR[j] = 0
+				} else {
+					alphaR[j] /= s
+				}
+			}
 		}
 		// (c–e) admit the PerIter most significant unused coefficients,
 		// folding each admitted column into the OLS factors. Support

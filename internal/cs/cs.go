@@ -4,13 +4,17 @@
 // sensor locations L, possibly corrupted by heterogeneous sensor noise.
 //
 // Decoders provided:
-//   - OMPOp: orthogonal matching pursuit for Eq. (13), the workhorse.
-//   - BPDN (decoders.go): ℓ1 minimization (Eq. 9) within a noise allowance
-//     eps, exact basis pursuit at eps = 0, solved matrix-free by
-//     Douglas–Rachford splitting instead of the LP of Eq. 10.
 //   - CHSOp (chs.go): the iterative Compressive Heterogeneous Sensing
 //     algorithm of Fig. 6, whose step (e) is the least-squares estimate of
 //     Eq. (11), or of Eq. (12) for heterogeneous sensors.
+//   - OMPOp: orthogonal matching pursuit for Eq. (13). With one index
+//     admitted per iteration it is CHS's loop, run with OMP's selection
+//     rule: there is one greedy pursuit in the package.
+//   - BPDN (decoders.go): ℓ1 minimization (Eq. 9) within a noise allowance
+//     eps, exact basis pursuit at eps = 0, solved matrix-free by
+//     Douglas–Rachford splitting instead of the LP of Eq. 10.
+//   - DecodeSpatioTemporal (sequence.go): the joint decode of a T-step
+//     sequence in the temporal⊗spatial basis.
 //
 // Every decoder, and Diagnose, takes the basis as a basis.Operator and
 // runs on the one matrix-free sensing dictionary of dict.go. A dense basis
@@ -24,7 +28,6 @@ import (
 	"math/rand"
 
 	"repro/internal/basis"
-	"repro/internal/mat"
 )
 
 // Decoder failure modes.
@@ -39,8 +42,8 @@ var (
 type Result struct {
 	Alpha []float64 // recovered coefficients, length N (zero off support)
 	// Support holds the indices of the recovered nonzero coefficients J,
-	// in admission order. Feeding it back as the seed of the next decode
-	// (OMPSeededOp / CHSOptions.SeedSupport) warm-starts the solver: for an
+	// in admission order. Feeding it back as the seed of the next CHS
+	// decode (CHSOptions.SeedSupport) warm-starts the solver: for an
 	// unchanged field the warm decode is bit-identical to a cold one and
 	// skips the greedy search entirely.
 	Support    []int
@@ -51,160 +54,21 @@ type Result struct {
 
 // OMPOp recovers a K-sparse coefficient vector from measurements y taken at
 // locations locs, using orthogonal matching pursuit (Tropp & Gilbert; the
-// solver the paper names for Eq. 13). It stops after k atoms or when the
-// residual norm drops below tol.
+// solver the paper names for Eq. 13). It stops after k atoms, when no atom
+// is left that reduces the residual, or once the residual norm is at most
+// tol — at once, with the zero estimate, if ‖y‖ ≤ tol.
 //
-// The per-iteration work is the incremental fast path: the correlation scan
-// is one Φ̃ᵀr pass, the selected column is folded into a rank-1 updated QR
-// factorization, and the residual is deflated in O(M) — no per-iteration
-// submatrix copy or full refactorization. The least-squares coefficients
-// are solved once, at the end, from the accumulated factors.
-//
-// The correlations and column extractions run as O(n log n) scatter/gather
-// applies of the operator instead of dense M×N passes.
+// OMP is CHSOp's loop admitting one index per iteration, with OMP's
+// selection rule: atom j scores |Φ̃ⱼᵀr| / ‖Φ̃ⱼ‖, and an atom the sensors do
+// not see (‖Φ̃ⱼ‖ = 0) is never admitted. The column norms are computed once
+// per decode, before the first scan. Each iteration is one Φ̃ᵀr pass, a
+// rank-1 update of the incremental QR factors and an O(M) deflation of the
+// residual; the least-squares coefficients are solved once, at the end.
 func OMPOp(op basis.Operator, locs []int, y []float64, k int, tol float64) (*Result, error) {
-	return OMPSeededOp(op, locs, y, k, tol, nil)
-}
-
-// OMPSeededOp is OMPOp warm-started from a previously recovered support
-// (see Result.Support). Seed columns are folded into the incremental-QR
-// factors before the first greedy iteration; an unchanged field then costs
-// one residual check plus the final solve and is bit-identical to the cold
-// decode. Invalid or rank-deficient seeds fall back to a cold start.
-func OMPSeededOp(op basis.Operator, locs []int, y []float64, k int, tol float64, seed []int) (*Result, error) {
-	d, err := newOpDict(op, locs)
-	if err != nil {
-		return nil, err
-	}
-	return ompDict(d, y, k, tol, seed)
-}
-
-func ompDict(d *opDict, y []float64, k int, tol float64, seed []int) (*Result, error) {
-	m, n := d.rows(), d.n
-	if len(y) != m {
-		return nil, fmt.Errorf("cs: %d measurements for %d locations", len(y), m)
-	}
 	if k <= 0 {
 		return nil, errors.New("cs: sparsity k must be positive")
 	}
-	if k > m {
-		k = m // cannot identify more atoms than measurements
-	}
-	qr, err := mat.NewIncrementalQR(m, k)
-	if err != nil {
-		return nil, err
-	}
-	resid := mat.CloneVec(y)
-	corr := make([]float64, n)
-	col := make([]float64, m)
-	support := make([]int, 0, k)
-	inSupport := make([]bool, n)
-	iters := 0
-	// Warm start: replay the seed's Append/Deflate sequence before the
-	// first correlation scan. A seed that fills the support (or already
-	// drives the residual under tol) skips the scans — and the column-norm
-	// pass below — entirely.
-	if validSeed(seed, n, k, inSupport) {
-		var ok bool
-		support, ok, err = seedFactors(d, qr, resid, col, support, inSupport, seed)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			support, err = coldRestart(d, qr, resid, y, k, support, inSupport)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Column norms for normalized correlation, computed lazily before the
-	// first scan (values are independent of when they are computed, so the
-	// cold decode is unchanged arithmetic in the original order).
-	var colNorm []float64
-	for len(support) < k {
-		if mat.Norm2(resid) <= tol && len(support) > 0 {
-			break
-		}
-		if colNorm == nil {
-			colNorm = make([]float64, n)
-			d.colNorms(colNorm)
-		}
-		iters++
-		// Correlate residual with every column in one dictionary pass.
-		d.corrT(corr, resid)
-		best, bestJ := 0.0, -1
-		for j, dot := range corr {
-			if inSupport[j] || colNorm[j] == 0 {
-				continue
-			}
-			if c := math.Abs(dot) / colNorm[j]; c > best {
-				best, bestJ = c, j
-			}
-		}
-		if bestJ < 0 {
-			break
-		}
-		if err := d.col(col, bestJ); err != nil {
-			return nil, err
-		}
-		if err := qr.Append(col); err != nil {
-			// The chosen column is linearly dependent on the current support:
-			// it cannot reduce the residual, so stop growing. The factors
-			// already held are reused as-is — no second solve pass needed.
-			break
-		}
-		support = append(support, bestJ)
-		inSupport[bestJ] = true
-		if _, err := qr.DeflateLatest(resid); err != nil {
-			return nil, err
-		}
-		if mat.Norm2(resid) <= tol {
-			break
-		}
-	}
-	if len(support) == 0 {
-		// Zero signal.
-		return zeroResult(d, y, iters)
-	}
-	coef, err := qr.Solve(y)
-	if err != nil {
-		return nil, err
-	}
-	return packResult(d, support, coef, y, iters)
-}
-
-// OMPCenteredOp recovers a signal whose prior mean mu (length N) is known —
-// the right decoder for a PCA basis learned from historical traces, whose
-// columns span the variation *around* the mean: the measurements are
-// mean-centered before decoding and the mean is added back to Xhat.
-// Alpha/Support/Residual describe the centered component.
-func OMPCenteredOp(op basis.Operator, locs []int, y []float64, mu []float64, k int, tol float64) (*Result, error) {
-	yc, err := centerMeasurements(locs, y, mu, op.Dim())
-	if err != nil {
-		return nil, err
-	}
-	res, err := OMPOp(op, locs, yc, k, tol)
-	if err != nil {
-		return nil, err
-	}
-	for i := range res.Xhat {
-		res.Xhat[i] += mu[i]
-	}
-	return res, nil
-}
-
-func centerMeasurements(locs []int, y, mu []float64, dim int) ([]float64, error) {
-	if len(mu) != dim {
-		return nil, fmt.Errorf("cs: mean length %d, want %d", len(mu), dim)
-	}
-	yc := make([]float64, len(y))
-	for i, l := range locs {
-		if l < 0 || l >= len(mu) {
-			return nil, fmt.Errorf("cs: location %d out of range [0,%d)", l, len(mu))
-		}
-		yc[i] = y[i] - mu[l]
-	}
-	return yc, nil
+	return pursue(op, locs, y, CHSOptions{MaxIter: k, MaxSupport: k, PerIter: 1, Tol: tol}, true)
 }
 
 // RandomLocations draws m distinct sensor locations uniformly from

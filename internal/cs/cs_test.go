@@ -328,41 +328,22 @@ func TestCHSZeroSignal(t *testing.T) {
 	}
 }
 
-func TestZeroFillInterpolator(t *testing.T) {
-	interp := ZeroFill(8)
-	out, err := interp([]int{1, 5}, []float64{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 2, 0, 0, 0, 3, 0, 0}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("ZeroFill got %v", out)
-		}
-	}
-	if _, err := interp([]int{9}, []float64{1}); err == nil {
-		t.Fatal("want range error")
-	}
-	if _, err := interp([]int{1}, []float64{1, 2}); err == nil {
-		t.Fatal("want length error")
-	}
-}
-
-// TestCHSDuplicateLocationKeepsLastReading pins CHS's step (a) at a
-// repeated sensor location: the ZeroFill interpolant holds the last
-// reading there, not the sum a fused scatter-correlation would form.
-func TestCHSDuplicateLocationKeepsLastReading(t *testing.T) {
+// TestCHSDuplicateLocationSumsReadings pins CHS's steps (a)+(b) at a
+// repeated sensor location: the correlation Φ̃ᵀe sums the readings there,
+// as the repeated rows of Φ̃ that the QR factors and the residual fit do.
+func TestCHSDuplicateLocationSumsReadings(t *testing.T) {
 	op, err := basis.CachedOperator(basis.KindIdentity, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ZeroFill puts -10 at cell 2 and 1 at cell 5; a sum would put 0 and 1.
+	// 10 and −10 at cell 2 sum to 0, so the strongest correlation is cell
+	// 5's 1; keeping the last reading would have put −10 at cell 2.
 	res, err := CHSOp(op, []int{2, 2, 5}, []float64{10, -10, 1}, CHSOptions{MaxSupport: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Support) != 1 || res.Support[0] != 2 {
-		t.Fatalf("support %v, want [2]: the first atom follows the last reading at cell 2", res.Support)
+	if len(res.Support) != 1 || res.Support[0] != 5 {
+		t.Fatalf("support %v, want [5]: the first atom follows the summed readings", res.Support)
 	}
 }
 

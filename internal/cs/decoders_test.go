@@ -194,26 +194,64 @@ func driftingPlumeSeq(w, h, steps int, drift float64) [][]float64 {
 	return seq
 }
 
+// jointMeasure samples each step of seq at m random locations, with
+// Gaussian noise of std-dev sigma (0: none), in joint-index form.
+func jointMeasure(t *testing.T, seq [][]float64, m int, sigma float64, seed int64) JointMeasurements {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := len(seq[0])
+	var sigmas []float64
+	if sigma > 0 {
+		sigmas = []float64{sigma}
+	}
+	jm := JointMeasurements{T: len(seq), N: n}
+	for step, x := range seq {
+		locs, err := RandomLocations(rng, n, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys, err := Measure(x, locs, rng, sigmas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range locs {
+			jm.Locs = append(jm.Locs, step*n+l)
+			jm.Y = append(jm.Y, ys[i])
+		}
+	}
+	return jm
+}
+
 func TestJointSpatioTemporalBeatsPerStep(t *testing.T) {
 	// Slowly drifting plume: joint decoding in the temporal⊗spatial basis
-	// should beat independent per-step decoding at the same total budget.
+	// should beat decoding each step's readings alone at the same budget.
 	proto := field.New(12, 12)
 	phi, err := proto.Operator2D(basis.KindDCT)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const m = 16
 	seq := driftingPlumeSeq(12, 12, 8, 0.1)
-	static, _, err := RecoverSequence(phi, seq, SequenceOptions{M: 16, Seed: 1})
+	jm := jointMeasure(t, seq, m, 0, 1)
+	recovered, _, err := DecodeSpatioTemporal(phi, jm, len(seq)*m/3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, _, err := RecoverSpatioTemporal(phi, seq, SpatioTemporalOptions{M: 16, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	s, j := 0.0, 0.0
+	for step, x := range seq {
+		locs := make([]int, m)
+		for i, l := range jm.Locs[step*m : (step+1)*m] {
+			locs[i] = l - step*jm.N
+		}
+		res, err := OMPOp(phi, locs, jm.Y[step*m:(step+1)*m], m/3, 1e-9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s += NMSE(x, res.Xhat) / float64(len(seq))
+		j += NMSE(x, recovered[step]) / float64(len(seq))
 	}
-	s, j := MeanNMSE(static), MeanNMSE(joint)
 	if j >= s {
-		t.Fatalf("joint NMSE %v not below static %v", j, s)
+		t.Fatalf("joint NMSE %v not below per-step %v", j, s)
 	}
 	if j > 0.05 {
 		t.Fatalf("joint NMSE %v too large", j)
@@ -227,64 +265,20 @@ func TestJointRecoveryWithNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := driftingPlumeSeq(10, 10, 6, 0.2)
-	joint, recovered, err := RecoverSpatioTemporal(phi, seq, SpatioTemporalOptions{
-		M: 20, NoiseSigma: 0.1, Seed: 2,
-	})
+	jm := jointMeasure(t, seq, 20, 0.1, 2)
+	recovered, _, err := DecodeSpatioTemporal(phi, jm, len(seq)*20/3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recovered) != 6 || len(recovered[0]) != 100 {
 		t.Fatal("recovered sequence shape wrong")
 	}
-	if nm := MeanNMSE(joint); nm > 0.05 {
+	nm := 0.0
+	for step, x := range seq {
+		nm += NMSE(x, recovered[step]) / float64(len(seq))
+	}
+	if nm > 0.05 {
 		t.Fatalf("noisy joint NMSE %v", nm)
-	}
-}
-
-func TestRecoverSequenceValidation(t *testing.T) {
-	phi, err := basis.OperatorFor(basis.KindDCT, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RecoverSequence(phi, nil, SequenceOptions{M: 4}); err == nil {
-		t.Fatal("want empty error")
-	}
-	if _, _, err := RecoverSequence(phi, [][]float64{make([]float64, 8)}, SequenceOptions{M: 4}); err == nil {
-		t.Fatal("want length error")
-	}
-	if _, _, err := RecoverSequence(phi, [][]float64{make([]float64, 16)}, SequenceOptions{}); err == nil {
-		t.Fatal("want M error")
-	}
-	if _, _, err := RecoverSpatioTemporal(phi, nil, SpatioTemporalOptions{M: 4}); err == nil {
-		t.Fatal("want empty error")
-	}
-	if _, _, err := RecoverSpatioTemporal(phi, [][]float64{make([]float64, 16)}, SpatioTemporalOptions{}); err == nil {
-		t.Fatal("want M error")
-	}
-}
-
-func TestOMPCentered(t *testing.T) {
-	rng := rand.New(rand.NewSource(38))
-	phi := basis.DCT(32)
-	op := denseOp(t, phi)
-	// Signal = mean + sparse deviation.
-	mu := make([]float64, 32)
-	for i := range mu {
-		mu[i] = 5
-	}
-	dev, _, _ := sparseSignal(rng, phi, 2)
-	x := mat.AddVec(mu, dev)
-	locs, _ := RandomLocations(rng, 32, 14)
-	y, _ := Measure(x, locs, rng, nil)
-	res, err := OMPCenteredOp(op, locs, y, mu, 2, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nm := NMSE(x, res.Xhat); nm > 1e-10 {
-		t.Fatalf("centered NMSE %v", nm)
-	}
-	if _, err := OMPCenteredOp(op, locs, y, mu[:3], 2, 0); err == nil {
-		t.Fatal("want mean-length error")
 	}
 }
 

@@ -97,10 +97,11 @@ func (d *opDict) reset(op basis.Operator, locs []int) error {
 
 func (d *opDict) rows() int { return len(d.locs) }
 
-// corrT scatters the residual onto the grid (zeros elsewhere — the ZeroFill
-// embedding, under which Φ̃ᵀr = Φᵀ(scatter r)) and runs one analysis; an
-// operator with a scattered analysis takes the M values directly.
-// Duplicate locations accumulate, as the rows of Φ̃ they repeat do.
+// corrT is steps (a)+(b) of CHS's Fig. 6 loop: it scatters the residual
+// onto the grid, zeros elsewhere — the interpolant Υ, under which
+// Φ̃ᵀr = Φᵀ(Υ r) — and runs one analysis; an operator with a scattered
+// analysis takes the M values directly. Duplicate locations accumulate,
+// as the rows of Φ̃ they repeat do.
 func (d *opDict) corrT(dst, r []float64) {
 	if d.scat != nil {
 		d.scat.ApplyTransposeScattered(dst, d.locs, r)

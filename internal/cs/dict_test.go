@@ -42,14 +42,8 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mu := make([]float64, p.n)
-		for i := range mu {
-			mu[i] = 20 + 0.1*float64(i%7)
-		}
-		yMu := make([]float64, p.m)
 		yClean := make([]float64, p.m)
 		for i, l := range locs {
-			yMu[i] = y[i] + mu[l]
 			yClean[i] = x[l]
 		}
 
@@ -60,14 +54,11 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			{"OMPOp", func(op basis.Operator) (*Result, error) {
 				return OMPOp(op, locs, y, p.k, 0)
 			}},
-			{"OMPSeededOp", func(op basis.Operator) (*Result, error) {
-				return OMPSeededOp(op, locs, y, p.k, 0, truth[:p.k/2])
-			}},
-			{"OMPCenteredOp", func(op basis.Operator) (*Result, error) {
-				return OMPCenteredOp(op, locs, yMu, mu, p.k, 0)
-			}},
 			{"CHSOp/OLS", func(op basis.Operator) (*Result, error) {
 				return CHSOp(op, locs, y, CHSOptions{MaxSupport: p.k})
+			}},
+			{"CHSOp/seeded", func(op basis.Operator) (*Result, error) {
+				return CHSOp(op, locs, y, CHSOptions{MaxSupport: p.k, SeedSupport: truth[:p.k/2]})
 			}},
 			{"CHSOp/GLS", func(op basis.Operator) (*Result, error) {
 				return CHSOp(op, locs, y, CHSOptions{MaxSupport: p.k, Sigmas: sigmas})

@@ -138,8 +138,11 @@ func FuzzDecodeOMP(f *testing.F) {
 		"\xff\xff\xff\xff\xff\xff\xff\xff" + // NaN
 		"\x00\x00\x00\x00\x00\x00\xf0\xff" + // -Inf
 		"\x01\x00\x00\x00\x00\x00\x00\x00")) // denormal
-	f.Add([]byte("\x01\x01\x01\x01"))         // all-zero 1x1 problem
-	f.Add([]byte("\x08\x08\x08\x00zzzzzzzz")) // k == -1: must error cleanly
+	f.Add([]byte("\x01\x01\x01\x01"))               // all-zero 1x1 problem
+	f.Add([]byte("\x08\x08\x08\x00zzzzzzzz"))       // k == -1: must error cleanly
+	f.Add(dct8Problem([]int{1, 1, 5}, 2, -3, 1))    // a repeated location: its readings sum
+	f.Add(dct8Problem([]int{0, 3, 6}, 0, 1e-10, 0)) // ‖y‖ ≤ tol: the zero estimate
+	const tol = 1e-9
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := newFuzzProblem(data)
 		if !ok {
@@ -149,13 +152,16 @@ func FuzzDecodeOMP(f *testing.F) {
 		if err != nil {
 			return
 		}
-		res, err := OMPOp(op, p.locs, p.y, p.k, 1e-9)
+		res, err := OMPOp(op, p.locs, p.y, p.k, tol)
 		if err != nil {
 			return
 		}
 		checkResult(t, p, res)
 		if len(res.Support) > len(p.locs) {
 			t.Fatalf("OMP support size %d exceeds measurement count %d", len(res.Support), len(p.locs))
+		}
+		if mat.Norm2(p.y) <= tol && (res.Iterations != 0 || len(res.Support) != 0) {
+			t.Fatalf("‖y‖ ≤ tol, yet %d iterations admitted %v", res.Iterations, res.Support)
 		}
 	})
 }
@@ -187,7 +193,8 @@ func FuzzDecodeIHT(f *testing.F) {
 // the problem it fuzzes a GLS noise slice (one short, exact or one long
 // against the measurements, values from raw bit patterns) and a short
 // warm-start seed (out-of-range, duplicate and overlong entries included).
-// newFuzzProblem's duplicate locations reach the two-step ZeroFill branch.
+// newFuzzProblem's duplicate locations reach the correlation that sums the
+// readings of a repeated location.
 func FuzzDecodeCHS(f *testing.F) {
 	f.Add([]byte("\x06\x05\x04\x03ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnop0123456789"), []byte("\x01\x10\x20\x30\x40\x50"), []byte("\x03\x05"))
 	f.Add([]byte("\x04\x04\x03\x02"+

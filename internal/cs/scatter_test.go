@@ -104,11 +104,11 @@ func TestCHSScatteredCorrelationMatchesFullGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref.scat = nil // the full-grid scatter + ApplyTranspose
-			got, err := chsDict(fast, new(workspace), locs, y, c.opts(sigmas))
+			got, err := chsDict(fast, new(workspace), y, c.opts(sigmas), false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := chsDict(ref, new(workspace), locs, y, c.opts(sigmas))
+			want, err := chsDict(ref, new(workspace), y, c.opts(sigmas), false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,9 +4,10 @@ import (
 	"repro/internal/mat"
 )
 
-// Warm-start plumbing shared by the OMP and CHS cores. A seed is a support
-// recovered by an earlier decode of the same dictionary (Result.Support,
-// in admission order). Seeding replays exactly the Append/DeflateLatest
+// Warm-start plumbing of the greedy loop (chsDict), which CHSOp seeds
+// through CHSOptions.SeedSupport. A seed is a support recovered by an
+// earlier decode of the same dictionary (Result.Support, in admission
+// order). Seeding replays exactly the Append/DeflateLatest
 // sequence the greedy loop would have performed for those columns — the
 // correlation scans it skips never touch the QR factors or the residual —
 // so a seed that matches what the cold decode would have admitted leaves
@@ -64,4 +65,24 @@ func coldRestart(d *opDict, qr *mat.IncrementalQR, resid, y []float64, cols int,
 	}
 	copy(resid, y)
 	return support[:0], nil
+}
+
+// hasDuplicates reports whether any index of idx appears twice, marking
+// indices in mark (all false, covering every index) and clearing its marks
+// again before it returns.
+func hasDuplicates(idx []int, mark []bool) bool {
+	dup := false
+	marked := 0
+	for _, l := range idx {
+		if mark[l] {
+			dup = true
+			break
+		}
+		mark[l] = true
+		marked++
+	}
+	for _, l := range idx[:marked] {
+		mark[l] = false
+	}
+	return dup
 }

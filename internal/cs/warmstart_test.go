@@ -127,25 +127,6 @@ func TestWarmStartCHSDenseBitIdentical(t *testing.T) {
 	assertBitIdentical(t, "CHS dense", cold, warm)
 }
 
-func TestWarmStartOMPBitIdenticalOnUnchangedField(t *testing.T) {
-	op, locs, y := warmProblem(t, 256, 64, 8, 43)
-	cold, err := OMPOp(op, locs, y, 10, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cold.Support) == 0 {
-		t.Fatal("cold decode recovered nothing; test is vacuous")
-	}
-	warm, err := OMPSeededOp(op, locs, y, 10, 1e-8, cold.Support)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "OMPSeededOp", cold, warm)
-	if warm.Iterations != 0 {
-		t.Fatalf("warm OMP of an unchanged field ran %d iterations, want 0", warm.Iterations)
-	}
-}
-
 // A seed that is garbage — out-of-range indices, duplicates, or longer
 // than the support cap — must be discarded, and the decode must equal the
 // cold decode exactly.
@@ -182,16 +163,6 @@ func TestWarmStartRankDeficientSeedFallsBackToCold(t *testing.T) {
 	}
 	locs := []int{3}
 	y := []float64{1.5}
-	cold, err := OMPOp(op, locs, y, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := OMPSeededOp(op, locs, y, 1, 0, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Oversized for k=1 → invalid → cold.
-	assertBitIdentical(t, "oversized seed", cold, warm)
 	warmCHS, err := CHSOp(op, locs, y, CHSOptions{MaxSupport: 2, SeedSupport: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -7,14 +7,15 @@ import (
 	"repro/internal/mat"
 )
 
-// workspace is the scratch of one CHS decode: the incremental-QR factors,
-// the step-(b) correlation, the sensor residual, one gathered column, the
-// final coefficients, the support marks, and the matrix-free dictionary
-// with its transform buffers. CHSOp takes a workspace from a pool and
-// returns it when the decode ends, so a steady stream of zone decodes
-// allocates little beyond each Result. A Result never points into a
-// workspace: Alpha, Xhat and Support are allocated per decode, and the
-// coefficients are copied out of coef into Alpha.
+// workspace is the scratch of one greedy decode: the incremental-QR
+// factors, the step-(b) correlation, the sensor residual, one gathered
+// column, the final coefficients, OMP's column norms, the support marks,
+// and the matrix-free dictionary with its transform buffers. CHSOp and
+// OMPOp take a workspace from a pool and return it when the decode ends,
+// so a steady stream of zone decodes allocates little beyond each Result.
+// A Result never points into a workspace: Alpha, Xhat and Support are
+// allocated per decode, and the coefficients are copied out of coef into
+// Alpha.
 type workspace struct {
 	pool *sync.Pool // the pool the workspace goes back to
 
@@ -24,6 +25,7 @@ type workspace struct {
 	resid     []float64 // length m
 	col       []float64 // length m
 	coef      []float64 // length |J|
+	norms     []float64 // length n, OMP only
 	inSupport []bool    // length n, all false when handed out
 }
 

@@ -10,18 +10,52 @@ import (
 	"repro/internal/basis"
 )
 
-// decodeIn runs one CHS decode with its scratch in ws, as CHSOp does with
-// a pooled workspace.
-func decodeIn(t *testing.T, ws *workspace, op basis.Operator, locs []int, y []float64, opts CHSOptions) *Result {
+// greedyDecode is one decode of the greedy loop: CHSOp with opts, or with
+// omp set OMPOp, whose options ompOpts builds.
+type greedyDecode struct {
+	name string
+	op   basis.Operator
+	locs []int
+	y    []float64
+	opts CHSOptions
+	omp  bool
+}
+
+// ompOpts are the loop options of OMPOp at sparsity k and tolerance tol.
+func ompOpts(k int, tol float64) CHSOptions {
+	return CHSOptions{MaxIter: k, MaxSupport: k, PerIter: 1, Tol: tol}
+}
+
+// pooled runs dc through its public decoder, on a pooled workspace.
+func (dc greedyDecode) pooled() (*Result, error) {
+	if dc.omp {
+		return OMPOp(dc.op, dc.locs, dc.y, dc.opts.MaxSupport, dc.opts.Tol)
+	}
+	return CHSOp(dc.op, dc.locs, dc.y, dc.opts)
+}
+
+// decodeIn runs dc with its scratch in ws, as CHSOp and OMPOp do with a
+// pooled workspace.
+func decodeIn(t *testing.T, ws *workspace, dc greedyDecode) *Result {
 	t.Helper()
-	if err := ws.od.reset(op, locs); err != nil {
+	if err := ws.od.reset(dc.op, dc.locs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := chsDict(&ws.od, ws, locs, y, opts)
+	res, err := chsDict(&ws.od, ws, dc.y, dc.opts, dc.omp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// zoneDecodes are the CHS and OMP decodes of zone case c at seed. OMP's
+// sparsity is CHS's default iteration budget, 32, or the zone's K if
+// smaller.
+func zoneDecodes(t *testing.T, c zoneCase, seed int64) (chs, omp greedyDecode) {
+	op, locs, y, sigmas := zoneProblem(t, c, seed)
+	chs = greedyDecode{"CHS/" + c.name, op, locs, y, c.opts(sigmas), false}
+	omp = greedyDecode{"OMP/" + c.name, op, locs, y, ompOpts(min(c.k, 32), NoiseTol(sigmas)), true}
+	return chs, omp
 }
 
 // cloneResult deep-copies a Result, so a later decode that wrote into
@@ -75,45 +109,41 @@ func sameResult(got, want *Result) string {
 
 // TestWorkspaceReuseBitIdentical decodes zone A, then a larger zone B,
 // then A again in one workspace, so the second A decode runs on buffers
-// and factors sized for B and holding B's values. Every decode must
-// equal the same decode in a fresh workspace, bit for bit, and a decode
-// must leave the Results of earlier decodes in the workspace untouched.
-// The same holds for warm starts whose seed is refused, which empty the
-// factors mid-decode (coldRestart), and through the pool via CHSOp.
+// and factors sized for B and holding B's values; CHS and OMP decodes
+// alternate, so each also runs on scratch the other loop left. Every
+// decode must equal the same decode in a fresh workspace, bit for bit,
+// and a decode must leave the Results of earlier decodes in the workspace
+// untouched. The same holds for warm starts whose seed is refused, which
+// empty the factors mid-decode (coldRestart), and through the pool via
+// CHSOp and OMPOp.
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
-	type decode struct {
-		name string
-		op   basis.Operator
-		locs []int
-		y    []float64
-		opts CHSOptions
-	}
-	var decodes []decode
-	for _, c := range []zoneCase{zoneCases[2], zoneCases[1], zoneCases[2], zoneCases[0]} {
-		op, locs, y, sigmas := zoneProblem(t, c, 3)
-		decodes = append(decodes, decode{c.name, op, locs, y, c.opts(sigmas)})
+	var decodes []greedyDecode
+	for i, c := range []zoneCase{zoneCases[2], zoneCases[1], zoneCases[2], zoneCases[0]} {
+		chs, omp := zoneDecodes(t, c, 3)
+		if i%2 == 0 {
+			decodes = append(decodes, chs, omp)
+		} else {
+			decodes = append(decodes, omp, chs)
+		}
 	}
 	// Seeded decodes of zone A: a seed whose residual check fails starts
 	// over cold in the reused factors.
 	a := decodes[0]
-	fresh := decodeIn(t, new(workspace), a.op, a.locs, a.y, a.opts)
-	refused := a.opts
-	refused.SeedSupport, refused.SeedRelTol = fresh.Support[:3], 1e-12
-	kept := a.opts
-	kept.SeedSupport = fresh.Support
-	decodes = append(decodes,
-		decode{a.name + "/seed-refused", a.op, a.locs, a.y, refused},
-		decode{a.name + "/seed-kept", a.op, a.locs, a.y, kept})
+	fresh := decodeIn(t, new(workspace), a)
+	refused, kept := a, a
+	refused.name, refused.opts.SeedSupport, refused.opts.SeedRelTol = a.name+"/seed-refused", fresh.Support[:3], 1e-12
+	kept.name, kept.opts.SeedSupport = a.name+"/seed-kept", fresh.Support
+	decodes = append(decodes, refused, decodes[1], kept)
 
 	ws := new(workspace)
 	var earlier, earlierCopies []*Result
 	for i, dc := range decodes {
-		want := decodeIn(t, new(workspace), dc.op, dc.locs, dc.y, dc.opts)
-		got := decodeIn(t, ws, dc.op, dc.locs, dc.y, dc.opts)
+		want := decodeIn(t, new(workspace), dc)
+		got := decodeIn(t, ws, dc)
 		if d := sameResult(got, want); d != "" {
 			t.Fatalf("decode %d (%s) in a reused workspace: %s", i, dc.name, d)
 		}
-		pooled, err := CHSOp(dc.op, dc.locs, dc.y, dc.opts)
+		pooled, err := dc.pooled()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,37 +165,37 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 
 // TestWorkspacePoolConcurrentDecodes: eight goroutines decode distinct
 // zones through the workspace pool at once, as the fleet's parallel zone
-// decodes do, and each result equals its serial decode bit for bit. Run
-// under -race it also checks that no workspace is shared by two decodes.
+// decodes do, each alternating CHS and OMP decodes of its zone, and each
+// result equals its fresh-workspace decode bit for bit. Run under -race it
+// also checks that no workspace is shared by two decodes.
 func TestWorkspacePoolConcurrentDecodes(t *testing.T) {
 	const workers = 8
 	type job struct {
-		op   basis.Operator
-		locs []int
-		y    []float64
-		opts CHSOptions
-		want *Result
+		decodes [2]greedyDecode
+		want    [2]*Result
 	}
 	jobs := make([]job, workers)
 	for g := range jobs {
-		c := zoneCases[g%len(zoneCases)]
-		op, locs, y, sigmas := zoneProblem(t, c, int64(100+g))
-		want := decodeIn(t, new(workspace), op, locs, y, c.opts(sigmas))
-		jobs[g] = job{op, locs, y, c.opts(sigmas), want}
+		chs, omp := zoneDecodes(t, zoneCases[g%len(zoneCases)], int64(100+g))
+		jobs[g].decodes = [2]greedyDecode{chs, omp}
+		for i, dc := range jobs[g].decodes {
+			jobs[g].want[i] = decodeIn(t, new(workspace), dc)
+		}
 	}
 	var wg sync.WaitGroup
 	for g := range jobs {
 		wg.Add(1)
 		go func(j job) {
 			defer wg.Done()
-			for rep := 0; rep < 3; rep++ {
-				got, err := CHSOp(j.op, j.locs, j.y, j.opts)
+			for rep := 0; rep < 4; rep++ {
+				dc := j.decodes[rep%2]
+				got, err := dc.pooled()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if d := sameResult(got, j.want); d != "" {
-					t.Errorf("concurrent decode: %s", d)
+				if d := sameResult(got, j.want[rep%2]); d != "" {
+					t.Errorf("concurrent decode %s: %s", dc.name, d)
 					return
 				}
 			}
@@ -202,10 +232,9 @@ func TestCHSSteadyStateAllocatesOnlyResult(t *testing.T) {
 // decode's workspace is a new one, with no storage sized by earlier
 // decodes, so a benchmark's set-up after the reset measures a cold start.
 func TestResetSensingCacheDropsWorkspaces(t *testing.T) {
-	c := zoneCases[1]
-	op, locs, y, sigmas := zoneProblem(t, c, 4)
+	chs, _ := zoneDecodes(t, zoneCases[1], 4)
 	ws := getWorkspace()
-	decodeIn(t, ws, op, locs, y, c.opts(sigmas))
+	decodeIn(t, ws, chs)
 	putWorkspace(ws)
 
 	ResetSensingCache()

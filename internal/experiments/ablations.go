@@ -96,8 +96,17 @@ func A1(cfg A1Config) (*Table, error) {
 			var err error
 			if bs.name == "learned-pca" {
 				// PCA eigenvectors span variation around the trace mean, so
-				// decode mean-centered (the broker knows μ from its prior).
-				res, err = cs.OMPCenteredOp(bs.phi, locs, y, mu, cfg.K, 1e-9)
+				// decode the readings less μ and add μ back to x̂ (the
+				// broker knows μ from its prior).
+				yc := make([]float64, len(y))
+				for i, l := range locs {
+					yc[i] = y[i] - mu[l]
+				}
+				if res, err = cs.OMPOp(bs.phi, locs, yc, cfg.K, 1e-9); err == nil {
+					for i := range res.Xhat {
+						res.Xhat[i] += mu[i]
+					}
+				}
 			} else {
 				res, err = cs.OMPOp(bs.phi, locs, y, cfg.K, 1e-9)
 			}

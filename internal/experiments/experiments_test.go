@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/basis"
 )
 
 // cell parses a table cell back to a float (stripping %, x suffixes).
@@ -301,6 +303,26 @@ func TestA5JointWinsAtEveryBudget(t *testing.T) {
 	for _, row := range tb.Rows {
 		if cell(t, row[2]) >= cell(t, row[1]) {
 			t.Fatalf("joint did not win at M=%s: %v vs %v", row[0], row[2], row[1])
+		}
+	}
+}
+
+func TestRecoverSequenceValidation(t *testing.T) {
+	phi, err := basis.OperatorFor(basis.KindDCT, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decode := range []func(basis.Operator, [][]float64, int, int64) (float64, error){
+		recoverSequence, recoverSpatioTemporal,
+	} {
+		if _, err := decode(phi, nil, 4, 0); err == nil {
+			t.Fatal("want empty error")
+		}
+		if _, err := decode(phi, [][]float64{make([]float64, 8)}, 4, 0); err == nil {
+			t.Fatal("want length error")
+		}
+		if _, err := decode(phi, [][]float64{make([]float64, 16)}, 0, 0); err == nil {
+			t.Fatal("want M error")
 		}
 	}
 }

@@ -80,7 +80,6 @@ var HotEntryPoints = []string{
 	"(*repro/internal/netsim.Network).DeliverBatch", // bench/ still calls it
 	"(*repro/internal/netsim.Network).Flush",
 	"(*repro/internal/store.Store).Append",
-	"(*repro/internal/store.Store).AppendScalar",
 	"(*repro/internal/fleet.Shard).Tick",
 	"(*repro/internal/fleet.Shard).report",
 	"repro/internal/mobility.StepWaypoint",

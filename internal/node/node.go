@@ -21,7 +21,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/privacy"
 	"repro/internal/sensor"
-	"repro/internal/store"
 )
 
 // Node observability handles (no-ops until obs.Enable).
@@ -64,16 +63,14 @@ type Node struct {
 	Policy  *privacy.Policy
 	Meter   *energy.Meter
 	Battery *energy.Battery
-	Store   *store.Store
 
 	env      Environment
 	mobility mobility.Model
 	rng      *rand.Rand
 
-	mu        sync.Mutex
-	subs      []*bus.Subscription
-	storeKeys map[sensor.Kind]string // guarded by mu; "<id>/<kind>" per kind measured so far
-	serveWG   sync.WaitGroup         // joins the bus-handler goroutines on Detach
+	mu      sync.Mutex
+	subs    []*bus.Subscription
+	serveWG sync.WaitGroup // joins the bus-handler goroutines on Detach
 }
 
 // New builds a node with the full standard probe complement.
@@ -106,10 +103,8 @@ func New(cfg Config, env Environment, mob mobility.Model) (*Node, error) {
 		Policy:  privacy.AllowAll(sensor.Accelerometer, sensor.Temperature, sensor.GPS, sensor.WiFi, sensor.Light, sensor.Humidity, sensor.Barometer, sensor.Microphone),
 		Meter:   energy.NewMeter(nil),
 		Battery: energy.NewBattery(cfg.Battery),
-		Store:   store.New(4096),
 		env:     env, mobility: mob,
-		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-		storeKeys: make(map[sensor.Kind]string),
+		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}, nil
 }
 
@@ -152,11 +147,6 @@ func (n *Node) MeasureField(kind sensor.Kind) (FieldReading, error) {
 	sigma := p.NoiseSigma()
 	n.mu.Lock()
 	noise := n.rng.NormFloat64() * sigma
-	key, ok := n.storeKeys[kind]
-	if !ok {
-		key = n.ID + "/" + string(kind)
-		n.storeKeys[kind] = key
-	}
 	n.mu.Unlock()
 	truth := n.env.FieldValue(kind, idx)
 	value := truth + noise
@@ -165,8 +155,6 @@ func (n *Node) MeasureField(kind sensor.Kind) (FieldReading, error) {
 	}
 	//lint:ignore errcheck sampling-overhead drain is best-effort; depletion is surfaced by the caller's battery check
 	_ = n.Battery.Drain(0.01)
-	//lint:ignore errcheck local logging is best-effort; a full or closed store must not fail the measurement itself
-	_ = n.Store.AppendScalar(key, 0, value)
 	obsMeasurements.Inc()
 	shared, ok := n.Policy.Filter(kind, value)
 	if !ok {

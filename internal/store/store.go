@@ -91,11 +91,6 @@ func (s *Store) Append(series string, r Record) error {
 	return nil
 }
 
-// AppendScalar logs a single-value record.
-func (s *Store) AppendScalar(series string, t, v float64) error {
-	return s.Append(series, Record{T: t, Values: []float64{v}})
-}
-
 // Query returns records of a series with T in [from, to], in time order.
 func (s *Store) Query(series string, from, to float64) ([]Record, error) {
 	obsQueries.Inc()

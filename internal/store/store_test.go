@@ -6,10 +6,13 @@ import (
 	"testing/quick"
 )
 
+// scalar is a single-value record at time at.
+func scalar(at, v float64) Record { return Record{T: at, Values: []float64{v}} }
+
 func TestAppendQuery(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 10; i++ {
-		if err := s.AppendScalar("n1/temp", float64(i), 20+float64(i)); err != nil {
+		if err := s.Append("n1/temp", scalar(float64(i), 20+float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -30,9 +33,9 @@ func TestAppendQuery(t *testing.T) {
 
 func TestOutOfOrderAppendKeepsSorted(t *testing.T) {
 	s := New(0)
-	s.AppendScalar("x", 5, 50)
-	s.AppendScalar("x", 1, 10)
-	s.AppendScalar("x", 3, 30)
+	s.Append("x", scalar(5, 50))
+	s.Append("x", scalar(1, 10))
+	s.Append("x", scalar(3, 30))
 	recs, _ := s.Query("x", 0, 10)
 	for i := 1; i < len(recs); i++ {
 		if recs[i].T < recs[i-1].T {
@@ -47,7 +50,7 @@ func TestOutOfOrderAppendKeepsSorted(t *testing.T) {
 func TestRetention(t *testing.T) {
 	s := New(5)
 	for i := 0; i < 12; i++ {
-		s.AppendScalar("x", float64(i), float64(i))
+		s.Append("x", scalar(float64(i), float64(i)))
 	}
 	if s.Len("x") != 5 {
 		t.Fatalf("retained %d, want 5", s.Len("x"))
@@ -60,8 +63,8 @@ func TestRetention(t *testing.T) {
 
 func TestSeriesAndDelete(t *testing.T) {
 	s := New(0)
-	s.AppendScalar("b", 0, 1)
-	s.AppendScalar("a", 0, 1)
+	s.Append("b", scalar(0, 1))
+	s.Append("a", scalar(0, 1))
 	if got := s.Series(); len(got) != 2 || got[0] != "a" {
 		t.Fatalf("Series=%v", got)
 	}
@@ -70,7 +73,7 @@ func TestSeriesAndDelete(t *testing.T) {
 func TestAggregate(t *testing.T) {
 	s := New(0)
 	for i, v := range []float64{10, 20, 30, 40} {
-		s.AppendScalar("x", float64(i), v)
+		s.Append("x", scalar(float64(i), v))
 	}
 	st, err := s.Aggregate("x", 1, 2)
 	if err != nil {
@@ -95,7 +98,7 @@ func TestPropQueryWindow(t *testing.T) {
 		times := make([]float64, n)
 		for i := range times {
 			times[i] = float64(rng.Intn(20))
-			s.AppendScalar("x", times[i], times[i])
+			s.Append("x", scalar(times[i], times[i]))
 		}
 		from := float64(rng.Intn(20))
 		to := from + float64(rng.Intn(10))
@@ -133,7 +136,7 @@ func BenchmarkAppend(b *testing.B) {
 	s := New(10000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.AppendScalar("x", float64(i), 1.0)
+		s.Append("x", scalar(float64(i), 1.0))
 	}
 }
 
@@ -180,11 +183,11 @@ func TestFullSeriesAppendsInPlace(t *testing.T) {
 	// A late record older than everything retained is evicted at once; one
 	// inside the series pushes the oldest out.
 	oldest := next - keep
-	if err := s.AppendScalar("x", oldest-10, 7); err != nil {
+	if err := s.Append("x", scalar(oldest-10, 7)); err != nil {
 		t.Fatal(err)
 	}
 	check(oldest)
-	if err := s.AppendScalar("x", oldest+0.5, 7); err != nil {
+	if err := s.Append("x", scalar(oldest+0.5, 7)); err != nil {
 		t.Fatal(err)
 	}
 	check(oldest + 0.5)
