@@ -311,30 +311,6 @@ func (o *dctOp) analyze1(dst, src, re, im []float64) {
 	}
 }
 
-// analyzePair transforms z = xa + j·xb once; the spectra separate as
-// Va[k] = (Z[k] + Z*[n−k])/2 and Vb[k] = (Z[k] − Z*[n−k])/2j. The
-// coefficients come out split by parity — α[2p] of xa into ea[p], α[2p+1]
-// into oa[p], likewise xb into eb/ob — which is the layout of the paired
-// FFT planes a 2-D analysis feeds its second stage from (n ≥ 2).
-func (o *dctOp) analyzePair(xa, xb, ea, oa, eb, ob, re, im []float64) {
-	for i, g := range o.gather {
-		re[i], im[i] = xa[g], xb[g]
-	}
-	o.plan.Butterflies(re, im, false)
-	n := o.n
-	for k := 0; k < n; k++ {
-		j := (n - k) & (n - 1)
-		c, s := 0.5*o.fwdCos[k], 0.5*o.fwdSin[k]
-		va := c*(re[k]+re[j]) + s*(im[k]-im[j])
-		vb := c*(im[k]+im[j]) - s*(re[k]-re[j])
-		if k&1 == 0 {
-			ea[k>>1], eb[k>>1] = va, vb
-		} else {
-			oa[k>>1], ob[k>>1] = va, vb
-		}
-	}
-}
-
 // synth1 rebuilds V[k] = e^{jπk/2n}·(X2[k] − j·X2[n−k]) from the unscaled
 // coefficients (the conjugate symmetry of a real signal's spectrum), inverts
 // it, and undoes the even/odd permutation.
@@ -797,10 +773,11 @@ func (o *Separable2D) Apply(dst, src []float64) {
 }
 
 // ApplyTranspose computes α = Φ₂ᵀx. On the paired route stage 1 runs the
-// row factor over the field's columns two per FFT, writing each column's
-// coefficients straight into the column factor's paired FFT planes; stage
-// 2 is one batched FFT over those planes (see colStage). A single-row or
-// single-column field is one factor analysis.
+// row factor over the field's columns two per FFT, all w/2 pairs in one
+// batched FFT, writing each column's coefficients straight into the column
+// factor's paired FFT planes (see rowStage); stage 2 is one batched FFT
+// over those planes (see colStage). A single-row or single-column field is
+// one factor analysis.
 func (o *Separable2D) ApplyTranspose(dst, src []float64) {
 	checkLens(o.n, dst, src)
 	switch {
@@ -814,7 +791,7 @@ func (o *Separable2D) ApplyTranspose(dst, src []float64) {
 	default:
 		sp := o.pool.Get().(*[]float64)
 		re, im := (*sp)[:o.n/2], (*sp)[o.n/2:o.n]
-		o.rowStage(re, im, src)
+		o.rowStage(re, im, src, (*sp)[o.n:])
 		o.colStage(dst, re, im)
 		o.pool.Put(sp)
 	}
@@ -838,23 +815,28 @@ func (o *Separable2D) ApplyTransposeScattered(dst []float64, locs []int, vals []
 	}
 	paired := o.rd != nil && o.h > 1 && o.w > 1
 	sp := o.pool.Get().(*[]float64)
-	re, im, x := (*sp)[:n/2], (*sp)[n/2:n], (*sp)[n:]
 	if paired && scatterWins(len(locs), o.h, o.w) {
+		re, im := (*sp)[:n/2], (*sp)[n/2:n]
 		o.rowTabOnce.Do(o.buildRowTab)
 		o.scatterStage(re, im, locs, vals)
-	} else {
-		clear(x)
-		for i, l := range locs {
-			x[l] += vals[i]
-		}
-		if !paired {
-			o.ApplyTranspose(dst, x)
-			o.pool.Put(sp)
-			return
-		}
-		o.rowStage(re, im, x)
+		o.colStage(dst, re, im)
+		o.pool.Put(sp)
+		return
 	}
-	o.colStage(dst, re, im)
+	x := (*sp)[n:]
+	clear(x)
+	for i, l := range locs {
+		x[l] += vals[i]
+	}
+	if paired {
+		// The field is dead once rowStage has gathered it, so the planes
+		// take its place and the batch runs in the buffer's first half.
+		re, im := x[:n/2], x[n/2:]
+		o.rowStage(re, im, x, (*sp)[:n])
+		o.colStage(dst, re, im)
+	} else {
+		o.ApplyTranspose(dst, x)
+	}
 	o.pool.Put(sp)
 }
 
@@ -890,19 +872,41 @@ func (o *Separable2D) buildRowTab() {
 // (re) carries row-factor coefficient 2p and whose imaginary part (im)
 // carries coefficient 2p+1. Stage 1 fills the planes, colStage finishes.
 
-// rowStage is the dense stage 1: the row factor's paired analysis over
-// field columns (c, c+1), each column's coefficients landing in its plane
-// row. The arithmetic is the paired kernel's, so the planes hold exactly
-// the values the strided route used to leave in dst.
-func (o *Separable2D) rowStage(re, im, src []float64) {
-	h, half := o.h, o.h/2
-	sc := o.rd.pool.Get().(*complexScratch)
-	for c := 0; c < o.w; c += 2 {
-		a, b := o.slot[c]*half, o.slot[c+1]*half
-		o.rd.analyzePair(src[c*h:(c+1)*h], src[(c+1)*h:(c+2)*h],
-			re[a:a+half], im[a:a+half], re[b:b+half], im[b:b+half], sc.re, sc.im)
+// rowStage is the dense stage 1: the row factor's paired analysis of field
+// columns (2v, 2v+1) for all w/2 pairs v at once. It gathers every pair's
+// Makhoul-permuted FFT input into batch (n values: the real plane, then
+// the imaginary one, pair v's slot i at i·w/2 + v), runs one
+// BatchButterflies call, and separates each pair's spectrum into its two
+// columns' plane rows. Each pair sees the schedule and the expressions of
+// a paired analysis of its own, so the planes hold exactly what w/2
+// separate FFTs leave. src may overlap re and im, not batch.
+func (o *Separable2D) rowStage(re, im, src, batch []float64) {
+	rd, h, half, pairs := o.rd, o.h, o.h/2, o.w/2
+	zr, zi := batch[:o.n/2], batch[o.n/2:o.n]
+	for i, g := range rd.gather {
+		br, bi := zr[i*pairs:][:pairs], zi[i*pairs:][:pairs]
+		for v := range br {
+			br[v], bi[v] = src[2*v*h+g], src[(2*v+1)*h+g]
+		}
 	}
-	o.rd.pool.Put(sc)
+	rd.plan.BatchButterflies(zr, zi, pairs, false)
+	// Z = Xa + j·Xb separates as Xa[k] = (Z[k] + Z*[h−k])/2 and Xb[k] =
+	// (Z[k] − Z*[h−k])/2j; coefficient k lands at p = k/2 of the real
+	// plane (k even) or the imaginary one (k odd).
+	for k := 0; k < h; k++ {
+		j := (h - k) & (h - 1)
+		c, s := 0.5*rd.fwdCos[k], 0.5*rd.fwdSin[k]
+		rk, ik := zr[k*pairs:][:pairs], zi[k*pairs:][:pairs]
+		rj, ij := zr[j*pairs:][:pairs], zi[j*pairs:][:pairs]
+		plane := re[k>>1:]
+		if k&1 == 1 {
+			plane = im[k>>1:]
+		}
+		for v := range rk {
+			plane[o.slot[2*v]*half] = c*(rk[v]+rj[v]) + s*(ik[v]-ij[v])
+			plane[o.slot[2*v+1]*half] = c*(ik[v]+ij[v]) - s*(rk[v]-rj[v])
+		}
+	}
 }
 
 // scatterStage is the scattered stage 1: location l = c·h + r adds
@@ -911,16 +915,12 @@ func (o *Separable2D) scatterStage(re, im []float64, locs []int, vals []float64)
 	clear(re)
 	clear(im)
 	h, half := o.h, o.h/2
+	shift := bits.TrailingZeros(uint(h)) // the paired route's h is a power of two
 	for i, l := range locs {
 		v := vals[i]
-		base := o.slot[l/h] * half
-		pr, pi := re[base:][:half], im[base:][:half]
-		even := o.rowTab[(l%h)*h:][:half]
-		odd := o.rowTab[(l%h)*h+half:][:half]
-		for p := range pr {
-			pr[p] += v * even[p]
-			pi[p] += v * odd[p]
-		}
+		base := o.slot[l>>shift] * half
+		row := o.rowTab[(l&(h-1))*h:][:h]
+		mat.AxpyPair(v, row[:half], row[half:], re[base:][:half], im[base:][:half])
 	}
 }
 

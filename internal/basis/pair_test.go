@@ -24,9 +24,9 @@ func relDiff(a, b []float64) float64 {
 // TestDCTPairedMatchesSingle pins the paired kernels to the single-vector
 // ones: two (and three, for the odd tail) vectors through synthPairs agree
 // with per-vector Apply to ≤ 1e-12 relative, for every power-of-two size up
-// to 1024, contiguous and strided, out of place and in place; and two
-// vectors through analyzePair agree with ApplyTranspose to the same bound,
-// read back from its parity-split halves.
+// to 1024, contiguous and strided, out of place and in place. (The paired
+// analysis is Separable2D's batched stage 1, pinned bit for bit by
+// TestSeparable2DAnalysisMatchesStrided.)
 func TestDCTPairedMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for n := 1; n <= 1024; n <<= 1 {
@@ -74,25 +74,6 @@ func TestDCTPairedMatchesSingle(t *testing.T) {
 						t.Fatalf("%s: in-place result differs from out-of-place at %d", label, i)
 					}
 				}
-			}
-		}
-		if n == 1 {
-			continue // analyzePair needs a coefficient of each parity
-		}
-		xa, xb := randVec(rng, n), randVec(rng, n)
-		half := n / 2
-		split := make([]float64, 2*n)
-		re, im := make([]float64, n), make([]float64, n)
-		o.analyzePair(xa, xb, split[:half], split[half:n], split[n:n+half], split[n+half:], re, im)
-		for v, x := range [][]float64{xa, xb} {
-			want := make([]float64, n)
-			o.ApplyTranspose(want, x)
-			got := make([]float64, n)
-			for p := 0; p < half; p++ {
-				got[2*p], got[2*p+1] = split[v*n+p], split[v*n+half+p]
-			}
-			if d := relDiff(got, want); d > 1e-12 {
-				t.Errorf("n=%d vector %d: paired analysis deviates from single by %.3g relative", n, v, d)
 			}
 		}
 	}

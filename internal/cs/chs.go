@@ -152,15 +152,12 @@ func chsDict(d *opDict, ws *workspace, y []float64, opts CHSOptions, byNorm bool
 	resid := ws.resid
 	copy(resid, y)
 	support := make([]int, 0, cols)
-	// The workspace slices are re-sliced to n so that the compiler sees
-	// their length, which keeps bounds checks out of the argmax scan.
-	inSupport := ws.marks(n)[:n]
 	qr := &ws.qr
 	if err := qr.Reset(m, cols); err != nil {
 		return nil, err
 	}
 	ws.alphaR = resized(ws.alphaR, n)
-	alphaR := ws.alphaR[:n]
+	alphaR := ws.alphaR[:n] // a length the compiler sees, for OMP's loop
 	ws.col = resized(ws.col, m)
 	col := ws.col
 	var norms []float64 // OMP's ‖Φ̃ⱼ‖, computed before the first scan
@@ -171,10 +168,10 @@ func chsDict(d *opDict, ws *workspace, y []float64, opts CHSOptions, byNorm bool
 	// measurements (residual under the seed tolerance, or the support cap
 	// already reached), the loop below exits immediately and the decode
 	// costs one residual check plus the final solve.
-	if validSeed(opts.SeedSupport, n, opts.MaxSupport, inSupport) {
+	if validSeed(opts.SeedSupport, n, opts.MaxSupport, ws.marks(n)) {
 		var ok bool
 		var err error
-		support, ok, err = seedFactors(d, qr, resid, col, support, inSupport, opts.SeedSupport)
+		support, ok, err = seedFactors(d, qr, resid, col, support, opts.SeedSupport)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +179,7 @@ func chsDict(d *opDict, ws *workspace, y []float64, opts CHSOptions, byNorm bool
 			ok = false // the field drifted past what the old support explains
 		}
 		if !ok {
-			if support, err = coldRestart(d, qr, resid, y, cols, support, inSupport); err != nil {
+			if support, err = coldRestart(d, qr, resid, y, cols, support); err != nil {
 				return nil, err
 			}
 		}
@@ -221,6 +218,11 @@ outer:
 				}
 			}
 		}
+		// The support's correlations are zeroed, so the step-(c) scan
+		// needs no membership test: a zero never wins it.
+		for _, j := range support {
+			alphaR[j] = 0
+		}
 		// (c–e) admit the PerIter most significant unused coefficients,
 		// folding each admitted column into the OLS factors. Support
 		// identification always uses the unweighted fit: a GLS fit inside
@@ -230,16 +232,8 @@ outer:
 		// step (e-ii) is applied once, on the final support, below.
 		added := 0
 		for added < opts.PerIter && len(support) < opts.MaxSupport {
-			best, bestJ := 0.0, -1
-			for j := 0; j < n; j++ {
-				if inSupport[j] {
-					continue
-				}
-				if c := math.Abs(alphaR[j]); c > best {
-					best, bestJ = c, j
-				}
-			}
-			if bestJ < 0 || best == 0 {
+			bestJ := argmaxAbs(alphaR)
+			if bestJ < 0 {
 				break
 			}
 			if err := d.col(col, bestJ); err != nil {
@@ -253,7 +247,7 @@ outer:
 				break outer
 			}
 			support = append(support, bestJ)
-			inSupport[bestJ] = true
+			alphaR[bestJ] = 0
 			// (f) e_r = x_S − Φ̃_K α_K, maintained by deflating against the
 			// newly orthogonalized direction.
 			if _, err := qr.DeflateLatest(resid); err != nil {
@@ -288,6 +282,50 @@ outer:
 		}
 	}
 	return packResult(d, support, coef, y, iters)
+}
+
+// argmaxAbs is step (c)'s scan: the lowest index j of the largest |a[j]|,
+// or −1 when no |a[j]| exceeds 0 (a NaN never wins). It keeps four running
+// maxima, one per index class mod 4 (the last len%4 entries join the first
+// class), so four compare chains run side by side; each holds its class's
+// lowest index of its largest value, and merging them by (value, lowest
+// index) gives the sequential scan's answer.
+func argmaxAbs(a []float64) int {
+	var b0, b1, b2, b3 float64
+	j0, j1, j2, j3 := -1, -1, -1, -1
+	n := len(a) &^ 3
+	for j := 0; j < n; j += 4 {
+		q := a[j : j+4 : j+4]
+		if c := math.Abs(q[0]); c > b0 {
+			b0, j0 = c, j
+		}
+		if c := math.Abs(q[1]); c > b1 {
+			b1, j1 = c, j+1
+		}
+		if c := math.Abs(q[2]); c > b2 {
+			b2, j2 = c, j+2
+		}
+		if c := math.Abs(q[3]); c > b3 {
+			b3, j3 = c, j+3
+		}
+	}
+	for j := n; j < len(a); j++ {
+		if c := math.Abs(a[j]); c > b0 {
+			b0, j0 = c, j
+		}
+	}
+	// A class that found nothing holds (0, −1) and never displaces one
+	// that did, whose value is above 0.
+	if b1 > b0 || b1 == b0 && j1 < j0 {
+		b0, j0 = b1, j1
+	}
+	if b2 > b0 || b2 == b0 && j2 < j0 {
+		b0, j0 = b2, j2
+	}
+	if b3 > b0 || b3 == b0 && j3 < j0 {
+		j0 = j3
+	}
+	return j0
 }
 
 // minSigma floors each σ of a GLS refit: no reading gets an infinite weight.

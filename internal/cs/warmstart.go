@@ -17,8 +17,8 @@ import (
 // non-empty, within the support cap, all indices in range and distinct.
 // Invalid seeds are silently discarded (the caller decodes cold): a stale
 // support from a differently-sized window is an expected input, not an
-// error. The duplicate check borrows the decoder's inSupport marks (length
-// n, all false) and leaves them all false again.
+// error. The duplicate check borrows the workspace's marks (length n, all
+// false) and leaves them all false again.
 func validSeed(seed []int, n, maxSupport int, mark []bool) bool {
 	if len(seed) == 0 || len(seed) > maxSupport {
 		return false
@@ -36,7 +36,7 @@ func validSeed(seed []int, n, maxSupport int, mark []bool) bool {
 // ok=false when a seed column is linearly dependent on its predecessors
 // (the caller restarts cold). Hard errors (dictionary access on a
 // validated index) propagate.
-func seedFactors(d *opDict, qr *mat.IncrementalQR, resid, col []float64, support []int, inSupport []bool, seed []int) ([]int, bool, error) {
+func seedFactors(d *opDict, qr *mat.IncrementalQR, resid, col []float64, support []int, seed []int) ([]int, bool, error) {
 	for _, j := range seed {
 		if err := d.col(col, j); err != nil {
 			return support, false, err
@@ -45,7 +45,6 @@ func seedFactors(d *opDict, qr *mat.IncrementalQR, resid, col []float64, support
 			return support, false, nil // rank-deficient seed: decode cold
 		}
 		support = append(support, j)
-		inSupport[j] = true
 		if _, err := qr.DeflateLatest(resid); err != nil {
 			return support, false, err
 		}
@@ -54,12 +53,9 @@ func seedFactors(d *opDict, qr *mat.IncrementalQR, resid, col []float64, support
 }
 
 // coldRestart discards a failed seed in place: qr is emptied with room
-// for cols columns, resid is reset to y, and the inSupport marks set
-// during seeding are cleared. It returns the emptied support.
-func coldRestart(d *opDict, qr *mat.IncrementalQR, resid, y []float64, cols int, support []int, inSupport []bool) ([]int, error) {
-	for _, j := range support {
-		inSupport[j] = false
-	}
+// for cols columns and resid is reset to y. It returns the emptied
+// support.
+func coldRestart(d *opDict, qr *mat.IncrementalQR, resid, y []float64, cols int, support []int) ([]int, error) {
 	if err := qr.Reset(d.rows(), cols); err != nil {
 		return nil, err
 	}

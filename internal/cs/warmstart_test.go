@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/basis"
+	"repro/internal/mat"
 )
 
 // The warm-start contract: re-decoding unchanged measurements seeded with
@@ -152,26 +153,56 @@ func TestWarmStartInvalidSeedFallsBackToCold(t *testing.T) {
 	}
 }
 
-// A rank-deficient seed (the same direction twice via distinct indices
-// that alias at the sensors) must also fall back cold rather than error.
+// A seed that passes validSeed and then fails at its second Append must
+// fall back to exactly the cold decode. DCT-16 sensed at cells 0 and 15:
+// cos(π(2·15+1)k/32) = (−1)ᵏ·cos(πk/32), so every even-index column
+// restricted to those two rows is proportional to (1, 1), and the seed
+// {0, 2} is in range, distinct and within the cap M = 2, yet rank
+// deficient.
 func TestWarmStartRankDeficientSeedFallsBackToCold(t *testing.T) {
-	// One measurement: every 1-column system is full rank, but any second
-	// column is linearly dependent in R^1.
 	op, err := basis.OperatorFor(basis.KindDCT, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	locs := []int{3}
-	y := []float64{1.5}
-	warmCHS, err := CHSOp(op, locs, y, CHSOptions{MaxSupport: 2, SeedSupport: []int{0, 1}})
+	locs := []int{0, 15}
+	seed := []int{0, 2}
+	y := []float64{1.5, -0.5}
+	if !validSeed(seed, op.Dim(), len(locs), make([]bool, op.Dim())) {
+		t.Fatal("validSeed discards the seed: the decode would never try to fold it in")
+	}
+	var d opDict
+	if err := d.reset(op, locs); err != nil {
+		t.Fatal(err)
+	}
+	var qr mat.IncrementalQR
+	if err := qr.Reset(len(locs), len(seed)); err != nil {
+		t.Fatal(err)
+	}
+	col := make([]float64, len(locs))
+	for i, j := range seed {
+		if err := d.col(col, j); err != nil {
+			t.Fatal(err)
+		}
+		err := qr.Append(col)
+		if i == 0 && err != nil {
+			t.Fatalf("Append refuses the first seed column %v: %v", col, err)
+		}
+		if i == 1 && err == nil {
+			t.Fatalf("Append accepts seed column %d = %v, which column %d spans", j, col, seed[0])
+		}
+	}
+	warm, err := CHSOp(op, locs, y, CHSOptions{SeedSupport: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldCHS, err := CHSOp(op, locs, y, CHSOptions{MaxSupport: 2})
+	cold, err := CHSOp(op, locs, y, CHSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertBitIdentical(t, "rank-deficient seed", coldCHS, warmCHS)
+	assertBitIdentical(t, "rank-deficient seed", cold, warm)
+	if warm.Iterations != cold.Iterations {
+		t.Fatalf("rank-deficient seed: %d iterations, the cold decode takes %d", warm.Iterations, cold.Iterations)
+	}
 }
 
 // SeedRelTol: when the field drifts so far that the old support explains

@@ -9,8 +9,8 @@ import (
 
 // workspace is the scratch of one greedy decode: the incremental-QR
 // factors, the step-(b) correlation, the sensor residual, one gathered
-// column, the final coefficients, OMP's column norms, the support marks,
-// and the matrix-free dictionary with its transform buffers. CHSOp and
+// column, the final coefficients, OMP's column norms, the marks of a
+// seed's duplicate check, and the matrix-free dictionary with its transform buffers. CHSOp and
 // OMPOp take a workspace from a pool and return it when the decode ends,
 // so a steady stream of zone decodes allocates little beyond each Result.
 // A Result never points into a workspace: Alpha, Xhat and Support are
@@ -19,14 +19,14 @@ import (
 type workspace struct {
 	pool *sync.Pool // the pool the workspace goes back to
 
-	qr        mat.IncrementalQR
-	od        opDict
-	alphaR    []float64 // length n
-	resid     []float64 // length m
-	col       []float64 // length m
-	coef      []float64 // length |J|
-	norms     []float64 // length n, OMP only
-	inSupport []bool    // length n, all false when handed out
+	qr     mat.IncrementalQR
+	od     opDict
+	alphaR []float64 // length n
+	resid  []float64 // length m
+	col    []float64 // length m
+	coef   []float64 // length |J|
+	norms  []float64 // length n, OMP only
+	seen   []bool    // length n, all false when handed out
 }
 
 // workspaces holds the current pool.
@@ -56,11 +56,11 @@ func putWorkspace(ws *workspace) {
 	ws.pool.Put(ws)
 }
 
-// marks returns the support marks for n coefficients, all false.
+// marks returns one mark per coefficient, all false.
 func (ws *workspace) marks(n int) []bool {
-	ws.inSupport = resized(ws.inSupport, n)
-	clear(ws.inSupport)
-	return ws.inSupport
+	ws.seen = resized(ws.seen, n)
+	clear(ws.seen)
+	return ws.seen
 }
 
 // resized returns s with length n, reallocating only when its capacity is

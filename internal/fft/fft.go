@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/mat"
 )
 
 // Plan holds the precomputed tables for transforms of one size. Plans are
@@ -177,6 +179,9 @@ func (p *Plan) Butterflies(re, im []float64, inverse bool) {
 // bit-identical to b separate calls; the loops differ only in order — the
 // innermost one runs over the b contiguous elements that share a twiddle,
 // which is what makes a batch of strided columns cheaper than b gathers.
+// That innermost loop is mat.Radix4 for the first two stages and
+// mat.Butterfly for each later one, elementwise kernels with a vector body
+// where the CPU has one (same bits, see package mat).
 func (p *Plan) BatchButterflies(re, im []float64, b int, inverse bool) {
 	n := p.n
 	if b < 0 || len(re) != n*b || len(im) != n*b {
@@ -196,20 +201,8 @@ func (p *Plan) BatchButterflies(re, im []float64, b int, inverse bool) {
 		return
 	}
 	for s := 0; s+3 < n; s += 4 {
-		r0, i0 := re[s*b:][:b], im[s*b:][:b]
-		r1, i1 := re[(s+1)*b:][:b], im[(s+1)*b:][:b]
-		r2, i2 := re[(s+2)*b:][:b], im[(s+2)*b:][:b]
-		r3, i3 := re[(s+3)*b:][:b], im[(s+3)*b:][:b]
-		for v := range r0 {
-			ar, ai := r0[v]+r1[v], i0[v]+i1[v]
-			br, bi := r0[v]-r1[v], i0[v]-i1[v]
-			cr, ci := r2[v]+r3[v], i2[v]+i3[v]
-			dr, di := -sign*(i2[v]-i3[v]), sign*(r2[v]-r3[v])
-			r0[v], i0[v] = ar+cr, ai+ci
-			r1[v], i1[v] = br+dr, bi+di
-			r2[v], i2[v] = ar-cr, ai-ci
-			r3[v], i3[v] = br-dr, bi-di
-		}
+		mat.Radix4(re[s*b:][:b], im[s*b:][:b], re[(s+1)*b:][:b], im[(s+1)*b:][:b],
+			re[(s+2)*b:][:b], im[(s+2)*b:][:b], re[(s+3)*b:][:b], im[(s+3)*b:][:b], sign)
 	}
 	for size := 8; size <= n; size <<= 1 {
 		half := size >> 1
@@ -220,16 +213,7 @@ func (p *Plan) BatchButterflies(re, im []float64, b int, inverse bool) {
 				wre := p.cos[tw]
 				wim := sign * p.sin[tw]
 				j := k + half
-				rk, ik := re[k*b:][:b], im[k*b:][:b]
-				rj, ij := re[j*b:][:b], im[j*b:][:b]
-				for v := range rk {
-					tre := rj[v]*wre - ij[v]*wim
-					tim := rj[v]*wim + ij[v]*wre
-					rj[v] = rk[v] - tre
-					ij[v] = ik[v] - tim
-					rk[v] += tre
-					ik[v] += tim
-				}
+				mat.Butterfly(re[k*b:][:b], im[k*b:][:b], re[j*b:][:b], im[j*b:][:b], wre, wim)
 				tw += step
 			}
 		}

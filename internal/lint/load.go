@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -135,6 +136,15 @@ func (l *Loader) loadDir(dir, path string) (*Package, error) {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") ||
 			strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
+			continue
+		}
+		// The files the go tool builds for this GOOS/GOARCH: a package
+		// with per-architecture files declares their names once per build.
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, n)

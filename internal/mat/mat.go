@@ -1,6 +1,9 @@
 // Package mat provides the dense linear-algebra kernel used by the
 // compressive-sensing core: vectors, row-major matrices, QR factorization,
-// linear solvers, pseudo-inverse, and ordinary/generalized least squares.
+// linear solvers, pseudo-inverse, and ordinary/generalized least squares;
+// and the elementwise kernels of the fast transforms (kernels.go), which
+// run AVX2 bodies on amd64 CPUs that have them, bit-identical to their Go
+// loops.
 //
 // The package is deliberately small and allocation-conscious rather than
 // fully general: everything SenseDroid needs reduces to dense operations on
