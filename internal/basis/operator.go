@@ -914,14 +914,8 @@ func (o *Separable2D) rowStage(re, im, src, batch []float64) {
 func (o *Separable2D) scatterStage(re, im []float64, locs []int, vals []float64) {
 	clear(re)
 	clear(im)
-	h, half := o.h, o.h/2
-	shift := bits.TrailingZeros(uint(h)) // the paired route's h is a power of two
-	for i, l := range locs {
-		v := vals[i]
-		base := o.slot[l>>shift] * half
-		row := o.rowTab[(l&(h-1))*h:][:h]
-		mat.AxpyPair(v, row[:half], row[half:], re[base:][:half], im[base:][:half])
-	}
+	// The paired route's h is a power of two.
+	mat.ScatterAxpyPair(re, im, o.rowTab, o.h, o.slot, locs, vals)
 }
 
 // colStage is stage 2: one batched FFT over the h/2 pairs, then the paired
@@ -936,11 +930,7 @@ func (o *Separable2D) colStage(dst, re, im []float64) {
 		c, s := 0.5*cd.fwdCos[k], 0.5*cd.fwdSin[k]
 		rk, ik := re[k*half:][:half], im[k*half:][:half]
 		rj, ij := re[j*half:][:half], im[j*half:][:half]
-		out := dst[k*h:][:h]
-		for p := range rk {
-			out[2*p] = c*(rk[p]+rj[p]) + s*(ik[p]-ij[p])
-			out[2*p+1] = c*(ik[p]+ij[p]) - s*(rk[p]-rj[p])
-		}
+		mat.Separate(dst[k*h:][:h], rk, ik, rj, ij, c, s)
 	}
 }
 

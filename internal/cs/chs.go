@@ -232,7 +232,7 @@ outer:
 		// step (e-ii) is applied once, on the final support, below.
 		added := 0
 		for added < opts.PerIter && len(support) < opts.MaxSupport {
-			bestJ := argmaxAbs(alphaR)
+			bestJ := mat.ArgmaxAbs(alphaR)
 			if bestJ < 0 {
 				break
 			}
@@ -282,50 +282,6 @@ outer:
 		}
 	}
 	return packResult(d, support, coef, y, iters)
-}
-
-// argmaxAbs is step (c)'s scan: the lowest index j of the largest |a[j]|,
-// or −1 when no |a[j]| exceeds 0 (a NaN never wins). It keeps four running
-// maxima, one per index class mod 4 (the last len%4 entries join the first
-// class), so four compare chains run side by side; each holds its class's
-// lowest index of its largest value, and merging them by (value, lowest
-// index) gives the sequential scan's answer.
-func argmaxAbs(a []float64) int {
-	var b0, b1, b2, b3 float64
-	j0, j1, j2, j3 := -1, -1, -1, -1
-	n := len(a) &^ 3
-	for j := 0; j < n; j += 4 {
-		q := a[j : j+4 : j+4]
-		if c := math.Abs(q[0]); c > b0 {
-			b0, j0 = c, j
-		}
-		if c := math.Abs(q[1]); c > b1 {
-			b1, j1 = c, j+1
-		}
-		if c := math.Abs(q[2]); c > b2 {
-			b2, j2 = c, j+2
-		}
-		if c := math.Abs(q[3]); c > b3 {
-			b3, j3 = c, j+3
-		}
-	}
-	for j := n; j < len(a); j++ {
-		if c := math.Abs(a[j]); c > b0 {
-			b0, j0 = c, j
-		}
-	}
-	// A class that found nothing holds (0, −1) and never displaces one
-	// that did, whose value is above 0.
-	if b1 > b0 || b1 == b0 && j1 < j0 {
-		b0, j0 = b1, j1
-	}
-	if b2 > b0 || b2 == b0 && j2 < j0 {
-		b0, j0 = b2, j2
-	}
-	if b3 > b0 || b3 == b0 && j3 < j0 {
-		j0 = j3
-	}
-	return j0
 }
 
 // minSigma floors each σ of a GLS refit: no reading gets an infinite weight.

@@ -65,9 +65,11 @@ var CtxBlocking = map[string]string{
 // HotEntryPoints are the per-event entry functions whose module-local
 // call/defer closure is held to the zero-allocation contract of
 // DESIGN.md §6: the serving read path, bus message fan-out, netsim
-// delivery, and store appends. Per-window work (decode, stream steps)
-// is deliberately not listed — those paths allocate result buffers by
-// design and are guarded by obshot instead.
+// delivery, store appends, fleet ticks, and the decode kernels that run
+// once per pursuit iteration (the Gram–Schmidt append and the 2-D
+// analyses behind each correlation). Per-window entry points (a whole
+// decode, stream steps) are deliberately not listed — they allocate
+// result buffers by design and are guarded by obshot instead.
 var HotEntryPoints = []string{
 	"(*repro/internal/serve.Server).Point",
 	"(*repro/internal/serve.Server).Range",
@@ -85,6 +87,9 @@ var HotEntryPoints = []string{
 	"repro/internal/mobility.StepWaypoint",
 	"repro/internal/mobility.StepWaypoints", // bench/ still calls it
 	"(*repro/internal/energy.Bank).DrainAll",
+	"(*repro/internal/mat.IncrementalQR).Append",
+	"(*repro/internal/basis.Separable2D).ApplyTransposeScattered",
+	"(*repro/internal/basis.Separable2D).ApplyTranspose",
 }
 
 // HotAmortizedStops are cache- or once-gated boundaries inside the hot

@@ -127,18 +127,11 @@ func (f *IncrementalQR) project(h, v []float64) float64 {
 	m := f.m
 	j := 0
 	for ; j+gsBlock <= len(h); j += gsBlock {
-		q0 := f.q[j*m : (j+1)*m]
-		q1, q2, q3 := f.q[(j+1)*m:(j+2)*m], f.q[(j+2)*m:(j+3)*m], f.q[(j+3)*m:(j+4)*m]
-		q1, q2, q3, v := q1[:len(q0)], q2[:len(q0)], q3[:len(q0)], v[:len(q0)]
-		h0, h1, h2, h3 := h[j], h[j+1], h[j+2], h[j+3]
-		for i, x := range q0 {
-			v[i] -= h0*x + h1*q1[i] + h2*q2[i] + h3*q3[i]
-		}
+		q := f.q[j*m : (j+4)*m]
+		SubMul4(v, q[:m], q[m:2*m], q[2*m:3*m], q[3*m:], h[j], h[j+1], h[j+2], h[j+3])
 	}
 	for ; j < len(h); j++ {
-		for i, x := range f.q[j*m : (j+1)*m] {
-			v[i] -= h[j] * x
-		}
+		SubMul(v, f.q[j*m:(j+1)*m], h[j])
 	}
 	return Norm2(v)
 }
@@ -180,9 +173,7 @@ func (f *IncrementalQR) DeflateLatest(v []float64) (float64, error) {
 	}
 	qk := f.q[(f.k-1)*f.m : f.k*f.m]
 	d := Dot(qk, v)
-	for i, qv := range qk {
-		v[i] -= d * qv
-	}
+	SubMul(v, qk, d)
 	return d, nil
 }
 

@@ -483,6 +483,103 @@ func TestIncrementalQRMatchesMGS2(t *testing.T) {
 	}
 }
 
+// TestIncrementalQRPathsBitIdentical grows the same factorization through
+// SubMul/SubMul4's Go loops and through their vector bodies and requires
+// Q, R, the deflated residual and every Append's outcome to agree bit for
+// bit. Every fifth column is a combination of the factored ones plus
+// 1e-6 relative noise, so its first pass cancels most of it and the
+// second pass runs; every seventh is an exact combination, refused with
+// ErrSingular. Row counts off a multiple of four run the Go tails too.
+func TestIncrementalQRPathsBitIdentical(t *testing.T) {
+	if !haveAVX2() {
+		t.Skip("CPU without AVX2: only the Go loops exist here")
+	}
+	type outcome struct {
+		q, r, resid []float64
+		errs        []error
+	}
+	grow := func(m, cols int, seed int64) outcome {
+		rng := rand.New(rand.NewSource(seed))
+		f, err := NewIncrementalQR(m, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var added [][]float64
+		resid := make([]float64, m)
+		for i := range resid {
+			resid[i] = rng.NormFloat64()
+		}
+		var o outcome
+		for j := 0; j < cols; j++ {
+			col := make([]float64, m)
+			switch {
+			case j%7 == 6:
+				for _, a := range added {
+					c := rng.NormFloat64()
+					for i := range col {
+						col[i] += c * a[i]
+					}
+				}
+			case j%5 == 4:
+				for _, a := range added {
+					c := rng.NormFloat64()
+					for i := range col {
+						col[i] += c * a[i]
+					}
+				}
+				for i := range col {
+					col[i] += 1e-6 * rng.NormFloat64()
+				}
+			default:
+				for i := range col {
+					col[i] = rng.NormFloat64()
+				}
+			}
+			err := f.Append(col)
+			o.errs = append(o.errs, err)
+			if err == nil {
+				added = append(added, col)
+				if _, err := f.DeflateLatest(resid); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		o.q, o.r, o.resid = append([]float64(nil), f.q...), upperR(f), resid
+		return o
+	}
+	for _, m := range []int{37, 64, 67} {
+		cols := m / 2
+		var goRun, vecRun outcome
+		withAVX2(false, func() { goRun = grow(m, cols, int64(m)) })
+		withAVX2(true, func() { vecRun = grow(m, cols, int64(m)) })
+		singular := 0
+		for j, err := range goRun.errs {
+			if !errors.Is(err, vecRun.errs[j]) {
+				t.Fatalf("m=%d column %d: Append %v on the vector bodies, %v on the Go loops", m, j, vecRun.errs[j], err)
+			}
+			if errors.Is(err, ErrSingular) {
+				singular++
+			} else if err != nil {
+				t.Fatalf("m=%d column %d: %v", m, j, err)
+			}
+			if j%5 == 4 && j%7 != 6 && err != nil {
+				t.Fatalf("m=%d column %d: the nearly dependent column was refused (%v): no second pass is exercised", m, j, err)
+			}
+		}
+		if singular == 0 {
+			t.Fatalf("m=%d: no column was refused: ErrSingular is not exercised", m)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []float64
+		}{{"Q", vecRun.q, goRun.q}, {"R", vecRun.r, goRun.r}, {"residual", vecRun.resid, goRun.resid}} {
+			if !sameBits(c.got, c.want) {
+				t.Fatalf("m=%d: %s differs between the vector bodies and the Go loops", m, c.name)
+			}
+		}
+	}
+}
+
 // BenchmarkIncrementalQRAppend grows a factorization to its full support
 // per iteration: 1024×64, and 400×32 (a campaign-decode zone at the CHS
 // iteration cap).

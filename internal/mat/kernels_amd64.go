@@ -27,7 +27,19 @@ func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 func xgetbv0() (a, d uint32)
 
 //go:noescape
-func axpyPairAVX2(v float64, xa, xb, ya, yb []float64)
+func separateAVX2(out, rk, ik, rj, ij []float64, c, s float64)
+
+//go:noescape
+func scatterAxpyPairAVX2(ya, yb, tab []float64, shift uint, slot, locs []int, vals []float64)
+
+//go:noescape
+func subMulAVX2(v, q []float64, h float64)
+
+//go:noescape
+func subMul4AVX2(v, q0, q1, q2, q3 []float64, h0, h1, h2, h3 float64)
+
+//go:noescape
+func argmaxAbsAVX2(a []float64, best *[4]float64, at *[4]int)
 
 //go:noescape
 func butterflyAVX2(rk, ik, rj, ij []float64, wre, wim float64)
