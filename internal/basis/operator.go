@@ -16,8 +16,10 @@ package basis
 // Determinism: operators never spawn goroutines, the FFT butterfly order is
 // a fixed function of n, and scratch buffers are fully overwritten before
 // use — a given input produces bit-identical output on every call at every
-// GOMAXPROCS. Operators are immutable after construction and safe for
-// concurrent use; per-call scratch comes from an internal sync.Pool.
+// GOMAXPROCS. Operators are safe for concurrent use; per-call scratch comes
+// from an internal sync.Pool, and the only state they change after
+// construction is Separable2D's first-use caches (its row table and factor
+// columns), each published once and read without a lock.
 
 import (
 	"errors"
@@ -25,6 +27,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fft"
 	"repro/internal/mat"
@@ -725,6 +728,9 @@ type Separable2D struct {
 	// analysis's first stage. Built on first use.
 	rowTabOnce sync.Once
 	rowTab     []float64
+	// rowCols/colCols memoize the factors' synthesis columns for
+	// FactorColumns.
+	rowCols, colCols colMemo
 }
 
 // NewSeparable2D builds the separable operator for an h-row × w-col field
@@ -738,6 +744,7 @@ func NewSeparable2D(rowOp, colOp Operator) *Separable2D {
 			s := make([]float64, 2*n)
 			return &s
 		}},
+		rowCols: newColMemo(rowOp), colCols: newColMemo(colOp),
 	}
 	rd, rok := rowOp.(*dctOp)
 	cd, cok := colOp.(*dctOp)
@@ -753,6 +760,52 @@ func NewSeparable2D(rowOp, colOp Operator) *Separable2D {
 
 // Factors returns the row and column factor operators.
 func (o *Separable2D) Factors() (rowOp, colOp Operator) { return o.row, o.col }
+
+// FactorColumns returns the two factor columns whose outer product is
+// column j = jc·h + jr of Φ₂: u = Φr·e_jr (length h) and v = Φc·e_jc
+// (length w), so Φ₂[i, j] = u[i mod h]·v[i div h]. Each is the factor's
+// own synthesis of the unit vector, memoized per operator on first use;
+// the slices are shared and must not be modified.
+func (o *Separable2D) FactorColumns(j int) (u, v []float64) {
+	return o.rowCols.col(j % o.h), o.colCols.col(j / o.h)
+}
+
+// colMemo caches a factor's synthesis columns Φf·e_j, one slot per column,
+// filled on first use. A hit is one atomic load and takes no lock.
+// Concurrent first uses of a column each compute it, and all get the
+// value the first store published: every fill runs the same Apply on the
+// same input, so the bits agree whichever store wins. Only columns some
+// caller asked for hold memory.
+type colMemo struct {
+	op   Operator
+	cols []atomic.Pointer[[]float64]
+}
+
+func newColMemo(op Operator) colMemo {
+	return colMemo{op: op, cols: make([]atomic.Pointer[[]float64], op.Dim())}
+}
+
+// col returns Φf·e_j.
+func (m *colMemo) col(j int) []float64 {
+	if c := m.cols[j].Load(); c != nil {
+		return *c
+	}
+	return m.fill(j)
+}
+
+// fill synthesizes column j and publishes it unless another caller got
+// there first.
+func (m *colMemo) fill(j int) []float64 {
+	n := m.op.Dim()
+	e := make([]float64, n)
+	e[j] = 1
+	c := make([]float64, n)
+	m.op.Apply(c, e)
+	if m.cols[j].CompareAndSwap(nil, &c) {
+		return c
+	}
+	return *m.cols[j].Load()
+}
 
 func (o *Separable2D) Dim() int { return o.n }
 
@@ -842,12 +895,13 @@ func (o *Separable2D) ApplyTransposeScattered(dst []float64, locs []int, vals []
 
 // scatterWins is the front-end rule of ApplyTransposeScattered, an op
 // count in M, h and w alone: the scattered stage 1 costs M·h multiply-adds
-// (one factor row per location), the dense one about 2·(log₂h − 1)
-// operations per field element (w/2 paired h-point FFTs with their gather
-// and twiddles), and stage 2 is the same for both. DESIGN.md §9 lists the
-// measured crossovers beside the rule, from 16×16 to 256×256.
+// (one factor row per location), the dense one a count per field element
+// that grows as log₂h − 1 (w/2 paired h-point FFTs with their gather and
+// twiddles), and stage 2 is the same for both. The constant 4 is fitted
+// to the crossovers measured on the vector kernels; DESIGN.md §9 lists
+// them beside the rule, from 16×16 to 256×256.
 func scatterWins(m, h, w int) bool {
-	return m < 2*w*(bits.Len(uint(h))-2)
+	return m < 4*w*(bits.Len(uint(h))-2)
 }
 
 // buildRowTab fills rowTab from the row factor's closed-form rows.

@@ -1,6 +1,7 @@
 package basis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -403,3 +404,73 @@ func benchOperatorDCT2D(b *testing.B, n int) {
 
 func BenchmarkOperatorDCT2D64(b *testing.B)  { benchOperatorDCT2D(b, 64) }
 func BenchmarkOperatorDCT2D256(b *testing.B) { benchOperatorDCT2D(b, 256) }
+
+// TestFactorColumnsMatchApply pins Separable2D's memoized factor columns
+// to the factor's own synthesis of the unit vector, bit for bit, on the
+// first use of a column and on a hit, for DCT factors n = 2…256 and for
+// factors that are not DCTs: Haar, the DFT, a dense MatrixOp and a nested
+// Separable2D. Only the columns asked for hold memory.
+func TestFactorColumnsMatchApply(t *testing.T) {
+	haar, _ := OperatorFor(KindHaar, 16)
+	dft, _ := OperatorFor(KindDFT, 8)
+	dense, _ := OperatorFor(KindDCT, 12)
+	if _, ok := dense.(*MatrixOp); !ok {
+		t.Fatalf("DCT-12 is %T, want the dense fallback", dense)
+	}
+	ops := map[string]*Separable2D{
+		"haar⊗dft":   NewSeparable2D(haar, dft),
+		"dense⊗haar": NewSeparable2D(dense, haar),
+		"nested":     NewSeparable2D(dctSeparable(t, 4, 8), dft),
+	}
+	for n := 2; n <= 256; n *= 2 {
+		ops[fmt.Sprintf("dct%d", n)] = dctSeparable(t, n, n)
+	}
+	for name, o := range ops {
+		row, col := o.Factors()
+		h, w := row.Dim(), col.Dim()
+		want := func(f Operator, j int) []float64 {
+			e, c := make([]float64, f.Dim()), make([]float64, f.Dim())
+			e[j] = 1
+			f.Apply(c, e)
+			return c
+		}
+		filled := func(m *colMemo) int {
+			k := 0
+			for i := range m.cols {
+				if m.cols[i].Load() != nil {
+					k++
+				}
+			}
+			return k
+		}
+		o.FactorColumns(h + 1)
+		if r, c := filled(&o.rowCols), filled(&o.colCols); r != 1 || c != 1 {
+			t.Fatalf("%s: one column read filled %d row and %d column slots, want 1 and 1", name, r, c)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for k := 0; k < max(h, w); k++ {
+				u, v := o.FactorColumns((k%w)*h + k%h)
+				for what, p := range map[string][2][]float64{
+					fmt.Sprintf("row column %d", k%h): {u, want(row, k%h)},
+					fmt.Sprintf("col column %d", k%w): {v, want(col, k%w)},
+				} {
+					for i := range p[1] {
+						if math.Float64bits(p[0][i]) != math.Float64bits(p[1][i]) {
+							t.Fatalf("%s pass %d: %s entry %d = %v, Apply(e) gives %v", name, pass, what, i, p[0][i], p[1][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFactorColumnsAllocs: reading a memoized factor column allocates
+// nothing.
+func TestFactorColumnsAllocs(t *testing.T) {
+	o := dctSeparable(t, 64, 64)
+	o.FactorColumns(130)
+	if allocs := testing.AllocsPerRun(100, func() { o.FactorColumns(130) }); allocs != 0 {
+		t.Errorf("%.1f allocs per memoized column read, want 0", allocs)
+	}
+}

@@ -132,7 +132,8 @@ func TestSeparable2DScatteredMatchesDense(t *testing.T) {
 		scattered     bool // which side of scatterWins the case sits on
 	}{
 		{32, 32, 96, 0, true}, {32, 32, 96, 12, true}, {64, 64, 400, 0, true},
-		{64, 64, 400, 40, true}, {64, 64, 1024, 0, false}, {64, 64, 1024, 100, false},
+		{64, 64, 400, 40, true}, {64, 64, 1024, 0, true}, {64, 64, 1024, 100, true},
+		{64, 64, 2048, 0, false}, {64, 64, 2048, 200, false},
 		{16, 64, 64, 8, true}, {64, 16, 64, 8, true}, {4, 8, 5, 2, true}, {8, 2, 5, 2, true},
 		{2, 2, 3, 1, false}, {2, 8, 5, 2, false}, {8, 8, 512, 0, false}, {32, 32, 0, 0, true},
 	}
@@ -246,7 +247,7 @@ func TestSeparable2DScatteredAllocs(t *testing.T) {
 	}
 	o := dctSeparable(t, 64, 64)
 	rng := rand.New(rand.NewSource(27))
-	for _, m := range []int{400, 1024} {
+	for _, m := range []int{400, 2048} {
 		locs := randLocs(rng, o.Dim(), m, 0)
 		vals := randVec(rng, m)
 		dst := make([]float64, o.Dim())

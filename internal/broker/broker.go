@@ -242,10 +242,12 @@ func (br *Broker) GatherContext(ctx context.Context, kind sensor.Kind, m int) (*
 // GatherExcludingContext is GatherContext with a set of grid cells the
 // round must not measure — cells another broker in the same zone already
 // covered. The zone merge uses it to redistribute a failed or short
-// broker's budget to survivors without re-buying duplicate coverage. The
-// budget clamps to the cells actually available once exclusions are
-// removed.
-func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, m int, exclude map[int]bool) (*GatherResult, error) {
+// broker's budget to survivors without re-buying duplicate coverage.
+// exclude is nil (no exclusions) or one flag per grid cell, true where the
+// cell is excluded. The budget clamps to the cells actually available once
+// exclusions are removed. A reading from a cell outside the grid is
+// dropped like a duplicate: it has no place in the region's field.
+func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, m int, exclude []bool) (*GatherResult, error) {
 	if m <= 0 {
 		return nil, errors.New("broker: measurement count must be positive")
 	}
@@ -254,9 +256,12 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 	defer sp.Finish()
 	gw, gh := br.env.GridDims()
 	n := gw * gh
+	if exclude != nil && len(exclude) != n {
+		return nil, fmt.Errorf("broker: exclusion set of %d cells for a %d-cell grid", len(exclude), n)
+	}
 	avail := n
-	for cell := range exclude {
-		if cell >= 0 && cell < n {
+	for _, ex := range exclude {
+		if ex {
 			avail--
 		}
 	}
@@ -267,8 +272,16 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 		return nil, errors.New("broker: no cells available after exclusions")
 	}
 	ids := br.orderNodes(ctx)
-	res := &GatherResult{}
-	seen := make(map[int]bool)
+	res := &GatherResult{
+		Locs:    make([]int, 0, m),
+		Values:  make([]float64, 0, m),
+		Sigmas:  make([]float64, 0, m),
+		NodeIDs: make([]string, 0, m),
+	}
+	// taken marks the cells the round may not measure (again): the
+	// excluded ones and those a reading already covered.
+	taken := make([]bool, n)
+	copy(taken, exclude)
 	// The roster is solicited in waves of exactly the readings still
 	// missing. A wave that size cannot overshoot: even if every node in it
 	// answers from a fresh cell the budget fills at its last reading, so
@@ -296,11 +309,12 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 				res.Denied++
 				continue
 			}
-			if seen[reading.GridIdx] || exclude[reading.GridIdx] {
-				continue // duplicate cell adds no spatial information
+			cell := reading.GridIdx
+			if cell < 0 || cell >= n || taken[cell] {
+				continue // a duplicate or off-grid cell adds no spatial information
 			}
-			seen[reading.GridIdx] = true
-			res.Locs = append(res.Locs, reading.GridIdx)
+			taken[cell] = true
+			res.Locs = append(res.Locs, cell)
 			res.Values = append(res.Values, reading.Value)
 			res.Sigmas = append(res.Sigmas, reading.Sigma)
 			res.NodeIDs = append(res.NodeIDs, reading.NodeID)
@@ -311,8 +325,8 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 	// has taken the region's infra sensors offline).
 	if len(res.Locs) < m && br.infraEnabled() {
 		free := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			if !seen[i] && !exclude[i] {
+		for i, t := range taken {
+			if !t {
 				free = append(free, i)
 			}
 		}

@@ -22,13 +22,13 @@ import (
 // only while the budget is open, then the infrastructure top-up. It is
 // the loop GatherExcludingContext had before requests overlapped, kept
 // here (and only here) as the specification.
-func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude map[int]bool) (*GatherResult, error) {
+func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude []bool) (*GatherResult, error) {
 	ctx := context.Background()
 	gw, gh := br.env.GridDims()
 	n := gw * gh
 	avail := n
-	for cell := range exclude {
-		if cell >= 0 && cell < n {
+	for _, ex := range exclude {
+		if ex {
 			avail--
 		}
 	}
@@ -170,7 +170,7 @@ func TestWaveGatherEqualsSequentialWalk(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for round := 0; round < 3; round++ {
 			m := 4 + rng.Intn(18)
-			exclude := map[int]bool{}
+			exclude := make([]bool, 25)
 			for i := rng.Intn(6); i > 0; i-- {
 				exclude[rng.Intn(25)] = true
 			}
@@ -180,11 +180,117 @@ func TestWaveGatherEqualsSequentialWalk(t *testing.T) {
 				t.Fatalf("seed %d round %d: waves err %v, walk err %v", seed, round, gotErr, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d round %d (m=%d, %d excluded, %s):\nwaves %+v\nwalk  %+v", seed, round, m, len(exclude), policy, got, want)
+				t.Fatalf("seed %d round %d (m=%d, %d excluded, %s):\nwaves %+v\nwalk  %+v", seed, round, m, countTrue(exclude), policy, got, want)
 			}
 			if got != nil && got.Denied+got.NodesUsed == 0 {
 				t.Fatalf("seed %d round %d: no node took part: %+v", seed, round, got)
 			}
+		}
+	}
+}
+
+func countTrue(set []bool) int {
+	n := 0
+	for _, b := range set {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGatherExclusion: an excluded cell is never measured, by a node or
+// by the infrastructure fallback, over 20 seeds with the budget open to
+// every cell left; an all-false exclusion set gathers exactly what nil
+// does; and a set that does not cover the grid is refused.
+func TestGatherExclusion(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	for seed := int64(1); seed <= 20; seed++ {
+		br := crowdedNC(t, seed, SelectRandom)
+		rng := rand.New(rand.NewSource(seed))
+		exclude := make([]bool, 25)
+		for i := 1 + rng.Intn(8); i > 0; i-- {
+			exclude[rng.Intn(25)] = true
+		}
+		g, err := br.GatherExcludingContext(context.Background(), sensor.Temperature, 25, exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 25 - countTrue(exclude); len(g.Locs) != want {
+			t.Fatalf("seed %d: %d cells measured, want the %d not excluded", seed, len(g.Locs), want)
+		}
+		for _, c := range g.Locs {
+			if exclude[c] {
+				t.Fatalf("seed %d: excluded cell %d measured: %+v", seed, c, g)
+			}
+		}
+		if g.InfraUsed == 0 || g.NodesUsed == 0 {
+			t.Fatalf("seed %d: want node and infrastructure readings both: %+v", seed, g)
+		}
+
+		withNil, none := crowdedNC(t, seed, SelectRandom), crowdedNC(t, seed, SelectRandom)
+		m := 4 + rng.Intn(18)
+		want, wantErr := withNil.GatherExcludingContext(context.Background(), sensor.Temperature, m, nil)
+		got, gotErr := none.GatherExcludingContext(context.Background(), sensor.Temperature, m, make([]bool, 25))
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("seed %d: nil exclusion err %v, all-false err %v", seed, wantErr, gotErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (m=%d): all-false exclusion\n%+v\nnil exclusion\n%+v", seed, m, got, want)
+		}
+	}
+	br := crowdedNC(t, 1, SelectRandom)
+	if _, err := br.GatherExcludingContext(context.Background(), sensor.Temperature, 4, make([]bool, 24)); err == nil {
+		t.Fatal("a 24-cell exclusion set on a 25-cell grid was accepted")
+	}
+}
+
+// TestGatherDropsOffGridReadings: a node that reports a cell outside the
+// grid, past either end, is dropped like a duplicate, and the fallback
+// fills the budget on the grid.
+func TestGatherDropsOffGridReadings(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := bus.New()
+	br, err := New(Config{ID: "nc0", Seed: 1, Timeout: 10 * time.Second}, b, fieldEnv{f: field.GenSmoothGradient(5, 5, 20, 5, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		//lint:ignore errcheck test responder: it returns when the cleanup cancels it
+		_ = bus.RespondContext(ctx, b, "nc0/node/rogue/#", func(topic string, _ []byte) (any, error) {
+			cell := -1
+			if topic == node.MeasureTopic("nc0", "rogue/0") {
+				cell = 25
+			}
+			return node.FieldReading{NodeID: "rogue", GridIdx: cell, Value: 1, Sigma: 0.1}, nil
+		})
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+		b.Close()
+	})
+	for i := 0; i < 2; i++ {
+		if err := br.Register(fmt.Sprintf("rogue/%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b.SubscriberCount(node.MeasureTopic("nc0", "rogue/0")) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodesUsed != 0 || g.InfraUsed != 3 || len(g.Locs) != 3 {
+		t.Fatalf("want the off-grid readings dropped and 3 infrastructure readings: %+v", g)
+	}
+	for _, c := range g.Locs {
+		if c < 0 || c >= 25 {
+			t.Fatalf("off-grid cell %d kept: %+v", c, g)
 		}
 	}
 }

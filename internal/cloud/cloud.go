@@ -98,7 +98,8 @@ var _ node.Environment = (*ZoneEnv)(nil)
 // --- LocalCloud -----------------------------------------------------------------
 
 // LocalCloud owns one zone: several NanoCloud brokers whose merged
-// telemetry reconstructs the zone subfield.
+// telemetry reconstructs the zone subfield. The brokers observe Env, so
+// their grid is the zone's.
 type LocalCloud struct {
 	Env     *ZoneEnv
 	Brokers []*broker.Broker
@@ -136,8 +137,14 @@ func (lc *LocalCloud) GatherContext(ctx context.Context, kind sensor.Kind, m int
 	}
 	per := m / len(lc.Brokers)
 	extra := m % len(lc.Brokers)
-	merged := &broker.GatherResult{}
-	seen := map[int]bool{}
+	gw, gh := lc.Env.GridDims()
+	merged := &broker.GatherResult{
+		Locs:    make([]int, 0, m),
+		Values:  make([]float64, 0, m),
+		Sigmas:  make([]float64, 0, m),
+		NodeIDs: make([]string, 0, m),
+	}
+	seen := make([]bool, gw*gh) // the zone cells merged so far
 	alive := make([]*broker.Broker, 0, len(lc.Brokers))
 	for i, br := range lc.Brokers {
 		want := per
@@ -189,7 +196,7 @@ func (lc *LocalCloud) GatherContext(ctx context.Context, kind sensor.Kind, m int
 // mergeGather appends one broker round to the zone merge. The exclusion
 // set passed to GatherExcludingContext makes cross-broker duplicates
 // impossible; the seen guard here only defends the invariant.
-func mergeGather(merged, g *broker.GatherResult, seen map[int]bool) {
+func mergeGather(merged, g *broker.GatherResult, seen []bool) {
 	for j, loc := range g.Locs {
 		if seen[loc] {
 			continue

@@ -7,9 +7,9 @@ package cs
 // the full grid and runs one analysis — or, on a 2-D operator, hands the M
 // values to its scattered analysis, which on DCT factors with few sensors
 // skips the full grid and the first-stage FFTs; a column Φ̃e_j is read
-// entry by entry (basis.EntryAccessor), built from two factor columns
-// (basis.Separable2D), or synthesized and gathered at the sensors. No
-// decoder gathers the whole M×N sensing matrix or forms the N×N basis,
+// entry by entry (basis.EntryAccessor), built from two memoized factor
+// columns (basis.Separable2D), or synthesized and gathered at the sensors.
+// No decoder gathers the whole M×N sensing matrix or forms the N×N basis,
 // which is what unlocks 1024² grids (dense Φ there would be (2²⁰)² floats
 // ≈ 8 TB). A dense basis enters through basis.FromMatrix,
 // whose stored rows and entries make its column norms O(n) per sensor and
@@ -48,10 +48,20 @@ type opDict struct {
 	// immutable once stored.
 	colJs  []int
 	colBuf [][]float64
-	// sepU/sepV hold the factor columns when op is a Separable2D.
-	sepU, sepV []float64
+	// sep is op when it is separable (basis.Separable2D); locR/locC then
+	// hold each location's grid row and column, split once per decode.
+	sep        separable
+	locR, locC []int
 	// scat is op's scattered analysis when it has one (basis.Separable2D).
 	scat scatteredAnalyzer
+}
+
+// separable is a 2-D operator whose column jc·h + jr is the outer product
+// of row-factor column jr (length h) and column-factor column jc: entry
+// (c·h + r, j) is u[r]·v[c] for u, v = FactorColumns(j).
+type separable interface {
+	Factors() (rowOp, colOp basis.Operator)
+	FactorColumns(j int) (u, v []float64)
 }
 
 // scatteredAnalyzer is an operator that analyzes a signal given only at
@@ -84,14 +94,23 @@ func (d *opDict) reset(op basis.Operator, locs []int) error {
 		}
 	}
 	scat, _ := op.(scatteredAnalyzer)
+	sep, _ := op.(separable)
 	*d = opDict{
 		op: op, locs: locs, n: n,
 		full: resized(d.full, n),
 		out:  resized(d.out, n),
-		sepU: d.sepU, sepV: d.sepV,
+		sep:  sep, locR: d.locR, locC: d.locC,
 		scat: scat,
 	}
 	clear(d.full)
+	if sep != nil {
+		rowOp, _ := sep.Factors()
+		h := rowOp.Dim()
+		d.locR, d.locC = resized(d.locR, len(locs)), resized(d.locC, len(locs))
+		for i, l := range locs {
+			d.locR[i], d.locC[i] = l%h, l/h
+		}
+	}
 	return nil
 }
 
@@ -147,8 +166,8 @@ func (d *opDict) gatherCol(j int) ([]float64, error) {
 
 // fillCol writes Φ̃ e_j into dst (length m).
 func (d *opDict) fillCol(dst []float64, j int) {
-	if sep, ok := d.op.(*basis.Separable2D); ok {
-		d.sepCol(sep, dst, j)
+	if d.sep != nil {
+		d.sepCol(dst, j)
 	} else if ea, ok := d.op.(basis.EntryAccessor); ok {
 		// Closed-form entries: the column restricted to the m sampled
 		// rows costs O(m), not one full synthesis.
@@ -166,21 +185,12 @@ func (d *opDict) fillCol(dst []float64, j int) {
 }
 
 // sepCol exploits separability: column jc·h+jr of a 2-D operator is the
-// outer product of the 1-D factor columns, so it costs two small factor
-// transforms and an O(M) gather instead of one full n-point synthesis.
-func (d *opDict) sepCol(sep *basis.Separable2D, dst []float64, j int) {
-	rowOp, colOp := sep.Factors()
-	h, w := rowOp.Dim(), colOp.Dim()
-	d.sepU, d.sepV = resized(d.sepU, h), resized(d.sepV, w)
-	jr, jc := j%h, j/h
-	d.full[jr] = 1
-	rowOp.Apply(d.sepU, d.full[:h])
-	d.full[jr] = 0
-	d.full[jc] = 1
-	colOp.Apply(d.sepV, d.full[:w])
-	d.full[jc] = 0
-	for i, l := range d.locs {
-		dst[i] = d.sepU[l%h] * d.sepV[l/h]
+// outer product of the 1-D factor columns, which the operator memoizes, so
+// it costs one O(M) gather instead of one full n-point synthesis.
+func (d *opDict) sepCol(dst []float64, j int) {
+	u, v := d.sep.FactorColumns(j)
+	for i, r := range d.locR {
+		dst[i] = u[r] * v[d.locC[i]]
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/basis"
@@ -26,7 +27,7 @@ type zoneCase struct {
 // fleet's uniform [0.05, 0.25].
 var zoneCases = []zoneCase{
 	{"campaign-decode/64x64_M400_K133_OLS", 64, 400, 133, 0, false, 0.002, true},
-	{"fleet-round/64x64_M1024_K64_OLS", 64, 1024, 64, 64, false, 0.075, false},
+	{"fleet-round/64x64_M1024_K64_OLS", 64, 1024, 64, 64, false, 0.075, true},
 	{"wire-gather/32x32_M96_K32_GLS", 32, 96, 32, 0, true, 0.002, true},
 }
 
@@ -85,8 +86,8 @@ func (c zoneCase) opts(sigmas []float64) CHSOptions {
 // with the same support the reconstructions are in fact bit-identical.
 // The first correlation Φ̃ᵀy itself is checked too: within 1e-12 relative
 // where the scattered front end runs (and different in some last bit, so
-// the case does exercise it), bit-identical on the M = 1024 zone, which
-// keeps the FFT front end.
+// the case does exercise it), bit-identical on a zone that keeps the FFT
+// front end. All three bench shapes take the scattered one.
 func TestCHSScatteredCorrelationMatchesFullGrid(t *testing.T) {
 	for _, c := range zoneCases {
 		scattered := 0
@@ -142,6 +143,101 @@ func TestCHSScatteredCorrelationMatchesFullGrid(t *testing.T) {
 		}
 		if (scattered > 0) != c.wantScattered {
 			t.Errorf("%s: %d of 20 correlations differ from the full grid's bits; scattered front end expected: %v", c.name, scattered, c.wantScattered)
+		}
+	}
+}
+
+// legacySep synthesizes a Separable2D's factor columns on every call, as
+// opDict.sepCol did before the operator memoized them: each factor's
+// Apply of a unit vector, read from a zeroed scratch prefix.
+type legacySep struct{ *basis.Separable2D }
+
+func (o legacySep) FactorColumns(j int) (u, v []float64) {
+	rowOp, colOp := o.Factors()
+	h, w := rowOp.Dim(), colOp.Dim()
+	full := make([]float64, o.Dim())
+	u, v = make([]float64, h), make([]float64, w)
+	jr, jc := j%h, j/h
+	full[jr] = 1
+	rowOp.Apply(u, full[:h])
+	full[jr] = 0
+	full[jc] = 1
+	colOp.Apply(v, full[:w])
+	return u, v
+}
+
+// sameDecode reports how got differs from want in support, coefficients,
+// reconstruction or residual, bit for bit ("" if it does not).
+func sameDecode(got, want *Result) string {
+	if fmt.Sprint(got.Support) != fmt.Sprint(want.Support) {
+		return fmt.Sprintf("support %v, want %v", got.Support, want.Support)
+	}
+	for name, p := range map[string][2][]float64{"Alpha": {got.Alpha, want.Alpha}, "Xhat": {got.Xhat, want.Xhat}} {
+		for i, w := range p[1] {
+			if math.Float64bits(p[0][i]) != math.Float64bits(w) {
+				return fmt.Sprintf("%s[%d] = %v, want %v", name, i, p[0][i], w)
+			}
+		}
+	}
+	if math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+		return fmt.Sprintf("residual %v, want %v", got.Residual, want.Residual)
+	}
+	return ""
+}
+
+// TestCHSFactorColumnMemoBitIdentical pins whole decodes on the three bench
+// zone shapes, 20 seeds each, to the column synthesis the factor-column
+// memo replaced (legacySep): the same support in the same order and the
+// same α, x̂ and residual bit for bit. It then runs the decodes again
+// concurrently, 4 goroutines a shape on one freshly cached operator whose
+// memo they fill as they go, and requires the same bits.
+func TestCHSFactorColumnMemoBitIdentical(t *testing.T) {
+	const seeds, workers = 20, 4
+	for _, c := range zoneCases {
+		basis.ResetCache() // a cached operator with an empty memo
+		ops := make([]basis.Operator, seeds)
+		locs := make([][]int, seeds)
+		ys, sigmas := make([][]float64, seeds), make([][]float64, seeds)
+		want := make([]*Result, seeds)
+		for s := range want {
+			var err error
+			ops[s], locs[s], ys[s], sigmas[s] = zoneProblem(t, c, int64(s+1))
+			legacy := legacySep{ops[s].(*basis.Separable2D)}
+			if want[s], err = CHSOp(legacy, locs[s], ys[s], c.opts(sigmas[s])); err != nil {
+				t.Fatal(err)
+			}
+			if ops[s] != ops[0] {
+				t.Fatalf("%s: seed %d decodes a different operator", c.name, s+1)
+			}
+		}
+		errs := make([]string, seeds)
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for s := g; s < seeds; s += workers {
+					got, err := CHSOp(ops[s], locs[s], ys[s], c.opts(sigmas[s]))
+					if err != nil {
+						errs[s] = err.Error()
+					} else {
+						errs[s] = sameDecode(got, want[s])
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for s := range want {
+			got, err := CHSOp(ops[s], locs[s], ys[s], c.opts(sigmas[s]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := sameDecode(got, want[s]); d != "" {
+				t.Errorf("%s seed %d: %s", c.name, s+1, d)
+			}
+			if errs[s] != "" {
+				t.Errorf("%s seed %d, concurrent: %s", c.name, s+1, errs[s])
+			}
 		}
 	}
 }

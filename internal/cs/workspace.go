@@ -52,7 +52,7 @@ func getWorkspace() *workspace {
 // putWorkspace returns ws to the pool it came from, first dropping its
 // references to the caller's operator and locations.
 func putWorkspace(ws *workspace) {
-	ws.od.op, ws.od.scat, ws.od.locs = nil, nil, nil
+	ws.od.op, ws.od.sep, ws.od.scat, ws.od.locs = nil, nil, nil, nil
 	ws.pool.Put(ws)
 }
 

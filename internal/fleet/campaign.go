@@ -178,18 +178,19 @@ type Result struct {
 // order → flush), then decodes every zone against the collected
 // measurements and assembles the global field. Requires SetTruth. The
 // merge loop is the determinism linchpin: each shard's envelopes go out
-// as one netsim run, in ascending shard index on the single driving
-// goroutine, so the network's RNG stream (loss, dup, reorder draws) is a
+// as one netsim run, in ascending shard index from a single goroutine,
+// so the network's RNG stream (loss, dup, reorder draws) is a
 // pure function of the seeds.
 //
-// A round's Flush runs on its own goroutine while the shards tick and
-// move the next round's due group, and the next Report waits for it. The
-// two share nothing: tick and step touch only the shards' clocks,
-// mobility, batteries and RNGs, and Flush only the network, the
-// collectors and the arenas Report already wrote, which the network reads
-// until Flush returns. So the overlap moves wall clock only; every draw
-// and every delivery happens as in the serial order, where Report moves
-// its group itself.
+// A round's merge and Flush run together on their own goroutine while
+// the shards tick and move the next round's due group, and the next
+// Report waits for both, since it overwrites the arenas they read. The
+// two sides share nothing: tick and step touch only the shards' clocks,
+// mobility, batteries and RNGs; merge reads only the arenas and report
+// counts Report wrote, and Flush only the network, the collectors and
+// those arenas. The merge still sends in shard order from one goroutine,
+// so the overlap moves wall clock only; every draw and every delivery
+// happens as in the serial order, where Report moves its group itself.
 func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	p := r.Pop
 	if p.truth == nil {
@@ -197,27 +198,33 @@ func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	}
 	res := &Result{}
 	period := p.Cfg.DutyPeriod
+	// deliver sends the round's reports and flushes the network.
+	deliver := func() error {
+		if err := r.merge(res); err != nil {
+			return err
+		}
+		r.Net.Flush()
+		return nil
+	}
 	p.Tick(1)
 	for round := 0; round < period; round++ {
 		p.Report(round)
-		if err := r.merge(res); err != nil {
-			return nil, err
-		}
 		if round == period-1 {
-			r.Net.Flush()
+			if err := deliver(); err != nil {
+				return nil, err
+			}
 			break
 		}
-		flushed := make(chan struct{})
-		go func() {
-			r.Net.Flush()
-			close(flushed)
-		}()
+		delivered := make(chan error, 1)
+		go func() { delivered <- deliver() }()
 		due := dueOffset(round+1, period)
 		p.forEachShard(func(s *Shard) {
 			s.Tick(1, p.idleMJ)
 			s.step(due)
 		})
-		<-flushed
+		if err := <-delivered; err != nil {
+			return nil, err
+		}
 	}
 	return r.finish(cfg, res)
 }

@@ -14,8 +14,8 @@
 // random draws happen inside a shard — a round's due group draws its
 // waypoint arrivals, then its measurement noise, each in node-index
 // order — and every cross-shard reduction — measurement merge, energy
-// totals, decode assembly — runs in ascending shard or zone order on the
-// single driving goroutine. Shards share no mutable state, so stepping
+// totals, decode assembly — runs in ascending shard or zone order on a
+// single goroutine. Shards share no mutable state, so stepping
 // them on GOMAXPROCS workers reorders only wall-clock time, never
 // arithmetic: campaign outputs are float-identical across GOMAXPROCS
 // settings (pinned by TestFleetCampaignDeterministicAcrossGOMAXPROCS).
@@ -73,8 +73,10 @@ const (
 
 // Shard is one struct-of-arrays block of nodes, all in the same zone.
 // Everything here is owned by the shard's scheduler turn: Tick, step and
-// report mutate it from exactly one goroutine at a time, and the merge
-// phase reads it only after the parallel phase has joined.
+// report mutate it from exactly one goroutine at a time. The merge phase
+// reads only the arena and report count (env, repN), after the parallel
+// report has joined; the next round's Tick and step, which it overlaps,
+// touch neither.
 type Shard struct {
 	Index int // global shard index: the deterministic merge order
 	Zone  int // owning zone (index into Population.Zones)

@@ -66,8 +66,10 @@ var CtxBlocking = map[string]string{
 // call/defer closure is held to the zero-allocation contract of
 // DESIGN.md §6: the serving read path, bus message fan-out, netsim
 // delivery, store appends, fleet ticks, and the decode kernels that run
-// once per pursuit iteration (the Gram–Schmidt append and the 2-D
-// analyses behind each correlation). Per-window entry points (a whole
+// once per pursuit iteration (the Gram–Schmidt append, the 2-D analyses
+// behind each correlation, and the admitted atom's column read: the
+// dictionary's gather and the operator's memoized factor columns).
+// Per-window entry points (a whole
 // decode, stream steps) are deliberately not listed — they allocate
 // result buffers by design and are guarded by obshot instead.
 var HotEntryPoints = []string{
@@ -90,15 +92,20 @@ var HotEntryPoints = []string{
 	"(*repro/internal/mat.IncrementalQR).Append",
 	"(*repro/internal/basis.Separable2D).ApplyTransposeScattered",
 	"(*repro/internal/basis.Separable2D).ApplyTranspose",
+	"(*repro/internal/basis.Separable2D).FactorColumns",
+	"(*repro/internal/cs.opDict).sepCol",
 }
 
 // HotAmortizedStops are cache- or once-gated boundaries inside the hot
 // closure: the boundary function runs per event (and is scanned), but
 // its callees only run on a miss, so hotness stops propagating there.
 // serve.(*Server).compile hits the CoW filter cache on the steady
-// state; the query parser behind it allocates its AST freely.
+// state; the query parser behind it allocates its AST freely. A factor
+// column's fill runs once per operator and column, and synthesizes the
+// column through the factor's transform.
 var HotAmortizedStops = []string{
 	"(*repro/internal/serve.Server).compile",
+	"(*repro/internal/basis.colMemo).fill",
 }
 
 // ProjectAnalyzers returns the full sdlint analyzer suite with the
