@@ -1,17 +1,19 @@
-// Package basis builds the orthonormal transform bases Φ used by the
-// compressive-sensing core (paper Eq. 2: x = Φα). The paper calls for
-// FFT/DCT bases by default, plus the ability to "use different basis and
-// sensing matrix by exploiting prior available data of different regions" —
-// covered here by Haar wavelets and a PCA basis learned from prior traces.
+// Package basis provides the orthonormal transform bases Φ used by the
+// compressive-sensing core (paper Eq. 2: x = Φα) as matrix-free operators
+// (operator.go): FFT/DCT bases by default, Haar wavelets, and — for the
+// paper's "use different basis and sensing matrix by exploiting prior
+// available data of different regions" — a PCA basis learned from prior
+// traces.
 //
-// Each constructor returns an explicit N×N matrix whose COLUMNS are the
-// basis vectors, so a coefficient vector α maps to a signal via x = Φ·α and
-// back via α = Φᵀ·x (orthonormality makes the transpose the inverse).
+// An Operator's Apply is synthesis x = Φα and its ApplyTranspose is
+// analysis α = Φᵀx (orthonormality makes the transpose the inverse). Only
+// two bases are explicit N×N matrices, with the basis vectors as columns:
+// the DCT and DFT at sizes the FFT cannot serve, behind a MatrixOp, and a
+// learned basis, which FromMatrix wraps.
 package basis
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/mat"
@@ -32,28 +34,9 @@ const (
 // ErrBadSize reports an unsupported basis dimension.
 var ErrBadSize = errors.New("basis: unsupported size")
 
-// New returns the N×N basis of the given kind. Haar requires N to be a
-// power of two; Learned cannot be built without traces (use Learn).
-func New(kind Kind, n int) (*mat.Matrix, error) {
-	switch kind {
-	case KindIdentity:
-		return mat.Identity(n), nil
-	case KindDCT:
-		return DCT(n), nil
-	case KindDFT:
-		return DFT(n), nil
-	case KindHaar:
-		return Haar(n)
-	case KindLearned:
-		return nil, errors.New("basis: learned basis needs prior traces, use Learn")
-	default:
-		return nil, fmt.Errorf("basis: unknown kind %q", kind)
-	}
-}
-
-// DCT returns the orthonormal DCT-II basis: column k holds the k-th cosine
+// dct returns the orthonormal DCT-II basis: column k holds the k-th cosine
 // mode, Φ[i,k] = s(k)·cos(π(2i+1)k / 2N) with s(0)=√(1/N), s(k>0)=√(2/N).
-func DCT(n int) *mat.Matrix {
+func dct(n int) *mat.Matrix {
 	m := mat.New(n, n)
 	if n == 0 {
 		return m
@@ -72,11 +55,11 @@ func DCT(n int) *mat.Matrix {
 	return m
 }
 
-// DFT returns a real orthonormal Fourier basis: the constant mode, paired
+// dft returns a real orthonormal Fourier basis: the constant mode, paired
 // cosine/sine modes for each positive frequency, and (for even N) the
 // Nyquist alternating mode. This is the real embedding of the complex DFT
 // that the paper's "FFT basis" refers to.
-func DFT(n int) *mat.Matrix {
+func dft(n int) *mat.Matrix {
 	m := mat.New(n, n)
 	if n == 0 {
 		return m
@@ -113,67 +96,6 @@ func DFT(n int) *mat.Matrix {
 		}
 	}
 	return m
-}
-
-// Haar returns the orthonormal Haar wavelet basis for n a power of two.
-func Haar(n int) (*mat.Matrix, error) {
-	if n <= 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("%w: Haar needs power-of-two size, got %d", ErrBadSize, n)
-	}
-	m := mat.New(n, n)
-	// Column 0: scaling function.
-	c := 1 / math.Sqrt(float64(n))
-	for i := 0; i < n; i++ {
-		m.Set(i, 0, c)
-	}
-	col := 1
-	// Levels: wavelets with support n/2^level ... 1 pairs.
-	for level := 1; 1<<level <= n; level++ {
-		count := 1 << (level - 1) // wavelets at this level
-		support := n / count      // samples covered by each wavelet
-		amp := math.Sqrt(float64(count) / float64(n))
-		for w := 0; w < count; w++ {
-			start := w * support
-			half := support / 2
-			for i := 0; i < half; i++ {
-				m.Set(start+i, col, amp)
-			}
-			for i := half; i < support; i++ {
-				m.Set(start+i, col, -amp)
-			}
-			col++
-		}
-	}
-	return m, nil
-}
-
-// Kron2D returns the separable 2-D basis Φ₂ = Φr ⊗ Φc for a field of
-// h rows × w cols that has been column-stacked into a vector of length h·w
-// (paper Eq. 1). Φr is the h×h row basis, Φc the w×w column basis. The
-// resulting matrix is (h·w)×(h·w): coefficient (kc·h + kr) maps to the 2-D
-// mode that is Φr's kr-th mode along rows and Φc's kc-th mode along columns.
-func Kron2D(phiR, phiC *mat.Matrix) (*mat.Matrix, error) {
-	if phiR.Rows != phiR.Cols || phiC.Rows != phiC.Cols {
-		return nil, errors.New("basis: Kron2D needs square factor bases")
-	}
-	h, w := phiR.Rows, phiC.Rows
-	n := h * w
-	out := mat.New(n, n)
-	for jc := 0; jc < w; jc++ { // column-basis mode
-		for jr := 0; jr < h; jr++ { // row-basis mode
-			colIdx := jc*h + jr
-			for ic := 0; ic < w; ic++ {
-				cv := phiC.At(ic, jc)
-				if cv == 0 {
-					continue
-				}
-				for ir := 0; ir < h; ir++ {
-					out.Set(ic*h+ir, colIdx, cv*phiR.At(ir, jr))
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // Learn builds an orthonormal basis from T prior traces (the rows of the
@@ -215,22 +137,22 @@ func Learn(traces *mat.Matrix) (*mat.Matrix, []float64, error) {
 	for i := range cov.Data {
 		cov.Data[i] /= float64(t)
 	}
-	vecs, vals, err := JacobiEigen(cov, 100, 1e-11)
+	vecs, vals, err := jacobiEigen(cov, 100, 1e-11)
 	if err != nil {
 		return nil, nil, err
 	}
 	return vecs, vals, nil
 }
 
-// JacobiEigen computes the eigendecomposition of a symmetric matrix using
+// jacobiEigen computes the eigendecomposition of a symmetric matrix using
 // the cyclic Jacobi rotation method. It returns the eigenvector matrix
 // (columns are eigenvectors) and eigenvalues, both sorted by decreasing
 // eigenvalue. maxSweeps bounds the work; tol is the off-diagonal Frobenius
 // threshold for convergence.
-func JacobiEigen(a *mat.Matrix, maxSweeps int, tol float64) (*mat.Matrix, []float64, error) {
+func jacobiEigen(a *mat.Matrix, maxSweeps int, tol float64) (*mat.Matrix, []float64, error) {
 	n := a.Rows
 	if a.Cols != n {
-		return nil, nil, errors.New("basis: JacobiEigen needs a square matrix")
+		return nil, nil, errors.New("basis: jacobiEigen needs a square matrix")
 	}
 	w := a.Clone()
 	v := mat.Identity(n)
@@ -302,34 +224,6 @@ func JacobiEigen(a *mat.Matrix, maxSweeps int, tol float64) (*mat.Matrix, []floa
 		}
 	}
 	return sortedVecs, sortedVals, nil
-}
-
-// Synthesize returns the signal x = Φα.
-func Synthesize(phi *mat.Matrix, alpha []float64) ([]float64, error) {
-	return mat.MulVec(phi, alpha)
-}
-
-// CheckOrthonormal verifies ΦᵀΦ ≈ I within tol, returning the maximum
-// deviation found. Useful in tests and when loading learned bases.
-func CheckOrthonormal(phi *mat.Matrix, tol float64) (float64, bool) {
-	p, err := mat.Mul(phi.T(), phi)
-	if err != nil {
-		return math.Inf(1), false
-	}
-	dev := 0.0
-	n := phi.Cols
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if d := math.Abs(p.At(i, j) - want); d > dev {
-				dev = d
-			}
-		}
-	}
-	return dev, dev <= tol
 }
 
 // SparsifyTopK returns a copy of alpha with all but the K

@@ -11,8 +11,8 @@ import (
 
 func TestDCTOrthonormal(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 17, 64} {
-		phi := DCT(n)
-		if dev, ok := CheckOrthonormal(phi, 1e-9); !ok {
+		phi := dct(n)
+		if dev, ok := checkOrthonormal(phi, 1e-9); !ok {
 			t.Fatalf("DCT(%d) not orthonormal, dev=%v", n, dev)
 		}
 	}
@@ -20,8 +20,8 @@ func TestDCTOrthonormal(t *testing.T) {
 
 func TestDFTOrthonormal(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 15, 16, 64} {
-		phi := DFT(n)
-		if dev, ok := CheckOrthonormal(phi, 1e-9); !ok {
+		phi := dft(n)
+		if dev, ok := checkOrthonormal(phi, 1e-9); !ok {
 			t.Fatalf("DFT(%d) not orthonormal, dev=%v", n, dev)
 		}
 	}
@@ -29,11 +29,11 @@ func TestDFTOrthonormal(t *testing.T) {
 
 func TestHaarOrthonormal(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 32, 128} {
-		phi, err := Haar(n)
+		phi, err := haar(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dev, ok := CheckOrthonormal(phi, 1e-9); !ok {
+		if dev, ok := checkOrthonormal(phi, 1e-9); !ok {
 			t.Fatalf("Haar(%d) not orthonormal, dev=%v", n, dev)
 		}
 	}
@@ -41,67 +41,57 @@ func TestHaarOrthonormal(t *testing.T) {
 
 func TestHaarRejectsNonPowerOfTwo(t *testing.T) {
 	for _, n := range []int{0, 3, 6, 12} {
-		if _, err := Haar(n); err == nil {
-			t.Fatalf("Haar(%d) should fail", n)
+		if _, err := OperatorFor(KindHaar, n); err == nil {
+			t.Fatalf("OperatorFor(haar, %d) should fail", n)
 		}
-	}
-}
-
-func TestNewDispatch(t *testing.T) {
-	for _, k := range []Kind{KindIdentity, KindDCT, KindDFT, KindHaar} {
-		phi, err := New(k, 8)
-		if err != nil {
-			t.Fatalf("New(%s): %v", k, err)
+		if _, err := haar(n); err == nil {
+			t.Fatalf("haar(%d) should fail", n)
 		}
-		if phi.Rows != 8 || phi.Cols != 8 {
-			t.Fatalf("New(%s) wrong shape", k)
-		}
-	}
-	if _, err := New(KindLearned, 8); err == nil {
-		t.Fatal("New(learned) should fail without traces")
-	}
-	if _, err := New(Kind("bogus"), 8); err == nil {
-		t.Fatal("unknown kind should fail")
 	}
 }
 
 func TestAnalyzeSynthesizeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, kind := range []Kind{KindDCT, KindDFT, KindHaar} {
-		phi, err := New(kind, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
+		phi := denseBasis(t, kind, 32)
 		x := make([]float64, 32)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		alpha, err := mat.MulTVec(phi, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := Synthesize(phi, alpha)
-		if err != nil {
-			t.Fatal(err)
-		}
+		back := mulVec(phi, mulTVec(phi, x))
 		if d := mat.Norm2(mat.SubVec(back, x)); d > 1e-9 {
 			t.Fatalf("%s round trip error %v", kind, d)
 		}
 	}
 }
 
+// topKApprox synthesizes the k largest of x's coefficients in the kind's
+// n-point operator.
+func topKApprox(t *testing.T, kind Kind, x []float64, k int) []float64 {
+	t.Helper()
+	op, err := OperatorFor(kind, len(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha, err := OpAnalyze(op, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, _ := SparsifyTopK(alpha, k)
+	approx := make([]float64, len(x))
+	op.Apply(approx, sparse)
+	return approx
+}
+
 func TestDCTCompressesSmoothSignal(t *testing.T) {
 	// A smooth Gaussian bump should concentrate energy in few DCT modes.
 	n := 64
-	phi := DCT(n)
 	x := make([]float64, n)
 	for i := range x {
 		d := (float64(i) - 32) / 10
 		x[i] = math.Exp(-d * d)
 	}
-	alpha, _ := mat.MulTVec(phi, x)
-	sparse, _ := SparsifyTopK(alpha, 12)
-	approx, _ := Synthesize(phi, sparse)
+	approx := topKApprox(t, KindDCT, x, 12)
 	rel := mat.Norm2(mat.SubVec(approx, x)) / mat.Norm2(x)
 	if rel > 0.01 {
 		t.Fatalf("12-term DCT approximation error %v, want < 1%%", rel)
@@ -111,14 +101,11 @@ func TestDCTCompressesSmoothSignal(t *testing.T) {
 func TestDFTCompressesSinusoid(t *testing.T) {
 	// A pure sinusoid at an integer frequency is exactly one DFT mode.
 	n := 64
-	phi := DFT(n)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * 2 * float64(i) / float64(n))
 	}
-	alpha, _ := mat.MulTVec(phi, x)
-	sparse, _ := SparsifyTopK(alpha, 2)
-	approx, _ := Synthesize(phi, sparse)
+	approx := topKApprox(t, KindDFT, x, 2)
 	rel := mat.Norm2(mat.SubVec(approx, x)) / mat.Norm2(x)
 	if rel > 1e-9 {
 		t.Fatalf("2-term DFT approximation error %v, want ~0", rel)
@@ -127,7 +114,10 @@ func TestDFTCompressesSinusoid(t *testing.T) {
 
 func TestHaarCompressesPiecewiseConstant(t *testing.T) {
 	n := 64
-	phi, _ := Haar(n)
+	op, err := OperatorFor(KindHaar, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := make([]float64, n)
 	for i := range x {
 		if i < 16 {
@@ -138,22 +128,19 @@ func TestHaarCompressesPiecewiseConstant(t *testing.T) {
 			x[i] = 0.5
 		}
 	}
-	alpha, _ := mat.MulTVec(phi, x)
+	alpha, _ := OpAnalyze(op, x)
 	if nz := mat.Norm0(alpha, 1e-9); nz > 12 {
 		t.Fatalf("piecewise-constant signal uses %d Haar coefficients, want few", nz)
 	}
 }
 
 func TestKron2DOrthonormal(t *testing.T) {
-	phi2, err := Kron2D(DCT(4), DCT(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	phi2 := kron2D(dct(4), dct(6))
 	if phi2.Rows != 24 || phi2.Cols != 24 {
-		t.Fatalf("Kron2D shape %dx%d", phi2.Rows, phi2.Cols)
+		t.Fatalf("kron2D shape %dx%d", phi2.Rows, phi2.Cols)
 	}
-	if dev, ok := CheckOrthonormal(phi2, 1e-9); !ok {
-		t.Fatalf("Kron2D not orthonormal, dev=%v", dev)
+	if dev, ok := checkOrthonormal(phi2, 1e-9); !ok {
+		t.Fatalf("kron2D not orthonormal, dev=%v", dev)
 	}
 }
 
@@ -161,15 +148,12 @@ func TestKron2DMatchesSeparableTransform(t *testing.T) {
 	// Synthesizing a single (kr,kc) coefficient must equal the outer
 	// product of the two 1-D modes, column-stacked.
 	h, w := 4, 3
-	pr, pc := DCT(h), DCT(w)
-	phi2, err := Kron2D(pr, pc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr, pc := dct(h), dct(w)
+	phi2 := kron2D(pr, pc)
 	kr, kc := 2, 1
 	alpha := make([]float64, h*w)
 	alpha[kc*h+kr] = 1
-	x, _ := Synthesize(phi2, alpha)
+	x := mulVec(phi2, alpha)
 	for ic := 0; ic < w; ic++ {
 		for ir := 0; ir < h; ir++ {
 			want := pr.At(ir, kr) * pc.At(ic, kc)
@@ -182,7 +166,7 @@ func TestKron2DMatchesSeparableTransform(t *testing.T) {
 
 func TestJacobiEigenKnown(t *testing.T) {
 	a, _ := mat.NewFromRows([][]float64{{2, 1}, {1, 2}})
-	vecs, vals, err := JacobiEigen(a, 50, 1e-12)
+	vecs, vals, err := jacobiEigen(a, 50, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +175,8 @@ func TestJacobiEigenKnown(t *testing.T) {
 	}
 	// Check A v = λ v for each column.
 	for k := 0; k < 2; k++ {
-		col, _ := mat.SelectCols(vecs, []int{k})
-		v := col.Data
-		av, _ := mat.MulVec(a, v)
+		v := []float64{vecs.At(0, k), vecs.At(1, k)}
+		av := mulVec(a, v)
 		for i := range v {
 			if math.Abs(av[i]-vals[k]*v[i]) > 1e-9 {
 				t.Fatalf("eigenpair %d violated", k)
@@ -224,7 +207,7 @@ func TestLearnRecoversSubspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dev, ok := CheckOrthonormal(vecs, 1e-8); !ok {
+	if dev, ok := checkOrthonormal(vecs, 1e-8); !ok {
 		t.Fatalf("learned basis not orthonormal, dev=%v", dev)
 	}
 	total, top2 := 0.0, vals[0]+vals[1]
@@ -274,17 +257,22 @@ func TestSparsifyTopK(t *testing.T) {
 // Property: Parseval — for every orthonormal basis and random signal,
 // ||x||₂ == ||Φᵀx||₂.
 func TestPropParseval(t *testing.T) {
-	phis := []*mat.Matrix{DCT(16), DFT(16)}
-	h, _ := Haar(16)
-	phis = append(phis, h)
+	var ops []Operator
+	for _, kind := range []Kind{KindDCT, KindDFT, KindHaar} {
+		op, err := OperatorFor(kind, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op)
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x := make([]float64, 16)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		for _, phi := range phis {
-			alpha, err := mat.MulTVec(phi, x)
+		for _, op := range ops {
+			alpha, err := OpAnalyze(op, x)
 			if err != nil {
 				return false
 			}
@@ -331,7 +319,7 @@ func TestPropSparsifyMonotone(t *testing.T) {
 func BenchmarkDCT256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		DCT(256)
+		dct(256)
 	}
 }
 

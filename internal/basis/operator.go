@@ -1,17 +1,16 @@
 package basis
 
-// Matrix-free basis operators. The dense constructors in basis.go
-// materialize Φ as an explicit n×n matrix, so every decoder iteration pays
-// O(n²) (and the 2-D Kronecker bases square that). An Operator exposes the
-// same linear map through Apply/ApplyTranspose at O(n log n) — DCT-II/III
-// and the real-embedded DFT ride a shared radix-2 FFT core (internal/fft),
-// Haar runs the O(n) lifting cascade, and Separable2D applies a 2-D basis
-// through its row/column factors without ever forming the Kronecker
-// product. The dense matrices remain the reference implementation: the
-// OperatorFor factory falls back to a matrix-backed operator for sizes or
-// kinds the fast paths cannot serve (non-power-of-two DCT/DFT, learned
-// bases), and the property tests pin every fast path to its dense
-// counterpart within 1e-9.
+// Matrix-free basis operators. An explicit n×n matrix costs O(n²) per
+// decoder iteration (and a 2-D Kronecker basis squares that). An Operator
+// exposes the same linear map through Apply/ApplyTranspose at O(n log n) —
+// DCT-II/III and the real-embedded DFT ride a shared radix-2 FFT core
+// (internal/fft), Haar runs the O(n) lifting cascade, and Separable2D
+// applies a 2-D basis through its row/column factors without ever forming
+// the Kronecker product. The OperatorFor factory falls back to a
+// matrix-backed operator for sizes the fast paths cannot serve
+// (non-power-of-two DCT/DFT), and FromMatrix wraps a learned basis the
+// same way; the property tests pin every fast path to a dense oracle
+// within 1e-9.
 //
 // Determinism: operators never spawn goroutines, the FFT butterfly order is
 // a fixed function of n, and scratch buffers are fully overwritten before
@@ -68,8 +67,8 @@ type EntryAccessor interface {
 
 // OperatorFor returns the matrix-free operator for the given basis family
 // and size. DCT/DFT get the FFT fast path when n is a power of two and fall
-// back to the memoized dense matrix otherwise; Haar (power-of-two only, as
-// with New) always uses the O(n) lifting cascade; Identity is free. Learned
+// back to their dense matrix otherwise; Haar (power-of-two only) always
+// uses the O(n) lifting cascade; Identity is free. Learned
 // bases have no (kind, n) identity — wrap the learned matrix with
 // FromMatrix instead.
 func OperatorFor(kind Kind, n int) (Operator, error) {
@@ -101,12 +100,13 @@ func OperatorFor(kind Kind, n int) (Operator, error) {
 	}
 }
 
+// denseFallback wraps the dense DCT or DFT matrix, the one place the
+// generators are built outside tests; CachedOperator memoizes the result.
 func denseFallback(kind Kind, n int) (Operator, error) {
-	m, err := Cached(kind, n)
-	if err != nil {
-		return nil, err
+	if kind == KindDFT {
+		return FromMatrix(dft(n))
 	}
-	return FromMatrix(m)
+	return FromMatrix(dct(n))
 }
 
 func checkLens(n int, dst, src []float64) {
@@ -182,7 +182,7 @@ func (o *MatrixOp) ApplyTranspose(dst, src []float64) {
 
 // --- DCT (FFT fast path) -------------------------------------------------------
 
-// dctOp computes the orthonormal DCT-II basis of basis.DCT matrix-free via
+// dctOp computes the orthonormal DCT-II basis of dct matrix-free via
 // Makhoul's n-point FFT method: analysis (ApplyTranspose) is even/odd
 // permutation, FFT, half-sample twiddle; synthesis (Apply) inverts the same
 // pipeline (DCT-III). Both directions exist as a single-vector kernel and a
@@ -426,7 +426,7 @@ func (o *dctOp) Entry(i, j int) float64 {
 
 // --- DFT (FFT fast path) -------------------------------------------------------
 
-// dftOp computes the real-embedded Fourier basis of basis.DFT matrix-free:
+// dftOp computes the real-embedded Fourier basis of dft matrix-free:
 // the real coefficient layout [const, cos f, sin f, …, Nyquist] is packed
 // from (un-packed into) the conjugate-symmetric complex spectrum of one
 // n-point FFT.
@@ -620,7 +620,7 @@ func (o *dftOp) Entry(i, j int) float64 {
 
 // --- Haar (lifting cascade) ----------------------------------------------------
 
-// haarOp computes the orthonormal Haar basis of basis.Haar matrix-free via
+// haarOp computes the orthonormal Haar wavelet basis matrix-free via
 // the O(n) averaging/differencing cascade: each pass halves the working
 // length, emitting detail coefficients for the current level directly into
 // the output.
@@ -703,8 +703,9 @@ func (o *haarOp) RowInto(dst []float64, i int) {
 
 // --- separable 2-D -------------------------------------------------------------
 
-// Separable2D applies the 2-D basis Φ₂ = Φc ⊗ Φr (the operator form of
-// Kron2D, same column-stacking convention) through its factors: the row
+// Separable2D applies the 2-D basis Φ₂ = Φc ⊗ Φr on a column-stacked
+// field (paper Eq. 1: coefficient jc·h + jr is the outer product of row
+// mode jr and column mode jc) through its factors: the row
 // factor transforms every field column, the column factor every field row.
 // Cost is O(h·w·(Cr+Cc)) where Cr/Cc are the factor costs — for FFT factors
 // that is O(n log n) against the O(n²) Kronecker matrix, and the (h·w)²

@@ -51,28 +51,17 @@ func TestOperatorMatchesDense(t *testing.T) {
 			if op.Dim() != n {
 				t.Fatalf("%s/%d: Dim() = %d", kind, n, op.Dim())
 			}
-			phi, err := New(kind, n)
-			if err != nil {
-				t.Fatalf("New(%s, %d): %v", kind, n, err)
-			}
+			phi := denseBasis(t, kind, n)
 			x := randVec(rng, n)
 			got := make([]float64, n)
 
 			op.Apply(got, x)
-			want, err := Synthesize(phi, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := opMaxAbsDiff(got, want); d > 1e-9 {
+			if d := opMaxAbsDiff(got, mulVec(phi, x)); d > 1e-9 {
 				t.Errorf("%s/%d: Apply deviates from dense by %.3g", kind, n, d)
 			}
 
 			op.ApplyTranspose(got, x)
-			want, err = mat.MulTVec(phi, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := opMaxAbsDiff(got, want); d > 1e-9 {
+			if d := opMaxAbsDiff(got, mulTVec(phi, x)); d > 1e-9 {
 				t.Errorf("%s/%d: ApplyTranspose deviates from dense by %.3g", kind, n, d)
 			}
 		}
@@ -127,11 +116,7 @@ func TestRowIntoMatchesTranspose(t *testing.T) {
 		}
 	}
 	// Dense fallback (MatrixOp) and the 2-D Kronecker composition.
-	m, err := Cached(KindDCT, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := FromMatrix(m)
+	dense, err := FromMatrix(dct(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,37 +188,18 @@ func TestSeparable2DMatchesKron(t *testing.T) {
 		if sep.Dim() != c.h*c.w {
 			t.Fatalf("%s %dx%d: Dim() = %d", c.kind, c.h, c.w, sep.Dim())
 		}
-		phiR, err := New(c.kind, c.h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phiC, err := New(c.kind, c.w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kron, err := Kron2D(phiR, phiC)
-		if err != nil {
-			t.Fatal(err)
-		}
+		kron := kron2D(denseBasis(t, c.kind, c.h), denseBasis(t, c.kind, c.w))
 		x := randVec(rng, c.h*c.w)
 		got := make([]float64, c.h*c.w)
 
 		sep.Apply(got, x)
-		want, err := Synthesize(kron, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := opMaxAbsDiff(got, want); d > 1e-9 {
-			t.Errorf("%s %dx%d: Apply deviates from Kron2D by %.3g", c.kind, c.h, c.w, d)
+		if d := opMaxAbsDiff(got, mulVec(kron, x)); d > 1e-9 {
+			t.Errorf("%s %dx%d: Apply deviates from kron2D by %.3g", c.kind, c.h, c.w, d)
 		}
 
 		sep.ApplyTranspose(got, x)
-		want, err = mat.MulTVec(kron, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := opMaxAbsDiff(got, want); d > 1e-9 {
-			t.Errorf("%s %dx%d: ApplyTranspose deviates from Kron2D by %.3g", c.kind, c.h, c.w, d)
+		if d := opMaxAbsDiff(got, mulTVec(kron, x)); d > 1e-9 {
+			t.Errorf("%s %dx%d: ApplyTranspose deviates from kron2D by %.3g", c.kind, c.h, c.w, d)
 		}
 	}
 }
@@ -315,11 +281,7 @@ func TestFromMatrixLearned(t *testing.T) {
 	x := randVec(rng, 12)
 	got := make([]float64, 12)
 	op.Apply(got, x)
-	want, err := Synthesize(phi, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := opMaxAbsDiff(got, want); d != 0 {
+	if d := opMaxAbsDiff(got, mulVec(phi, x)); d != 0 {
 		t.Errorf("FromMatrix Apply deviates from dense by %.3g (want bit-identical)", d)
 	}
 }
@@ -365,7 +327,7 @@ func benchOperatorDCT(b *testing.B, n int) {
 }
 
 func benchDenseDCT(b *testing.B, n int) {
-	phi := CachedDCT(n)
+	phi := dct(n)
 	rng := rand.New(rand.NewSource(18))
 	x := randVec(rng, n)
 	y := make([]float64, n)

@@ -271,13 +271,9 @@ outer:
 		return nil, err
 	}
 	// Fig. 6 step (e-ii): for heterogeneous sensors, refit the recovered
-	// support with the noise-weighted GLS estimate.
+	// support by GLS, keeping the OLS coefficients if that fails.
 	if opts.Sigmas != nil {
-		sub := mat.New(d.rows(), len(support))
-		if err := d.subInto(sub, support); err != nil {
-			return nil, err
-		}
-		if gcoef, err := glsRefit(sub, y, opts.Sigmas); err == nil {
+		if gcoef, err := glsRefit(d, qr, support, y, opts.Sigmas); err == nil {
 			coef = gcoef
 		}
 	}
@@ -287,11 +283,22 @@ outer:
 // minSigma floors each σ of a GLS refit: no reading gets an infinite weight.
 const minSigma = 1e-4
 
-// glsRefit is the GLS estimate on sub under the covariance diag(σ²).
-func glsRefit(sub *mat.Matrix, y, sigmas []float64) ([]float64, error) {
-	floored := make([]float64, len(sigmas))
-	for i, s := range sigmas {
-		floored[i] = max(s, minSigma)
+// glsRefit is the GLS estimate on the support under the covariance
+// diag(σ²), factored in qr: row i of Φ̃_support and of y divided by
+// √(sᵢ²), sᵢ = max(σᵢ, minSigma), then OLS — the bits of a Cholesky
+// whitening, which a multiply by 1/sᵢ would not keep.
+func glsRefit(d *opDict, qr *mat.IncrementalQR, support []int, y, sigmas []float64) ([]float64, error) {
+	if len(sigmas) != len(y) {
+		return nil, mat.ErrShape
 	}
-	return mat.WeightedLeastSquares(sub, y, floored)
+	div, wy := make([]float64, len(y)), make([]float64, len(y))
+	for i, s := range sigmas {
+		s = max(s, minSigma)
+		div[i] = math.Sqrt(s * s)
+		wy[i] = y[i] / div[i]
+	}
+	if err := d.factorInto(qr, support, div); err != nil {
+		return nil, err
+	}
+	return qr.Solve(wy)
 }

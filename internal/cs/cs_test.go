@@ -23,8 +23,31 @@ func sparseSignal(rng *rand.Rand, phi *mat.Matrix, k int) ([]float64, []float64,
 		}
 		alpha[j] = v
 	}
-	x, _ := basis.Synthesize(phi, alpha)
+	x := make([]float64, phi.Rows)
+	if err := mat.MulVecInto(x, phi, alpha); err != nil {
+		panic(err)
+	}
 	return x, alpha, support
+}
+
+// denseDCT materializes the n-point DCT basis: column j is the cached
+// operator's synthesis of e_j.
+func denseDCT(n int) *mat.Matrix {
+	op, err := basis.CachedOperator(basis.KindDCT, n)
+	if err != nil {
+		panic(err)
+	}
+	phi := mat.New(n, n)
+	e, col := make([]float64, n), make([]float64, n)
+	for j := 0; j < n; j++ {
+		e[j] = 1
+		op.Apply(col, e)
+		e[j] = 0
+		for i, v := range col {
+			phi.Set(i, j, v)
+		}
+	}
+	return phi
 }
 
 // denseOp wraps a dense basis matrix for the decoders, which take a
@@ -40,7 +63,7 @@ func denseOp(tb testing.TB, phi *mat.Matrix) basis.Operator {
 
 func TestOMPExactRecoveryNoiseless(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	x, alpha, _ := sparseSignal(rng, phi, 4)
 	locs, err := RandomLocations(rng, 64, 24)
@@ -68,7 +91,7 @@ func TestOMPExactRecoveryNoiseless(t *testing.T) {
 
 func TestOMPNoisyRecoveryDegradesGracefully(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	phi := basis.DCT(128)
+	phi := denseDCT(128)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 5)
 	locs, _ := RandomLocations(rng, 128, 50)
@@ -83,7 +106,7 @@ func TestOMPNoisyRecoveryDegradesGracefully(t *testing.T) {
 }
 
 func TestOMPErrorsAndEdgeCases(t *testing.T) {
-	phi := basis.DCT(16)
+	phi := denseDCT(16)
 	op := denseOp(t, phi)
 	if _, err := OMPOp(op, nil, nil, 3, 0); err != ErrNoMeasurements {
 		t.Fatalf("err=%v, want ErrNoMeasurements", err)
@@ -106,7 +129,7 @@ func TestOMPErrorsAndEdgeCases(t *testing.T) {
 
 func TestOMPSupportCappedByMeasurements(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	phi := basis.DCT(32)
+	phi := denseDCT(32)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 32, 6)
@@ -122,7 +145,7 @@ func TestOMPSupportCappedByMeasurements(t *testing.T) {
 
 func TestBasisPursuitExactRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	phi := basis.DCT(32)
+	phi := denseDCT(32)
 	x, alpha, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 32, 14)
 	y, _ := Measure(x, locs, rng, nil)
@@ -140,7 +163,7 @@ func TestBasisPursuitExactRecovery(t *testing.T) {
 
 func TestBasisPursuitMatchesOMPOnEasyProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	phi := basis.DCT(24)
+	phi := denseDCT(24)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
@@ -160,7 +183,7 @@ func TestBasisPursuitMatchesOMPOnEasyProblem(t *testing.T) {
 
 func TestCHSRecoversSparseSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 24)
@@ -179,7 +202,7 @@ func TestCHSRecoversSparseSignal(t *testing.T) {
 
 func TestCHSWithGLSUnderNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 28)
@@ -249,14 +272,15 @@ func choleskyGLS(sub *mat.Matrix, y, sigmas []float64, floor float64) ([]float64
 			wa.Data[i*sub.Cols+j] = w
 		}
 	}
-	return mat.LeastSquares(wa, solve(y))
+	return legacyLeastSquares(wa, solve(y))
 }
 
 // The GLS refit divides each row by its floored sigma instead of whitening
 // with a Cholesky factor. On a diagonal covariance the two compute the
 // same quotients, so the coefficients must agree bit for bit: over random
 // covariances spanning six decades, sigmas at and below the floor, a
-// single measurement, and the M < K shape both must reject.
+// single measurement, and the M < K shape both must reject. The refit runs
+// on a dictionary whose sampled columns are sub's.
 func TestGLSRowScalingMatchesCholesky(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 200; trial++ {
@@ -281,7 +305,7 @@ func TestGLSRowScalingMatchesCholesky(t *testing.T) {
 			}
 		}
 		want, wantErr := choleskyGLS(sub, y, sigmas, minSigma)
-		got, err := glsRefit(sub, y, sigmas)
+		got, err := glsRefit(embed(t, sub), new(mat.IncrementalQR), seq(k), y, sigmas)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("trial %d (M=%d, K=%d): err %v, Cholesky path err %v", trial, m, k, err, wantErr)
 		}
@@ -298,7 +322,7 @@ func TestGLSRowScalingMatchesCholesky(t *testing.T) {
 
 func TestCHSPerIterBatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 6)
 	locs, _ := RandomLocations(rng, 64, 30)
@@ -317,7 +341,7 @@ func TestCHSPerIterBatching(t *testing.T) {
 }
 
 func TestCHSZeroSignal(t *testing.T) {
-	phi := basis.DCT(16)
+	phi := denseDCT(16)
 	op := denseOp(t, phi)
 	res, err := CHSOp(op, []int{0, 5, 9}, []float64{0, 0, 0}, CHSOptions{Tol: 1e-9})
 	if err != nil {
@@ -445,7 +469,7 @@ func TestCompressionRatioAndTheoreticalM(t *testing.T) {
 
 func TestDiagnose(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 24)
@@ -478,7 +502,7 @@ func TestDiagnose(t *testing.T) {
 
 func TestChooseKCrossVal(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 32)
@@ -499,7 +523,7 @@ func TestChooseKCrossVal(t *testing.T) {
 // random instances when M = 6K with N=64 (the regime the paper's Fig. 4
 // operates in).
 func TestRecoveryProbability(t *testing.T) {
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	ok := 0
 	const trials = 25
@@ -524,7 +548,7 @@ func TestRecoveryProbability(t *testing.T) {
 // Property: every recovery result has a valid, duplicate-free support of
 // size ≤ min(k, M), and Alpha is zero off-support.
 func TestPropResultInvariants(t *testing.T) {
-	phi := basis.DCT(32)
+	phi := denseDCT(32)
 	op := denseOp(t, phi)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -567,7 +591,7 @@ func TestPropResultInvariants(t *testing.T) {
 
 func BenchmarkOMP256M30(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
-	phi := basis.DCT(256)
+	phi := denseDCT(256)
 	op := denseOp(b, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 30)
@@ -583,7 +607,7 @@ func BenchmarkOMP256M30(b *testing.B) {
 
 func BenchmarkCHS256(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
-	phi := basis.DCT(256)
+	phi := denseDCT(256)
 	op := denseOp(b, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 40)

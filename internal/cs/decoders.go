@@ -99,23 +99,16 @@ func ihtDict(d *opDict, y []float64, opts IHTOptions) (*Result, error) {
 		hardThresholdWith(alpha, opts.K, idxScratch, mask)
 	}
 	support := supportOf(alpha)
-	// Debias: least squares on the final support.
+	// Debias: least squares on the final support, unless its columns are
+	// dependent or outnumber the readings.
 	coef := make([]float64, len(support))
-	if len(support) > 0 && len(support) <= m {
-		sub := mat.New(m, len(support))
-		if err := d.subInto(sub, support); err != nil {
-			return nil, err
-		}
-		if ls, err := mat.LeastSquares(sub, y); err == nil {
+	for i, j := range support {
+		coef[i] = alpha[j]
+	}
+	var qr mat.IncrementalQR
+	if len(support) > 0 && d.factorInto(&qr, support, nil) == nil {
+		if ls, err := qr.Solve(y); err == nil {
 			coef = ls
-		} else {
-			for i, j := range support {
-				coef[i] = alpha[j]
-			}
-		}
-	} else {
-		for i, j := range support {
-			coef[i] = alpha[j]
 		}
 	}
 	return packResult(d, support, coef, y, iters)
@@ -147,11 +140,7 @@ func cosampDict(d *opDict, y []float64, opts CoSaMPOptions) (*Result, error) {
 		return nil, errors.New("cs: CoSaMP needs positive sparsity K")
 	}
 	if 3*opts.K > m {
-		// The merged LS needs ≤ m columns; clamp like OMP does.
-		opts.K = m / 3
-		if opts.K == 0 {
-			opts.K = 1
-		}
+		opts.K = max(m/3, 1) // the merged LS needs ≤ m columns
 	}
 	const maxIter, tol = 50, 1e-9
 	alpha := make([]float64, n)
@@ -162,13 +151,9 @@ func cosampDict(d *opDict, y []float64, opts CoSaMPOptions) (*Result, error) {
 	proxy := make([]float64, n)
 	idxScratch := make([]int, n)
 	mask := make([]bool, n)
-	maxMerge := 3 * opts.K
-	if maxMerge > m {
-		maxMerge = m
-	}
-	subBuf := make([]float64, m*maxMerge)
+	maxMerge := min(3*opts.K, m)
+	var qr mat.IncrementalQR
 	idx := make([]int, 0, maxMerge)
-	coef := make([]float64, 0, maxMerge)
 	pred := make([]float64, m)
 	iters := 0
 	prev := math.Inf(1)
@@ -198,41 +183,37 @@ func cosampDict(d *opDict, y []float64, opts CoSaMPOptions) (*Result, error) {
 		if len(idx) == 0 {
 			break
 		}
-		sub := &mat.Matrix{Rows: m, Cols: len(idx), Data: subBuf[:m*len(idx)]}
-		if err := d.subInto(sub, idx); err != nil {
-			return nil, err
-		}
-		ls, err := mat.LeastSquares(sub, y)
-		if err != nil {
+		if d.factorInto(&qr, idx, nil) != nil {
 			break // rank-deficient merge; keep the previous estimate
 		}
-		// Prune to K.
-		for j := range alpha {
-			alpha[j] = 0
+		ls, err := qr.Solve(y)
+		if err != nil {
+			return nil, err
 		}
+		// Prune to K.
+		clear(alpha)
 		for i, j := range idx {
 			alpha[j] = ls[i]
 		}
 		hardThresholdWith(alpha, opts.K, idxScratch, mask)
-		// Update residual from the pruned estimate.
-		support := supportOf(alpha)
-		sub2 := &mat.Matrix{Rows: m, Cols: len(support), Data: subBuf[:m*len(support)]}
-		if err := d.subInto(sub2, support); err != nil {
-			return nil, err
-		}
-		coef = coef[:len(support)]
-		for i, j := range support {
-			coef[i] = alpha[j]
-		}
-		if err := mat.MulVecInto(pred, sub2, coef); err != nil {
-			return nil, err
+		// Update residual from the pruned estimate: pred = Φ̃_support α,
+		// accumulated column by column.
+		clear(pred)
+		for _, j := range supportOf(alpha) {
+			c, err := d.gatherCol(j)
+			if err != nil {
+				return nil, err
+			}
+			for i, v := range c {
+				pred[i] += v * alpha[j]
+			}
 		}
 		for i := range resid {
 			resid[i] = y[i] - pred[i]
 		}
 	}
 	support := supportOf(alpha)
-	coef = make([]float64, len(support))
+	coef := make([]float64, len(support))
 	for i, j := range support {
 		coef[i] = alpha[j]
 	}

@@ -12,7 +12,7 @@ import (
 
 func TestIHTExactRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 28)
@@ -30,7 +30,7 @@ func TestIHTExactRecovery(t *testing.T) {
 }
 
 func TestIHTValidation(t *testing.T) {
-	phi := basis.DCT(16)
+	phi := denseDCT(16)
 	op := denseOp(t, phi)
 	if _, err := IHTOp(op, []int{1, 2}, []float64{1, 2}, IHTOptions{}); err == nil {
 		t.Fatal("want K error")
@@ -45,7 +45,7 @@ func TestIHTValidation(t *testing.T) {
 
 func TestCoSaMPExactRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 4)
 	locs, _ := RandomLocations(rng, 64, 30)
@@ -61,7 +61,7 @@ func TestCoSaMPExactRecovery(t *testing.T) {
 
 func TestCoSaMPClampsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	phi := basis.DCT(32)
+	phi := denseDCT(32)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 32, 9)
@@ -81,7 +81,7 @@ func TestCoSaMPClampsK(t *testing.T) {
 
 func TestCoSaMPNoisyComparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	phi := basis.DCT(128)
+	phi := denseDCT(128)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 5)
 	locs, _ := RandomLocations(rng, 128, 50)
@@ -97,7 +97,7 @@ func TestCoSaMPNoisyComparable(t *testing.T) {
 
 func TestBPDNToleratesNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	phi := basis.DCT(32)
+	phi := denseDCT(32)
 	x, _, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 32, 16)
 	sigmas := make([]float64, len(locs))
@@ -121,7 +121,7 @@ func TestBPDNToleratesNoise(t *testing.T) {
 
 func TestBPDNZeroEpsFallsBackToBP(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	phi := basis.DCT(24)
+	phi := denseDCT(24)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 2)
 	locs, _ := RandomLocations(rng, 24, 10)
@@ -145,7 +145,7 @@ func TestBPDNZeroEpsFallsBackToBP(t *testing.T) {
 
 func TestDecodersAgreeOnEasyProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	phi := basis.DCT(48)
+	phi := denseDCT(48)
 	op := denseOp(t, phi)
 	x, _, _ := sparseSignal(rng, phi, 3)
 	locs, _ := RandomLocations(rng, 48, 24)
@@ -284,7 +284,7 @@ func TestJointRecoveryWithNoise(t *testing.T) {
 
 func BenchmarkIHT256(b *testing.B) {
 	rng := rand.New(rand.NewSource(39))
-	phi := basis.DCT(256)
+	phi := denseDCT(256)
 	op := denseOp(b, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 48)
@@ -300,7 +300,7 @@ func BenchmarkIHT256(b *testing.B) {
 
 func BenchmarkCoSaMP256(b *testing.B) {
 	rng := rand.New(rand.NewSource(40))
-	phi := basis.DCT(256)
+	phi := denseDCT(256)
 	op := denseOp(b, phi)
 	x, _, _ := sparseSignal(rng, phi, 8)
 	locs, _ := RandomLocations(rng, 256, 48)
@@ -324,7 +324,7 @@ func BenchmarkCoSaMP256(b *testing.B) {
 // constraint.
 func TestBPDNScaleRelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	phi := basis.DCT(64)
+	phi := denseDCT(64)
 	op, err := basis.CachedOperator(basis.KindDCT, 64)
 	if err != nil {
 		t.Fatal(err)

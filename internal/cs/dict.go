@@ -39,9 +39,9 @@ type opDict struct {
 	full []float64 // length-n scatter buffer, kept all-zero between uses
 	out  []float64 // length-n transform output buffer
 
-	// colJs/colBuf memoize gathered columns for subInto over the lifetime
-	// of one decode: IHT/CoSaMP and the GLS refit re-request every support
-	// column on each refit, so caching turns O(iters·|J|) synthesis
+	// colJs/colBuf memoize gathered columns for factorInto over the
+	// lifetime of one decode: CoSaMP re-requests every support column on
+	// each of its solves, so caching turns O(iters·|J|) synthesis
 	// transforms into one per distinct column. Support stays small (tens
 	// of atoms), so a linear scan over admission order beats a map — no
 	// hashing, no map allocation on the decode hot path. Entries are
@@ -146,8 +146,8 @@ func (d *opDict) col(dst []float64, j int) error {
 	return nil
 }
 
-// gatherCol returns the memoized gathered column Φ̃ e_j — the refits of
-// subInto request the same support columns again and again.
+// gatherCol returns the memoized gathered column Φ̃ e_j — the solves of
+// factorInto request the same support columns again and again.
 func (d *opDict) gatherCol(j int) ([]float64, error) {
 	if j < 0 || j >= d.n {
 		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadSupport, j, d.n)
@@ -235,21 +235,31 @@ func (d *opDict) predict(dst, alpha []float64) {
 	}
 }
 
-// subInto builds the small m×|idx| system Φ̃_idx that every decoder's
-// least-squares step solves, column by column from the memoized gathered
-// columns — never a dense slice of Φ.
-func (d *opDict) subInto(dst *mat.Matrix, idx []int) error {
-	m := len(d.locs)
-	if dst.Rows != m || dst.Cols != len(idx) {
-		return fmt.Errorf("%w: submatrix %dx%d, want %dx%d", mat.ErrShape, dst.Rows, dst.Cols, m, len(idx))
+// factorInto factors the m×|idx| system Φ̃_idx of a least-squares step
+// into qr, appending the memoized gathered columns in idx's order, each
+// entry i divided by div[i] when div is non-nil. It fails with
+// mat.ErrSingular at a column dependent on those before it.
+func (d *opDict) factorInto(qr *mat.IncrementalQR, idx []int, div []float64) error {
+	if err := qr.Reset(len(d.locs), len(idx)); err != nil {
+		return err
 	}
-	for c, j := range idx {
-		cj, err := d.gatherCol(j)
+	var scaled []float64
+	if div != nil {
+		scaled = make([]float64, len(d.locs))
+	}
+	for _, j := range idx {
+		c, err := d.gatherCol(j)
 		if err != nil {
 			return err
 		}
-		for i := range d.locs {
-			dst.Data[i*dst.Cols+c] = cj[i]
+		if div != nil {
+			for i, v := range c {
+				scaled[i] = v / div[i]
+			}
+			c = scaled
+		}
+		if err := qr.Append(c); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -20,7 +20,7 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 	const bound = 1e-9
 	for _, p := range []struct{ n, m, k int }{{64, 32, 4}, {256, 80, 8}} {
 		rng := rand.New(rand.NewSource(int64(p.n)))
-		phi := basis.DCT(p.n)
+		phi := denseDCT(p.n)
 		dense := denseOp(t, phi)
 		fast, err := basis.CachedOperator(basis.KindDCT, p.n)
 		if err != nil {

@@ -20,7 +20,7 @@ func hypotResidual(locs []int, y, xhat []float64) float64 {
 
 func dct1D(t *testing.T, n int) basis.Operator {
 	t.Helper()
-	op, err := basis.FromMatrix(basis.DCT(n))
+	op, err := basis.FromMatrix(denseDCT(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func fuzzFloat(data *[]byte) float64 {
 // basis: readings y at locs, support cap 3.
 func dct8Problem(locs []int, y ...float64) []byte {
 	b := []byte{7, 0, byte(len(locs) - 1), 4}
-	for _, v := range basis.DCT(8).Data {
+	for _, v := range denseDCT(8).Data {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
 	for _, l := range locs {
@@ -268,7 +268,7 @@ func FuzzDecodeBPDN(f *testing.F) {
 		if !ok {
 			return
 		}
-		p.phi = basis.DCT(p.phi.Rows)
+		p.phi = denseDCT(p.phi.Rows)
 		op, err := basis.FromMatrix(p.phi)
 		if err != nil {
 			t.Fatal(err)

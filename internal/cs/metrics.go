@@ -117,17 +117,18 @@ func Diagnose(op basis.Operator, x []float64, locs []int, res *Result, noiseSigm
 	xk := make([]float64, d.n)
 	op.Apply(xk, sparse)
 	bd.ApproxNMSE = NMSE(x, xk)
-	// ε_c: conditioning of the sensing submatrix on the recovered support.
+	// ε_c: conditioning of the sensing submatrix on the recovered support,
+	// +Inf if its columns are dependent, as more columns than readings are.
 	if k > 0 {
-		sub := mat.New(d.rows(), k)
-		if err := d.subInto(sub, res.Support); err != nil {
+		var qr mat.IncrementalQR
+		switch err := d.factorInto(&qr, res.Support, nil); {
+		case err == nil:
+			bd.Condition = qr.ConditionEstimate()
+		case errors.Is(err, mat.ErrSingular) || k > d.rows():
+			bd.Condition = math.Inf(1)
+		default:
 			return nil, err
 		}
-		cond, err := mat.ConditionEstimate(sub)
-		if err != nil {
-			return nil, err
-		}
-		bd.Condition = cond
 	}
 	// ε_m: noise energy relative to signal energy at the sensors.
 	sigE := 0.0

@@ -92,7 +92,7 @@ func TestWarmStartCHSBitIdenticalOnUnchangedField(t *testing.T) {
 }
 
 func TestWarmStartCHSDenseBitIdentical(t *testing.T) {
-	phi := basis.DCT(128)
+	phi := denseDCT(128)
 	op := denseOp(t, phi)
 	rng := rand.New(rand.NewSource(7))
 	alpha := make([]float64, 128)

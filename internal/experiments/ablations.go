@@ -160,7 +160,6 @@ func DefaultA2() A2Config {
 // ε is minimal." The workload is compressible (not exactly sparse) with
 // measurement noise, so both effects are active.
 func A2(cfg A2Config) (*Table, error) {
-	phi := basis.CachedDCT(cfg.N)
 	op, err := basis.CachedOperator(basis.KindDCT, cfg.N)
 	if err != nil {
 		return nil, err
@@ -188,10 +187,8 @@ func A2(cfg A2Config) (*Table, error) {
 			for rank := 0; rank < cfg.N; rank++ {
 				alpha[perm[rank]] = 5 * math.Pow(float64(rank+1), -1.0) * (1 + 0.2*rng.NormFloat64())
 			}
-			x, err := basis.Synthesize(phi, alpha)
-			if err != nil {
-				return err
-			}
+			x := make([]float64, cfg.N)
+			op.Apply(x, alpha)
 			locs, err := cs.RandomLocations(rng, cfg.N, cfg.M)
 			if err != nil {
 				return err

@@ -120,7 +120,6 @@ func C2(cfg C2Config) (*Table, error) {
 		Header: []string{"N", "K", "M-min", "K*lnN", "c = M/(K*lnN)"},
 	}
 	for _, n := range cfg.Ns {
-		phi := basis.CachedDCT(n)
 		op, err := basis.CachedOperator(basis.KindDCT, n)
 		if err != nil {
 			return nil, err
@@ -135,10 +134,8 @@ func C2(cfg C2Config) (*Table, error) {
 						for _, j := range rng.Perm(n)[:k] {
 							alpha[j] = 1 + rng.Float64()*2
 						}
-						x, err := basis.Synthesize(phi, alpha)
-						if err != nil {
-							return err
-						}
+						x := make([]float64, n)
+						op.Apply(x, alpha)
 						locs, err := cs.RandomLocations(rng, n, m)
 						if err != nil {
 							return err

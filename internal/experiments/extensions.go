@@ -41,7 +41,6 @@ func DefaultA4() A4Config { return A4Config{N: 128, M: 40, K: 6, Noise: 0.02, Tr
 // readings' noise floor NoiseTol = σ√M), CoSaMP and IHT — on the same
 // noisy sparse-recovery instances.
 func A4(cfg A4Config) (*Table, error) {
-	phi := basis.CachedDCT(cfg.N)
 	op, err := basis.CachedOperator(basis.KindDCT, cfg.N)
 	if err != nil {
 		return nil, err
@@ -77,10 +76,8 @@ func A4(cfg A4Config) (*Table, error) {
 		for _, j := range rng.Perm(cfg.N)[:cfg.K] {
 			alpha[j] = 2 + rng.Float64()*3
 		}
-		x, err := basis.Synthesize(phi, alpha)
-		if err != nil {
-			return err
-		}
+		x := make([]float64, cfg.N)
+		op.Apply(x, alpha)
 		locs, err := cs.RandomLocations(rng, cfg.N, cfg.M)
 		if err != nil {
 			return err

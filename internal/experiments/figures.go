@@ -403,7 +403,6 @@ func DefaultFig6() Fig6Config { return Fig6Config{N: 256, M: 64, K: 8, Trials: 1
 // OLS-vs-GLS step (e) comparison under heterogeneous sensor noise.
 func Fig6(cfg Fig6Config) (*Table, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	phi := basis.CachedDCT(cfg.N)
 	op, err := basis.CachedOperator(basis.KindDCT, cfg.N)
 	if err != nil {
 		return nil, err
@@ -420,10 +419,8 @@ func Fig6(cfg Fig6Config) (*Table, error) {
 		for _, j := range rng.Perm(cfg.N)[:cfg.K] {
 			alpha[j] = 4 + rng.Float64()*4
 		}
-		x, err := basis.Synthesize(phi, alpha)
-		if err != nil {
-			return nil, err
-		}
+		x := make([]float64, cfg.N)
+		op.Apply(x, alpha)
 		locs, err := cs.RandomLocations(rng, cfg.N, cfg.M)
 		if err != nil {
 			return nil, err

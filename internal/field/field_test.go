@@ -55,8 +55,7 @@ func TestGenSparseInBasisIsExactlySparse(t *testing.T) {
 	if len(support) != 5 {
 		t.Fatalf("support size %d", len(support))
 	}
-	phi, _ := basis.Kron2D(basis.DCT(f.H), basis.DCT(f.W))
-	op, err := basis.FromMatrix(phi)
+	op, err := basis.CachedOperator2D(basis.KindDCT, f.H, f.W)
 	if err != nil {
 		t.Fatal(err)
 	}

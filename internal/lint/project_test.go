@@ -154,36 +154,42 @@ func TestNoContextTwins(t *testing.T) {
 	}
 }
 
+// testReferencesAllowed are the exported functions under repro/internal/
+// that only tests call — oracles and helpers several packages' tests
+// share — each with the reason. What their bodies reference, only tests
+// reach.
+var testReferencesAllowed = map[string]string{
+	"repro/internal/fft.Naive":              "reference the FFT tests compare against",
+	"repro/internal/mat.NewFromRows":        "helper shared by other packages' tests",
+	"repro/internal/mat.Norm0":              "helper shared by other packages' tests",
+	"repro/internal/mat.SubVec":             "helper shared by other packages' tests",
+	"repro/internal/mat.AddVec":             "helper shared by other packages' tests",
+	"(*repro/internal/query.Filter).Source": "FuzzCompile's round-trip property",
+	"repro/internal/obs.Disable":            "tests reset the process-wide registry with it",
+}
+
 // exportedCallersAllowed are the exported functions under repro/internal/
-// that may stay without a non-test caller, each with the reason.
+// that may stay without a non-test caller, each with the reason: API kept
+// for a caller to come, whose bodies' references count as uses.
 var exportedCallersAllowed = map[string]string{
-	"repro/internal/basis.Kron2D":                      "reference the separable transform tests compare against",
-	"repro/internal/basis.CheckOrthonormal":            "reference the basis tests compare against",
-	"repro/internal/fft.Naive":                         "reference the FFT tests compare against",
-	"repro/internal/mat.SelectCols":                    "reference the SelectColsInto test compares against",
-	"repro/internal/mat.MulTVec":                       "reference the MulTVecInto and dense-basis tests compare against",
-	"repro/internal/mat.NewFromRows":                   "helper shared by other packages' tests",
-	"repro/internal/mat.Norm0":                         "helper shared by other packages' tests",
-	"repro/internal/mat.SubVec":                        "helper shared by other packages' tests",
-	"repro/internal/mat.AddVec":                        "helper shared by other packages' tests",
 	"(*repro/internal/netsim.FaultPlan).Down":          "crash-now fault primitive",
 	"(*repro/internal/netsim.FaultPlan).Up":            "crash-now fault primitive",
 	"(*repro/internal/broker.Broker).PositionsContext": "position-aware gather plans rounds from it",
 	"(*repro/internal/broker.Broker).Unregister":       "churn lifecycle: without it recycled IDs cannot rejoin",
 	"repro/internal/cs.ChooseKCrossValOp":              "candidate support-size rule",
 	"(*repro/internal/stream.Pipeline).LastErr":        "the only failure signal of a background run",
-	"(*repro/internal/query.Filter).Source":            "FuzzCompile's round-trip property",
 	"(*repro/internal/bus.Client).Dropped":             "drop accounting",
 	"(*repro/internal/bus.Subscription).Dropped":       "drop accounting",
-	"repro/internal/obs.Disable":                       "tests reset the process-wide registry with it",
 }
 
 // TestExportedHaveCallers keeps internal/ free of API that only tests
 // reach: every exported function or method declared under repro/internal/
 // is referenced from non-test code somewhere in the module, outside its
-// own body. A method whose name an interface of the program or the
-// standard library declares counts as used, since calls through the
-// interface do not name it. repro/internal/testutil/... exists for tests.
+// own body and outside the bodies of testReferencesAllowed, or is
+// allowlisted in one of the two tables. A method whose name an interface
+// of the program or the standard library declares counts as used, since
+// calls through the interface do not name it. repro/internal/testutil/...
+// exists for tests.
 func TestExportedHaveCallers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -195,26 +201,28 @@ func TestExportedHaveCallers(t *testing.T) {
 	ifaceMethods := interfaceMethodNames(pkgs)
 	used := map[*types.Func]bool{}
 	for _, pkg := range pkgs {
-		decls := map[*types.Func]*ast.FuncDecl{}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
+				var self *types.Func // the declared function, nil outside one
 				if fd, ok := d.(*ast.FuncDecl); ok {
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						decls[fn] = fd
+					self, _ = pkg.Info.Defs[fd.Name].(*types.Func)
+				}
+				if self != nil {
+					if _, testOnly := testReferencesAllowed[FuncID(self)]; testOnly {
+						continue // what a test-only function references, only tests reach
 					}
 				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+						used[fn.Origin()] = true // recursion is not a caller
+					}
+					return true
+				})
 			}
-		}
-		for id, obj := range pkg.Info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok {
-				continue
-			}
-			fn = fn.Origin()
-			if fd := decls[fn]; fd != nil && fd.Pos() <= id.Pos() && id.Pos() < fd.End() {
-				continue // recursion is not a caller
-			}
-			used[fn] = true
 		}
 	}
 	found := map[string]bool{}
@@ -235,16 +243,61 @@ func TestExportedHaveCallers(t *testing.T) {
 				}
 				id := FuncID(fn)
 				found[id] = true
-				if _, allowed := exportedCallersAllowed[id]; !allowed {
+				_, api := exportedCallersAllowed[id]
+				if _, ref := testReferencesAllowed[id]; !api && !ref {
 					t.Errorf("%s has no non-test caller: delete it, or allowlist it with a reason", id)
 				}
 			}
 		}
 	}
-	for id, reason := range exportedCallersAllowed {
-		if !found[id] {
-			t.Errorf("allowlisted %s (%s) is gone or has a caller: drop it from exportedCallersAllowed", id, reason)
+	for table, allowed := range map[string]map[string]string{"exportedCallersAllowed": exportedCallersAllowed, "testReferencesAllowed": testReferencesAllowed} {
+		for id, reason := range allowed {
+			if !found[id] {
+				t.Errorf("allowlisted %s (%s) is gone or has a caller: drop it from %s", id, reason, table)
+			}
 		}
+	}
+}
+
+// TestCSNamesNoDenseMatrix keeps the decoders on one representation of
+// the sensing dictionary: non-test code in internal/cs has no value,
+// parameter or expression of type mat.Matrix or *mat.Matrix. Every
+// least-squares step factors the support's gathered columns straight into
+// a mat.IncrementalQR, and a dense basis enters through basis.FromMatrix.
+func TestCSNamesNoDenseMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks internal/cs and its imports; skipped in -short")
+	}
+	pkg, err := testLoader(t).LoadDir(filepath.Join("..", "cs"))
+	if err != nil {
+		t.Fatalf("load internal/cs: %v", err)
+	}
+	isMatrix := func(typ types.Type) bool {
+		if p, ok := typ.(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		n, ok := typ.(*types.Named)
+		return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "repro/internal/mat" && n.Obj().Name() == "Matrix"
+	}
+	var where []string
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			found := false
+			ast.Inspect(d, func(n ast.Node) bool {
+				if e, ok := n.(ast.Expr); ok && isMatrix(pkg.Info.Types[e].Type) {
+					found = true
+				}
+				return !found
+			})
+			if fd, ok := d.(*ast.FuncDecl); ok && found {
+				where = append(where, fd.Name.Name)
+			} else if found {
+				where = append(where, "a package-level declaration")
+			}
+		}
+	}
+	if len(where) > 0 {
+		t.Errorf("internal/cs names mat.Matrix in %s: factor the columns into a mat.IncrementalQR instead", strings.Join(where, ", "))
 	}
 }
 

@@ -177,6 +177,20 @@ func (f *IncrementalQR) DeflateLatest(v []float64) (float64, error) {
 	return d, nil
 }
 
+// ConditionEstimate estimates the 2-norm condition number of the factored
+// columns from the extreme magnitudes of R's diagonal. It is a cheap lower
+// bound, exact for orthogonal columns and within a small factor for the
+// well-scaled basis columns of a decode: the ε_c indicator of the paper's
+// error decomposition.
+func (f *IncrementalQR) ConditionEstimate() float64 {
+	mx, mn := 0.0, math.Inf(1)
+	for j := 0; j < f.k; j++ {
+		d := f.r[j*f.maxCols+j] // Append leaves R's diagonal positive
+		mx, mn = math.Max(mx, d), math.Min(mn, d)
+	}
+	return mx / mn
+}
+
 // Solve returns the least-squares coefficients x minimizing ‖A·x − y‖₂ for
 // the factored A: x = R⁻¹Qᵀy.
 func (f *IncrementalQR) Solve(y []float64) ([]float64, error) {

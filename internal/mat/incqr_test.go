@@ -52,16 +52,12 @@ func TestIncrementalQRMatchesLeastSquares(t *testing.T) {
 		}
 		// Least-squares optimality: the residual must be orthogonal to
 		// every column of A.
-		pred, err := MulVec(a, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := SubVec(y, pred)
-		atr, err := MulTVec(a, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range atr {
+		r := SubVec(y, mulVec(t, a, x))
+		for j := 0; j < n; j++ {
+			v := 0.0 // (Aᵀr)_j
+			for i, ri := range r {
+				v += a.At(i, j) * ri
+			}
 			if math.Abs(v) > 1e-9 {
 				t.Fatalf("%dx%d: Aᵀr[%d] = %g, want ~0", m, n, j, v)
 			}
@@ -73,10 +69,7 @@ func TestIncrementalQRExactOnConsistentSystem(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randTall(rng, 10, 4)
 	want := []float64{2, -1, 0.5, 3}
-	y, err := MulVec(a, want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	y := mulVec(t, a, want)
 	f, err := NewIncrementalQR(10, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +144,7 @@ func TestIncrementalQRDeflateLatest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := MulVec(a, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred := mulVec(t, a, x)
 	for i := range resid {
 		if want := y[i] - pred[i]; math.Abs(resid[i]-want) > 1e-9 {
 			t.Fatalf("resid[%d] = %g, want %g", i, resid[i], want)

@@ -56,24 +56,3 @@ func MulTVecInto(out []float64, a *Matrix, x []float64) error {
 	}
 	return nil
 }
-
-// SelectColsInto writes the submatrix of a formed from the given column
-// indices into out (shape a.Rows × len(idx)). out must not alias a.
-func SelectColsInto(out, a *Matrix, idx []int) error {
-	if out.Rows != a.Rows || out.Cols != len(idx) {
-		return fmt.Errorf("%w: SelectColsInto out %dx%d, want %dx%d", ErrShape, out.Rows, out.Cols, a.Rows, len(idx))
-	}
-	if sameSlice(out.Data, a.Data) {
-		return ErrAlias
-	}
-	w := len(idx)
-	for k, j := range idx {
-		if j < 0 || j >= a.Cols {
-			return fmt.Errorf("mat: col index %d out of range [0,%d)", j, a.Cols)
-		}
-		for i := 0; i < a.Rows; i++ {
-			out.Data[i*w+k] = a.Data[i*a.Cols+j]
-		}
-	}
-	return nil
-}

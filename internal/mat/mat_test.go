@@ -60,48 +60,70 @@ func TestNewFromRowsRagged(t *testing.T) {
 	}
 }
 
-func TestIdentityMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randMatrix(rng, 4, 4)
-	p, err := Mul(Identity(4), a)
-	if err != nil {
+// mulVec returns a·x through MulVecInto.
+func mulVec(t *testing.T, a *Matrix, x []float64) []float64 {
+	t.Helper()
+	out := make([]float64, a.Rows)
+	if err := MulVecInto(out, a, x); err != nil {
 		t.Fatal(err)
 	}
-	if !vecsAlmostEqual(p.Data, a.Data, eps) {
-		t.Fatal("I*a != a")
+	return out
+}
+
+// mulTVec returns aᵀ·x through MulTVecInto.
+func mulTVec(t *testing.T, a *Matrix, x []float64) []float64 {
+	t.Helper()
+	out := make([]float64, a.Cols)
+	if err := MulTVecInto(out, a, x); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// transpose returns aᵀ as a new matrix.
+func transpose(a *Matrix) *Matrix {
+	out := New(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			out.Set(j, i, a.At(i, j))
+		}
+	}
+	return out
+}
+
+func TestIdentityMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float64, 4)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	if got := mulVec(t, Identity(4), x); !vecsAlmostEqual(got, x, 0) {
+		t.Fatalf("I*x = %v, want %v", got, x)
 	}
 }
 
 func TestMulShapes(t *testing.T) {
 	a := New(2, 3)
-	b := New(4, 2)
-	if _, err := Mul(a, b); err == nil {
-		t.Fatal("want shape error")
+	if err := MulVecInto(make([]float64, 2), a, make([]float64, 2)); !errors.Is(err, ErrShape) {
+		t.Fatalf("(2x3)*vec(2): %v, want ErrShape", err)
+	}
+	if err := MulTVecInto(make([]float64, 2), a, make([]float64, 2)); !errors.Is(err, ErrShape) {
+		t.Fatalf("(2x3)ᵀ*vec(2)->vec(2): %v, want ErrShape", err)
 	}
 }
 
 func TestMulKnown(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := NewFromRows([][]float64{{5, 6}, {7, 8}})
-	p, err := Mul(a, b)
-	if err != nil {
-		t.Fatal(err)
+	if got := mulVec(t, a, []float64{5, 7}); !vecsAlmostEqual(got, []float64{19, 43}, eps) {
+		t.Fatalf("a*x = %v, want [19 43]", got)
 	}
-	want := []float64{19, 22, 43, 50}
-	if !vecsAlmostEqual(p.Data, want, eps) {
-		t.Fatalf("got %v want %v", p.Data, want)
+	if got := mulTVec(t, a, []float64{5, 7}); !vecsAlmostEqual(got, []float64{26, 38}, eps) {
+		t.Fatalf("aᵀ*x = %v, want [26 38]", got)
 	}
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randMatrix(rng, 3, 5)
-	tt := a.T().T()
-	if !vecsAlmostEqual(tt.Data, a.Data, 0) {
-		t.Fatal("(aᵀ)ᵀ != a")
-	}
-}
-
+// TestMulVecAgainstMul checks MulVecInto against the product a·X, X the
+// vector as a one-column matrix, accumulated row of X by row of X.
 func TestMulVecAgainstMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randMatrix(rng, 5, 4)
@@ -109,15 +131,14 @@ func TestMulVecAgainstMul(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	got, err := MulVec(a, x)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]float64, a.Rows)
+	for k, xk := range x {
+		for i := range want {
+			want[i] += a.At(i, k) * xk
+		}
 	}
-	xm := New(4, 1)
-	copy(xm.Data, x)
-	want, _ := Mul(a, xm)
-	if !vecsAlmostEqual(got, want.Data, eps) {
-		t.Fatal("MulVec disagrees with Mul")
+	if !vecsAlmostEqual(mulVec(t, a, x), want, eps) {
+		t.Fatal("MulVecInto disagrees with the product")
 	}
 }
 
@@ -128,14 +149,25 @@ func TestMulTVec(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	got, err := MulTVec(a, x)
+	if !vecsAlmostEqual(mulTVec(t, a, x), mulVec(t, transpose(a), x), eps) {
+		t.Fatal("MulTVecInto disagrees with MulVecInto of the transpose")
+	}
+}
+
+// leastSquares solves min ‖a·x − b‖₂ through IncrementalQR, the package's
+// least-squares solver.
+func leastSquares(t *testing.T, a *Matrix, b []float64) []float64 {
+	t.Helper()
+	f, err := NewIncrementalQR(a.Rows, a.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := MulVec(a.T(), x)
-	if !vecsAlmostEqual(got, want, eps) {
-		t.Fatal("MulTVec disagrees with MulVec of transpose")
+	appendCols(t, f, a)
+	x, err := f.Solve(b)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return x
 }
 
 func TestLeastSquaresExact(t *testing.T) {
@@ -143,11 +175,7 @@ func TestLeastSquaresExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := randMatrix(rng, 10, 4)
 	want := []float64{1, -2, 3, 0.5}
-	b, _ := MulVec(a, want)
-	got, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := leastSquares(t, a, mulVec(t, a, want))
 	if !vecsAlmostEqual(got, want, 1e-8) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -161,122 +189,27 @@ func TestLeastSquaresResidualOrthogonal(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ax, _ := MulVec(a, x)
-	r := SubVec(b, ax)
-	atr, _ := MulTVec(a, r)
-	if maxAbs(atr) > 1e-8 {
+	x := leastSquares(t, a, b)
+	r := SubVec(b, mulVec(t, a, x))
+	if atr := mulTVec(t, a, r); maxAbs(atr) > 1e-8 {
 		t.Fatalf("Aᵀr = %v, want ~0", atr)
 	}
 }
 
-func TestWeightedLeastSquaresMatchesOLSForIdentityCov(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randMatrix(rng, 9, 3)
-	b := make([]float64, 9)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	ols, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ones := make([]float64, 9)
-	for i := range ones {
-		ones[i] = 1
-	}
-	gls, err := WeightedLeastSquares(a, b, ones)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecsAlmostEqual(ols, gls, 1e-8) {
-		t.Fatalf("GLS with V=I %v != OLS %v", gls, ols)
-	}
-}
-
-func TestWeightedLeastSquaresDownweightsNoisyRows(t *testing.T) {
-	// Two duplicated measurement blocks; one block is corrupted. With a
-	// covariance that marks the corrupted block as high variance, GLS must
-	// land closer to the truth than OLS.
-	a := New(8, 2)
-	for i := 0; i < 8; i++ {
-		a.Set(i, 0, 1)
-		a.Set(i, 1, float64(i%4))
-	}
-	truth := []float64{2, 0.5}
-	b, _ := MulVec(a, truth)
-	for i := 4; i < 8; i++ {
-		b[i] += 3 // gross corruption on second block
-	}
-	sigma := make([]float64, 8)
-	for i := range sigma {
-		if i < 4 {
-			sigma[i] = 0.1
-		} else {
-			sigma[i] = 10
-		}
-	}
-	gls, err := WeightedLeastSquares(a, b, sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ols, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eg := Norm2(SubVec(gls, truth))
-	eo := Norm2(SubVec(ols, truth))
-	if eg >= eo {
-		t.Fatalf("GLS error %v not better than OLS error %v", eg, eo)
-	}
-	if eg > 0.05 {
-		t.Fatalf("GLS error %v too large", eg)
-	}
-}
-
-// A zero sigma claims an exact row: its weight would be infinite, so the
-// system is reported singular instead of solved with Inf entries.
-func TestWeightedLeastSquaresRejectsZeroSigma(t *testing.T) {
-	a, _ := NewFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	for _, sigma := range [][]float64{{1, 0, 1}, {1, 1, -0.0}} {
-		if _, err := WeightedLeastSquares(a, []float64{1, 2, 3}, sigma); !errors.Is(err, ErrSingular) {
-			t.Fatalf("sigma %v: err %v, want ErrSingular", sigma, err)
-		}
-	}
-	if _, err := WeightedLeastSquares(a, []float64{1, 2, 3}, []float64{1, 1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("2 sigmas for 3 rows: err %v, want ErrShape", err)
-	}
-}
-
-func TestSelectCols(t *testing.T) {
-	a, _ := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	c, err := SelectCols(a, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecsAlmostEqual(c.Data, []float64{2, 5, 8}, 0) {
-		t.Fatalf("SelectCols got %v", c.Data)
-	}
-	if _, err := SelectCols(a, []int{-1}); err == nil {
-		t.Fatal("want out-of-range error")
-	}
-}
-
 func TestConditionEstimate(t *testing.T) {
-	d, _ := NewFromRows([][]float64{{10, 0, 0}, {0, 1, 0}, {0, 0, 0.1}})
-	c, err := ConditionEstimate(d)
-	if err != nil {
-		t.Fatal(err)
+	condition := func(a *Matrix) float64 {
+		f, err := NewIncrementalQR(a.Rows, a.Cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendCols(t, f, a)
+		return f.ConditionEstimate()
 	}
-	if !almostEqual(c, 100, 1e-6) {
+	d, _ := NewFromRows([][]float64{{10, 0, 0}, {0, 1, 0}, {0, 0, 0.1}})
+	if c := condition(d); !almostEqual(c, 100, 1e-6) {
 		t.Fatalf("cond=%v, want 100", c)
 	}
-	id := Identity(5)
-	c, _ = ConditionEstimate(id)
-	if !almostEqual(c, 1, 1e-9) {
+	if c := condition(Identity(5)); !almostEqual(c, 1, 1e-9) {
 		t.Fatalf("cond(I)=%v, want 1", c)
 	}
 }
@@ -304,16 +237,21 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
-// Property: (A*B)ᵀ == Bᵀ*Aᵀ for random small matrices.
+// Property: (A·x)ᵀy == xᵀ(Aᵀ·y), so MulTVecInto applies the transpose of
+// what MulVecInto applies.
 func TestPropTransposeOfProduct(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r, k, c := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		a, b := randMatrix(rng, r, k), randMatrix(rng, k, c)
-		ab, _ := Mul(a, b)
-		left := ab.T()
-		right, _ := Mul(b.T(), a.T())
-		return vecsAlmostEqual(left.Data, right.Data, 1e-9)
+		r, c := 1+rng.Intn(6), 1+rng.Intn(6)
+		a := randMatrix(rng, r, c)
+		x, y := make([]float64, c), make([]float64, r)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		for i := range y {
+			y[i] = rng.NormFloat64()
+		}
+		return almostEqual(Dot(mulVec(t, a, x), y), Dot(x, mulTVec(t, a, y)), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -353,18 +291,5 @@ func TestPropTriangleInequality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkMul64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := randMatrix(rng, 64, 64)
-	y := randMatrix(rng, 64, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Mul(x, y); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
