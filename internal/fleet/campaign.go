@@ -50,12 +50,12 @@ func ShardEndpoint(i int) string { return fmt.Sprintf("fleet/s%d", i) }
 func ZoneEndpoint(z int) string { return fmt.Sprintf("lc%d", z) }
 
 // ZoneCollector is a zone's ingest endpoint: it accumulates the
-// envelope stream netsim delivers for that zone, keeping the first
+// envelope runs netsim delivers for that zone, keeping the first
 // Budget distinct cells with their readings' noise σ (a re-report of a
 // known cell replaces the stored value and σ, so duplicated envelopes are
-// idempotent). It is driven entirely from Network.Flush/Deliver handler
-// invocations on the runner's goroutine — no locking, same single-writer
-// discipline as the shards.
+// idempotent). It is driven entirely from Network.Flush/Deliver run
+// handler invocations on the runner's goroutine — no locking, same
+// single-writer discipline as the shards.
 type ZoneCollector struct {
 	Zone   field.Zone
 	Budget int // max distinct cells; 0 = unbounded
@@ -81,26 +81,35 @@ func newZoneCollector(zone field.Zone, budget int) *ZoneCollector {
 	return zc
 }
 
-func (zc *ZoneCollector) handle(m netsim.Message) {
-	cell, _, value, sigma, ok := decodeSample(m.Payload)
-	if !ok || int(cell) >= len(zc.cellAt) {
-		zc.malformed++
+// ingest takes a delivered run of envelopes in one loop. A run whose
+// messages are not sampleSize bytes each is malformed as a whole; an
+// envelope naming a cell outside the zone is malformed alone.
+func (zc *ZoneCollector) ingest(r netsim.Run) {
+	if len(r.Payload) != r.Count*sampleSize {
+		zc.malformed += r.Count
 		return
 	}
-	zc.envelopes++
-	if at := zc.cellAt[cell]; at > 0 {
-		zc.vals[at-1] = value
-		zc.sigmas[at-1] = sigma
-		return
+	for b := r.Payload; len(b) >= sampleSize; b = b[sampleSize:] {
+		cell, _, value, sigma, _ := decodeSample(b[:sampleSize])
+		if int(cell) >= len(zc.cellAt) {
+			zc.malformed++
+			continue
+		}
+		zc.envelopes++
+		if at := zc.cellAt[cell]; at > 0 {
+			zc.vals[at-1] = value
+			zc.sigmas[at-1] = sigma
+			continue
+		}
+		if zc.Budget > 0 && len(zc.locs) >= zc.Budget {
+			zc.rejected++
+			continue
+		}
+		zc.locs = append(zc.locs, int(cell))
+		zc.vals = append(zc.vals, value)
+		zc.sigmas = append(zc.sigmas, sigma)
+		zc.cellAt[cell] = int32(len(zc.locs))
 	}
-	if zc.Budget > 0 && len(zc.locs) >= zc.Budget {
-		zc.rejected++
-		return
-	}
-	zc.locs = append(zc.locs, int(cell))
-	zc.vals = append(zc.vals, value)
-	zc.sigmas = append(zc.sigmas, sigma)
-	zc.cellAt[cell] = int32(len(zc.locs))
 }
 
 // Count returns the number of distinct cells collected.
@@ -136,7 +145,7 @@ func NewRunner(p *Population, netSeed int64, budgetPerZone int) (*Runner, error)
 		zc := newZoneCollector(zone, budgetPerZone)
 		r.collectors = append(r.collectors, zc)
 		r.zoneTo = append(r.zoneTo, ZoneEndpoint(z))
-		if err := net.Register(r.zoneTo[z], zc.handle); err != nil {
+		if err := net.RegisterRun(r.zoneTo[z], zc.ingest); err != nil {
 			return nil, err
 		}
 	}

@@ -220,33 +220,57 @@ func TestFleetObsCountersReconcileUnderFaults(t *testing.T) {
 
 // TestCollectorDupIdempotentAndBudget: duplicated envelopes do not grow
 // the measurement set, a re-report replaces the value and its σ,
-// malformed payloads are counted out, and the budget caps distinct cells.
+// malformed payloads are counted out, and the budget caps distinct cells,
+// whether the envelopes arrive as one-message runs or several to a run.
 func TestCollectorDupIdempotent(t *testing.T) {
 	zc := newZoneCollector(field.Zone{W: 4, H: 4}, 2)
 	pay := make([]byte, sampleSize)
 	encodeSample(pay, 5, 0, 1.5, 0.1)
-	zc.handle(netsim.Message{Payload: pay})
-	zc.handle(netsim.Message{Payload: pay}) // duplicate: value update only
+	zc.ingest(netsim.Run{Count: 1, Payload: pay})
+	zc.ingest(netsim.Run{Count: 1, Payload: pay}) // duplicate: value update only
 	if zc.Count() != 1 || zc.envelopes != 2 {
 		t.Fatalf("count=%d envelopes=%d, want 1 and 2", zc.Count(), zc.envelopes)
 	}
 	encodeSample(pay, 5, 3, 1.75, 0.05) // re-report from another node
-	zc.handle(netsim.Message{Payload: pay})
+	zc.ingest(netsim.Run{Count: 1, Payload: pay})
 	if zc.Count() != 1 || zc.vals[0] != 1.75 || zc.sigmas[0] != 0.05 {
 		t.Fatalf("re-report kept value %v σ %v, want 1.75 and 0.05", zc.vals, zc.sigmas)
 	}
 	encodeSample(pay, 6, 1, 2.5, 0.1)
-	zc.handle(netsim.Message{Payload: pay})
+	zc.ingest(netsim.Run{Count: 1, Payload: pay})
 	encodeSample(pay, 7, 2, 3.5, 0.1) // beyond budget 2
-	zc.handle(netsim.Message{Payload: pay})
+	zc.ingest(netsim.Run{Count: 1, Payload: pay})
 	if zc.Count() != 2 || zc.rejected != 1 || len(zc.sigmas) != 2 || zc.sigmas[1] != 0.1 || cap(zc.sigmas) != 2 {
 		t.Fatalf("count=%d rejected=%d sigmas=%v, want 2, 1 and [0.05 0.1] in the budget's capacity", zc.Count(), zc.rejected, zc.sigmas)
 	}
 	encodeSample(pay, 99, 3, 0, 0) // cell out of the 16-cell zone
-	zc.handle(netsim.Message{Payload: pay})
-	zc.handle(netsim.Message{Payload: pay[:7]})
+	zc.ingest(netsim.Run{Count: 1, Payload: pay})
+	zc.ingest(netsim.Run{Count: 1, Payload: pay[:7]})
 	if zc.malformed != 2 {
 		t.Fatalf("malformed=%d, want 2", zc.malformed)
+	}
+
+	// One run of five: a first report, its duplicate, a re-report of the
+	// same cell, a cell out of the zone, and a second cell.
+	zc = newZoneCollector(field.Zone{W: 4, H: 4}, 2)
+	run := make([]byte, 5*sampleSize)
+	encodeSample(run[0:], 5, 0, 1.5, 0.1)
+	copy(run[sampleSize:], run[:sampleSize])
+	encodeSample(run[2*sampleSize:], 5, 3, 1.75, 0.05)
+	encodeSample(run[3*sampleSize:], 99, 4, 0, 0)
+	encodeSample(run[4*sampleSize:], 6, 1, 2.5, 0.2)
+	zc.ingest(netsim.Run{Count: 5, Payload: run})
+	if zc.Count() != 2 || zc.envelopes != 4 || zc.malformed != 1 ||
+		zc.locs[0] != 5 || zc.vals[0] != 1.75 || zc.sigmas[0] != 0.05 ||
+		zc.locs[1] != 6 || zc.vals[1] != 2.5 || zc.sigmas[1] != 0.2 {
+		t.Fatalf("run of five: count=%d envelopes=%d malformed=%d locs=%v vals=%v sigmas=%v",
+			zc.Count(), zc.envelopes, zc.malformed, zc.locs, zc.vals, zc.sigmas)
+	}
+	// A run whose messages are not envelope-sized is malformed whole.
+	zc.ingest(netsim.Run{Count: 3, Payload: run[:3*(sampleSize-4)]})
+	if zc.Count() != 2 || zc.envelopes != 4 || zc.malformed != 4 {
+		t.Fatalf("after a run of 20-byte messages: count=%d envelopes=%d malformed=%d, want 2, 4 and 4",
+			zc.Count(), zc.envelopes, zc.malformed)
 	}
 }
 

@@ -230,7 +230,7 @@ func TestHandDrivenTickReportMatchesRun(t *testing.T) {
 		for z, zc := range r.collectors {
 			if err := r.Net.Register(r.zoneTo[z], func(m netsim.Message) {
 				delivered = append(delivered, m.Payload...)
-				zc.handle(m)
+				zc.ingest(netsim.Run{From: m.From, To: m.To, Topic: m.Topic, Count: 1, Payload: m.Payload})
 			}); err != nil {
 				t.Fatal(err)
 			}

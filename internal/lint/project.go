@@ -65,7 +65,9 @@ var CtxBlocking = map[string]string{
 // HotEntryPoints are the per-event entry functions whose module-local
 // call/defer closure is held to the zero-allocation contract of
 // DESIGN.md §6: the serving read path, bus message fan-out, netsim
-// delivery, store appends, fleet ticks, and the decode kernels that run
+// delivery and the fleet collector's run handler (Flush reaches it only
+// through a function value, which the call graph does not follow),
+// store appends, fleet ticks, and the decode kernels that run
 // once per pursuit iteration (the Gram–Schmidt append, the 2-D analyses
 // behind each correlation, and the admitted atom's column read: the
 // dictionary's gather and the operator's memoized factor columns).
@@ -86,6 +88,7 @@ var HotEntryPoints = []string{
 	"(*repro/internal/store.Store).Append",
 	"(*repro/internal/fleet.Shard).Tick",
 	"(*repro/internal/fleet.Shard).report",
+	"(*repro/internal/fleet.ZoneCollector).ingest",
 	"repro/internal/mobility.StepWaypoint",
 	"repro/internal/mobility.StepWaypoints", // bench/ still calls it
 	"(*repro/internal/energy.Bank).DrainAll",

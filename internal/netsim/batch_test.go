@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -494,5 +495,342 @@ func TestDeliverRunMalformedChargesNothing(t *testing.T) {
 	}
 	if n.msgCount != 0 || *got["b"] != 0 {
 		t.Fatalf("fault clock %d, deliveries %d: want both 0", n.msgCount, *got["b"])
+	}
+}
+
+// spanNet builds the span property's topology: a lossless default link,
+// an installed fault plan, sender sinks, and two receivers that log each
+// message they are handed, in delivery order — "r" through Register, one
+// Message at a time, and "q" through RegisterRun, a run at a time.
+func spanNet(t *testing.T, seed int64, senders []string) (*Network, *FaultPlan, *[]string) {
+	t.Helper()
+	n := New(seed)
+	p := NewFaultPlan()
+	n.SetFaultPlan(p)
+	n.SetDefaultLink(Link{LatencyMS: 0.7})
+	for _, id := range senders {
+		if err := n.Register(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := &[]string{}
+	if err := n.Register("r", func(m Message) { *seen = append(*seen, fmt.Sprintf("r %s:%x", m.Topic, m.Payload)) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RegisterRun("q", func(r Run) {
+		size := len(r.Payload) / r.Count
+		for i := 0; i < r.Count; i++ {
+			*seen = append(*seen, fmt.Sprintf("q %s:%x", r.Topic, r.Payload[i*size:(i+1)*size]))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return n, p, seen
+}
+
+// spanRuns is genRuns' mix of 24 runs laid over the six links from the
+// senders to the receivers "r" and "q", four runs each.
+func spanRuns(seed int64, senders []string) []Run {
+	runs := genRuns(seed, senders, "r", 24)
+	for i := range runs {
+		runs[i].From = senders[i%len(senders)]
+		if i/len(senders)%2 == 1 {
+			runs[i].To = "q"
+		}
+	}
+	return runs
+}
+
+// spanFaults puts faults on some links only: a burst channel on c→r, a
+// partition of a↔q and a crash window at sender b, each window opening
+// and closing inside runs of the link it cuts. a→r, c→q and b's links
+// outside its window have no verdict to make, so their messages queue
+// as spans beside the faulted stretches' messages.
+func spanFaults(p *FaultPlan, seed int64, runs []Run) {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	// inside returns a fault-clock position strictly inside a random run
+	// from→to (any receiver when to is "").
+	inside := func(from, to string) int {
+		var at []int
+		pos := 0
+		for _, r := range runs {
+			if r.From == from && (to == "" || r.To == to) {
+				at = append(at, pos+1+rng.Intn(r.Count-1))
+			}
+			pos += r.Count
+		}
+		return at[rng.Intn(len(at))]
+	}
+	window := func(from, to string) (int, int) {
+		a, b := inside(from, to), inside(from, to)
+		if a > b {
+			a, b = b, a
+		}
+		return a, b + 1
+	}
+	p.SetBurstLink("c", "r", GilbertElliott{PGoodToBad: 0.3, PBadToGood: 0.4, LossBad: 0.8})
+	from, to := window("a", "q")
+	p.Partition("a", "q", from, to)
+	from, to = window("b", "")
+	p.Crash("b", from, to)
+}
+
+// sendEach sends every message of runs one by one with Deliver and
+// classifies the outcomes.
+func sendEach(t *testing.T, n *Network, runs []Run) BatchResult {
+	t.Helper()
+	var res BatchResult
+	for _, r := range runs {
+		size := len(r.Payload) / r.Count
+		for i := 0; i < r.Count; i++ {
+			delivered, err := n.Deliver(r.message(i, size))
+			switch {
+			case errors.Is(err, ErrNodeDown):
+				res.Down++
+			case err != nil:
+				t.Fatalf("send %s→%s: %v", r.From, r.To, err)
+			case delivered && n.async:
+				res.Queued++
+			case delivered:
+				res.Delivered++
+			default:
+				res.Lost++
+			}
+		}
+	}
+	return res
+}
+
+// sendRuns sends runs with DeliverRun and sums the outcomes.
+func sendRuns(t *testing.T, n *Network, runs []Run) BatchResult {
+	t.Helper()
+	var sum BatchResult
+	for _, r := range runs {
+		res, err := n.DeliverRun(r)
+		if err != nil {
+			t.Fatalf("run %s→%s: %v", r.From, r.To, err)
+		}
+		sum.Queued += res.Queued
+		sum.Delivered += res.Delivered
+		sum.Lost += res.Lost
+		sum.Down += res.Down
+	}
+	return sum
+}
+
+// sameNets reports the first difference between two networks' per-node
+// Stats, delivery logs, simulated time (bit for bit) and fault clocks.
+func sameNets(a, b *Network, aSeen, bSeen *[]string, ids []string) string {
+	for _, id := range ids {
+		if as, bs := *a.stats[id], *b.stats[id]; as != bs {
+			return fmt.Sprintf("node %s stats %+v vs %+v", id, as, bs)
+		}
+	}
+	if as, bs := strings.Join(*aSeen, ","), strings.Join(*bSeen, ","); as != bs {
+		return fmt.Sprintf("delivery diverges:\n%s\n%s", as, bs)
+	}
+	if math.Float64bits(a.SimTimeMS()) != math.Float64bits(b.SimTimeMS()) {
+		return fmt.Sprintf("simulated time %v vs %v", a.SimTimeMS(), b.SimTimeMS())
+	}
+	if a.msgCount != b.msgCount {
+		return fmt.Sprintf("fault clock %d vs %d", a.msgCount, b.msgCount)
+	}
+	return ""
+}
+
+// TestSpanDeliverEquivalence: on a lossless default link, runs sent with
+// async DeliverRun and one Flush — the fault-free stretches queued as
+// spans and handed to a run handler whole, the faulted ones message by
+// message — equal their messages sent one by one with sync Deliver: same
+// payload bytes in the same order at both receivers, same Stats on every
+// node, same simulated time to the bit, same fault clock and outcomes.
+func TestSpanDeliverEquivalence(t *testing.T) {
+	senders := []string{"a", "b", "c"}
+	ids := append(senders, "r", "q")
+	for seed := int64(0); seed < 20; seed++ {
+		runs := spanRuns(seed, senders)
+
+		seqNet, seqPlan, seqSeen := spanNet(t, seed, senders)
+		spanFaults(seqPlan, seed, runs)
+		seq := sendEach(t, seqNet, runs)
+
+		runNet, runPlan, runSeen := spanNet(t, seed, senders)
+		spanFaults(runPlan, seed, runs)
+		runNet.SetAsync(true)
+		sum := sendRuns(t, runNet, runs)
+		spans, singles := 0, 0
+		for _, s := range runNet.queue {
+			if s.n > 1 {
+				spans++
+			} else if runNet.runs[s.run].Count > 1 {
+				singles++
+			}
+		}
+		if spans == 0 || singles == 0 {
+			t.Fatalf("seed %d: queue holds %d spans and %d single messages of longer runs, want both", seed, spans, singles)
+		}
+		if got := runNet.Flush(); got != sum.Queued {
+			t.Fatalf("seed %d: flush delivered %d of %d queued", seed, got, sum.Queued)
+		}
+
+		if sum.Queued != seq.Delivered || sum.Lost != seq.Lost || sum.Down != seq.Down || sum.Delivered != 0 {
+			t.Fatalf("seed %d: outcomes diverge: sequential %+v, runs %+v", seed, seq, sum)
+		}
+		if seq.Down == 0 || seq.Lost == 0 {
+			t.Fatalf("seed %d: faults not exercised: %+v", seed, seq)
+		}
+		if d := sameNets(seqNet, runNet, seqSeen, runSeen, ids); d != "" {
+			t.Fatalf("seed %d: sequential and runs differ: %s", seed, d)
+		}
+	}
+}
+
+// TestSpanDupReorderEquivalence: with a duplicate or reorder knob set
+// (either or both), Flush splits spans into single messages before its
+// draws, so runs sent with async DeliverRun and flushed equal their
+// messages sent as one-message runs and flushed, over two flushed waves:
+// same deliveries, Stats, simulated time, fault clock, outcomes and
+// Flush counts.
+func TestSpanDupReorderEquivalence(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	senders := []string{"a", "b", "c"}
+	ids := append(senders, "r", "q")
+	knobs := [][2]float64{{0.3, 0.3}, {0.3, 0}, {0, 0.3}} // duplicate, reorder
+	for seed := int64(0); seed < 12; seed++ {
+		dupP, reoP := knobs[seed%3][0], knobs[seed%3][1]
+		runs := spanRuns(seed, senders)
+		nets := [2]*Network{}
+		seen := [2]*[]string{}
+		res := [2]BatchResult{}
+		flushed := [2]int{}
+		before := snapNetsimObs()
+		for k := range nets {
+			n, p, s := spanNet(t, seed, senders)
+			spanFaults(p, seed, runs)
+			p.SetDuplicateProb(dupP)
+			p.SetReorderProb(reoP)
+			n.SetAsync(true)
+			for _, wave := range [][]Run{runs[:len(runs)/2], runs[len(runs)/2:]} {
+				var r BatchResult
+				if k == 0 {
+					r = sendRuns(t, n, wave)
+				} else {
+					r = sendEach(t, n, wave)
+				}
+				res[k].Queued += r.Queued
+				res[k].Lost += r.Lost
+				res[k].Down += r.Down
+				flushed[k] += n.Flush()
+			}
+			nets[k], seen[k] = n, s
+		}
+		d := snapNetsimObs().sub(before)
+		if res[0] != res[1] || flushed[0] != flushed[1] {
+			t.Fatalf("seed %d: outcomes %+v flushed %d as runs, %+v flushed %d one by one", seed, res[0], flushed[0], res[1], flushed[1])
+		}
+		if (d.dup > 0) != (dupP > 0) || (d.reorder > 0) != (reoP > 0) {
+			t.Fatalf("seed %d: knobs not exercised: dup %d reorder %d", seed, d.dup, d.reorder)
+		}
+		if diff := sameNets(nets[0], nets[1], seen[0], seen[1], ids); diff != "" {
+			t.Fatalf("seed %d: runs and one-message runs differ: %s", seed, diff)
+		}
+	}
+}
+
+// TestFlushSpanPathAllocatesNothing pins the fault-free fleet path: on a
+// lossless link with a plan that has nothing to decide, each run is
+// queued as one span and handed to its run handler in one call, a
+// steady-state DeliverRun+Flush round allocates nothing, and the kept
+// buffers reference no payload after Flush.
+func TestFlushSpanPathAllocatesNothing(t *testing.T) {
+	const count, size = 4096, 24
+	senders := []string{"a", "b", "c"}
+	n := New(43)
+	for _, id := range senders {
+		if err := n.Register(id, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls, delivered := 0, 0
+	if err := n.RegisterRun("r", func(r Run) { calls++; delivered += r.Count }); err != nil {
+		t.Fatal(err)
+	}
+	n.SetFaultPlan(NewFaultPlan())
+	n.SetDefaultLink(Link{LatencyMS: 1})
+	n.SetAsync(true)
+	var runs []Run
+	for _, from := range senders {
+		runs = append(runs, Run{From: from, To: "r", Topic: "t", Count: count, Payload: make([]byte, count*size)})
+	}
+	queued := 0
+	round := func() {
+		for _, r := range runs {
+			if _, err := n.DeliverRun(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.mu.Lock()
+		queued = len(n.queue)
+		n.mu.Unlock()
+		n.Flush()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+		t.Errorf("steady-state round of %d runs of %d messages allocates %.0f objects, want 0", len(runs), count, allocs)
+	}
+	if queued != len(runs) {
+		t.Errorf("a round queued %d entries for %d runs, want one span per run", queued, len(runs))
+	}
+	if calls != 7*len(runs) || delivered != 7*len(runs)*count { // the first round, AllocsPerRun's warm-up, five measured
+		t.Errorf("handler ran %d times for %d messages, want %d and %d", calls, delivered, 7*len(runs), 7*len(runs)*count)
+	}
+	if tot := n.Totals(); tot.RxMessages != 7*len(runs)*count || tot.RxBytes != tot.TxBytes || tot.Dropped != 0 {
+		t.Errorf("totals %+v after %d messages", tot, 7*len(runs)*count)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.queue) != 0 {
+		t.Fatalf("%d entries still queued after Flush", len(n.queue))
+	}
+	for _, buf := range [][]queuedRun{n.runs[:cap(n.runs)], n.spareRuns[:cap(n.spareRuns)]} {
+		for i, qr := range buf {
+			if qr.Payload != nil || qr.From != "" || qr.h != nil || qr.tx != nil {
+				t.Fatalf("run record %d still references a flushed run", i)
+			}
+		}
+	}
+}
+
+// TestFlushDropsSpanForReceiverNowDown: a span whose receiver is down at
+// Flush is dropped whole — the sender is charged one Dropped and
+// netsim.fault.down counts one per message — and its handler never runs.
+func TestFlushDropsSpanForReceiverNowDown(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	before := snapNetsimObs()
+	n, p, got := faultNet(t, 59, "a", "b", "c")
+	n.SetAsync(true)
+	for _, to := range []string{"b", "c"} {
+		if res, err := n.DeliverRun(Run{From: "a", To: to, Count: 5, Payload: make([]byte, 15)}); err != nil || res.Queued != 5 {
+			t.Fatalf("run to %s: %+v, %v", to, res, err)
+		}
+	}
+	if len(n.queue) != 2 {
+		t.Fatalf("%d queue entries for two fault-free runs, want 2", len(n.queue))
+	}
+	p.Down("b")
+	if d := n.Flush(); d != 5 {
+		t.Fatalf("flush delivered %d, want c's 5", d)
+	}
+	if *got["b"] != 0 || *got["c"] != 5 {
+		t.Fatalf("handlers saw b=%d c=%d, want 0 and 5", *got["b"], *got["c"])
+	}
+	d := snapNetsimObs().sub(before)
+	if sa := *n.stats["a"]; sa.Dropped != 5 || d.down != 5 || d.lost != 5 {
+		t.Fatalf("sender Dropped %d, obs down %d lost %d: want 5 each", sa.Dropped, d.down, d.lost)
+	}
+	if sc := *n.stats["c"]; sc.RxMessages != 5 || sc.RxBytes != 15 {
+		t.Fatalf("receiver c charged %+v, want 5 messages and 15 bytes", sc)
 	}
 }

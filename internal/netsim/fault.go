@@ -10,6 +10,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -191,6 +192,32 @@ func (p *FaultPlan) linkLocked(from, to string) linkFaults {
 		fromCrash: p.crashes[from], toCrash: p.crashes[to],
 		parts: p.parts[from+"→"+to], burst: p.burst[from+"→"+to],
 	}
+}
+
+// clearAhead returns how many messages, from the network's message idx
+// on, the link carries with no verdict to make: none while an endpoint
+// is down or a burst channel is installed (every message draws), else
+// up to the first crash or partition window that idx is in (0) or that
+// lies ahead. A nil lf (no plan installed) has no limit.
+func (lf *linkFaults) clearAhead(idx int) int {
+	if lf == nil {
+		return math.MaxInt
+	}
+	if lf.fromDown || lf.toDown || lf.burst != nil {
+		return 0
+	}
+	return windowsAhead(lf.parts, idx, windowsAhead(lf.toCrash, idx, windowsAhead(lf.fromCrash, idx, math.MaxInt)))
+}
+
+// windowsAhead lowers limit to the distance from idx to the first of ws
+// that has not closed by idx (0 if idx is inside one).
+func windowsAhead(ws []window, idx, limit int) int {
+	for _, w := range ws {
+		if w.to > idx && w.from < w.to {
+			limit = min(limit, max(w.from-idx, 0))
+		}
+	}
+	return limit
 }
 
 func inWindows(ws []window, idx int) bool {

@@ -63,6 +63,11 @@ func (r *Run) message(i, size int) Message {
 	return Message{From: r.From, To: r.To, Topic: r.Topic, Payload: r.Payload[i*size : (i+1)*size]}
 }
 
+// sub is the run of r's messages i, i+1, …, i+c-1.
+func (r *Run) sub(i, c, size int) Run {
+	return Run{From: r.From, To: r.To, Topic: r.Topic, Count: c, Payload: r.Payload[i*size : (i+c)*size]}
+}
+
 // Handler consumes a delivered message.
 type Handler func(Message)
 
@@ -85,35 +90,38 @@ type Stats struct {
 type queuedRun struct {
 	Run
 	size   int
-	h      Handler
+	h      func(Run)
 	tx, rx *Stats
 	down   bool // Flush scratch: the receiver is down at this Flush
 }
 
-// slot is one queued message, idx of runs[run]. copies is Flush's verdict
-// (0 dropped, 1, or 2 duplicated), read by its unlocked handler pass.
-type slot struct {
-	run, idx int32
-	copies   uint8
+// span is a stretch of one queued run: its messages idx, idx+1, …,
+// idx+n-1, delivered to the receiver as one Run. A message with a
+// verdict of its own is a span of one. copies is Flush's verdict (0
+// dropped, 1, or 2 duplicated, which only a span of one gets), read by
+// its unlocked handler pass.
+type span struct {
+	run, idx, n int32
+	copies      uint8
 }
 
 // Network is an in-process simulated network. All methods are safe for
 // concurrent use.
 type Network struct {
 	mu        sync.Mutex
-	rng       *rand.Rand         // guarded by mu
-	handlers  map[string]Handler // guarded by mu
-	stats     map[string]*Stats  // guarded by mu
-	defLink   Link               // guarded by mu
-	simTime   float64            // guarded by mu; accumulated virtual latency across delivered messages
-	msgCount  int                // guarded by mu; transmission attempts so far (fault-plan clock)
-	plan      *FaultPlan         // guarded by mu; nil = no faults
-	async     bool               // guarded by mu; queue deliveries until Flush
-	queue     []slot             // guarded by mu; pending async deliveries, in enqueue order
-	runs      []queuedRun        // guarded by mu; the runs queue slots index
-	spareQ    []slot             // guarded by mu; a drained queue kept for the next Flush to install
-	spareRuns []queuedRun        // guarded by mu; its run records, cleared of payloads
-	deferred  []slot             // guarded by mu; Flush's reorder scratch
+	rng       *rand.Rand           // guarded by mu
+	handlers  map[string]func(Run) // guarded by mu
+	stats     map[string]*Stats    // guarded by mu
+	defLink   Link                 // guarded by mu
+	simTime   float64              // guarded by mu; accumulated virtual latency across delivered messages
+	msgCount  int                  // guarded by mu; transmission attempts so far (fault-plan clock)
+	plan      *FaultPlan           // guarded by mu; nil = no faults
+	async     bool                 // guarded by mu; queue deliveries until Flush
+	queue     []span               // guarded by mu; pending async deliveries, in enqueue order
+	runs      []queuedRun          // guarded by mu; the runs queue spans index
+	spareQ    []span               // guarded by mu; a drained queue kept for the next Flush to install
+	spareRuns []queuedRun          // guarded by mu; its run records, cleared of payloads
+	deferred  []span               // guarded by mu; Flush's reorder scratch
 }
 
 // ErrUnknownNode reports a send to an unregistered node.
@@ -123,14 +131,33 @@ var ErrUnknownNode = errors.New("netsim: unknown node")
 func New(seed int64) *Network {
 	return &Network{
 		rng:      rand.New(rand.NewSource(seed)),
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]func(Run)),
 		stats:    make(map[string]*Stats),
 	}
 }
 
 // Register adds a node with its delivery handler (nil for a sink that
-// just counts).
+// just counts). A run delivered to the node reaches h one message at a
+// time, in order.
 func (n *Network) Register(id string, h Handler) error {
+	var rh func(Run)
+	if h != nil {
+		rh = func(r Run) {
+			size := len(r.Payload) / r.Count
+			for i := 0; i < r.Count; i++ {
+				h(r.message(i, size))
+			}
+		}
+	}
+	return n.RegisterRun(id, rh)
+}
+
+// RegisterRun adds a node whose handler takes each delivery as a run:
+// Flush hands over a stretch of one queued run in one call, and sync
+// delivery one message at a time as a run of one. The handler must not
+// keep r.Payload after it returns: it is the sender's buffer, which the
+// sender reuses once the Flush that drained it has returned.
+func (n *Network) RegisterRun(id string, h func(Run)) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.handlers[id]; ok {
@@ -236,10 +263,14 @@ type runTally struct {
 // start+1, … of r with endpoints, Stats and fault plan resolved once; per
 // message it makes the verdict, the tx accounting and the loss draw a
 // lone Deliver makes, in the same order, so a run is stream-identical to
-// its messages sent one by one. In sync mode it returns the index of the
-// first delivered message, whose handler the caller owes (unlocked) before
-// resuming; otherwise r.Count. An unknown endpoint fails uncharged.
-func (n *Network) runLocked(r *Run, size, start int, t *runTally) (int, Handler, error) {
+// its messages sent one by one. In async mode a stretch of messages with
+// no verdict to make — a lossless link, no endpoint down, no burst
+// channel and no crash or partition window ahead (linkFaults.clearAhead)
+// — makes no draw, so it is charged and queued as one span in O(1). In
+// sync mode it returns the index of the first delivered message, whose
+// handler the caller owes (unlocked) before resuming; otherwise r.Count.
+// An unknown endpoint fails uncharged.
+func (n *Network) runLocked(r *Run, size, start int, t *runTally) (int, func(Run), error) {
 	tx, ok := n.stats[r.From]
 	if !ok {
 		return r.Count, nil, fmt.Errorf("%w: sender %q", ErrUnknownNode, r.From)
@@ -258,13 +289,20 @@ func (n *Network) runLocked(r *Run, size, start int, t *runTally) (int, Handler,
 	}
 	link := n.defLink
 	queued := -1 // r's index in n.runs once a message of it is queued
-	for i := start; i < r.Count; i++ {
+	for i, c := start, 0; i < r.Count; i += c {
 		idx := n.msgCount
-		n.msgCount++
-		act := faultNone
-		if lf != nil {
-			act = lf.verdict(idx, n.rng)
+		c = 0 // messages sent in this step
+		if n.async && link.LossProb == 0 {
+			c = min(r.Count-i, lf.clearAhead(idx))
 		}
+		act := faultNone
+		if c == 0 {
+			c = 1
+			if lf != nil {
+				act = lf.verdict(idx, n.rng)
+			}
+		}
+		n.msgCount += c
 		if act == faultSenderDown || act == faultReceiverDown {
 			t.res.Down++
 			t.d.down++
@@ -274,10 +312,10 @@ func (n *Network) runLocked(r *Run, size, start int, t *runTally) (int, Handler,
 			}
 			continue
 		}
-		tx.TxMessages++
-		tx.TxBytes += size
-		t.d.txMsgs++
-		t.d.txBytes += int64(size)
+		tx.TxMessages += c
+		tx.TxBytes += c * size
+		t.d.txMsgs += int64(c)
+		t.d.txBytes += int64(c * size)
 		lost := act == faultPartition || act == faultBurst ||
 			act == faultNone && link.LossProb > 0 && n.rng.Float64() < link.LossProb
 		if act == faultPartition {
@@ -296,8 +334,8 @@ func (n *Network) runLocked(r *Run, size, start int, t *runTally) (int, Handler,
 				queued = len(n.runs)
 				n.runs = append(n.runs, queuedRun{Run: *r, size: size, h: h, tx: tx, rx: rx})
 			}
-			n.queue = append(n.queue, slot{run: int32(queued), idx: int32(i)})
-			t.res.Queued++
+			n.queue = append(n.queue, span{run: int32(queued), idx: int32(i), n: int32(c)})
+			t.res.Queued += c
 			continue // rx accounting happens at Flush
 		}
 		rx.RxMessages++
@@ -321,20 +359,21 @@ func (n *Network) runLocked(r *Run, size, start int, t *runTally) (int, Handler,
 // endpoint skips its messages uncharged, counted in Down; a malformed run
 // (Count does not divide the payload) or an unknown endpoint errors with
 // nothing charged. In sync mode each delivered message's handler runs
-// unlocked before the next is sent. The network reads r.Payload until the
-// Flush that drains it.
+// unlocked, as a run of one, before the next is sent. The network reads
+// r.Payload until the Flush that drains it, and a run handler
+// (RegisterRun) must not keep the Payload it is handed after it returns.
 func (n *Network) DeliverRun(r Run) (BatchResult, error) {
 	var t runTally
 	size, err := r.msgSize()
 	for i := 0; err == nil && i < r.Count; i++ {
-		var h Handler
+		var h func(Run)
 		n.mu.Lock()
 		i, h, err = n.runLocked(&r, size, i, &t)
 		n.mu.Unlock()
 		t.d.flush()
 		t.d = obsDelta{}
 		if i < r.Count && h != nil {
-			h(r.message(i, size))
+			h(r.sub(i, 1, size))
 		}
 	}
 	return t.res, err
@@ -364,7 +403,7 @@ func (n *Network) Deliver(msg Message) (delivered bool, err error) {
 	case t.res.Down > 0:
 		return false, &NodeDownError{ID: t.downID}
 	case at == 0 && h != nil:
-		h(msg)
+		h(r)
 	}
 	return t.res.Lost == 0, nil
 }
@@ -384,11 +423,11 @@ func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
 		r := Run{From: m.From, To: m.To, Topic: m.Topic, Count: 1, Payload: m.Payload}
 		var (
 			at int
-			h  Handler
+			h  func(Run)
 		)
 		if at, h, err = n.runLocked(&r, len(m.Payload), 0, &t); at == 0 && h != nil {
 			n.mu.Unlock()
-			h(*m)
+			h(r)
 			n.mu.Lock()
 		}
 	}
@@ -397,9 +436,39 @@ func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
 	return t.res, err
 }
 
+// splitSpans returns q's messages as spans of one, in queue order: in
+// place, from the back, when q's capacity holds them, since span i's
+// messages never land before index i.
+func splitSpans(q []span) []span {
+	total := 0
+	for _, s := range q {
+		total += int(s.n)
+	}
+	if total == len(q) {
+		return q
+	}
+	out := q[:cap(q)]
+	if cap(q) < total {
+		out = make([]span, total)
+	}
+	out = out[:total]
+	w := total
+	for i := len(q) - 1; i >= 0; i-- {
+		s := q[i]
+		for j := s.n - 1; j >= 0; j-- {
+			w--
+			out[w] = span{run: s.run, idx: s.idx + j, n: 1}
+		}
+	}
+	return out
+}
+
 // Flush delivers the async queue, applying the fault plan's reorder and
 // duplicate knobs: each message may be deferred behind the rest of the
-// batch, and each delivery may be doubled.
+// batch, and each delivery may be doubled. While either knob is set the
+// queue's spans are split into single messages first, so the draws are
+// made per message in queue order; otherwise each span reaches its
+// receiver's handler as one Run.
 //
 // Charged-vs-delivered invariant (the queued-message analogue of Send's
 // "error ⇒ nothing charged"): every queued message was already tx-charged
@@ -418,8 +487,10 @@ func (n *Network) DeliverBatch(msgs []Message) (BatchResult, error) {
 // netsim.lost.messages by the senders' Dropped growth, netsim.fault.dup
 // only for copies actually delivered, and netsim.fault.down once per
 // message dropped to a down receiver. TestFlushAccountingInvariant pins
-// all of it. Returns the number of handler deliveries performed.
-// Handlers run unlocked on a detached queue, so they may send meanwhile.
+// all of it. Returns the number of messages delivered, copies included.
+// Handlers run unlocked on a detached queue, so they may send meanwhile;
+// a run handler must not keep the Run.Payload it is handed after it
+// returns, since senders reuse payload buffers once Flush returns.
 func (n *Network) Flush() int {
 	var d obsDelta
 	n.mu.Lock()
@@ -433,6 +504,9 @@ func (n *Network) Flush() int {
 	var dupP, reoP float64
 	if n.plan != nil {
 		dupP, reoP = n.plan.dupReorder()
+	}
+	if dupP > 0 || reoP > 0 {
+		q = splitSpans(q)
 	}
 	if reoP > 0 && len(q) > 1 {
 		kept, deferred := q[:0], n.deferred[:0]
@@ -460,10 +534,11 @@ func (n *Network) Flush() int {
 	for i := range q {
 		s := &q[i]
 		qr := &runs[s.run]
+		c := int(s.n)
 		if qr.down {
-			qr.tx.Dropped++
-			d.lost++
-			d.down++
+			qr.tx.Dropped += c
+			d.lost += int64(c)
+			d.down += int64(c)
 			s.copies = 0
 			continue
 		}
@@ -472,23 +547,26 @@ func (n *Network) Flush() int {
 			s.copies = 2
 			d.duplicate++
 		}
-		for c := uint8(0); c < s.copies; c++ {
-			qr.rx.RxMessages++
-			qr.rx.RxBytes += qr.size
+		c *= int(s.copies)
+		qr.rx.RxMessages += c
+		qr.rx.RxBytes += c * qr.size
+		for range c {
 			n.simTime += latency
-			d.rxMsgs++
-			d.rxBytes += int64(qr.size)
 		}
-		delivered += int(s.copies)
+		d.rxMsgs += int64(c)
+		d.rxBytes += int64(c * qr.size)
+		delivered += c
 	}
 	n.mu.Unlock()
 	d.flush()
 	for _, s := range q {
 		qr := &runs[s.run]
-		for c := uint8(0); c < s.copies; c++ {
-			obsLatency.Observe(latency)
+		for range s.copies {
+			for range s.n {
+				obsLatency.Observe(latency)
+			}
 			if qr.h != nil {
-				qr.h(qr.message(int(s.idx), qr.size))
+				qr.h(qr.sub(int(s.idx), int(s.n), qr.size))
 			}
 		}
 	}

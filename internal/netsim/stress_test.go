@@ -135,12 +135,17 @@ func TestObsCountersMatchTotals(t *testing.T) {
 }
 
 // TestDeliverRunConcurrentFlushReentrant is the -race audit of the run
-// path: four goroutines send runs while two flush, and the receiver's
-// handler sends a message on per delivery — a re-entrant enqueue from
-// inside Flush's unlocked handler pass, landing in the queue Flush just
-// detached from. Afterwards the ledger must balance (rx = tx − dropped +
-// duplicated), every rx-charged copy must have run a handler, the queue
-// must drain, and no goroutine may leak.
+// path: four goroutines send runs while two flush, and both receivers
+// send back into the network from inside Flush's unlocked handler pass,
+// landing in the queue Flush just detached from: "hub" (Register) sends
+// a message on per delivery, "relay" (RegisterRun) a copy of each run it
+// is handed. The traffic runs twice: over a lossy link with the
+// duplicate and reorder knobs set, where every message is queued and
+// delivered alone, then over a clean link, where runs travel as spans.
+// Afterwards the ledger must balance (rx = tx − dropped + duplicated),
+// every rx-charged copy must have run a handler, each receiver must have
+// sent what it was handed, the relay must have been handed runs of
+// several messages, the queue must drain, and no goroutine may leak.
 func TestDeliverRunConcurrentFlushReentrant(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	obs.Enable()
@@ -154,7 +159,7 @@ func TestDeliverRunConcurrentFlushReentrant(t *testing.T) {
 	n.SetDefaultLink(Link{LatencyMS: 1, LossProb: 0.05})
 	p.SetDuplicateProb(0.1)
 	p.SetReorderProb(0.1)
-	var hubRx, sinkRx atomic.Int64
+	var hubRx, relayRx, relayRuns, relayLong, sinkRx atomic.Int64
 	senders := []string{"s0", "s1", "s2", "s3"}
 	for _, id := range senders {
 		if err := n.Register(id, nil); err != nil {
@@ -172,70 +177,98 @@ func TestDeliverRunConcurrentFlushReentrant(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := n.RegisterRun("relay", func(r Run) {
+		relayRx.Add(int64(r.Count))
+		relayRuns.Add(1)
+		if r.Count > 1 {
+			relayLong.Add(1)
+		}
+		// A copy: the handler must not keep r.Payload once it returns,
+		// and the network reads a queued run's payload until its Flush.
+		r.From, r.To, r.Topic, r.Payload = "relay", "sink", "relay", append([]byte(nil), r.Payload...)
+		if _, err := n.DeliverRun(r); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	const runsPerSender = 200
-	var senderWG, flushWG sync.WaitGroup
-	for _, from := range senders {
-		senderWG.Add(1)
-		go func(from string) {
-			defer senderWG.Done()
-			for i := 0; i < runsPerSender; i++ {
-				c := 1 + i%7
-				// A fresh payload per run: the network reads it until the
-				// Flush that drains the run, whichever goroutine that is.
-				r := Run{From: from, To: "hub", Topic: "run", Count: c, Payload: make([]byte, 3*c)}
-				if _, err := n.DeliverRun(r); err != nil {
-					t.Error(err)
-					return
+	traffic := func() {
+		var senderWG, flushWG sync.WaitGroup
+		for s, from := range senders {
+			senderWG.Add(1)
+			go func(from string, to string) {
+				defer senderWG.Done()
+				for i := 0; i < runsPerSender; i++ {
+					c := 1 + i%7
+					// A fresh payload per run: the network reads it until the
+					// Flush that drains the run, whichever goroutine that is.
+					r := Run{From: from, To: to, Topic: "run", Count: c, Payload: make([]byte, 3*c)}
+					if _, err := n.DeliverRun(r); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-		}(from)
-	}
-	stop := make(chan struct{})
-	for f := 0; f < 2; f++ {
-		flushWG.Add(1)
-		go func() {
-			defer flushWG.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					n.Flush()
+			}(from, [...]string{"hub", "relay"}[s%2])
+		}
+		stop := make(chan struct{})
+		for f := 0; f < 2; f++ {
+			flushWG.Add(1)
+			go func() {
+				defer flushWG.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						n.Flush()
+					}
 				}
+			}()
+		}
+		senderWG.Wait()
+		close(stop)
+		flushWG.Wait()
+		// Drain: the last flushes' echoes are still queued.
+		for i := 0; ; i++ {
+			n.Flush()
+			n.mu.Lock()
+			pending := len(n.queue)
+			n.mu.Unlock()
+			if pending == 0 {
+				break
 			}
-		}()
-	}
-	senderWG.Wait()
-	close(stop)
-	flushWG.Wait()
-	// Drain: the last flushes' echoes are still queued.
-	for i := 0; ; i++ {
-		n.Flush()
-		n.mu.Lock()
-		pending := len(n.queue)
-		n.mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		if i == 10 {
-			t.Fatalf("queue did not drain: %d pending", pending)
+			if i == 10 {
+				t.Fatalf("queue did not drain: %d pending", pending)
+			}
 		}
 	}
+	traffic()
+	if relayLong.Load() != 0 {
+		t.Fatalf("relay was handed %d runs of several messages while the knobs split every span", relayLong.Load())
+	}
+	n.SetDefaultLink(Link{LatencyMS: 1})
+	p.SetDuplicateProb(0)
+	p.SetReorderProb(0)
+	traffic()
 
 	d := snapNetsimObs().sub(before)
 	tot := n.Totals()
 	if int64(tot.RxMessages) != int64(tot.TxMessages)-int64(tot.Dropped)+d.dup {
 		t.Fatalf("rx %d != tx %d - dropped %d + dup %d", tot.RxMessages, tot.TxMessages, tot.Dropped, d.dup)
 	}
-	if got := hubRx.Load() + sinkRx.Load(); got != int64(tot.RxMessages) {
-		t.Fatalf("handlers ran %d times, rx charged %d", got, tot.RxMessages)
+	if got := hubRx.Load() + relayRx.Load() + sinkRx.Load(); got != int64(tot.RxMessages) {
+		t.Fatalf("handlers ran for %d messages, rx charged %d", got, tot.RxMessages)
 	}
 	n.mu.Lock()
-	hubTx := n.stats["hub"].TxMessages
+	hubTx, relayTx := n.stats["hub"].TxMessages, n.stats["relay"].TxMessages
 	n.mu.Unlock()
-	if int64(hubTx) != hubRx.Load() {
-		t.Fatalf("hub sent %d echoes for %d deliveries", hubTx, hubRx.Load())
+	if int64(hubTx) != hubRx.Load() || int64(relayTx) != relayRx.Load() {
+		t.Fatalf("hub sent %d echoes for %d deliveries, relay %d for %d", hubTx, hubRx.Load(), relayTx, relayRx.Load())
+	}
+	if relayLong.Load() == 0 || relayRuns.Load() >= relayRx.Load() {
+		t.Fatalf("relay was handed %d runs for %d messages, %d of several: no span reached it", relayRuns.Load(), relayRx.Load(), relayLong.Load())
 	}
 	if d.dup == 0 || d.reorder == 0 || tot.Dropped == 0 {
 		t.Fatalf("faults not exercised: dup %d reorder %d dropped %d", d.dup, d.reorder, tot.Dropped)
