@@ -10,91 +10,6 @@ import (
 	"repro/internal/mat"
 )
 
-func TestIHTExactRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	phi := denseDCT(64)
-	op := denseOp(t, phi)
-	x, _, _ := sparseSignal(rng, phi, 4)
-	locs, _ := RandomLocations(rng, 64, 28)
-	y, _ := Measure(x, locs, rng, nil)
-	res, err := IHTOp(op, locs, y, IHTOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nm := NMSE(x, res.Xhat); nm > 1e-8 {
-		t.Fatalf("IHT NMSE %v", nm)
-	}
-	if len(res.Support) > 4 {
-		t.Fatalf("IHT support %d", len(res.Support))
-	}
-}
-
-func TestIHTValidation(t *testing.T) {
-	phi := denseDCT(16)
-	op := denseOp(t, phi)
-	if _, err := IHTOp(op, []int{1, 2}, []float64{1, 2}, IHTOptions{}); err == nil {
-		t.Fatal("want K error")
-	}
-	if _, err := IHTOp(op, []int{1}, []float64{1, 2}, IHTOptions{K: 1}); err == nil {
-		t.Fatal("want length error")
-	}
-	if _, err := IHTOp(op, nil, nil, IHTOptions{K: 1}); err == nil {
-		t.Fatal("want measurements error")
-	}
-}
-
-func TestCoSaMPExactRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	phi := denseDCT(64)
-	op := denseOp(t, phi)
-	x, _, _ := sparseSignal(rng, phi, 4)
-	locs, _ := RandomLocations(rng, 64, 30)
-	y, _ := Measure(x, locs, rng, nil)
-	res, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nm := NMSE(x, res.Xhat); nm > 1e-10 {
-		t.Fatalf("CoSaMP NMSE %v", nm)
-	}
-}
-
-func TestCoSaMPClampsK(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	phi := denseDCT(32)
-	op := denseOp(t, phi)
-	x, _, _ := sparseSignal(rng, phi, 2)
-	locs, _ := RandomLocations(rng, 32, 9)
-	y, _ := Measure(x, locs, rng, nil)
-	// 3K > m forces an internal clamp rather than an error.
-	res, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Support) > 3 {
-		t.Fatalf("clamped support %d", len(res.Support))
-	}
-	if _, err := CoSaMPOp(op, locs, y, CoSaMPOptions{}); err == nil {
-		t.Fatal("want K error")
-	}
-}
-
-func TestCoSaMPNoisyComparable(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	phi := denseDCT(128)
-	op := denseOp(t, phi)
-	x, _, _ := sparseSignal(rng, phi, 5)
-	locs, _ := RandomLocations(rng, 128, 50)
-	y, _ := Measure(x, locs, rng, []float64{0.02})
-	res, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nm := NMSE(x, res.Xhat); nm > 0.02 {
-		t.Fatalf("noisy CoSaMP NMSE %v", nm)
-	}
-}
-
 func TestBPDNToleratesNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	phi := denseDCT(32)
@@ -154,32 +69,18 @@ func TestDecodersAgreeOnEasyProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iht, err := IHTOp(op, locs, y, IHTOptions{K: 3})
+	bp, err := BPDN(op, locs, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cosamp, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 3})
+	chs, err := CHSOp(op, locs, y, CHSOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range map[string]*Result{"iht": iht, "cosamp": cosamp} {
+	for name, r := range map[string]*Result{"bp": bp, "chs": chs} {
 		if d := mat.Norm2(mat.SubVec(r.Xhat, omp.Xhat)); d > 1e-6 {
 			t.Fatalf("%s disagrees with OMP by %v", name, d)
 		}
-	}
-}
-
-func TestHardThresholdAndTopK(t *testing.T) {
-	v := []float64{1, -5, 3, 0.5}
-	hardThresholdWith(v, 2, make([]int, len(v)), make([]bool, len(v)))
-	if v[0] != 0 || v[1] != -5 || v[2] != 3 || v[3] != 0 {
-		t.Fatalf("hardThresholdWith got %v", v)
-	}
-	if got := topKIndicesInto([]float64{1, 2}, 0, make([]int, 2)); got != nil {
-		t.Fatalf("topK(0)=%v", got)
-	}
-	if got := topKIndicesInto([]float64{1, 2}, 5, make([]int, 2)); len(got) != 2 {
-		t.Fatalf("topK over-len=%v", got)
 	}
 }
 
@@ -279,38 +180,6 @@ func TestJointRecoveryWithNoise(t *testing.T) {
 	}
 	if nm > 0.05 {
 		t.Fatalf("noisy joint NMSE %v", nm)
-	}
-}
-
-func BenchmarkIHT256(b *testing.B) {
-	rng := rand.New(rand.NewSource(39))
-	phi := denseDCT(256)
-	op := denseOp(b, phi)
-	x, _, _ := sparseSignal(rng, phi, 8)
-	locs, _ := RandomLocations(rng, 256, 48)
-	y, _ := Measure(x, locs, rng, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := IHTOp(op, locs, y, IHTOptions{K: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCoSaMP256(b *testing.B) {
-	rng := rand.New(rand.NewSource(40))
-	phi := denseDCT(256)
-	op := denseOp(b, phi)
-	x, _, _ := sparseSignal(rng, phi, 8)
-	locs, _ := RandomLocations(rng, 256, 48)
-	y, _ := Measure(x, locs, rng, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CoSaMPOp(op, locs, y, CoSaMPOptions{K: 8}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

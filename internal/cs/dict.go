@@ -39,15 +39,6 @@ type opDict struct {
 	full []float64 // length-n scatter buffer, kept all-zero between uses
 	out  []float64 // length-n transform output buffer
 
-	// colJs/colBuf memoize gathered columns for factorInto over the
-	// lifetime of one decode: CoSaMP re-requests every support column on
-	// each of its solves, so caching turns O(iters·|J|) synthesis
-	// transforms into one per distinct column. Support stays small (tens
-	// of atoms), so a linear scan over admission order beats a map — no
-	// hashing, no map allocation on the decode hot path. Entries are
-	// immutable once stored.
-	colJs  []int
-	colBuf [][]float64
 	// sep is op when it is separable (basis.Separable2D); locR/locC then
 	// hold each location's grid row and column, split once per decode.
 	sep        separable
@@ -79,10 +70,9 @@ func newOpDict(op basis.Operator, locs []int) (*opDict, error) {
 	return d, nil
 }
 
-// reset points d at op sampled at locs, dropping the memoized columns.
-// The full, out and factor-column buffers keep their storage when
-// it is large enough; full is zeroed, as corrT, fillCol and synth expect.
-// On error d is unchanged.
+// reset points d at op sampled at locs. The full, out and factor-column
+// buffers keep their storage when it is large enough; full is zeroed, as
+// corrT, fillCol and synth expect. On error d is unchanged.
 func (d *opDict) reset(op basis.Operator, locs []int) error {
 	if len(locs) == 0 {
 		return ErrNoMeasurements
@@ -136,32 +126,14 @@ func (d *opDict) corrT(dst, r []float64) {
 }
 
 // col synthesizes basis vector j and gathers it at the sensors straight
-// into dst. It does not memoize: CHS, OMP and warm-start seeding fold
-// each column into a QR factorization that keeps its own copy.
+// into dst. It does not memoize: every caller folds each column into a
+// QR factorization that keeps its own copy, once per decode.
 func (d *opDict) col(dst []float64, j int) error {
 	if j < 0 || j >= d.n {
 		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadSupport, j, d.n)
 	}
 	d.fillCol(dst, j)
 	return nil
-}
-
-// gatherCol returns the memoized gathered column Φ̃ e_j — the solves of
-// factorInto request the same support columns again and again.
-func (d *opDict) gatherCol(j int) ([]float64, error) {
-	if j < 0 || j >= d.n {
-		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadSupport, j, d.n)
-	}
-	for s, cj := range d.colJs {
-		if cj == j {
-			return d.colBuf[s], nil
-		}
-	}
-	c := make([]float64, len(d.locs))
-	d.fillCol(c, j)
-	d.colJs = append(d.colJs, j)
-	d.colBuf = append(d.colBuf, c)
-	return c, nil
 }
 
 // fillCol writes Φ̃ e_j into dst (length m).
@@ -236,27 +208,23 @@ func (d *opDict) predict(dst, alpha []float64) {
 }
 
 // factorInto factors the m×|idx| system Φ̃_idx of a least-squares step
-// into qr, appending the memoized gathered columns in idx's order, each
-// entry i divided by div[i] when div is non-nil. It fails with
-// mat.ErrSingular at a column dependent on those before it.
+// into qr, appending the gathered columns in idx's order, each entry i
+// divided by div[i] when div is non-nil. The columns pass through one
+// scratch column, which Append copies. It fails with mat.ErrSingular at
+// a column dependent on those before it.
 func (d *opDict) factorInto(qr *mat.IncrementalQR, idx []int, div []float64) error {
 	if err := qr.Reset(len(d.locs), len(idx)); err != nil {
 		return err
 	}
-	var scaled []float64
-	if div != nil {
-		scaled = make([]float64, len(d.locs))
-	}
+	c := make([]float64, len(d.locs))
 	for _, j := range idx {
-		c, err := d.gatherCol(j)
-		if err != nil {
+		if err := d.col(c, j); err != nil {
 			return err
 		}
 		if div != nil {
-			for i, v := range c {
-				scaled[i] = v / div[i]
+			for i := range c {
+				c[i] /= div[i]
 			}
-			c = scaled
 		}
 		if err := qr.Append(c); err != nil {
 			return err

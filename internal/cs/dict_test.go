@@ -63,12 +63,6 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			{"CHSOp/GLS", func(op basis.Operator) (*Result, error) {
 				return CHSOp(op, locs, y, CHSOptions{MaxSupport: p.k, Sigmas: sigmas})
 			}},
-			{"IHTOp", func(op basis.Operator) (*Result, error) {
-				return IHTOp(op, locs, y, IHTOptions{K: p.k})
-			}},
-			{"CoSaMPOp", func(op basis.Operator) (*Result, error) {
-				return CoSaMPOp(op, locs, y, CoSaMPOptions{K: p.k})
-			}},
 			{"BPDN/eps=0", func(op basis.Operator) (*Result, error) {
 				return BPDN(op, locs, yClean, 0)
 			}},

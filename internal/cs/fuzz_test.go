@@ -142,6 +142,11 @@ func FuzzDecodeOMP(f *testing.F) {
 	f.Add([]byte("\x08\x08\x08\x00zzzzzzzz"))       // k == -1: must error cleanly
 	f.Add(dct8Problem([]int{1, 1, 5}, 2, -3, 1))    // a repeated location: its readings sum
 	f.Add(dct8Problem([]int{0, 3, 6}, 0, 1e-10, 0)) // ‖y‖ ≤ tol: the zero estimate
+	f.Add([]byte("\x05\x06\x04\x04qwertyuiopasdfghjklzxcvbnm1234567890QWERTY"))
+	f.Add([]byte("\x03\x03\x02\x03" +
+		"\xff\xff\xff\xff\xff\xff\xff\xff" + // NaN
+		"\x00\x00\x00\x00\x00\x00\xf0\x7f")) // +Inf
+	f.Add([]byte("\x01\x01\x01\x00")) // k == -1 on the minimal problem
 	const tol = 1e-9
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := newFuzzProblem(data)
@@ -163,29 +168,6 @@ func FuzzDecodeOMP(f *testing.F) {
 		if mat.Norm2(p.y) <= tol && (res.Iterations != 0 || len(res.Support) != 0) {
 			t.Fatalf("‖y‖ ≤ tol, yet %d iterations admitted %v", res.Iterations, res.Support)
 		}
-	})
-}
-
-func FuzzDecodeIHT(f *testing.F) {
-	f.Add([]byte("\x05\x06\x04\x04qwertyuiopasdfghjklzxcvbnm1234567890QWERTY"))
-	f.Add([]byte("\x03\x03\x02\x03" +
-		"\xff\xff\xff\xff\xff\xff\xff\xff" + // NaN
-		"\x00\x00\x00\x00\x00\x00\xf0\x7f")) // +Inf
-	f.Add([]byte("\x01\x01\x01\x00")) // k == -1 on the minimal problem
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, ok := newFuzzProblem(data)
-		if !ok {
-			return
-		}
-		op, err := basis.FromMatrix(p.phi)
-		if err != nil {
-			return
-		}
-		res, err := IHTOp(op, p.locs, p.y, IHTOptions{K: p.k, MaxIter: 50})
-		if err != nil {
-			return
-		}
-		checkResult(t, p, res)
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/basis"
@@ -36,7 +37,7 @@ func ompReference(op basis.Operator, locs []int, y []float64, k int, tol float64
 	if err != nil {
 		return nil, err
 	}
-	resid := mat.CloneVec(y)
+	resid := slices.Clone(y)
 	corr := make([]float64, n)
 	col := make([]float64, m)
 	support := make([]int, 0, k)

@@ -206,7 +206,9 @@ func TestWorkspacePoolConcurrentDecodes(t *testing.T) {
 
 // TestCHSSteadyStateAllocatesOnlyResult: at the fleet's zone shape (64×64
 // DCT, 1024 sensors, support 64), a warm CHSOp allocates the Result and
-// its Alpha, Support and Xhat, nothing else.
+// its Alpha, Support and Xhat, nothing else. With Sigmas its GLS refit
+// adds a fixed four, whatever the support's size: the divisors, the
+// whitened readings, one scratch column and the solved coefficients.
 func TestCHSSteadyStateAllocatesOnlyResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool retention; alloc counts are meaningless")
@@ -215,16 +217,29 @@ func TestCHSSteadyStateAllocatesOnlyResult(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	c := zoneCases[1]
 	op, locs, y, sigmas := zoneProblem(t, c, 9)
-	opts := c.opts(sigmas)
-	decode := func() {
-		if _, err := CHSOp(op, locs, y, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	decode()
 	const resultAllocs = 4 // *Result, Alpha, Support, Xhat
-	if allocs := testing.AllocsPerRun(20, decode); allocs != resultAllocs {
-		t.Fatalf("%.1f allocs per warm decode, want %d", allocs, resultAllocs)
+	for _, row := range []struct {
+		name   string
+		sigmas []float64
+		want   float64
+	}{
+		{"OLS", nil, resultAllocs},
+		{"GLS", sigmas, resultAllocs + 4},
+	} {
+		opts := c.opts(sigmas)
+		opts.Sigmas = row.sigmas
+		var support int
+		decode := func() {
+			res, err := CHSOp(op, locs, y, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			support = len(res.Support)
+		}
+		decode()
+		if allocs := testing.AllocsPerRun(20, decode); allocs != row.want {
+			t.Errorf("%s: %.1f allocs per warm decode of support %d, want %v", row.name, allocs, support, row.want)
+		}
 	}
 }
 

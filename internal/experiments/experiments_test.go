@@ -282,7 +282,7 @@ func TestA4AllDecodersRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 4 {
+	if len(tb.Rows) != 2 {
 		t.Fatalf("rows %d", len(tb.Rows))
 	}
 	for _, row := range tb.Rows {

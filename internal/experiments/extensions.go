@@ -1,8 +1,8 @@
 package experiments
 
 // Extension experiments beyond the paper's artifacts: the optional /
-// future-work directions its §5 sketches, made concrete. A4 compares the
-// decoder zoo, A5 quantifies joint spatio-temporal decoding, A6 evaluates
+// future-work directions its §5 sketches, made concrete. A4 compares OMP
+// with the ℓ1 program, A5 quantifies joint spatio-temporal decoding, A6 evaluates
 // adaptive sampling, C7 the heterogeneous-radio selection, and C8 the
 // coverage metrics under different mobility models.
 
@@ -36,10 +36,9 @@ type A4Config struct {
 // DefaultA4 returns the paper-scale configuration.
 func DefaultA4() A4Config { return A4Config{N: 128, M: 40, K: 6, Noise: 0.02, Trials: 10, Seed: 24} }
 
-// A4 compares the four decoders the middleware ships — OMP (the paper's
-// Eq. 13 solver), BPDN (the Eq. 9 ℓ1 program, constrained to the
-// readings' noise floor NoiseTol = σ√M), CoSaMP and IHT — on the same
-// noisy sparse-recovery instances.
+// A4 compares OMP (the paper's Eq. 13 solver) and BPDN (the Eq. 9 ℓ1
+// program, constrained to the readings' noise floor NoiseTol = σ√M) on
+// the same noisy sparse-recovery instances.
 func A4(cfg A4Config) (*Table, error) {
 	op, err := basis.CachedOperator(basis.KindDCT, cfg.N)
 	if err != nil {
@@ -52,12 +51,6 @@ func A4(cfg A4Config) (*Table, error) {
 	decoders := []decoder{
 		{"omp", func(locs []int, y []float64) (*cs.Result, error) {
 			return cs.OMPOp(op, locs, y, cfg.K, 1e-9)
-		}},
-		{"cosamp", func(locs []int, y []float64) (*cs.Result, error) {
-			return cs.CoSaMPOp(op, locs, y, cs.CoSaMPOptions{K: cfg.K})
-		}},
-		{"iht", func(locs []int, y []float64) (*cs.Result, error) {
-			return cs.IHTOp(op, locs, y, cs.IHTOptions{K: cfg.K})
 		}},
 		{"bpdn", func(locs []int, y []float64) (*cs.Result, error) {
 			sigmas := make([]float64, len(y))

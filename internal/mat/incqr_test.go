@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -127,7 +128,7 @@ func TestIncrementalQRDeflateLatest(t *testing.T) {
 	}
 	// Maintain resid = y − QQᵀy by deflating after every append (the OMP
 	// residual recurrence) and compare with the explicit projection.
-	resid := CloneVec(y)
+	resid := slices.Clone(y)
 	col := make([]float64, 9)
 	for j := 0; j < a.Cols; j++ {
 		for i := 0; i < 9; i++ {
@@ -402,7 +403,7 @@ func TestIncrementalQRMatchesMGS2(t *testing.T) {
 			k0 := got.k
 			h := make([]float64, got.k)
 			got.mulQT(h, c)
-			proj := CloneVec(c)
+			proj := slices.Clone(c)
 			for jj, d := range h {
 				for i := range proj {
 					proj[i] -= d * got.q[jj*got.m+i]

@@ -59,13 +59,6 @@ func SubVec(a, b []float64) []float64 {
 	return out
 }
 
-// CloneVec returns a copy of v.
-func CloneVec(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
-}
-
 // Mean returns the arithmetic mean of v (0 for empty input).
 func Mean(v []float64) float64 {
 	if len(v) == 0 {

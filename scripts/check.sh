@@ -48,19 +48,9 @@ fi
 echo "== fuzz smoke =="
 # A few seconds per target: enough to catch a decoder that started
 # panicking on NaN/Inf or a frame parser that accepts garbage, without
-# turning the pre-commit gate into a fuzzing campaign. One -fuzz flag
-# per invocation (the go tool fuzzes exactly one target at a time).
-go test -run '^$' -fuzz '^FuzzDecodeOMP$' -fuzztime 3s ./internal/cs
-go test -run '^$' -fuzz '^FuzzDecodeIHT$' -fuzztime 3s ./internal/cs
-go test -run '^$' -fuzz '^FuzzDecodeCHS$' -fuzztime 3s ./internal/cs
-go test -run '^$' -fuzz '^FuzzDecodeBPDN$' -fuzztime 3s ./internal/cs
-go test -run '^$' -fuzz '^FuzzNoiseTol$' -fuzztime 3s ./internal/cs
-go test -run '^$' -fuzz '^FuzzOperatorRoundTrip$' -fuzztime 3s ./internal/basis
-go test -run '^$' -fuzz '^FuzzParseFrame$' -fuzztime 3s ./internal/bus
-go test -run '^$' -fuzz '^FuzzTopicMatch$' -fuzztime 3s ./internal/bus
-go test -run '^$' -fuzz '^FuzzWireCodec$' -fuzztime 3s ./internal/node
-go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 3s ./internal/lint
-go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 3s ./internal/query
+# turning the pre-commit gate into a fuzzing campaign. The script fuzzes
+# every target `go test -list '^Fuzz'` finds, one at a time.
+scripts/fuzzsmoke.sh 3s
 
 echo "== go test -race =="
 GOMAXPROCS="${GOMAXPROCS:-4}" go test -race ./...
