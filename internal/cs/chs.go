@@ -273,7 +273,7 @@ outer:
 	// Fig. 6 step (e-ii): for heterogeneous sensors, refit the recovered
 	// support by GLS, keeping the OLS coefficients if that fails.
 	if opts.Sigmas != nil {
-		if gcoef, err := glsRefit(d, qr, support, y, opts.Sigmas); err == nil {
+		if gcoef, err := glsRefit(d, ws, support, y, opts.Sigmas); err == nil {
 			coef = gcoef
 		}
 	}
@@ -284,21 +284,30 @@ outer:
 const minSigma = 1e-4
 
 // glsRefit is the GLS estimate on the support under the covariance
-// diag(σ²), factored in qr: row i of Φ̃_support and of y divided by
+// diag(σ²), factored in ws.qr: row i of Φ̃_support and of y divided by
 // √(sᵢ²), sᵢ = max(σᵢ, minSigma), then OLS — the bits of a Cholesky
-// whitening, which a multiply by 1/sᵢ would not keep.
-func glsRefit(d *opDict, qr *mat.IncrementalQR, support []int, y, sigmas []float64) ([]float64, error) {
+// whitening, which a multiply by 1/sᵢ would not keep. Its scratch is the
+// workspace's: the divisors in div, and, spent once the greedy loop has
+// ended, the whitened readings in resid and the gathered columns in col.
+// The coefficients overwrite the OLS fit in coef only once the factoring,
+// the step that can fail, has succeeded.
+func glsRefit(d *opDict, ws *workspace, support []int, y, sigmas []float64) ([]float64, error) {
 	if len(sigmas) != len(y) {
 		return nil, mat.ErrShape
 	}
-	div, wy := make([]float64, len(y)), make([]float64, len(y))
+	ws.div = resized(ws.div, len(y))
+	div, wy := ws.div, resized(ws.resid, len(y))
 	for i, s := range sigmas {
 		s = max(s, minSigma)
 		div[i] = math.Sqrt(s * s)
 		wy[i] = y[i] / div[i]
 	}
-	if err := d.factorInto(qr, support, div); err != nil {
+	if err := d.factorInto(&ws.qr, support, div, resized(ws.col, len(y))); err != nil {
 		return nil, err
 	}
-	return qr.Solve(wy)
+	coef := resized(ws.coef, len(support))
+	if err := ws.qr.SolveInto(coef, wy); err != nil {
+		return nil, err
+	}
+	return coef, nil
 }

@@ -305,7 +305,7 @@ func TestGLSRowScalingMatchesCholesky(t *testing.T) {
 			}
 		}
 		want, wantErr := choleskyGLS(sub, y, sigmas, minSigma)
-		got, err := glsRefit(embed(t, sub), new(mat.IncrementalQR), seq(k), y, sigmas)
+		got, err := glsRefit(embed(t, sub), new(workspace), seq(k), y, sigmas)
 		if (err != nil) != (wantErr != nil) {
 			t.Fatalf("trial %d (M=%d, K=%d): err %v, Cholesky path err %v", trial, m, k, err, wantErr)
 		}

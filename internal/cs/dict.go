@@ -209,14 +209,13 @@ func (d *opDict) predict(dst, alpha []float64) {
 
 // factorInto factors the m×|idx| system Φ̃_idx of a least-squares step
 // into qr, appending the gathered columns in idx's order, each entry i
-// divided by div[i] when div is non-nil. The columns pass through one
-// scratch column, which Append copies. It fails with mat.ErrSingular at
-// a column dependent on those before it.
-func (d *opDict) factorInto(qr *mat.IncrementalQR, idx []int, div []float64) error {
+// divided by div[i] when div is non-nil. The columns pass through the
+// scratch column c (length m), which Append copies. It fails with
+// mat.ErrSingular at a column dependent on those before it.
+func (d *opDict) factorInto(qr *mat.IncrementalQR, idx []int, div, c []float64) error {
 	if err := qr.Reset(len(d.locs), len(idx)); err != nil {
 		return err
 	}
-	c := make([]float64, len(d.locs))
 	for _, j := range idx {
 		if err := d.col(c, j); err != nil {
 			return err

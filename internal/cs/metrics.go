@@ -121,7 +121,7 @@ func Diagnose(op basis.Operator, x []float64, locs []int, res *Result, noiseSigm
 	// +Inf if its columns are dependent, as more columns than readings are.
 	if k > 0 {
 		var qr mat.IncrementalQR
-		switch err := d.factorInto(&qr, res.Support, nil); {
+		switch err := d.factorInto(&qr, res.Support, nil, make([]float64, d.rows())); {
 		case err == nil:
 			bd.Condition = qr.ConditionEstimate()
 		case errors.Is(err, mat.ErrSingular) || k > d.rows():

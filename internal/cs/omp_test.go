@@ -84,8 +84,8 @@ func ompReference(op basis.Operator, locs []int, y []float64, k int, tol float64
 	if len(support) == 0 {
 		return zeroResult(d, y, iters)
 	}
-	coef, err := qr.Solve(y)
-	if err != nil {
+	coef := make([]float64, qr.Len())
+	if err := qr.SolveInto(coef, y); err != nil {
 		return nil, err
 	}
 	return packResult(d, support, coef, y, iters)

@@ -49,7 +49,8 @@ func legacyLeastSquares(a *mat.Matrix, b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.Solve(b)
+	x := make([]float64, f.Len())
+	return x, f.SolveInto(x, b)
 }
 
 // legacyGLS is the GLS refit on a built matrix: each σ floored at

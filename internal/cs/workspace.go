@@ -9,8 +9,9 @@ import (
 
 // workspace is the scratch of one greedy decode: the incremental-QR
 // factors, the step-(b) correlation, the sensor residual, one gathered
-// column, the final coefficients, OMP's column norms, the marks of a
-// seed's duplicate check, and the matrix-free dictionary with its transform buffers. CHSOp and
+// column, the final coefficients, a GLS refit's divisors, OMP's column
+// norms, the marks of a seed's duplicate check, and the matrix-free
+// dictionary with its transform buffers. CHSOp and
 // OMPOp take a workspace from a pool and return it when the decode ends,
 // so a steady stream of zone decodes allocates little beyond each Result.
 // A Result never points into a workspace: Alpha, Xhat and Support are
@@ -25,6 +26,7 @@ type workspace struct {
 	resid  []float64 // length m
 	col    []float64 // length m
 	coef   []float64 // length |J|
+	div    []float64 // length m, the GLS refit's divisors
 	norms  []float64 // length n, OMP only
 	seen   []bool    // length n, all false when handed out
 }

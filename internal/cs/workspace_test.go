@@ -206,9 +206,9 @@ func TestWorkspacePoolConcurrentDecodes(t *testing.T) {
 
 // TestCHSSteadyStateAllocatesOnlyResult: at the fleet's zone shape (64×64
 // DCT, 1024 sensors, support 64), a warm CHSOp allocates the Result and
-// its Alpha, Support and Xhat, nothing else. With Sigmas its GLS refit
-// adds a fixed four, whatever the support's size: the divisors, the
-// whitened readings, one scratch column and the solved coefficients.
+// its Alpha, Support and Xhat, nothing else, with Sigmas or without: the
+// GLS refit's divisors, whitened readings, scratch column and solved
+// coefficients are workspace scratch too.
 func TestCHSSteadyStateAllocatesOnlyResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool retention; alloc counts are meaningless")
@@ -224,7 +224,7 @@ func TestCHSSteadyStateAllocatesOnlyResult(t *testing.T) {
 		want   float64
 	}{
 		{"OLS", nil, resultAllocs},
-		{"GLS", sigmas, resultAllocs + 4},
+		{"GLS", sigmas, resultAllocs},
 	} {
 		opts := c.opts(sigmas)
 		opts.Sigmas = row.sigmas

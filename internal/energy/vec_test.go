@@ -59,12 +59,25 @@ func TestBankDrainAllAndDefaults(t *testing.T) {
 		if i == 2 {
 			want = 3.5
 		}
-		if b.UsedMJ[i] != want {
-			t.Fatalf("node %d used %v, want %v", i, b.UsedMJ[i], want)
+		if b.Used(i) != want {
+			t.Fatalf("node %d used %v, want %v", i, b.Used(i), want)
 		}
 	}
 	if _, err := NewBank(-1, 10); err == nil {
 		t.Fatal("negative node count accepted")
+	}
+
+	// The shared idle drain counts toward every node's depletion, and
+	// Alive and TotalUsedMJ read the same sums.
+	b, err = NewBank(3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.DrainAll(6)
+	b.Drain(1, 4)
+	if b.Depleted(0) || !b.Depleted(1) || b.Alive() != 2 || b.TotalUsedMJ() != 22 {
+		t.Fatalf("after 6 idle and 4 on node 1: depleted %v %v, alive %d, total %v; want false true, 2, 22",
+			b.Depleted(0), b.Depleted(1), b.Alive(), b.TotalUsedMJ())
 	}
 }
 

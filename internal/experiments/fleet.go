@@ -122,8 +122,12 @@ func CFleet(cfg CFleetConfig) (*Table, error) {
 			}
 		}},
 		{"fleet-zone-crash", func(r *fleet.Runner) {
-			// One zone's collector crashes for a mid-campaign window.
-			r.Plan.Crash(fleet.ZoneEndpoint(0), cfg.Nodes/16, cfg.Nodes/2)
+			// One zone's collector crashes during round 0, which sends
+			// about Nodes/8 messages, and restarts mid-campaign: the
+			// other zones close after round 0, so each later round sends
+			// only the crashed zone's due group, about Nodes/32 messages,
+			// and the zone keeps asking until it fills.
+			r.Plan.Crash(fleet.ZoneEndpoint(0), cfg.Nodes/16, 3*cfg.Nodes/16)
 		}},
 		{"fleet-dup-reorder", func(r *fleet.Runner) {
 			r.Plan.SetDuplicateProb(0.2)

@@ -183,23 +183,21 @@ type Result struct {
 	Alive     int
 }
 
-// Run drives a campaign: DutyPeriod times (tick → report → merge in shard
-// order → flush), then decodes every zone against the collected
-// measurements and assembles the global field. Requires SetTruth. The
-// merge loop is the determinism linchpin: each shard's envelopes go out
-// as one netsim run, in ascending shard index from a single goroutine,
-// so the network's RNG stream (loss, dup, reorder draws) is a
-// pure function of the seeds.
+// Run drives a campaign: DutyPeriod rounds of tick → report → merge in
+// shard order → flush → close, then decodes every zone against the
+// collected measurements and assembles the global field. Requires
+// SetTruth. The merge loop is the determinism linchpin: each shard's
+// envelopes go out as one netsim run, in ascending shard index from a
+// single goroutine, so the network's RNG stream (loss, dup, reorder
+// draws) is a pure function of the seeds.
 //
-// A round's merge and Flush run together on their own goroutine while
-// the shards tick and move the next round's due group, and the next
-// Report waits for both, since it overwrites the arenas they read. The
-// two sides share nothing: tick and step touch only the shards' clocks,
-// mobility, batteries and RNGs; merge reads only the arenas and report
-// counts Report wrote, and Flush only the network, the collectors and
-// those arenas. The merge still sends in shard order from one goroutine,
-// so the overlap moves wall clock only; every draw and every delivery
-// happens as in the serial order, where Report moves its group itself.
+// A zone whose collector holds its budget after a round's flush closes:
+// from the next round on its shards neither move nor report, so no
+// envelope is sent that the collector could only reject or overwrite. A
+// zone still short keeps asking, so one whose collector was down or
+// whose uplink lost reports fills in a later round. Budget 0 never
+// closes. Closing is one bit per zone downlink, not charged on the
+// network, which models the envelope uplink.
 func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	p := r.Pop
 	if p.truth == nil {
@@ -207,32 +205,18 @@ func (r *Runner) Run(cfg CampaignConfig) (*Result, error) {
 	}
 	res := &Result{}
 	period := p.Cfg.DutyPeriod
-	// deliver sends the round's reports and flushes the network.
-	deliver := func() error {
-		if err := r.merge(res); err != nil {
-			return err
-		}
-		r.Net.Flush()
-		return nil
-	}
-	p.Tick(1)
 	for round := 0; round < period; round++ {
-		p.Report(round)
-		if round == period-1 {
-			if err := deliver(); err != nil {
-				return nil, err
-			}
-			break
-		}
-		delivered := make(chan error, 1)
-		go func() { delivered <- deliver() }()
-		due := dueOffset(round+1, period)
 		p.forEachShard(func(s *Shard) {
 			s.Tick(1, p.idleMJ)
-			s.step(due)
+			s.report(round, period, p.truth, p.costMJ)
 		})
-		if err := <-delivered; err != nil {
+		if err := r.merge(res); err != nil {
 			return nil, err
+		}
+		r.Net.Flush()
+		for _, s := range p.Shards {
+			zc := r.collectors[s.Zone]
+			s.closed = zc.Budget > 0 && zc.Count() >= zc.Budget
 		}
 	}
 	return r.finish(cfg, res)

@@ -75,8 +75,7 @@ const (
 // Everything here is owned by the shard's scheduler turn: Tick, step and
 // report mutate it from exactly one goroutine at a time. The merge phase
 // reads only the arena and report count (env, repN), after the parallel
-// report has joined; the next round's Tick and step, which it overlaps,
-// touch neither.
+// report has joined.
 type Shard struct {
 	Index int // global shard index: the deterministic merge order
 	Zone  int // owning zone (index into Population.Zones)
@@ -110,6 +109,11 @@ type Shard struct {
 	// flushes before the next report overwrites them.
 	repN int
 	env  []byte
+
+	// closed is set by Runner.Run once the shard's zone collector holds
+	// its budget: from then on report neither moves nor samples the due
+	// group.
+	closed bool
 }
 
 // Population is a sharded fleet over a zoned field.
@@ -263,10 +267,10 @@ func (p *Population) Tick(dt float64) {
 	p.forEachShard(func(s *Shard) { s.Tick(dt, p.idleMJ) })
 }
 
-// Tick advances one shard's clock by dt seconds and drains every node's
-// idle battery. It moves no node: a phase group moves when it next
-// reports (step). This is the per-tick hot loop guarded by the hotalloc
-// analyzer — it must not allocate.
+// Tick advances one shard's clock by dt seconds and charges every node's
+// idle drain, in O(1) (energy.Bank.DrainAll). It moves no node: a phase
+// group moves when it next reports (step). This is the per-tick hot path
+// guarded by the hotalloc analyzer — it must not allocate.
 func (s *Shard) Tick(dt float64, idlePerSecMJ float64) {
 	s.clock += dt
 	s.bank.DrainAll(idlePerSecMJ * dt)
@@ -316,14 +320,16 @@ func (p *Population) Report(round int) {
 // arena. A node is due when round+phase ≡ 0 (mod period), i.e. when its
 // phase equals the round's due offset; report walks only that phase's
 // group of the index, and only due nodes are binned to their cell. It
-// first moves the group to the shard clock if Runner.Run has not already
-// (step), so Tick and Report driven by hand sample the same positions.
-// The RNG draws — the group's arrival draws, then one NormFloat64 per
-// reporting node — each happen in node-index order on the shard's
-// private stream, as a scan of every node would make them.
-// Allocation-free (hot path).
+// first moves the group to the shard clock (step). The RNG draws — the
+// group's arrival draws, then one NormFloat64 per reporting node — each
+// happen in node-index order on the shard's private stream, as a scan of
+// every node would make them. A closed shard reports nothing and moves
+// nothing. Allocation-free (hot path).
 func (s *Shard) report(round, period int, truth *field.Field, costMJ float64) {
 	s.repN = 0
+	if s.closed {
+		return
+	}
 	gh := s.zone.H
 	due := dueOffset(round, period)
 	s.step(due)

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"testing"
@@ -343,9 +346,10 @@ func TestFleetZoneDecodesStopAtNoiseFloor(t *testing.T) {
 
 // TestFleetStepsOnlyDueNodes pins the fleet's mobility work: with no
 // battery run out, a campaign moves each node once, in the round it
-// reports, so one Run adds exactly Config.Nodes to fleet.node_steps
-// (moving every node every round would add DutyPeriod × Nodes). Driving
-// Tick and Report by hand does the same work.
+// reports, so one unbudgeted Run, whose zones never close, adds exactly
+// Config.Nodes to fleet.node_steps (moving every node every round would
+// add DutyPeriod × Nodes). Driving Tick and Report by hand does the same
+// work.
 func TestFleetStepsOnlyDueNodes(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -355,7 +359,7 @@ func TestFleetStepsOnlyDueNodes(t *testing.T) {
 		FieldW: 32, FieldH: 32, ZoneRows: 2, ZoneCols: 2, Seed: 3,
 	}
 	before := steps.Value()
-	res := runFleet(t, cfg, 64, CampaignConfig{}, nil)
+	res := runFleet(t, cfg, 0, CampaignConfig{}, nil)
 	if res.Alive != cfg.Nodes {
 		t.Fatalf("%d of %d nodes alive, want all", res.Alive, cfg.Nodes)
 	}
@@ -378,4 +382,145 @@ func TestFleetStepsOnlyDueNodes(t *testing.T) {
 	if got := steps.Value() - before; got != int64(cfg.Nodes) {
 		t.Fatalf("Tick/Report by hand moved nodes %d times, want %d", got, cfg.Nodes)
 	}
+}
+
+// TestZoneClosesAtBudget: a zone whose collector holds its budget after a
+// round stops asking. With a budget every zone fills in round 0, the
+// campaign sends round 0's due nodes and no others, and moves only them.
+// A zone whose collector is down over round 0 keeps asking: it fills
+// from round 1's due group and then closes too. A budget that round 0
+// cannot fill is filled in later rounds. With budget 0 no zone closes,
+// and Run's Result is the one pinned before zones could close.
+func TestZoneClosesAtBudget(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	steps := obs.GetCounter("fleet.node_steps")
+	cfg := Config{
+		Nodes: 6000, ShardSize: 512,
+		FieldW: 32, FieldH: 32, ZoneRows: 2, ZoneCols: 2, Seed: 17,
+	}
+	const budget = 64
+	runner := func(budget int) *Runner {
+		p, err := NewPopulation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SetTruth(testTruth(cfg.FieldW, cfg.FieldH)); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(p, cfg.Seed+1000, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// due[round][zone]: the nodes due in the first two rounds, counted from
+	// the phases the shards drew.
+	var due [2][]int
+	for round := range due {
+		due[round] = make([]int, cfg.ZoneRows*cfg.ZoneCols)
+	}
+	r := runner(budget)
+	for _, s := range r.Pop.Shards {
+		for _, ph := range replayPhases(t, s, r.Pop.Cfg) {
+			for round := range due {
+				if ph == dueOffset(round, r.Pop.Cfg.DutyPeriod) {
+					due[round][s.Zone]++
+				}
+			}
+		}
+	}
+	sum := func(v []int) int {
+		n := 0
+		for _, x := range v {
+			n += x
+		}
+		return n
+	}
+	full := func(name string, r *Runner) {
+		t.Helper()
+		for z, zc := range r.collectors {
+			if zc.Count() != zc.Budget {
+				t.Fatalf("%s: zone %d holds %d cells, want its budget %d", name, z, zc.Count(), zc.Budget)
+			}
+		}
+	}
+
+	before := steps.Value()
+	res, err := r.Run(CampaignConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round0 := sum(due[0])
+	if res.Reports != round0 || res.Totals.TxMessages != round0 || res.Envelopes != round0 {
+		t.Fatalf("reports %d, transmissions %d, envelopes %d, want round 0's %d due nodes",
+			res.Reports, res.Totals.TxMessages, res.Envelopes, round0)
+	}
+	if got := steps.Value() - before; got != int64(round0) {
+		t.Fatalf("Run moved nodes %d times, want round 0's %d", got, round0)
+	}
+	full("fault-free", r)
+
+	r = runner(budget)
+	r.Plan.Crash(ZoneEndpoint(2), 0, round0) // down for all of round 0
+	before = steps.Value()
+	res, err = r.Run(CampaignConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := round0 + due[1][2]; res.Reports != want || res.Down != due[0][2] {
+		t.Fatalf("crash over round 0: %d reports and %d refused, want %d and zone 2's %d",
+			res.Reports, res.Down, want, due[0][2])
+	}
+	if got := steps.Value() - before; got != int64(round0+due[1][2]) {
+		t.Fatalf("crash over round 0: Run moved nodes %d times, want %d", got, round0+due[1][2])
+	}
+	full("crash over round 0", r)
+
+	// About 187 nodes a zone are due in round 0, on 256 cells: fewer than
+	// 200 distinct cells.
+	r = runner(200)
+	res, err = r.Run(CampaignConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reports <= round0+sum(due[1]) || res.Reports >= cfg.Nodes {
+		t.Fatalf("budget 200: %d reports, want more than rounds 0 and 1 send (%d) and fewer than every node (%d)",
+			res.Reports, round0+sum(due[1]), cfg.Nodes)
+	}
+	full("budget 200", r)
+
+	// Budget 0, under loss, refusal, duplication and reorder: the Result
+	// the campaign loop gave before zones could close, bit for bit (the
+	// hash is FNV-1a over Global.Data's little-endian float bits).
+	r = runner(0)
+	r.Plan.SetDuplicateProb(0.2)
+	r.Plan.SetReorderProb(0.15)
+	r.Plan.Crash(ZoneEndpoint(1), 100, 400)
+	r.Plan.SetBurstLink(ShardEndpoint(0), ZoneEndpoint(0),
+		netsim.GilbertElliott{PGoodToBad: 0.3, PBadToGood: 0.4, LossGood: 0, LossBad: 0.9})
+	res, err = r.Run(CampaignConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, v := range res.Global.Data {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	got := fmt.Sprintf("global %#x nmse %#x zones %#x sim %v energy %#x; %d %d %d %d %d %d %d %+v",
+		h.Sum64(), math.Float64bits(res.GlobalNMSE), floatBits(res.ZoneNMSE), res.SimTimeMS, math.Float64bits(res.EnergyMJ),
+		res.Reports, res.Envelopes, res.Measurements, res.Lost, res.Down, res.Malformed, res.Alive, res.Totals)
+	const want = "global 0xf2306decaac2b5b0 nmse 0x3f1e64c757c039f6 zones [0x3f25b21534dba703 0x3f17029f51f8b28f 0x3f1e89e851185584 0x3f22785a6d793c4c] " +
+		"sim 6642 energy 0x4116b609999999be; 6000 6642 1007 210 187 0 6000 {TxMessages:5813 RxMessages:6642 TxBytes:139512 RxBytes:159408 Dropped:210}"
+	if got != want {
+		t.Fatalf("budget 0:\n got %s\nwant %s", got, want)
+	}
+}
+
+func floatBits(v []float64) []uint64 {
+	b := make([]uint64, len(v))
+	for i, x := range v {
+		b[i] = math.Float64bits(x)
+	}
+	return b
 }

@@ -191,17 +191,8 @@ func (f *IncrementalQR) ConditionEstimate() float64 {
 	return mx / mn
 }
 
-// Solve returns the least-squares coefficients x minimizing ‖A·x − y‖₂ for
-// the factored A: x = R⁻¹Qᵀy.
-func (f *IncrementalQR) Solve(y []float64) ([]float64, error) {
-	x := make([]float64, f.k)
-	if err := f.SolveInto(x, y); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveInto writes the least-squares coefficients into x (length Len()).
+// SolveInto writes into x (length Len()) the least-squares coefficients
+// minimizing ‖A·x − y‖₂ for the factored A: x = R⁻¹Qᵀy.
 func (f *IncrementalQR) SolveInto(x, y []float64) error {
 	if len(y) != f.m {
 		return fmt.Errorf("%w: rhs length %d, want %d", ErrShape, len(y), f.m)

@@ -47,7 +47,7 @@ func TestIncrementalQRMatchesLeastSquares(t *testing.T) {
 		if f.Len() != n || f.m != m {
 			t.Fatalf("Len/Rows = %d/%d, want %d/%d", f.Len(), f.m, n, m)
 		}
-		x, err := f.Solve(y)
+		x, err := solve(f, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestIncrementalQRExactOnConsistentSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendCols(t, f, a)
-	got, err := f.Solve(y)
+	got, err := solve(f, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestIncrementalQRDeflateLatest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	x, err := f.Solve(y)
+	x, err := solve(f, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestIncrementalQRShapeErrors(t *testing.T) {
 	if err := f.Append([]float64{0, 1, 0, 0}); !errors.Is(err, ErrShape) {
 		t.Fatalf("append past capacity: err = %v, want ErrShape", err)
 	}
-	if _, err := f.Solve([]float64{1, 2}); !errors.Is(err, ErrShape) {
+	if _, err := solve(f, []float64{1, 2}); !errors.Is(err, ErrShape) {
 		t.Fatalf("short rhs: err = %v, want ErrShape", err)
 	}
 	if err := f.SolveInto(make([]float64, 3), make([]float64, 4)); !errors.Is(err, ErrShape) {
@@ -192,7 +192,7 @@ func TestIncrementalQRResetReusesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	solve := func(f *IncrementalQR, a *Matrix, y []float64) ([]float64, []float64) {
 		appendCols(t, f, a)
-		x, err := f.Solve(y)
+		x, err := solve(f, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,11 +454,11 @@ func TestIncrementalQRMatchesMGS2(t *testing.T) {
 			t.Errorf("%s: ‖A_J − QR‖_max = %g, ‖A_J‖_max = %g", in.name, fact, amax)
 		}
 		y := randCol(in.m)
-		x, err := got.Solve(y)
+		x, err := solve(got, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		xr, err := ref.Solve(y)
+		xr, err := solve(ref, y)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -602,4 +602,10 @@ func BenchmarkIncrementalQRAppend(b *testing.B) {
 			}
 		})
 	}
+}
+
+// solve is SolveInto into a new slice.
+func solve(f *IncrementalQR, y []float64) ([]float64, error) {
+	x := make([]float64, f.Len())
+	return x, f.SolveInto(x, y)
 }

@@ -163,7 +163,7 @@ func leastSquares(t *testing.T, a *Matrix, b []float64) []float64 {
 		t.Fatal(err)
 	}
 	appendCols(t, f, a)
-	x, err := f.Solve(b)
+	x, err := solve(f, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -834,3 +834,71 @@ func TestFlushDropsSpanForReceiverNowDown(t *testing.T) {
 		t.Fatalf("receiver c charged %+v, want 5 messages and 15 bytes", sc)
 	}
 }
+
+// TestFlushObservesLatencyOncePerSpan: a delivered span costs Flush one
+// latency-histogram call, whatever its length, and one clock update. The
+// clock keeps the bits of one addition per delivered copy: exact for
+// whole-millisecond latency in closed form, and by the per-copy loop for
+// a latency that is not, with duplicated copies counted twice.
+func TestFlushObservesLatencyOncePerSpan(t *testing.T) {
+	type call struct {
+		v float64
+		k int
+	}
+	var calls []call
+	defer func(f func(float64, int)) { observeLatency = f }(observeLatency)
+	observeLatency = func(v float64, k int) { calls = append(calls, call{v, k}) }
+
+	const count, size = 5000, 24
+	for _, latency := range []float64{1, 0.1} {
+		calls = calls[:0]
+		n := New(61)
+		for _, id := range []string{"a", "b"} {
+			if err := n.Register(id, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.RegisterRun("r", func(Run) {}); err != nil {
+			t.Fatal(err)
+		}
+		n.SetDefaultLink(Link{LatencyMS: latency})
+		n.SetAsync(true)
+		for _, from := range []string{"a", "b"} {
+			if _, err := n.DeliverRun(Run{From: from, To: "r", Count: count, Payload: make([]byte, count*size)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Flush()
+		if len(calls) != 2 || calls[0] != (call{latency, count}) || calls[1] != (call{latency, count}) {
+			t.Fatalf("latency %v: histogram calls %v, want two of %d copies", latency, calls, count)
+		}
+		want := 0.0
+		for range 2 * count {
+			want += latency
+		}
+		if got := n.SimTimeMS(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("latency %v: simulated time %v, want the per-copy sum %v", latency, got, want)
+		}
+	}
+
+	// Duplication splits spans into single messages: one call per message,
+	// two copies for each duplicated one.
+	calls = calls[:0]
+	n, p, _ := faultNet(t, 67, "a", "b")
+	n.SetAsync(true)
+	p.SetDuplicateProb(0.5)
+	if _, err := n.DeliverRun(Run{From: "a", To: "b", Count: 64, Payload: make([]byte, 64)}); err != nil {
+		t.Fatal(err)
+	}
+	delivered := n.Flush()
+	copies := 0
+	for _, c := range calls {
+		copies += c.k
+		if c.k != 1 && c.k != 2 {
+			t.Fatalf("a single message observed %d times", c.k)
+		}
+	}
+	if len(calls) != 64 || copies != delivered || delivered == 64 {
+		t.Fatalf("%d calls for %d copies of 64 messages (%d delivered), want 64 calls, some duplicated", len(calls), copies, delivered)
+	}
+}

@@ -28,6 +28,10 @@ var (
 	obsRxBytes    = obs.GetCounter("netsim.rx.bytes")
 	obsLost       = obs.GetCounter("netsim.lost.messages")
 	obsLatency    = obs.GetHistogram("netsim.link.latency_ms", obs.LatencyBuckets)
+
+	// observeLatency records k delivered copies of one latency, once per
+	// span; a variable so that a test can count the calls.
+	observeLatency = obsLatency.ObserveN
 )
 
 // Message is one datagram between simulated nodes.
@@ -550,9 +554,7 @@ func (n *Network) Flush() int {
 		c *= int(s.copies)
 		qr.rx.RxMessages += c
 		qr.rx.RxBytes += c * qr.size
-		for range c {
-			n.simTime += latency
-		}
+		n.advanceLocked(latency, c)
 		d.rxMsgs += int64(c)
 		d.rxBytes += int64(c * qr.size)
 		delivered += c
@@ -561,10 +563,8 @@ func (n *Network) Flush() int {
 	d.flush()
 	for _, s := range q {
 		qr := &runs[s.run]
+		observeLatency(latency, int(s.copies)*int(s.n))
 		for range s.copies {
-			for range s.n {
-				obsLatency.Observe(latency)
-			}
 			if qr.h != nil {
 				qr.h(qr.sub(int(s.idx), int(s.n), qr.size))
 			}
@@ -579,6 +579,21 @@ func (n *Network) Flush() int {
 	}
 	n.mu.Unlock()
 	return delivered
+}
+
+// advanceLocked adds c deliveries of latency to the simulated clock, as
+// c additions in a row would. When the latency and the clock are whole
+// milliseconds and the clock stays below 2^53, every partial sum of that
+// loop is exact, so one multiply-add has its bits; otherwise it loops.
+func (n *Network) advanceLocked(latency float64, c int) {
+	if latency == math.Trunc(latency) && n.simTime == math.Trunc(n.simTime) &&
+		math.Abs(n.simTime)+float64(c)*math.Abs(latency) < 1<<53 {
+		n.simTime += float64(c) * latency
+		return
+	}
+	for range c {
+		n.simTime += latency
+	}
 }
 
 // Totals sums the counters across all nodes.

@@ -69,8 +69,15 @@ func GetHistogram(name string, bounds []float64) *Histogram {
 }
 
 // Observe records one sample when the owning registry is enabled.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.on.Load() {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records k samples of the same value v in O(1) when the owning
+// registry is enabled: the bucket and the count grow by k, the sum by
+// k·v in one addition (the bits of k additions of v whenever every
+// partial sum is exact, as for whole numbers below 2^53). k ≤ 0 records
+// nothing.
+func (h *Histogram) ObserveN(v float64, k int) {
+	if h == nil || k <= 0 || !h.on.Load() {
 		return
 	}
 	// Linear scan: bucket lists are short (≤ ~16) and the branch predictor
@@ -81,11 +88,12 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(int64(k))
+	h.count.Add(int64(k))
+	kv := float64(k) * v
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + kv)
 		if h.sum.CompareAndSwap(old, next) {
 			break
 		}

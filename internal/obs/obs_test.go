@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -135,6 +136,29 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 	if s.P99 != 99 {
 		t.Fatalf("overflow p99 = %v, want observed max", s.P99)
+	}
+}
+
+// TestHistogramObserveNMatchesRepeatedObserve: k samples of one whole
+// value recorded at once read exactly as k single observations, sum
+// included; k ≤ 0 records nothing.
+func TestHistogramObserveNMatchesRepeatedObserve(t *testing.T) {
+	r := NewRegistry()
+	r.SetEnabled(true)
+	once, each := r.Histogram("once", LatencyBuckets), r.Histogram("each", LatencyBuckets)
+	for _, c := range []struct {
+		v float64
+		k int
+	}{{1, 5000}, {3, 7}, {0, 2}, {7000, 1}} {
+		once.ObserveN(c.v, c.k)
+		for range c.k {
+			each.Observe(c.v)
+		}
+	}
+	once.ObserveN(2, 0)
+	once.ObserveN(2, -3)
+	if got, want := once.Snapshot(), each.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ObserveN snapshot %+v, want %+v", got, want)
 	}
 }
 
