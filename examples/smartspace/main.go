@@ -15,6 +15,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	sensedroid "repro"
 	"repro/internal/field"
@@ -46,14 +47,18 @@ func main() {
 		"comfort":  "max > 27 || min < 18",
 		"security": "zone == 3 && max > 26",
 	}
+	// Alerts list in subscriber-name order, so every run prints the same.
+	names := make([]string, 0, len(subs))
 	filters := map[string]*query.Filter{}
 	for name, src := range subs {
 		f, err := query.Compile(src)
 		if err != nil {
 			log.Fatal(err)
 		}
+		names = append(names, name)
 		filters[name] = f
 	}
+	sort.Strings(names)
 
 	db := store.New(0)
 
@@ -98,8 +103,8 @@ func main() {
 				log.Fatal(err)
 			}
 			env := query.Env{"zone": z.ID, "mean": mean, "min": minV, "max": maxV}
-			for name, f := range filters {
-				ok, err := f.Eval(env)
+			for _, name := range names {
+				ok, err := filters[name].Eval(env)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -37,26 +37,11 @@ var (
 	obsReconResidual = obs.GetGauge("broker.reconstruct.residual.last")
 )
 
-// SelectionPolicy chooses which nodes a gather round solicits.
-type SelectionPolicy string
-
-// Selection policies.
-const (
-	// SelectRandom is the paper's stochastic spatial sampling: a uniform
-	// random subset of registered nodes.
-	SelectRandom SelectionPolicy = "random"
-	// SelectBattery solicits the fullest batteries first (the §5
-	// "sensor scheduling" energy-balancing direction): the broker queries
-	// node status and walks nodes in decreasing battery order.
-	SelectBattery SelectionPolicy = "battery"
-)
-
 // Config configures a broker.
 type Config struct {
-	ID        string
-	Seed      int64
-	Timeout   time.Duration   // per-node request timeout (default 2 s)
-	Selection SelectionPolicy // node selection policy (default SelectRandom)
+	ID      string
+	Seed    int64
+	Timeout time.Duration // per-node request timeout (default 2 s)
 }
 
 // Retry policy of every per-node request: the first try plus two
@@ -77,7 +62,6 @@ type Broker struct {
 	env       node.Environment
 	rng       *rand.Rand
 	timeout   time.Duration
-	selection SelectionPolicy
 	retrySeed int64
 
 	mu      sync.Mutex
@@ -96,14 +80,10 @@ func New(cfg Config, b *bus.Bus, env node.Environment) (*Broker, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.Selection == "" {
-		cfg.Selection = SelectRandom
-	}
 	return &Broker{
 		ID: cfg.ID, Bus: b, env: env,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		timeout:   cfg.Timeout,
-		selection: cfg.Selection,
 		retrySeed: cfg.Seed,
 		infraOK:   true,
 	}, nil
@@ -271,7 +251,7 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 	if m == 0 {
 		return nil, errors.New("broker: no cells available after exclusions")
 	}
-	ids := br.orderNodes(ctx)
+	ids := br.orderNodes()
 	res := &GatherResult{
 		Locs:    make([]int, 0, m),
 		Values:  make([]float64, 0, m),
@@ -357,43 +337,14 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 	return res, nil
 }
 
-// orderNodes returns the registered nodes in solicitation order per the
-// selection policy: uniform shuffle (stochastic spatial sampling) or
-// fullest-battery-first (energy-balancing duty rotation). The battery
-// policy's status sweep honours ctx like the gather loop does.
-func (br *Broker) orderNodes(ctx context.Context) []string {
+// orderNodes returns the registered nodes in solicitation order: a
+// uniform shuffle, the paper's stochastic spatial sampling.
+func (br *Broker) orderNodes() []string {
 	ids := br.Nodes()
-	switch br.selection {
-	case SelectBattery:
-		type nb struct {
-			id   string
-			frac float64
-		}
-		reps := make([]node.StatusReply, len(ids))
-		calls := make([]bus.Call, len(ids))
-		for i, id := range ids {
-			calls[i] = node.StatusCall(br.ID, id, &reps[i])
-		}
-		br.scatter(ctx, calls)
-		stats := make([]nb, 0, len(ids))
-		for i, id := range ids {
-			if calls[i].Err != nil {
-				continue // unreachable nodes sort last by omission
-			}
-			stats = append(stats, nb{id: id, frac: reps[i].BatteryFrac})
-		}
-		sort.SliceStable(stats, func(i, j int) bool { return stats[i].frac > stats[j].frac })
-		out := make([]string, len(stats))
-		for i, s := range stats {
-			out[i] = s.id
-		}
-		return out
-	default:
-		br.mu.Lock()
-		br.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		br.mu.Unlock()
-		return ids
-	}
+	br.mu.Lock()
+	br.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	br.mu.Unlock()
+	return ids
 }
 
 // ReconstructOptions tunes the broker-side recovery, a CHS decode in the

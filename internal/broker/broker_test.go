@@ -239,71 +239,6 @@ func TestReconstructStopsAtNoiseFloor(t *testing.T) {
 	}
 }
 
-func TestBatterySelectionPrefersFullNodes(t *testing.T) {
-	// Build an NC with the battery policy; drain half the fleet and check
-	// the drained nodes are not solicited while full ones remain.
-	truth := field.GenSmoothGradient(8, 8, 20, 5, 2)
-	env := fieldEnv{f: truth}
-	b := bus.New()
-	defer b.Close()
-	br, err := New(Config{ID: "nc0", Seed: 9, Timeout: 2 * time.Second, Selection: SelectBattery}, b, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	var nodes []*node.Node
-	for i := 0; i < 6; i++ {
-		mob, err := mobility.NewRandomWaypoint(rand.New(rand.NewSource(rng.Int63())), 80, 80, 1, 3, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd, err := node.New(node.Config{
-			ID: fmt.Sprintf("n%d", i), Seed: rng.Int63(), Battery: 1000,
-		}, env, mob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nd.AttachBus(b, "nc0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := br.Register(nd.ID); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
-		defer nd.Detach()
-	}
-	// Drain nodes 0-2 to ~10%.
-	for i := 0; i < 3; i++ {
-		nodes[i].Battery.Drain(900)
-	}
-	g, err := br.GatherContext(context.Background(), sensor.Temperature, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NodesUsed == 0 {
-		t.Fatal("no mobile nodes used")
-	}
-	// Full nodes are solicited strictly before drained ones: once a
-	// drained node appears in the contribution order, no full node may
-	// follow. (A full node can be skipped for duplicate coverage, letting
-	// the walk reach a drained node — that ordering is still correct.)
-	drained := map[string]bool{"n0": true, "n1": true, "n2": true}
-	seenDrained := false
-	for _, id := range g.NodeIDs {
-		if id == "" {
-			continue
-		}
-		if drained[id] {
-			seenDrained = true
-		} else if seenDrained {
-			t.Fatalf("full node %s solicited after a drained node (ids=%v)", id, g.NodeIDs)
-		}
-	}
-	if d := g.NodeIDs[0]; drained[d] {
-		t.Fatalf("first solicited node %s is drained (ids=%v)", d, g.NodeIDs)
-	}
-}
-
 func TestGatherRecordsNodeIDs(t *testing.T) {
 	br, _, _ := testNC(t, 3, 10)
 	g, err := br.GatherContext(context.Background(), sensor.Temperature, 10)

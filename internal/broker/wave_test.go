@@ -35,7 +35,7 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude []bool) (*Gat
 	m = min(m, avail)
 	res := &GatherResult{}
 	seen := make(map[int]bool)
-	for _, id := range br.orderNodes(ctx) {
+	for _, id := range br.orderNodes() {
 		if len(res.Locs) >= m {
 			break
 		}
@@ -94,12 +94,12 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude []bool) (*Gat
 // does not decode, which is immediate and terminal where a dead node's
 // silence would be a timeout; the gather treats the two alike, and the
 // comparison stays off the clock.
-func crowdedNC(t *testing.T, seed int64, policy SelectionPolicy) *Broker {
+func crowdedNC(t *testing.T, seed int64) *Broker {
 	t.Helper()
 	truth := field.GenSmoothGradient(5, 5, 20, 5, 2)
 	env := fieldEnv{f: truth}
 	b := bus.New()
-	br, err := New(Config{ID: "nc0", Seed: seed, Timeout: 10 * time.Second, Selection: policy}, b, env)
+	br, err := New(Config{ID: "nc0", Seed: seed, Timeout: 10 * time.Second}, b, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,19 +154,15 @@ func crowdedNC(t *testing.T, seed int64, policy SelectionPolicy) *Broker {
 }
 
 // TestWaveGatherEqualsSequentialWalk is the equivalence the wave gather
-// claims, over 20 seeds and both selection policies: two deployments
-// built from one seed, one gathered in waves and one by the sequential
-// reference, return the same GatherResult field for field, round after
-// round — with co-located nodes, nodes that deny, excluded cells and
-// nodes whose requests fail all in play.
+// claims, over 20 seeds: two deployments built from one seed, one
+// gathered in waves and one by the sequential reference, return the
+// same GatherResult field for field, round after round — with co-located
+// nodes, nodes that deny, excluded cells and nodes whose requests fail
+// all in play.
 func TestWaveGatherEqualsSequentialWalk(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	for seed := int64(1); seed <= 20; seed++ {
-		policy := SelectRandom
-		if seed%4 == 0 {
-			policy = SelectBattery
-		}
-		waves, walk := crowdedNC(t, seed, policy), crowdedNC(t, seed, policy)
+		waves, walk := crowdedNC(t, seed), crowdedNC(t, seed)
 		rng := rand.New(rand.NewSource(seed))
 		for round := 0; round < 3; round++ {
 			m := 4 + rng.Intn(18)
@@ -180,7 +176,7 @@ func TestWaveGatherEqualsSequentialWalk(t *testing.T) {
 				t.Fatalf("seed %d round %d: waves err %v, walk err %v", seed, round, gotErr, wantErr)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d round %d (m=%d, %d excluded, %s):\nwaves %+v\nwalk  %+v", seed, round, m, countTrue(exclude), policy, got, want)
+				t.Fatalf("seed %d round %d (m=%d, %d excluded):\nwaves %+v\nwalk  %+v", seed, round, m, countTrue(exclude), got, want)
 			}
 			if got != nil && got.Denied+got.NodesUsed == 0 {
 				t.Fatalf("seed %d round %d: no node took part: %+v", seed, round, got)
@@ -206,7 +202,7 @@ func countTrue(set []bool) int {
 func TestGatherExclusion(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	for seed := int64(1); seed <= 20; seed++ {
-		br := crowdedNC(t, seed, SelectRandom)
+		br := crowdedNC(t, seed)
 		rng := rand.New(rand.NewSource(seed))
 		exclude := make([]bool, 25)
 		for i := 1 + rng.Intn(8); i > 0; i-- {
@@ -228,7 +224,7 @@ func TestGatherExclusion(t *testing.T) {
 			t.Fatalf("seed %d: want node and infrastructure readings both: %+v", seed, g)
 		}
 
-		withNil, none := crowdedNC(t, seed, SelectRandom), crowdedNC(t, seed, SelectRandom)
+		withNil, none := crowdedNC(t, seed), crowdedNC(t, seed)
 		m := 4 + rng.Intn(18)
 		want, wantErr := withNil.GatherExcludingContext(context.Background(), sensor.Temperature, m, nil)
 		got, gotErr := none.GatherExcludingContext(context.Background(), sensor.Temperature, m, make([]bool, 25))
@@ -239,7 +235,7 @@ func TestGatherExclusion(t *testing.T) {
 			t.Fatalf("seed %d (m=%d): all-false exclusion\n%+v\nnil exclusion\n%+v", seed, m, got, want)
 		}
 	}
-	br := crowdedNC(t, 1, SelectRandom)
+	br := crowdedNC(t, 1)
 	if _, err := br.GatherExcludingContext(context.Background(), sensor.Temperature, 4, make([]bool, 24)); err == nil {
 		t.Fatal("a 24-cell exclusion set on a 25-cell grid was accepted")
 	}

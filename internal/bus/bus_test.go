@@ -313,7 +313,7 @@ func TestPropMatchReflexive(t *testing.T) {
 }
 
 // BenchmarkPublish publishes to one subscriber among a growing roster:
-// alone, among one NanoCloud's 144 wildcard-free command topics, and with
+// alone, among one NanoCloud's 96 wildcard-free command topics, and with
 // two TCP-style wildcard patterns beside those. The first two should cost
 // the same, the third one Match more per wildcard pattern, and none should
 // allocate.
@@ -338,7 +338,7 @@ func BenchmarkPublish(b *testing.B) {
 	}
 	b.Run("subs=1", run(lone, "bench/x", sub))
 	roster, target, sub := rosterBus(b, 0)
-	b.Run("subs=144", run(roster, target, sub))
+	b.Run("subs=96", run(roster, target, sub))
 	roster, target, sub = rosterBus(b, 2)
-	b.Run("subs=144+2wild", run(roster, target, sub))
+	b.Run("subs=96+2wild", run(roster, target, sub))
 }

@@ -189,9 +189,9 @@ func TestIndexHoldsNothingAfterRequests(t *testing.T) {
 }
 
 // rosterBus is one NanoCloud's worth of subscriptions as the benchmark's
-// campaign-gather sets them up: three command topics for each of 48
+// campaign-gather sets them up: two command topics for each of 48
 // nodes, all wildcard-free, plus nWild TCP-style per-node patterns. It
-// returns a subscription on target, which is one of the 144.
+// returns a subscription on target, which is one of the 96.
 func rosterBus(tb testing.TB, nWild int) (b *Bus, target string, sub *Subscription) {
 	tb.Helper()
 	b = New()
@@ -206,7 +206,7 @@ func rosterBus(tb testing.TB, nWild int) (b *Bus, target string, sub *Subscripti
 	target = NodeMeasureTopic("nc0", "n17")
 	for i := 0; i < 48; i++ {
 		id := "n" + strconv.Itoa(i)
-		for _, topic := range []string{NodeMeasureTopic("nc0", id), NodePositionTopic("nc0", id), NodeStatusTopic("nc0", id)} {
+		for _, topic := range []string{NodeMeasureTopic("nc0", id), NodePositionTopic("nc0", id)} {
 			if s := subscribe(topic); topic == target {
 				sub = s
 			}

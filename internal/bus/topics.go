@@ -2,14 +2,13 @@
 // component boundary (broker ↔ node ↔ cloud ↔ serve) is built here, so
 // the protocol's segment layout lives in exactly one file. The node
 // commands pair each of their topics with a reply type in internal/node
-// (node.MeasureCall, PositionCall, StatusCall).
+// (node.MeasureCall, PositionCall).
 //
 // Layout (NC = NanoCloud/broker ID):
 //
 //	<nc>/register              node → broker presence announcements
 //	<nc>/node/<id>/measure     broker → node measure-on-demand request
 //	<nc>/node/<id>/position    broker → node position query
-//	<nc>/node/<id>/status      broker → node status/battery query
 //	<nc>/inbox/<s>/<id>/<k>    node → broker reply to request k of the
 //	                           broker's scatter s (one subscription,
 //	                           <nc>/inbox/<s>/#, hears them all)
@@ -31,14 +30,9 @@ func NodePositionTopic(ncID, nodeID string) string {
 	return ncID + "/node/" + nodeID + "/position"
 }
 
-// NodeStatusTopic returns a node's status-query request topic.
-func NodeStatusTopic(ncID, nodeID string) string {
-	return ncID + "/node/" + nodeID + "/status"
-}
-
 // NodeCommandPattern returns the subscription pattern covering every
-// command topic addressed to one node (measure, position, status and
-// any future command segment), for transports that forward a node's
+// command topic addressed to one node (measure, position and any
+// future command segment), for transports that forward a node's
 // whole command namespace at once.
 func NodeCommandPattern(ncID, nodeID string) string {
 	return ncID + "/node/" + nodeID + "/#"

@@ -8,7 +8,6 @@
 package energy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -186,48 +185,6 @@ func (m *Meter) Reset() {
 	m.total = 0
 	m.byCat = make(map[string]float64)
 	m.mu.Unlock()
-}
-
-// Battery tracks remaining charge against a capacity.
-type Battery struct {
-	mu       sync.Mutex
-	capacity float64
-	used     float64
-}
-
-// ErrDepleted reports an empty battery.
-var ErrDepleted = errors.New("energy: battery depleted")
-
-// NewBattery returns a battery with the given capacity in millijoules.
-// A typical phone battery is ~40 kJ = 4e7 mJ.
-func NewBattery(capacityMJ float64) *Battery {
-	return &Battery{capacity: capacityMJ}
-}
-
-// Drain subtracts mj; it returns ErrDepleted once the capacity is
-// exhausted (the overdraw is still recorded).
-func (b *Battery) Drain(mj float64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.used += mj
-	if b.used >= b.capacity {
-		return ErrDepleted
-	}
-	return nil
-}
-
-// FractionRemaining returns remaining charge as a fraction of capacity.
-func (b *Battery) FractionRemaining() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.capacity == 0 {
-		return 0
-	}
-	f := 1 - b.used/b.capacity
-	if f < 0 {
-		return 0
-	}
-	return f
 }
 
 // TxCostMJ returns the energy of one transmission of the given size on a

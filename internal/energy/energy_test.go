@@ -147,28 +147,6 @@ func TestMeterConcurrentSafety(t *testing.T) {
 	}
 }
 
-func TestBattery(t *testing.T) {
-	b := NewBattery(100)
-	if err := b.Drain(40); err != nil {
-		t.Fatal(err)
-	}
-	if r := b.capacity - b.used; r != 60 {
-		t.Fatalf("remaining %v", r)
-	}
-	if f := b.FractionRemaining(); math.Abs(f-0.6) > 1e-12 {
-		t.Fatalf("fraction %v", f)
-	}
-	if err := b.Drain(70); err != ErrDepleted {
-		t.Fatalf("err=%v, want ErrDepleted", err)
-	}
-	if b.FractionRemaining() != 0 {
-		t.Fatal("depleted fraction should clamp to 0")
-	}
-	if NewBattery(0).FractionRemaining() != 0 {
-		t.Fatal("zero-capacity battery")
-	}
-}
-
 func TestSavingsPercent(t *testing.T) {
 	if v := SavingsPercent(100, 20); math.Abs(v-80) > 1e-12 {
 		t.Fatalf("savings %v, want 80", v)

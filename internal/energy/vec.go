@@ -1,10 +1,9 @@
-// Vectorized energy accounting: Battery keeps a mutex and two floats
-// per node, which is exactly wrong for a million-participant fleet — the
-// fleet scheduler already serializes access per shard, so the lock buys
-// nothing and the per-object overhead dominates. Bank is the
-// struct-of-arrays equivalent: one shared capacity, one shared idle
-// total that the shard's tick charges every node at once, and one spend
-// float per node for what that node alone drew.
+// Vectorized battery accounting for a million-participant fleet: the
+// fleet scheduler already serializes access per shard, so a lock or an
+// object per node would buy nothing. Bank is struct-of-arrays: one
+// shared capacity, one shared idle total that the shard's tick charges
+// every node at once, and one spend float per node for what that node
+// alone drew.
 
 package energy
 
@@ -19,7 +18,7 @@ import (
 // what DrainAll charged every node and spent[i] what Drain charged node
 // i. A Bank is owned by exactly one fleet shard and mutated only on that
 // shard's scheduler turn — it is deliberately not safe for concurrent use
-// (that is the point; use Battery for concurrently-shared meters).
+// (that is the point; Meter is the concurrently-shared ledger).
 type Bank struct {
 	CapacityMJ float64
 
@@ -42,8 +41,8 @@ func NewBank(n int, capacityMJ float64) (*Bank, error) {
 // Len returns the node count.
 func (b *Bank) Len() int { return len(b.spent) }
 
-// Drain charges node i. Like Battery.Drain, overdraw is recorded; the
-// node simply reads as depleted afterwards.
+// Drain charges node i. Overdraw is recorded; the node simply reads as
+// depleted afterwards.
 func (b *Bank) Drain(i int, mj float64) { b.spent[i] += mj }
 
 // DrainAll charges every node the same amount — the per-tick idle draw —
@@ -55,8 +54,8 @@ func (b *Bank) DrainAll(mj float64) { b.idle += mj }
 // spend.
 func (b *Bank) Used(i int) float64 { return b.idle + b.spent[i] }
 
-// Depleted reports whether node i has exhausted its capacity (the same
-// >= boundary as Battery.Drain's ErrDepleted).
+// Depleted reports whether node i has exhausted its capacity: use at or
+// above CapacityMJ.
 func (b *Bank) Depleted(i int) bool { return b.Used(i) >= b.CapacityMJ }
 
 // Alive counts nodes that still have charge.

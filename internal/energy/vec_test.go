@@ -6,30 +6,27 @@ import (
 	"repro/internal/sensor"
 )
 
-// TestBankMatchesBatterySemantics: Bank's depletion boundary agrees with
-// the scalar Battery.
+// TestBankMatchesBatterySemantics pins Bank's depletion boundary: a node
+// is depleted once its use reaches the capacity, not only beyond it.
 func TestBankMatchesBatterySemantics(t *testing.T) {
 	b, err := NewBank(3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat := NewBattery(10)
 
 	b.Drain(0, 4)
-	if err := bat.Drain(4); err != nil {
-		t.Fatalf("battery depleted early: %v", err)
-	}
 	if b.Depleted(0) {
 		t.Fatal("bank depleted at 4/10")
 	}
-
-	// Exactly at capacity is depleted, matching Battery.Drain's >=.
-	b.Drain(0, 6)
-	if err := bat.Drain(6); err != ErrDepleted {
-		t.Fatalf("battery at capacity: %v, want ErrDepleted", err)
+	b.Drain(0, 5.5)
+	if b.Depleted(0) {
+		t.Fatal("bank depleted at 9.5/10")
 	}
-	if !b.Depleted(0) {
-		t.Fatal("bank not depleted at exactly capacity")
+
+	// Exactly at capacity is depleted: the boundary is >=.
+	b.Drain(0, 0.5)
+	if b.Used(0) != b.CapacityMJ || !b.Depleted(0) {
+		t.Fatalf("bank at %v/%v not depleted", b.Used(0), b.CapacityMJ)
 	}
 
 	// Other nodes are unaffected; Alive counts them.

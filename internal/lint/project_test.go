@@ -3,10 +3,13 @@ package lint
 import (
 	"encoding/json"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -259,6 +262,172 @@ func TestExportedHaveCallers(t *testing.T) {
 	}
 }
 
+// readmeNamesAllowed are backticked README.md tokens shaped like Go names
+// of this module that name no declaration, each with the reason.
+var readmeNamesAllowed = map[string]string{
+	"bus.scatter.waves": "an obs counter's name, not a Go identifier",
+	"BENCH_n":           "placeholder for the numbered benchmark records",
+	"Foo":               "placeholder in the Foo/FooContext naming rule",
+	"FooContext":        "placeholder in the Foo/FooContext naming rule",
+	"GOMAXPROCS":        "the runtime setting, named as an environment variable",
+}
+
+// readmeToken matches a backticked name README.md may use for code of
+// this module: an exported identifier, or pkg.Name, pkg.Type.Member or
+// Type.Member, each with an optional "()" of a call.
+var readmeToken = regexp.MustCompile("`([A-Z][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*){1,2})(?:\\(\\))?`")
+
+// TestReadmeNamesLiveCode keeps README.md from naming code that is gone.
+// A dotted token whose first segment is a package of this module
+// resolves to a package-level name, or a method or field of a type, of
+// that package (pkg.Type.Member: of the named type); one whose first
+// segment is an exported type resolves to a method or field of it.
+// Standard-library and file names (fmt.Sprintf, DESIGN.md) match
+// neither and are skipped. A bare exported identifier resolves to a
+// package-level name, method or field anywhere in the module, or to a
+// Test, Benchmark, Fuzz or Example function of its test files.
+func TestReadmeNamesLiveCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	pkgs, err := testLoader(t).Load("./...")
+	if err != nil {
+		t.Fatalf("Load ./...: %v", err)
+	}
+	root := filepath.Join("..", "..")
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scopes := map[string][]*types.Scope{}       // package name → its scopes
+	typeNames := map[string][]*types.TypeName{} // exported type name → its types
+	for _, pkg := range pkgs {
+		if pkg.Name == "main" {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		scopes[pkg.Name] = append(scopes[pkg.Name], scope)
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				typeNames[name] = append(typeNames[name], tn)
+			}
+		}
+	}
+	hasMember := func(tn *types.TypeName, name string) bool {
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), name)
+		return obj != nil
+	}
+	// inScope resolves name in one package: package-level, or a member of
+	// one of its types.
+	inScope := func(scope *types.Scope, name string) bool {
+		if scope.Lookup(name) != nil {
+			return true
+		}
+		for _, n := range scope.Names() {
+			if tn, ok := scope.Lookup(n).(*types.TypeName); ok && hasMember(tn, name) {
+				return true
+			}
+		}
+		return false
+	}
+	testFuncs := readTestFuncs(t, root)
+
+	// resolve reports whether tok names live code; skip is true where tok
+	// names no package or type of this module at all.
+	resolve := func(tok string) (ok, skip bool) {
+		segs := strings.Split(tok, ".")
+		if len(segs) == 1 {
+			for _, ss := range scopes {
+				for _, scope := range ss {
+					if inScope(scope, tok) {
+						return true, false
+					}
+				}
+			}
+			return testFuncs[tok], false
+		}
+		if ss, isPkg := scopes[segs[0]]; isPkg {
+			for _, scope := range ss {
+				if len(segs) == 2 && inScope(scope, segs[1]) {
+					return true, false
+				}
+				if tn, isType := scope.Lookup(segs[1]).(*types.TypeName); isType && len(segs) == 3 && hasMember(tn, segs[2]) {
+					return true, false
+				}
+			}
+			return false, false
+		}
+		if tns, isType := typeNames[segs[0]]; isType && len(segs) == 2 {
+			for _, tn := range tns {
+				if hasMember(tn, segs[1]) {
+					return true, false
+				}
+			}
+			return false, false
+		}
+		return false, true
+	}
+
+	seen := map[string]bool{}
+	for _, m := range readmeToken.FindAllSubmatch(readme, -1) {
+		tok := string(m[1])
+		if seen[tok] {
+			continue
+		}
+		seen[tok] = true
+		ok, skip := resolve(tok)
+		_, allowed := readmeNamesAllowed[tok]
+		switch {
+		case allowed && (ok || skip):
+			t.Errorf("README.md names %s, which resolves or is skipped: drop it from readmeNamesAllowed", tok)
+		case !ok && !skip && !allowed:
+			t.Errorf("README.md names %s, which the module does not declare", tok)
+		}
+	}
+	for tok, reason := range readmeNamesAllowed {
+		if !seen[tok] {
+			t.Errorf("allowlisted %s (%s) is not in README.md: drop it from readmeNamesAllowed", tok, reason)
+		}
+	}
+}
+
+// readTestFuncs returns the names of the top-level functions declared in
+// the module's _test.go files, testdata aside.
+func readTestFuncs(t *testing.T, root string) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (name != "." && name != ".." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				names[fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reading test files: %v", err)
+	}
+	return names
+}
+
 // TestCSNamesNoDenseMatrix keeps the decoders on one representation of
 // the sensing dictionary: non-test code in internal/cs has no value,
 // parameter or expression of type mat.Matrix or *mat.Matrix. Every
@@ -343,10 +512,8 @@ func interfaceMethodNames(pkgs []*Package) map[string]bool {
 }
 
 // optionsHaveSettersAllowed are the option fields that may stay without a
-// non-test writer, each with the reason. Keep it at three entries or fewer.
+// non-test writer, each with the reason. Keep it at one entry.
 var optionsHaveSettersAllowed = map[string]string{
-	"repro/internal/broker.Config.Selection": "battery-aware selection is set only by tests; ROADMAP item 13 decides whether it goes on the path",
-	"repro/internal/node.Config.Battery":     "battery-aware selection is set only by tests; ROADMAP item 13 decides whether it goes on the path",
 	"repro/internal/fleet.Config.DutyPeriod": "bench/fleetround.go reads it",
 }
 
@@ -369,8 +536,8 @@ func TestOptionsHaveSetters(t *testing.T) {
 	for _, f := range findings {
 		t.Error(f)
 	}
-	if len(optionsHaveSettersAllowed) > 3 {
-		t.Errorf("optionsHaveSettersAllowed has %d entries, want at most 3", len(optionsHaveSettersAllowed))
+	if len(optionsHaveSettersAllowed) > 1 {
+		t.Errorf("optionsHaveSettersAllowed has %d entries, want at most 1", len(optionsHaveSettersAllowed))
 	}
 }
 

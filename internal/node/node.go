@@ -1,6 +1,6 @@
 // Package node implements the mobile-node runtime of the SenseDroid
 // middleware — the "thin client" of the paper's Fig. 2. A Node owns its
-// sensing probes, privacy policy, energy meter/battery and mobility model,
+// sensing probes, privacy policy, energy meter and mobility model,
 // serves the broker's measure-on-demand commands over the NanoCloud bus,
 // logs readings locally, and runs temporal-compressive context processing
 // on-device.
@@ -53,16 +53,14 @@ type Config struct {
 	Profile sensor.DeviceProfile
 	Motion  sensor.MotionScenario
 	Indoor  sensor.Schedule
-	Battery float64 // capacity in mJ; 0 = default 4e7 (a ~40 kJ phone pack)
 }
 
 // Node is one simulated handset participating in a NanoCloud.
 type Node struct {
-	ID      string
-	Probes  *sensor.Registry
-	Policy  *privacy.Policy
-	Meter   *energy.Meter
-	Battery *energy.Battery
+	ID     string
+	Probes *sensor.Registry
+	Policy *privacy.Policy
+	Meter  *energy.Meter
 
 	env      Environment
 	mobility mobility.Model
@@ -90,20 +88,16 @@ func New(cfg Config, env Environment, mob mobility.Model) (*Node, error) {
 	if cfg.Indoor == nil {
 		cfg.Indoor = sensor.AlternatingSchedule(0)
 	}
-	if cfg.Battery <= 0 {
-		cfg.Battery = 4e7
-	}
 	probes, err := sensor.StandardPhone(cfg.ID, cfg.Seed, cfg.Profile, cfg.Motion, cfg.Indoor)
 	if err != nil {
 		return nil, err
 	}
 	return &Node{
-		ID:      cfg.ID,
-		Probes:  probes,
-		Policy:  privacy.AllowAll(sensor.Accelerometer, sensor.Temperature, sensor.GPS, sensor.WiFi, sensor.Light, sensor.Humidity, sensor.Barometer, sensor.Microphone),
-		Meter:   energy.NewMeter(nil),
-		Battery: energy.NewBattery(cfg.Battery),
-		env:     env, mobility: mob,
+		ID:     cfg.ID,
+		Probes: probes,
+		Policy: privacy.AllowAll(sensor.Accelerometer, sensor.Temperature, sensor.GPS, sensor.WiFi, sensor.Light, sensor.Humidity, sensor.Barometer, sensor.Microphone),
+		Meter:  energy.NewMeter(nil),
+		env:    env, mobility: mob,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}, nil
 }
@@ -135,8 +129,8 @@ type FieldReading struct {
 }
 
 // MeasureField samples the environment field with the named probe kind at
-// the node's current location, charging the battery and applying the
-// privacy policy. The sensing happens regardless of policy (the user sees
+// the node's current location, charging the sample to the meter and
+// applying the privacy policy. The sensing happens regardless of policy (the user sees
 // their own data); only *sharing* is gated.
 func (n *Node) MeasureField(kind sensor.Kind) (FieldReading, error) {
 	p, ok := n.Probes.First(kind)
@@ -153,8 +147,6 @@ func (n *Node) MeasureField(kind sensor.Kind) (FieldReading, error) {
 	if err := n.Meter.ChargeSamples(kind, 1); err != nil {
 		return FieldReading{}, err
 	}
-	//lint:ignore errcheck sampling-overhead drain is best-effort; depletion is surfaced by the caller's battery check
-	_ = n.Battery.Drain(0.01)
 	obsMeasurements.Inc()
 	shared, ok := n.Policy.Filter(kind, value)
 	if !ok {
@@ -177,19 +169,9 @@ type PositionReply struct {
 	GridIdx int    `json:"gridIdx"`
 }
 
-// StatusReply answers a status query: where the node is and how much
-// battery it has left — the inputs to battery-aware duty scheduling.
-type StatusReply struct {
-	NodeID      string  `json:"nodeId"`
-	GridIdx     int     `json:"gridIdx"`
-	BatteryFrac float64 `json:"batteryFrac"`
-	EnergyMJ    float64 `json:"energyMJ"` // meter total so far
-}
-
 // command binds one node command's topic to the reply it is answered
-// with. The broker's calls (MeasureCall, PositionCall, StatusCall) and
-// the node's handlers (AttachBus) both go through the three values
-// below, so a reply of the wrong type on either side does not compile.
+// with. The broker's calls (MeasureCall, PositionCall) and the node's
+// handlers (AttachBus) both go through the two values below, so a reply of the wrong type on either side does not compile.
 type command[R reply] struct {
 	topic func(ncID, nodeID string) string
 }
@@ -197,7 +179,6 @@ type command[R reply] struct {
 var (
 	measureCmd  = command[FieldReading]{bus.NodeMeasureTopic}
 	positionCmd = command[PositionReply]{bus.NodePositionTopic}
-	statusCmd   = command[StatusReply]{bus.NodeStatusTopic}
 )
 
 // call describes one request of the command to node nodeID for
@@ -223,12 +204,6 @@ func PositionCall(ncID, nodeID string, out *PositionReply) bus.Call {
 	return positionCmd.call(ncID, nodeID, struct{}{}, out)
 }
 
-// StatusCall asks node nodeID for its cell and battery; the reply
-// decodes into out.
-func StatusCall(ncID, nodeID string, out *StatusReply) bus.Call {
-	return statusCmd.call(ncID, nodeID, struct{}{}, out)
-}
-
 // AttachBus subscribes the node's command handlers on the NanoCloud bus.
 // Radio reception/transmission energy for each served request is charged
 // to the node's meter.
@@ -245,10 +220,6 @@ func (n *Node) AttachBus(b *bus.Bus, ncID string) error {
 		return err
 	}
 	if err := serveCommand(n, b, ncID, positionCmd, n.handlePosition); err != nil {
-		n.Detach()
-		return err
-	}
-	if err := serveCommand(n, b, ncID, statusCmd, n.handleStatus); err != nil {
 		n.Detach()
 		return err
 	}
@@ -334,7 +305,7 @@ func (r *dedupRing) add(key string) bool {
 
 // incoming is a node command as it arrives: the requester's envelope
 // and the request in it, decoded in one pass. Every command's body fits
-// MeasureRequest: measure names a kind, position and status send "{}".
+// MeasureRequest: measure names a kind, position sends "{}".
 type incoming struct {
 	ReplyTo string         `json:"replyTo"`
 	Body    MeasureRequest `json:"body"`
@@ -403,14 +374,6 @@ func (n *Node) handlePosition(MeasureRequest) (PositionReply, error) {
 	return PositionReply{NodeID: n.ID, GridIdx: n.GridIndex()}, nil
 }
 
-func (n *Node) handleStatus(MeasureRequest) (StatusReply, error) {
-	return StatusReply{
-		NodeID: n.ID, GridIdx: n.GridIndex(),
-		BatteryFrac: n.Battery.FractionRemaining(),
-		EnergyMJ:    n.Meter.TotalMJ(),
-	}, nil
-}
-
 // --- On-device context processing ----------------------------------------------
 
 // ContextReport is the node's shared context snapshot (already
@@ -429,7 +392,7 @@ type ContextReport struct {
 // WiFi probes, and estimates stress from the microphone level.
 //
 // When pipe is non-nil only pipe.M of the window's samples are charged to
-// the battery — the compressive duty cycle.
+// the meter — the compressive duty cycle.
 func (n *Node) SenseContext(windowLen int, rateHz float64, pipe *contextproc.Pipeline) (ContextReport, error) {
 	accel, ok := n.Probes.First(sensor.Accelerometer)
 	if !ok {

@@ -161,6 +161,12 @@ func TestTypedCommandsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Detach()
+	// The node serves the two commands and nothing else: two
+	// subscriptions, one on each command's topic.
+	if len(n.subs) != 2 || b.SubscriberCount(MeasureTopic("nc0", "n0")) != 1 ||
+		b.SubscriberCount(bus.NodePositionTopic("nc0", "n0")) != 1 {
+		t.Fatalf("AttachBus made %d subscriptions, want one per command topic", len(n.subs))
+	}
 	const cell = 3*8 + 1 // (35, 15) m on the 8×8 grid over 80×80 m
 
 	var reading FieldReading
@@ -177,19 +183,8 @@ func TestTypedCommandsRoundTrip(t *testing.T) {
 	if pos != (PositionReply{NodeID: "n0", GridIdx: cell}) {
 		t.Fatalf("position reply %+v", pos)
 	}
-	var st StatusReply
-	if err := callWithin(b, StatusCall("nc0", "n0", &st), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// The measurement drained the battery; the meter is charged for the
-	// status reply's transmission only after the handler read it.
-	if st.NodeID != "n0" || st.GridIdx != cell ||
-		st.BatteryFrac != n.Battery.FractionRemaining() || st.BatteryFrac >= 1 ||
-		st.EnergyMJ <= 0 || st.EnergyMJ >= n.Meter.TotalMJ() {
-		t.Fatalf("status reply %+v (battery %v, meter %v mJ)", st, n.Battery.FractionRemaining(), n.Meter.TotalMJ())
-	}
 
-	for i, r := range []reply{reading, pos, st} {
+	for i, r := range []reply{reading, pos} {
 		wantRaw, err := r.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)

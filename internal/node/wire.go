@@ -100,42 +100,3 @@ func (r *PositionReply) ParseJSON(src []byte) bool {
 	*r = v
 	return true
 }
-
-// AppendJSON appends the reply as json.Marshal encodes it, or fails as
-// json.Marshal does on a NaN or infinite float.
-func (r StatusReply) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"nodeId":`...)
-	dst = bus.AppendJSONString(dst, r.NodeID)
-	dst = append(dst, `,"gridIdx":`...)
-	dst = strconv.AppendInt(dst, int64(r.GridIdx), 10)
-	dst = append(dst, `,"batteryFrac":`...)
-	dst, err := bus.AppendJSONFloat(dst, r.BatteryFrac)
-	if err != nil {
-		return nil, err
-	}
-	dst = append(dst, `,"energyMJ":`...)
-	if dst, err = bus.AppendJSONFloat(dst, r.EnergyMJ); err != nil {
-		return nil, err
-	}
-	return append(dst, '}'), nil
-}
-
-// ParseJSON decodes the canonical encoding of a StatusReply.
-func (r *StatusReply) ParseJSON(src []byte) bool {
-	var v StatusReply
-	s := bus.NewJSONScanner(src)
-	s.Lit(`{"nodeId":`)
-	v.NodeID = s.Str()
-	s.Lit(`,"gridIdx":`)
-	v.GridIdx = s.Int()
-	s.Lit(`,"batteryFrac":`)
-	v.BatteryFrac = s.Float()
-	s.Lit(`,"energyMJ":`)
-	v.EnergyMJ = s.Float()
-	s.Lit(`}`)
-	if !s.Done() {
-		return false
-	}
-	*r = v
-	return true
-}

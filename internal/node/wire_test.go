@@ -47,7 +47,6 @@ func wireMessages(s string, i int, f, g float64, b bool) []reply {
 		MeasureRequest{Kind: s},
 		FieldReading{NodeID: s, GridIdx: i, Value: f, Sigma: g, Denied: b},
 		PositionReply{NodeID: s, GridIdx: i},
-		StatusReply{NodeID: s, GridIdx: i, BatteryFrac: f, EnergyMJ: g},
 	}
 }
 
@@ -58,10 +57,8 @@ func parserFor(m reply) interface{ ParseJSON([]byte) bool } {
 		return new(MeasureRequest)
 	case FieldReading:
 		return new(FieldReading)
-	case PositionReply:
-		return new(PositionReply)
 	default:
-		return new(StatusReply)
+		return new(PositionReply)
 	}
 }
 
@@ -165,8 +162,8 @@ func TestWireCodecMatchesEncodingJSON(t *testing.T) {
 	}
 
 	// A real exchange takes the reflection-free paths: the measure command
-	// and every reply. Position and status send "{}", not a canonical
-	// MeasureRequest, so their bodies fall back to json.Unmarshal.
+	// and every reply. Position sends "{}", not a canonical
+	// MeasureRequest, so its body falls back to json.Unmarshal.
 	for _, msg := range captureWireMessages(t) {
 		if strings.HasSuffix(msg.Topic, "/measure") {
 			_, body, ok := bus.ParseEnvelope(msg.Payload)
@@ -174,7 +171,7 @@ func TestWireCodecMatchesEncodingJSON(t *testing.T) {
 				t.Errorf("measure command %q not canonical", msg.Payload)
 			}
 		} else if strings.Contains(msg.Topic, "/inbox/") {
-			if !new(FieldReading).ParseJSON(msg.Payload) && !new(PositionReply).ParseJSON(msg.Payload) && !new(StatusReply).ParseJSON(msg.Payload) {
+			if !new(FieldReading).ParseJSON(msg.Payload) && !new(PositionReply).ParseJSON(msg.Payload) {
 				t.Errorf("reply %q not canonical", msg.Payload)
 			}
 		}
@@ -182,7 +179,7 @@ func TestWireCodecMatchesEncodingJSON(t *testing.T) {
 }
 
 // captureWireMessages returns every message of a real exchange: the
-// measure, position and status requests a Scatter publishes to a node
+// measure and position requests a Scatter publishes to a node
 // and the replies node.serve publishes back.
 func captureWireMessages(tb testing.TB) []bus.Message {
 	n, err := New(Config{ID: "n7", Seed: 42, Profile: sensor.ProfileMidrange},
@@ -203,12 +200,10 @@ func captureWireMessages(tb testing.TB) []bus.Message {
 	var (
 		reading  FieldReading
 		position PositionReply
-		status   StatusReply
 	)
 	calls := []bus.Call{
 		MeasureCall("nc0", n.ID, sensor.Temperature, &reading),
 		PositionCall("nc0", n.ID, &position),
-		StatusCall("nc0", n.ID, &status),
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -252,6 +247,7 @@ func FuzzWireCodec(f *testing.F) {
 		`{"nodeId":"n1","gridIdx":3,"value":1e21,"sigma":0.000001,"denied":false}`,
 		`{"nodeId":"n1","gridIdx":3,"batteryFrac":0.5,"energyMJ":12.25}`,
 		`{"nodeId":"n1","gridIdx":3}`, `{"nodeId":"n1","gridIdx":3,"extra":1}`,
+		`{"gridIdx":3,"nodeId":"n1"}`, `{"nodeId":"n1","gridIdx":-3}`,
 		`{"replyTo":"nc0/inbox/1/n1/0","body":{"kind":"gps"}}`,
 		`{"replyTo":"nc0/inbox/1/n1/0","body":{}}`,
 		`{"replyTo":"a","body": {"kind":"gps"}}`, `{"replyTo":"a","body":{"kind":"gps"} }`,

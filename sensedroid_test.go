@@ -1,6 +1,10 @@
 package sensedroid
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sensor"
+)
 
 // TestPublicAPIEndToEnd drives the full middleware through the public
 // façade only: deploy, install truth, campaign, inspect.
@@ -101,9 +105,12 @@ func TestDayInTheLife(t *testing.T) {
 	if sd.TotalEnergyMJ() == 0 {
 		t.Fatal("no energy recorded")
 	}
+	// Every node measured the campaign's field at least once: its meter
+	// holds a temperature-sample charge (context sensing samples other
+	// kinds).
 	for _, n := range sd.Nodes {
-		if n.Battery.FractionRemaining() >= 1 {
-			t.Fatalf("node %s battery untouched after a full day", n.ID)
+		if n.Meter.Breakdown()["sense/"+string(sensor.Temperature)] <= 0 {
+			t.Fatalf("node %s never measured the field over a full day", n.ID)
 		}
 	}
 }
