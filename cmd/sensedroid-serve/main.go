@@ -125,7 +125,7 @@ func main() {
 		return
 	}
 
-	mux := newMux(reg, srv)
+	mux := newMux(reg, srv, pipe)
 
 	hs := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	errCh := make(chan error, 1)
@@ -147,10 +147,18 @@ func main() {
 	}
 }
 
+// pipelineStatus is what /snapshot reports of the pipeline that feeds
+// the registry: how many windows have completed, and the last window's
+// error (nil after a clean one). *stream.Pipeline implements it.
+type pipelineStatus interface {
+	Windows() int
+	LastErr() error
+}
+
 // newMux builds the query API routes. Factored out of main so the
 // handler error paths are testable with httptest against a registry in
-// any state.
-func newMux(reg *snapshot.Registry, srv *serve.Server) *http.ServeMux {
+// any state and a pipeline in any state.
+func newMux(reg *snapshot.Registry, srv *serve.Server, pipe pipelineStatus) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
 		if reg.Latest() == nil {
@@ -165,11 +173,19 @@ func newMux(reg *snapshot.Registry, srv *serve.Server) *http.ServeMux {
 			http.Error(rw, "no snapshot", http.StatusServiceUnavailable)
 			return
 		}
+		// A window that fails publishes nothing, so the latest snapshot
+		// can be many windows old; last_error says why (null if the last
+		// window was clean).
+		var lastErr any
+		if err := pipe.LastErr(); err != nil {
+			lastErr = err.Error()
+		}
 		writeJSON(rw, map[string]any{
 			"version": s.Version, "step": s.Step, "t": s.T,
 			"nmse": s.NMSE, "measurements": s.Measurements,
 			"brokers_failed": s.BrokersFailed, "shortfall": s.Shortfall,
 			"retained": reg.Len(),
+			"windows":  pipe.Windows(), "last_error": lastErr,
 		})
 	})
 	mux.HandleFunc("/field/point", func(rw http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,9 +14,23 @@ import (
 	"repro/internal/snapshot"
 )
 
-// testMux builds the query API over a fresh registry; publish says
-// whether one snapshot should land first.
+// stubPipeline is a pipeline status fixed by the test.
+type stubPipeline struct {
+	windows int
+	err     error
+}
+
+func (p stubPipeline) Windows() int   { return p.windows }
+func (p stubPipeline) LastErr() error { return p.err }
+
+// testMux builds the query API over a fresh registry and a pipeline with
+// one clean window; publish says whether one snapshot should land first.
 func testMux(t *testing.T, publish bool) *http.ServeMux {
+	return testMuxPipe(t, publish, stubPipeline{windows: 1})
+}
+
+// testMuxPipe is testMux over the given pipeline status.
+func testMuxPipe(t *testing.T, publish bool, pipe pipelineStatus) *http.ServeMux {
 	t.Helper()
 	reg := snapshot.NewRegistry(4)
 	srv, err := serve.New(reg, 8, 8, 2, 2)
@@ -31,7 +46,7 @@ func testMux(t *testing.T, publish bool) *http.ServeMux {
 			t.Fatalf("Publish: %v", err)
 		}
 	}
-	return newMux(reg, srv)
+	return newMux(reg, srv, pipe)
 }
 
 func get(t *testing.T, mux *http.ServeMux, url string) *httptest.ResponseRecorder {
@@ -127,5 +142,37 @@ func TestHandlersHappyPath(t *testing.T) {
 	}
 	if want := 17.0; pt.Value != want { // row 1, col 2 of the ramp (column-major: 2*8+1)
 		t.Errorf("/field/point value = %v, want %v", pt.Value, want)
+	}
+}
+
+// TestSnapshotReportsPipelineErrors: /snapshot reports the pipeline's
+// completed windows and its last window error beside the latest
+// snapshot, so a server whose windows have failed since that snapshot
+// says why; after a clean window last_error is null.
+func TestSnapshotReportsPipelineErrors(t *testing.T) {
+	for _, pipe := range []stubPipeline{
+		{windows: 1, err: errors.New("stream: window 7: all brokers failed")},
+		{windows: 6},
+	} {
+		rec := get(t, testMuxPipe(t, true, pipe), "/snapshot")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/snapshot = %d, want 200 (body %q)", rec.Code, rec.Body.String())
+		}
+		var snap map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("/snapshot body does not parse: %v", err)
+		}
+		if w, ok := snap["windows"].(float64); !ok || int(w) != pipe.windows {
+			t.Errorf("/snapshot windows = %v, want %d", snap["windows"], pipe.windows)
+		}
+		got, present := snap["last_error"]
+		switch {
+		case !present:
+			t.Errorf("/snapshot has no last_error field (body %q)", rec.Body.String())
+		case pipe.err == nil && got != nil:
+			t.Errorf("/snapshot last_error = %v after a clean window, want null", got)
+		case pipe.err != nil && got != pipe.err.Error():
+			t.Errorf("/snapshot last_error = %v, want %q", got, pipe.err.Error())
+		}
 	}
 }

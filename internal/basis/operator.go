@@ -19,6 +19,13 @@ package basis
 // from an internal sync.Pool, and the only state they change after
 // construction is Separable2D's first-use caches (its row table and factor
 // columns), each published once and read without a lock.
+//
+// Rows and entries: the identity, MatrixOp and the DCT and DFT operators
+// also read one row Φ[i,·] (RowInto, O(n)) or entry Φ[i,j] (Entry, O(1))
+// without a transform, a DCT/DFT one from its twiddle table at every n. A
+// table row may differ from the FFT path by a few ulps, inside the 1e-9
+// dense-equivalence bound the property tests pin. Haar and Separable2D
+// have neither; the decoders read them by transforms and FactorColumns.
 
 import (
 	"errors"
@@ -44,26 +51,6 @@ type Operator interface {
 
 // ErrNoOperator reports a (kind, n) pair with no operator implementation.
 var ErrNoOperator = errors.New("basis: no operator for kind")
-
-// RowAccessor is an optional Operator refinement for producing a single
-// row Φ[i,·] directly, in O(n), instead of the O(n log n) analysis Φᵀe_i.
-// dst must have length Dim(). The decoders use it for their column-norm
-// scans, which would otherwise cost one full transform per measurement.
-// Closed-form rows (trig recurrences) may differ from the FFT transform
-// path by a few ulps — well inside the documented 1e-9 dense-equivalence
-// bound, and pinned to it by the operator property tests.
-type RowAccessor interface {
-	RowInto(dst []float64, i int)
-}
-
-// EntryAccessor is an optional Operator refinement for reading one matrix
-// entry Φ[i,j] in O(1). The decoders use it to gather a dictionary column
-// restricted to the m sampled rows in O(m) — against O(n log n) for the
-// synthesize-and-gather fallback — when admitting atoms to the support.
-// Same precision contract as RowAccessor.
-type EntryAccessor interface {
-	Entry(i, j int) float64
-}
 
 // OperatorFor returns the matrix-free operator for the given basis family
 // and size. DCT/DFT get the FFT fast path when n is a power of two and fall
@@ -207,12 +194,6 @@ type dctOp struct {
 	fwdCos, fwdSin, invCos, invSin []float64
 }
 
-// rowTableLimit bounds the closed-form row/entry twiddle tables. The DCT
-// table carries one full period (4n values), so n ≤ 8192 keeps it at
-// 256 KB; beyond that RowInto falls back to recurrence chains and Entry
-// to direct trig.
-const rowTableLimit = 8192
-
 type complexScratch struct{ re, im []float64 }
 
 func newComplexPool(n int) sync.Pool {
@@ -250,11 +231,9 @@ func newDCTOp(n int) (*dctOp, error) {
 			o.gather[k] = 2*n - 1 - 2*r
 		}
 	}
-	if n <= rowTableLimit {
-		o.tab = make([]float64, 4*n)
-		for t := range o.tab {
-			o.tab[t] = math.Cos(math.Pi * float64(t) / (2 * float64(n)))
-		}
+	o.tab = make([]float64, 4*n)
+	for t := range o.tab {
+		o.tab[t] = math.Cos(math.Pi * float64(t) / (2 * float64(n)))
 	}
 	return o, nil
 }
@@ -349,79 +328,30 @@ func (o *dctOp) synth2(dst, src []float64, a, b, st int, re, im []float64) {
 	}
 }
 
-// RowInto fills dst with row i of Φ in closed form: Φ[i,k] =
-// s(k)·cos((2i+1)πk/2n). The cosine argument advances by a fixed step of
-// the table period — k(2i+1) mod 4n — so with the precomputed twiddle
-// table each entry is one lookup and one multiply, exact to the table's
-// own cos calls. Above rowTableLimit, entries are generated by the
-// stride-4 Chebyshev recurrence cos((k+4)θ) = 2cos(4θ)·cos(kθ) −
-// cos((k−4)θ): a stride-1 chain is latency-bound on its multiply-add
-// dependency, while four interleaved chains keep the FPU pipeline full —
-// this is the inner loop of the decoders' column-norm scan, one row per
+// RowInto fills dst with row i of Φ from the twiddle table: Φ[i,k] =
+// s(k)·cos((2i+1)πk/2n), and the cosine's table index k(2i+1) mod 4n
+// advances by a fixed step per k, so each entry is one lookup and one
+// multiply — the inner loop of OMP's column-norm scan, one row per
 // measurement.
 func (o *dctOp) RowInto(dst []float64, i int) {
 	n := o.n
 	dst[0] = o.scale[0]
-	if n == 1 {
-		return
-	}
-	if o.tab != nil {
-		period := 4 * n
-		step := (2*i + 1) % period
-		t := step
-		for k := 1; k < n; k++ {
-			dst[k] = o.scale[k] * o.tab[t]
-			t += step
-			if t >= period {
-				t -= period
-			}
+	period := 4 * n
+	step := (2*i + 1) % period
+	t := step
+	for k := 1; k < n; k++ {
+		dst[k] = o.scale[k] * o.tab[t]
+		t += step
+		if t >= period {
+			t -= period
 		}
-		return
-	}
-	x := (2*float64(i) + 1) * math.Pi / (2 * float64(n))
-	// One trig call per row: cos(kx) for k < 8 follows from cos(x) by the
-	// stride-1 recurrence, and those eight values seed the chains.
-	c1 := math.Cos(x)
-	var w [8]float64
-	w[0], w[1] = 1, c1
-	t := 2 * c1
-	for k := 2; k < 8; k++ {
-		w[k] = t*w[k-1] - w[k-2]
-	}
-	lim := n
-	if lim > 8 {
-		lim = 8
-	}
-	for k := 1; k < lim; k++ {
-		dst[k] = o.scale[k] * w[k]
-	}
-	if n <= 8 {
-		return
-	}
-	c4 := 2 * w[4]
-	e0, e1, e2, e3 := w[0], w[1], w[2], w[3]
-	f0, f1, f2, f3 := w[4], w[5], w[6], w[7]
-	for k := 8; k+3 < n; k += 4 {
-		g0 := c4*f0 - e0
-		g1 := c4*f1 - e1
-		g2 := c4*f2 - e2
-		g3 := c4*f3 - e3
-		dst[k] = o.scale[k] * g0
-		dst[k+1] = o.scale[k+1] * g1
-		dst[k+2] = o.scale[k+2] * g2
-		dst[k+3] = o.scale[k+3] * g3
-		e0, e1, e2, e3 = f0, f1, f2, f3
-		f0, f1, f2, f3 = g0, g1, g2, g3
 	}
 }
 
-// Entry evaluates Φ[i,j] = s(j)·cos((2i+1)πj/2n) — a table lookup when
-// the twiddle table exists, direct trig otherwise.
+// Entry reads Φ[i,j] = s(j)·cos((2i+1)πj/2n) from the twiddle table. The
+// index is taken in uint64: j(2i+1) passes 2³¹ − 1 from n = 65536 on.
 func (o *dctOp) Entry(i, j int) float64 {
-	if o.tab != nil {
-		return o.scale[j] * o.tab[j*(2*i+1)%(4*o.n)]
-	}
-	return o.scale[j] * math.Cos(float64(j)*(2*float64(i)+1)*math.Pi/(2*float64(o.n)))
+	return o.scale[j] * o.tab[uint64(j)*uint64(2*i+1)%uint64(4*o.n)]
 }
 
 // --- DFT (FFT fast path) -------------------------------------------------------
@@ -451,12 +381,9 @@ func newDFTOp(n int) (*dftOp, error) {
 		amp:  math.Sqrt(2 / float64(n)),
 		pool: newComplexPool(n),
 	}
-	if n <= rowTableLimit {
-		o.cosTab = make([]float64, n)
-		o.sinTab = make([]float64, n)
-		for t := 0; t < n; t++ {
-			o.sinTab[t], o.cosTab[t] = math.Sincos(2 * math.Pi * float64(t) / float64(n))
-		}
+	o.cosTab, o.sinTab = make([]float64, n), make([]float64, n)
+	for t := 0; t < n; t++ {
+		o.sinTab[t], o.cosTab[t] = math.Sincos(2 * math.Pi * float64(t) / float64(n))
 	}
 	return o, nil
 }
@@ -515,86 +442,35 @@ func (o *dftOp) Apply(dst, src []float64) {
 	o.pool.Put(sc)
 }
 
-// RowInto fills dst with row i of Φ in closed form — Φ[i,0] = √(1/n),
-// Φ[i,2f−1] = √(2/n)·cos(2πfi/n), Φ[i,2f] = √(2/n)·sin(2πfi/n),
-// Φ[i,n−1] = √(1/n)·(−1)^i. Four interleaved rotation chains advance by
-// 4φ per step (φ = 2πi/n) so the loop is throughput- rather than
-// latency-bound; see the matching note on (*dctOp).RowInto.
+// RowInto fills dst with row i of Φ from the twiddle tables: Φ[i,0] =
+// √(1/n), Φ[i,2f−1] = √(2/n)·cos(2πfi/n), Φ[i,2f] = √(2/n)·sin(2πfi/n),
+// Φ[i,n−1] = √(1/n)·(−1)^i. Frequency f reads twiddle fi mod n, so the
+// index advances by a fixed step per frequency.
 func (o *dftOp) RowInto(dst []float64, i int) {
 	n := o.n
 	dst[0] = o.c0
 	if n == 1 {
 		return
 	}
-	half := n / 2
-	if o.cosTab != nil {
-		// Table path: frequency f at row i reads twiddle f·i mod n, so
-		// the index advances by a fixed step per frequency.
-		step := i % n
-		t := step
-		for f := 1; f < half; f++ {
-			dst[2*f-1] = o.amp * o.cosTab[t]
-			dst[2*f] = o.amp * o.sinTab[t]
-			t += step
-			if t >= n {
-				t -= n
-			}
-		}
-		if i%2 == 0 {
-			dst[n-1] = o.c0
-		} else {
-			dst[n-1] = -o.c0
-		}
-		return
-	}
-	phi := 2 * math.Pi * float64(i) / float64(n)
-	// One trig call per row: higher harmonics follow from (cos φ, sin φ)
-	// by angle addition, seeding four chains that each advance by 4φ.
-	s1, c1 := math.Sincos(phi)
-	cA, sA := c1, s1
-	cB, sB := c1*c1-s1*s1, s1*c1+c1*s1
-	cC, sC := cB*c1-sB*s1, sB*c1+cB*s1
-	cD, sD := cC*c1-sC*s1, sC*c1+cC*s1
-	c4, s4 := cD, sD
-	f := 1
-	for ; f+3 < half; f += 4 {
-		dst[2*f-1] = o.amp * cA
-		dst[2*f] = o.amp * sA
-		dst[2*f+1] = o.amp * cB
-		dst[2*f+2] = o.amp * sB
-		dst[2*f+3] = o.amp * cC
-		dst[2*f+4] = o.amp * sC
-		dst[2*f+5] = o.amp * cD
-		dst[2*f+6] = o.amp * sD
-		cA, sA = cA*c4-sA*s4, sA*c4+cA*s4
-		cB, sB = cB*c4-sB*s4, sB*c4+cB*s4
-		cC, sC = cC*c4-sC*s4, sC*c4+cC*s4
-		cD, sD = cD*c4-sD*s4, sD*c4+cD*s4
-	}
-	// Frequencies 1..half−1 are an odd count, so up to three remain; the
-	// chains already hold them (A = f, B = f+1, C = f+2 after each step).
-	for j := 0; f < half; f, j = f+1, j+1 {
-		switch j {
-		case 0:
-			dst[2*f-1], dst[2*f] = o.amp*cA, o.amp*sA
-		case 1:
-			dst[2*f-1], dst[2*f] = o.amp*cB, o.amp*sB
-		default:
-			dst[2*f-1], dst[2*f] = o.amp*cC, o.amp*sC
+	step := i % n
+	t := step
+	for f := 1; f < n/2; f++ {
+		dst[2*f-1] = o.amp * o.cosTab[t]
+		dst[2*f] = o.amp * o.sinTab[t]
+		t += step
+		if t >= n {
+			t -= n
 		}
 	}
-	if i%2 == 0 {
-		dst[n-1] = o.c0
-	} else {
-		dst[n-1] = -o.c0
-	}
+	dst[n-1] = o.Entry(i, n-1)
 }
 
-// Entry evaluates Φ[i,j] from the packed real-DFT layout: column 0 is the
-// DC atom, column n−1 the Nyquist atom, and columns (2f−1, 2f) the cos/sin
-// pair at frequency f.
+// Entry reads Φ[i,j] from the packed real-DFT layout: column 0 is the DC
+// atom, column n−1 the Nyquist atom, and columns (2f−1, 2f) the cos/sin
+// pair at frequency f, whose twiddle index fi mod n is taken in uint64.
 func (o *dftOp) Entry(i, j int) float64 {
 	n := o.n
+	t := uint64((j+1)/2) * uint64(i) % uint64(n)
 	switch {
 	case j == 0:
 		return o.c0
@@ -604,17 +480,9 @@ func (o *dftOp) Entry(i, j int) float64 {
 		}
 		return -o.c0
 	case j%2 == 1:
-		f := (j + 1) / 2
-		if o.cosTab != nil {
-			return o.amp * o.cosTab[f*i%n]
-		}
-		return o.amp * math.Cos(2*math.Pi*float64(f)*float64(i)/float64(n))
+		return o.amp * o.cosTab[t]
 	default:
-		f := j / 2
-		if o.sinTab != nil {
-			return o.amp * o.sinTab[f*i%n]
-		}
-		return o.amp * math.Sin(2*math.Pi*float64(f)*float64(i)/float64(n))
+		return o.amp * o.sinTab[t]
 	}
 }
 
@@ -685,19 +553,6 @@ func (o *haarOp) Apply(dst, src []float64) {
 		}
 	}
 	copy(dst, buf)
-	o.pool.Put(sp)
-}
-
-// RowInto fills dst with row i of Φ = Φᵀe_i; the lifting cascade is
-// already O(n), so one analysis of a standard basis vector is row cost.
-func (o *haarOp) RowInto(dst []float64, i int) {
-	sp := o.pool.Get().(*[]float64)
-	e := (*sp)[:o.n]
-	for j := range e {
-		e[j] = 0
-	}
-	e[i] = 1
-	o.ApplyTranspose(dst, e)
 	o.pool.Put(sp)
 }
 
@@ -774,9 +629,9 @@ func (o *Separable2D) FactorColumns(j int) (u, v []float64) {
 // colMemo caches a factor's synthesis columns Φf·e_j, one slot per column,
 // filled on first use. A hit is one atomic load and takes no lock.
 // Concurrent first uses of a column each compute it, and all get the
-// value the first store published: every fill runs the same Apply on the
-// same input, so the bits agree whichever store wins. Only columns some
-// caller asked for hold memory.
+// value the first store published: every fill runs the same computation
+// on the same input, so the bits agree whichever store wins. Only columns
+// some caller asked for hold memory.
 type colMemo struct {
 	op   Operator
 	cols []atomic.Pointer[[]float64]
@@ -795,13 +650,22 @@ func (m *colMemo) col(j int) []float64 {
 }
 
 // fill synthesizes column j and publishes it unless another caller got
-// there first.
+// there first. A separable factor (the spatial operator of a joint
+// space-time basis) builds it as the outer product of its own memoized
+// factor columns, O(n) instead of one synthesis per column.
 func (m *colMemo) fill(j int) []float64 {
 	n := m.op.Dim()
-	e := make([]float64, n)
-	e[j] = 1
 	c := make([]float64, n)
-	m.op.Apply(c, e)
+	if s, ok := m.op.(*Separable2D); ok {
+		u, v := s.FactorColumns(j)
+		for i := range c {
+			c[i] = u[i%s.h] * v[i/s.h]
+		}
+	} else {
+		e := make([]float64, n)
+		e[j] = 1
+		m.op.Apply(c, e)
+	}
 	if m.cols[j].CompareAndSwap(nil, &c) {
 		return c
 	}
@@ -905,7 +769,7 @@ func scatterWins(m, h, w int) bool {
 	return m < 4*w*(bits.Len(uint(h))-2)
 }
 
-// buildRowTab fills rowTab from the row factor's closed-form rows.
+// buildRowTab fills rowTab from the row factor's table rows (RowInto).
 func (o *Separable2D) buildRowTab() {
 	h, half := o.h, o.h/2
 	tab := make([]float64, h*h)
@@ -1024,38 +888,6 @@ func (o *Separable2D) generic(dst, src []float64, transpose bool) {
 		}
 	}
 	o.pool.Put(sp)
-}
-
-// RowInto fills dst with row i of the 2-D operator: the Kronecker row is
-// the outer product of the factor rows, Φ₂[i, jc·h+jr] = Φr[ir,jr]·Φc[ic,jc]
-// with ir = i mod h, ic = i div h — O(n) plus two factor rows.
-func (o *Separable2D) RowInto(dst []float64, i int) {
-	h, w := o.h, o.w
-	sp := o.pool.Get().(*[]float64)
-	u := (*sp)[:h]
-	v := (*sp)[h : h+w]
-	factorRow(o.row, u, i%h)
-	factorRow(o.col, v, i/h)
-	for c := 0; c < w; c++ {
-		vc := v[c]
-		row := dst[c*h : (c+1)*h]
-		for r, ur := range u {
-			row[r] = ur * vc
-		}
-	}
-	o.pool.Put(sp)
-}
-
-// factorRow extracts one factor row through RowAccessor when available,
-// falling back to an analysis of the matching standard basis vector.
-func factorRow(op Operator, dst []float64, i int) {
-	if ra, ok := op.(RowAccessor); ok {
-		ra.RowInto(dst, i)
-		return
-	}
-	e := make([]float64, op.Dim())
-	e[i] = 1
-	op.ApplyTranspose(dst, e)
 }
 
 // --- convenience ---------------------------------------------------------------

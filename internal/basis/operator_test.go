@@ -68,42 +68,53 @@ func TestOperatorMatchesDense(t *testing.T) {
 	}
 }
 
-// TestRowIntoMatchesTranspose pins the closed-form row access against the
-// transform path: for every operator implementing RowAccessor, RowInto(i)
-// must agree with Φᵀe_i to ≤1e-9 (the trig recurrences drift only a few
-// ulps even at n = 1024). Separable2D is covered separately below because
-// it is not built by OperatorFor.
+// rowEntryReader is the row and entry access the decoders look for on an
+// operator.
+type rowEntryReader interface {
+	RowInto(dst []float64, i int)
+	Entry(i, j int) float64
+}
+
+// TestRowIntoMatchesTranspose pins the table rows and entries against the
+// transform path: for every operator with row and entry access, RowInto(i)
+// and each Entry(i, j) must agree with Φᵀe_i to ≤1e-9. Small operators are
+// checked at every row; at n = 16384 and 65536 the DCT and DFT are checked
+// at a few rows that include n−1, whose last entry's DCT table index
+// (n−1)(2n−1) passes 2³¹ at n = 65536 — the case a 32-bit int would wrap.
 func TestRowIntoMatchesTranspose(t *testing.T) {
-	check := func(t *testing.T, label string, op Operator) {
+	check := func(t *testing.T, label string, op Operator, rows []int) {
 		t.Helper()
-		ra, ok := op.(RowAccessor)
+		re, ok := op.(rowEntryReader)
 		if !ok {
-			t.Fatalf("%s: operator does not implement RowAccessor", label)
+			t.Fatalf("%s: operator %T has no row and entry access", label, op)
 		}
-		ea, hasEntry := op.(EntryAccessor)
 		n := op.Dim()
 		e := make([]float64, n)
 		want := make([]float64, n)
 		got := make([]float64, n)
-		for i := 0; i < n; i++ {
+		for _, i := range rows {
 			e[i] = 1
 			op.ApplyTranspose(want, e)
 			e[i] = 0
-			ra.RowInto(got, i)
+			re.RowInto(got, i)
 			if d := opMaxAbsDiff(got, want); d > 1e-9 {
 				t.Fatalf("%s: row %d deviates from ApplyTranspose by %.3g", label, i, d)
 			}
-			if !hasEntry {
-				continue
-			}
 			for j := 0; j < n; j++ {
-				if d := math.Abs(ea.Entry(i, j) - want[j]); d > 1e-9 {
+				if d := math.Abs(re.Entry(i, j) - want[j]); d > 1e-9 {
 					t.Fatalf("%s: Entry(%d,%d) deviates from transform by %.3g", label, i, j, d)
 				}
 			}
 		}
 	}
-	for _, kind := range operatorKinds {
+	every := func(n int) []int {
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = i
+		}
+		return rows
+	}
+	for _, kind := range []Kind{KindIdentity, KindDCT, KindDFT} {
 		for _, n := range []int{1, 4, 16, 64, 256} {
 			if kind == KindDFT && n == 1 {
 				n = 2
@@ -112,26 +123,24 @@ func TestRowIntoMatchesTranspose(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OperatorFor(%s, %d): %v", kind, n, err)
 			}
-			check(t, string(kind)+"/fast", op)
+			check(t, fmt.Sprintf("%s/fast-%d", kind, n), op, every(n))
 		}
 	}
-	// Dense fallback (MatrixOp) and the 2-D Kronecker composition.
+	for _, kind := range []Kind{KindDCT, KindDFT} {
+		for _, n := range []int{16384, 65536} {
+			op, err := OperatorFor(kind, n)
+			if err != nil {
+				t.Fatalf("OperatorFor(%s, %d): %v", kind, n, err)
+			}
+			check(t, fmt.Sprintf("%s/fast-%d", kind, n), op, []int{0, 1, 12345, n/2 - 1, n - 2, n - 1})
+		}
+	}
+	// The dense fallback (MatrixOp).
 	dense, err := FromMatrix(dct(20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, "dct/dense-20", dense)
-	for _, dims := range [][2]int{{8, 8}, {4, 16}, {16, 4}} {
-		row, err := OperatorFor(KindDCT, dims[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		col, err := OperatorFor(KindDCT, dims[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, "separable-dct", NewSeparable2D(row, col))
-	}
+	check(t, "dct/dense-20", dense, every(20))
 }
 
 // TestOperatorRoundTrip pins orthonormality in operator form:
@@ -370,8 +379,11 @@ func BenchmarkOperatorDCT2D256(b *testing.B) { benchOperatorDCT2D(b, 256) }
 // TestFactorColumnsMatchApply pins Separable2D's memoized factor columns
 // to the factor's own synthesis of the unit vector, bit for bit, on the
 // first use of a column and on a hit, for DCT factors n = 2…256 and for
-// factors that are not DCTs: Haar, the DFT, a dense MatrixOp and a nested
-// Separable2D. Only the columns asked for hold memory.
+// factors that are not DCTs: Haar, the DFT and a dense MatrixOp. A nested
+// Separable2D factor's column is pinned bit for bit to the outer product
+// of its own factor columns, and to within 1e-15 of its synthesis (its
+// paired-FFT route rounds differently). Only the columns asked for hold
+// memory.
 func TestFactorColumnsMatchApply(t *testing.T) {
 	haar, _ := OperatorFor(KindHaar, 16)
 	dft, _ := OperatorFor(KindDFT, 8)
@@ -390,10 +402,27 @@ func TestFactorColumnsMatchApply(t *testing.T) {
 	for name, o := range ops {
 		row, col := o.Factors()
 		h, w := row.Dim(), col.Dim()
-		want := func(f Operator, j int) []float64 {
+		synth := func(f Operator, j int) []float64 {
 			e, c := make([]float64, f.Dim()), make([]float64, f.Dim())
 			e[j] = 1
 			f.Apply(c, e)
+			return c
+		}
+		want := func(f Operator, j int) []float64 {
+			s, ok := f.(*Separable2D)
+			if !ok {
+				return synth(f, j)
+			}
+			u, v := s.FactorColumns(j)
+			c := make([]float64, f.Dim())
+			for i := range c {
+				c[i] = u[i%len(u)] * v[i/len(u)]
+			}
+			for i, x := range synth(f, j) {
+				if math.Abs(c[i]-x) > 1e-15 {
+					t.Fatalf("%s: nested column %d entry %d = %v, Apply(e) gives %v", name, j, i, c[i], x)
+				}
+			}
 			return c
 		}
 		filled := func(m *colMemo) int {

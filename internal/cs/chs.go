@@ -206,7 +206,7 @@ outer:
 			if norms == nil {
 				ws.norms = resized(ws.norms, n)
 				norms = ws.norms[:n]
-				d.colNorms(norms)
+				d.colNorms(norms, col)
 			}
 			// |α_r[j]| / ‖Φ̃ⱼ‖ is |α_r[j] / ‖Φ̃ⱼ‖| to the bit; a zero score
 			// is never admitted.

@@ -37,6 +37,12 @@ func denseDCT(n int) *mat.Matrix {
 	if err != nil {
 		panic(err)
 	}
+	return opColumns(op)
+}
+
+// opColumns materializes op's basis: column j is op's synthesis of e_j.
+func opColumns(op basis.Operator) *mat.Matrix {
+	n := op.Dim()
 	phi := mat.New(n, n)
 	e, col := make([]float64, n), make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -618,5 +624,61 @@ func BenchmarkCHS256(b *testing.B) {
 		if _, err := CHSOp(op, locs, y, CHSOptions{Tol: 1e-10}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOMPSeparable runs OMP on the separable operators the
+// experiments decode with it: A1's 16×16 DCT and Haar grids (56 readings,
+// k = 12) and A5's 12×12 DCT, per snapshot (16 readings, k = 5) and
+// jointly over 8 steps through DecodeSpatioTemporal (128 readings,
+// k = 42). The 2-D operators are the shared cached ones, as in the
+// experiments, so their factor columns are memoized after the first
+// decode; DecodeSpatioTemporal builds its joint operator anew each time.
+func BenchmarkOMPSeparable(b *testing.B) {
+	for _, c := range []struct {
+		name              string
+		kind              basis.Kind
+		h, w, steps, m, k int
+	}{
+		{"dct-16x16", basis.KindDCT, 16, 16, 1, 56, 12},
+		{"haar-16x16", basis.KindHaar, 16, 16, 1, 56, 12},
+		{"dct-12x12", basis.KindDCT, 12, 12, 1, 16, 5},
+		{"dct-12x12x8", basis.KindDCT, 12, 12, 8, 16, 42},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			phi, err := basis.CachedOperator2D(c.kind, c.h, c.w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(29))
+			n := phi.Dim()
+			jm := JointMeasurements{T: c.steps, N: n}
+			alpha, x := make([]float64, n), make([]float64, n)
+			for step := 0; step < c.steps; step++ {
+				clear(alpha)
+				for _, j := range rng.Perm(n)[:4] {
+					alpha[j] = 1 + rng.Float64()
+				}
+				phi.Apply(x, alpha)
+				locs, _ := RandomLocations(rng, n, c.m)
+				y, _ := Measure(x, locs, rng, nil)
+				for i, l := range locs {
+					jm.Locs = append(jm.Locs, step*n+l)
+					jm.Y = append(jm.Y, y[i])
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.steps > 1 {
+					_, _, err = DecodeSpatioTemporal(phi, jm, c.k)
+				} else {
+					_, err = OMPOp(phi, jm.Locs, jm.Y, c.k, 1e-9)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@ package cs
 // the full grid and runs one analysis — or, on a 2-D operator, hands the M
 // values to its scattered analysis, which on DCT factors with few sensors
 // skips the full grid and the first-stage FFTs; a column Φ̃e_j is read
-// entry by entry (basis.EntryAccessor), built from two memoized factor
-// columns (basis.Separable2D), or synthesized and gathered at the sensors.
+// entry by entry (entryReader), built from two memoized factor columns
+// (basis.Separable2D), or synthesized and gathered at the sensors.
 // No decoder gathers the whole M×N sensing matrix or forms the N×N basis,
 // which is what unlocks 1024² grids (dense Φ there would be (2²⁰)² floats
 // ≈ 8 TB). A dense basis enters through basis.FromMatrix,
@@ -60,6 +60,17 @@ type separable interface {
 // zero elsewhere.
 type scatteredAnalyzer interface {
 	ApplyTransposeScattered(dst []float64, locs []int, vals []float64)
+}
+
+// rowReader is an operator that reads row i of Φ into dst (length n) in
+// O(n), without a transform.
+type rowReader interface {
+	RowInto(dst []float64, i int)
+}
+
+// entryReader is an operator that reads the entry Φ[i,j] in O(1).
+type entryReader interface {
+	Entry(i, j int) float64
 }
 
 func newOpDict(op basis.Operator, locs []int) (*opDict, error) {
@@ -140,9 +151,9 @@ func (d *opDict) col(dst []float64, j int) error {
 func (d *opDict) fillCol(dst []float64, j int) {
 	if d.sep != nil {
 		d.sepCol(dst, j)
-	} else if ea, ok := d.op.(basis.EntryAccessor); ok {
-		// Closed-form entries: the column restricted to the m sampled
-		// rows costs O(m), not one full synthesis.
+	} else if ea, ok := d.op.(entryReader); ok {
+		// Entry by entry, the column restricted to the m sampled rows
+		// costs O(m), not one full synthesis.
 		for i, l := range d.locs {
 			dst[i] = ea.Entry(l, j)
 		}
@@ -166,31 +177,33 @@ func (d *opDict) sepCol(dst []float64, j int) {
 	}
 }
 
-// colNorms costs one row of Φ per measurement (row locs[i] of Φ is
-// Φᵀe_{locs[i]}), done once per decode and only by OMP.
-func (d *opDict) colNorms(dst []float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
-	// Column norms of the restricted dictionary are row norms of Φ over the
-	// sampled locations. Closed-form row access (basis.RowAccessor) makes
-	// each row O(n); the analysis fallback pays one full transform per
-	// measurement, which dominates OMP setup at small n.
-	if ra, ok := d.op.(basis.RowAccessor); ok {
-		for _, l := range d.locs {
-			ra.RowInto(d.out, l)
-			for j, v := range d.out {
-				dst[j] += v * v
-			}
+// colNorms fills dst with the column norms ‖Φ̃e_j‖, done once per decode
+// and only by OMP; col is scratch of length m. A separable operator's
+// columns are gathered by sepCol, O(m) each, which reads every factor
+// column once and so fills both factors' memos. Otherwise the norms are
+// row norms of Φ over the sampled locations: row locs[i] is Φᵀe_{locs[i]},
+// read in O(n) from a rowReader or analyzed by one full transform per
+// measurement.
+func (d *opDict) colNorms(dst, col []float64) {
+	if d.sep != nil {
+		for j := range dst {
+			d.sepCol(col, j)
+			dst[j] = mat.Norm2(col)
 		}
-	} else {
-		for _, l := range d.locs {
+		return
+	}
+	clear(dst)
+	ra, _ := d.op.(rowReader)
+	for _, l := range d.locs {
+		if ra != nil {
+			ra.RowInto(d.out, l)
+		} else {
 			d.full[l] = 1
 			d.op.ApplyTranspose(d.out, d.full)
 			d.full[l] = 0
-			for j, v := range d.out {
-				dst[j] += v * v
-			}
+		}
+		for j, v := range d.out {
+			dst[j] += v * v
 		}
 	}
 	for j, s := range dst {

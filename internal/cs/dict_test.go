@@ -1,6 +1,7 @@
 package cs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,22 +11,30 @@ import (
 
 // TestDecodersDenseMatchOperator pins the dict.go numerical contract at the
 // decoder level (DESIGN.md §9): the same problem decoded with the DCT as a
-// dense matrix (basis.FromMatrix) and as the FFT-backed operator must admit
-// the same atoms in the same order and reconstruct the same signal to
-// 1e-9, and Diagnose must give the same breakdown to 1e-9. The signal is
+// dense matrix (basis.FromMatrix of the operator's columns) and as the
+// FFT-backed operator must admit the same atoms in the same order and
+// reconstruct the same signal to 1e-9, and Diagnose must give the same
+// breakdown to 1e-9. The 1-D rows read the operator's table rows and
+// entries; the 16×16 row is a Separable2D 2-D DCT, whose OMP column norms
+// and admitted columns come from its memoized factor columns. The signal is
 // exactly sparse and the sensors are mildly, heterogeneously noisy, so the
 // GLS paths have a covariance to weight by and no admission is a near-tie;
 // basis pursuit gets the noiseless readings its equality constraints need.
 func TestDecodersDenseMatchOperator(t *testing.T) {
 	const bound = 1e-9
-	for _, p := range []struct{ n, m, k int }{{64, 32, 4}, {256, 80, 8}} {
+	for _, p := range []struct{ n, m, k, h int }{{64, 32, 4, 0}, {256, 80, 8, 0}, {256, 80, 8, 16}} {
 		rng := rand.New(rand.NewSource(int64(p.n)))
-		phi := denseDCT(p.n)
-		dense := denseOp(t, phi)
+		label := fmt.Sprintf("dct%d", p.n)
 		fast, err := basis.CachedOperator(basis.KindDCT, p.n)
+		if p.h > 0 {
+			label = fmt.Sprintf("dct%dx%d", p.h, p.n/p.h)
+			fast, err = basis.CachedOperator2D(basis.KindDCT, p.h, p.n/p.h)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		phi := opColumns(fast)
+		dense := denseOp(t, phi)
 		x, _, truth := sparseSignal(rng, phi, p.k)
 		locs, err := RandomLocations(rng, p.n, p.m)
 		if err != nil {
@@ -73,18 +82,18 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 		for _, d := range decoders {
 			want, err := d.decode(dense)
 			if err != nil {
-				t.Fatalf("n=%d %s dense: %v", p.n, d.name, err)
+				t.Fatalf("%s %s dense: %v", label, d.name, err)
 			}
 			got, err := d.decode(fast)
 			if err != nil {
-				t.Fatalf("n=%d %s operator: %v", p.n, d.name, err)
+				t.Fatalf("%s %s operator: %v", label, d.name, err)
 			}
 			if len(got.Support) != len(want.Support) {
-				t.Fatalf("n=%d %s: operator support %v, dense %v", p.n, d.name, got.Support, want.Support)
+				t.Fatalf("%s %s: operator support %v, dense %v", label, d.name, got.Support, want.Support)
 			}
 			for i, j := range want.Support {
 				if got.Support[i] != j {
-					t.Fatalf("n=%d %s: operator support %v, dense %v (order included)", p.n, d.name, got.Support, want.Support)
+					t.Fatalf("%s %s: operator support %v, dense %v (order included)", label, d.name, got.Support, want.Support)
 				}
 			}
 			gap := 0.0
@@ -92,7 +101,7 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 				gap = math.Max(gap, math.Abs(got.Xhat[i]-xv))
 			}
 			if gap > bound {
-				t.Errorf("n=%d %s: max |ΔXhat| = %.3g between dictionaries, want ≤ %g", p.n, d.name, gap, bound)
+				t.Errorf("%s %s: max |ΔXhat| = %.3g between dictionaries, want ≤ %g", label, d.name, gap, bound)
 			}
 		}
 
@@ -105,7 +114,7 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			}
 			bd, err := Diagnose(op, x, locs, res, sigmas)
 			if err != nil {
-				t.Fatalf("n=%d Diagnose: %v", p.n, err)
+				t.Fatalf("%s Diagnose: %v", label, err)
 			}
 			return bd
 		}
@@ -120,7 +129,7 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			{"TotalNMSE", bdFast.TotalNMSE, bdDense.TotalNMSE},
 		} {
 			if gap := math.Abs(f.got - f.dense); gap > bound {
-				t.Errorf("n=%d Diagnose: operator %s = %v, dense %v (|Δ| = %.3g, want ≤ %g)", p.n, f.name, f.got, f.dense, gap, bound)
+				t.Errorf("%s Diagnose: operator %s = %v, dense %v (|Δ| = %.3g, want ≤ %g)", label, f.name, f.got, f.dense, gap, bound)
 			}
 		}
 
@@ -135,7 +144,7 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 			t.Fatal(err)
 		}
 		if kFast != kDense {
-			t.Errorf("n=%d ChooseKCrossValOp: operator chose K=%d, dense K=%d", p.n, kFast, kDense)
+			t.Errorf("%s ChooseKCrossValOp: operator chose K=%d, dense K=%d", label, kFast, kDense)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/basis"
@@ -101,6 +102,53 @@ func TestNoiselessDecodesUnchanged(t *testing.T) {
 			if msg := sameResult(got, want); msg != "" {
 				t.Fatalf("%s, σ %v: %s", c.name, sigmas == nil, msg)
 			}
+		}
+	}
+}
+
+// TestCHSTolerancePrefix: Tol is read only by the loop's stop check, so
+// a decode under a larger Tol follows the same path and stops no later —
+// its support is an exact, same-order prefix of the support under a
+// smaller Tol. On each bench zone shape at seeds 1–20, every pair of six
+// tolerances is checked: ½ and 2 times the readings' NoiseTol, and 1 %,
+// 3 %, 10 % and 30 % of ‖y‖ (the two low-noise shapes reach their support
+// caps long before their noise floors). Some pair on each shape must stop
+// strictly earlier, or the relation went untested there.
+func TestCHSTolerancePrefix(t *testing.T) {
+	for _, c := range zoneCases {
+		strict := 0
+		for seed := int64(1); seed <= 20; seed++ {
+			op, locs, y, sigmas := zoneProblem(t, c, seed)
+			opts := c.opts(sigmas)
+			ny := mat.Norm2(y)
+			tols := []float64{0.5 * opts.Tol, 2 * opts.Tol, 0.01 * ny, 0.03 * ny, 0.1 * ny, 0.3 * ny}
+			supports := make([][]int, len(tols))
+			for i, tol := range tols {
+				opts.Tol = tol
+				res, err := CHSOp(op, locs, y, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				supports[i] = res.Support
+			}
+			for lo, small := range supports {
+				for hi, large := range supports {
+					if tols[hi] <= tols[lo] {
+						continue
+					}
+					if len(large) > len(small) || !slices.Equal(large, small[:len(large)]) {
+						t.Fatalf("%s seed %d: support at Tol %g %v is not a prefix of the support at Tol %g %v",
+							c.name, seed, tols[hi], large, tols[lo], small)
+					}
+					if len(large) < len(small) {
+						strict++
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d of 300 Tol pairs stopped strictly earlier at the larger Tol", c.name, strict)
+		if strict == 0 {
+			t.Errorf("%s: no larger Tol stopped earlier; the prefix relation went untested", c.name)
 		}
 	}
 }

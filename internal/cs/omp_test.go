@@ -50,7 +50,7 @@ func ompReference(op basis.Operator, locs []int, y []float64, k int, tol float64
 		}
 		if colNorm == nil {
 			colNorm = make([]float64, n)
-			d.colNorms(colNorm)
+			d.colNorms(colNorm, col)
 		}
 		iters++
 		d.corrT(corr, resid)
@@ -184,12 +184,12 @@ func TestOMPMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			m := len(locs)
 			norms := make([]float64, d.n)
-			d.colNorms(norms)
+			d.colNorms(norms, make([]float64, m))
 			for _, s := range norms {
 				zeroNorm = zeroNorm || s == 0
 			}
-			m := len(locs)
 			for _, k := range []int{1, m / 3, m, m + 5} {
 				for _, tol := range []float64{0, 1e-9, NoiseTol(sigmas)} {
 					label := fmt.Sprintf("%s seed %d k=%d tol=%g", o.name, seed, k, tol)

@@ -1,11 +1,56 @@
 package cs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/basis"
 )
+
+// permuteReadings reorders a gather's readings (location, value and σ
+// together) by a permutation drawn from seed; sigmas may be nil.
+func permuteReadings(seed int64, locs []int, y, sigmas []float64) (pl []int, py, ps []float64) {
+	perm := rand.New(rand.NewSource(seed)).Perm(len(locs))
+	pl, py = make([]int, len(perm)), make([]float64, len(perm))
+	if sigmas != nil {
+		ps = make([]float64, len(perm))
+	}
+	for i, p := range perm {
+		pl[i], py[i] = locs[p], y[p]
+		if sigmas != nil {
+			ps[i] = sigmas[p]
+		}
+	}
+	return pl, py, ps
+}
+
+// checkPermutedDecode logs how got, the decode of the permuted readings,
+// departs from base, the decode in gather order, and fails unless the
+// support (in admission order) and the iteration count are equal and x̂
+// and the residual are within 1e-12 relative.
+func checkPermutedDecode(t *testing.T, label string, base, got *Result) {
+	t.Helper()
+	xhatDev, scale := 0.0, 0.0
+	for i, v := range base.Xhat {
+		scale = math.Max(scale, math.Abs(v))
+		xhatDev = math.Max(xhatDev, math.Abs(got.Xhat[i]-v))
+	}
+	xhatDev /= scale
+	resDev := math.Abs(got.Residual-base.Residual) / base.Residual
+	t.Logf("%s: %d atoms in %d iterations, x̂ %.2g and residual %.2g relative apart",
+		label, len(base.Support), base.Iterations, xhatDev, resDev)
+	switch {
+	case !slices.Equal(got.Support, base.Support):
+		t.Errorf("%s: permuted support %v, want %v", label, got.Support, base.Support)
+	case got.Iterations != base.Iterations:
+		t.Errorf("%s: permuted decode took %d iterations, want %d", label, got.Iterations, base.Iterations)
+	case xhatDev > 1e-12 || resDev > 1e-12:
+		t.Errorf("%s: x̂ %.3g and residual %.3g relative apart, want within 1e-12", label, xhatDev, resDev)
+	}
+}
 
 // TestCHSGatherOrderRelation pins the gather-order relation: the order in
 // which a gather's readings arrive says nothing about the field, so
@@ -23,33 +68,86 @@ func TestCHSGatherOrderRelation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			perm := rand.New(rand.NewSource(seed)).Perm(len(locs))
-			pl, py, ps := make([]int, len(perm)), make([]float64, len(perm)), make([]float64, len(perm))
-			for i, p := range perm {
-				pl[i], py[i], ps[i] = locs[p], y[p], sigmas[p]
-			}
+			pl, py, ps := permuteReadings(seed, locs, y, sigmas)
 			got, err := CHSOp(op, pl, py, c.opts(ps))
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkPermutedDecode(t, fmt.Sprintf("%s seed %d", c.name, seed), base, got)
+		}
+	}
+}
 
-			xhatDev, scale := 0.0, 0.0
-			for i, v := range base.Xhat {
-				scale = math.Max(scale, math.Abs(v))
-				xhatDev = math.Max(xhatDev, math.Abs(got.Xhat[i]-v))
+// TestOMPGatherOrderRelation is the gather-order relation for OMP, whose
+// column norms are sums over the readings and so are summed in gather
+// order: on the 1-D DCT shape of ablation A4 (N = 128, M = 40, K = 6,
+// σ = 0.02; norms from the DCT's table rows) and on an A5-like joint
+// problem in spatial 2-D DCT ⊗ temporal DCT (12×12 grid, 8 steps, 16
+// noiseless readings per step, K = T·M/3; norms from the memoized factor
+// columns), permuting the readings leaves OMP's support, in admission
+// order, and its iteration count unchanged, with x̂ and the residual
+// within 1e-12 relative, at seeds 1–20 each.
+func TestOMPGatherOrderRelation(t *testing.T) {
+	dct128, err := basis.CachedOperator(basis.KindDCT, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := basis.CachedOperator2D(basis.KindDCT, 12, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tempo, err := basis.CachedOperator(basis.KindDCT, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		op    basis.Operator
+		m, k  int
+		noise []float64
+		alpha func(rng *rand.Rand) []float64
+	}{
+		{"a4/dct128_M40_K6", dct128, 40, 6, []float64{0.02}, func(rng *rand.Rand) []float64 {
+			alpha := make([]float64, 128)
+			for _, j := range rng.Perm(128)[:6] {
+				alpha[j] = 2 + 3*rng.Float64()
 			}
-			xhatDev /= scale
-			resDev := math.Abs(got.Residual-base.Residual) / base.Residual
-			t.Logf("%s seed %d: %d atoms in %d iterations, x̂ %.2g and residual %.2g relative apart",
-				c.name, seed, len(base.Support), base.Iterations, xhatDev, resDev)
-			switch {
-			case !slices.Equal(got.Support, base.Support):
-				t.Errorf("%s seed %d: permuted support %v, want %v", c.name, seed, got.Support, base.Support)
-			case got.Iterations != base.Iterations:
-				t.Errorf("%s seed %d: permuted decode took %d iterations, want %d", c.name, seed, got.Iterations, base.Iterations)
-			case xhatDev > 1e-12 || resDev > 1e-12:
-				t.Errorf("%s seed %d: x̂ %.3g and residual %.3g relative apart, want within 1e-12", c.name, seed, xhatDev, resDev)
+			return alpha
+		}},
+		{"a5/dct12x12⊗dct8_M128_K42", basis.NewSeparable2D(space, tempo), 128, 128 / 3, nil, func(rng *rand.Rand) []float64 {
+			// Coefficient jt·144 + jc·12 + jr decays with its total
+			// frequency, as a slowly drifting smooth field's do.
+			alpha := make([]float64, 144*8)
+			for j := range alpha {
+				f := float64(j%12 + j/12%12 + j/144)
+				alpha[j] = 25 * rng.NormFloat64() / (1 + f*f)
 			}
+			return alpha
+		}},
+	}
+	for _, c := range cases {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			x := make([]float64, c.op.Dim())
+			c.op.Apply(x, c.alpha(rng))
+			locs, err := RandomLocations(rng, len(x), c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y, err := Measure(x, locs, rng, c.noise)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := OMPOp(c.op, locs, y, c.k, 1e-9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, py, _ := permuteReadings(seed, locs, y, nil)
+			got, err := OMPOp(c.op, pl, py, c.k, 1e-9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPermutedDecode(t, fmt.Sprintf("%s seed %d", c.name, seed), base, got)
 		}
 	}
 }

@@ -180,7 +180,6 @@ var exportedCallersAllowed = map[string]string{
 	"(*repro/internal/broker.Broker).PositionsContext": "position-aware gather plans rounds from it",
 	"(*repro/internal/broker.Broker).Unregister":       "churn lifecycle: without it recycled IDs cannot rejoin",
 	"repro/internal/cs.ChooseKCrossValOp":              "candidate support-size rule",
-	"(*repro/internal/stream.Pipeline).LastErr":        "the only failure signal of a background run",
 	"(*repro/internal/bus.Client).Dropped":             "drop accounting",
 	"(*repro/internal/bus.Subscription).Dropped":       "drop accounting",
 }
