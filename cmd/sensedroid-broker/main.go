@@ -26,23 +26,11 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/bus"
+	"repro/internal/cloud"
 	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/sensor"
 )
-
-// worldEnv exposes the shared synthetic world to the broker (used for the
-// infrastructure-sensor fallback).
-type worldEnv struct {
-	f     *field.Field
-	scale float64
-}
-
-func (e worldEnv) FieldValue(kind sensor.Kind, gridIdx int) float64 { return e.f.Data[gridIdx] }
-func (e worldEnv) GridDims() (int, int)                             { return e.f.W, e.f.H }
-func (e worldEnv) AreaDims() (float64, float64) {
-	return float64(e.f.W) * e.scale, float64(e.f.H) * e.scale
-}
 
 func main() {
 	var (
@@ -68,9 +56,11 @@ func main() {
 		log.Printf("debug endpoints on http://%s (/metrics.json /spans /debug/pprof/)", bound)
 	}
 
-	rng := rand.New(rand.NewSource(*worldSeed))
-	world, _ := field.GenRandomPlumes(rng, *w, *h, 3, 10, 30)
-	env := worldEnv{f: world, scale: 10}
+	world, _ := field.GenRandomPlumes(rand.New(rand.NewSource(*worldSeed)), *w, *h, 3, 10, 30)
+	env, err := cloud.NewZoneEnv(world, field.Zone{W: *w, H: *h}, 10)
+	if err != nil {
+		log.Fatalf("sensedroid-broker: %v", err)
+	}
 
 	b := bus.New()
 	b.AddHook(bus.ObsHook())
@@ -118,7 +108,12 @@ func main() {
 		case <-ctx.Done():
 		case <-ticker.C:
 			round++
-			rec, err := br.ReconstructContext(ctx, sensor.Temperature, *m, broker.ReconstructOptions{UseGLS: true})
+			g, err := br.GatherContext(ctx, sensor.Temperature, *m)
+			if err != nil {
+				log.Printf("round %d: %v", round, err)
+				continue
+			}
+			rec, err := br.ReconstructFrom(g, broker.ReconstructOptions{UseGLS: true})
 			if err != nil {
 				log.Printf("round %d: %v", round, err)
 				continue

@@ -1,7 +1,9 @@
 // Command sensedroid-node runs one simulated mobile node as a standalone
 // process: it dials a sensedroid-broker's TCP bus, registers, and serves
-// the broker's measure/position commands while roaming the shared
-// synthetic world (use the same -world-seed as the broker).
+// the broker's measure commands while roaming the shared synthetic world
+// (use the same -world-seed as the broker). The node is a node.Node, so
+// it keeps the in-process node's privacy policy, energy meter, probe
+// noise and duplicate-command suppression.
 //
 //	sensedroid-node -addr localhost:7070 -nc nc0 -id n1 -world-seed 9
 package main
@@ -12,21 +14,23 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"sync"
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/cloud"
 	"repro/internal/field"
 	"repro/internal/mobility"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/sensor"
 )
 
-// Standalone-node observability handles (no-ops unless -debug-addr).
-var (
-	obsCommands = obs.GetCounter("nodeproc.commands")
-	obsReplies  = obs.GetCounter("nodeproc.replies")
-)
+// profiles are the handset classes -profile names.
+var profiles = map[string]sensor.DeviceProfile{
+	"flagship": sensor.ProfileFlagship,
+	"midrange": sensor.ProfileMidrange,
+	"budget":   sensor.ProfileBudget,
+}
 
 func main() {
 	var (
@@ -37,10 +41,14 @@ func main() {
 		h         = flag.Int("h", 16, "field height (must match broker)")
 		worldSeed = flag.Int64("world-seed", 9, "shared synthetic-world seed")
 		seed      = flag.Int64("seed", 0, "node RNG seed (0 = derive from id)")
-		noise     = flag.Float64("noise", 0.2, "sensor noise sigma")
+		profile   = flag.String("profile", "midrange", "handset class, which scales sensor noise: flagship, midrange (temperature sigma 0.2) or budget")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics.json, /spans and /debug/pprof on this address (enables metrics)")
 	)
 	flag.Parse()
+	prof, ok := profiles[*profile]
+	if !ok {
+		log.Fatalf("sensedroid-node: unknown -profile %q", *profile)
+	}
 	if *debugAddr != "" {
 		dbg, bound, err := obs.StartDebugServer(*debugAddr, obs.Default)
 		if err != nil {
@@ -56,9 +64,20 @@ func main() {
 	}
 
 	// Rebuild the shared world.
-	wrng := rand.New(rand.NewSource(*worldSeed))
-	world, _ := field.GenRandomPlumes(wrng, *w, *h, 3, 10, 30)
-	areaW, areaH := float64(*w)*10, float64(*h)*10
+	world, _ := field.GenRandomPlumes(rand.New(rand.NewSource(*worldSeed)), *w, *h, 3, 10, 30)
+	env, err := cloud.NewZoneEnv(world, field.Zone{W: *w, H: *h}, 10)
+	if err != nil {
+		log.Fatalf("sensedroid-node: %v", err)
+	}
+	areaW, areaH := env.AreaDims()
+	mob, err := mobility.NewRandomWaypoint(rand.New(rand.NewSource(*seed)), areaW, areaH, 0.8, 2.2, 2)
+	if err != nil {
+		log.Fatalf("sensedroid-node: %v", err)
+	}
+	nd, err := node.New(node.Config{ID: *id, Seed: *seed, Profile: prof}, env, mob)
+	if err != nil {
+		log.Fatalf("sensedroid-node: %v", err)
+	}
 
 	cli, err := bus.Dial(*addr)
 	if err != nil {
@@ -66,9 +85,9 @@ func main() {
 	}
 	defer cli.Close()
 
-	// Subscribe to this node's command topics before registering so no
+	// Subscribe to this node's command topic before registering so no
 	// command can race past us.
-	cmds, err := cli.Subscribe(bus.NodeCommandPattern(*ncID, *id))
+	cmds, err := cli.Subscribe(node.MeasureTopic(*ncID, *id))
 	if err != nil {
 		log.Fatalf("sensedroid-node: %v", err)
 	}
@@ -77,75 +96,25 @@ func main() {
 	}
 	log.Printf("node %s joined %s at %s", *id, *ncID, *addr)
 
-	rng := rand.New(rand.NewSource(*seed))
-	mob, err := mobility.NewRandomWaypoint(rng, areaW, areaH, 0.8, 2.2, 2)
-	if err != nil {
-		log.Fatalf("sensedroid-node: %v", err)
-	}
-	var mu sync.Mutex
-	roamDone := make(chan struct{})
-	defer close(roamDone)
-	go func() { // roam until main returns
-		tick := time.NewTicker(500 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-roamDone:
-				return
-			case <-tick.C:
-				mu.Lock()
-				mob.Step(0.5)
-				mu.Unlock()
-			}
-		}
+	served := make(chan struct{})
+	go func() { // serve until the connection closes
+		defer close(served)
+		nd.Serve(cmds, cli.Publish)
 	}()
-	gridIdx := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return mobility.GridIndex(mob.Pos(), areaW, areaH, *w, *h)
-	}
-
-	measureTopic := bus.NodeMeasureTopic(*ncID, *id)
-	positionTopic := bus.NodePositionTopic(*ncID, *id)
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
+	tick := time.NewTicker(500 * time.Millisecond)
+	defer tick.Stop()
 	for {
 		select {
 		case <-stop:
 			log.Printf("node %s leaving", *id)
 			return
-		case msg, ok := <-cmds:
-			if !ok {
-				log.Printf("node %s: bus closed", *id)
-				return
-			}
-			replyTo, _, err := bus.DecodeEnvelope(msg.Payload)
-			if err != nil || replyTo == "" {
-				continue
-			}
-			obsCommands.Inc()
-			var raw []byte
-			switch msg.Topic {
-			case measureTopic:
-				idx := gridIdx()
-				raw, err = node.FieldReading{
-					NodeID: *id, GridIdx: idx,
-					Value: world.Data[idx] + rng.NormFloat64()*(*noise),
-					Sigma: *noise,
-				}.AppendJSON(nil)
-			case positionTopic:
-				raw, err = node.PositionReply{NodeID: *id, GridIdx: gridIdx()}.AppendJSON(nil)
-			default:
-				continue
-			}
-			if err != nil {
-				continue
-			}
-			if err := cli.Publish(replyTo, raw); err != nil {
-				log.Printf("node %s: publish reply: %v", *id, err)
-			} else {
-				obsReplies.Inc()
-			}
+		case <-served:
+			log.Printf("node %s: bus closed", *id)
+			return
+		case <-tick.C:
+			nd.Move(0.5)
 		}
 	}
 }

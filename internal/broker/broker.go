@@ -105,8 +105,9 @@ func (br *Broker) infraEnabled() bool {
 	return br.infraOK
 }
 
-// Register adds a node to the broker's roster. The node must have
-// AttachBus'd to the same bus under this broker's ID.
+// Register adds a node to the broker's roster. The node must serve its
+// measure command on the broker's bus under this broker's ID
+// (Node.AttachBus, or Node.Serve behind a TCP client of that bus).
 func (br *Broker) Register(nodeID string) error {
 	if nodeID == "" {
 		return errors.New("broker: empty node ID")
@@ -148,27 +149,6 @@ func (br *Broker) Nodes() []string {
 	defer br.mu.Unlock()
 	out := append([]string(nil), br.nodes...)
 	sort.Strings(out)
-	return out
-}
-
-// PositionsContext queries every registered node for its current grid
-// cell. Unreachable nodes are skipped. Each per-node request gets the
-// broker's timeout, and cancelling ctx abandons the sweep early (the
-// partial map is returned).
-func (br *Broker) PositionsContext(ctx context.Context) map[string]int {
-	ids := br.Nodes()
-	reps := make([]node.PositionReply, len(ids))
-	calls := make([]bus.Call, len(ids))
-	for i, id := range ids {
-		calls[i] = node.PositionCall(br.ID, id, &reps[i])
-	}
-	br.scatter(ctx, calls)
-	out := make(map[string]int)
-	for i, id := range ids {
-		if calls[i].Err == nil {
-			out[id] = reps[i].GridIdx
-		}
-	}
 	return out
 }
 
@@ -375,16 +355,6 @@ type Reconstruction struct {
 	Field  *field.Field
 	Result *cs.Result
 	Gather *GatherResult
-}
-
-// ReconstructContext runs a gather round, bounded by ctx, and recovers the
-// region's field with the Fig. 6 CHS algorithm (OLS or GLS per options).
-func (br *Broker) ReconstructContext(ctx context.Context, kind sensor.Kind, m int, opts ReconstructOptions) (*Reconstruction, error) {
-	g, err := br.GatherContext(ctx, kind, m)
-	if err != nil {
-		return nil, err
-	}
-	return br.ReconstructFrom(g, opts)
 }
 
 // ReconstructFrom recovers the field from an existing gather round,

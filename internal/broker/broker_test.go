@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/cs"
+	"repro/internal/energy"
 	"repro/internal/field"
 	"repro/internal/mobility"
 	"repro/internal/netsim"
@@ -95,15 +96,25 @@ func TestRegisterDuplicate(t *testing.T) {
 	}
 }
 
-func TestPositionsQueriesAllNodes(t *testing.T) {
-	br, _, _ := testNC(t, 4, 2)
-	pos := br.PositionsContext(context.Background())
-	if len(pos) != 4 {
-		t.Fatalf("positions for %d nodes, want 4", len(pos))
+// TestGatherRepliesCarryNodeCells: every mobile reading of a round names
+// the node that took it and the cell it stands in, so a position-aware
+// plan reads node positions from the measure replies it already gets.
+func TestGatherRepliesCarryNodeCells(t *testing.T) {
+	br, _, nodes := testNC(t, 4, 2)
+	cells := map[string]int{}
+	for _, nd := range nodes {
+		cells[nd.ID] = nd.GridIndex()
 	}
-	for id, idx := range pos {
-		if idx < 0 || idx >= 64 {
-			t.Fatalf("node %s at invalid cell %d", id, idx)
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodesUsed == 0 {
+		t.Fatal("no mobile readings")
+	}
+	for i, id := range g.NodeIDs {
+		if cell, ok := cells[id]; id != "" && (!ok || g.Locs[i] != cell) {
+			t.Fatalf("reading %d from node %q at cell %d, node stands in cell %d (known %v)", i, id, g.Locs[i], cell, ok)
 		}
 	}
 }
@@ -171,12 +182,24 @@ func TestGatherValidation(t *testing.T) {
 	}
 }
 
-func TestReconstructRecoversPlume(t *testing.T) {
-	br, truth, _ := testNC(t, 6, 6)
-	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 28, ReconstructOptions{})
+// gatherAndReconstruct runs one gather round of m temperature readings
+// and decodes it.
+func gatherAndReconstruct(t *testing.T, br *Broker, m int, opts ReconstructOptions) *Reconstruction {
+	t.Helper()
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec, err := br.ReconstructFrom(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+func TestReconstructRecoversPlume(t *testing.T) {
+	br, truth, _ := testNC(t, 6, 6)
+	rec := gatherAndReconstruct(t, br, 28, ReconstructOptions{})
 	nmse := cs.NMSE(truth.Data, rec.Field.Data)
 	if nmse > 0.01 {
 		t.Fatalf("plume reconstruction NMSE %v, want < 1%%", nmse)
@@ -190,10 +213,7 @@ func TestReconstructRecoversPlume(t *testing.T) {
 
 func TestReconstructGLSOption(t *testing.T) {
 	br, truth, _ := testNC(t, 6, 7)
-	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 28, ReconstructOptions{UseGLS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := gatherAndReconstruct(t, br, 28, ReconstructOptions{UseGLS: true})
 	if nmse := cs.NMSE(truth.Data, rec.Field.Data); nmse > 0.05 {
 		t.Fatalf("GLS reconstruction NMSE %v", nmse)
 	}
@@ -201,10 +221,7 @@ func TestReconstructGLSOption(t *testing.T) {
 
 func TestReconstructDefaultsKHeuristic(t *testing.T) {
 	br, _, _ := testNC(t, 4, 8)
-	rec, err := br.ReconstructContext(context.Background(), sensor.Temperature, 24, ReconstructOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := gatherAndReconstruct(t, br, 24, ReconstructOptions{})
 	if len(rec.Result.Support) > 24/3 {
 		t.Fatalf("support %d exceeds K heuristic", len(rec.Result.Support))
 	}
@@ -481,4 +498,101 @@ func TestGatherContextCancelled(t *testing.T) {
 	if _, err := br.GatherContext(context.Background(), sensor.Temperature, 5); err != nil {
 		t.Fatalf("Gather after cancelled round: %v", err)
 	}
+}
+
+// TestTCPNodeServesGather runs a node.Node behind a TCP bus client, as
+// cmd/sensedroid-node does: a broker gather over the server's bus gets
+// the node's reading, a duplicated request envelope is served once, and
+// the node's meter holds the radio and sample charges of what it served.
+func TestTCPNodeServesGather(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	env := fieldEnv{f: field.GenPlumes(8, 8, 10, []field.Plume{{Row: 3, Col: 5, Sigma: 2.2, Amplitude: 30}})}
+	b := bus.New()
+	defer b.Close()
+	srv, err := bus.NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	br, err := New(Config{ID: "nc0", Seed: 1, Timeout: 2 * time.Second}, b, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nd, err := node.New(node.Config{ID: "n0", Seed: 5, Profile: sensor.ProfileMidrange},
+		env, mobility.Static{P: mobility.Point{X: 35, Y: 15}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := bus.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	topic := node.MeasureTopic("nc0", "n0")
+	cmds, err := cli.Subscribe(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		nd.Serve(cmds, cli.Publish)
+	}()
+	for deadline := time.Now().Add(2 * time.Second); b.SubscriberCount(topic) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the node's subscription never reached the server's bus")
+		}
+	}
+	if err := br.Register("n0"); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := br.GatherContext(context.Background(), sensor.Temperature, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NodesUsed != 1 || g.InfraUsed != 0 || g.NodeIDs[0] != "n0" || g.Locs[0] != nd.GridIndex() {
+		t.Fatalf("gather %+v, want the one reading of n0 from cell %d", g, nd.GridIndex())
+	}
+
+	reply, err := b.Subscribe("dup/reply", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reply.Unsubscribe()
+	dup := []byte(`{"replyTo":"dup/reply","body":{"kind":"temperature"}}`)
+	for i := 0; i < 2; i++ {
+		if err := b.Publish(topic, dup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-reply.C:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no reply to the first delivery")
+	}
+	select {
+	case <-reply.C:
+		t.Fatal("duplicate delivery was served again")
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	// Two commands were served, so two samples were charged: the gather's
+	// and the first copy of the duplicated one.
+	want := energy.NewMeter(nil)
+	if err := want.ChargeSamples(sensor.Temperature, 2); err != nil {
+		t.Fatal(err)
+	}
+	got := nd.Meter.Breakdown()
+	if s := "sense/" + string(sensor.Temperature); got[s] == 0 || got[s] != want.Breakdown()[s] {
+		t.Fatalf("%s charged %v mJ, want %v (two samples)", s, got[s], want.Breakdown()[s])
+	}
+	if got["rx/wifi"] == 0 || got["tx/wifi"] == 0 {
+		t.Fatalf("radio energy not charged: %v", got)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-served // Serve returns once the connection's channel closes
 }

@@ -189,9 +189,9 @@ func TestIndexHoldsNothingAfterRequests(t *testing.T) {
 }
 
 // rosterBus is one NanoCloud's worth of subscriptions as the benchmark's
-// campaign-gather sets them up: two command topics for each of 48
+// campaign-gather sets them up: the measure-command topic of each of 48
 // nodes, all wildcard-free, plus nWild TCP-style per-node patterns. It
-// returns a subscription on target, which is one of the 96.
+// returns a subscription on target, which is one of the 48.
 func rosterBus(tb testing.TB, nWild int) (b *Bus, target string, sub *Subscription) {
 	tb.Helper()
 	b = New()
@@ -205,11 +205,9 @@ func rosterBus(tb testing.TB, nWild int) (b *Bus, target string, sub *Subscripti
 	}
 	target = NodeMeasureTopic("nc0", "n17")
 	for i := 0; i < 48; i++ {
-		id := "n" + strconv.Itoa(i)
-		for _, topic := range []string{NodeMeasureTopic("nc0", id), NodePositionTopic("nc0", id)} {
-			if s := subscribe(topic); topic == target {
-				sub = s
-			}
+		topic := NodeMeasureTopic("nc0", "n"+strconv.Itoa(i))
+		if s := subscribe(topic); topic == target {
+			sub = s
 		}
 	}
 	for i := 0; i < nWild; i++ {
@@ -228,7 +226,7 @@ func TestPublishAndMatchAllocateNothing(t *testing.T) {
 		"Match mismatch": func() { matchSink = Match("nc0/node/n18/#", target) },
 		"ValidTopic":     func() { matchSink = ValidTopic(target) },
 		"ValidPattern":   func() { matchSink = ValidPattern("nc0/node/+/#") },
-		"Publish to 1 of 144": func() {
+		"Publish to 1 of 48": func() {
 			if err := b.Publish(target, payload); err != nil {
 				t.Fatal(err)
 			}

@@ -1,14 +1,13 @@
 // Topic construction helpers. Every topic string that crosses a
 // component boundary (broker ↔ node ↔ cloud ↔ serve) is built here, so
-// the protocol's segment layout lives in exactly one file. The node
-// commands pair each of their topics with a reply type in internal/node
-// (node.MeasureCall, PositionCall).
+// the protocol's segment layout lives in exactly one file. The node's
+// measure command pairs its topic with its reply type in internal/node
+// (node.MeasureCall).
 //
 // Layout (NC = NanoCloud/broker ID):
 //
 //	<nc>/register              node → broker presence announcements
 //	<nc>/node/<id>/measure     broker → node measure-on-demand request
-//	<nc>/node/<id>/position    broker → node position query
 //	<nc>/inbox/<s>/<id>/<k>    node → broker reply to request k of the
 //	                           broker's scatter s (one subscription,
 //	                           <nc>/inbox/<s>/#, hears them all)
@@ -25,15 +24,10 @@ func NodeMeasureTopic(ncID, nodeID string) string {
 	return ncID + "/node/" + nodeID + "/measure"
 }
 
-// NodePositionTopic returns a node's position-query request topic.
-func NodePositionTopic(ncID, nodeID string) string {
-	return ncID + "/node/" + nodeID + "/position"
-}
-
 // NodeCommandPattern returns the subscription pattern covering every
-// command topic addressed to one node (measure, position and any
-// future command segment), for transports that forward a node's
-// whole command namespace at once.
+// command topic addressed to one node (measure, and any future command
+// segment), for transports that forward a node's whole command
+// namespace at once.
 func NodeCommandPattern(ncID, nodeID string) string {
 	return ncID + "/node/" + nodeID + "/#"
 }

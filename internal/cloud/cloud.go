@@ -216,16 +216,6 @@ func mergeGather(merged, g *broker.GatherResult, seen []bool) {
 	merged.Denied += g.Denied
 }
 
-// ReconstructContext gathers m measurements across the LC's brokers, the
-// gather rounds bounded by ctx, and recovers the zone subfield.
-func (lc *LocalCloud) ReconstructContext(ctx context.Context, kind sensor.Kind, m int, opts broker.ReconstructOptions) (*broker.Reconstruction, error) {
-	g, err := lc.GatherContext(ctx, kind, m)
-	if err != nil {
-		return nil, err
-	}
-	return lc.Brokers[0].ReconstructFrom(g, opts)
-}
-
 // --- PublicCloud -----------------------------------------------------------------
 
 // PublicCloud assembles the global field from its local clouds.
@@ -354,8 +344,10 @@ type ZoneReport struct {
 	Budget         int
 }
 
-// AssembleContext runs every LC's reconstruction under the budget plan and
-// stitches the zone subfields into the global estimate. Zones are
+// AssembleContext gathers every LC's zone under the budget plan
+// (LocalCloud.GatherContext), decodes it with the LC's first broker
+// (Broker.ReconstructFrom) and stitches the zone subfields into the
+// global estimate. Zones are
 // independent — each LC owns its brokers, nodes, and RNG streams — so their
 // reconstructions fan out across min(zones, GOMAXPROCS) workers; results
 // are stitched in LC order afterwards, which keeps the assembled field and
@@ -397,13 +389,16 @@ func (pc *PublicCloud) AssembleContext(ctx context.Context, kind sensor.Kind, pl
 		}
 		zOpts := opts
 		zOpts.SeedSupport = seeds[z.ID] // nil for unseeded zones → cold decode
-		rec, err := lc.ReconstructContext(zctx, kind, m, zOpts)
+		g, err := lc.GatherContext(zctx, kind, m)
+		if err == nil {
+			outs[i].rec, err = lc.Brokers[0].ReconstructFrom(g, zOpts)
+		}
 		if err != nil {
 			outs[i].err = fmt.Errorf("cloud: zone %d: %w", z.ID, err)
 			cancel()
 			return
 		}
-		outs[i] = zoneOut{rec: rec, m: m}
+		outs[i].m = m
 	})
 	// Deterministic error choice: the first zone (in LC order) that failed
 	// for a reason of its own beats any zone that merely observed the

@@ -88,3 +88,15 @@ func TestSampleCostMJ(t *testing.T) {
 		t.Fatal("unknown sensor kind reported a cost")
 	}
 }
+
+// TestBankDrainAllAllocatesNothing pins at run time the zero-allocation
+// contract of Bank.DrainAll, a hot entry point (lint.HotEntryPoints).
+func TestBankDrainAllAllocatesNothing(t *testing.T) {
+	b, err := NewBank(64, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.DrainAll(0.25) }); allocs != 0 {
+		t.Fatalf("Bank.DrainAll: %.1f allocs per call, want 0", allocs)
+	}
+}

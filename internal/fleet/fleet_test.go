@@ -524,3 +524,48 @@ func floatBits(v []float64) []uint64 {
 	}
 	return b
 }
+
+// TestRoundHotPathsAllocateNothing pins at run time the zero-allocation
+// contract of the fleet's hot entry points (lint.HotEntryPoints): a
+// shard's tick and report, and a zone collector's ingest at a positive
+// budget (budget 0 grows its buffers by design). hotalloc reads the code
+// and can miss an allocation made once per call; this runs it.
+func TestRoundHotPathsAllocateNothing(t *testing.T) {
+	cfg := Config{Nodes: 512, ShardSize: 256, FieldW: 16, FieldH: 16, ZoneRows: 1, ZoneCols: 1, Seed: 3}
+	p, err := NewPopulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetTruth(testTruth(cfg.FieldW, cfg.FieldH)); err != nil {
+		t.Fatal(err)
+	}
+	s := p.Shards[0]
+	round, reported := 0, 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		s.Tick(30, p.idleMJ)
+		s.report(round, p.Cfg.DutyPeriod, p.truth, p.costMJ)
+		round++
+		reported += s.repN
+	}); allocs != 0 {
+		t.Errorf("Shard.Tick + Shard.report: %.1f allocs per round, want 0", allocs)
+	}
+	if reported == 0 {
+		t.Fatal("no node reported: the rounds measured nothing")
+	}
+
+	// 48 envelopes over 24 cells into a budget of 8: new cells while the
+	// budget lasts, then rejections and overwrites of known cells.
+	run := make([]byte, 48*sampleSize)
+	for i := 0; i < 48; i++ {
+		encodeSample(run[i*sampleSize:], uint32(i%24), uint32(i), float64(i), 0.1)
+	}
+	zc := newZoneCollector(p.Zones[0], 8)
+	if allocs := testing.AllocsPerRun(50, func() {
+		zc.ingest(netsim.Run{Count: 48, Payload: run})
+	}); allocs != 0 {
+		t.Errorf("ZoneCollector.ingest: %.1f allocs per run, want 0", allocs)
+	}
+	if zc.Count() != 8 || zc.rejected == 0 {
+		t.Fatalf("collector kept %d cells and rejected %d, want 8 and some", zc.Count(), zc.rejected)
+	}
+}

@@ -175,13 +175,12 @@ var testReferencesAllowed = map[string]string{
 // that may stay without a non-test caller, each with the reason: API kept
 // for a caller to come, whose bodies' references count as uses.
 var exportedCallersAllowed = map[string]string{
-	"(*repro/internal/netsim.FaultPlan).Down":          "crash-now fault primitive",
-	"(*repro/internal/netsim.FaultPlan).Up":            "crash-now fault primitive",
-	"(*repro/internal/broker.Broker).PositionsContext": "position-aware gather plans rounds from it",
-	"(*repro/internal/broker.Broker).Unregister":       "churn lifecycle: without it recycled IDs cannot rejoin",
-	"repro/internal/cs.ChooseKCrossValOp":              "candidate support-size rule",
-	"(*repro/internal/bus.Client).Dropped":             "drop accounting",
-	"(*repro/internal/bus.Subscription).Dropped":       "drop accounting",
+	"(*repro/internal/netsim.FaultPlan).Down":    "crash-now fault primitive",
+	"(*repro/internal/netsim.FaultPlan).Up":      "crash-now fault primitive",
+	"(*repro/internal/broker.Broker).Unregister": "churn lifecycle: without it recycled IDs cannot rejoin",
+	"repro/internal/cs.ChooseKCrossValOp":        "candidate support-size rule",
+	"(*repro/internal/bus.Client).Dropped":       "drop accounting",
+	"(*repro/internal/bus.Subscription).Dropped": "drop accounting",
 }
 
 // TestExportedHaveCallers keeps internal/ free of API that only tests

@@ -609,3 +609,39 @@ func solve(f *IncrementalQR, y []float64) ([]float64, error) {
 	x := make([]float64, f.Len())
 	return x, f.SolveInto(x, y)
 }
+
+// TestIncrementalQRAppendAllocatesNothing pins at run time the
+// zero-allocation contract of IncrementalQR.Append, a hot entry point
+// (lint.HotEntryPoints): a factorization reset within its capacity and
+// refilled column by column, the second Gram–Schmidt pass included.
+func TestIncrementalQRAppendAllocatesNothing(t *testing.T) {
+	const m, k = 32, 8
+	rng := rand.New(rand.NewSource(4))
+	cols := make([][]float64, k)
+	for j := range cols {
+		cols[j] = make([]float64, m)
+		for i := range cols[j] {
+			cols[j][i] = rng.NormFloat64()
+		}
+	}
+	// Nearly parallel to column 0, so its first pass cancels most of it.
+	for i := range cols[1] {
+		cols[1][i] = cols[0][i] + 1e-3*cols[1][i]
+	}
+	f, err := NewIncrementalQR(m, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appendErr error
+	if allocs := testing.AllocsPerRun(50, func() {
+		appendErr = errors.Join(appendErr, f.Reset(m, k))
+		for _, c := range cols {
+			appendErr = errors.Join(appendErr, f.Append(c))
+		}
+	}); allocs != 0 {
+		t.Fatalf("IncrementalQR.Append: %.1f allocs per %d appends, want 0", allocs, k)
+	}
+	if appendErr != nil || f.Len() != k {
+		t.Fatalf("factored %d of %d columns: %v", f.Len(), k, appendErr)
+	}
+}

@@ -151,3 +151,22 @@ func BenchmarkStepWaypoints4096(b *testing.B) {
 		StepWaypoints(rng, p, s, 1)
 	}
 }
+
+// TestStepWaypointAllocatesNothing pins at run time the zero-allocation
+// contract of StepWaypoint, a hot entry point (lint.HotEntryPoints):
+// steps long enough that nodes arrive, pause and draw new legs.
+func TestStepWaypointAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := WaypointParams{W: 100, H: 100, MinSpeed: 1, MaxSpeed: 3, Pause: 2}
+	s, err := InitWaypoints(rng, p, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < s.Len(); i++ {
+			StepWaypoint(rng, p, s, i, 20)
+		}
+	}); allocs != 0 {
+		t.Fatalf("StepWaypoint: %.1f allocs per sweep of 64 nodes, want 0", allocs)
+	}
+}

@@ -55,7 +55,7 @@ func awaitReply(t *testing.T, sub *bus.Subscription, what string) bus.Message {
 // recycle the same node IDs. Run with -race. The goroutine guard pins
 // that Detach really joins every serving goroutine — a single leaked
 // serve loop per node would show up 10 000-fold here — and the served
-// position checks pin that a recycled ID's handlers are live and answer
+// measure checks pin that a recycled ID's handlers are live and answer
 // as the *new* node.
 func TestChurnRecycledNodeIDs(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -83,8 +83,8 @@ func TestChurnRecycledNodeIDs(t *testing.T) {
 		}
 		// A sample of this generation's nodes must actually serve.
 		for _, i := range []int{0, cohort / 2, cohort - 1} {
-			var rep PositionReply
-			if err := callWithin(b, PositionCall("nc0", nodes[i].ID, &rep), 2*time.Second); err != nil {
+			var rep FieldReading
+			if err := callWithin(b, MeasureCall("nc0", nodes[i].ID, sensor.Temperature, &rep), 2*time.Second); err != nil {
 				t.Fatalf("generation %d node %d: %v", g, i, err)
 			}
 			if rep.NodeID != nodes[i].ID {
@@ -192,11 +192,11 @@ func TestAttachBusFailureLeavesNoState(t *testing.T) {
 		t.Fatalf("re-attach after failed attach: %v", err)
 	}
 	defer n.Detach()
-	var rep PositionReply
-	if err := callWithin(b, PositionCall("nc0", "n0", &rep), 2*time.Second); err != nil {
+	var rep FieldReading
+	if err := callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &rep), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if rep.NodeID != "n0" {
-		t.Fatalf("position reply %+v", rep)
+		t.Fatalf("measure reply %+v", rep)
 	}
 }

@@ -67,8 +67,8 @@ type Node struct {
 	rng      *rand.Rand
 
 	mu      sync.Mutex
-	subs    []*bus.Subscription
-	serveWG sync.WaitGroup // joins the bus-handler goroutines on Detach
+	sub     *bus.Subscription // guarded by mu; the measure command's, while attached
+	serveWG sync.WaitGroup    // joins the bus-handler goroutine on Detach
 }
 
 // New builds a node with the full standard probe complement.
@@ -163,95 +163,56 @@ type MeasureRequest struct {
 	Kind string `json:"kind"`
 }
 
-// PositionReply answers a position query.
-type PositionReply struct {
-	NodeID  string `json:"nodeId"`
-	GridIdx int    `json:"gridIdx"`
-}
-
-// command binds one node command's topic to the reply it is answered
-// with. The broker's calls (MeasureCall, PositionCall) and the node's
-// handlers (AttachBus) both go through the two values below, so a reply of the wrong type on either side does not compile.
-type command[R reply] struct {
-	topic func(ncID, nodeID string) string
-}
-
-var (
-	measureCmd  = command[FieldReading]{bus.NodeMeasureTopic}
-	positionCmd = command[PositionReply]{bus.NodePositionTopic}
-)
-
-// call describes one request of the command to node nodeID for
-// bus.Scatter; the reply decodes into out.
-func (c command[R]) call(ncID, nodeID string, body any, out *R) bus.Call {
-	return bus.NewCall(c.topic(ncID, nodeID), nodeID, body, out)
-}
-
 // MeasureTopic returns the node's measure-command topic on an NC bus.
 func MeasureTopic(ncID, nodeID string) string {
-	return measureCmd.topic(ncID, nodeID)
+	return bus.NodeMeasureTopic(ncID, nodeID)
 }
 
 // MeasureCall asks node nodeID to measure kind; the reading decodes
-// into out.
+// into out. The broker's calls and the node's replies (Serve) both name
+// FieldReading, so a reply of the wrong type on either side does not
+// compile.
 func MeasureCall(ncID, nodeID string, kind sensor.Kind, out *FieldReading) bus.Call {
-	return measureCmd.call(ncID, nodeID, MeasureRequest{Kind: string(kind)}, out)
+	return bus.NewCall(MeasureTopic(ncID, nodeID), nodeID, MeasureRequest{Kind: string(kind)}, out)
 }
 
-// PositionCall asks node nodeID for its grid cell; the reply decodes
-// into out.
-func PositionCall(ncID, nodeID string, out *PositionReply) bus.Call {
-	return positionCmd.call(ncID, nodeID, struct{}{}, out)
-}
-
-// AttachBus subscribes the node's command handlers on the NanoCloud bus.
-// Radio reception/transmission energy for each served request is charged
-// to the node's meter.
-//
-// Attachment is all-or-nothing: if any subscription fails, AttachBus
-// detaches whatever it had already subscribed (joining the serving
-// goroutines) before returning the error, so a failed attach leaves no
-// bus state or goroutines behind and needs no compensating Detach. A
-// node is re-attachable after Detach — the fleet churn path recycles
-// node IDs, and a recycled node must start with fresh handler state
-// (in particular, an empty reply-topic dedup window).
+// AttachBus subscribes the node's measure command on the NanoCloud bus
+// and serves it (Serve) on a goroutine until Detach. Radio
+// reception/transmission energy for each served request is charged to
+// the node's meter. A node is attached to one bus at a time, and may
+// AttachBus again after Detach — the fleet churn path recycles node IDs,
+// and a recycled node must start with fresh handler state (in
+// particular, an empty reply-topic dedup window).
 func (n *Node) AttachBus(b *bus.Bus, ncID string) error {
-	if err := serveCommand(n, b, ncID, measureCmd, n.handleMeasure); err != nil {
-		return err
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.sub != nil {
+		return fmt.Errorf("node %s: already attached", n.ID)
 	}
-	if err := serveCommand(n, b, ncID, positionCmd, n.handlePosition); err != nil {
-		n.Detach()
-		return err
-	}
-	return nil
-}
-
-// serveCommand subscribes the command's topic for node n and spawns the
-// loop that answers it with fn's result.
-func serveCommand[R reply](n *Node, b *bus.Bus, ncID string, c command[R], fn func(MeasureRequest) (R, error)) error {
-	sub, err := b.Subscribe(c.topic(ncID, n.ID), 16)
+	sub, err := b.Subscribe(MeasureTopic(ncID, n.ID), 16)
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	n.subs = append(n.subs, sub)
-	n.mu.Unlock()
+	n.sub = sub
 	n.serveWG.Add(1)
-	go serve(n, b, sub, fn)
+	go func() {
+		defer n.serveWG.Done()
+		n.Serve(sub.C, b.Publish)
+	}()
 	return nil
 }
 
-// Detach unsubscribes all bus handlers and joins their goroutines: when
+// Detach unsubscribes the bus handler and joins its goroutine: when
 // Detach returns, no handler will touch the node or the bus again.
 // Detach is idempotent — a second call (or a call on a never-attached
 // node) is a no-op — and the node may AttachBus again afterwards.
 func (n *Node) Detach() {
 	n.mu.Lock()
-	subs := n.subs
-	n.subs = nil
+	sub := n.sub
+	n.sub = nil
 	n.mu.Unlock()
-	for _, s := range subs {
-		s.Unsubscribe()
+	if sub != nil {
+		sub.Unsubscribe()
 	}
 	n.serveWG.Wait()
 }
@@ -303,9 +264,8 @@ func (r *dedupRing) add(key string) bool {
 	return true
 }
 
-// incoming is a node command as it arrives: the requester's envelope
-// and the request in it, decoded in one pass. Every command's body fits
-// MeasureRequest: measure names a kind, position sends "{}".
+// incoming is a measure command as it arrives: the requester's envelope
+// and the request in it, decoded in one pass.
 type incoming struct {
 	ReplyTo string         `json:"replyTo"`
 	Body    MeasureRequest `json:"body"`
@@ -323,22 +283,18 @@ func decodeCommand(payload []byte) (incoming, error) {
 	return cmd, err
 }
 
-// reply is what a command handler answers with: a message with its own
-// JSON encoder.
-type reply interface {
-	AppendJSON(dst []byte) ([]byte, error)
-}
-
-// serve decodes commands from sub and replies with fn's result. It exits
-// when the subscription's channel closes (Unsubscribe or bus Close). A
-// transport that duplicates deliveries (netsim's async path) re-presents
-// the same envelope; the reply-to topic is unique per request, so a
-// bounded ring of recent reply-to keys suppresses the duplicate instead
-// of measuring (and replying, and spending energy) twice for one command.
-func serve[R reply](n *Node, b *bus.Bus, sub *bus.Subscription, fn func(MeasureRequest) (R, error)) {
-	defer n.serveWG.Done()
+// Serve answers the measure commands arriving on cmds with MeasureField,
+// publishing each reading to the command's reply-to topic, until cmds
+// closes. AttachBus runs it on an in-process bus subscription; a node in
+// another process runs it on its TCP client's (bus.Client's Subscribe
+// and Publish). A transport that duplicates deliveries (netsim's async
+// path) re-presents the same envelope; the reply-to topic is unique per
+// request, so a bounded ring of recent reply-to keys suppresses the
+// duplicate instead of measuring (and replying, and spending energy)
+// twice for one command.
+func (n *Node) Serve(cmds <-chan bus.Message, publish func(topic string, payload []byte) error) {
 	var seen dedupRing
-	for msg := range sub.C {
+	for msg := range cmds {
 		cmd, err := decodeCommand(msg.Payload)
 		if err != nil {
 			continue
@@ -351,27 +307,19 @@ func serve[R reply](n *Node, b *bus.Bus, sub *bus.Subscription, fn func(MeasureR
 			continue
 		}
 		obsServedCmds.Inc()
-		out, err := fn(cmd.Body)
+		reading, err := n.MeasureField(sensor.Kind(cmd.Body.Kind))
 		if err != nil || cmd.ReplyTo == "" {
 			continue
 		}
-		raw, err := out.AppendJSON(make([]byte, 0, 128))
+		raw, err := reading.AppendJSON(make([]byte, 0, 128))
 		if err != nil {
 			continue
 		}
 		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
 		_ = n.Meter.ChargeTx(energy.RadioWiFi, len(raw))
 		//lint:ignore errcheck reply delivery is best-effort by contract; the requester may already have timed out
-		_ = b.Publish(cmd.ReplyTo, raw)
+		_ = publish(cmd.ReplyTo, raw)
 	}
-}
-
-func (n *Node) handleMeasure(req MeasureRequest) (FieldReading, error) {
-	return n.MeasureField(sensor.Kind(req.Kind))
-}
-
-func (n *Node) handlePosition(MeasureRequest) (PositionReply, error) {
-	return PositionReply{NodeID: n.ID, GridIdx: n.GridIndex()}, nil
 }
 
 // --- On-device context processing ----------------------------------------------

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,12 +123,8 @@ func TestBusMeasureRoundTrip(t *testing.T) {
 	if reading.NodeID != "n0" || math.Abs(reading.Value-21.5) > 1.5 {
 		t.Fatalf("reading %+v", reading)
 	}
-	var pos PositionReply
-	if err := callWithin(b, PositionCall("nc0", "n0", &pos), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if pos.GridIdx != 3*8+1 {
-		t.Fatalf("position %+v", pos)
+	if reading.GridIdx != 3*8+1 {
+		t.Fatalf("reading from cell %d, want %d", reading.GridIdx, 3*8+1)
 	}
 	// Radio energy was charged for the exchange.
 	bd := n.Meter.Breakdown()
@@ -135,12 +133,10 @@ func TestBusMeasureRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTypedCommandsRoundTrip sends each command through its typed
-// constructor to an attached node and checks every field of every reply,
-// and the reply bytes. The replies share nodeId and gridIdx, and JSON
-// decoding ignores unknown fields, so a handler answering with another
-// command's reply type decodes without error; only the fields that tell
-// the types apart, and the bytes on the wire, catch it.
+// TestTypedCommandsRoundTrip sends the measure command through its
+// typed constructor to an attached node and checks every field of the
+// reply, and the reply bytes. It also pins that AttachBus makes exactly
+// one subscription, on the measure topic, served by one goroutine.
 func TestTypedCommandsRoundTrip(t *testing.T) {
 	n := newTestNode(t, "n0")
 	// A twin built from the same config takes the same reading.
@@ -161,11 +157,8 @@ func TestTypedCommandsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Detach()
-	// The node serves the two commands and nothing else: two
-	// subscriptions, one on each command's topic.
-	if len(n.subs) != 2 || b.SubscriberCount(MeasureTopic("nc0", "n0")) != 1 ||
-		b.SubscriberCount(bus.NodePositionTopic("nc0", "n0")) != 1 {
-		t.Fatalf("AttachBus made %d subscriptions, want one per command topic", len(n.subs))
+	if err := n.AttachBus(b, "nc0"); err == nil {
+		t.Fatal("a second AttachBus on an attached node succeeded")
 	}
 	const cell = 3*8 + 1 // (35, 15) m on the 8×8 grid over 80×80 m
 
@@ -173,25 +166,22 @@ func TestTypedCommandsRoundTrip(t *testing.T) {
 	if err := callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &reading), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// The reply came, so the serving goroutine is in Serve.
+	stacks := make([]byte, 1<<20)
+	serving := strings.Count(string(stacks[:runtime.Stack(stacks, true)]), "node.(*Node).Serve(")
+	if serving != 1 || b.SubscriberCount(MeasureTopic("nc0", "n0")) != 1 {
+		t.Fatalf("AttachBus runs %d serve loops, %d subscriptions on the measure topic; want one of each",
+			serving, b.SubscriberCount(MeasureTopic("nc0", "n0")))
+	}
 	if reading != want || reading.GridIdx != cell {
 		t.Fatalf("measure reply %+v, want %+v at cell %d", reading, want, cell)
 	}
-	var pos PositionReply
-	if err := callWithin(b, PositionCall("nc0", "n0", &pos), 2*time.Second); err != nil {
+	wantRaw, err := reading.AppendJSON(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if pos != (PositionReply{NodeID: "n0", GridIdx: cell}) {
-		t.Fatalf("position reply %+v", pos)
-	}
-
-	for i, r := range []reply{reading, pos} {
-		wantRaw, err := r.AppendJSON(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg := <-inbox.C; !bytes.Equal(msg.Payload, wantRaw) {
-			t.Errorf("reply %d on the wire = %s, want %s", i, msg.Payload, wantRaw)
-		}
+	if msg := <-inbox.C; !bytes.Equal(msg.Payload, wantRaw) {
+		t.Errorf("reply on the wire = %s, want %s", msg.Payload, wantRaw)
 	}
 }
 

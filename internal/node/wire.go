@@ -75,28 +75,3 @@ func (r *FieldReading) ParseJSON(src []byte) bool {
 	*r = v
 	return true
 }
-
-// AppendJSON appends the reply as json.Marshal encodes it.
-func (r PositionReply) AppendJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, `{"nodeId":`...)
-	dst = bus.AppendJSONString(dst, r.NodeID)
-	dst = append(dst, `,"gridIdx":`...)
-	dst = strconv.AppendInt(dst, int64(r.GridIdx), 10)
-	return append(dst, '}'), nil
-}
-
-// ParseJSON decodes the canonical encoding of a PositionReply.
-func (r *PositionReply) ParseJSON(src []byte) bool {
-	var v PositionReply
-	s := bus.NewJSONScanner(src)
-	s.Lit(`{"nodeId":`)
-	v.NodeID = s.Str()
-	s.Lit(`,"gridIdx":`)
-	v.GridIdx = s.Int()
-	s.Lit(`}`)
-	if !s.Done() {
-		return false
-	}
-	*r = v
-	return true
-}

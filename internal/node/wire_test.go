@@ -40,26 +40,26 @@ var wireEdgeStrings = []string{
 
 var wireEdgeInts = []int{0, 1, -1, 7, 1023, -42, math.MaxInt32, math.MaxInt, math.MinInt}
 
+// wireMessage is a node message with its own JSON encoder.
+type wireMessage interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
 // wireMessages builds every message type from one string, int, pair of
 // floats and bool.
-func wireMessages(s string, i int, f, g float64, b bool) []reply {
-	return []reply{
+func wireMessages(s string, i int, f, g float64, b bool) []wireMessage {
+	return []wireMessage{
 		MeasureRequest{Kind: s},
 		FieldReading{NodeID: s, GridIdx: i, Value: f, Sigma: g, Denied: b},
-		PositionReply{NodeID: s, GridIdx: i},
 	}
 }
 
 // parserFor returns a fresh decode target of m's type.
-func parserFor(m reply) interface{ ParseJSON([]byte) bool } {
-	switch m.(type) {
-	case MeasureRequest:
+func parserFor(m wireMessage) interface{ ParseJSON([]byte) bool } {
+	if _, ok := m.(MeasureRequest); ok {
 		return new(MeasureRequest)
-	case FieldReading:
-		return new(FieldReading)
-	default:
-		return new(PositionReply)
 	}
+	return new(FieldReading)
 }
 
 // plainASCII reports whether json.Marshal writes s unescaped.
@@ -75,7 +75,7 @@ func plainASCII(s string) bool {
 // checkWireMessage pins AppendJSON to json.Marshal (bytes, or the
 // error), also after a prefix, and that ParseJSON takes the canonical
 // encoding back to the same value whenever its strings are plain ASCII.
-func checkWireMessage(t *testing.T, m reply, plain bool) {
+func checkWireMessage(t *testing.T, m wireMessage, plain bool) {
 	t.Helper()
 	want, wantErr := json.Marshal(m)
 	got, err := m.AppendJSON(nil)
@@ -112,7 +112,7 @@ func mustMarshal(t testing.TB, v any) []byte {
 	return raw
 }
 
-// TestWireCodecMatchesEncodingJSON checks the four node messages' codecs
+// TestWireCodecMatchesEncodingJSON checks the node messages' codecs
 // against encoding/json on a table of edge values and on seeded random
 // ones: AppendJSON writes json.Marshal's bytes or fails with its error,
 // and ParseJSON reads every canonical encoding back to the same value.
@@ -162,8 +162,7 @@ func TestWireCodecMatchesEncodingJSON(t *testing.T) {
 	}
 
 	// A real exchange takes the reflection-free paths: the measure command
-	// and every reply. Position sends "{}", not a canonical
-	// MeasureRequest, so its body falls back to json.Unmarshal.
+	// and its reply.
 	for _, msg := range captureWireMessages(t) {
 		if strings.HasSuffix(msg.Topic, "/measure") {
 			_, body, ok := bus.ParseEnvelope(msg.Payload)
@@ -171,7 +170,7 @@ func TestWireCodecMatchesEncodingJSON(t *testing.T) {
 				t.Errorf("measure command %q not canonical", msg.Payload)
 			}
 		} else if strings.Contains(msg.Topic, "/inbox/") {
-			if !new(FieldReading).ParseJSON(msg.Payload) && !new(PositionReply).ParseJSON(msg.Payload) {
+			if !new(FieldReading).ParseJSON(msg.Payload) {
 				t.Errorf("reply %q not canonical", msg.Payload)
 			}
 		}
@@ -179,8 +178,8 @@ func TestWireCodecMatchesEncodingJSON(t *testing.T) {
 }
 
 // captureWireMessages returns every message of a real exchange: the
-// measure and position requests a Scatter publishes to a node
-// and the replies node.serve publishes back.
+// measure request a Scatter publishes to a node and the reply
+// Node.Serve publishes back.
 func captureWireMessages(tb testing.TB) []bus.Message {
 	n, err := New(Config{ID: "n7", Seed: 42, Profile: sensor.ProfileMidrange},
 		fakeEnv{value: 21.5}, mobility.Static{P: mobility.Point{X: 35, Y: 15}})
@@ -197,14 +196,8 @@ func captureWireMessages(tb testing.TB) []bus.Message {
 		tb.Fatal(err)
 	}
 	defer n.Detach()
-	var (
-		reading  FieldReading
-		position PositionReply
-	)
-	calls := []bus.Call{
-		MeasureCall("nc0", n.ID, sensor.Temperature, &reading),
-		PositionCall("nc0", n.ID, &position),
-	}
+	var reading FieldReading
+	calls := []bus.Call{MeasureCall("nc0", n.ID, sensor.Temperature, &reading)}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	bus.Scatter(ctx, b, "nc0", calls, bus.RetryPolicy{Attempts: 1})
@@ -245,11 +238,12 @@ func FuzzWireCodec(f *testing.F) {
 		`{"nodeId":"n1","gridIdx":12345678901234567890,"value":+1,"sigma":.5,"denied":null}`,
 		`{"nodeId":"n1","gridIdx":3,"value":1e+21,"sigma":1e-07,"denied":false}`,
 		`{"nodeId":"n1","gridIdx":3,"value":1e21,"sigma":0.000001,"denied":false}`,
+		`{"nodeId":"n7","gridIdx":25,"value":0,"sigma":0,"denied":true}`,
 		`{"nodeId":"n1","gridIdx":3,"batteryFrac":0.5,"energyMJ":12.25}`,
 		`{"nodeId":"n1","gridIdx":3}`, `{"nodeId":"n1","gridIdx":3,"extra":1}`,
 		`{"gridIdx":3,"nodeId":"n1"}`, `{"nodeId":"n1","gridIdx":-3}`,
 		`{"replyTo":"nc0/inbox/1/n1/0","body":{"kind":"gps"}}`,
-		`{"replyTo":"nc0/inbox/1/n1/0","body":{}}`,
+		`{"replyTo":"nc0/inbox/1/n1/0","body":{}}`, `{"replyTo":"a\u003cb","body":{"kind":"gps"}}`,
 		`{"replyTo":"a","body": {"kind":"gps"}}`, `{"replyTo":"a","body":{"kind":"gps"} }`,
 		`{"replyTo":"a","body":{},"body":{"kind":"gps"}}`, `{"replyTo":"a","body":{"kind":"gps"},"body":{}}`,
 		`{"replyTo":"a","body":}`, `{"replyTo":"a","body":{"kind":"gps"}`, `{"replyTo":"a\/b","body":1}`,
@@ -270,7 +264,7 @@ func FuzzWireCodec(f *testing.F) {
 				}
 				continue
 			}
-			v := reflect.ValueOf(p).Elem().Interface().(reply)
+			v := reflect.ValueOf(p).Elem().Interface().(wireMessage)
 			w := reflect.New(reflect.TypeOf(v))
 			if err := json.Unmarshal(src, w.Interface()); err != nil {
 				t.Fatalf("%T.ParseJSON(%q) accepted, json.Unmarshal: %v", p, src, err)

@@ -176,3 +176,19 @@ func TestLatestIsConsistentUnderConcurrentPublish(t *testing.T) {
 		t.Fatalf("final version %d, want %d", got, writers*perWriter)
 	}
 }
+
+// TestLatestAllocatesNothing pins at run time the zero-allocation
+// contract of Registry.Latest, a hot entry point (lint.HotEntryPoints).
+func TestLatestAllocatesNothing(t *testing.T) {
+	r := NewRegistry(4)
+	if _, err := r.Publish(mkSnap(1)); err != nil {
+		t.Fatal(err)
+	}
+	var got *Snapshot
+	if allocs := testing.AllocsPerRun(100, func() { got = r.Latest() }); allocs != 0 {
+		t.Fatalf("Registry.Latest: %.1f allocs per call, want 0", allocs)
+	}
+	if got == nil || got.Step != 1 {
+		t.Fatalf("Latest = %+v, want the published step 1", got)
+	}
+}
