@@ -175,7 +175,15 @@ type GatherResult struct {
 	NodeIDs   []string  // contributing node per mobile measurement ("" for infra)
 	NodesUsed int
 	InfraUsed int
+
+	// The reading ledger: every measure call of the round counts once, in
+	// NodesUsed when its reading was kept, in Denied when the node's
+	// privacy policy refused it, in Discarded when its cell was a
+	// duplicate or off the grid, or in Failed when the call itself failed
+	// (Err set after its retries).
 	Denied    int
+	Discarded int
+	Failed    int
 
 	// Degradation accounting. BrokersFailed counts constituent brokers
 	// whose round failed outright (populated by zone-level merges; always
@@ -206,7 +214,9 @@ func (br *Broker) GatherContext(ctx context.Context, kind sensor.Kind, m int) (*
 // exclude is nil (no exclusions) or one flag per grid cell, true where the
 // cell is excluded. The budget clamps to the cells actually available once
 // exclusions are removed. A reading from a cell outside the grid is
-// dropped like a duplicate: it has no place in the region's field.
+// dropped like a duplicate: it has no place in the region's field. A
+// round that gathers nothing returns an error together with its result,
+// which then holds no reading, only the ledger of the calls it made.
 func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, m int, exclude []bool) (*GatherResult, error) {
 	if m <= 0 {
 		return nil, errors.New("broker: measurement count must be positive")
@@ -263,6 +273,7 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 		for i := range wave {
 			reading := &readings[i]
 			if calls[i].Err != nil {
+				res.Failed++
 				continue
 			}
 			if reading.Denied {
@@ -271,7 +282,8 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 			}
 			cell := reading.GridIdx
 			if cell < 0 || cell >= n || taken[cell] {
-				continue // a duplicate or off-grid cell adds no spatial information
+				res.Discarded++ // a duplicate or off-grid cell adds no spatial information
+				continue
 			}
 			taken[cell] = true
 			res.Locs = append(res.Locs, cell)
@@ -307,7 +319,9 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 		br.mu.Unlock()
 	}
 	if len(res.Locs) == 0 {
-		return nil, errors.New("broker: no measurements gathered")
+		// The result still carries the round's ledger, so a zone merge
+		// can account for every call the failed round made.
+		return res, errors.New("broker: no measurements gathered")
 	}
 	res.Shortfall = m - len(res.Locs)
 	obsGatherRounds.Inc()

@@ -45,6 +45,7 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude []bool) (*Gat
 			Attempts: retryAttempts, AttemptTimeout: br.timeout, BaseBackoff: retryBackoff, Seed: br.retrySeed,
 		})
 		if calls[0].Err != nil {
+			res.Failed++
 			continue
 		}
 		if reading.Denied {
@@ -52,6 +53,7 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude []bool) (*Gat
 			continue
 		}
 		if seen[reading.GridIdx] || exclude[reading.GridIdx] {
+			res.Discarded++
 			continue
 		}
 		seen[reading.GridIdx] = true
@@ -81,7 +83,7 @@ func sequentialGather(br *Broker, kind sensor.Kind, m int, exclude []bool) (*Gat
 		br.mu.Unlock()
 	}
 	if len(res.Locs) == 0 {
-		return nil, errors.New("broker: no measurements gathered")
+		return res, errors.New("broker: no measurements gathered")
 	}
 	res.Shortfall = m - len(res.Locs)
 	return res, nil

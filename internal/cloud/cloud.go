@@ -161,6 +161,9 @@ func (lc *LocalCloud) GatherContext(ctx context.Context, kind sensor.Kind, m int
 				return nil, fmt.Errorf("cloud: broker %s: %w", br.ID, err)
 			}
 			merged.BrokersFailed++
+			if g != nil {
+				mergeGather(merged, g, seen) // no readings, only the calls' ledger
+			}
 			continue
 		}
 		alive = append(alive, br)
@@ -177,6 +180,9 @@ func (lc *LocalCloud) GatherContext(ctx context.Context, kind sensor.Kind, m int
 		}
 		g, err := br.GatherExcludingContext(ctx, kind, m-len(merged.Locs), seen)
 		if err != nil {
+			if g != nil {
+				mergeGather(merged, g, seen) // no readings, only the calls' ledger
+			}
 			continue // already counted alive; a failed top-up just leaves the shortfall
 		}
 		mergeGather(merged, g, seen)
@@ -214,6 +220,8 @@ func mergeGather(merged, g *broker.GatherResult, seen []bool) {
 	merged.NodesUsed += g.NodesUsed
 	merged.InfraUsed += g.InfraUsed
 	merged.Denied += g.Denied
+	merged.Discarded += g.Discarded
+	merged.Failed += g.Failed
 }
 
 // --- PublicCloud -----------------------------------------------------------------

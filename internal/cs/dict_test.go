@@ -148,3 +148,30 @@ func TestDecodersDenseMatchOperator(t *testing.T) {
 		}
 	}
 }
+
+// TestSepColAllocatesNothing pins at run time the zero-allocation
+// contract of opDict.sepCol, a hot entry point (lint.HotEntryPoints): an
+// admitted atom's column gathered at the sensors from the operator's
+// memoized factor columns.
+func TestSepColAllocatesNothing(t *testing.T) {
+	op, err := basis.CachedOperator2D(basis.KindDCT, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := RandomLocations(rand.New(rand.NewSource(5)), op.Dim(), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newOpDict(op, locs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.sep == nil {
+		t.Fatal("a 2-D DCT operator is not separable")
+	}
+	dst := make([]float64, len(locs))
+	d.sepCol(dst, 37)
+	if allocs := testing.AllocsPerRun(100, func() { d.sepCol(dst, 37) }); allocs != 0 {
+		t.Errorf("opDict.sepCol: %.1f allocs per column, want 0", allocs)
+	}
+}

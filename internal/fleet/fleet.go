@@ -269,8 +269,8 @@ func (p *Population) Tick(dt float64) {
 
 // Tick advances one shard's clock by dt seconds and charges every node's
 // idle drain, in O(1) (energy.Bank.DrainAll). It moves no node: a phase
-// group moves when it next reports (step). This is the per-tick hot path
-// guarded by the hotalloc analyzer — it must not allocate.
+// group moves when it next reports (step). This is the per-tick hot path:
+// it must not allocate (TestRoundHotPathsAllocateNothing).
 func (s *Shard) Tick(dt float64, idlePerSecMJ float64) {
 	s.clock += dt
 	s.bank.DrainAll(idlePerSecMJ * dt)

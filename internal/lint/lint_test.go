@@ -151,31 +151,11 @@ func TestGoldenRaceGuard(t *testing.T) {
 	runGolden(t, "raceguard", RaceGuard(), "raceguard")
 }
 
-// testHotAllocEntries: every per-event entry point of the fixture, plus
-// the amortized boundary, mirroring the HotEntryPoints/HotAmortizedStops
-// pair in project.go.
-func testHotAllocEntries() (entries, stops []string) {
-	const p = "repro/internal/lint/testdata/src/hotalloc."
-	return []string{
-			p + "Serve", p + "Label", p + "Concat", p + "LookupJoined",
-			p + "Box", p + "Closures", p + "Pointers", p + "Fill",
-			p + "Validated", p + "SpawnOff", p + "Suppressed",
-		}, []string{
-			p + "compile",
-		}
-}
-
-func TestGoldenHotAlloc(t *testing.T) {
-	entries, stops := testHotAllocEntries()
-	runGolden(t, "hotalloc", HotAlloc(entries, stops), "hotalloc")
-}
-
 // TestGoldenSuppressedCounts pins that every project analyzer has at
 // least one finding silenced by an audited //lint:ignore in its golden
 // package — the suppression path is part of the contract, not a fluke
 // of the fixtures.
 func TestGoldenSuppressedCounts(t *testing.T) {
-	hotEntries, hotStops := testHotAllocEntries()
 	cases := []struct {
 		pkg string
 		a   *Analyzer
@@ -189,7 +169,6 @@ func TestGoldenSuppressedCounts(t *testing.T) {
 			"repro/internal/lint/testdata/src/ctxflow.Request": "RequestContext",
 		}, "repro/")},
 		{"raceguard", RaceGuard()},
-		{"hotalloc", HotAlloc(hotEntries, hotStops)},
 	}
 	covered := map[string]bool{}
 	for _, c := range cases {
@@ -213,7 +192,7 @@ func TestGoldenSuppressedCounts(t *testing.T) {
 func TestProjectAnalyzerSet(t *testing.T) {
 	want := []string{
 		"nondeterminism", "mutexguard", "obshot", "errcheck",
-		"lockorder", "ctxflow", "raceguard", "hotalloc",
+		"lockorder", "ctxflow", "raceguard",
 	}
 	var got []string
 	for _, a := range ProjectAnalyzers() {

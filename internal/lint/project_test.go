@@ -46,9 +46,6 @@ func TestProjectTablesNameLiveFunctions(t *testing.T) {
 	for _, id := range HotEntryPoints {
 		check("HotEntryPoints", id)
 	}
-	for _, id := range HotAmortizedStops {
-		check("HotAmortizedStops", id)
-	}
 
 	// The package tables are import-path patterns: each one must still
 	// match a loaded package.
@@ -72,6 +69,116 @@ func TestProjectTablesNameLiveFunctions(t *testing.T) {
 	live("HotPathPkgs", HotPathPkgs...)
 	live("ErrcheckScope", ErrcheckScope...)
 	live("ObsPath", ObsPath)
+}
+
+// HotEntryPoints are the per-event entry functions held to the
+// zero-allocation contract of DESIGN.md §6: the serving read path, bus
+// message fan-out, netsim delivery and the fleet collector's run handler,
+// store appends, fleet ticks and reports, mobility steps, and the decode
+// kernels that run once per pursuit iteration (the Gram–Schmidt append,
+// the 2-D analyses behind each correlation, and the admitted atom's
+// column read: the dictionary's gather and the operator's memoized
+// factor columns). Per-window entry points (a whole decode, stream
+// steps) are not listed: they allocate result buffers by design.
+// Each row's guard is a run-time testing.AllocsPerRun check in its own
+// package (TestHotEntryPointsHaveGuards).
+var HotEntryPoints = []string{
+	"(*repro/internal/serve.Server).Point",
+	"(*repro/internal/serve.Server).Range",
+	"(*repro/internal/serve.Server).Aggregate",
+	"(*repro/internal/snapshot.Registry).Latest",
+	"(*repro/internal/bus.Bus).Publish",
+	"(*repro/internal/netsim.Network).Send",
+	"(*repro/internal/netsim.Network).Deliver",
+	"(*repro/internal/netsim.Network).DeliverRun",
+	"(*repro/internal/netsim.Network).DeliverBatch", // bench/ still calls it
+	"(*repro/internal/netsim.Network).Flush",
+	"(*repro/internal/store.Store).Append",
+	"(*repro/internal/fleet.Shard).Tick",
+	"(*repro/internal/fleet.Shard).report",
+	"(*repro/internal/fleet.ZoneCollector).ingest",
+	"repro/internal/mobility.StepWaypoint",
+	"repro/internal/mobility.StepWaypoints", // bench/ still calls it
+	"(*repro/internal/energy.Bank).DrainAll",
+	"(*repro/internal/mat.IncrementalQR).Append",
+	"(*repro/internal/basis.Separable2D).ApplyTransposeScattered",
+	"(*repro/internal/basis.Separable2D).ApplyTranspose",
+	"(*repro/internal/basis.Separable2D).FactorColumns",
+	"(*repro/internal/cs.opDict).sepCol",
+}
+
+// TestHotEntryPointsHaveGuards keeps the zero-allocation contract checked
+// at run time: for every HotEntryPoints row, some Test function of the
+// row's package calls testing.AllocsPerRun and calls the row's function
+// or method by name, in its body or in a closure of it. Whether the guard
+// pins the right count is the guard's own business; this test fails when
+// a row has none.
+func TestHotEntryPointsHaveGuards(t *testing.T) {
+	guarded := map[string]map[string]bool{} // package dir → names its guards call
+	for _, id := range HotEntryPoints {
+		i := strings.LastIndexByte(id, '.')
+		pkg, name := id[:i], id[i+1:]
+		if strings.HasPrefix(pkg, "(") { // a method: (*pkg.T) or (pkg.T)
+			pkg = pkg[:strings.LastIndexByte(pkg, '.')]
+			pkg = strings.TrimLeft(pkg, "(*")
+		}
+		dir := filepath.Join("..", "..", strings.TrimPrefix(pkg, ModulePrefix))
+		if guarded[dir] == nil {
+			guarded[dir] = allocGuardCalls(t, dir)
+		}
+		if !guarded[dir][name] {
+			t.Errorf("%s has no allocation guard: add a Test in %s that calls testing.AllocsPerRun and %s", id, pkg, name)
+		}
+	}
+}
+
+// allocGuardCalls parses the _test.go files of dir and returns the names
+// called, directly or as a method, by the Test functions that also call
+// testing.AllocsPerRun.
+func allocGuardCalls(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "Test") || fd.Body == nil {
+				continue
+			}
+			guard := false
+			called := map[string]bool{}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch fun := ast.Unparen(call.Fun).(type) {
+				case *ast.Ident:
+					called[fun.Name] = true
+				case *ast.SelectorExpr:
+					called[fun.Sel.Name] = true
+					if x, ok := fun.X.(*ast.Ident); ok && x.Name == "testing" && fun.Sel.Name == "AllocsPerRun" {
+						guard = true
+					}
+				}
+				return true
+			})
+			if guard {
+				for name := range called {
+					names[name] = true
+				}
+			}
+		}
+	}
+	return names
 }
 
 // mutant is one seeded bug of the kill-matrix corpus: an edit of real

@@ -137,7 +137,7 @@ func TestInitWaypointsValidation(t *testing.T) {
 }
 
 // BenchmarkStepWaypoints4096 measures one shard-sized vectorized tick;
-// allocs/op must be zero (the hotalloc contract).
+// allocs/op must be zero (TestStepWaypointAllocatesNothing pins it).
 func BenchmarkStepWaypoints4096(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	p := WaypointParams{W: 640, H: 640, MinSpeed: 0.8, MaxSpeed: 2.2, Pause: 2}
@@ -153,8 +153,9 @@ func BenchmarkStepWaypoints4096(b *testing.B) {
 }
 
 // TestStepWaypointAllocatesNothing pins at run time the zero-allocation
-// contract of StepWaypoint, a hot entry point (lint.HotEntryPoints):
-// steps long enough that nodes arrive, pause and draw new legs.
+// contract of StepWaypoint and StepWaypoints, hot entry points
+// (lint.HotEntryPoints): steps long enough that nodes arrive, pause and
+// draw new legs.
 func TestStepWaypointAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := WaypointParams{W: 100, H: 100, MinSpeed: 1, MaxSpeed: 3, Pause: 2}
@@ -168,5 +169,8 @@ func TestStepWaypointAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("StepWaypoint: %.1f allocs per sweep of 64 nodes, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { StepWaypoints(rng, p, s, 20) }); allocs != 0 {
+		t.Fatalf("StepWaypoints: %.1f allocs per tick of 64 nodes, want 0", allocs)
 	}
 }

@@ -153,3 +153,41 @@ func BenchmarkSend(b *testing.B) {
 		}
 	}
 }
+
+// TestSendDeliverAllocateNothing pins at run time the zero-allocation
+// contract of Send, Deliver and DeliverBatch, hot entry points
+// (lint.HotEntryPoints), in sync mode and in async mode with the Flush
+// that drains them, over a lossy link so both verdicts are taken.
+func TestSendDeliverAllocateNothing(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		n := New(5)
+		delivered := 0
+		for _, id := range []string{"a", "b"} {
+			if err := n.Register(id, func(Message) { delivered++ }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.SetDefaultLink(Link{LossProb: 0.2, LatencyMS: 1})
+		n.SetAsync(async)
+		msg := Message{From: "a", To: "b", Topic: "t", Payload: make([]byte, 64)}
+		batch := []Message{msg, {From: "b", To: "a", Topic: "t", Payload: msg.Payload}, msg}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := n.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Deliver(msg); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.DeliverBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			n.Flush()
+		})
+		if allocs != 0 {
+			t.Errorf("async=%v: Send, Deliver and DeliverBatch: %.1f allocs per round, want 0", async, allocs)
+		}
+		if delivered == 0 {
+			t.Errorf("async=%v: nothing delivered", async)
+		}
+	}
+}

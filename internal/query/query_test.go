@@ -254,8 +254,8 @@ func TestEvalWithMatchesEnv(t *testing.T) {
 }
 
 // The typed evaluation path performs zero allocations — the contract
-// serve's per-cell filtering depends on (hotalloc guards the call site;
-// this pins the callee).
+// serve's per-cell filtering depends on (serve's
+// TestQueryPathsAllocations guards the call site; this pins the callee).
 func TestEvalWithZeroAllocs(t *testing.T) {
 	f := mustCompile(t, "temp > 30 && zone == 2 && activity == 'driving'")
 	env := &typedEnv{temp: 31.5, zone: 2.0, act: "driving"}

@@ -338,6 +338,50 @@ func TestRangeFilterZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestQueryPathsAllocations pins at run time the allocation contract of
+// the serving read path, three hot entry points (lint.HotEntryPoints): a
+// point read and an aggregate cache hit allocate nothing, and a range
+// query or an aggregate cache miss allocates per query, never per cell —
+// a filter that matches nothing costs the same over one cell as over the
+// whole field.
+func TestQueryPathsAllocations(t *testing.T) {
+	s, _ := testServer(t)
+	allocs := func(query func() error) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if err := query(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	point := allocs(func() error { _, err := s.Point(3, 5); return err })
+	hit := allocs(func() error { _, err := s.Aggregate(2, AggMean, "value >= 70"); return err })
+	if point != 0 || hit != 0 {
+		t.Errorf("Point: %.1f allocs, Aggregate cache hit: %.1f, want 0 and 0", point, hit)
+	}
+
+	const none = "value < 0"
+	rangeOne := allocs(func() error { _, err := s.Range(Rect{3, 5, 4, 6}, none); return err })
+	rangeAll := allocs(func() error { _, err := s.Range(Rect{0, 0, 8, 8}, none); return err })
+	if rangeAll != rangeOne {
+		t.Errorf("Range matching nothing: %.1f allocs over 1 cell, %.1f over 64, want equal", rangeOne, rangeAll)
+	}
+
+	// Zone -1, the whole field, is never cached: every call is a miss.
+	reg := snapshot.NewRegistry(1)
+	one, err := New(reg, 1, 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Publish(&snapshot.Snapshot{Step: 1, T: 1, Kind: sensor.Temperature, Field: field.New(1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	missOne := allocs(func() error { _, err := one.Aggregate(-1, AggSum, none); return err })
+	missAll := allocs(func() error { _, err := s.Aggregate(-1, AggSum, none); return err })
+	if missAll != missOne {
+		t.Errorf("Aggregate cache miss matching nothing: %.1f allocs over 1 cell, %.1f over 64, want equal", missOne, missAll)
+	}
+}
+
 // Aggregate caching still round-trips through the struct key: a repeated
 // (op, filter) query on the same version is a cache hit with an
 // identical result.
