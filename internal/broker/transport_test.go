@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -106,56 +104,14 @@ func gatherOver(t *testing.T, tcp bool, seed int64) (*GatherResult, []map[string
 	return g, meters
 }
 
-// alignScatterNumbers makes the process's next n scatters spell their
-// numbers with one count of digits. A scatter's number is process-wide
-// and rides in every request's reply topic, so its length is part of the
-// bytes a node's radio is charged to hear. It reads the next number off
-// a probe request, then, if fewer than n numbers are left before the
-// next power of ten, burns scatters up to it.
-func alignScatterNumbers(t *testing.T, n uint64) {
-	t.Helper()
-	b := bus.New()
-	defer b.Close()
-	sub, err := b.Subscribe("probe/request", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	//lint:ignore errcheck the probe is answered by nobody; only its reply topic is read
-	_ = bus.RequestContext(ctx, b, "probe/request", nil, nil)
-	replyTo, _, ok := bus.ParseEnvelope((<-sub.C).Payload)
-	segs := strings.Split(replyTo, "/")
-	if !ok || len(segs) != 4 {
-		t.Fatalf("probe reply topic %q is not probe/inbox/<scatter>/<attempt>", replyTo)
-	}
-	next, err := strconv.ParseUint(segs[2], 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next++
-	bound := uint64(math.Pow10(len(strconv.FormatUint(next, 10))))
-	if bound-next >= n {
-		return
-	}
-	cancel()
-	for ; next < bound; next++ {
-		//lint:ignore errcheck a cancelled scatter only takes its number
-		_ = bus.RequestContext(ctx, b, "probe/request", nil, nil)
-	}
-}
-
 // TestTransportIsNotAVariable pins a NanoCloud gather over loopback TCP to
 // the same gather over the in-process bus, bit for bit: the same
 // readings, sigmas and nodes in the same order, and the same charges on
-// every node's meter, at several seeds. The one modelling difference the
-// two share rather than cancel is named by alignScatterNumbers: both
-// gathers of a seed run with scatter numbers of one length.
+// every node's meter, at several seeds.
 func TestTransportIsNotAVariable(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	discarded := 0
 	for seed := int64(1); seed <= 4; seed++ {
-		alignScatterNumbers(t, 100)
 		local, localMeters := gatherOver(t, false, seed)
 		wire, wireMeters := gatherOver(t, true, seed)
 		if d := sameGather(local, wire); d != "" {

@@ -115,6 +115,12 @@ type Bus struct {
 	closed      bool                       // guarded by mu
 	interceptor atomic.Pointer[Interceptor]
 
+	// scatters numbers the bus's scatter calls. The number is a segment
+	// of the call's reply topics, which keeps two calls in flight under
+	// one root out of each other's inbox; counting per bus keeps a
+	// request's bytes independent of what other buses ran before it.
+	scatters atomic.Uint64
+
 	planMu  sync.Mutex // serialises planWaves, which writes Subscription.wave and .load
 	planned uint64     // guarded by planMu; the number of the last wave planWaves opened
 }

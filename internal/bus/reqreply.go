@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -47,13 +46,8 @@ var (
 	obsWaveWidth = obs.GetHistogram("bus.scatter.wave_width", obs.CountBuckets)
 )
 
-// scatterCounter numbers scatter calls: the number is a segment of the
-// call's reply topics, which keeps two calls in flight under one root
-// out of each other's inbox.
-var scatterCounter atomic.Uint64
-
 // Scatter runs every call as a request/reply exchange under one reply
-// subscription, InboxPattern(root, n) for the process's n-th scatter. It
+// subscription, InboxPattern(root, n) for the bus's n-th scatter. It
 // is the only request path: RequestContext is a scatter of one.
 //
 // The calls go out in waves. A wave's requests are published back to
@@ -159,7 +153,7 @@ func scatter(ctx context.Context, b *Bus, root string, calls []Call, pol RetryPo
 	}
 	s := scatterState{
 		b: b, pol: pol, root: root,
-		call: strconv.FormatUint(scatterCounter.Add(1), 10),
+		call: strconv.FormatUint(b.scatters.Add(1), 10),
 		wave: make([]*Call, 0, widest),
 	}
 	var err error

@@ -465,3 +465,41 @@ func TestScatterBusClosedMidWave(t *testing.T) {
 		}
 	}
 }
+
+// A scatter's number is its bus's: the first request envelope of a new
+// bus is the same bytes however many scatters other buses ran before it,
+// so a reading's transport cost does not depend on what ran earlier in
+// the process.
+func TestScatterNumbersArePerBus(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	firstEnvelope := func() []byte {
+		b := New()
+		defer b.Close()
+		sub, err := b.Subscribe("probe/request", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- RequestContext(ctx, b, "probe/request", 7, nil) }()
+		env := (<-sub.C).Payload
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("unanswered probe ended with %v, want context.Canceled", err)
+		}
+		return env
+	}
+	want := firstEnvelope()
+	other := New()
+	defer other.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 12; i++ {
+		if err := RequestContext(ctx, other, "probe/request", 7, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled scatter ended with %v", err)
+		}
+	}
+	if got := firstEnvelope(); string(got) != string(want) {
+		t.Errorf("first envelope of a new bus is %q after 12 scatters on another bus, %q before", got, want)
+	}
+}

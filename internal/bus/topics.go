@@ -33,7 +33,7 @@ func NodeCommandPattern(ncID, nodeID string) string {
 }
 
 // InboxPattern returns the subscription pattern covering every reply to
-// one scatter: call is the scatter's process-wide number.
+// one scatter: call is the scatter's number on its bus.
 func InboxPattern(ncID, call string) string {
 	return ncID + "/inbox/" + call + "/#"
 }

@@ -6,13 +6,14 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // The interprocedural layer: a deterministic static call graph over the
-// loaded package set. The concurrency analyzers (lockorder, raceguard)
-// are built on top of it — the bug classes they guard (AB/BA deadlocks
-// between package mutexes, writes off-lock on a goroutine path) are
-// properties of call *chains*, not of any single function body.
+// loaded package set. The lock analysis (locks) is built on top of it:
+// the bug classes it guards (AB/BA deadlocks between package mutexes,
+// writes off-lock on a goroutine path) are properties of call *chains*,
+// not of any single function body.
 //
 // Resolution policy, chosen for zero false edges:
 //
@@ -171,10 +172,7 @@ type litCounter struct{ n int }
 func (g *CallGraph) walkBody(owner *CGNode, body *ast.BlockStmt, bindings map[types.Object]*CGNode, lits *litCounter) {
 	// Literal IDs are rooted at the declared function: pkg.F$1, pkg.F$2,
 	// ... numbered in registration order across nesting levels.
-	rootID := owner.ID
-	if i := indexByte(rootID, '$'); i >= 0 {
-		rootID = rootID[:i]
-	}
+	root := rootID(owner.ID)
 	type litWork struct {
 		node *CGNode
 		lit  *ast.FuncLit
@@ -186,7 +184,7 @@ func (g *CallGraph) walkBody(owner *CGNode, body *ast.BlockStmt, bindings map[ty
 			return n
 		}
 		lits.n++
-		n := &CGNode{ID: fmt.Sprintf("%s$%d", rootID, lits.n), Pkg: owner.Pkg, Lit: lit}
+		n := &CGNode{ID: fmt.Sprintf("%s$%d", root, lits.n), Pkg: owner.Pkg, Lit: lit}
 		g.Nodes[n.ID] = n
 		litNodes[lit] = n
 		nested = append(nested, litWork{node: n, lit: lit})
@@ -260,13 +258,13 @@ func (g *CallGraph) walkBody(owner *CGNode, body *ast.BlockStmt, bindings map[ty
 	}
 }
 
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
+// rootID strips a literal's "$N" suffix: the ID of the declared
+// function the node is or sits in.
+func rootID(id string) string {
+	if i := strings.IndexByte(id, '$'); i >= 0 {
+		return id[:i]
 	}
-	return -1
+	return id
 }
 
 // resolveCall resolves one call expression to a graph node, or nil.

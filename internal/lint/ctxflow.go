@@ -17,8 +17,9 @@ import (
 //     function that itself accepts a context must receive the incoming
 //     ctx or something derived from it (context.WithCancel/WithTimeout/
 //     ... results are tracked through local assignments);
-//   - no blocking downgrades: calls to the configured blocking
-//     functions' context-less convenience wrappers (Pipeline.Step) are
+//   - no blocking downgrades: a call to a module-local function or
+//     method F whose package or receiver also declares FContext (the
+//     context-less convenience wrapper, such as Pipeline.Step) is
 //     flagged with the ctx-aware variant to use.
 //
 // The analysis is per function declaration, in source order; function
@@ -29,11 +30,10 @@ import (
 // when typed <-chan struct{}.
 var doneChanNames = map[string]bool{"done": true, "stop": true, "quit": true, "closing": true}
 
-// CtxFlow returns the context-propagation analyzer. blocking maps the
-// FuncID of a context-less convenience wrapper to the name of its
-// context-aware variant; module is the import-path prefix inside which
-// callees are held to the forwarding rule.
-func CtxFlow(blocking map[string]string, module string) *Analyzer {
+// CtxFlow returns the context-propagation analyzer. module is the
+// import-path prefix inside which callees are held to the forwarding and
+// wrapper rules.
+func CtxFlow(module string) *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",
 		Doc:  "context-accepting functions must forward their context down every context-aware call edge",
@@ -48,7 +48,7 @@ func CtxFlow(blocking map[string]string, module string) *Analyzer {
 					if len(derived) == 0 {
 						continue
 					}
-					checkCtxBody(pass, fd.Body, derived, blocking, module)
+					checkCtxBody(pass, fd.Body, derived, module)
 				}
 			}
 		},
@@ -91,7 +91,7 @@ func isDoneChan(t types.Type) bool {
 // checkCtxBody walks one context-accepting function body in source
 // order, growing the derived set through assignments and enforcing the
 // three rules at every call.
-func checkCtxBody(pass *Pass, body *ast.BlockStmt, derived map[types.Object]bool, blocking map[string]string, module string) {
+func checkCtxBody(pass *Pass, body *ast.BlockStmt, derived map[types.Object]bool, module string) {
 	info := pass.Pkg.Info
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -130,14 +130,14 @@ func checkCtxBody(pass *Pass, body *ast.BlockStmt, derived map[types.Object]bool
 			return true
 
 		case *ast.CallExpr:
-			checkCtxCall(pass, x, derived, blocking, module)
+			checkCtxCall(pass, x, derived, module)
 			return true
 		}
 		return true
 	})
 }
 
-func checkCtxCall(pass *Pass, call *ast.CallExpr, derived map[types.Object]bool, blocking map[string]string, module string) {
+func checkCtxCall(pass *Pass, call *ast.CallExpr, derived map[types.Object]bool, module string) {
 	info := pass.Pkg.Info
 
 	// Rule 1: no fresh context roots inside a context-accepting function.
@@ -153,11 +153,9 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr, derived map[types.Object]bool,
 	if fn == nil || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), module) {
 		return
 	}
-	id := FuncID(fn)
 
-	// Rule 3: context-less convenience wrapper with a known ctx-aware
-	// variant.
-	if variant, isBlocking := blocking[id]; isBlocking {
+	// Rule 3: context-less convenience wrapper with a ctx-aware variant.
+	if variant := contextVariant(fn); variant != "" {
 		pass.Reportf(call.Lparen,
 			"blocking call to %s drops the caller's context; use %s", fn.Name(), variant)
 		return
@@ -176,6 +174,27 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr, derived map[types.Object]bool,
 	}
 	pass.Reportf(call.Lparen,
 		"call to %s does not forward the caller's context (pass ctx or a context derived from it)", fn.Name())
+}
+
+// contextVariant names fn's context-aware twin, FContext, declared in
+// fn's package or on fn's receiver type ("T.FContext"); "" if none.
+func contextVariant(fn *types.Func) string {
+	name := fn.Name() + "Context"
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		if _, ok := fn.Pkg().Scope().Lookup(name).(*types.Func); ok {
+			return name
+		}
+		return ""
+	}
+	obj, _, _ := types.LookupFieldOrMethod(sig.Recv().Type(), true, fn.Pkg(), name)
+	if _, ok := obj.(*types.Func); !ok {
+		return ""
+	}
+	if t := namedType(sig.Recv().Type()); t != nil {
+		return t.Obj().Name() + "." + name
+	}
+	return name
 }
 
 // funcAcceptsCtx reports whether the callee's signature has a

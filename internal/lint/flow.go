@@ -27,8 +27,8 @@ type flowRules[S any] interface {
 	clone(S) S
 	join(a, b S) S
 	// leaf applies a simple statement: expression, send, assignment,
-	// declaration, inc/dec, return, defer or go, and a select clause's
-	// communication.
+	// declaration, inc/dec, return, defer or go, a select clause's
+	// communication, and a type switch's guard.
 	leaf(s ast.Stmt, st S) S
 	// expr applies an expression evaluated for control: an if, for or
 	// switch condition, a case label, or a range operand.
@@ -124,6 +124,7 @@ func (w *flowWalker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if x.Init != nil {
 			st, _ = w.stmt(x.Init, st)
 		}
+		st = w.rules.leaf(x.Assign, st)
 		return w.clauses(x.Body.List, st, false)
 
 	case *ast.SelectStmt:

@@ -18,7 +18,7 @@ func TestWriteJSON(t *testing.T) {
 		Diagnostics: []Diagnostic{
 			{
 				Pos:     token.Position{Filename: "internal/demo/demo.go", Line: 12, Column: 3},
-				Check:   "raceguard",
+				Check:   "locks",
 				Message: "demo.n is guarded by mu but written without holding it",
 			},
 			{
@@ -32,10 +32,10 @@ func TestWriteJSON(t *testing.T) {
 		Timings: []AnalyzerTiming{
 			{Analyzer: "aliaspub", Millis: 1.25},
 			{Analyzer: "hotalloc", Millis: 40},
-			{Analyzer: "raceguard", Millis: 3.5},
+			{Analyzer: "locks", Millis: 3.5},
 		},
 	}
-	analyzers := []*Analyzer{RaceGuard(), {Name: "aliaspub"}, {Name: "hotalloc"}}
+	analyzers := []*Analyzer{Locks(), {Name: "aliaspub"}, {Name: "hotalloc"}}
 
 	var b strings.Builder
 	if err := WriteJSON(&b, res, analyzers); err != nil {
@@ -47,7 +47,7 @@ func TestWriteJSON(t *testing.T) {
   "analyzers": [
     "aliaspub",
     "hotalloc",
-    "raceguard"
+    "locks"
   ],
   "timings": [
     {
@@ -59,7 +59,7 @@ func TestWriteJSON(t *testing.T) {
       "ms": 40
     },
     {
-      "analyzer": "raceguard",
+      "analyzer": "locks",
       "ms": 3.5
     }
   ],
@@ -68,7 +68,7 @@ func TestWriteJSON(t *testing.T) {
       "file": "internal/demo/demo.go",
       "line": 12,
       "col": 3,
-      "check": "raceguard",
+      "check": "locks",
       "message": "demo.n is guarded by mu but written without holding it"
     },
     {
@@ -131,18 +131,18 @@ var msValue = regexp.MustCompile(`"ms": [0-9.]+`)
 func TestWriteJSONDeterministic(t *testing.T) {
 	pkg := loadTestdata(t, "raceguard")
 	dump := func() string {
-		res := Run([]*Package{pkg}, []*Analyzer{RaceGuard()})
+		res := Run([]*Package{pkg}, []*Analyzer{Locks()})
 		var b strings.Builder
-		if err := WriteJSON(&b, res, []*Analyzer{RaceGuard()}); err != nil {
+		if err := WriteJSON(&b, res, []*Analyzer{Locks()}); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
 		return msValue.ReplaceAllString(b.String(), `"ms": X`)
 	}
 	first := dump()
-	if !strings.Contains(first, `"check": "raceguard"`) {
-		t.Fatalf("golden run produced no raceguard findings:\n%s", first)
+	if !strings.Contains(first, `"check": "locks"`) {
+		t.Fatalf("golden run produced no locks findings:\n%s", first)
 	}
-	if !strings.Contains(first, `"analyzer": "raceguard"`) {
+	if !strings.Contains(first, `"analyzer": "locks"`) {
 		t.Fatalf("report carries no timing entry for the analyzer that ran:\n%s", first)
 	}
 	if second := dump(); second != first {

@@ -69,10 +69,8 @@ type Pass struct {
 type Program struct {
 	Pkgs []*Package
 
-	cg     *CallGraph
-	guards *guardTable
-	locks  *lockAnalysis
-	races  *raceAnalysis
+	cg    *CallGraph
+	locks *lockAnalysis
 }
 
 // CallGraph returns the memoized module-local call graph.

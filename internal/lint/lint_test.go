@@ -124,8 +124,12 @@ func TestGoldenNondeterminism(t *testing.T) {
 	runGolden(t, "nondet", Nondeterminism(testdataScope), "nondeterminism")
 }
 
+// The locks analyzer has three golden packages, one per rule family:
+// unlocked accesses in methods (mutexguard), lock order and
+// self-deadlock (lockorder), and goroutine-reachable writes with atomic
+// mixing (raceguard).
 func TestGoldenMutexGuard(t *testing.T) {
-	runGolden(t, "mutexguard", MutexGuard(), "mutexguard")
+	runGolden(t, "mutexguard", Locks(), "locks")
 }
 
 func TestGoldenObsHot(t *testing.T) {
@@ -137,18 +141,15 @@ func TestGoldenErrCheck(t *testing.T) {
 }
 
 func TestGoldenLockOrder(t *testing.T) {
-	runGolden(t, "lockorder", Lockorder(), "lockorder")
+	runGolden(t, "lockorder", Locks(), "locks")
 }
 
 func TestGoldenCtxFlow(t *testing.T) {
-	blocking := map[string]string{
-		"repro/internal/lint/testdata/src/ctxflow.Request": "RequestContext",
-	}
-	runGolden(t, "ctxflow", CtxFlow(blocking, "repro/"), "ctxflow")
+	runGolden(t, "ctxflow", CtxFlow("repro/"), "ctxflow")
 }
 
 func TestGoldenRaceGuard(t *testing.T) {
-	runGolden(t, "raceguard", RaceGuard(), "raceguard")
+	runGolden(t, "raceguard", Locks(), "locks")
 }
 
 // TestGoldenSuppressedCounts pins that every project analyzer has at
@@ -161,14 +162,12 @@ func TestGoldenSuppressedCounts(t *testing.T) {
 		a   *Analyzer
 	}{
 		{"nondet", Nondeterminism(testdataScope)},
-		{"mutexguard", MutexGuard()},
+		{"mutexguard", Locks()},
 		{"obshot", ObsHot(testdataScope, ObsPath)},
 		{"errcheck", ErrCheck(testdataScope)},
-		{"lockorder", Lockorder()},
-		{"ctxflow", CtxFlow(map[string]string{
-			"repro/internal/lint/testdata/src/ctxflow.Request": "RequestContext",
-		}, "repro/")},
-		{"raceguard", RaceGuard()},
+		{"lockorder", Locks()},
+		{"ctxflow", CtxFlow("repro/")},
+		{"raceguard", Locks()},
 	}
 	covered := map[string]bool{}
 	for _, c := range cases {
@@ -191,8 +190,7 @@ func TestGoldenSuppressedCounts(t *testing.T) {
 // dropped an analyzer would otherwise pass silently.
 func TestProjectAnalyzerSet(t *testing.T) {
 	want := []string{
-		"nondeterminism", "mutexguard", "obshot", "errcheck",
-		"lockorder", "ctxflow", "raceguard",
+		"nondeterminism", "locks", "obshot", "errcheck", "ctxflow",
 	}
 	var got []string
 	for _, a := range ProjectAnalyzers() {

@@ -53,25 +53,14 @@ const ObsPath = "repro/internal/obs"
 // callees (stdlib and vendored code are never findings).
 const ModulePrefix = "repro/"
 
-// CtxBlocking maps the context-less convenience wrappers of blocking
-// middleware operations to their context-aware variants. Inside a
-// context-accepting function, calling the wrapper silently discards the
-// caller's cancellation — ctxflow points at the variant instead. One
-// wrapper is left: bench/ calls Pipeline.Step by name.
-var CtxBlocking = map[string]string{
-	"(*repro/internal/stream.Pipeline).Step": "Pipeline.StepContext",
-}
-
 // ProjectAnalyzers returns the full sdlint analyzer suite with the
 // project's scoping baked in.
 func ProjectAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism(pathMatcher(DeterministicPkgs...)),
-		MutexGuard(),
+		Locks(),
 		ObsHot(pathMatcher(HotPathPkgs...), ObsPath),
 		ErrCheck(pathMatcher(ErrcheckScope...)),
-		Lockorder(),
-		CtxFlow(CtxBlocking, ModulePrefix),
-		RaceGuard(),
+		CtxFlow(ModulePrefix),
 	}
 }

@@ -40,9 +40,6 @@ func TestProjectTablesNameLiveFunctions(t *testing.T) {
 			t.Errorf("%s names %s, which the module does not declare", table, id)
 		}
 	}
-	for id := range CtxBlocking {
-		check("CtxBlocking", id)
-	}
 	for _, id := range HotEntryPoints {
 		check("HotEntryPoints", id)
 	}

@@ -6,8 +6,8 @@ package ctxflow
 
 import "context"
 
-// Request is the context-less convenience wrapper the golden blocking
-// map points at RequestContext.
+// Request is a context-less convenience wrapper: the package also
+// declares RequestContext, so ctxflow derives the pair by name.
 func Request(topic string) {}
 
 // RequestContext is the context-aware variant.
@@ -76,4 +76,14 @@ func doneForward(done <-chan struct{}) {
 func doneDrop(done <-chan struct{}) {
 	var other chan struct{}
 	waitDone(other) // want `does not forward the caller's context`
+}
+
+// client pairs a method wrapper with its ctx-aware variant the same way.
+type client struct{}
+
+func (*client) Do()                           {}
+func (*client) DoContext(ctx context.Context) {}
+
+func methodDowngrade(ctx context.Context, c *client) {
+	c.Do() // want `use client\.DoContext`
 }

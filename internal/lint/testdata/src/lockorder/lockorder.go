@@ -45,7 +45,7 @@ func relock() {
 // relockSuppressed pins the suppression geometry for this analyzer.
 func relockSuppressed() {
 	muC.Lock()
-	//lint:ignore lockorder golden-test fixture: demonstrates audited suppression
+	//lint:ignore locks golden-test fixture: demonstrates audited suppression
 	muC.Lock()
 	muC.Unlock()
 	muC.Unlock()

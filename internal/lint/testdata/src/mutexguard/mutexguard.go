@@ -1,5 +1,6 @@
-// Package mutexguard is sdlint golden-test input for the mutexguard
-// analyzer.
+// Package mutexguard is sdlint golden-test input for the locks
+// analyzer's unlocked-access rule: a guarded field touched in a method of
+// its type must have its guard held, in any mode, at that access.
 package mutexguard
 
 import "sync"
@@ -26,6 +27,42 @@ func (b *counterBox) Bad() int {
 // Writes count as accesses too.
 func (b *counterBox) BadWrite(v int) {
 	b.total = v // want `counterBox\.total is guarded by mu, but method BadWrite does not lock it`
+}
+
+// The rule is flow-ordered: a lock taken after the access does not
+// cover it, and neither does one released before it.
+func (b *counterBox) LateLock() int {
+	v := b.n // want `counterBox\.n is guarded by mu, but method LateLock does not lock it`
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return v + b.total
+}
+
+func (b *counterBox) EarlyUnlock() int {
+	b.mu.Lock()
+	b.mu.Unlock()
+	return b.n // want `counterBox\.n is guarded by mu, but method EarlyUnlock does not lock it`
+}
+
+// add is only ever called with mu held: the entry fixpoint carries the
+// lock across the call, no Locked suffix needed.
+func (b *counterBox) add(v int) { b.total += v }
+
+func (b *counterBox) Add(v int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.add(v)
+}
+
+// A closure inside a method is checked like the method: one called under
+// the lock is covered, one that escapes (a callback, no call edge) starts
+// with nothing held.
+func (b *counterBox) Visit(each func(func() int)) {
+	b.mu.Lock()
+	read := func() int { return b.n }
+	_ = read()
+	b.mu.Unlock()
+	each(func() int { return b.n }) // want `counterBox\.n is guarded by mu, but method Visit does not lock it`
 }
 
 // Unguarded fields carry no obligation.
@@ -59,6 +96,20 @@ type brokenAnnotation struct {
 
 // Audited reads bypass the lock; the suppression path is pinned here.
 func (b *rwBox) Size() int {
-	//lint:ignore mutexguard golden-test fixture: demonstrates audited suppression
+	//lint:ignore locks golden-test fixture: demonstrates audited suppression
 	return len(b.cache)
+}
+
+type anyBox struct {
+	mu sync.Mutex
+	v  any // guarded by mu
+}
+
+// A type switch's guard is an access like any other.
+func (b *anyBox) Kind() string {
+	switch b.v.(type) { // want `anyBox\.v is guarded by mu, but method Kind does not lock it`
+	case int:
+		return "int"
+	}
+	return "other"
 }

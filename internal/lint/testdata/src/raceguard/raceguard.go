@@ -1,5 +1,5 @@
-// Package raceguard is golden input for the shared-state race analyzer:
-// goroutine-reachable writes to "guarded by" fields without the guard,
+// Package raceguard is golden input for the goroutine rules of the locks
+// analyzer: goroutine-reachable writes to "guarded by" fields without the guard,
 // the entry-held fixpoint that keeps always-called-locked helpers clean,
 // the read-lock-only write, mixed atomic/plain field access, and the
 // patterns that must stay silent (locked writes, reads, Locked-suffix
@@ -31,10 +31,10 @@ func (c *counter) flush() {
 	c.n = 0 // want `guarded by mu but written without holding it`
 }
 
-// readOnly reads without the lock on a goroutine: reads are mutexguard's
-// department; raceguard flags only writes.
+// readOnly reads without the lock in a method of the guarded type: the
+// unlocked-access rule flags it whether or not a goroutine runs it.
 func (c *counter) readOnly() int {
-	return c.n
+	return c.n // want `counter\.n is guarded by mu, but method readOnly does not lock it`
 }
 
 // applyLocked carries the caller-holds-the-lock naming convention: the
@@ -67,7 +67,7 @@ func (c *counter) rflush() {
 
 // suppressed pins the audited-ignore path.
 func (c *counter) suppressed() {
-	//lint:ignore raceguard golden-test fixture: demonstrates audited suppression
+	//lint:ignore locks golden-test fixture: demonstrates audited suppression
 	c.n = 7
 }
 
@@ -154,8 +154,8 @@ func (c *counter) selectNoDefault(x, y chan int) {
 	c.mu.Unlock()
 }
 
-// notSpawned writes without the lock but is never reachable from a go
-// statement: sequential callers are mutexguard's contract.
+// notSpawned writes without the lock, but it is a plain function that no
+// go statement reaches: neither access rule applies.
 func notSpawned(c *counter) {
 	c.n = 3
 }

@@ -29,71 +29,32 @@ type Model interface {
 // --- Random waypoint -----------------------------------------------------------
 
 // RandomWaypoint implements the random-waypoint model: pick a uniform
-// destination, travel at a uniform-random speed, pause, repeat.
+// destination, travel at a uniform-random speed, pause, repeat. It is a
+// one-node WaypointState stepped by StepWaypoint, the kernel the fleet
+// runs over whole shards.
 type RandomWaypoint struct {
-	w, h               float64
-	minSpeed, maxSpeed float64
-	pause              float64
-	rng                *rand.Rand
-
-	pos, dst  Point
-	speed     float64
-	pauseLeft float64
+	p   WaypointParams
+	rng *rand.Rand
+	s   *WaypointState
 }
 
 // NewRandomWaypoint creates a model confined to a w×h area.
 func NewRandomWaypoint(rng *rand.Rand, w, h, minSpeed, maxSpeed, pause float64) (*RandomWaypoint, error) {
-	if w <= 0 || h <= 0 {
-		return nil, errors.New("mobility: area must be positive")
+	p := WaypointParams{W: w, H: h, MinSpeed: minSpeed, MaxSpeed: maxSpeed, Pause: pause}
+	s, err := InitWaypoints(rng, p, 1)
+	if err != nil {
+		return nil, err
 	}
-	if minSpeed <= 0 || maxSpeed < minSpeed {
-		return nil, errors.New("mobility: need 0 < minSpeed <= maxSpeed")
-	}
-	m := &RandomWaypoint{w: w, h: h, minSpeed: minSpeed, maxSpeed: maxSpeed, pause: pause, rng: rng}
-	m.pos = Point{X: rng.Float64() * w, Y: rng.Float64() * h}
-	m.pickDestination()
-	return m, nil
-}
-
-func (m *RandomWaypoint) pickDestination() {
-	m.dst = Point{X: m.rng.Float64() * m.w, Y: m.rng.Float64() * m.h}
-	m.speed = m.minSpeed + m.rng.Float64()*(m.maxSpeed-m.minSpeed)
+	return &RandomWaypoint{p: p, rng: rng, s: s}, nil
 }
 
 // Pos returns the current position.
-func (m *RandomWaypoint) Pos() Point { return m.pos }
+func (m *RandomWaypoint) Pos() Point { return Point{X: m.s.X[0], Y: m.s.Y[0]} }
 
 // Step advances by dt seconds.
 func (m *RandomWaypoint) Step(dt float64) Point {
-	for dt > 0 {
-		if m.pauseLeft > 0 {
-			if m.pauseLeft >= dt {
-				m.pauseLeft -= dt
-				return m.pos
-			}
-			dt -= m.pauseLeft
-			m.pauseLeft = 0
-		}
-		dx, dy := m.dst.X-m.pos.X, m.dst.Y-m.pos.Y
-		dist := math.Hypot(dx, dy)
-		travel := m.speed * dt
-		if travel >= dist {
-			// Arrive, spend remaining time pausing then pick a new target.
-			m.pos = m.dst
-			if m.speed > 0 {
-				dt -= dist / m.speed
-			} else {
-				dt = 0
-			}
-			m.pauseLeft = m.pause
-			m.pickDestination()
-			continue
-		}
-		m.pos.X += dx / dist * travel
-		m.pos.Y += dy / dist * travel
-		return m.pos
-	}
-	return m.pos
+	StepWaypoint(m.rng, m.p, m.s, 0, dt)
+	return m.Pos()
 }
 
 // --- Gauss–Markov ---------------------------------------------------------------

@@ -1,15 +1,11 @@
-// Vectorized mobility: the random-waypoint process of RandomWaypoint,
-// stepped over struct-of-arrays state for a whole fleet shard. A million
-// simulated participants cannot afford one heap object and one interface
-// dispatch each per tick; WaypointState keeps each component of every
-// node's state in a flat slice. StepWaypoint is the one kernel: it moves
-// one node, and StepWaypoints loops it over all of them. The fleet calls
-// StepWaypoint itself, on only the nodes about to report, each by the
-// time since it last moved. The process is the scalar model's exactly —
-// same RNG consumption order, same arithmetic expression order — so a
-// one-node WaypointState driven by the same seed produces float-identical
-// trajectories to RandomWaypoint (pinned by the vec tests), and the fleet
-// backend inherits the scalar model's validation.
+// Vectorized mobility: the random-waypoint process stepped over
+// struct-of-arrays state for a whole fleet shard. A million simulated
+// participants cannot afford one heap object and one interface dispatch
+// each per tick; WaypointState keeps each component of every node's
+// state in a flat slice. StepWaypoint is the one kernel: it moves one
+// node, StepWaypoints loops it over all of them, and RandomWaypoint is a
+// one-node state stepped by it. The fleet calls StepWaypoint itself, on
+// only the nodes about to report, each by the time since it last moved.
 
 package mobility
 
@@ -55,9 +51,7 @@ func (s *WaypointState) Len() int { return len(s.X) }
 
 // InitWaypoints seeds n nodes' waypoint state from rng. Per node it
 // draws, in order: position X, position Y, destination X, destination Y,
-// speed — the exact order NewRandomWaypoint consumes its RNG — so a
-// one-node state is stream-identical to the scalar model under the same
-// seed.
+// speed.
 func InitWaypoints(rng *rand.Rand, p WaypointParams, n int) (*WaypointState, error) {
 	if err := p.check(); err != nil {
 		return nil, err
@@ -94,13 +88,11 @@ func StepWaypoints(rng *rand.Rand, p WaypointParams, s *WaypointState, dt float6
 
 // StepWaypoint advances node i alone by dt seconds: consume pause time,
 // travel toward the waypoint, and on arrival pause and draw the next
-// destination and speed from rng. The arithmetic matches
-// (*RandomWaypoint).Step term for term, keeping the two backends
-// float-identical. Stepping a node once by k s consumes the same draws as
-// stepping it k times by 1 s (each arrival draws once, whatever the dt
-// it falls in) and ends at the same position up to rounding, which is
-// what lets the fleet move a node only when it reports. Allocation-free:
-// this is the fleet's per-node mobility kernel.
+// destination and speed from rng. Stepping a node once by k s consumes
+// the same draws as stepping it k times by 1 s (each arrival draws once,
+// whatever the dt it falls in) and ends at the same position up to
+// rounding, which is what lets the fleet move a node only when it
+// reports. Allocation-free: this is the fleet's per-node mobility kernel.
 func StepWaypoint(rng *rand.Rand, p WaypointParams, s *WaypointState, i int, dt float64) {
 	t := dt
 	for t > 0 {
