@@ -11,7 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -65,8 +66,22 @@ type Broker struct {
 	retrySeed int64
 
 	mu      sync.Mutex
-	nodes   []string // guarded by mu
-	infraOK bool     // guarded by mu; infrastructure fallback available
+	nodes   []member  // guarded by mu; sorted by ID
+	infraOK bool      // guarded by mu; infrastructure fallback available
+	rounds  sync.Pool // of *round; gathers on one broker may overlap
+}
+
+// member is a registered node with the measure topic Register built.
+type member struct{ id, topic string }
+
+// round is one gather's scratch: the roster in solicitation order, a call
+// and a reading per request of a wave, the cells taken, the shared body.
+type round struct {
+	order    []member
+	calls    []bus.Call
+	readings []node.FieldReading
+	taken    []bool
+	body     []byte
 }
 
 // New creates a broker for a NanoCloud whose nodes observe env.
@@ -86,6 +101,7 @@ func New(cfg Config, b *bus.Bus, env node.Environment) (*Broker, error) {
 		timeout:   cfg.Timeout,
 		retrySeed: cfg.Seed,
 		infraOK:   true,
+		rounds:    sync.Pool{New: func() any { return new(round) }},
 	}, nil
 }
 
@@ -114,14 +130,15 @@ func (br *Broker) Register(nodeID string) error {
 	}
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	for _, id := range br.nodes {
-		if id == nodeID {
-			return fmt.Errorf("broker: node %q already registered", nodeID)
-		}
+	i, found := slices.BinarySearchFunc(br.nodes, nodeID, byID)
+	if found {
+		return fmt.Errorf("broker: node %q already registered", nodeID)
 	}
-	br.nodes = append(br.nodes, nodeID)
+	br.nodes = slices.Insert(br.nodes, i, member{nodeID, node.MeasureTopic(br.ID, nodeID)})
 	return nil
 }
+
+func byID(m member, id string) int { return strings.Compare(m.id, id) }
 
 // Unregister removes a node from the roster, returning whether it was
 // registered. This is the churn path: a node that leaves the NanoCloud
@@ -134,21 +151,21 @@ func (br *Broker) Register(nodeID string) error {
 func (br *Broker) Unregister(nodeID string) bool {
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	for i, id := range br.nodes {
-		if id == nodeID {
-			br.nodes = append(br.nodes[:i], br.nodes[i+1:]...)
-			return true
-		}
+	i, found := slices.BinarySearchFunc(br.nodes, nodeID, byID)
+	if found {
+		br.nodes = slices.Delete(br.nodes, i, i+1)
 	}
-	return false
+	return found
 }
 
 // Nodes returns the registered node IDs, sorted.
 func (br *Broker) Nodes() []string {
 	br.mu.Lock()
 	defer br.mu.Unlock()
-	out := append([]string(nil), br.nodes...)
-	sort.Strings(out)
+	out := make([]string, len(br.nodes))
+	for i, m := range br.nodes {
+		out[i] = m.id
+	}
 	return out
 }
 
@@ -192,6 +209,12 @@ type GatherResult struct {
 	// non-zero only when the round was degraded, e.g. by an infra outage.
 	BrokersFailed int
 	Shortfall     int
+}
+
+// NewGatherResult returns an empty result with room for m readings.
+func NewGatherResult(m int) *GatherResult {
+	cols := make([]float64, 2*m) // Values, then Sigmas
+	return &GatherResult{Locs: make([]int, 0, m), Values: cols[:0:m], Sigmas: cols[m:m], NodeIDs: make([]string, 0, m)}
 }
 
 // GatherContext is one telemetry round for the given sensor kind: the
@@ -241,30 +264,29 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 	if m == 0 {
 		return nil, errors.New("broker: no cells available after exclusions")
 	}
-	ids := br.orderNodes()
-	res := &GatherResult{
-		Locs:    make([]int, 0, m),
-		Values:  make([]float64, 0, m),
-		Sigmas:  make([]float64, 0, m),
-		NodeIDs: make([]string, 0, m),
-	}
+	r := br.rounds.Get().(*round)
+	defer br.rounds.Put(r)
+	ids := br.order(r.order[:0])
+	res := NewGatherResult(m)
 	// taken marks the cells the round may not measure (again): the
 	// excluded ones and those a reading already covered.
-	taken := make([]bool, n)
+	taken := append(r.taken[:0], make([]bool, n)...)
 	copy(taken, exclude)
 	// The roster is solicited in waves of exactly the readings still
 	// missing. A wave that size cannot overshoot: even if every node in it
 	// answers from a fresh cell the budget fills at its last reading, so
 	// it asks only nodes a one-at-a-time walk would have asked, and
 	// folding the replies in roster order gives that walk's result.
-	readings := make([]node.FieldReading, min(m, len(ids)))
-	calls := make([]bus.Call, len(readings))
+	readings := append(r.readings[:0], make([]node.FieldReading, min(m, len(ids)))...)
+	calls := append(r.calls[:0], make([]bus.Call, len(readings))...)
+	r.order, r.taken, r.readings, r.calls = ids, taken, readings, calls
+	r.body, _ = node.MeasureRequest{Kind: string(kind)}.AppendJSON(r.body[:0]) // cannot fail
 	for next := 0; next < len(ids) && len(res.Locs) < m; {
 		wave := ids[next:min(next+m-len(res.Locs), len(ids))]
 		next += len(wave)
-		for i, id := range wave {
-			readings[i] = node.FieldReading{}
-			calls[i] = node.MeasureCall(br.ID, id, kind, &readings[i])
+		for i, nd := range wave {
+			readings[i] = node.FieldReading{NodeID: nd.id}
+			calls[i] = bus.NewCall(nd.topic, nd.id, r.body, &readings[i])
 		}
 		br.scatter(ctx, calls[:len(wave)])
 		if err := ctx.Err(); err != nil {
@@ -331,14 +353,14 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 	return res, nil
 }
 
-// orderNodes returns the registered nodes in solicitation order: a
-// uniform shuffle, the paper's stochastic spatial sampling.
-func (br *Broker) orderNodes() []string {
-	ids := br.Nodes()
+// order appends the roster to dst in solicitation order: a uniform
+// shuffle, the paper's stochastic spatial sampling.
+func (br *Broker) order(dst []member) []member {
 	br.mu.Lock()
-	br.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	br.mu.Unlock()
-	return ids
+	defer br.mu.Unlock()
+	dst = append(dst, br.nodes...)
+	br.rng.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
+	return dst
 }
 
 // ReconstructOptions tunes the broker-side recovery, a CHS decode in the

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -16,7 +17,8 @@ import (
 // Scatter, which fills in Err and Attempts.
 type Call struct {
 	topic, peer string
-	body, out   any
+	body        []byte
+	out         any
 
 	// Err is nil once the reply arrived and decoded into out; otherwise
 	// it is the failure of the call's last attempt.
@@ -24,17 +26,17 @@ type Call struct {
 	// Attempts is how many times the request was published.
 	Attempts int
 
-	raw  []byte // body, encoded once for every attempt
-	seq  int    // reply number of the attempt in flight
-	open bool   // published and neither answered nor timed out
-	cut  bool   // the call opens a wave (planWaves)
+	seq  int  // reply number of the attempt in flight
+	open bool // published and neither answered nor timed out
+	cut  bool // the call opens a wave (planWaves)
 }
 
-// NewCall describes one request for Scatter: body goes out JSON-encoded
-// on topic, and the reply decodes into out (nil discards it). peer names
-// the responder and rides in the reply topic (InboxTopic), so a transport
-// under the bus can tell whose reply it is carrying; it may be empty.
-func NewCall(topic, peer string, body, out any) Call {
+// NewCall describes one request for Scatter: body, JSON as json.Marshal
+// writes it, goes out on topic, and the reply decodes into out (nil
+// discards it). The bus never writes body, so calls may share one. peer
+// names the responder and rides in the reply topic, so a transport under
+// the bus can tell whose reply it is carrying; it may be empty.
+func NewCall(topic, peer string, body []byte, out any) Call {
 	return Call{topic: topic, peer: peer, body: body, out: out}
 }
 
@@ -51,11 +53,11 @@ var (
 // is the only request path: RequestContext is a scatter of one.
 //
 // The calls go out in waves. A wave's requests are published back to
-// back, each with a reply topic of its own (InboxTopic), and the replies
-// are slotted by the number that ends that topic; a reply with any other
-// number (a duplicate, or an answer to an attempt already given up on)
-// is ignored. One timer bounds a wave's attempt (pol.AttemptTimeout).
-// The calls it leaves unanswered, and those whose publish failed, are
+// back, their envelopes in one buffer, each with a reply topic of its
+// own (appendInboxTopic), and the replies are slotted by the number that
+// ends that topic; a reply with any other number (a duplicate, or an
+// answer to an attempt already given up on) is ignored. One timer bounds
+// a wave's attempt (pol.AttemptTimeout). The calls it leaves unanswered, and those whose publish failed, are
 // re-sent together after one backoff when the failure is retryable
 // (IsRetryable) and the call has budget left (pol.Attempts); the backoff
 // is capped exponential with jitter drawn from a generator seeded with
@@ -151,13 +153,17 @@ func scatter(ctx context.Context, b *Bus, root string, calls []Call, pol RetryPo
 		widest = max(widest, hi-lo)
 		lo = hi
 	}
+	// The first attempts' reply slots, then the wave scratch, in one array.
+	slots := make([]*Call, len(calls)+widest)
+	pattern := InboxPattern(root, string(strconv.AppendUint(make([]byte, 0, 20), b.scatters.Add(1), 10)))
 	s := scatterState{
 		b: b, pol: pol, root: root,
-		call: strconv.FormatUint(b.scatters.Add(1), 10),
-		wave: make([]*Call, 0, widest),
+		call: pattern[len(root)+len(inboxSegment) : len(pattern)-len("/#")],
+		sent: slots[:0:len(calls)],
+		wave: slots[len(calls):len(calls)],
 	}
 	var err error
-	if s.sub, err = b.Subscribe(InboxPattern(root, s.call), widest); err != nil {
+	if s.sub, err = b.Subscribe(pattern, widest); err != nil {
 		for i := range calls {
 			calls[i].Err = err
 		}
@@ -217,13 +223,7 @@ func failed(c *Call, cause error) error {
 func (s *scatterState) run(ctx context.Context, calls []Call) error {
 	pending := s.wave[:0]
 	for i := range calls {
-		c := &calls[i]
-		var err error
-		if c.raw, err = marshal(c.body); err != nil {
-			c.Err = fmt.Errorf("bus: encode request: %w", err)
-			continue
-		}
-		pending = append(pending, c)
+		pending = append(pending, &calls[i])
 	}
 	// Seeded at the first backoff, not here: seeding costs ~5 KB and a
 	// 607-word loop, and a wave whose first attempt succeeds never draws.
@@ -299,14 +299,22 @@ func (s *scatterState) attempt(ctx context.Context, pending []*Call) error {
 		defer timer.Stop()
 		timeout = timer.C
 	}
+	// Each envelope goes out capped at its end, so an append to one
+	// delivered payload cannot reach into the next.
+	size := 0
+	for _, c := range pending {
+		size += 40 + len(s.root) + len(s.call) + len(c.peer) + len(c.body)
+	}
+	buf := make([]byte, 0, size)
 	open := 0
 	for _, c := range pending {
 		c.Attempts++
 		obsRetryAttempts.Inc()
 		c.seq = len(s.sent)
 		s.sent = append(s.sent, c)
-		env := appendEnvelope(nil, InboxTopic(s.root, s.call, c.peer, strconv.Itoa(c.seq)), c.raw)
-		if c.Err = s.b.Publish(c.topic, env); c.Err == nil {
+		start := len(buf)
+		buf = appendEnvelope(buf, s.root, s.call, c.peer, c.seq, c.body)
+		if c.Err = s.b.Publish(c.topic, buf[start:len(buf):len(buf)]); c.Err == nil {
 			c.open = true
 			open++
 		}
@@ -371,7 +379,11 @@ func (s *scatterState) closeOpen(pending []*Call, cause error) {
 // down on every path). It is a Scatter of one call with one attempt; the
 // reply inbox sits under the topic's first segment.
 func RequestContext(ctx context.Context, b *Bus, topic string, body any, out any) error {
-	calls := [1]Call{NewCall(topic, "", body, out)}
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("bus: encode request: %w", err)
+	}
+	calls := [1]Call{NewCall(topic, "", raw, out)}
 	root, _, _ := strings.Cut(topic, "/")
 	Scatter(ctx, b, root, calls[:], RetryPolicy{Attempts: 1})
 	return calls[0].Err
@@ -411,7 +423,7 @@ func serveRequest(b *Bus, msg Message, fn func(topic string, body []byte) (any, 
 	if err != nil || replyTo == "" {
 		return
 	}
-	raw, err := marshal(reply)
+	raw, err := json.Marshal(reply)
 	if err != nil {
 		return
 	}

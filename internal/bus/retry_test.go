@@ -2,6 +2,7 @@ package bus
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -62,7 +63,11 @@ func failFirstN(b *Bus, topic string, n int, err error) *atomic.Int64 {
 // requestRetry is one request under pol: a Scatter of one call, with the
 // reply inbox under the topic's first segment as RequestContext roots it.
 func requestRetry(ctx context.Context, b *Bus, topic string, body, out any, pol RetryPolicy) *Call {
-	calls := []Call{NewCall(topic, "", body, out)}
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return &Call{Err: err}
+	}
+	calls := []Call{NewCall(topic, "", raw, out)}
 	root, _, _ := strings.Cut(topic, "/")
 	Scatter(ctx, b, root, calls, pol)
 	return &calls[0]

@@ -1,9 +1,11 @@
 package bus
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -64,7 +66,7 @@ func echoRequest(topic string) bool {
 func echoCalls(n int) (calls []Call, outs []int) {
 	calls, outs = make([]Call, n), make([]int, n)
 	for i := range calls {
-		calls[i] = NewCall("grp/"+strconv.Itoa(i), "p"+strconv.Itoa(i), i, &outs[i])
+		calls[i] = NewCall("grp/"+strconv.Itoa(i), "p"+strconv.Itoa(i), []byte(strconv.Itoa(i)), &outs[i])
 	}
 	return calls, outs
 }
@@ -156,7 +158,7 @@ func TestScatterOneWaveAcrossSubscriptions(t *testing.T) {
 	}
 	calls, outs := make([]Call, n), make([]int, n)
 	for i := range calls {
-		calls[i] = NewCall("fan/"+strconv.Itoa(i), "", i, &outs[i])
+		calls[i] = NewCall("fan/"+strconv.Itoa(i), "", []byte(strconv.Itoa(i)), &outs[i])
 	}
 	waves0 := scatterWaves()
 	Scatter(context.Background(), b, "fan", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 5 * time.Second})
@@ -167,6 +169,47 @@ func TestScatterOneWaveAcrossSubscriptions(t *testing.T) {
 	}
 	if got := scatterWaves() - waves0; got != 1 {
 		t.Fatalf("bus.scatter.waves rose by %d, want 1", got)
+	}
+}
+
+// A wave's envelopes share one buffer and its calls may share one body.
+// A subscriber that appends to the envelope it was delivered must not
+// write into the next one in the buffer, and the body must come back as
+// it went in.
+func TestScatterEnvelopeAppendStaysInItsOwn(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := New()
+	defer b.Close()
+	sub, err := b.Subscribe("grp/+", 2) // both requests fit: one wave
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"kind":"temperature"}`)
+	calls := []Call{NewCall("grp/0", "p0", body, nil), NewCall("grp/1", "p1", body, nil)}
+	bad := make(chan string, 1)
+	go func() {
+		first, second := <-sub.C, <-sub.C
+		want := string(second.Payload)
+		grown := append(first.Payload, `,"tail":"over the neighbour"}`...)
+		if got := string(second.Payload); got != want || !bytes.HasPrefix(grown, first.Payload) {
+			bad <- fmt.Sprintf("appending to %q rewrote the next envelope %q into %q", first.Payload, want, got)
+		}
+		close(bad)
+		for _, msg := range []Message{first, second} {
+			serveRequest(b, msg, func(string, []byte) (any, error) { return 0, nil })
+		}
+	}()
+	Scatter(context.Background(), b, "grp", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 5 * time.Second})
+	for msg := range bad {
+		t.Error(msg)
+	}
+	for i := range calls {
+		if calls[i].Err != nil {
+			t.Errorf("call %d: %v", i, calls[i].Err)
+		}
+	}
+	if string(body) != `{"kind":"temperature"}` {
+		t.Errorf("the shared body came back as %q", body)
 	}
 }
 
@@ -204,7 +247,7 @@ func TestScatterWavesFitOneBuffer(t *testing.T) {
 		}()
 		calls, outs := make([]Call, n), make([]int, n)
 		for i := range calls {
-			calls[i] = NewCall("one/x", "", i, &outs[i])
+			calls[i] = NewCall("one/x", "", []byte(strconv.Itoa(i)), &outs[i])
 		}
 		waves0 := scatterWaves()
 		Scatter(context.Background(), b, "one", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 5 * time.Second})
@@ -394,7 +437,7 @@ func TestScatterCancelMidWave(t *testing.T) {
 	// go to topics nobody serves. Calls 6..15 are never sent.
 	calls, outs := echoCalls(16)
 	for i := 1; i < len(calls); i += 2 {
-		calls[i] = NewCall("void/"+strconv.Itoa(i), "", i, &outs[i])
+		calls[i] = NewCall("void/"+strconv.Itoa(i), "", []byte(strconv.Itoa(i)), &outs[i])
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	answered := make(chan struct{})
@@ -456,7 +499,7 @@ func TestScatterBusClosedMidWave(t *testing.T) {
 	}()
 	calls := make([]Call, 16)
 	for i := range calls {
-		calls[i] = NewCall("void/"+strconv.Itoa(i), "", i, nil)
+		calls[i] = NewCall("void/"+strconv.Itoa(i), "", []byte(strconv.Itoa(i)), nil)
 	}
 	Scatter(context.Background(), b, "void", calls, RetryPolicy{AttemptTimeout: 10 * time.Second})
 	for i := range calls {

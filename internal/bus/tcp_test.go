@@ -443,7 +443,7 @@ func TestScatterWaveSpansTCPConnections(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		calls, outs := make([]Call, len(ids)), make([]string, len(ids))
 		for i, id := range ids {
-			calls[i] = NewCall(NodeMeasureTopic("nc0", id), id, struct{}{}, &outs[i])
+			calls[i] = NewCall(NodeMeasureTopic("nc0", id), id, []byte("{}"), &outs[i])
 		}
 		waves0 := waves.Value()
 		Scatter(context.Background(), b, "nc0", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 10 * time.Second})
@@ -475,7 +475,7 @@ func TestScatterTCPConnectionKilledMidWave(t *testing.T) {
 	ids := append(append([]string(nil), alive...), dead...)
 	calls, outs := make([]Call, len(ids)), make([]string, len(ids))
 	for i, id := range ids {
-		calls[i] = NewCall(NodeMeasureTopic("nc0", id), id, struct{}{}, &outs[i])
+		calls[i] = NewCall(NodeMeasureTopic("nc0", id), id, []byte("{}"), &outs[i])
 	}
 	keys0, subs0, _ := indexSize(t, b)
 	Scatter(context.Background(), b, "nc0", calls, RetryPolicy{Attempts: 2, AttemptTimeout: 150 * time.Millisecond, BaseBackoff: time.Millisecond})

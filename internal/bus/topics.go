@@ -2,7 +2,9 @@
 // component boundary (broker ↔ node ↔ cloud ↔ serve) is built here, so
 // the protocol's segment layout lives in exactly one file. The node's
 // measure command pairs its topic with its reply type in internal/node
-// (node.MeasureCall).
+// (node.MeasureCall). A request builds no topic string: a broker builds
+// each node's measure topic when it registers the node, and a scatter
+// writes each reply topic into its request's envelope (appendInboxTopic).
 //
 // Layout (NC = NanoCloud/broker ID):
 //
@@ -12,6 +14,8 @@
 //	                           broker's scatter s (one subscription,
 //	                           <nc>/inbox/<s>/#, hears them all)
 package bus
+
+import "strconv"
 
 // RegisterTopic returns the NanoCloud's node-registration topic, on
 // which nodes announce themselves to the broker.
@@ -32,21 +36,26 @@ func NodeCommandPattern(ncID, nodeID string) string {
 	return ncID + "/node/" + nodeID + "/#"
 }
 
+// inboxSegment sits between the NanoCloud's ID and the scatter's number.
+const inboxSegment = "/inbox/"
+
 // InboxPattern returns the subscription pattern covering every reply to
 // one scatter: call is the scatter's number on its bus.
 func InboxPattern(ncID, call string) string {
-	return ncID + "/inbox/" + call + "/#"
+	return ncID + inboxSegment + call + "/#"
 }
 
-// InboxTopic returns the reply topic of one request attempt of a
-// scatter. k numbers the attempt within the scatter, so the topic is
-// unique per attempt (a node's duplicate-command window keys on it), and
-// it comes last, where the requester reads it back. nodeID names the
-// responder for transports that attribute traffic by topic; a request
-// with no such peer leaves the segment out.
-func InboxTopic(ncID, call, nodeID, k string) string {
-	if nodeID == "" {
-		return ncID + "/inbox/" + call + "/" + k
+// appendInboxTopic appends the reply topic of attempt k of scatter call,
+// <ncID>/inbox/<call>/<nodeID>/<k> (no nodeID segment when it is empty),
+// escaped for a JSON string segment by segment, which the plain ASCII
+// separators make equal to escaping it whole. k, unique per attempt (a
+// node's duplicate-command window keys on it), comes last for the
+// requester to read back; nodeID lets a transport attribute traffic.
+func appendInboxTopic(dst []byte, ncID, call, nodeID string, k int) []byte {
+	dst = append(appendJSONText(dst, ncID), inboxSegment...)
+	dst = append(appendJSONText(dst, call), '/')
+	if nodeID != "" {
+		dst = append(appendJSONText(dst, nodeID), '/')
 	}
-	return ncID + "/inbox/" + call + "/" + nodeID + "/" + k
+	return strconv.AppendInt(dst, int64(k), 10)
 }

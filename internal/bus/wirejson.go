@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -23,29 +22,11 @@ import (
 //     value. On anything else it reports false and the caller decodes
 //     with json.Unmarshal into the same target, exactly as before.
 
-// jsonAppender is a request body or reply type with its own encoder:
-// AppendJSON appends exactly the bytes json.Marshal produces for the
-// value, or returns json.Marshal's error. Callers pass such values by
-// value (a nil pointer to one would panic where json.Marshal writes
-// null).
-type jsonAppender interface {
-	AppendJSON(dst []byte) ([]byte, error)
-}
-
 // jsonParser is a reply destination with its own decoder: ParseJSON
 // reports whether src is the canonical encoding of a value, and stores
 // the value only when it is.
 type jsonParser interface {
 	ParseJSON(src []byte) bool
-}
-
-// marshal encodes v with its own encoder when it has one, else with
-// json.Marshal.
-func marshal(v any) ([]byte, error) {
-	if a, ok := v.(jsonAppender); ok {
-		return a.AppendJSON(make([]byte, 0, 64))
-	}
-	return json.Marshal(v)
 }
 
 // unmarshal decodes src into v with v's own parser when it has one and
@@ -70,15 +51,13 @@ const (
 	envelopeMid  = `","body":`
 )
 
-// appendEnvelope appends json.Marshal(envelope{replyTo, body}). body
-// must be compact JSON as json.Marshal writes it (every body here
-// comes from marshal), which json.Marshal copies into the envelope
-// unchanged.
-func appendEnvelope(dst []byte, replyTo string, body []byte) []byte {
-	dst = slices.Grow(dst, len(envelopeHead)+len(replyTo)+len(envelopeMid)+len(body)+1)
-	dst = append(dst, `{"replyTo":`...)
-	dst = AppendJSONString(dst, replyTo)
-	dst = append(dst, `,"body":`...)
+// appendEnvelope appends json.Marshal(envelope{topic, body}), topic
+// being the reply topic of attempt k of a scatter (appendInboxTopic).
+// body must be compact JSON as json.Marshal writes it (NewCall), which
+// json.Marshal copies into the envelope unchanged.
+func appendEnvelope(dst []byte, root, call, peer string, k int, body []byte) []byte {
+	dst = appendInboxTopic(append(dst, envelopeHead...), root, call, peer, k)
+	dst = append(dst, envelopeMid...)
 	dst = append(dst, body...)
 	return append(dst, '}')
 }
@@ -135,8 +114,13 @@ func plainByte(c byte) bool {
 // HTML-sensitive characters, control bytes, U+2028 and U+2029 escaped,
 // and each byte of invalid UTF-8 replaced by \ufffd.
 func AppendJSONString(dst []byte, s string) []byte {
+	return append(appendJSONText(append(dst, '"'), s), '"')
+}
+
+// appendJSONText appends s escaped as AppendJSONString escapes it,
+// without the quotes.
+func appendJSONText(dst []byte, s string) []byte {
 	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -181,8 +165,7 @@ func AppendJSONString(dst []byte, s string) []byte {
 		i += size
 		start = i
 	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return append(dst, s[start:]...)
 }
 
 // AppendJSONFloat appends f formatted as json.Marshal formats a float64
@@ -234,19 +217,19 @@ func (s *JSONScanner) Lit(lit string) {
 	s.pos += len(lit)
 }
 
-// Str consumes a quoted string of plain ASCII and returns its text.
-func (s *JSONScanner) Str() string {
+// Str consumes a quoted string of plain ASCII into *dst, which keeps
+// its string when it already holds that text: no allocation then.
+func (s *JSONScanner) Str(dst *string) {
 	s.Lit(`"`)
 	start := s.pos
 	for s.pos < len(s.src) && plainByte(s.src[s.pos]) {
 		s.pos++
 	}
-	str := string(s.src[start:s.pos])
+	text := s.src[start:s.pos]
 	s.Lit(`"`)
-	if s.bad {
-		return ""
+	if !s.bad && string(text) != *dst {
+		*dst = string(text)
 	}
-	return str
 }
 
 // number consumes the run of bytes a JSON number is written with.

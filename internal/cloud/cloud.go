@@ -138,12 +138,7 @@ func (lc *LocalCloud) GatherContext(ctx context.Context, kind sensor.Kind, m int
 	per := m / len(lc.Brokers)
 	extra := m % len(lc.Brokers)
 	gw, gh := lc.Env.GridDims()
-	merged := &broker.GatherResult{
-		Locs:    make([]int, 0, m),
-		Values:  make([]float64, 0, m),
-		Sigmas:  make([]float64, 0, m),
-		NodeIDs: make([]string, 0, m),
-	}
+	merged := broker.NewGatherResult(m)
 	seen := make([]bool, gw*gh) // the zone cells merged so far
 	alive := make([]*broker.Broker, 0, len(lc.Brokers))
 	for i, br := range lc.Brokers {

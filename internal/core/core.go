@@ -55,10 +55,9 @@ type SenseDroid struct {
 	Nodes  []*node.Node
 	Buses  []*bus.Bus
 
-	busBytes   atomic.Int64
-	nodeBroker map[string]string
-	brokerBus  map[string]*bus.Bus
-	brokers    map[string]*broker.Broker
+	busBytes  atomic.Int64
+	brokerBus map[string]*bus.Bus
+	brokers   map[string]*broker.Broker
 }
 
 // BusOf returns the NanoCloud bus a broker runs on — the attachment
@@ -87,14 +86,10 @@ func (sd *SenseDroid) BrokerIDs() []string {
 
 // NodesOf returns the node IDs registered under a broker, sorted.
 func (sd *SenseDroid) NodesOf(brokerID string) []string {
-	var ids []string
-	for nodeID, brID := range sd.nodeBroker {
-		if brID == brokerID {
-			ids = append(ids, nodeID)
-		}
+	if br, ok := sd.brokers[brokerID]; ok {
+		return br.Nodes()
 	}
-	sort.Strings(ids)
-	return ids
+	return nil
 }
 
 // New builds the full hierarchy. The initial ground truth is a zero field;
@@ -123,9 +118,8 @@ func New(opts Options) (*SenseDroid, error) {
 	}
 	sd := &SenseDroid{
 		Opts: opts, Truth: truth,
-		nodeBroker: make(map[string]string),
-		brokerBus:  make(map[string]*bus.Bus),
-		brokers:    make(map[string]*broker.Broker),
+		brokerBus: make(map[string]*bus.Bus),
+		brokers:   make(map[string]*broker.Broker),
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
@@ -171,7 +165,6 @@ func New(opts Options) (*SenseDroid, error) {
 				if err := br.Register(nodeID); err != nil {
 					return nil, err
 				}
-				sd.nodeBroker[nodeID] = brID
 				sd.Nodes = append(sd.Nodes, nd)
 			}
 			sd.brokerBus[brID] = b

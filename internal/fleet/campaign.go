@@ -66,6 +66,7 @@ type ZoneCollector struct {
 	sigmas    []float64 // each kept reading's noise std-dev: the decode's stopping tolerance
 	envelopes int       // handler deliveries, duplicates included
 	rejected  int       // distinct cells beyond budget
+	overwrote int       // re-reports of a kept cell, which replaced its reading
 	malformed int
 }
 
@@ -99,6 +100,7 @@ func (zc *ZoneCollector) ingest(r netsim.Run) {
 		if at := zc.cellAt[cell]; at > 0 {
 			zc.vals[at-1] = value
 			zc.sigmas[at-1] = sigma
+			zc.overwrote++
 			continue
 		}
 		if zc.Budget > 0 && len(zc.locs) >= zc.Budget {
@@ -177,6 +179,13 @@ type Result struct {
 	Lost, Down   int // run enqueue outcomes (in-flight loss / down endpoints)
 	Malformed    int
 
+	// The reading ledger of the delivered envelopes: each one is a
+	// Measurement (the first of its cell), Rejected (a new cell beyond
+	// its zone's budget) or Overwritten (a re-report of a kept cell,
+	// whose reading replaced the one stored), so Envelopes =
+	// Measurements + Rejected + Overwritten.
+	Rejected, Overwritten int
+
 	Totals    netsim.Stats
 	SimTimeMS float64
 	EnergyMJ  float64
@@ -253,6 +262,8 @@ func (r *Runner) finish(cfg CampaignConfig, res *Result) (*Result, error) {
 	for _, zc := range r.collectors {
 		res.Envelopes += zc.envelopes
 		res.Measurements += zc.Count()
+		res.Rejected += zc.rejected
+		res.Overwritten += zc.overwrote
 		res.Malformed += zc.malformed
 	}
 	res.Totals = r.Net.Totals()

@@ -43,7 +43,50 @@ func runFleet(t *testing.T, cfg Config, budget int, ccfg CampaignConfig, faults 
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLedger(t, res)
 	return res
+}
+
+// checkLedger fails the test unless every envelope the collectors took
+// is a measurement, a rejection or an overwrite, counted once.
+func checkLedger(t *testing.T, res *Result) {
+	t.Helper()
+	if res.Envelopes != res.Measurements+res.Rejected+res.Overwritten {
+		t.Fatalf("reading ledger: %d envelopes, but %d measurements + %d rejected + %d overwritten",
+			res.Envelopes, res.Measurements, res.Rejected, res.Overwritten)
+	}
+}
+
+// TestReadingLedgerBalancesEveryCampaign runs campaigns unbounded, with a
+// budget that closes zones and with one that rejects, clean and under
+// loss, duplication, reorder and a crashed collector, and checks the
+// ledger of each: no delivered envelope goes uncounted. The faulted runs
+// must overwrite (duplicates re-report kept cells) and the tight budget
+// must reject.
+func TestReadingLedgerBalancesEveryCampaign(t *testing.T) {
+	cfg := Config{Nodes: 2048, ShardSize: 256, FieldW: 32, FieldH: 32, ZoneRows: 2, ZoneCols: 2, Seed: 41}
+	faults := func(r *Runner) {
+		r.Plan.SetDuplicateProb(0.2)
+		r.Plan.SetReorderProb(0.15)
+		r.Plan.Crash(ZoneEndpoint(1), 100, 400)
+		r.Plan.SetBurstLink(ShardEndpoint(0), ZoneEndpoint(0),
+			netsim.GilbertElliott{PGoodToBad: 0.3, PBadToGood: 0.4, LossGood: 0, LossBad: 0.9})
+	}
+	for _, budget := range []int{0, 200, 16} {
+		for _, faulted := range []bool{false, true} {
+			var plan func(*Runner)
+			if faulted {
+				plan = faults
+			}
+			res := runFleet(t, cfg, budget, CampaignConfig{}, plan) // runFleet checks the ledger
+			if faulted && res.Overwritten == 0 {
+				t.Errorf("budget %d, faulted: no overwrite counted under duplication: %+v", budget, res)
+			}
+			if budget == 16 && res.Rejected == 0 {
+				t.Errorf("budget 16, faulted %v: nothing rejected: %+v", faulted, res)
+			}
+		}
+	}
 }
 
 // TestPopulationShardLayout: nodes spread evenly over zones, shards cut

@@ -76,7 +76,10 @@ func TestProjectTablesNameLiveFunctions(t *testing.T) {
 // the 2-D analyses behind each correlation, and the admitted atom's
 // column read: the dictionary's gather and the operator's memoized
 // factor columns). Per-window entry points (a whole decode, stream
-// steps) are not listed: they allocate result buffers by design.
+// steps) are not listed: they allocate result buffers by design. One row
+// is held to a count instead of zero: a measure request through
+// bus.Scatter allocates what crosses the bus and its scatter's share
+// (DESIGN.md §2, "Request path cost").
 // Each row's guard is a run-time testing.AllocsPerRun check in its own
 // package (TestHotEntryPointsHaveGuards).
 var HotEntryPoints = []string{
@@ -85,6 +88,7 @@ var HotEntryPoints = []string{
 	"(*repro/internal/serve.Server).Aggregate",
 	"(*repro/internal/snapshot.Registry).Latest",
 	"(*repro/internal/bus.Bus).Publish",
+	"repro/internal/bus.Scatter",
 	"(*repro/internal/netsim.Network).Send",
 	"(*repro/internal/netsim.Network).Deliver",
 	"(*repro/internal/netsim.Network).DeliverRun",
@@ -273,6 +277,7 @@ var testReferencesAllowed = map[string]string{
 	"repro/internal/mat.AddVec":             "helper shared by other packages' tests",
 	"(*repro/internal/query.Filter).Source": "FuzzCompile's round-trip property",
 	"repro/internal/obs.Disable":            "tests reset the process-wide registry with it",
+	"repro/internal/node.MeasureCall":       "one measure call for node and broker tests; a gather builds its calls from the roster's topics",
 }
 
 // exportedCallersAllowed are the exported functions under repro/internal/

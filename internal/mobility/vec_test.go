@@ -6,11 +6,16 @@ import (
 	"testing"
 )
 
-// TestStepWaypointsMatchesScalarModel is the backend-equivalence
-// contract: a one-node WaypointState driven by the same seed is
-// float-identical (==, not approximately) to RandomWaypoint at every
-// step, including irregular dt values that cross pauses and arrivals.
-func TestStepWaypointsMatchesScalarModel(t *testing.T) {
+// TestRandomWaypointIsOneNodeStepWaypoints pins that RandomWaypoint is
+// the shard kernel on a one-node state: driven by the same seed, its
+// positions equal (==) those StepWaypoints gives node 0, so the node
+// backend and the fleet move a node alike. Both run one kernel, so the
+// equality cannot catch a wrong kernel; beside it the test checks what
+// holds for any correct random-waypoint model, on the one-node state and
+// on a 16-node one, over irregular dt values that cross pauses and
+// arrivals: every position stays inside W×H, a step moves a node at most
+// MaxSpeed·dt, and a node paused for the whole step does not move.
+func TestRandomWaypointIsOneNodeStepWaypoints(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		sRng := rand.New(rand.NewSource(seed))
 		vRng := rand.New(rand.NewSource(seed))
@@ -24,6 +29,11 @@ func TestStepWaypointsMatchesScalarModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		crowd, err := InitWaypoints(rand.New(rand.NewSource(seed)), p, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crowdRng := rand.New(rand.NewSource(seed + 100))
 		if vec.X[0] != scalar.Pos().X || vec.Y[0] != scalar.Pos().Y {
 			t.Fatalf("seed %d: initial positions diverge", seed)
 		}
@@ -31,11 +41,36 @@ func TestStepWaypointsMatchesScalarModel(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			dt := dts[step%len(dts)]
 			got := scalar.Step(dt)
-			StepWaypoints(vRng, p, vec, dt)
+			checkWaypointStep(t, p, vec, dt, func() { StepWaypoints(vRng, p, vec, dt) })
 			if vec.X[0] != got.X || vec.Y[0] != got.Y {
 				t.Fatalf("seed %d step %d: vec (%v,%v) != scalar (%v,%v)",
 					seed, step, vec.X[0], vec.Y[0], got.X, got.Y)
 			}
+			checkWaypointStep(t, p, crowd, dt, func() { StepWaypoints(crowdRng, p, crowd, dt) })
+		}
+	}
+}
+
+// checkWaypointStep runs step, which advances every node of s by dt, and
+// fails the test if a node leaves the area, moves farther than MaxSpeed·dt
+// or moves at all while its pause outlasts the step.
+func checkWaypointStep(t *testing.T, p WaypointParams, s *WaypointState, dt float64, step func()) {
+	t.Helper()
+	x0, y0 := append([]float64(nil), s.X...), append([]float64(nil), s.Y...)
+	paused := make([]bool, s.Len())
+	for i := range paused {
+		paused[i] = s.PauseLeft[i] >= dt
+	}
+	step()
+	for i := range x0 {
+		moved := math.Hypot(s.X[i]-x0[i], s.Y[i]-y0[i])
+		switch {
+		case s.X[i] < 0 || s.X[i] > p.W || s.Y[i] < 0 || s.Y[i] > p.H:
+			t.Fatalf("node %d left the %v×%v area: (%v, %v)", i, p.W, p.H, s.X[i], s.Y[i])
+		case moved > p.MaxSpeed*dt*(1+1e-12):
+			t.Fatalf("node %d moved %v in %v s, faster than %v/s", i, moved, dt, p.MaxSpeed)
+		case paused[i] && moved != 0:
+			t.Fatalf("node %d moved %v during a pause longer than the %v s step", i, moved, dt)
 		}
 	}
 }

@@ -173,7 +173,8 @@ func MeasureTopic(ncID, nodeID string) string {
 // FieldReading, so a reply of the wrong type on either side does not
 // compile.
 func MeasureCall(ncID, nodeID string, kind sensor.Kind, out *FieldReading) bus.Call {
-	return bus.NewCall(MeasureTopic(ncID, nodeID), nodeID, MeasureRequest{Kind: string(kind)}, out)
+	body, _ := MeasureRequest{Kind: string(kind)}.AppendJSON(nil) // cannot fail
+	return bus.NewCall(MeasureTopic(ncID, nodeID), nodeID, body, out)
 }
 
 // AttachBus subscribes the node's measure command on the NanoCloud bus
@@ -271,16 +272,16 @@ type incoming struct {
 	Body    MeasureRequest `json:"body"`
 }
 
-// decodeCommand decodes a command exactly as json.Unmarshal would,
-// without reflection when envelope and body are canonical.
-func decodeCommand(payload []byte) (incoming, error) {
-	var req MeasureRequest
-	if replyTo, body, ok := bus.ParseEnvelope(payload); ok && req.ParseJSON(body) {
-		return incoming{ReplyTo: replyTo, Body: req}, nil
+// decode decodes a command as json.Unmarshal would into a zero incoming,
+// without reflection when envelope and body are canonical; a kind the
+// last command named keeps its string (MeasureRequest.ParseJSON).
+func (cmd *incoming) decode(payload []byte) error {
+	if replyTo, body, ok := bus.ParseEnvelope(payload); ok && cmd.Body.ParseJSON(body) {
+		cmd.ReplyTo = replyTo
+		return nil
 	}
-	var cmd incoming // on the heap, so declared only on this path
-	err := json.Unmarshal(payload, &cmd)
-	return cmd, err
+	*cmd = incoming{}
+	return json.Unmarshal(payload, cmd)
 }
 
 // Serve answers the measure commands arriving on cmds with MeasureField,
@@ -294,9 +295,9 @@ func decodeCommand(payload []byte) (incoming, error) {
 // twice for one command.
 func (n *Node) Serve(cmds <-chan bus.Message, publish func(topic string, payload []byte) error) {
 	var seen dedupRing
+	var cmd incoming
 	for msg := range cmds {
-		cmd, err := decodeCommand(msg.Payload)
-		if err != nil {
+		if cmd.decode(msg.Payload) != nil {
 			continue
 		}
 		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge

@@ -20,11 +20,13 @@ func (r MeasureRequest) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// ParseJSON decodes the canonical encoding of a MeasureRequest.
+// ParseJSON decodes the canonical encoding of a MeasureRequest; a
+// receiver that holds the kind already keeps its string.
 func (r *MeasureRequest) ParseJSON(src []byte) bool {
+	kind := r.Kind
 	s := bus.NewJSONScanner(src)
 	s.Lit(`{"kind":`)
-	kind := s.Str()
+	s.Str(&kind)
 	s.Lit(`}`)
 	if !s.Done() {
 		return false
@@ -54,12 +56,13 @@ func (r FieldReading) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// ParseJSON decodes the canonical encoding of a FieldReading.
+// ParseJSON decodes the canonical encoding of a FieldReading; a
+// receiver that holds the node ID already, as a gather's does, keeps it.
 func (r *FieldReading) ParseJSON(src []byte) bool {
-	var v FieldReading
+	v := FieldReading{NodeID: r.NodeID}
 	s := bus.NewJSONScanner(src)
 	s.Lit(`{"nodeId":`)
-	v.NodeID = s.Str()
+	s.Str(&v.NodeID)
 	s.Lit(`,"gridIdx":`)
 	v.GridIdx = s.Int()
 	s.Lit(`,"value":`)

@@ -84,7 +84,7 @@ func netSeed(seed int64, brokerID string) int64 {
 // contain slashes, e.g. "lc0/nc0/n3"):
 //
 //	<brID>/node/<nodeID>/<op>      broker → node command
-//	<brID>/inbox/<s>/<nodeID>/<k>  node → broker reply (bus.InboxTopic)
+//	<brID>/inbox/<s>/<nodeID>/<k>  node → broker reply (bus/topics.go)
 //
 // Anything else is control traffic and passes through unfaulted.
 func interceptFor(net *netsim.Network, brID string) bus.Interceptor {
