@@ -280,7 +280,7 @@ func (br *Broker) GatherExcludingContext(ctx context.Context, kind sensor.Kind, 
 	readings := append(r.readings[:0], make([]node.FieldReading, min(m, len(ids)))...)
 	calls := append(r.calls[:0], make([]bus.Call, len(readings))...)
 	r.order, r.taken, r.readings, r.calls = ids, taken, readings, calls
-	r.body, _ = node.MeasureRequest{Kind: string(kind)}.AppendJSON(r.body[:0]) // cannot fail
+	r.body, _ = node.MeasureRequest{Kind: kind.String()}.AppendJSON(r.body[:0]) // cannot fail
 	for next := 0; next < len(ids) && len(res.Locs) < m; {
 		wave := ids[next:min(next+m-len(res.Locs), len(ids))]
 		next += len(wave)

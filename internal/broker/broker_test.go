@@ -580,12 +580,10 @@ func TestTCPNodeServesGather(t *testing.T) {
 
 	// Two commands were served, so two samples were charged: the gather's
 	// and the first copy of the duplicated one.
-	want := energy.NewMeter(nil)
-	if err := want.ChargeSamples(sensor.Temperature, 2); err != nil {
-		t.Fatal(err)
-	}
+	var want energy.Meter
+	want.ChargeSamples(sensor.Temperature, 2)
 	got := nd.Meter.Breakdown()
-	if s := "sense/" + string(sensor.Temperature); got[s] == 0 || got[s] != want.Breakdown()[s] {
+	if s := "sense/" + sensor.Temperature.String(); got[s] == 0 || got[s] != want.Breakdown()[s] {
 		t.Fatalf("%s charged %v mJ, want %v (two samples)", s, got[s], want.Breakdown()[s])
 	}
 	if got["rx/wifi"] == 0 || got["tx/wifi"] == 0 {

@@ -44,7 +44,7 @@ func TestMeasureRequestAllocations(t *testing.T) {
 	}
 	defer nd.Detach()
 	topic := node.MeasureTopic("nc0", nd.ID)
-	body, err := node.MeasureRequest{Kind: string(sensor.Temperature)}.AppendJSON(nil)
+	body, err := node.MeasureRequest{Kind: sensor.Temperature.String()}.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

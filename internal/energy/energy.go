@@ -8,8 +8,6 @@
 package energy
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/sensor"
@@ -17,148 +15,118 @@ import (
 
 // RadioKind names a network interface with its own energy profile — the
 // paper's "multiple networks like WiFi, GSM, bluetooth".
-type RadioKind string
+type RadioKind uint8
 
 // Supported radios.
 const (
-	RadioWiFi      RadioKind = "wifi"
-	RadioBluetooth RadioKind = "bluetooth"
-	RadioGSM       RadioKind = "gsm"
+	RadioWiFi RadioKind = iota
+	RadioBluetooth
+	RadioGSM
+
+	numRadios
 )
 
-// Model is the energy cost table. All costs are in millijoules.
-type Model struct {
-	SensorSampleMJ map[sensor.Kind]float64 // per sample
-	RadioTxByteMJ  map[RadioKind]float64   // per transmitted byte
-	RadioRxByteMJ  map[RadioKind]float64   // per received byte
-	RadioWakeMJ    map[RadioKind]float64   // fixed cost to wake the radio per exchange
-	IdlePerSecMJ   float64                 // baseline draw
-}
+var radioNames = [numRadios]string{RadioWiFi: "wifi", RadioBluetooth: "bluetooth", RadioGSM: "gsm"}
 
-// DefaultModel returns a cost table with magnitudes in line with published
+// String returns the radio's name.
+func (r RadioKind) String() string { return radioNames[r] }
+
+// The cost table, in millijoules, with magnitudes in line with published
 // smartphone measurements: GPS fixes are ~3 orders of magnitude more
 // expensive than inertial samples, WiFi bytes are cheaper than GSM bytes,
 // and radio wake-ups carry a fixed tail cost.
-func DefaultModel() *Model {
-	return &Model{
-		SensorSampleMJ: map[sensor.Kind]float64{
-			sensor.Accelerometer: 0.005,
-			sensor.Gyroscope:     0.02,
-			sensor.Magnetometer:  0.01,
-			sensor.GPS:           45.0, // a position fix
-			sensor.WiFi:          8.0,  // an AP scan
-			sensor.Temperature:   0.002,
-			sensor.Microphone:    0.06,
-			sensor.Barometer:     0.003,
-			sensor.Light:         0.002,
-			sensor.Humidity:      0.002,
-			sensor.Proximity:     0.002,
-		},
-		RadioTxByteMJ: map[RadioKind]float64{
-			RadioWiFi: 0.0006, RadioBluetooth: 0.0002, RadioGSM: 0.004,
-		},
-		RadioRxByteMJ: map[RadioKind]float64{
-			RadioWiFi: 0.0004, RadioBluetooth: 0.00015, RadioGSM: 0.003,
-		},
-		RadioWakeMJ: map[RadioKind]float64{
-			RadioWiFi: 6.0, RadioBluetooth: 0.8, RadioGSM: 12.0,
-		},
-		IdlePerSecMJ: 7,
-	}
-}
-
-// Category names for the radios and sensor kinds the default model
-// prices, built once so that a charge does not concatenate a new string
-// on every call. Any other radio or kind builds its name per charge.
 var (
-	txCategory    = categoryNames("tx/", RadioWiFi, RadioBluetooth, RadioGSM)
-	rxCategory    = categoryNames("rx/", RadioWiFi, RadioBluetooth, RadioGSM)
-	senseCategory = categoryNames("sense/", sensorKinds(DefaultModel())...)
+	sampleMJ = [sensor.NumKinds]float64{ // per sample
+		sensor.Accelerometer: 0.005,
+		sensor.Gyroscope:     0.02,
+		sensor.Magnetometer:  0.01,
+		sensor.GPS:           45.0, // a position fix
+		sensor.WiFi:          8.0,  // an AP scan
+		sensor.Temperature:   0.002,
+		sensor.Microphone:    0.06,
+		sensor.Barometer:     0.003,
+		sensor.Light:         0.002,
+		sensor.Humidity:      0.002,
+		sensor.Proximity:     0.002,
+	}
+	txByteMJ = [numRadios]float64{RadioWiFi: 0.0006, RadioBluetooth: 0.0002, RadioGSM: 0.004}  // per transmitted byte
+	rxByteMJ = [numRadios]float64{RadioWiFi: 0.0004, RadioBluetooth: 0.00015, RadioGSM: 0.003} // per received byte
+	wakeMJ   = [numRadios]float64{RadioWiFi: 6.0, RadioBluetooth: 0.8, RadioGSM: 12.0}         // fixed cost to wake the radio per exchange
 )
 
-func categoryNames[K ~string](prefix string, keys ...K) map[K]string {
-	names := make(map[K]string, len(keys))
-	for _, k := range keys {
-		names[k] = prefix + string(k)
-	}
-	return names
+// IdlePerSecMJ is the baseline draw per second.
+const IdlePerSecMJ = 7
+
+// SampleMJ returns the energy of one sample of the given sensor kind.
+func SampleMJ(kind sensor.Kind) float64 { return sampleMJ[kind] }
+
+// TxCostMJ returns the energy of one transmission of the given size on a
+// radio, including the wake cost.
+func TxCostMJ(radio RadioKind, bytes int) float64 {
+	return wakeMJ[radio] + txByteMJ[radio]*float64(bytes)
 }
 
-func sensorKinds(m *Model) []sensor.Kind {
-	kinds := make([]sensor.Kind, 0, len(m.SensorSampleMJ))
-	for k := range m.SensorSampleMJ {
-		kinds = append(kinds, k)
-	}
-	return kinds
-}
+// Meter categories: idle, then one per radio for transmission and for
+// reception, then one per sensor kind.
+const (
+	catIdle       = 0
+	catTx         = 1
+	catRx         = catTx + int(numRadios)
+	catSense      = catRx + int(numRadios)
+	numCategories = catSense + int(sensor.NumKinds)
+)
 
-// category returns prefix+k, from names when it holds k.
-func category[K ~string](names map[K]string, prefix string, k K) string {
-	if name, ok := names[k]; ok {
-		return name
+// categoryName returns the Breakdown key of category c: "idle",
+// "tx/wifi", "rx/gsm", "sense/temperature" and so on.
+func categoryName(c int) string {
+	switch {
+	case c == catIdle:
+		return "idle"
+	case c < catRx:
+		return "tx/" + RadioKind(c-catTx).String()
+	case c < catSense:
+		return "rx/" + RadioKind(c-catRx).String()
+	default:
+		return "sense/" + sensor.Kind(c-catSense).String()
 	}
-	return prefix + string(k)
 }
 
 // Meter accrues energy spending for one node, broken down by category.
-// It is safe for concurrent use.
+// The zero value is an empty meter. It is safe for concurrent use.
 type Meter struct {
-	model *Model
-
-	mu    sync.Mutex
-	total float64
-	byCat map[string]float64
+	mu      sync.Mutex
+	total   float64
+	byCat   [numCategories]float64
+	charged [numCategories]bool
 }
 
-// NewMeter returns a meter charging against the given model.
-func NewMeter(model *Model) *Meter {
-	if model == nil {
-		model = DefaultModel()
-	}
-	return &Meter{model: model, byCat: make(map[string]float64)}
-}
-
-func (m *Meter) charge(category string, mj float64) {
+func (m *Meter) charge(c int, mj float64) {
 	m.mu.Lock()
 	m.total += mj
-	m.byCat[category] += mj
+	m.byCat[c] += mj
+	m.charged[c] = true
 	m.mu.Unlock()
 }
 
 // ChargeSamples charges n samples of the given sensor kind.
-func (m *Meter) ChargeSamples(kind sensor.Kind, n int) error {
-	c, ok := m.model.SensorSampleMJ[kind]
-	if !ok {
-		return fmt.Errorf("energy: no sample cost for sensor kind %q", kind)
-	}
-	m.charge(category(senseCategory, "sense/", kind), c*float64(n))
-	return nil
+func (m *Meter) ChargeSamples(kind sensor.Kind, n int) {
+	m.charge(catSense+int(kind), sampleMJ[kind]*float64(n))
 }
 
 // ChargeTx charges a transmission of the given size, including the radio
 // wake cost.
-func (m *Meter) ChargeTx(radio RadioKind, bytes int) error {
-	per, ok := m.model.RadioTxByteMJ[radio]
-	if !ok {
-		return fmt.Errorf("energy: unknown radio %q", radio)
-	}
-	m.charge(category(txCategory, "tx/", radio), m.model.RadioWakeMJ[radio]+per*float64(bytes))
-	return nil
+func (m *Meter) ChargeTx(radio RadioKind, bytes int) {
+	m.charge(catTx+int(radio), TxCostMJ(radio, bytes))
 }
 
 // ChargeRx charges a reception of the given size.
-func (m *Meter) ChargeRx(radio RadioKind, bytes int) error {
-	per, ok := m.model.RadioRxByteMJ[radio]
-	if !ok {
-		return fmt.Errorf("energy: unknown radio %q", radio)
-	}
-	m.charge(category(rxCategory, "rx/", radio), per*float64(bytes))
-	return nil
+func (m *Meter) ChargeRx(radio RadioKind, bytes int) {
+	m.charge(catRx+int(radio), rxByteMJ[radio]*float64(bytes))
 }
 
 // ChargeIdle charges seconds of baseline draw.
 func (m *Meter) ChargeIdle(seconds float64) {
-	m.charge("idle", m.model.IdlePerSecMJ*seconds)
+	m.charge(catIdle, IdlePerSecMJ*seconds)
 }
 
 // TotalMJ returns the total spent so far.
@@ -168,13 +136,16 @@ func (m *Meter) TotalMJ() float64 {
 	return m.total
 }
 
-// Breakdown returns a copy of per-category spending.
+// Breakdown returns per-category spending, keyed by category name, for
+// every category charged since the last Reset.
 func (m *Meter) Breakdown() map[string]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]float64, len(m.byCat))
-	for k, v := range m.byCat {
-		out[k] = v
+	out := make(map[string]float64)
+	for c, mj := range m.byCat {
+		if m.charged[c] {
+			out[categoryName(c)] = mj
+		}
 	}
 	return out
 }
@@ -182,19 +153,8 @@ func (m *Meter) Breakdown() map[string]float64 {
 // Reset zeros the meter.
 func (m *Meter) Reset() {
 	m.mu.Lock()
-	m.total = 0
-	m.byCat = make(map[string]float64)
+	m.total, m.byCat, m.charged = 0, [numCategories]float64{}, [numCategories]bool{}
 	m.mu.Unlock()
-}
-
-// TxCostMJ returns the energy of one transmission of the given size on a
-// radio, including the wake cost. Unknown radios cost +Inf (never chosen).
-func (m *Model) TxCostMJ(radio RadioKind, bytes int) float64 {
-	per, ok := m.RadioTxByteMJ[radio]
-	if !ok {
-		return math.Inf(1)
-	}
-	return m.RadioWakeMJ[radio] + per*float64(bytes)
 }
 
 // ChooseRadio picks the cheapest available radio for a transmission of
@@ -202,16 +162,15 @@ func (m *Model) TxCostMJ(radio RadioKind, bytes int) float64 {
 // Bluetooth for short in-NanoCloud hops when in range, WiFi for bulk, GSM
 // as the fallback of last resort. It returns the chosen radio and its
 // per-message cost; ok is false when no radio is available.
-func (m *Model) ChooseRadio(bytes int, available []RadioKind) (RadioKind, float64, bool) {
-	best := RadioKind("")
-	bestCost := math.Inf(1)
-	for _, r := range available {
-		if c := m.TxCostMJ(r, bytes); c < bestCost {
+func ChooseRadio(bytes int, available []RadioKind) (RadioKind, float64, bool) {
+	if len(available) == 0 {
+		return 0, 0, false
+	}
+	best, bestCost := available[0], TxCostMJ(available[0], bytes)
+	for _, r := range available[1:] {
+		if c := TxCostMJ(r, bytes); c < bestCost {
 			best, bestCost = r, c
 		}
-	}
-	if math.IsInf(bestCost, 1) {
-		return "", 0, false
 	}
 	return best, bestCost, true
 }

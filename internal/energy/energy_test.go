@@ -9,15 +9,11 @@ import (
 )
 
 func TestMeterChargesSamples(t *testing.T) {
-	m := NewMeter(nil)
-	if err := m.ChargeSamples(sensor.GPS, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ChargeSamples(sensor.Accelerometer, 1000); err != nil {
-		t.Fatal(err)
-	}
-	gps := DefaultModel().SensorSampleMJ[sensor.GPS] * 10
-	acc := DefaultModel().SensorSampleMJ[sensor.Accelerometer] * 1000
+	var m Meter
+	m.ChargeSamples(sensor.GPS, 10)
+	m.ChargeSamples(sensor.Accelerometer, 1000)
+	gps := SampleMJ(sensor.GPS) * 10
+	acc := SampleMJ(sensor.Accelerometer) * 1000
 	if got := m.TotalMJ(); math.Abs(got-(gps+acc)) > 1e-9 {
 		t.Fatalf("total %v, want %v", got, gps+acc)
 	}
@@ -25,67 +21,45 @@ func TestMeterChargesSamples(t *testing.T) {
 	if math.Abs(bd["sense/gps"]-gps) > 1e-9 {
 		t.Fatalf("breakdown %v", bd)
 	}
-	if err := m.ChargeSamples(sensor.Kind("bogus"), 1); err == nil {
-		t.Fatal("want unknown-kind error")
-	}
 }
 
 func TestGPSSamplesDominateAccel(t *testing.T) {
 	// The central premise of compressive GPS duty-cycling: a GPS fix is
 	// orders of magnitude costlier than an accelerometer sample.
-	model := DefaultModel()
-	if model.SensorSampleMJ[sensor.GPS] < 1000*model.SensorSampleMJ[sensor.Accelerometer] {
+	if SampleMJ(sensor.GPS) < 1000*SampleMJ(sensor.Accelerometer) {
 		t.Fatal("GPS/accelerometer cost ratio too small to be realistic")
 	}
 }
 
 func TestMeterRadioCharges(t *testing.T) {
-	m := NewMeter(nil)
-	if err := m.ChargeTx(RadioWiFi, 1000); err != nil {
-		t.Fatal(err)
-	}
-	want := DefaultModel().RadioWakeMJ[RadioWiFi] + 1000*DefaultModel().RadioTxByteMJ[RadioWiFi]
+	var m Meter
+	m.ChargeTx(RadioWiFi, 1000)
+	want := wakeMJ[RadioWiFi] + 1000*txByteMJ[RadioWiFi]
 	if got := m.TotalMJ(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("tx cost %v, want %v", got, want)
 	}
-	if err := m.ChargeRx(RadioBluetooth, 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ChargeTx(RadioKind("laser"), 1); err == nil {
-		t.Fatal("want unknown-radio error")
-	}
-	if err := m.ChargeRx(RadioKind("laser"), 1); err == nil {
-		t.Fatal("want unknown-radio error")
+	m.ChargeRx(RadioBluetooth, 500)
+	want += 500 * rxByteMJ[RadioBluetooth]
+	if got := m.TotalMJ(); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("tx+rx cost %v, want %v", got, want)
 	}
 }
 
 // TestMeterCategoryNames: the Breakdown keys are prefix/name for every
-// radio and sensor kind, whether the name was built ahead of the charge
-// (the default model's radios and kinds) or during it (a kind only a
-// custom model prices).
+// radio and sensor kind, and a category charged nothing (zero samples,
+// zero bytes on a radio without wake cost) is still listed.
 func TestMeterCategoryNames(t *testing.T) {
-	model := DefaultModel()
-	model.SensorSampleMJ[sensor.Kind("custom")] = 1
-	m := NewMeter(model)
-	want := map[string]bool{"sense/custom": true}
-	if err := m.ChargeSamples(sensor.Kind("custom"), 1); err != nil {
-		t.Fatal(err)
+	var m Meter
+	want := map[string]bool{}
+	for kind := sensor.Kind(0); kind < sensor.NumKinds; kind++ {
+		m.ChargeSamples(kind, 1)
+		want["sense/"+kind.String()] = true
 	}
-	for kind := range DefaultModel().SensorSampleMJ {
-		if err := m.ChargeSamples(kind, 1); err != nil {
-			t.Fatal(err)
-		}
-		want["sense/"+string(kind)] = true
-	}
-	for _, radio := range []RadioKind{RadioWiFi, RadioBluetooth, RadioGSM} {
-		if err := m.ChargeTx(radio, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.ChargeRx(radio, 1); err != nil {
-			t.Fatal(err)
-		}
-		want["tx/"+string(radio)] = true
-		want["rx/"+string(radio)] = true
+	for radio := RadioKind(0); radio < numRadios; radio++ {
+		m.ChargeTx(radio, 1)
+		m.ChargeRx(radio, 0)
+		want["tx/"+radio.String()] = true
+		want["rx/"+radio.String()] = true
 	}
 	bd := m.Breakdown()
 	if len(bd) != len(want) {
@@ -96,16 +70,35 @@ func TestMeterCategoryNames(t *testing.T) {
 			t.Fatalf("breakdown lacks %q: %v", k, bd)
 		}
 	}
+	if bd["rx/gsm"] != 0 || bd["sense/temperature"] != sampleMJ[sensor.Temperature] {
+		t.Fatalf("breakdown %v", bd)
+	}
 }
 
-// TestMeterChargesDoNotAllocate: charging a known radio or sensor kind
-// into a category the meter already holds allocates nothing.
+// TestZeroMeterCharges: a zero Meter is ready to use, and it reports only
+// what was charged.
+func TestZeroMeterCharges(t *testing.T) {
+	var m Meter
+	if m.TotalMJ() != 0 || len(m.Breakdown()) != 0 {
+		t.Fatalf("zero meter reads %v, %v", m.TotalMJ(), m.Breakdown())
+	}
+	m.ChargeTx(RadioGSM, 10)
+	m.ChargeSamples(sensor.Light, 0)
+	bd := m.Breakdown()
+	want := TxCostMJ(RadioGSM, 10)
+	if len(bd) != 2 || bd["tx/gsm"] != want || bd["sense/light"] != 0 || m.TotalMJ() != want {
+		t.Fatalf("after one GSM send and zero light samples: total %v, breakdown %v", m.TotalMJ(), bd)
+	}
+}
+
+// TestMeterChargesDoNotAllocate: charging a radio or sensor kind
+// allocates nothing.
 func TestMeterChargesDoNotAllocate(t *testing.T) {
-	m := NewMeter(nil)
+	var m Meter
 	charge := func() {
-		_ = m.ChargeTx(RadioWiFi, 24)
-		_ = m.ChargeRx(RadioWiFi, 24)
-		_ = m.ChargeSamples(sensor.Temperature, 1)
+		m.ChargeTx(RadioWiFi, 24)
+		m.ChargeRx(RadioWiFi, 24)
+		m.ChargeSamples(sensor.Temperature, 1)
 	}
 	if allocs := testing.AllocsPerRun(100, charge); allocs != 0 {
 		t.Fatalf("%.1f allocs per tx+rx+sample charge, want 0", allocs)
@@ -113,9 +106,9 @@ func TestMeterChargesDoNotAllocate(t *testing.T) {
 }
 
 func TestMeterIdleAndReset(t *testing.T) {
-	m := NewMeter(nil)
+	var m Meter
 	m.ChargeIdle(10)
-	want := 10 * DefaultModel().IdlePerSecMJ
+	want := 10.0 * IdlePerSecMJ
 	if got := m.TotalMJ(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("total %v want %v", got, want)
 	}
@@ -128,8 +121,11 @@ func TestMeterIdleAndReset(t *testing.T) {
 	}
 }
 
+// TestMeterConcurrentSafety charges every kind of category from several
+// goroutines beside readers; under -race it checks that the mutex guards
+// the total, the category array and the charged flags alike.
 func TestMeterConcurrentSafety(t *testing.T) {
-	m := NewMeter(nil)
+	var m Meter
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -137,13 +133,23 @@ func TestMeterConcurrentSafety(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				m.ChargeIdle(0.001)
+				m.ChargeTx(RadioWiFi, 0)
+				m.ChargeRx(RadioBluetooth, 0)
+				m.ChargeSamples(sensor.Proximity, 0)
+				if j%25 == 0 {
+					m.Breakdown()
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	want := 800 * 0.001 * DefaultModel().IdlePerSecMJ
+	idle := 800 * 0.001 * IdlePerSecMJ
+	want := idle + 800*wakeMJ[RadioWiFi]
 	if got := m.TotalMJ(); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("concurrent total %v, want %v", got, want)
+	}
+	if bd := m.Breakdown(); len(bd) != 4 || math.Abs(bd["idle"]-idle) > 1e-6 {
+		t.Fatalf("concurrent breakdown %v", bd)
 	}
 }
 
@@ -159,59 +165,44 @@ func TestSavingsPercent(t *testing.T) {
 	}
 }
 
-func TestDefaultModelCoversAllSensorKinds(t *testing.T) {
-	model := DefaultModel()
-	kinds := []sensor.Kind{
-		sensor.Accelerometer, sensor.Gyroscope, sensor.Magnetometer,
-		sensor.GPS, sensor.WiFi, sensor.Temperature, sensor.Microphone,
-		sensor.Barometer, sensor.Light, sensor.Humidity, sensor.Proximity,
-	}
-	for _, k := range kinds {
-		if _, ok := model.SensorSampleMJ[k]; !ok {
+// TestCostTablesCoverEveryKindAndRadio: every sensor kind and every
+// radio has a positive cost, so no table entry was left out.
+func TestCostTablesCoverEveryKindAndRadio(t *testing.T) {
+	for k := sensor.Kind(0); k < sensor.NumKinds; k++ {
+		if SampleMJ(k) <= 0 {
 			t.Fatalf("no cost for sensor kind %s", k)
 		}
 	}
-	for _, r := range []RadioKind{RadioWiFi, RadioBluetooth, RadioGSM} {
-		if _, ok := model.RadioTxByteMJ[r]; !ok {
-			t.Fatalf("no tx cost for radio %s", r)
-		}
-		if _, ok := model.RadioRxByteMJ[r]; !ok {
-			t.Fatalf("no rx cost for radio %s", r)
+	for r := RadioKind(0); r < numRadios; r++ {
+		if txByteMJ[r] <= 0 || rxByteMJ[r] <= 0 || wakeMJ[r] <= 0 {
+			t.Fatalf("radio %s costs tx %v, rx %v, wake %v", r, txByteMJ[r], rxByteMJ[r], wakeMJ[r])
 		}
 	}
 }
 
 func TestTxCostMJ(t *testing.T) {
-	m := DefaultModel()
-	want := m.RadioWakeMJ[RadioWiFi] + 100*m.RadioTxByteMJ[RadioWiFi]
-	if got := m.TxCostMJ(RadioWiFi, 100); math.Abs(got-want) > 1e-12 {
+	want := wakeMJ[RadioWiFi] + 100*txByteMJ[RadioWiFi]
+	if got := TxCostMJ(RadioWiFi, 100); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("TxCostMJ=%v want %v", got, want)
-	}
-	if !math.IsInf(m.TxCostMJ(RadioKind("laser"), 10), 1) {
-		t.Fatal("unknown radio should cost +Inf")
 	}
 }
 
 func TestChooseRadioPrefersCheapest(t *testing.T) {
-	m := DefaultModel()
 	// Small payload: Bluetooth's tiny wake cost wins.
-	r, cost, ok := m.ChooseRadio(50, []RadioKind{RadioWiFi, RadioBluetooth, RadioGSM})
+	r, cost, ok := ChooseRadio(50, []RadioKind{RadioWiFi, RadioBluetooth, RadioGSM})
 	if !ok || r != RadioBluetooth {
 		t.Fatalf("small payload chose %s (ok=%v)", r, ok)
 	}
-	if cost <= 0 {
-		t.Fatal("cost should be positive")
+	if cost != TxCostMJ(RadioBluetooth, 50) {
+		t.Fatalf("cost %v, want Bluetooth's %v", cost, TxCostMJ(RadioBluetooth, 50))
 	}
 	// Without Bluetooth in range, WiFi beats GSM at any size.
-	r, _, ok = m.ChooseRadio(50, []RadioKind{RadioWiFi, RadioGSM})
+	r, _, ok = ChooseRadio(50, []RadioKind{RadioGSM, RadioWiFi})
 	if !ok || r != RadioWiFi {
 		t.Fatalf("fallback chose %s", r)
 	}
 	// Nothing available.
-	if _, _, ok := m.ChooseRadio(50, nil); ok {
+	if _, _, ok := ChooseRadio(50, nil); ok {
 		t.Fatal("no radios should report !ok")
-	}
-	if _, _, ok := m.ChooseRadio(50, []RadioKind{RadioKind("laser")}); ok {
-		t.Fatal("only-unknown radios should report !ok")
 	}
 }

@@ -7,11 +7,7 @@
 
 package energy
 
-import (
-	"errors"
-
-	"repro/internal/sensor"
-)
+import "errors"
 
 // Bank is per-node battery accounting over a flat array: node i has used
 // Used(i) = idle + spent[i] against the shared CapacityMJ, where idle is
@@ -77,12 +73,4 @@ func (b *Bank) TotalUsedMJ() float64 {
 		t += b.Used(i)
 	}
 	return t
-}
-
-// SampleCostMJ exposes the model's per-sample cost for a sensor kind;
-// ok is false for unknown kinds. The fleet layer looks the cost up once
-// per campaign instead of paying Meter's map lookup per sample.
-func (m *Model) SampleCostMJ(kind sensor.Kind) (float64, bool) {
-	c, ok := m.SensorSampleMJ[kind]
-	return c, ok
 }

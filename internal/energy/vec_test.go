@@ -78,14 +78,13 @@ func TestBankDrainAllAndDefaults(t *testing.T) {
 	}
 }
 
-func TestSampleCostMJ(t *testing.T) {
-	m := DefaultModel()
-	c, ok := m.SampleCostMJ(sensor.Temperature)
-	if !ok || c != m.SensorSampleMJ[sensor.Temperature] {
-		t.Fatalf("temperature cost (%v,%v)", c, ok)
-	}
-	if _, ok := m.SampleCostMJ(sensor.Kind("warp-core")); ok {
-		t.Fatal("unknown sensor kind reported a cost")
+// TestSampleMJ: the per-sample cost the fleet prices a reading with is
+// the one a Meter charges.
+func TestSampleMJ(t *testing.T) {
+	var m Meter
+	m.ChargeSamples(sensor.Temperature, 1)
+	if c := SampleMJ(sensor.Temperature); c <= 0 || c != m.TotalMJ() {
+		t.Fatalf("temperature sample costs %v, a meter charged %v", c, m.TotalMJ())
 	}
 }
 

@@ -194,37 +194,26 @@ func DefaultC3() C3Config { return C3Config{Nodes: 25, Rounds: 60, M: 4, Seed: 1
 // a GPS-grade reading and uploads it every round; collaborative, the
 // broker solicits only M of N nodes per round and shares the result.
 func C3(cfg C3Config) (*Table, error) {
-	model := energy.DefaultModel()
 	perReadingBytes := 24 // timestamped reading
 
 	// Baseline: N nodes × R rounds, each samples GPS + uploads.
-	baseline := energy.NewMeter(model)
+	var baseline energy.Meter
 	for i := 0; i < cfg.Nodes*cfg.Rounds; i++ {
-		if err := baseline.ChargeSamples(sensor.GPS, 1); err != nil {
-			return nil, err
-		}
-		if err := baseline.ChargeTx(energy.RadioWiFi, perReadingBytes); err != nil {
-			return nil, err
-		}
+		baseline.ChargeSamples(sensor.GPS, 1)
+		baseline.ChargeTx(energy.RadioWiFi, perReadingBytes)
 	}
 
 	// Collaborative: per round only M nodes sample+upload; every node
 	// receives the broker's fused result broadcast.
-	collab := energy.NewMeter(model)
+	var collab energy.Meter
 	fusedBytes := perReadingBytes * cfg.M
 	for r := 0; r < cfg.Rounds; r++ {
 		for i := 0; i < cfg.M; i++ {
-			if err := collab.ChargeSamples(sensor.GPS, 1); err != nil {
-				return nil, err
-			}
-			if err := collab.ChargeTx(energy.RadioWiFi, perReadingBytes); err != nil {
-				return nil, err
-			}
+			collab.ChargeSamples(sensor.GPS, 1)
+			collab.ChargeTx(energy.RadioWiFi, perReadingBytes)
 		}
 		for i := 0; i < cfg.Nodes; i++ {
-			if err := collab.ChargeRx(energy.RadioWiFi, fusedBytes); err != nil {
-				return nil, err
-			}
+			collab.ChargeRx(energy.RadioWiFi, fusedBytes)
 		}
 	}
 	sav := energy.SavingsPercent(baseline.TotalMJ(), collab.TotalMJ())
@@ -266,9 +255,7 @@ func C4(cfg C4Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := energy.DefaultModel()
-	contMeter := energy.NewMeter(model)
-	compMeter := energy.NewMeter(model)
+	var contMeter, compMeter energy.Meter
 
 	total, contOK, compOK := 0, 0, 0
 	minute := 60.0
@@ -288,19 +275,11 @@ func C4(cfg C4Config) (*Table, error) {
 			truthIndoor[i] = indoor(tt)
 		}
 		// Continuous: a GPS fix + WiFi scan every minute.
-		if err := contMeter.ChargeSamples(sensor.GPS, cfg.WindowLen); err != nil {
-			return nil, err
-		}
-		if err := contMeter.ChargeSamples(sensor.WiFi, cfg.WindowLen); err != nil {
-			return nil, err
-		}
+		contMeter.ChargeSamples(sensor.GPS, cfg.WindowLen)
+		contMeter.ChargeSamples(sensor.WiFi, cfg.WindowLen)
 		// Compressive: M fixes/scans per window, reconstruct each series.
-		if err := compMeter.ChargeSamples(sensor.GPS, cfg.M); err != nil {
-			return nil, err
-		}
-		if err := compMeter.ChargeSamples(sensor.WiFi, cfg.M); err != nil {
-			return nil, err
-		}
+		compMeter.ChargeSamples(sensor.GPS, cfg.M)
+		compMeter.ChargeSamples(sensor.WiFi, cfg.M)
 		locs, err := cs.RandomLocations(rng, cfg.WindowLen, cfg.M)
 		if err != nil {
 			return nil, err

@@ -350,8 +350,7 @@ func A6(cfg A6Config) (*Table, error) {
 		Title:  "Adaptive sampling: samples spent vs mean tracking error",
 		Header: []string{"policy", "samples", "mean-error", "sensor-mJ"},
 	}
-	model := energy.DefaultModel()
-	cost := model.SensorSampleMJ[sensor.Temperature]
+	cost := energy.SampleMJ(sensor.Temperature)
 	policies := []struct {
 		name string
 		next func(float64) float64
@@ -409,7 +408,6 @@ func DefaultC7() C7Config { return C7Config{Messages: 2000, BTAvail: 0.45, Seed:
 // last resort) versus pinning all traffic to one radio.
 func C7(cfg C7Config) (*Table, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	model := energy.DefaultModel()
 	// Message mix: mostly small telemetry, some bulk log uploads.
 	sizes := make([]int, cfg.Messages)
 	btOK := make([]bool, cfg.Messages)
@@ -427,7 +425,7 @@ func C7(cfg C7Config) (*Table, error) {
 		sum := 0.0
 		dropped := 0
 		for i, sz := range sizes {
-			r, cost, ok := model.ChooseRadio(sz, policy(i))
+			r, cost, ok := energy.ChooseRadio(sz, policy(i))
 			if !ok {
 				dropped++
 				continue
@@ -574,8 +572,7 @@ func C9(cfg C9Config) (*Table, error) {
 		Title:  "Opportunistic collaboration: report suppression vs crowd density",
 		Header: []string{"pedestrians", "mean-reports", "suppressed", "redundancy", "coverage-loss(m)", "energy-saved"},
 	}
-	model := energy.DefaultModel()
-	perReport := model.TxCostMJ(energy.RadioWiFi, 64) + model.SensorSampleMJ[sensor.GPS]
+	perReport := energy.TxCostMJ(energy.RadioWiFi, 64) + energy.SampleMJ(sensor.GPS)
 	for _, crowd := range cfg.Crowds {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(crowd)))
 		models := make([]mobility.Model, crowd)

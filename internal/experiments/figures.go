@@ -176,7 +176,7 @@ func Fig3(seed int64) (*Table, error) {
 	}
 	for _, name := range reg.List() {
 		p, _ := reg.Get(name)
-		t.AddRow(p.Name(), string(p.Kind()), d(p.Axes()),
+		t.AddRow(p.Name(), p.Kind().String(), d(p.Axes()),
 			fmt.Sprintf("%g", p.Config().RateHz), fmt.Sprintf("%g", p.NoiseSigma()))
 	}
 	// Virtual compass: fuse accel+mag, compare with the known heading model.

@@ -157,16 +157,11 @@ func NewPopulation(cfg Config) (*Population, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := energy.DefaultModel()
-	sampleMJ, ok := model.SampleCostMJ(sensor.Temperature)
-	if !ok {
-		return nil, errors.New("fleet: energy model lacks a temperature sample cost")
-	}
 	p := &Population{
 		Cfg:    cfg,
 		Zones:  zones,
-		idleMJ: model.IdlePerSecMJ,
-		costMJ: sampleMJ + model.TxCostMJ(energy.RadioWiFi, sampleSize),
+		idleMJ: energy.IdlePerSecMJ,
+		costMJ: energy.SampleMJ(sensor.Temperature) + energy.TxCostMJ(energy.RadioWiFi, sampleSize),
 	}
 
 	// The layout is sequential and cheap; the shards themselves — each a

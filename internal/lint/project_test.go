@@ -535,6 +535,87 @@ func readTestFuncs(t *testing.T, root string) map[string]bool {
 	return names
 }
 
+// suppressionRow matches a row of DESIGN.md §7.4's directive table:
+// file, check list, reason.
+var suppressionRow = regexp.MustCompile("^\\| `([^`]+)` \\| ([^|]+) \\| (.+) \\|$")
+
+// TestSuppressionTableMatchesTree holds DESIGN.md §7.4's table to the
+// tree: its (file, check, reason) rows are the //lint:ignore directives
+// of the module's non-test files outside testdata, as a multiset, so a
+// directive added, removed or reworded without the table (or the other
+// way round) fails here.
+func TestSuppressionTableMatchesTree(t *testing.T) {
+	root := filepath.Join("..", "..")
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "### 7.4 Suppression")
+	if !ok {
+		t.Fatal("DESIGN.md has no §7.4 Suppression")
+	}
+	if end := strings.Index(section, "\n#"); end >= 0 {
+		section = section[:end]
+	}
+	var table []string
+	for _, line := range strings.Split(section, "\n") {
+		if m := suppressionRow.FindStringSubmatch(line); m != nil {
+			table = append(table, m[1]+" | "+m[2]+" | "+m[3])
+		}
+	}
+
+	var tree []string
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (name != "." && name != ".." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				d, isDirective := parseDirective(c.Text, fset.Position(c.Pos()))
+				if !isDirective {
+					continue
+				}
+				if !d.ok {
+					t.Errorf("%s: malformed directive %q", d.pos, c.Text)
+					continue
+				}
+				tree = append(tree, filepath.ToSlash(rel)+" | "+strings.Join(d.checks, ",")+" | "+d.reason)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reading the tree: %v", err)
+	}
+	if len(tree) == 0 {
+		t.Fatal("found no directive in the tree; is the walk rooted at the module?")
+	}
+	sort.Strings(table)
+	sort.Strings(tree)
+	if strings.Join(table, "\n") != strings.Join(tree, "\n") {
+		t.Errorf("DESIGN.md §7.4 lists %d directives, the tree carries %d:\ntable:\n  %s\ntree:\n  %s",
+			len(table), len(tree), strings.Join(table, "\n  "), strings.Join(tree, "\n  "))
+	}
+}
+
 // TestCSNamesNoDenseMatrix keeps the decoders on one representation of
 // the sensing dictionary: non-test code in internal/cs has no value,
 // parameter or expression of type mat.Matrix or *mat.Matrix. Every

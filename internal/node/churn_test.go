@@ -129,7 +129,7 @@ func TestRecycledIDFreshDedupWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Unsubscribe()
-	body := MeasureRequest{Kind: string(sensor.Temperature)}
+	body := MeasureRequest{Kind: sensor.Temperature.String()}
 	topic := MeasureTopic("nc0", "recycled")
 
 	publishCommand(t, b, topic, replyTo, body)

@@ -96,7 +96,7 @@ func New(cfg Config, env Environment, mob mobility.Model) (*Node, error) {
 		ID:     cfg.ID,
 		Probes: probes,
 		Policy: privacy.AllowAll(sensor.Accelerometer, sensor.Temperature, sensor.GPS, sensor.WiFi, sensor.Light, sensor.Humidity, sensor.Barometer, sensor.Microphone),
-		Meter:  energy.NewMeter(nil),
+		Meter:  new(energy.Meter),
 		env:    env, mobility: mob,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}, nil
@@ -144,9 +144,7 @@ func (n *Node) MeasureField(kind sensor.Kind) (FieldReading, error) {
 	n.mu.Unlock()
 	truth := n.env.FieldValue(kind, idx)
 	value := truth + noise
-	if err := n.Meter.ChargeSamples(kind, 1); err != nil {
-		return FieldReading{}, err
-	}
+	n.Meter.ChargeSamples(kind, 1)
 	obsMeasurements.Inc()
 	shared, ok := n.Policy.Filter(kind, value)
 	if !ok {
@@ -173,7 +171,7 @@ func MeasureTopic(ncID, nodeID string) string {
 // FieldReading, so a reply of the wrong type on either side does not
 // compile.
 func MeasureCall(ncID, nodeID string, kind sensor.Kind, out *FieldReading) bus.Call {
-	body, _ := MeasureRequest{Kind: string(kind)}.AppendJSON(nil) // cannot fail
+	body, _ := MeasureRequest{Kind: kind.String()}.AppendJSON(nil) // cannot fail
 	return bus.NewCall(MeasureTopic(ncID, nodeID), nodeID, body, out)
 }
 
@@ -300,15 +298,18 @@ func (n *Node) Serve(cmds <-chan bus.Message, publish func(topic string, payload
 		if cmd.decode(msg.Payload) != nil {
 			continue
 		}
-		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
-		_ = n.Meter.ChargeRx(energy.RadioWiFi, len(msg.Payload))
+		n.Meter.ChargeRx(energy.RadioWiFi, len(msg.Payload))
 		if cmd.ReplyTo != "" && !seen.add(cmd.ReplyTo) {
 			// The radio already paid to hear it; don't serve it again.
 			obsDuplicateCmds.Inc()
 			continue
 		}
 		obsServedCmds.Inc()
-		reading, err := n.MeasureField(sensor.Kind(cmd.Body.Kind))
+		kind, ok := sensor.ParseKind(cmd.Body.Kind)
+		if !ok {
+			continue
+		}
+		reading, err := n.MeasureField(kind)
 		if err != nil || cmd.ReplyTo == "" {
 			continue
 		}
@@ -316,8 +317,7 @@ func (n *Node) Serve(cmds <-chan bus.Message, publish func(topic string, payload
 		if err != nil {
 			continue
 		}
-		//lint:ignore errcheck energy accounting is best-effort in the command loop; an unknown radio kind only skips the charge
-		_ = n.Meter.ChargeTx(energy.RadioWiFi, len(raw))
+		n.Meter.ChargeTx(energy.RadioWiFi, len(raw))
 		//lint:ignore errcheck reply delivery is best-effort by contract; the requester may already have timed out
 		_ = publish(cmd.ReplyTo, raw)
 	}
@@ -354,9 +354,7 @@ func (n *Node) SenseContext(windowLen int, rateHz float64, pipe *contextproc.Pip
 	}
 	var act contextproc.Activity
 	if pipe != nil {
-		if err := n.Meter.ChargeSamples(sensor.Accelerometer, pipe.M); err != nil {
-			return ContextReport{}, err
-		}
+		n.Meter.ChargeSamples(sensor.Accelerometer, pipe.M)
 		n.mu.Lock()
 		rng := rand.New(rand.NewSource(n.rng.Int63()))
 		n.mu.Unlock()
@@ -370,9 +368,7 @@ func (n *Node) SenseContext(windowLen int, rateHz float64, pipe *contextproc.Pip
 		}
 		act = contextproc.ClassifyActivity(f)
 	} else {
-		if err := n.Meter.ChargeSamples(sensor.Accelerometer, windowLen); err != nil {
-			return ContextReport{}, err
-		}
+		n.Meter.ChargeSamples(sensor.Accelerometer, windowLen)
 		f, err := contextproc.Extract(window, rateHz)
 		if err != nil {
 			return ContextReport{}, err
@@ -384,20 +380,17 @@ func (n *Node) SenseContext(windowLen int, rateHz float64, pipe *contextproc.Pip
 	if gps, ok := n.Probes.First(sensor.GPS); ok {
 		s := gps.Next()
 		envReading.GPSSatellites, envReading.GPSAccuracyM = s.Values[0], s.Values[1]
-		//lint:ignore errcheck context sampling energy is best-effort accounting; it must not veto the context report
-		_ = n.Meter.ChargeSamples(sensor.GPS, 1)
+		n.Meter.ChargeSamples(sensor.GPS, 1)
 	}
 	if wifi, ok := n.Probes.First(sensor.WiFi); ok {
 		s := wifi.Next()
 		envReading.WiFiRSSIdBm, envReading.WiFiAPCount = s.Values[0], s.Values[1]
-		//lint:ignore errcheck context sampling energy is best-effort accounting; it must not veto the context report
-		_ = n.Meter.ChargeSamples(sensor.WiFi, 1)
+		n.Meter.ChargeSamples(sensor.WiFi, 1)
 	}
 	stress := 0.0
 	if mic, ok := n.Probes.First(sensor.Microphone); ok {
 		s := mic.Next()
-		//lint:ignore errcheck context sampling energy is best-effort accounting; it must not veto the context report
-		_ = n.Meter.ChargeSamples(sensor.Microphone, 1)
+		n.Meter.ChargeSamples(sensor.Microphone, 1)
 		stress = contextproc.StressIndex(s.Values[0], act)
 	}
 	return ContextReport{

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/contextproc"
 	"repro/internal/mobility"
+	"repro/internal/obs"
 	"repro/internal/sensor"
 )
 
@@ -90,10 +92,35 @@ func TestMeasureFieldValueAndEnergy(t *testing.T) {
 	}
 }
 
-func TestMeasureFieldUnknownKind(t *testing.T) {
+// TestServeUnknownKindIsUnanswered: a command naming no sensor kind is
+// heard (Rx charged) and counted, but nothing is sampled and no reply
+// goes out.
+func TestServeUnknownKindIsUnanswered(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	served := obs.GetCounter("node.bus.commands")
+	before := served.Value()
+
 	n := newTestNode(t, "n0")
-	if _, err := n.MeasureField(sensor.Kind("sonar")); err == nil {
-		t.Fatal("want no-probe error")
+	payload, err := json.Marshal(rawEnvelope{ReplyTo: "nc0/reply/1", Body: json.RawMessage(`{"kind":"sonar"}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := make(chan bus.Message, 1)
+	cmds <- bus.Message{Topic: MeasureTopic("nc0", "n0"), Payload: payload}
+	close(cmds)
+	var replies int
+	n.Serve(cmds, func(string, []byte) error { replies++; return nil })
+
+	if replies != 0 {
+		t.Fatalf("%d replies to an unknown kind, want none", replies)
+	}
+	if got := served.Value() - before; got != 1 {
+		t.Fatalf("node.bus.commands grew by %d, want 1", got)
+	}
+	bd := n.Meter.Breakdown()
+	if len(bd) != 1 || bd["rx/wifi"] == 0 {
+		t.Fatalf("meter %v, want only the command's reception charged", bd)
 	}
 }
 

@@ -291,7 +291,7 @@ func FuzzWireCodec(f *testing.F) {
 		// before; the outcome must be a fresh json.Unmarshal's all the same.
 		var want incoming
 		wantErr = json.Unmarshal(src, &want)
-		cmd := incoming{ReplyTo: "nc0/inbox/1/0", Body: MeasureRequest{Kind: string(sensor.Temperature)}}
+		cmd := incoming{ReplyTo: "nc0/inbox/1/0", Body: MeasureRequest{Kind: sensor.Temperature.String()}}
 		err = cmd.decode(src)
 		if (err != nil) != (wantErr != nil) || (err == nil && cmd != want) {
 			t.Fatalf("decode(%q) = %#v, %v; json.Unmarshal = %#v, %v", src, cmd, err, want, wantErr)

@@ -19,21 +19,13 @@ import (
 type Policy struct {
 	mu       sync.RWMutex
 	optOut   bool
-	share    map[sensor.Kind]bool
-	quantize map[sensor.Kind]float64 // round shared values to this step
-}
-
-// NewPolicy returns a deny-by-default policy.
-func NewPolicy() *Policy {
-	return &Policy{
-		share:    make(map[sensor.Kind]bool),
-		quantize: make(map[sensor.Kind]float64),
-	}
+	share    [sensor.NumKinds]bool
+	quantize [sensor.NumKinds]float64 // round shared values to this step
 }
 
 // AllowAll returns a policy sharing every listed kind.
 func AllowAll(kinds ...sensor.Kind) *Policy {
-	p := NewPolicy()
+	p := new(Policy)
 	for _, k := range kinds {
 		p.SetShare(k, true)
 	}
@@ -56,35 +48,24 @@ func (p *Policy) SetShare(kind sensor.Kind, allow bool) {
 }
 
 // SetQuantize degrades shared values of a kind to multiples of step
-// (0 disables quantization). Coarse location/temperature sharing is the
-// classic privacy/utility dial.
+// (0 or less disables quantization). Coarse location/temperature sharing
+// is the classic privacy/utility dial.
 func (p *Policy) SetQuantize(kind sensor.Kind, step float64) {
 	p.mu.Lock()
-	if step <= 0 {
-		delete(p.quantize, kind)
-	} else {
-		p.quantize[kind] = step
-	}
+	p.quantize[kind] = step
 	p.mu.Unlock()
-}
-
-// Allows reports whether values of the kind may leave the device.
-func (p *Policy) Allows(kind sensor.Kind) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return !p.optOut && p.share[kind]
 }
 
 // Filter applies the policy to an outgoing reading: it returns the
 // (possibly quantized) value and true, or 0 and false when sharing is
 // denied.
 func (p *Policy) Filter(kind sensor.Kind, v float64) (float64, bool) {
-	if !p.Allows(kind) {
+	p.mu.RLock()
+	allowed, step := !p.optOut && p.share[kind], p.quantize[kind]
+	p.mu.RUnlock()
+	if !allowed {
 		return 0, false
 	}
-	p.mu.RLock()
-	step := p.quantize[kind]
-	p.mu.RUnlock()
 	if step > 0 {
 		v = math.Round(v/step) * step
 	}

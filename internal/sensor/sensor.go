@@ -19,24 +19,56 @@ import (
 	"sync"
 )
 
-// Kind identifies a sensor modality.
-type Kind string
+// Kind identifies a sensor modality. It is a small integer, so a table
+// keyed by kind is an array; ParseKind is the one way a name from
+// outside (a bus command) becomes a Kind.
+type Kind uint8
 
 // Physical sensor modalities provided by the framework (the probe list of
 // the paper's Fig. 3).
 const (
-	Accelerometer Kind = "accelerometer"
-	Gyroscope     Kind = "gyroscope"
-	Magnetometer  Kind = "magnetometer"
-	GPS           Kind = "gps"
-	WiFi          Kind = "wifi-rssi"
-	Temperature   Kind = "temperature"
-	Microphone    Kind = "microphone"
-	Barometer     Kind = "barometer"
-	Light         Kind = "light"
-	Humidity      Kind = "humidity"
-	Proximity     Kind = "proximity"
+	Accelerometer Kind = iota
+	Gyroscope
+	Magnetometer
+	GPS
+	WiFi
+	Temperature
+	Microphone
+	Barometer
+	Light
+	Humidity
+	Proximity
+
+	NumKinds // the number of kinds: the length of a table keyed by Kind
 )
+
+var kindNames = [NumKinds]string{
+	Accelerometer: "accelerometer",
+	Gyroscope:     "gyroscope",
+	Magnetometer:  "magnetometer",
+	GPS:           "gps",
+	WiFi:          "wifi-rssi",
+	Temperature:   "temperature",
+	Microphone:    "microphone",
+	Barometer:     "barometer",
+	Light:         "light",
+	Humidity:      "humidity",
+	Proximity:     "proximity",
+}
+
+// String returns the kind's name, the one the measure command carries.
+func (k Kind) String() string { return kindNames[k] }
+
+// ParseKind returns the kind named name, or false when no kind has that
+// name.
+func ParseKind(name string) (Kind, bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
 
 // Sample is one multi-axis reading with its timestamp in seconds since the
 // probe was created (simulation time, not wall time).
@@ -187,12 +219,12 @@ func (d DeviceProfile) Apply(cfg Config) Config {
 type Registry struct {
 	mu     sync.RWMutex
 	probes map[string]*Probe
-	first  map[Kind]*Probe // per kind, the probe whose name sorts lowest
+	first  [NumKinds]*Probe // per kind, the probe whose name sorts lowest
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{probes: make(map[string]*Probe), first: make(map[Kind]*Probe)}
+	return &Registry{probes: make(map[string]*Probe)}
 }
 
 // Register adds a probe; registering a duplicate name is an error.
@@ -203,7 +235,7 @@ func (r *Registry) Register(p *Probe) error {
 		return fmt.Errorf("sensor: probe %q already registered", p.Name())
 	}
 	r.probes[p.Name()] = p
-	if f, ok := r.first[p.Kind()]; !ok || p.Name() < f.Name() {
+	if f := r.first[p.Kind()]; f == nil || p.Name() < f.Name() {
 		r.first[p.Kind()] = p
 	}
 	return nil
@@ -234,9 +266,9 @@ func (r *Registry) List() []string {
 // what a node reads on every measurement.
 func (r *Registry) First(kind Kind) (*Probe, bool) {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p, ok := r.first[kind]
-	return p, ok
+	p := r.first[kind]
+	r.mu.RUnlock()
+	return p, p != nil
 }
 
 // ByKind returns all probes of a modality, sorted by name.

@@ -283,6 +283,21 @@ func TestRegistryFirstUnderEveryRegistrationOrder(t *testing.T) {
 	}
 }
 
+// TestParseKind: every kind round-trips through its name, and a name no
+// kind has is refused, case and all.
+func TestParseKind(t *testing.T) {
+	for k := Kind(0); k < NumKinds; k++ {
+		if got, ok := ParseKind(k.String()); !ok || got != k {
+			t.Fatalf("ParseKind(%q) = %v, %v; want %v", k.String(), got, ok, k)
+		}
+	}
+	for _, name := range []string{"", "Temperature", "sonar"} {
+		if k, ok := ParseKind(name); ok {
+			t.Fatalf("ParseKind(%q) = %v, want refusal", name, k)
+		}
+	}
+}
+
 func TestStandardPhoneFullComplement(t *testing.T) {
 	reg, err := StandardPhone("n0", 7, ProfileMidrange, MotionWalking, AlternatingSchedule(600))
 	if err != nil {

@@ -109,7 +109,7 @@ func TestDayInTheLife(t *testing.T) {
 	// holds a temperature-sample charge (context sensing samples other
 	// kinds).
 	for _, n := range sd.Nodes {
-		if n.Meter.Breakdown()["sense/"+string(sensor.Temperature)] <= 0 {
+		if n.Meter.Breakdown()["sense/"+sensor.Temperature.String()] <= 0 {
 			t.Fatalf("node %s never measured the field over a full day", n.ID)
 		}
 	}
