@@ -5,7 +5,9 @@
 // libraries and APIs for communication, service discovery, and
 // collaboration … for different network topologies"; pub/sub over a broker
 // covers client-server, and peers subscribing to each other's topics
-// covers peer-to-peer.
+// covers peer-to-peer. An in-process subscriber that only computes a
+// reply registers a handler (Handle), which Publish runs inline, on the
+// publisher's goroutine, outside the bus lock: no goroutine hop.
 package bus
 
 import (
@@ -44,15 +46,22 @@ func (s *Subscription) noteDrop() {
 	}
 }
 
-// deliver hands msg to the subscriber without blocking: a full buffer
-// counts a drop instead.
-func (s *Subscription) deliver(msg Message) {
+// deliver hands msg to a channel without blocking, a full buffer
+// counting a drop instead, or counts a handler's call in flight and
+// appends it to calls, which Publish runs once the lock is released.
+func (s *Subscription) deliver(msg Message, calls []*Subscription) []*Subscription {
+	if s.h != nil {
+		s.h.calls.Add(1)
+		obsDelivered.Inc()
+		return append(calls, s)
+	}
 	select {
 	case s.ch <- msg:
 		obsDelivered.Inc()
 	default:
 		s.noteDrop()
 	}
+	return calls
 }
 
 // Message is one published datagram.
@@ -66,13 +75,16 @@ type Hook func(topic string, payloadBytes int)
 
 // Subscription receives matching messages on C until Unsubscribe is
 // called. Messages that would overflow the buffer are counted as dropped
-// rather than blocking the publisher.
+// rather than blocking the publisher. A handler's C receives nothing:
+// Publish calls the handler inline, on the publisher's goroutine,
+// outside the bus lock.
 type Subscription struct {
 	C       <-chan Message
 	pattern string
 	id      uint64
 	bus     *Bus
 	ch      chan Message
+	h       *handler // Handle's, else nil; a pointer keeps a scatter's inbox at 80 bytes
 	dropped atomic.Int64
 
 	// The wave planWaves is cutting and how many of its requests reach
@@ -81,16 +93,23 @@ type Subscription struct {
 	load int
 }
 
+type handler struct {
+	fn    func(Message)
+	calls sync.WaitGroup // counted by Publish under the bus lock
+}
+
 // Dropped returns how many messages were discarded due to a full buffer.
 func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
-// Unsubscribe detaches the subscription and closes its channel.
+// Unsubscribe detaches the subscription and closes its channel. For a
+// handler, also after Close, it waits for the calls under way.
 func (s *Subscription) Unsubscribe() { s.bus.unsubscribe(s) }
 
 // Interceptor sits between Publish and fan-out, modelling the transport
 // under the bus: return (false, nil) to drop the message silently (the
 // publish is still counted and hooks still run — the radio spent the
 // energy), or a non-nil error to fail the publish (nothing delivered).
+// It runs before any handler, so it sees a request before its reply.
 // The chaos harness uses this to route bus traffic through a
 // netsim.Network with an active fault plan.
 type Interceptor func(msg Message) (deliver bool, err error)
@@ -222,11 +241,20 @@ func Match(pattern, topic string) bool {
 // Subscribe registers interest in a pattern with the given channel buffer
 // (min 1).
 func (b *Bus) Subscribe(pattern string, buffer int) (*Subscription, error) {
+	return b.add(pattern, max(buffer, 1), nil)
+}
+
+// Handle registers fn for a pattern. Publish calls fn inline, after the
+// hooks and outside the bus lock, so fn may publish its reply on this
+// bus; concurrent publishers' calls overlap. fn must not wait for
+// another publisher or unsubscribe itself.
+func (b *Bus) Handle(pattern string, fn func(Message)) (*Subscription, error) {
+	return b.add(pattern, 0, &handler{fn: fn})
+}
+
+func (b *Bus) add(pattern string, buffer int, h *handler) (*Subscription, error) {
 	if !ValidPattern(pattern) {
 		return nil, fmt.Errorf("bus: invalid pattern %q", pattern)
-	}
-	if buffer < 1 {
-		buffer = 1
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -235,7 +263,7 @@ func (b *Bus) Subscribe(pattern string, buffer int) (*Subscription, error) {
 	}
 	b.nextID++
 	ch := make(chan Message, buffer)
-	sub := &Subscription{C: ch, ch: ch, pattern: pattern, id: b.nextID, bus: b}
+	sub := &Subscription{C: ch, ch: ch, pattern: pattern, id: b.nextID, bus: b, h: h}
 	b.subs[sub.id] = sub
 	// A pattern that is itself a publishable topic has no wildcard.
 	if ValidTopic(pattern) {
@@ -247,6 +275,9 @@ func (b *Bus) Subscribe(pattern string, buffer int) (*Subscription, error) {
 }
 
 func (b *Bus) unsubscribe(s *Subscription) {
+	if s.h != nil {
+		defer s.h.calls.Wait() // after the Unlock: no call is counted once s is out
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, ok := b.subs[s.id]; !ok {
@@ -289,8 +320,8 @@ func (b *Bus) SetInterceptor(i Interceptor) {
 }
 
 // Publish delivers the message to every matching subscription. It never
-// blocks: a subscriber with a full buffer has the message counted as
-// dropped instead.
+// waits for a channel: a full buffer has the message counted as dropped
+// instead. It runs the matching handlers inline, after the hooks.
 func (b *Bus) Publish(topic string, payload []byte) error {
 	if !ValidTopic(topic) {
 		return fmt.Errorf("bus: invalid topic %q", topic)
@@ -309,14 +340,15 @@ func (b *Bus) Publish(topic string, payload []byte) error {
 	}
 	// A message the interceptor lost was still transmitted: the publish is
 	// counted and the energy hooks run, but no subscriber hears it.
+	msg := Message{Topic: topic, Payload: payload}
+	calls := make([]*Subscription, 0, 1)
 	if deliver {
-		msg := Message{Topic: topic, Payload: payload}
 		for _, sub := range b.exact[topic] {
-			sub.deliver(msg)
+			calls = sub.deliver(msg, calls)
 		}
 		for _, sub := range b.wild {
 			if Match(sub.pattern, topic) {
-				sub.deliver(msg)
+				calls = sub.deliver(msg, calls)
 			}
 		}
 	}
@@ -326,6 +358,10 @@ func (b *Bus) Publish(topic string, payload []byte) error {
 	obsPublishBytes.Add(int64(len(payload)))
 	for _, h := range hooks {
 		h(topic, len(payload))
+	}
+	for _, sub := range calls {
+		sub.h.fn(msg)
+		sub.h.calls.Done()
 	}
 	return nil
 }

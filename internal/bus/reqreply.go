@@ -94,9 +94,10 @@ func Scatter(ctx context.Context, b *Bus, root string, calls []Call, pol RetryPo
 // every call's topic as Publish would, through the exact index and then
 // the wildcard list, all under one read lock, and cuts before the call
 // that would put one request more into some subscription than its
-// channel's capacity. Each subscription keeps its count for the wave
-// being planned, stamped with that wave's number, so planning allocates
-// nothing; planMu keeps two scatters from planning into the same counts.
+// channel's capacity; a handler never does. Each subscription keeps its
+// count for the wave being planned, stamped with that wave's number, so
+// planning allocates nothing; planMu keeps two scatters from planning
+// into the same counts.
 func (b *Bus) planWaves(calls []Call) {
 	if len(calls) == 1 { // a scatter of one is one wave, wherever it goes
 		calls[0].cut = true
@@ -132,13 +133,13 @@ func (b *Bus) reachLocked(topic string) bool {
 }
 
 // reach counts one request of wave against the subscription and reports
-// whether its channel holds every one counted.
+// whether its channel holds every one counted; a handler holds any.
 func (s *Subscription) reach(wave uint64) bool {
 	if s.wave != wave {
 		s.wave, s.load = wave, 0
 	}
 	s.load++
-	return s.load <= cap(s.ch)
+	return s.h != nil || s.load <= cap(s.ch)
 }
 
 // scatter runs calls in the waves their cut marks open; the first call
@@ -326,18 +327,13 @@ func (s *scatterState) attempt(ctx context.Context, pending []*Call) error {
 				s.closeOpen(pending, ErrClosed)
 				return ErrClosed
 			}
-			c := s.slot(msg.Topic)
-			if c == nil {
-				continue
-			}
-			c.open = false
-			open--
-			if c.out != nil {
-				if err := unmarshal(msg.Payload, c.out); err != nil {
-					c.Err = fmt.Errorf("bus: decode reply: %w", err)
-				}
-			}
+			open -= s.take(msg)
 		case <-timeout:
+			// A reply in the inbox came in time: inline handlers can
+			// fill it while the wave's publishing uses up the budget.
+			for open > 0 && len(s.sub.C) > 0 {
+				open -= s.take(<-s.sub.C)
+			}
 			s.closeOpen(pending, context.DeadlineExceeded)
 			return nil
 		case <-ctx.Done():
@@ -348,17 +344,25 @@ func (s *scatterState) attempt(ctx context.Context, pending []*Call) error {
 	return nil
 }
 
-// slot finds the open call a reply topic answers, or nil: the topic ends
-// in the number its attempt was published under.
-func (s *scatterState) slot(topic string) *Call {
-	seq, err := strconv.Atoi(topic[strings.LastIndexByte(topic, '/')+1:])
+// take settles the open call a reply answers, decoding the reply into
+// its out, and returns 1, or returns 0 for a reply that answers no open
+// call: the topic ends in the number its attempt was published under.
+func (s *scatterState) take(msg Message) int {
+	seq, err := strconv.Atoi(msg.Topic[strings.LastIndexByte(msg.Topic, '/')+1:])
 	if err != nil || seq < 0 || seq >= len(s.sent) {
-		return nil
+		return 0
 	}
-	if c := s.sent[seq]; c.open && c.seq == seq {
-		return c
+	c := s.sent[seq]
+	if !c.open || c.seq != seq {
+		return 0
 	}
-	return nil
+	c.open = false
+	if c.out != nil {
+		if err := unmarshal(msg.Payload, c.out); err != nil {
+			c.Err = fmt.Errorf("bus: decode reply: %w", err)
+		}
+	}
+	return 1
 }
 
 // closeOpen fails every call still waiting for its reply with cause.
@@ -389,28 +393,23 @@ func RequestContext(ctx context.Context, b *Bus, topic string, body any, out any
 	return calls[0].Err
 }
 
-// RespondContext subscribes to a request topic pattern and serves each
-// request with fn until the subscription closes (returns nil) or ctx is
-// done (returns ctx.Err()). fn receives the decoded request body bytes
-// and returns the reply value (JSON-encoded back to the requester).
-// RespondContext runs in the calling goroutine; start it with go and
-// cancel ctx to shut the responder down.
+// RespondContext serves each request on a topic pattern with fn until
+// the bus closes (returns nil) or ctx is done (returns ctx.Err()). fn
+// receives the decoded request body bytes and returns the reply value
+// (JSON-encoded back to the requester). fn is a handler (Handle): it
+// runs on each requester's goroutine, so calls may overlap. Start
+// RespondContext with go and cancel ctx to shut the responder down.
 func RespondContext(ctx context.Context, b *Bus, pattern string, fn func(topic string, body []byte) (any, error)) error {
-	sub, err := b.Subscribe(pattern, 64)
+	sub, err := b.Handle(pattern, func(msg Message) { serveRequest(b, msg, fn) })
 	if err != nil {
 		return err
 	}
 	defer sub.Unsubscribe()
-	for {
-		select {
-		case msg, ok := <-sub.C:
-			if !ok {
-				return nil
-			}
-			serveRequest(b, msg, fn)
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	select {
+	case <-sub.C: // closed by Close
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/contextproc"
@@ -52,6 +53,22 @@ func TestNewBuildsFullHierarchy(t *testing.T) {
 	}
 	if len(sd.Buses) != 4 {
 		t.Fatalf("buses %d, want 4", len(sd.Buses))
+	}
+}
+
+// An in-process node answers on its publisher's goroutine, so standing
+// up a deployment starts no goroutine per node.
+func TestNewStartsNoGoroutinePerNode(t *testing.T) {
+	opts := smallOpts()
+	opts.NodesPerNC = 64
+	before := runtime.NumGoroutine()
+	sd, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sd.Close()
+	if started := runtime.NumGoroutine() - before; started >= len(sd.Nodes) {
+		t.Fatalf("New started %d goroutines for %d nodes", started, len(sd.Nodes))
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 )
 
 // RadioKind names a network interface with its own energy profile — the
-// paper's "multiple networks like WiFi, GSM, bluetooth".
-type RadioKind uint8
+// paper's "multiple networks like WiFi, GSM, bluetooth". Not a byte, so
+// vet flags string(r).
+type RadioKind uint16
 
 // Supported radios.
 const (

@@ -174,8 +174,7 @@ func Fig3(seed int64) (*Table, error) {
 		Title:  "Physical sensing probes + virtual sensor fusion (Fig. 3)",
 		Header: []string{"probe", "kind", "axes", "rate(Hz)", "noise-sigma"},
 	}
-	for _, name := range reg.List() {
-		p, _ := reg.Get(name)
+	for _, p := range reg.Probes() {
 		t.AddRow(p.Name(), p.Kind().String(), d(p.Axes()),
 			fmt.Sprintf("%g", p.Config().RateHz), fmt.Sprintf("%g", p.NoiseSigma()))
 	}

@@ -66,9 +66,8 @@ type Node struct {
 	mobility mobility.Model
 	rng      *rand.Rand
 
-	mu      sync.Mutex
-	sub     *bus.Subscription // guarded by mu; the measure command's, while attached
-	serveWG sync.WaitGroup    // joins the bus-handler goroutine on Detach
+	mu  sync.Mutex
+	sub *bus.Subscription // guarded by mu; the measure command's, while attached
 }
 
 // New builds a node with the full standard probe complement.
@@ -175,33 +174,32 @@ func MeasureCall(ncID, nodeID string, kind sensor.Kind, out *FieldReading) bus.C
 	return bus.NewCall(MeasureTopic(ncID, nodeID), nodeID, body, out)
 }
 
-// AttachBus subscribes the node's measure command on the NanoCloud bus
-// and serves it (Serve) on a goroutine until Detach. Radio
-// reception/transmission energy for each served request is charged to
-// the node's meter. A node is attached to one bus at a time, and may
-// AttachBus again after Detach — the fleet churn path recycles node IDs,
-// and a recycled node must start with fresh handler state (in
-// particular, an empty reply-topic dedup window).
+// AttachBus registers the node's measure command as a handler on the
+// NanoCloud bus: until Detach, each command is served as Serve serves it,
+// radio energy charged to the meter, on its publisher's goroutine. A
+// node is attached to one bus at a time, and may AttachBus again after
+// Detach — the fleet churn path recycles node IDs, and a recycled node
+// must start with fresh handler state (an empty reply-topic dedup window).
 func (n *Node) AttachBus(b *bus.Bus, ncID string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.sub != nil {
 		return fmt.Errorf("node %s: already attached", n.ID)
 	}
-	sub, err := b.Subscribe(MeasureTopic(ncID, n.ID), 16)
+	sv, publish := new(server), b.Publish
+	sub, err := b.Handle(MeasureTopic(ncID, n.ID), func(msg bus.Message) {
+		sv.mu.Lock()
+		defer sv.mu.Unlock()
+		n.serve(sv, msg, publish)
+	})
 	if err != nil {
 		return err
 	}
 	n.sub = sub
-	n.serveWG.Add(1)
-	go func() {
-		defer n.serveWG.Done()
-		n.Serve(sub.C, b.Publish)
-	}()
 	return nil
 }
 
-// Detach unsubscribes the bus handler and joins its goroutine: when
+// Detach unsubscribes the bus handler and waits for its calls: when
 // Detach returns, no handler will touch the node or the bus again.
 // Detach is idempotent — a second call (or a call on a never-attached
 // node) is a no-op — and the node may AttachBus again afterwards.
@@ -213,7 +211,6 @@ func (n *Node) Detach() {
 	if sub != nil {
 		sub.Unsubscribe()
 	}
-	n.serveWG.Wait()
 }
 
 // dedupWindow bounds the per-handler duplicate-request memory: large
@@ -282,45 +279,56 @@ func (cmd *incoming) decode(payload []byte) error {
 	return json.Unmarshal(payload, cmd)
 }
 
-// Serve answers the measure commands arriving on cmds with MeasureField,
-// publishing each reading to the command's reply-to topic, until cmds
-// closes. AttachBus runs it on an in-process bus subscription; a node in
-// another process runs it on its TCP client's (bus.Client's Subscribe
-// and Publish). A transport that duplicates deliveries (netsim's async
-// path) re-presents the same envelope; the reply-to topic is unique per
-// request, so a bounded ring of recent reply-to keys suppresses the
-// duplicate instead of measuring (and replying, and spending energy)
-// twice for one command.
+// Serve answers the measure commands arriving on cmds until cmds
+// closes. A node in another process runs it on its TCP client's
+// subscription (bus.Client's Subscribe and Publish).
 func (n *Node) Serve(cmds <-chan bus.Message, publish func(topic string, payload []byte) error) {
-	var seen dedupRing
-	var cmd incoming
+	var sv server
 	for msg := range cmds {
-		if cmd.decode(msg.Payload) != nil {
-			continue
-		}
-		n.Meter.ChargeRx(energy.RadioWiFi, len(msg.Payload))
-		if cmd.ReplyTo != "" && !seen.add(cmd.ReplyTo) {
-			// The radio already paid to hear it; don't serve it again.
-			obsDuplicateCmds.Inc()
-			continue
-		}
-		obsServedCmds.Inc()
-		kind, ok := sensor.ParseKind(cmd.Body.Kind)
-		if !ok {
-			continue
-		}
-		reading, err := n.MeasureField(kind)
-		if err != nil || cmd.ReplyTo == "" {
-			continue
-		}
-		raw, err := reading.AppendJSON(make([]byte, 0, 128))
-		if err != nil {
-			continue
-		}
-		n.Meter.ChargeTx(energy.RadioWiFi, len(raw))
-		//lint:ignore errcheck reply delivery is best-effort by contract; the requester may already have timed out
-		_ = publish(cmd.ReplyTo, raw)
+		n.serve(&sv, msg, publish)
 	}
+}
+
+// server is one attachment's state between the commands it serves.
+type server struct {
+	mu   sync.Mutex // serialises AttachBus's handler calls
+	seen dedupRing
+	cmd  incoming
+}
+
+// serve answers a measure command with MeasureField, publishing the
+// reading to the command's reply-to topic. A transport that duplicates
+// deliveries (netsim's async path) re-presents the same envelope; the
+// reply-to topic is unique per request, so a bounded ring of recent
+// reply-to keys suppresses the duplicate instead of measuring (and
+// replying, and spending energy) twice for one command.
+func (n *Node) serve(sv *server, msg bus.Message, publish func(topic string, payload []byte) error) {
+	cmd := &sv.cmd
+	if cmd.decode(msg.Payload) != nil {
+		return
+	}
+	n.Meter.ChargeRx(energy.RadioWiFi, len(msg.Payload))
+	if cmd.ReplyTo != "" && !sv.seen.add(cmd.ReplyTo) {
+		// The radio already paid to hear it; don't serve it again.
+		obsDuplicateCmds.Inc()
+		return
+	}
+	obsServedCmds.Inc()
+	kind, ok := sensor.ParseKind(cmd.Body.Kind)
+	if !ok {
+		return
+	}
+	reading, err := n.MeasureField(kind)
+	if err != nil || cmd.ReplyTo == "" {
+		return
+	}
+	raw, err := reading.AppendJSON(make([]byte, 0, 128))
+	if err != nil {
+		return
+	}
+	n.Meter.ChargeTx(energy.RadioWiFi, len(raw))
+	//lint:ignore errcheck reply delivery is best-effort by contract; the requester may already have timed out
+	_ = publish(cmd.ReplyTo, raw)
 }
 
 // --- On-device context processing ----------------------------------------------
@@ -352,29 +360,22 @@ func (n *Node) SenseContext(windowLen int, rateHz float64, pipe *contextproc.Pip
 	if err != nil {
 		return ContextReport{}, err
 	}
-	var act contextproc.Activity
 	if pipe != nil {
 		n.Meter.ChargeSamples(sensor.Accelerometer, pipe.M)
 		n.mu.Lock()
 		rng := rand.New(rand.NewSource(n.rng.Int63()))
 		n.mu.Unlock()
-		xhat, _, err := pipe.Reconstruct(window, rng)
-		if err != nil {
+		if window, _, err = pipe.Reconstruct(window, rng); err != nil {
 			return ContextReport{}, err
 		}
-		f, err := contextproc.Extract(xhat, rateHz)
-		if err != nil {
-			return ContextReport{}, err
-		}
-		act = contextproc.ClassifyActivity(f)
 	} else {
 		n.Meter.ChargeSamples(sensor.Accelerometer, windowLen)
-		f, err := contextproc.Extract(window, rateHz)
-		if err != nil {
-			return ContextReport{}, err
-		}
-		act = contextproc.ClassifyActivity(f)
 	}
+	f, err := contextproc.Extract(window, rateHz)
+	if err != nil {
+		return ContextReport{}, err
+	}
+	act := contextproc.ClassifyActivity(f)
 	// IsIndoor from one GPS fix + one WiFi scan.
 	var envReading contextproc.EnvReading
 	if gps, ok := n.Probes.First(sensor.GPS); ok {

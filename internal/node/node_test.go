@@ -8,6 +8,8 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/obs"
 	"repro/internal/sensor"
+	"repro/internal/testutil"
 )
 
 // fakeEnv is a constant-valued 8×8 environment over a 80×80 m area.
@@ -163,7 +166,8 @@ func TestBusMeasureRoundTrip(t *testing.T) {
 // TestTypedCommandsRoundTrip sends the measure command through its
 // typed constructor to an attached node and checks every field of the
 // reply, and the reply bytes. It also pins that AttachBus makes exactly
-// one subscription, on the measure topic, served by one goroutine.
+// one subscription, on the measure topic, and starts no goroutine: the
+// handler runs on the publisher's.
 func TestTypedCommandsRoundTrip(t *testing.T) {
 	n := newTestNode(t, "n0")
 	// A twin built from the same config takes the same reading.
@@ -193,11 +197,11 @@ func TestTypedCommandsRoundTrip(t *testing.T) {
 	if err := callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &reading), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// The reply came, so the serving goroutine is in Serve.
 	stacks := make([]byte, 1<<20)
-	serving := strings.Count(string(stacks[:runtime.Stack(stacks, true)]), "node.(*Node).Serve(")
-	if serving != 1 || b.SubscriberCount(MeasureTopic("nc0", "n0")) != 1 {
-		t.Fatalf("AttachBus runs %d serve loops, %d subscriptions on the measure topic; want one of each",
+	all := string(stacks[:runtime.Stack(stacks, true)])
+	serving := strings.Count(all, "node.(*Node).Serve(") + strings.Count(all, "node.(*Node).AttachBus.func")
+	if serving != 0 || b.SubscriberCount(MeasureTopic("nc0", "n0")) != 1 {
+		t.Fatalf("AttachBus runs %d serve goroutines, %d subscriptions on the measure topic; want none and one",
 			serving, b.SubscriberCount(MeasureTopic("nc0", "n0")))
 	}
 	if reading != want || reading.GridIdx != cell {
@@ -371,3 +375,95 @@ func TestMoveAdvancesPosition(t *testing.T) {
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// slowEnv is fakeEnv with a pause in every reading, so a command spends
+// a while in its handler.
+type slowEnv struct{ fakeEnv }
+
+func (e slowEnv) FieldValue(sensor.Kind, int) float64 {
+	time.Sleep(200 * time.Microsecond)
+	return e.value
+}
+
+// TestDetachWaitsForInlineCalls detaches a node while four goroutines
+// gather from it. Its handler runs on their goroutines, so Detach must
+// wait for the calls under way: once it returns no call may touch the
+// node, and the meter, which every call charges, must not move again.
+func TestDetachWaitsForInlineCalls(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	n, err := New(Config{ID: "n0", Seed: 42}, slowEnv{fakeEnv{value: 21.5}}, mobility.Static{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bus.New()
+	defer b.Close()
+	if err := n.AttachBus(b, "nc0"); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg     sync.WaitGroup
+		served atomic.Int64
+	)
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var reading FieldReading
+				if callWithin(b, MeasureCall("nc0", "n0", sensor.Temperature, &reading), 20*time.Millisecond) == nil {
+					served.Add(1)
+				}
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); served.Load() < 16; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d commands served in 5 s", served.Load())
+		}
+	}
+	n.Detach()
+	spent := n.Meter.TotalMJ()
+	time.Sleep(20 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if got := n.Meter.TotalMJ(); got != spent {
+		t.Fatalf("the meter read %v mJ when Detach returned and %v after: a handler ran past it", spent, got)
+	}
+}
+
+// TestScatterToInlineNodesIsOneWave: a scatter of sixty-four calls to
+// sixty-four attached nodes runs as one wave, since a handler cannot
+// overflow and so never cuts one.
+func TestScatterToInlineNodesIsOneWave(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	b := bus.New()
+	defer b.Close()
+	const nodes = 64
+	calls, readings := make([]bus.Call, nodes), make([]FieldReading, nodes)
+	for i := range calls {
+		n := newTestNode(t, fmt.Sprintf("n%d", i))
+		if err := n.AttachBus(b, "nc0"); err != nil {
+			t.Fatal(err)
+		}
+		defer n.Detach()
+		calls[i] = MeasureCall("nc0", n.ID, sensor.Temperature, &readings[i])
+	}
+	waves := obs.GetCounter("bus.scatter.waves")
+	before := waves.Value()
+	bus.Scatter(context.Background(), b, "nc0", calls, bus.RetryPolicy{Attempts: 1, AttemptTimeout: 5 * time.Second})
+	if got := waves.Value() - before; got != 1 {
+		t.Errorf("%d calls to inline nodes ran as %d waves, want 1", nodes, got)
+	}
+	for i := range calls {
+		if calls[i].Err != nil || readings[i].NodeID != fmt.Sprintf("n%d", i) {
+			t.Fatalf("call %d: err %v, reading %+v", i, calls[i].Err, readings[i])
+		}
+	}
+}

@@ -213,13 +213,12 @@ func ProximityModel(near Schedule, maxRange float64) Model {
 	}
 }
 
-// StandardPhone registers the full Fig. 3 probe complement for one
-// simulated handset into a fresh registry: accelerometer, gyroscope,
+// StandardPhone builds the registry of the full Fig. 3 probe complement
+// for one simulated handset: accelerometer, gyroscope,
 // magnetometer, GPS, WiFi, temperature, microphone, barometer, light,
 // humidity and proximity, all configured with the device profile's noise
 // scaling. namePrefix distinguishes handsets ("node3/accelerometer").
 func StandardPhone(namePrefix string, seed int64, profile DeviceProfile, motion MotionScenario, indoor Schedule) (*Registry, error) {
-	reg := NewRegistry()
 	accel, err := AccelModel(motion)
 	if err != nil {
 		return nil, err
@@ -249,17 +248,14 @@ func StandardPhone(namePrefix string, seed int64, profile DeviceProfile, motion 
 		{Humidity, 1, 0.2, 1.0, HumidityModel(55, 10)},
 		{Proximity, 1, 4, 0, ProximityModel(func(t float64) bool { return false }, 5)},
 	}
+	probes := make([]*Probe, len(specs))
 	for i, s := range specs {
 		cfg := profile.Apply(Config{
 			RateHz: s.rate, NoiseSigma: s.noise, Seed: seed + int64(i)*7919,
 		})
-		p, err := NewProbe(fmt.Sprintf("%s/%s", namePrefix, s.kind), s.kind, s.axes, cfg, s.model)
-		if err != nil {
-			return nil, err
-		}
-		if err := reg.Register(p); err != nil {
+		if probes[i], err = NewProbe(fmt.Sprintf("%s/%s", namePrefix, s.kind), s.kind, s.axes, cfg, s.model); err != nil {
 			return nil, err
 		}
 	}
-	return reg, nil
+	return NewRegistry(probes...)
 }

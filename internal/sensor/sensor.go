@@ -15,14 +15,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 )
 
 // Kind identifies a sensor modality. It is a small integer, so a table
 // keyed by kind is an array; ParseKind is the one way a name from
-// outside (a bus command) becomes a Kind.
-type Kind uint8
+// outside (a bus command) becomes a Kind. Not a byte, so vet flags string(k).
+type Kind uint16
 
 // Physical sensor modalities provided by the framework (the probe list of
 // the paper's Fig. 3).
@@ -213,81 +213,48 @@ func (d DeviceProfile) Apply(cfg Config) Config {
 
 // --- Registry ----------------------------------------------------------------
 
-// Registry is a concurrency-safe probe directory: the node middleware
-// registers its configured probes here and the sensing API looks them up
-// by name or kind.
+// Registry is a probe directory: the node middleware builds it once
+// from its configured probes and the sensing API looks them up by kind.
+// Nothing writes it afterwards, so its reads take no lock.
 type Registry struct {
-	mu     sync.RWMutex
-	probes map[string]*Probe
+	probes []*Probe         // sorted by name
 	first  [NumKinds]*Probe // per kind, the probe whose name sorts lowest
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{probes: make(map[string]*Probe)}
+// NewRegistry returns a registry of the given probes; two probes of one
+// name are an error.
+func NewRegistry(probes ...*Probe) (*Registry, error) {
+	r := &Registry{probes: slices.Clone(probes)}
+	slices.SortFunc(r.probes, func(a, b *Probe) int { return strings.Compare(a.name, b.name) })
+	for i, p := range r.probes {
+		if i > 0 && p.name == r.probes[i-1].name {
+			return nil, fmt.Errorf("sensor: probe %q already registered", p.name)
+		}
+		if r.first[p.kind] == nil {
+			r.first[p.kind] = p
+		}
+	}
+	return r, nil
 }
 
-// Register adds a probe; registering a duplicate name is an error.
-func (r *Registry) Register(p *Probe) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.probes[p.Name()]; ok {
-		return fmt.Errorf("sensor: probe %q already registered", p.Name())
-	}
-	r.probes[p.Name()] = p
-	if f := r.first[p.Kind()]; f == nil || p.Name() < f.Name() {
-		r.first[p.Kind()] = p
-	}
-	return nil
-}
-
-// Get returns the probe with the given name.
-func (r *Registry) Get(name string) (*Probe, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p, ok := r.probes[name]
-	return p, ok
-}
-
-// List returns all probe names, sorted.
-func (r *Registry) List() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.probes))
-	for n := range r.probes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// Probes returns every probe, sorted by name.
+func (r *Registry) Probes() []*Probe { return slices.Clone(r.probes) }
 
 // First returns the probe ByKind(kind) lists first, the one of that
-// modality whose name sorts lowest, from an index Register keeps: it is
-// what a node reads on every measurement.
+// modality whose name sorts lowest: it is what a node reads on every
+// measurement.
 func (r *Registry) First(kind Kind) (*Probe, bool) {
-	r.mu.RLock()
 	p := r.first[kind]
-	r.mu.RUnlock()
 	return p, p != nil
 }
 
 // ByKind returns all probes of a modality, sorted by name.
 func (r *Registry) ByKind(kind Kind) []*Probe {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var out []*Probe
 	for _, p := range r.probes {
-		if p.Kind() == kind {
+		if p.kind == kind {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
-}
-
-// Len returns the number of registered probes.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.probes)
 }

@@ -203,23 +203,17 @@ func TestDeviceProfiles(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	reg := NewRegistry()
 	p1, _ := NewProbe("a/temp", Temperature, 1, Config{RateHz: 1}, constModel(1))
 	p2, _ := NewProbe("a/accel", Accelerometer, 3, Config{RateHz: 1}, constModel(0))
-	if err := reg.Register(p1); err != nil {
+	if _, err := NewRegistry(p1, p2, p1); err == nil {
+		t.Fatal("a duplicate name should fail")
+	}
+	reg, err := NewRegistry(p1, p2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Register(p2); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(p1); err == nil {
-		t.Fatal("duplicate registration should fail")
-	}
-	if got := reg.List(); len(got) != 2 || got[0] != "a/accel" {
-		t.Fatalf("List=%v", got)
-	}
-	if _, ok := reg.Get("a/temp"); !ok {
-		t.Fatal("Get failed")
+	if got := reg.Probes(); len(got) != 2 || got[0] != p2 || got[1] != p1 {
+		t.Fatalf("Probes=%v, want a/accel then a/temp", got)
 	}
 	if ps := reg.ByKind(Temperature); len(ps) != 1 || ps[0].Name() != "a/temp" {
 		t.Fatalf("ByKind=%v", ps)
@@ -229,15 +223,17 @@ func TestRegistry(t *testing.T) {
 // First is ByKind's head without the list: the lowest name of the kind,
 // and nothing for a kind with no probe.
 func TestRegistryFirstIsByKindHead(t *testing.T) {
-	reg := NewRegistry()
+	var probes []*Probe
 	for _, name := range []string{"n/temp2", "n/temp0", "n/temp1"} {
 		p, err := NewProbe(name, Temperature, 1, Config{RateHz: 1}, constModel(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := reg.Register(p); err != nil {
-			t.Fatal(err)
-		}
+		probes = append(probes, p)
+	}
+	reg, err := NewRegistry(probes...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if p, ok := reg.First(Temperature); !ok || p != reg.ByKind(Temperature)[0] || p.Name() != "n/temp0" {
 		t.Fatalf("First(Temperature) = %v, %v", p, ok)
@@ -250,35 +246,34 @@ func TestRegistryFirstIsByKindHead(t *testing.T) {
 	}
 }
 
-// Register keeps First's per-kind index: after every registration, in
-// every order, First is ByKind's head. A probe of another kind with a
-// lower name and a refused duplicate leave it alone.
+// NewRegistry builds First's per-kind index: from every prefix of every
+// order of the probes, First is ByKind's head. A probe of another kind
+// with a lower name leaves it alone, and a duplicate is refused.
 func TestRegistryFirstUnderEveryRegistrationOrder(t *testing.T) {
 	orders := [][]string{
 		{"t0", "t1", "t2"}, {"t0", "t2", "t1"}, {"t1", "t0", "t2"},
 		{"t1", "t2", "t0"}, {"t2", "t0", "t1"}, {"t2", "t1", "t0"},
 	}
 	for _, order := range orders {
-		reg := NewRegistry()
 		other, _ := NewProbe("a", Light, 1, Config{RateHz: 1}, constModel(0))
-		if err := reg.Register(other); err != nil {
-			t.Fatal(err)
-		}
+		probes := []*Probe{other}
 		for _, name := range order {
 			p, _ := NewProbe(name, Temperature, 1, Config{RateHz: 1}, constModel(0))
-			if err := reg.Register(p); err != nil {
-				t.Fatal(err)
-			}
+			probes = append(probes, p)
 			dup, _ := NewProbe(name, Temperature, 1, Config{RateHz: 1}, constModel(0))
-			if err := reg.Register(dup); err == nil {
+			if _, err := NewRegistry(append(probes, dup)...); err == nil {
 				t.Fatalf("%v: duplicate %q registered", order, name)
+			}
+			reg, err := NewRegistry(probes...)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if p, ok := reg.First(Temperature); !ok || p != reg.ByKind(Temperature)[0] {
 				t.Fatalf("%v after %q: First(Temperature) = %v, ByKind head %v", order, name, p, reg.ByKind(Temperature)[0])
 			}
-		}
-		if p, _ := reg.First(Light); p != other {
-			t.Fatalf("%v: First(Light) = %v", order, p)
+			if p, _ := reg.First(Light); p != other {
+				t.Fatalf("%v after %q: First(Light) = %v", order, name, p)
+			}
 		}
 	}
 }
@@ -303,8 +298,8 @@ func TestStandardPhoneFullComplement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Len() != 11 {
-		t.Fatalf("probe count %d, want 11", reg.Len())
+	if n := len(reg.Probes()); n != 11 {
+		t.Fatalf("probe count %d, want 11", n)
 	}
 	for _, kind := range []Kind{Accelerometer, Gyroscope, Magnetometer, GPS, WiFi,
 		Temperature, Microphone, Barometer, Light, Humidity, Proximity} {
