@@ -25,9 +25,12 @@ const transportNodes = 16
 // TCP, each node serves through its own client of a loopback bus.Server
 // (Node.Serve, as cmd/sensedroid-node does); otherwise it is attached to
 // the broker's bus in process (AttachBus). Everything is torn down before
-// it returns.
+// it returns, and a watchdog bounds the test.
 func gatherOver(t *testing.T, tcp bool, seed int64) (*GatherResult, []map[string]float64) {
 	t.Helper()
+	// Over TCP the broker's replies are decoded on the server's read
+	// loops: a lost wakeup hangs the gather, which the watchdog fails.
+	testutil.Watchdog(t, 30*time.Second)
 	env := fieldEnv{f: field.GenPlumes(8, 8, 10, []field.Plume{{Row: 3, Col: 5, Sigma: 2.2, Amplitude: 30}})}
 	b := bus.New()
 	defer b.Close()

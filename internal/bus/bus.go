@@ -5,15 +5,16 @@
 // libraries and APIs for communication, service discovery, and
 // collaboration … for different network topologies"; pub/sub over a broker
 // covers client-server, and peers subscribing to each other's topics
-// covers peer-to-peer. An in-process subscriber that only computes a
-// reply registers a handler (Handle), which Publish runs inline, on the
-// publisher's goroutine, outside the bus lock: no goroutine hop.
+// covers peer-to-peer. Every subscription (Handle's, a scatter's reply
+// inbox, a TCP connection's pattern) is a function that Publish calls on
+// the publisher's goroutine; Subscribe adapts one to a channel.
 package bus
 
 import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -42,26 +43,8 @@ func (s *Subscription) noteDrop() {
 	s.dropped.Add(1)
 	obsDropped.Inc()
 	if !dropWarned.Load() && dropWarned.CompareAndSwap(false, true) {
-		log.Printf("bus: subscriber %q buffer full; dropping messages (see bus.deliver.dropped metric and Subscription.Dropped; this warning is logged once)", s.pattern)
+		log.Printf("bus: subscriber %q is full (channel buffer or TCP backlog); dropping messages (see bus.deliver.dropped metric and Subscription.Dropped; this warning is logged once)", s.pattern)
 	}
-}
-
-// deliver hands msg to a channel without blocking, a full buffer
-// counting a drop instead, or counts a handler's call in flight and
-// appends it to calls, which Publish runs once the lock is released.
-func (s *Subscription) deliver(msg Message, calls []*Subscription) []*Subscription {
-	if s.h != nil {
-		s.h.calls.Add(1)
-		obsDelivered.Inc()
-		return append(calls, s)
-	}
-	select {
-	case s.ch <- msg:
-		obsDelivered.Inc()
-	default:
-		s.noteDrop()
-	}
-	return calls
 }
 
 // Message is one published datagram.
@@ -73,36 +56,32 @@ type Message struct {
 // Hook observes every publish (for byte accounting / energy metering).
 type Hook func(topic string, payloadBytes int)
 
-// Subscription receives matching messages on C until Unsubscribe is
-// called. Messages that would overflow the buffer are counted as dropped
-// rather than blocking the publisher. A handler's C receives nothing:
-// Publish calls the handler inline, on the publisher's goroutine,
-// outside the bus lock.
+// Subscription is a function that Publish calls for each matching
+// message, on the publisher's goroutine, outside the bus lock. A message
+// it refuses (a full channel, a TCP peer too far behind) counts as
+// dropped. C is Subscribe's channel, nil for the others.
 type Subscription struct {
 	C       <-chan Message
 	pattern string
-	id      uint64
 	bus     *Bus
-	ch      chan Message
-	h       *handler // Handle's, else nil; a pointer keeps a scatter's inbox at 80 bytes
+	fn      func(Message) bool // reports false for a message it dropped
+	calls   sync.WaitGroup     // fn calls in flight, counted by Publish under the bus lock
 	dropped atomic.Int64
 
-	// The wave planWaves is cutting and how many of its requests reach
-	// this subscription. Only planWaves touches them, under Bus.planMu.
-	wave uint64
-	load int
+	// The wave planWaves is cutting, how many of its requests reach this
+	// subscription (both only under Bus.planMu), and how many it holds.
+	wave       uint64
+	load, room int32
 }
 
-type handler struct {
-	fn    func(Message)
-	calls sync.WaitGroup // counted by Publish under the bus lock
-}
+// unbounded is the room of a handler: it takes each message as it comes.
+const unbounded = math.MaxInt32
 
-// Dropped returns how many messages were discarded due to a full buffer.
+// Dropped returns how many messages the subscription refused.
 func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
-// Unsubscribe detaches the subscription and closes its channel. For a
-// handler, also after Close, it waits for the calls under way.
+// Unsubscribe detaches the subscription, waits for the calls under way,
+// also after Close, and then closes C.
 func (s *Subscription) Unsubscribe() { s.bus.unsubscribe(s) }
 
 // Interceptor sits between Publish and fan-out, modelling the transport
@@ -126,12 +105,12 @@ type Interceptor func(msg Message) (deliver bool, err error)
 // subscribers is the reason to revisit this (DESIGN.md §2).
 type Bus struct {
 	mu          sync.RWMutex
-	subs        map[uint64]*Subscription   // guarded by mu
-	exact       map[string][]*Subscription // guarded by mu; wildcard-free patterns, by the one topic each matches
-	wild        []*Subscription            // guarded by mu; patterns with a "+" or "#" segment
-	nextID      uint64                     // guarded by mu
-	hooks       []Hook                     // guarded by mu
-	closed      bool                       // guarded by mu
+	subs        map[*Subscription]chan Message // guarded by mu; Subscribe's channel, nil for the others
+	exact       map[string][]*Subscription     // guarded by mu; wildcard-free patterns, by the one topic each matches
+	wild        []*Subscription                // guarded by mu; patterns with a "+" or "#" segment
+	hooks       []Hook                         // guarded by mu
+	closed      bool                           // guarded by mu
+	done        chan struct{}                  // closed by Close
 	interceptor atomic.Pointer[Interceptor]
 
 	// scatters numbers the bus's scatter calls. The number is a segment
@@ -150,8 +129,9 @@ var ErrClosed = errors.New("bus: closed")
 // New returns an empty bus.
 func New() *Bus {
 	return &Bus{
-		subs:  make(map[uint64]*Subscription),
+		subs:  make(map[*Subscription]chan Message),
 		exact: make(map[string][]*Subscription),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -239,20 +219,32 @@ func Match(pattern, topic string) bool {
 }
 
 // Subscribe registers interest in a pattern with the given channel buffer
-// (min 1).
+// (min 1): its function sends to C without waiting, a full buffer
+// counting a drop. C closes once the subscription has left and its sends
+// under way are done.
 func (b *Bus) Subscribe(pattern string, buffer int) (*Subscription, error) {
-	return b.add(pattern, max(buffer, 1), nil)
+	ch := make(chan Message, max(buffer, 1))
+	return b.add(&Subscription{C: ch, room: int32(min(cap(ch), unbounded)), fn: func(msg Message) bool {
+		select {
+		case ch <- msg:
+			return true
+		default:
+			return false
+		}
+	}}, pattern, ch)
 }
 
-// Handle registers fn for a pattern. Publish calls fn inline, after the
-// hooks and outside the bus lock, so fn may publish its reply on this
-// bus; concurrent publishers' calls overlap. fn must not wait for
-// another publisher or unsubscribe itself.
+// Handle registers fn for a pattern. Publish calls fn after the hooks
+// and outside the bus lock, so fn may publish its reply on this bus;
+// concurrent publishers' calls overlap. fn must not wait for another
+// publisher, unsubscribe itself or close the bus.
 func (b *Bus) Handle(pattern string, fn func(Message)) (*Subscription, error) {
-	return b.add(pattern, 0, &handler{fn: fn})
+	return b.add(&Subscription{fn: func(msg Message) bool { fn(msg); return true }, room: unbounded}, pattern, nil)
 }
 
-func (b *Bus) add(pattern string, buffer int, h *handler) (*Subscription, error) {
+// add registers s, whose fn and room are set, for pattern; ch is
+// Subscribe's channel, which the bus closes when s leaves.
+func (b *Bus) add(s *Subscription, pattern string, ch chan Message) (*Subscription, error) {
 	if !ValidPattern(pattern) {
 		return nil, fmt.Errorf("bus: invalid pattern %q", pattern)
 	}
@@ -261,41 +253,37 @@ func (b *Bus) add(pattern string, buffer int, h *handler) (*Subscription, error)
 	if b.closed {
 		return nil, ErrClosed
 	}
-	b.nextID++
-	ch := make(chan Message, buffer)
-	sub := &Subscription{C: ch, ch: ch, pattern: pattern, id: b.nextID, bus: b, h: h}
-	b.subs[sub.id] = sub
+	s.pattern, s.bus = pattern, b
+	b.subs[s] = ch
 	// A pattern that is itself a publishable topic has no wildcard.
 	if ValidTopic(pattern) {
-		b.exact[pattern] = append(b.exact[pattern], sub)
+		b.exact[pattern] = append(b.exact[pattern], s)
 	} else {
-		b.wild = append(b.wild, sub)
+		b.wild = append(b.wild, s)
 	}
-	return sub, nil
+	return s, nil
 }
 
 func (b *Bus) unsubscribe(s *Subscription) {
-	if s.h != nil {
-		defer s.h.calls.Wait() // after the Unlock: no call is counted once s is out
-	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.subs[s.id]; !ok {
-		return
-	}
-	delete(b.subs, s.id)
-	if ValidTopic(s.pattern) {
+	ch, ok := b.subs[s]
+	delete(b.subs, s)
+	switch {
+	case !ok:
+	case !ValidTopic(s.pattern):
+		b.wild = removeSub(b.wild, s)
+	case len(b.exact[s.pattern]) > 1:
+		b.exact[s.pattern] = removeSub(b.exact[s.pattern], s)
+	default:
 		// Reply topics are unique per request: a key left behind empty
 		// would be a leak, so the last subscription out deletes it.
-		if rest := removeSub(b.exact[s.pattern], s); len(rest) > 0 {
-			b.exact[s.pattern] = rest
-		} else {
-			delete(b.exact, s.pattern)
-		}
-	} else {
-		b.wild = removeSub(b.wild, s)
+		delete(b.exact, s.pattern)
 	}
-	close(s.ch)
+	b.mu.Unlock()
+	s.calls.Wait() // out of the index, so no call is counted any more
+	if ch != nil {
+		close(ch)
+	}
 }
 
 // removeSub removes s from list in place; slices.Delete clears the
@@ -319,9 +307,10 @@ func (b *Bus) SetInterceptor(i Interceptor) {
 	b.interceptor.Store(&i)
 }
 
-// Publish delivers the message to every matching subscription. It never
-// waits for a channel: a full buffer has the message counted as dropped
-// instead. It runs the matching handlers inline, after the hooks.
+// Publish delivers the message to every matching subscription: it
+// counts each call in flight under the read lock, runs the hooks after
+// the unlock, then calls the subscriptions. A full buffer refuses, never
+// waits.
 func (b *Bus) Publish(topic string, payload []byte) error {
 	if !ValidTopic(topic) {
 		return fmt.Errorf("bus: invalid topic %q", topic)
@@ -340,16 +329,16 @@ func (b *Bus) Publish(topic string, payload []byte) error {
 	}
 	// A message the interceptor lost was still transmitted: the publish is
 	// counted and the energy hooks run, but no subscriber hears it.
-	msg := Message{Topic: topic, Payload: payload}
 	calls := make([]*Subscription, 0, 1)
 	if deliver {
-		for _, sub := range b.exact[topic] {
-			calls = sub.deliver(msg, calls)
-		}
+		calls = append(calls, b.exact[topic]...)
 		for _, sub := range b.wild {
 			if Match(sub.pattern, topic) {
-				calls = sub.deliver(msg, calls)
+				calls = append(calls, sub)
 			}
+		}
+		for _, sub := range calls {
+			sub.calls.Add(1) // under the lock: Unsubscribe waits for it
 		}
 	}
 	hooks := b.hooks
@@ -359,9 +348,14 @@ func (b *Bus) Publish(topic string, payload []byte) error {
 	for _, h := range hooks {
 		h(topic, len(payload))
 	}
+	msg := Message{Topic: topic, Payload: payload}
 	for _, sub := range calls {
-		sub.h.fn(msg)
-		sub.h.calls.Done()
+		if sub.fn(msg) {
+			obsDelivered.Inc()
+		} else {
+			sub.noteDrop()
+		}
+		sub.calls.Done()
 	}
 	return nil
 }
@@ -421,19 +415,23 @@ func (b *Bus) SubscriberCount(topic string) int {
 	return n
 }
 
-// Close shuts the bus; all subscription channels are closed and further
-// operations fail with ErrClosed.
+// Close shuts the bus: further operations fail with ErrClosed, every
+// subscription leaves at once, and Subscribe's channels close as
+// Unsubscribe closes them. Close waits for no handler; RespondContext
+// and the scatters in flight hear of it on one bus-wide channel.
 func (b *Bus) Close() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
+	subs := b.subs // nil once closed
+	if !b.closed {
+		close(b.done)
 	}
-	b.closed = true
-	for id, sub := range b.subs {
-		delete(b.subs, id)
-		close(sub.ch)
-	}
+	b.closed, b.subs, b.wild = true, nil, nil
 	clear(b.exact)
-	b.wild = nil
+	b.mu.Unlock()
+	for sub, ch := range subs {
+		if ch != nil {
+			sub.calls.Wait()
+			close(ch)
+		}
+	}
 }

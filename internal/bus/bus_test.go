@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func TestMatch(t *testing.T) {
@@ -160,6 +162,7 @@ func requestWithin(b *Bus, topic string, body, out any, timeout time.Duration) e
 }
 
 func TestRequestReply(t *testing.T) {
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	go RespondContext(context.Background(), b, "svc/echo", func(topic string, body []byte) (any, error) {
 		return map[string]string{"echo": string(body)}, nil
@@ -179,6 +182,7 @@ func TestRequestReply(t *testing.T) {
 }
 
 func TestRequestTimeout(t *testing.T) {
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	err := requestWithin(b, "svc/nobody", "x", nil, 20*time.Millisecond)
 	if err == nil {

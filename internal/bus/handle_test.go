@@ -17,6 +17,7 @@ import (
 // reply it publishes is counted after the request that asked for it, and
 // Publish returns once the handler has.
 func TestHandlerRunsAfterHooksOnThePublisher(t *testing.T) {
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	defer b.Close()
 	var mu sync.Mutex
@@ -97,11 +98,11 @@ func TestHandleUnsubscribeWaitsForCallsUnderWay(t *testing.T) {
 	}
 }
 
-// A reply already in the inbox when the attempt's timer has fired counts
-// as answered. The handler answers inside Publish and then holds the
-// publisher past the attempt timeout, so when the scatter turns to its
-// inbox the timer and the reply are both ready; a select that picked
-// between them at random would time out about every other call.
+// A reply that came in while the attempt was still publishing counts as
+// answered, however long the publishing took. The handler answers inside
+// Publish and then holds the publisher past the attempt timeout, so the
+// deadline has passed by the time the publish loop ends; an attempt that
+// let its timer decide would time out a call its inbox already settled.
 func TestScatterTakesRepliesQueuedBeforeTheTimeout(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := New()

@@ -29,15 +29,15 @@ func indexSize(t *testing.T, b *Bus) (exactKeys, exactSubs, wild int) {
 			t.Errorf("exact index holds an empty key %q", topic)
 		}
 		for _, s := range list {
-			if s.pattern != topic || b.subs[s.id] != s {
-				t.Errorf("exact[%q] holds subscription %d with pattern %q (live: %v)", topic, s.id, s.pattern, b.subs[s.id] == s)
+			if _, live := b.subs[s]; s.pattern != topic || !live {
+				t.Errorf("exact[%q] holds a subscription with pattern %q (live: %v)", topic, s.pattern, live)
 			}
 		}
 		exactSubs += len(list)
 	}
 	for _, s := range b.wild {
-		if ValidTopic(s.pattern) || b.subs[s.id] != s {
-			t.Errorf("wildcard slice holds subscription %d with pattern %q (live: %v)", s.id, s.pattern, b.subs[s.id] == s)
+		if _, live := b.subs[s]; ValidTopic(s.pattern) || !live {
+			t.Errorf("wildcard slice holds a subscription with pattern %q (live: %v)", s.pattern, live)
 		}
 	}
 	if exactSubs+len(b.wild) != len(b.subs) {
@@ -102,7 +102,7 @@ func TestIndexDeliversWhatAMatchScanWould(t *testing.T) {
 					if msg.Topic != topic || msg.Payload[0] != byte(step) {
 						t.Fatalf("step %d: pattern %q received %+v, want this step's publish on %q", step, sub.pattern, msg, topic)
 					}
-					if len(sub.ch) != 0 {
+					if len(sub.C) != 0 {
 						t.Fatalf("step %d: pattern %q received %q more than once", step, sub.pattern, topic)
 					}
 				default:

@@ -1,12 +1,14 @@
 package bus
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -26,8 +28,8 @@ type Call struct {
 	// Attempts is how many times the request was published.
 	Attempts int
 
-	seq  int  // reply number of the attempt in flight
-	open bool // published and neither answered nor timed out
+	seq  int  // reply number of the attempt in flight; under the scatter's mu
+	open bool // published and neither answered nor timed out; under the scatter's mu
 	cut  bool // the call opens a wave (planWaves)
 }
 
@@ -49,15 +51,19 @@ var (
 )
 
 // Scatter runs every call as a request/reply exchange under one reply
-// subscription, InboxPattern(root, n) for the bus's n-th scatter. It
-// is the only request path: RequestContext is a scatter of one.
+// inbox, InboxPattern(root, n) for the bus's n-th scatter. It is the
+// only request path: RequestContext is a scatter of one.
 //
 // The calls go out in waves. A wave's requests are published back to
 // back, their envelopes in one buffer, each with a reply topic of its
-// own (appendInboxTopic), and the replies are slotted by the number that
-// ends that topic; a reply with any other number (a duplicate, or an
-// answer to an attempt already given up on) is ignored. One timer bounds
-// a wave's attempt (pol.AttemptTimeout). The calls it leaves unanswered, and those whose publish failed, are
+// own (appendInboxTopic). The inbox is a handler: on whatever goroutine
+// publishes a reply, it decodes the reply into the call that the number
+// ending its topic names, and ignores a reply with any other number (a
+// duplicate, or an answer to an attempt already given up on). An attempt
+// answered while it publishes (in-process responders answer inside
+// Publish) ends with its publish loop; otherwise one timer, for what is
+// left of pol.AttemptTimeout since the attempt began, bounds the wait.
+// The calls it leaves unanswered, and those whose publish failed, are
 // re-sent together after one backoff when the failure is retryable
 // (IsRetryable) and the call has budget left (pol.Attempts); the backoff
 // is capped exponential with jitter drawn from a generator seeded with
@@ -66,14 +72,12 @@ var (
 // ctx or a closed bus ends every call still open, sent or not, and
 // Scatter returns with nothing left subscribed.
 //
-// A wave is as wide as the buffers it crosses allow. Taking the calls in
-// order, a wave ends before the call that would put more of its requests
-// into some subscription than that subscription's channel holds
-// (planWaves), and the reply inbox holds as many messages as the widest
-// wave. So no wave can overflow a buffer on the bus even if its
+// Taking the calls in order, a wave ends before the call that would put
+// more of its requests into some subscription than its room (planWaves):
+// a Subscribe channel's buffer, 256 for a TCP connection's pattern, no
+// bound for a handler. So no wave overflows a buffer even if its
 // responders read nothing until all of it is in, and the cuts depend on
-// the calls and the subscriptions, never on what a buffer happens to
-// hold.
+// the calls and the subscriptions, never on what a buffer holds.
 //
 // On a bus with an Interceptor a wave is one request wide. The simulated
 // medium behind an interceptor is serial: netsim numbers messages and
@@ -93,11 +97,10 @@ func Scatter(ctx context.Context, b *Bus, root string, calls []Call, pol RetryPo
 // planWaves marks the call that opens each wave of a scatter. It routes
 // every call's topic as Publish would, through the exact index and then
 // the wildcard list, all under one read lock, and cuts before the call
-// that would put one request more into some subscription than its
-// channel's capacity; a handler never does. Each subscription keeps its
-// count for the wave being planned, stamped with that wave's number, so
-// planning allocates nothing; planMu keeps two scatters from planning
-// into the same counts.
+// that would put one request more into some subscription than its room.
+// Each subscription keeps its count for the wave being planned, stamped
+// with that wave's number, so planning allocates nothing; planMu keeps
+// two scatters from planning into the same counts.
 func (b *Bus) planWaves(calls []Call) {
 	if len(calls) == 1 { // a scatter of one is one wave, wherever it goes
 		calls[0].cut = true
@@ -133,13 +136,13 @@ func (b *Bus) reachLocked(topic string) bool {
 }
 
 // reach counts one request of wave against the subscription and reports
-// whether its channel holds every one counted; a handler holds any.
+// whether its room holds every one counted.
 func (s *Subscription) reach(wave uint64) bool {
 	if s.wave != wave {
 		s.wave, s.load = wave, 0
 	}
 	s.load++
-	return s.h != nil || s.load <= cap(s.ch)
+	return s.load <= s.room
 }
 
 // scatter runs calls in the waves their cut marks open; the first call
@@ -148,29 +151,24 @@ func scatter(ctx context.Context, b *Bus, root string, calls []Call, pol RetryPo
 	if len(calls) == 0 {
 		return
 	}
-	widest := 0
-	for lo := 0; lo < len(calls); {
-		hi := waveEnd(calls, lo)
-		widest = max(widest, hi-lo)
-		lo = hi
-	}
-	// The first attempts' reply slots, then the wave scratch, in one array.
-	slots := make([]*Call, len(calls)+widest)
+	// The first attempts' reply slots, then the wave scratch (no wave is
+	// wider than the scatter), in one array.
+	slots := make([]*Call, 2*len(calls))
 	pattern := InboxPattern(root, string(strconv.AppendUint(make([]byte, 0, 20), b.scatters.Add(1), 10)))
-	s := scatterState{
+	s := &scatterState{
 		b: b, pol: pol, root: root,
 		call: pattern[len(root)+len(inboxSegment) : len(pattern)-len("/#")],
 		sent: slots[:0:len(calls)],
 		wave: slots[len(calls):len(calls)],
 	}
-	var err error
-	if s.sub, err = b.Subscribe(pattern, widest); err != nil {
+	s.inbox = Subscription{fn: s.settle, room: unbounded}
+	if _, err := b.add(&s.inbox, pattern, nil); err != nil {
 		for i := range calls {
 			calls[i].Err = err
 		}
 		return
 	}
-	defer s.sub.Unsubscribe()
+	defer s.inbox.Unsubscribe()
 	for lo := 0; lo < len(calls); {
 		hi := waveEnd(calls, lo)
 		obsWaves.Inc()
@@ -199,13 +197,17 @@ func waveEnd(calls []Call, lo int) int {
 
 // scatterState is what the waves of one scatter share.
 type scatterState struct {
-	b    *Bus
-	sub  *Subscription
-	pol  RetryPolicy
-	root string
-	call string  // this scatter's number, as the reply topics spell it
-	sent []*Call // by reply number: the call each published attempt belongs to
-	wave []*Call // scratch: the calls of the current wave still to settle
+	inbox Subscription // the reply inbox, whose function is settle
+	b     *Bus
+	pol   RetryPolicy
+	root  string
+	call  string  // this scatter's number, as the reply topics spell it
+	wave  []*Call // scratch: the calls of the current wave still to settle
+
+	mu   sync.Mutex    // shared by the publish loop and settle; never held across a Publish
+	sent []*Call       // guarded by mu; by reply number: the call each published attempt belongs to
+	open int           // guarded by mu; calls of the attempt under way still waiting for their reply
+	done chan struct{} // guarded by mu; closed by settle when open falls to 0 while the attempt waits
 }
 
 // failed words the error of a call that ended for a reason of the
@@ -289,72 +291,82 @@ func (s *scatterState) backoff(ctx context.Context, round int, rng *rand.Rand) e
 	}
 }
 
-// attempt publishes one request for each pending call and collects the
-// replies until all are in, the attempt's timer fires, ctx is done or
-// the bus closes. Every call leaves with Err set for this attempt; the
-// last two cases also return the reason, which ends the scatter.
+// attempt publishes one request for each pending call and, if a reply is
+// outstanding when the last is out, waits until the attempt's deadline,
+// a done ctx or the bus closing. Every call leaves with Err set for this
+// attempt; the last two cases also return the reason, which ends the
+// scatter.
 func (s *scatterState) attempt(ctx context.Context, pending []*Call) error {
+	start, size := time.Now(), 0
+	s.mu.Lock() // every call is open before its request can be answered
+	for _, c := range pending {
+		size += 40 + len(s.root) + len(s.call) + len(c.peer) + len(c.body)
+		c.Attempts++
+		c.seq, c.open, c.Err = len(s.sent), true, nil
+		s.sent = append(s.sent, c)
+	}
+	s.open = len(pending)
+	s.mu.Unlock()
+	// Each envelope goes out capped at its end, so an append to one
+	// delivered payload cannot reach into the next.
+	buf := make([]byte, 0, size)
+	for _, c := range pending {
+		obsRetryAttempts.Inc()
+		at := len(buf)
+		buf = appendEnvelope(buf, s.root, s.call, c.peer, c.seq, c.body)
+		if err := s.b.Publish(c.topic, buf[at:len(buf):len(buf)]); err != nil {
+			s.mu.Lock()
+			c.open, c.Err = false, err // nothing was delivered: no reply settled it
+			s.open--
+			s.mu.Unlock()
+		}
+	}
+	s.mu.Lock()
+	if s.open == 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	done := make(chan struct{})
+	s.done = done
+	s.mu.Unlock()
 	var timeout <-chan time.Time
 	if s.pol.AttemptTimeout > 0 {
-		timer := time.NewTimer(s.pol.AttemptTimeout)
+		timer := time.NewTimer(s.pol.AttemptTimeout - time.Since(start))
 		defer timer.Stop()
 		timeout = timer.C
 	}
-	// Each envelope goes out capped at its end, so an append to one
-	// delivered payload cannot reach into the next.
-	size := 0
-	for _, c := range pending {
-		size += 40 + len(s.root) + len(s.call) + len(c.peer) + len(c.body)
+	var stop error
+	select {
+	case <-done:
+	case <-timeout:
+	case <-ctx.Done():
+		stop = ctx.Err()
+	case <-s.b.done:
+		stop = ErrClosed
 	}
-	buf := make([]byte, 0, size)
-	open := 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, c := range pending {
-		c.Attempts++
-		obsRetryAttempts.Inc()
-		c.seq = len(s.sent)
-		s.sent = append(s.sent, c)
-		start := len(buf)
-		buf = appendEnvelope(buf, s.root, s.call, c.peer, c.seq, c.body)
-		if c.Err = s.b.Publish(c.topic, buf[start:len(buf):len(buf)]); c.Err == nil {
-			c.open = true
-			open++
+		if c.open {
+			c.open, c.Err = false, failed(c, cmp.Or(stop, context.DeadlineExceeded))
 		}
 	}
-	for open > 0 {
-		select {
-		case msg, ok := <-s.sub.C:
-			if !ok {
-				s.closeOpen(pending, ErrClosed)
-				return ErrClosed
-			}
-			open -= s.take(msg)
-		case <-timeout:
-			// A reply in the inbox came in time: inline handlers can
-			// fill it while the wave's publishing uses up the budget.
-			for open > 0 && len(s.sub.C) > 0 {
-				open -= s.take(<-s.sub.C)
-			}
-			s.closeOpen(pending, context.DeadlineExceeded)
-			return nil
-		case <-ctx.Done():
-			s.closeOpen(pending, ctx.Err())
-			return ctx.Err()
-		}
-	}
-	return nil
+	s.open, s.done = 0, nil
+	return stop
 }
 
-// take settles the open call a reply answers, decoding the reply into
-// its out, and returns 1, or returns 0 for a reply that answers no open
-// call: the topic ends in the number its attempt was published under.
-func (s *scatterState) take(msg Message) int {
+// settle is the reply inbox: it decodes a reply into the open call whose
+// attempt's number ends the reply's topic, and ignores any other reply.
+func (s *scatterState) settle(msg Message) bool {
 	seq, err := strconv.Atoi(msg.Topic[strings.LastIndexByte(msg.Topic, '/')+1:])
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err != nil || seq < 0 || seq >= len(s.sent) {
-		return 0
+		return true
 	}
 	c := s.sent[seq]
 	if !c.open || c.seq != seq {
-		return 0
+		return true
 	}
 	c.open = false
 	if c.out != nil {
@@ -362,26 +374,17 @@ func (s *scatterState) take(msg Message) int {
 			c.Err = fmt.Errorf("bus: decode reply: %w", err)
 		}
 	}
-	return 1
-}
-
-// closeOpen fails every call still waiting for its reply with cause.
-func (s *scatterState) closeOpen(pending []*Call, cause error) {
-	for _, c := range pending {
-		if c.open {
-			c.open = false
-			c.Err = failed(c, cause)
-		}
+	if s.open--; s.open == 0 && s.done != nil {
+		close(s.done)
 	}
+	return true
 }
 
-// RequestContext publishes body (JSON-encoded) on topic with a unique
-// reply-to topic and waits for a single reply, which it decodes into out
-// (out may be nil to discard). It returns when the reply arrives, the
-// bus closes, or ctx is done — cancellation unblocks the caller
-// immediately and leaves nothing behind (the reply subscription is torn
-// down on every path). It is a Scatter of one call with one attempt; the
-// reply inbox sits under the topic's first segment.
+// RequestContext publishes body (JSON-encoded) on topic and waits for
+// one reply, which it decodes into out (nil discards it). It returns when
+// the reply arrives, the bus closes or ctx is done, leaving nothing
+// subscribed. It is a Scatter of one call with one attempt, its inbox
+// under the topic's first segment.
 func RequestContext(ctx context.Context, b *Bus, topic string, body any, out any) error {
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -406,7 +409,7 @@ func RespondContext(ctx context.Context, b *Bus, pattern string, fn func(topic s
 	}
 	defer sub.Unsubscribe()
 	select {
-	case <-sub.C: // closed by Close
+	case <-b.done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/node"
 	"repro/internal/sensor"
+	"repro/internal/testutil"
 )
 
 // flatEnv is a 4x4 grid that reads 20 everywhere.
@@ -25,10 +26,12 @@ func (flatEnv) AreaDims() (float64, float64)        { return 40, 40 }
 // holding the node's ID), the node's Serve answering it, and the reply
 // decoded. What is left is the node's reply buffer and its copy of the
 // reply topic (its duplicate-command window keeps it), and the scatter's
-// own share, which a wide wave splits among its calls: the reply
-// subscription (its channel is two), its pattern, the reply slots, the
-// attempt's envelope buffer and its timer (three).
+// own share, which a wide wave splits among its calls: its state with
+// the reply inbox in it, the inbox's function (the state's settle
+// method), the inbox pattern, the reply slots and the attempt's envelope
+// buffer. The node answers inside Publish, so the attempt arms no timer.
 func TestMeasureRequestAllocations(t *testing.T) {
+	testutil.Watchdog(t, 30*time.Second)
 	b := bus.New()
 	defer b.Close()
 	mob, err := mobility.NewRandomWaypoint(rand.New(rand.NewSource(1)), 40, 40, 1, 3, 1)
@@ -60,7 +63,7 @@ func TestMeasureRequestAllocations(t *testing.T) {
 		}
 	}
 	request() // the node's first command names its kind
-	const want = 2 + 9
+	const want = 2 + 5
 	if allocs := testing.AllocsPerRun(200, request); allocs != want {
 		t.Errorf("a measure request allocates %v times, want %d", allocs, want)
 	}

@@ -36,9 +36,12 @@ func echo(_ string, body []byte) (any, error) {
 
 // startEchoes serves every topic "grp/<x>" from one subscription depth
 // messages deep, echoing the body back, until the test ends or the bus
-// closes. Calls that all go to "grp/..." come in waves of depth.
+// closes. Calls that all go to "grp/..." come in waves of depth. The
+// scatters it serves settle their replies on its goroutine, so it arms
+// the test's watchdog: a lost wakeup fails in seconds.
 func startEchoes(t *testing.T, b *Bus, depth int) {
 	t.Helper()
+	testutil.Watchdog(t, 30*time.Second)
 	sub, err := b.Subscribe("grp/+", depth)
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +181,7 @@ func TestScatterOneWaveAcrossSubscriptions(t *testing.T) {
 // it went in.
 func TestScatterEnvelopeAppendStaysInItsOwn(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	defer b.Close()
 	sub, err := b.Subscribe("grp/+", 2) // both requests fit: one wave
@@ -424,6 +428,93 @@ func TestScatterWaveSharesOneJitterSchedule(t *testing.T) {
 	}
 }
 
+// The reply inbox settles a reply on whatever goroutine publishes it. A
+// responder goroutine that answers a wave in reverse call order gets each
+// reply into its own call's slot. A reply published after its call timed
+// out, while the scatter still waits on a later wave, leaves that call's
+// out and Err as the timeout left them.
+func TestScatterSlotsRepliesFromOtherGoroutines(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
+	b := New()
+	defer b.Close()
+	const n = 16
+	rev, err := b.Subscribe("rev/+", n) // all n fit: one wave
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		var held []Message
+		for msg := range rev.C {
+			if held = append(held, msg); len(held) == n {
+				for i := n - 1; i >= 0; i-- {
+					serveRequest(b, held[i], echo)
+				}
+			}
+		}
+	}()
+	calls, outs := make([]Call, n), make([]int, n)
+	for i := range calls {
+		outs[i] = -1
+		calls[i] = NewCall("rev/"+strconv.Itoa(i), "", []byte(strconv.Itoa(i)), &outs[i])
+	}
+	Scatter(context.Background(), b, "rev", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 10 * time.Second})
+	rev.Unsubscribe()
+	if got := cuts(calls); got != 1 {
+		t.Errorf("%d calls went out in %d waves, want 1", n, got)
+	}
+	for i := range calls {
+		if calls[i].Err != nil || outs[i] != i {
+			t.Errorf("call %d: err %v, reply %d", i, calls[i].Err, outs[i])
+		}
+	}
+
+	// One call per wave: the first is never answered in time; the
+	// responder answers it late, once the second wave's request is in.
+	late, err := b.Subscribe("late/+", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inboxLive := make(chan int, 1)
+	go func() {
+		first, ok := <-late.C
+		if !ok {
+			return
+		}
+		second, ok := <-late.C
+		if !ok {
+			return
+		}
+		replyTo, _, err := DecodeEnvelope(first.Payload)
+		if err != nil {
+			t.Error(err)
+		}
+		inboxLive <- b.SubscriberCount(replyTo)
+		for _, reply := range []string{"99", "not json"} {
+			if err := b.Publish(replyTo, []byte(reply)); err != nil {
+				t.Error(err)
+			}
+		}
+		serveRequest(b, second, echo)
+	}()
+	calls, outs = make([]Call, 2), []int{-1, -1}
+	for i := range calls {
+		calls[i] = NewCall("late/"+strconv.Itoa(i), "", []byte(strconv.Itoa(i)), &outs[i])
+	}
+	Scatter(context.Background(), b, "late", calls, RetryPolicy{Attempts: 1, AttemptTimeout: 250 * time.Millisecond})
+	late.Unsubscribe()
+	if live := <-inboxLive; live != 1 {
+		t.Fatalf("the late replies went to %d subscriptions, want the scatter's inbox", live)
+	}
+	want := `bus: request on "late/0" timed out: context deadline exceeded`
+	if c := calls[0]; c.Err == nil || c.Err.Error() != want || outs[0] != -1 {
+		t.Errorf("timed-out call after its late replies: err %v, reply %d; want %q and -1", c.Err, outs[0], want)
+	}
+	if c := calls[1]; c.Err != nil || outs[1] != 1 {
+		t.Errorf("second call: err %v, reply %d", c.Err, outs[1])
+	}
+}
+
 // Cancelling mid-wave ends the answered calls with their replies and
 // every other call, sent or not, with the context's error; nothing stays
 // subscribed and no goroutine is left.
@@ -515,6 +606,7 @@ func TestScatterBusClosedMidWave(t *testing.T) {
 // the process.
 func TestScatterNumbersArePerBus(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
 	firstEnvelope := func() []byte {
 		b := New()
 		defer b.Close()

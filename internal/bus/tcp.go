@@ -24,7 +24,8 @@ const (
 	frameHeader  = 4       // the body-length prefix
 	bodyHeader   = 4       // version, op and topic length
 	maxFrameBody = 4 << 20 // a longer body drops the connection
-	maxPending   = 1 << 20 // a connWriter's writes wait while this much is unsent
+	maxPending   = 1 << 20 // while this much is unsent, a connWriter's writes wait or are refused
+	tcpRoom      = 256     // the room a remote pattern plans for, and a Client subscriber channel's depth
 
 	opPub byte = 1 // client → server: publish on the server's bus
 	opSub byte = 2 // client → server: forward what matches a pattern
@@ -126,18 +127,24 @@ func newConnWriter(w io.Writer) *connWriter {
 	return cw
 }
 
-// write queues one frame, waiting while maxPending bytes are unsent, so a
-// peer that stops reading slows its senders. It fails once closed or after
-// a failed Write.
-func (cw *connWriter) write(op byte, topic string, payload []byte) error {
+// errBacklog refuses a frame that write was not to wait for.
+var errBacklog = errors.New("bus: connection backlog full")
+
+// write queues one frame. While maxPending bytes are unsent it waits, so
+// a peer that stops reading slows its senders, or without wait refuses
+// the frame with errBacklog. It fails once closed or after a failed Write.
+func (cw *connWriter) write(op byte, topic string, payload []byte, wait bool) error {
 	if len(topic) > math.MaxUint16 {
 		return fmt.Errorf("bus: topic of %d bytes does not fit a frame", len(topic))
 	}
 	cw.mu.Lock()
-	for cw.err == nil && len(cw.pending) >= maxPending {
+	for wait && cw.err == nil && len(cw.pending) >= maxPending {
 		cw.room.Wait()
 	}
 	err := cw.err
+	if err == nil && len(cw.pending) >= maxPending {
+		err = errBacklog
+	}
 	if err == nil {
 		cw.pending = appendFrame(cw.pending, op, topic, payload)
 		obsFramesOut.Inc()
@@ -195,13 +202,12 @@ func (cw *connWriter) close() {
 	<-cw.done
 }
 
-// forward writes a subscription's messages to cw until either ends.
-func forward(cw *connWriter, sub *Subscription) {
-	for msg := range sub.C {
-		if cw.write(opMsg, msg.Topic, msg.Payload) != nil {
-			return
-		}
-	}
+// subscribeRemote registers a connection's pattern on b as a function
+// that offers each message to cw without waiting: a frame the writer
+// refuses is the subscription's drop, so Publish never waits for a peer.
+func subscribeRemote(b *Bus, cw *connWriter, pattern string) (*Subscription, error) {
+	offer := func(msg Message) bool { return cw.write(opMsg, msg.Topic, msg.Payload, false) == nil }
+	return b.add(&Subscription{fn: offer, room: tcpRoom}, pattern, nil)
 }
 
 // Server bridges a Bus onto a TCP listener so nodes in other processes
@@ -279,17 +285,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			//lint:ignore errcheck remote publishes are fire-and-forget; an invalid topic or closed bus is not reportable over this one-way frame
 			_ = s.bus.Publish(f.topic, f.payload)
 		case opSub:
-			sub, err := s.bus.Subscribe(f.topic, 256)
-			if err != nil {
-				continue
+			if sub, err := subscribeRemote(s.bus, cw, f.topic); err == nil {
+				subs = append(subs, sub)
 			}
-			subs = append(subs, sub)
-			// Joined by Close; it ends when the teardown unsubscribes.
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				forward(cw, sub)
-			}()
 		}
 	}
 }
@@ -380,7 +378,7 @@ func (c *Client) Publish(topic string, payload []byte) error {
 	if !ValidTopic(topic) {
 		return fmt.Errorf("bus: invalid topic %q", topic)
 	}
-	return c.cw.write(opPub, topic, payload)
+	return c.cw.write(opPub, topic, payload, true)
 }
 
 // Subscribe asks the server for a pattern; matching messages arrive on the
@@ -393,10 +391,10 @@ func (c *Client) Subscribe(pattern string) (<-chan Message, error) {
 	}
 	c.mu.Lock() // so the read loop cannot close subs between write and append
 	defer c.mu.Unlock()
-	if err := c.cw.write(opSub, pattern, nil); err != nil {
+	if err := c.cw.write(opSub, pattern, nil, true); err != nil {
 		return nil, err
 	}
-	ch := make(chan Message, 256)
+	ch := make(chan Message, tcpRoom)
 	c.subs = append(c.subs, ch)
 	return ch, nil
 }

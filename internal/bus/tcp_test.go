@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -8,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -136,6 +138,7 @@ func TestTCPServerCloseClosesClientSubscriptions(t *testing.T) {
 
 func TestRequestBusClosedMidRequest(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	// A responder that never answers, so Request parks on its reply
 	// channel until Close tears the bus down under it.
@@ -155,6 +158,7 @@ func TestRequestBusClosedMidRequest(t *testing.T) {
 
 func TestRequestTimeoutNoResponder(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	defer b.Close()
 	start := time.Now()
@@ -177,6 +181,7 @@ func TestRequestUnmarshalableBody(t *testing.T) {
 
 func TestRespondIgnoresMalformedEnvelopes(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	defer b.Close()
 	served := make(chan string, 1)
@@ -238,11 +243,11 @@ func TestTCPPublishInvalidAfterDial(t *testing.T) {
 // Each of these pins a goroutine leak that once existed: the test fails
 // under testutil.CheckGoroutines if the fix regresses.
 
-// TestServerCloseJoinsForwarders pins that Server.Close waits for the
-// per-subscription forwarder goroutines. Before the forwarders joined the
-// server's WaitGroup, Close could return while they still wrote to
-// half-dead connections.
-func TestServerCloseJoinsForwarders(t *testing.T) {
+// TestServerCloseJoinsConnections pins that Server.Close waits for the
+// goroutines of every connection with live subscriptions: its reader and
+// its writer. Before they joined the server's WaitGroup, Close could
+// return while they still wrote to half-dead connections.
+func TestServerCloseJoinsConnections(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := New()
 	srv, err := NewServer(b, "127.0.0.1:0")
@@ -260,8 +265,8 @@ func TestServerCloseJoinsForwarders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Round-trip once so the server has registered the sub (and its
-		// forwarder goroutine) before we tear everything down.
+		// Round-trip once so the server has registered the sub before we
+		// tear everything down.
 		if err := cli.Publish(fmt.Sprintf("leak/%d/ping", i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
@@ -317,6 +322,7 @@ func TestClientCloseJoinsReadLoop(t *testing.T) {
 // after the caller gave up.
 func TestRequestCancelReleasesResources(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -340,6 +346,7 @@ func TestRequestCancelReleasesResources(t *testing.T) {
 // stays open.
 func TestRespondContextStops(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -380,6 +387,9 @@ func TestRespondContextStops(t *testing.T) {
 // dieOnCommand it drops the connection at the first command instead.
 func tcpNodes(t *testing.T, srv *Server, b *Bus, host string, n int, dieOnCommand bool) (ids []string) {
 	t.Helper()
+	// Their replies are decoded on the server's read loops: a lost wakeup
+	// there hangs the scatter, which the watchdog turns into a failure.
+	testutil.Watchdog(t, 30*time.Second)
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +435,7 @@ func tcpNodes(t *testing.T, srv *Server, b *Bus, host string, n int, dieOnComman
 
 // One wave spans more nodes than either connection hosts: its requests
 // fan out over both sockets and every reply finds its slot. Each
-// connection's forwarder holds 256 messages, so all 128 requests of a
+// connection's pattern plans for 256 messages, so all 128 requests of a
 // round go out at once, the shape of the wire-gather benchmark.
 func TestScatterWaveSpansTCPConnections(t *testing.T) {
 	testutil.CheckGoroutines(t)
@@ -546,33 +556,30 @@ func (w *countingWriter) frames(t *testing.T) (writes int, frames []frame) {
 	return w.writes, frames
 }
 
-// A queue of N frames leaves a slow writer in fewer than N/4 writes, and
-// a frame with nothing queued behind it is on the wire without waiting
-// for a successor, a timer or the subscription's end.
-func TestForwardCoalescesQueuedFramesAndStrandsNone(t *testing.T) {
+// A server-side subscription offers each message to its connection's
+// writer on the publisher's goroutine. A burst of N publishes leaves a
+// slow writer in fewer than N/4 writes, in publish order, and a frame
+// with nothing queued behind it is on the wire without waiting for a
+// successor, a timer or the subscription's end.
+func TestRemotePatternCoalescesQueuedFramesAndStrandsNone(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 30*time.Second)
 	b := New()
 	defer b.Close()
-	const n = 100
-	sub, err := b.Subscribe("burst/#", n)
+	w := &countingWriter{delay: time.Millisecond}
+	cw := newConnWriter(w)
+	defer cw.close()
+	sub, err := subscribeRemote(b, cw, "burst/#")
 	if err != nil {
 		t.Fatal(err)
 	}
+	const n = 100
 	for i := 0; i < n; i++ {
 		if err := b.Publish("burst/"+strconv.Itoa(i), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w := &countingWriter{delay: time.Millisecond}
-	cw := newConnWriter(w)
-	defer cw.close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		forward(cw, sub)
-	}()
-	// The forwarder stays parked on the open subscription: the frames must
-	// arrive all the same.
+	// The subscription stays open: the frames must arrive all the same.
 	arrived := func(want int) (writes int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -600,8 +607,99 @@ func TestForwardCoalescesQueuedFramesAndStrandsNone(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrived(n + 1)
+	if d := sub.Dropped(); d != 0 {
+		t.Errorf("the subscription dropped %d frames", d)
+	}
 	sub.Unsubscribe()
-	<-done
+}
+
+// A peer that stops reading costs its own subscription frames, never a
+// publisher its time. Publish returns at once while the server's writer
+// holds 1 MiB unsent, each frame past that is counted as the
+// subscription's drop (Subscription.Dropped and bus.deliver.dropped), and
+// the frames accepted before and between the drops arrive in publish
+// order once the peer reads.
+func TestRemotePatternDropsPastASlowPeersBacklog(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	testutil.Watchdog(t, 60*time.Second)
+	obs.Enable()
+	defer obs.Disable()
+	b := New()
+	defer b.Close()
+	srv, err := NewServer(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// A bare connection, so nothing reads until the test does.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(appendFrame(nil, opSub, "slow/#", nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitSubscribed(t, b, "slow/x")
+	b.mu.RLock()
+	sub := b.wild[0]
+	b.mu.RUnlock()
+
+	dropped0 := obsDropped.Value()
+	payload := make([]byte, 16<<10)
+	var accepted []uint32 // the sequence numbers the writer took, in publish order
+	slowest := time.Duration(0)
+	const most, extra = 4096, 10 // 64 MiB offered at most; drops after the first
+	for seq := uint32(0); sub.Dropped() < extra; seq++ {
+		if seq == most {
+			t.Fatalf("%d frames of %d bytes offered to a peer that reads nothing, %d dropped", most, len(payload), sub.Dropped())
+		}
+		binary.BigEndian.PutUint32(payload, seq)
+		before, start := sub.Dropped(), time.Now()
+		if err := b.Publish("slow/x", payload); err != nil {
+			t.Fatal(err)
+		}
+		slowest = max(slowest, time.Since(start))
+		if sub.Dropped() == before {
+			accepted = append(accepted, seq)
+		}
+	}
+	if slowest > time.Second {
+		t.Errorf("a publish to the stalled peer took %v", slowest)
+	}
+	if got := obsDropped.Value() - dropped0; got != sub.Dropped() {
+		t.Errorf("bus.deliver.dropped advanced by %d, the subscription counts %d", got, sub.Dropped())
+	}
+	if len(accepted) < maxPending/len(payload) {
+		t.Errorf("%d frames accepted before the drops began, want at least the writer's %d bytes", len(accepted), maxPending)
+	}
+
+	// Now read: every accepted frame arrives, in order, and nothing else.
+	if err := conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReaderSize(conn, 64<<10)
+	for i, want := range accepted {
+		f, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("frame %d of %d: %v", i, len(accepted), err)
+		}
+		if got := binary.BigEndian.Uint32(f.payload); f.op != opMsg || f.topic != "slow/x" || got != want {
+			t.Fatalf("frame %d: op %d on %q carrying %d, want message %d", i, f.op, f.topic, got, want)
+		}
+	}
+	// The connection still works: a frame published now is the next one.
+	binary.BigEndian.PutUint32(payload, math.MaxUint32)
+	if err := b.Publish("slow/x", payload); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(r)
+	if err != nil {
+		t.Fatalf("the frame after the backlog drained: %v", err)
+	}
+	if got := binary.BigEndian.Uint32(f.payload); got != math.MaxUint32 {
+		t.Fatalf("the frame after the backlog drained carries %d", got)
+	}
 }
 
 // dialSlow is Dial with every write of the client's connection going
@@ -757,11 +855,11 @@ func TestPublishFailsAfterTheConnectionFails(t *testing.T) {
 	boom := errors.New("peer hung up")
 	w := &countingWriter{fail: boom}
 	cw := newConnWriter(w)
-	if err := cw.write(opPub, "a/b", nil); err != nil {
+	if err := cw.write(opPub, "a/b", nil, true); err != nil {
 		t.Fatalf("first write: %v", err)
 	}
 	<-cw.done // the writer exits on the failed Write
-	if err := cw.write(opPub, "a/b", nil); !errors.Is(err, boom) {
+	if err := cw.write(opPub, "a/b", nil, true); !errors.Is(err, boom) {
 		t.Fatalf("write after a failed Write: %v, want %v", err, boom)
 	}
 	cw.close()
@@ -806,12 +904,12 @@ func TestConnWriterCounters(t *testing.T) {
 	payload := make([]byte, 64)
 	cw := newConnWriter(io.Discard)
 	for i := 0; i < 10; i++ {
-		if err := cw.write(opPub, "a/b", payload); err != nil {
+		if err := cw.write(opPub, "a/b", payload, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if err := cw.write(opPub, "a/b", payload); err != nil {
+		if err := cw.write(opPub, "a/b", payload, true); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -826,7 +924,7 @@ func TestConnWriterCounters(t *testing.T) {
 	cw = newConnWriter(w)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := cw.write(opPub, "a/b", payload); err != nil {
+		if err := cw.write(opPub, "a/b", payload, true); err != nil {
 			t.Fatal(err)
 		}
 	}

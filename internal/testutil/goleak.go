@@ -2,7 +2,9 @@
 package testutil
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 )
@@ -11,8 +13,24 @@ import (
 // package does not import testing into non-test builds).
 type TB interface {
 	Helper()
+	Name() string
 	Errorf(format string, args ...any)
 	Cleanup(func())
+}
+
+// Watchdog fails the test binary if the test is still running after
+// bound: it panics with every goroutine's stack, as go test's own
+// -timeout does, so a deadlock costs bound rather than the ten-minute
+// default. The test's Cleanup disarms it. State a bound well past the
+// test's slowest legitimate run under -race on a loaded machine.
+func Watchdog(t TB, bound time.Duration) {
+	t.Helper()
+	name := t.Name()
+	timer := time.AfterFunc(bound, func() {
+		debug.SetTraceback("all")
+		panic(fmt.Sprintf("testutil.Watchdog: %s still running after %v", name, bound))
+	})
+	t.Cleanup(func() { timer.Stop() })
 }
 
 // CheckGoroutines registers a test cleanup that fails the test if
